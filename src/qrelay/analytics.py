@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from scipy.optimize import minimize_scalar
-
 from .errors import ConvergenceError
 
 
@@ -36,11 +34,14 @@ class ChainConfig:
     positions_km: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.distance_km < 0:
-            raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
-        if self.atten_per_km <= 0:
-            raise ValueError(f"atten_per_km must be > 0, got {self.atten_per_km}")
-        if not isinstance(self.n_relays, int) or self.n_relays < 0:
+        if not math.isfinite(self.distance_km) or self.distance_km < 0:
+            raise ValueError(f"distance_km must be finite and >= 0, "
+                             f"got {self.distance_km}")
+        if not math.isfinite(self.atten_per_km) or self.atten_per_km <= 0:
+            raise ValueError(f"atten_per_km must be finite and > 0, "
+                             f"got {self.atten_per_km}")
+        if (isinstance(self.n_relays, bool) or not isinstance(self.n_relays, int)
+                or self.n_relays < 0):
             raise ValueError(f"n_relays must be a nonnegative integer, got {self.n_relays}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
@@ -55,7 +56,8 @@ class ChainConfig:
                 raise ValueError(f"{len(pos)} positions for {self.n_relays} relays")
             lo = 0.0
             for p in pos:
-                if p < lo - 1e-12 or p > self.distance_km + 1e-12:
+                if (not math.isfinite(p) or p < lo - 1e-12
+                        or p > self.distance_km + 1e-12):
                     raise ValueError(f"relay positions must be non-decreasing "
                                      f"within [0, {self.distance_km}], got {pos}")
                 lo = p
@@ -175,6 +177,93 @@ def optimal_positions(config: ChainConfig, refine: bool = False) -> tuple[float,
         config, lambda pos: chain_noise(config, pos), x0=pattern)
 
 
+# fminbound's rounded epsilon, kept so iterates match its reference exactly
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _bounded_brent(f: Callable[[float], float], a: float, b: float,
+                   xatol: float, maxfun: int = 500) -> tuple[float, float]:
+    """Minimize f on [a, b] by Brent's golden-section + parabolic search.
+
+    The classic bounded (fminbound) iteration, in the operation order of
+    scipy.optimize.minimize_scalar(method="bounded"), so every iterate and
+    the returned (x, f(x)) match it bit for bit. Stops when the bracket
+    shrinks below xatol plus a relative term, or after maxfun calls of f.
+    Expects finite bounds with a <= b.
+    """
+    fulc = a + _GOLDEN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = f(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign_or_one(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+
+        x = xf + _sign_or_one(rat) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
+def _sign_or_one(v: float) -> float:
+    """+1.0 or -1.0 by the sign of v, with 0 (either sign) mapping to +1.0."""
+    return 1.0 if v == 0 else math.copysign(1.0, v)
+
+
 def optimize_positions_numeric(config: ChainConfig,
                                objective: Callable[[Sequence[float]], float],
                                x0: Optional[Sequence[float]] = None,
@@ -204,12 +293,12 @@ def optimize_positions_numeric(config: ChainConfig,
             hi = pos[i + 1] if i < n - 1 else x
             if hi - lo <= 2 * xatol:
                 continue
-            res = minimize_scalar(
+            xi, fi = _bounded_brent(
                 lambda v: objective(pos[:i] + [v] + pos[i + 1:]),
-                bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-            if res.fun < best:
-                pos[i] = float(res.x)
-                best = float(res.fun)
+                lo, hi, xatol)
+            if fi < best:
+                pos[i] = xi
+                best = fi
         # relative stop: noise objectives span many decades, so an absolute
         # threshold would quit coordinate sweeps while still percent-level off
         if previous - best <= obj_tol * abs(best):

@@ -10,6 +10,7 @@ polarization.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -154,8 +155,13 @@ def qnd_measure(alpha, beta, photon_cap: int = 4) -> QndReport:
     Accepts on one-and-only-one photon in each detector package, applies the
     enumerated feed-forward sign rule, and reports every accepted outcome with
     its corrected output state and fidelity. Success probability is exactly
-    1/2 with each of the four joint outcomes at 1/8.
+    1/2 with each of the four joint outcomes at 1/8. Non-finite amplitudes
+    are a configuration error (ValueError), not a contract violation.
     """
+    alpha, beta = complex(alpha), complex(beta)
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise ValueError(f"qubit amplitudes must be finite, got "
+                         f"({alpha}, {beta})")
     basis = encoder_basis(photon_cap)
     qubit = make_qubit(basis, alpha, beta, "0")
     reference = make_qubit(basis, alpha, beta, "1")

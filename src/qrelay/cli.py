@@ -125,11 +125,13 @@ def _grid(params: _Params) -> list[float]:
     ax = params.get("alpha_x")
     if ax is not None:
         ax = float(ax)
-        if ax < 0:
-            raise ValueError(f"alpha_x must be >= 0, got {ax}")
+        if not math.isfinite(ax) or ax < 0:
+            raise ValueError(f"alpha_x must be finite and >= 0, got {ax}")
         return [ax]
     lo = float(params.get("alpha_x_min"))
     hi = float(params.get("alpha_x_max"))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"alpha_x range must be finite, got [{lo}, {hi}]")
     steps = int(params.get("steps"))
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")

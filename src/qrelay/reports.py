@@ -5,7 +5,10 @@ files carry the metadata as '# ' comment lines holding one JSON object, then
 a header row, then data rows with every value printed as '%.17e' so that a
 write/read/write cycle is byte identical. JSON files carry the same content
 as one object with sorted keys. Neither format embeds timestamps or any other
-run-dependent value; identical inputs produce identical bytes.
+run-dependent value; identical inputs produce identical bytes. Both write
+strict JSON: table values spell non-finite floats as "nan"/"inf", and a
+non-finite metadata value raises ValueError instead of emitting the
+non-standard NaN/Infinity tokens.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ def _format_value(v: float) -> str:
 
 def render_csv(report: CurveReport) -> str:
     lines = []
-    meta_json = json.dumps(report.metadata, sort_keys=True)
+    meta_json = json.dumps(report.metadata, sort_keys=True, allow_nan=False)
     lines.append("# " + meta_json)
     lines.append(",".join(report.columns))
     for row in report.rows:
@@ -92,7 +95,8 @@ def render_json(report: CurveReport) -> str:
         "columns": list(report.columns),
         "rows": [[_format_value(v) for v in row] for row in report.rows],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def write_json(report: CurveReport, path) -> None:

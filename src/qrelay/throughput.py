@@ -43,8 +43,8 @@ class EcPaParams:
     model: str = _SINGLE_PHOTON_BB84
 
     def __post_init__(self):
-        if self.f_ec < 1.0:
-            raise ValueError(f"f_ec must be >= 1, got {self.f_ec}")
+        if not math.isfinite(self.f_ec) or self.f_ec < 1.0:
+            raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
         if self.model not in _MODELS:
             raise ValueError(f"unknown throughput model {self.model!r}; "
                              f"known: {sorted(_MODELS)}")

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from qrelay.analytics import (ChainConfig, SnrPoint, noise_single_relay,
-                              optimal_position_single, optimal_positions,
-                              optimize_positions_numeric, qber_from_snr,
-                              range_enhancement, raw_rate,
+from qrelay.analytics import (ChainConfig, SnrPoint, _bounded_brent,
+                              noise_single_relay, optimal_position_single,
+                              optimal_positions, optimize_positions_numeric,
+                              qber_from_snr, range_enhancement, raw_rate,
                               snr_n_relays, snr_no_relay, solve_range_alpha_x)
 from qrelay.chain import chain_noise, run_chain
 from qrelay.errors import ConvergenceError
@@ -33,11 +33,79 @@ def test_chain_config_validation():
         ChainConfig(distance_km=10.0, n_relays=2, positions_km=(6.0, 4.0))
     with pytest.raises(ValueError):
         ChainConfig(distance_km=10.0, n_relays=2, positions_km=(4.0,))
+    for bad in ({"distance_km": math.nan}, {"distance_km": math.inf},
+                {"atten_per_km": math.nan}, {"atten_per_km": math.inf},
+                {"n_relays": True}, {"n_relays": False},
+                {"n_relays": 1, "positions_km": (math.nan,)}):
+        with pytest.raises(ValueError):
+            ChainConfig(**{"distance_km": 10.0, **bad})
     two = ChainConfig(distance_km=10.0, n_relays=2, positions_km=(4.0, 4.0))
     assert two.positions_km == (4.0, 4.0)
     moved = two.with_positions((3.0, 7.0))
     assert moved.positions_km == (3.0, 7.0)
     assert two.positions_km == (4.0, 4.0)
+
+
+def _relay_noise_shape(v):
+    # eta e^(-a x1) + e^(-a x2) on a 100 km chain, as in noise_single_relay
+    return 0.5 * math.exp(-0.05 * v) + math.exp(-0.05 * (100.0 - v))
+
+
+@pytest.mark.parametrize("f, lo, hi, xatol", [
+    (lambda v: (v - 0.3) ** 2, 0.0, 1.0, 1e-12),
+    (lambda v: (v - 1234.5) ** 2 + 7.0, 0.0, 5000.0, 5e-9),
+    (_relay_noise_shape, 0.0, 100.0, 1e-10),
+    (_relay_noise_shape, 43.0, 43.0 + 4e-12, 1e-13),
+    (lambda v: v, 2.0, 9.0, 1e-12),
+    (lambda v: -v, 2.0, 9.0, 1e-12),
+    (lambda v: math.exp(3.0 * v), -1e-11, 1e-11, 1e-13),
+], ids=["quadratic", "quadratic-wide", "relay-noise", "relay-noise-tiny",
+        "min-at-lower", "min-at-upper", "exp-tiny"])
+def test_bounded_brent_matches_scipy_bit_for_bit(f, lo, hi, xatol):
+    from scipy.optimize import minimize_scalar
+    for maxfun in (500, 4):     # 4 calls cut all but the tiny bracket short
+        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol, "maxiter": maxfun})
+        assert (_bounded_brent(f, lo, hi, xatol, maxfun)
+                == (float(ref.x), float(ref.fun)))
+
+
+def test_bounded_brent_matches_scipy_on_random_objectives():
+    # many parabolic steps, so a reordered floating-point operation shows
+    from scipy.optimize import minimize_scalar
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        lo = rng.uniform(-50.0, 50.0)
+        hi = lo + 10 ** rng.uniform(-10.0, 3.0)
+        c, w = rng.uniform(lo, hi), rng.uniform(0.1, 3.0)
+        xatol = (hi - lo) * 10 ** rng.uniform(-12.0, -3.0)
+
+        def f(v):
+            u = (v - c) / (hi - lo)
+            return math.cosh(w * u) + 0.1 * u
+
+        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol})
+        assert _bounded_brent(f, lo, hi, xatol) == (float(ref.x),
+                                                    float(ref.fun))
+
+
+def test_bounded_brent_matches_scipy_on_chain_noise():
+    from scipy.optimize import minimize_scalar
+    cfg = ChainConfig(distance_km=300.0, n_relays=5)
+    pos = list(optimal_positions(cfg))
+    xatol = 1e-12 * cfg.distance_km
+    for i in range(cfg.n_relays):
+        lo = pos[i - 1] if i > 0 else 0.0
+        hi = pos[i + 1] if i < cfg.n_relays - 1 else cfg.distance_km
+
+        def f(v):
+            return chain_noise(cfg, pos[:i] + [v] + pos[i + 1:])
+
+        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol})
+        assert _bounded_brent(f, lo, hi, xatol) == (float(ref.x),
+                                                    float(ref.fun))
 
 
 def test_qber_from_snr():

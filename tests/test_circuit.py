@@ -10,6 +10,7 @@ from qrelay.circuit import (ENCODER_SPATIAL, QndChannelParams,
                             measured_relay_efficiency,
                             multiphoton_gate_probability, noisy_relay_map,
                             qnd_measure, vacuum_gate_probability)
+from qrelay.errors import ContractViolationError
 from qrelay.fockspace import H, V, make_qubit, product
 
 from oracles import dense_apply
@@ -66,6 +67,14 @@ def test_encoder_postselect_complex_qubit():
         sign = 1.0 if ch == "F" else -1.0
         assert cond.amplitude({("1", H): 1, ("2", H): 1}) == pytest.approx(a, abs=1e-12)
         assert cond.amplitude({("1", V): 1, ("2", V): 1}) == pytest.approx(sign * b, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.inf),
+                                         (complex(0.6, math.nan), 0.8)])
+def test_qnd_measure_rejects_non_finite_input(alpha, beta):
+    with pytest.raises(ValueError) as info:
+        qnd_measure(alpha, beta)
+    assert not isinstance(info.value, ContractViolationError)
 
 
 def test_qnd_measure_outcomes():

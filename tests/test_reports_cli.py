@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qrelay
 from qrelay import cli
 from qrelay.reports import (CurveReport, read_csv, read_json, render_csv,
                             render_json, write_csv, write_json)
@@ -63,6 +67,14 @@ def test_full_precision_survives():
     parsed = [float(t) for t in
               render_csv(rep).splitlines()[2].split(",")]
     assert tuple(parsed) == vals
+
+
+@pytest.mark.parametrize("render", [render_csv, render_json])
+def test_non_finite_metadata_does_not_render(render):
+    rep = CurveReport(columns=("x",), rows=((1.0,),),
+                      metadata={"cutoff": math.nan})
+    with pytest.raises(ValueError):
+        render(rep)
 
 
 def run_cli(args):
@@ -244,3 +256,34 @@ def test_cli_stdout_output(capsys):
     text = capsys.readouterr().out
     assert text.startswith("# {")
     assert "alpha_x" in text.splitlines()[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["throughput", "--f-ec", "nan"],
+    ["throughput", "--f-ec", "inf"],
+    ["snr", "--alpha-x", "inf"],
+    ["snr", "--alpha-x", "nan"],
+    ["snr", "--alpha-x-max", "inf"],
+    ["optimize", "--distance-km", "inf", "--n-relays", "1"],
+    ["sample", "--alpha-x", "nan", "--trials", "10", "--seed", "1"],
+    ["verify-circuit", "--input", "nan,1"],
+], ids=["f-ec-nan", "f-ec-inf", "alpha-x-inf", "alpha-x-nan",
+        "alpha-x-max-inf", "distance-inf", "sample-alpha-x-nan",
+        "input-nan"])
+def test_cli_rejects_non_finite_inputs(args, capsys):
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert captured.out == ""
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qrelay.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import qrelay, qrelay.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == "False"

@@ -33,6 +33,9 @@ def test_ec_pa_params():
         EcPaParams(f_ec=0.9)
     with pytest.raises(ValueError):
         EcPaParams(model="no-such-model")
+    for f_ec in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            EcPaParams(f_ec=f_ec)
 
 
 def test_key_fraction_endpoints():
