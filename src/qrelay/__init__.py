@@ -7,7 +7,8 @@ The package layers are, bottom up:
   polarizing beam splitter, an entangled ancilla pair, and two detector
   packages, plus its single-slot channel maps.
 - chain: exact slot-by-slot event propagation through fiber segments and
-  relay stations, and a seeded Monte Carlo cross-check.
+  relay stations, for one chain or a whole attenuation-length grid at once,
+  and a seeded Monte Carlo cross-check.
 - analytics: closed-form SNR/QBER expressions, relay placement (closed form
   and numeric), range enhancement, raw rates.
 - throughput: BB84 secure-key fraction and throughput sweeps.
@@ -25,7 +26,7 @@ from .analytics import (ChainConfig, RangeEnhancement, SnrPoint,
 from .chain import (ChannelEventState, ReceiverReport, SampledReport,
                     apply_relay, chain_noise, initial_state, propagate_chain,
                     propagate_segment, receiver_detect, run_chain,
-                    sample_chain)
+                    run_chain_grid, sample_chain)
 from .circuit import (PackageOutcome, QndChannelParams, QndReport,
                       derive_feed_forward_table, encoder_postselect,
                       feed_forward_sign, ideal_relay_map,
@@ -54,7 +55,7 @@ __all__ = [
     "measured_relay_efficiency", "ideal_relay_map", "noisy_relay_map",
     "ChannelEventState", "ReceiverReport", "SampledReport", "initial_state",
     "propagate_segment", "apply_relay", "receiver_detect", "propagate_chain",
-    "run_chain", "chain_noise", "sample_chain",
+    "run_chain", "run_chain_grid", "chain_noise", "sample_chain",
     "ChainConfig", "SnrPoint", "RangeEnhancement", "qber_from_snr",
     "snr_no_relay", "snr_n_relays", "noise_single_relay",
     "optimal_position_single", "optimal_positions",

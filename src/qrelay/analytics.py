@@ -70,6 +70,18 @@ class ChainConfig:
         return ChainConfig(self.distance_km, self.atten_per_km, self.n_relays,
                            self.eta, self.p_dark, tuple(positions_km))
 
+    def at_alpha_x(self, alpha_x: float) -> "ChainConfig":
+        """The same chain rescaled to attenuation length alpha_x.
+
+        The distance becomes alpha_x/alpha and the relays go to their
+        optimal positions, so a config with explicit positions is rejected.
+        """
+        if self.positions_km is not None:
+            raise ValueError("a chain rescaled to alpha_x places its relays "
+                             "itself; the config must not carry positions_km")
+        return ChainConfig(alpha_x / self.atten_per_km, self.atten_per_km,
+                           self.n_relays, self.eta, self.p_dark)
+
 
 @dataclass(frozen=True)
 class SnrPoint:

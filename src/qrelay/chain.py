@@ -5,6 +5,8 @@ the slot still carries the original signal photon, it carries a randomly
 polarized spurious photon, it is empty but every relay so far has gated it,
 or some relay has already vetoed it. All orders of dark-count events are kept,
 so these probabilities are exact for the model, not first-order expansions.
+One kernel propagates a single chain on floats, or a whole grid of
+attenuation lengths at once on arrays, with the same result per element.
 """
 
 from __future__ import annotations
@@ -18,6 +20,38 @@ import numpy as np
 from .analytics import ChainConfig, optimal_positions
 
 _SUM_TOL = 1e-12
+_LO, _HI = -_SUM_TOL, 1.0 + _SUM_TOL
+_EVENTS = ("p_sig", "p_rnd", "p_empty", "p_nogate")
+
+
+def _checked(sig, rnd, empty, nogate) -> list:
+    """The four event probabilities after ChannelEventState's invariants.
+
+    Each value must lie in [0, 1] up to the sum tolerance; a value in
+    [-tol, 0) from float cancellation is clamped to 0; the clamped values
+    must sum to 1 within the tolerance. Works on floats and on equal-length
+    1-D arrays (checked as a whole); raises ValueError on a violation.
+    """
+    state = [sig, rnd, empty, nogate]
+    for k, v in enumerate(state):
+        if isinstance(v, np.ndarray):
+            bad = (v < _LO) | (v > _HI)
+            if bad.any():
+                raise ValueError(f"{_EVENTS[k]} = {v[bad][0]} outside [0, 1]")
+            state[k] = np.where(v < 0.0, 0.0, v)
+        elif v < 0.0 or v > _HI:
+            if v < _LO or v > _HI:
+                raise ValueError(f"{_EVENTS[k]} = {v} outside [0, 1]")
+            state[k] = 0.0
+    total = state[0] + state[1] + state[2] + state[3]
+    off = abs(total - 1.0) > _SUM_TOL
+    if isinstance(off, np.ndarray):
+        if off.any():
+            raise ValueError(f"event probabilities sum to "
+                             f"{float(total[off][0])!r}, not 1")
+    elif off:
+        raise ValueError(f"event probabilities sum to {total!r}, not 1")
+    return state
 
 
 @dataclass(frozen=True)
@@ -36,15 +70,9 @@ class ChannelEventState:
     p_nogate: float
 
     def __post_init__(self):
-        for name in ("p_sig", "p_rnd", "p_empty", "p_nogate"):
-            v = getattr(self, name)
-            if v < -_SUM_TOL or v > 1.0 + _SUM_TOL:
-                raise ValueError(f"{name} = {v} outside [0, 1]")
-            if v < 0.0:
-                object.__setattr__(self, name, 0.0)
-        total = self.p_sig + self.p_rnd + self.p_empty + self.p_nogate
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"event probabilities sum to {total!r}, not 1")
+        values = _checked(self.p_sig, self.p_rnd, self.p_empty, self.p_nogate)
+        for name, v in zip(_EVENTS, values):
+            object.__setattr__(self, name, v)
 
     @property
     def p_alive(self) -> float:
@@ -74,6 +102,19 @@ def propagate_segment(state: ChannelEventState,
                              state.p_empty + lost, state.p_nogate)
 
 
+def _check_p_dark(p_dark: float) -> None:
+    if not 0.0 <= p_dark < 0.5:
+        raise ValueError(f"p_dark must be in [0, 0.5), got {p_dark}")
+
+
+def _check_relay(eta: float, p_dark: float) -> None:
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    _check_p_dark(p_dark)
+    if eta + 2.0 * p_dark > 1.0:
+        raise ValueError("eta + 2*p_dark exceeds 1")
+
+
 def apply_relay(state: ChannelEventState, params) -> ChannelEventState:
     """One relay station: gate-and-pass efficiency eta, false gates 2*p_dark.
 
@@ -86,13 +127,8 @@ def apply_relay(state: ChannelEventState, params) -> ChannelEventState:
     stochastic.
     """
     eta, p_dark = float(params.eta), float(params.p_dark)
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
-    if not 0.0 <= p_dark < 0.5:
-        raise ValueError(f"p_dark must be in [0, 0.5), got {p_dark}")
+    _check_relay(eta, p_dark)
     pd2 = 2.0 * p_dark
-    if eta + pd2 > 1.0:
-        raise ValueError("eta + 2*p_dark exceeds 1")
     sig = eta * state.p_sig
     rnd = eta * state.p_rnd + pd2 * state.p_alive
     nogate = (state.p_nogate
@@ -109,6 +145,7 @@ class ReceiverReport:
     noise detection (spurious photon or receiver dark count in a gated slot).
     snr is their ratio; q_b = p_n / (2 (p_n + p_s)) since random polarization
     errs half the time. A fully vetoed chain yields nan for snr and q_b.
+    Fields are floats, or 1-D arrays over the grid from run_chain_grid.
     """
 
     p_s: float
@@ -117,12 +154,12 @@ class ReceiverReport:
     q_b: float
 
 
-def receiver_detect(state: ChannelEventState, p_dark: float) -> ReceiverReport:
-    """Terminal detection on a slot state, with receiver dark rate p_dark."""
-    if not 0.0 <= p_dark < 0.5:
-        raise ValueError(f"p_dark must be in [0, 0.5), got {p_dark}")
-    p_s = state.p_sig
-    p_n = state.p_rnd + 2.0 * p_dark * state.p_alive
+def _snr_qb(p_s: float, p_n: float) -> tuple[float, float]:
+    """(snr, q_b) from signal and noise detection probabilities.
+
+    snr = p_s / p_n, inf when only the signal can click, nan when nothing
+    can; q_b = p_n / (2 (p_n + p_s)), nan when nothing can click.
+    """
     if p_n > 0.0:
         snr = p_s / p_n
     elif p_s > 0.0:
@@ -131,7 +168,52 @@ def receiver_detect(state: ChannelEventState, p_dark: float) -> ReceiverReport:
         snr = math.nan
     denom = p_n + p_s
     q_b = 0.5 * p_n / denom if denom > 0.0 else math.nan
-    return ReceiverReport(p_s=p_s, p_n=p_n, snr=snr, q_b=q_b)
+    return snr, q_b
+
+
+# the same rule element by element over arrays (object results)
+_snr_qb_elementwise = np.frompyfunc(_snr_qb, 2, 2)
+
+
+def _detect(sig, rnd, empty, p_dark: float) -> ReceiverReport:
+    """Receiver statistics of a slot state given as floats or arrays."""
+    p_n = rnd + 2.0 * p_dark * (sig + rnd + empty)
+    if isinstance(p_n, np.ndarray):
+        snr, q_b = (v.astype(float) for v in _snr_qb_elementwise(sig, p_n))
+    else:
+        snr, q_b = _snr_qb(sig, p_n)
+    return ReceiverReport(sig, p_n, snr, q_b)
+
+
+def receiver_detect(state: ChannelEventState, p_dark: float) -> ReceiverReport:
+    """Terminal detection on a slot state, with receiver dark rate p_dark."""
+    _check_p_dark(p_dark)
+    return _detect(state.p_sig, state.p_rnd, state.p_empty, p_dark)
+
+
+def _propagate(ts, eta: float, p_dark: float):
+    """Slot state after fiber segments of transmissions ts, relays between.
+
+    The operations and their order are those of propagate_segment and
+    apply_relay, and every step keeps ChannelEventState's invariants, so a
+    float run equals the step-by-step composition bit for bit. ts holds
+    floats, or equal-length 1-D arrays that run one chain per element.
+    Returns (p_sig, p_rnd, p_empty, p_nogate).
+    """
+    eta, p_dark = float(eta), float(p_dark)
+    _check_relay(eta, p_dark)
+    pd2 = 2.0 * p_dark
+    gate_fail, false_gate_miss = 1.0 - eta - pd2, 1.0 - pd2
+    sig, rnd, empty, nogate = 1.0, 0.0, 0.0, 0.0
+    for i, t in enumerate(ts):
+        lost = (1.0 - t) * (sig + rnd)
+        sig, rnd, empty, nogate = _checked(t * sig, t * rnd, empty + lost,
+                                           nogate)
+        if i < len(ts) - 1:
+            sig, rnd, empty, nogate = _checked(
+                eta * sig, eta * rnd + pd2 * (sig + rnd + empty), 0.0,
+                nogate + gate_fail * (sig + rnd) + false_gate_miss * empty)
+    return sig, rnd, empty, nogate
 
 
 def _segment_lengths(config: ChainConfig,
@@ -154,6 +236,12 @@ def _segment_lengths(config: ChainConfig,
     return lengths
 
 
+def _transmissions(config: ChainConfig,
+                   positions_km: Optional[Sequence[float]]) -> list[float]:
+    return [math.exp(-(config.atten_per_km * seg))
+            for seg in _segment_lengths(config, positions_km)]
+
+
 def propagate_chain(config: ChainConfig,
                     positions_km: Optional[Sequence[float]] = None
                     ) -> ChannelEventState:
@@ -163,20 +251,54 @@ def propagate_chain(config: ChainConfig,
     analytic optimum. Segments alternate with relays; the receiver detector
     itself is not applied here.
     """
-    state = initial_state()
-    lengths = _segment_lengths(config, positions_km)
-    for i, seg in enumerate(lengths):
-        state = propagate_segment(state, config.atten_per_km * seg)
-        if i < config.n_relays:
-            state = apply_relay(state, config)
-    return state
+    return ChannelEventState(*_propagate(_transmissions(config, positions_km),
+                                         config.eta, config.p_dark))
 
 
 def run_chain(config: ChainConfig,
               positions_km: Optional[Sequence[float]] = None) -> ReceiverReport:
     """Exact receiver statistics for the configured chain."""
-    state = propagate_chain(config, positions_km)
-    return receiver_detect(state, config.p_dark)
+    sig, rnd, empty, _ = _propagate(_transmissions(config, positions_km),
+                                    config.eta, config.p_dark)
+    return _detect(sig, rnd, empty, config.p_dark)
+
+
+def run_chain_grid(config: ChainConfig,
+                   alpha_x_values: Sequence[float]) -> ReceiverReport:
+    """Exact receiver statistics at every attenuation length of a grid.
+
+    Each point rescales the configured chain to distance alpha_x/alpha with
+    the relays at optimal_positions, as config.at_alpha_x does; the
+    configured distance is ignored and explicit positions are rejected. The
+    whole grid runs through the chain at once, and element i equals
+    run_chain(config.at_alpha_x(alpha_x_values[i])) bit for bit. Returns a
+    ReceiverReport of 1-D arrays.
+    """
+    if config.positions_km is not None:
+        raise ValueError("a chain rescaled to alpha_x places its relays "
+                         "itself; the config must not carry positions_km")
+    ax = np.array(alpha_x_values, dtype=float)
+    if ax.ndim != 1:
+        raise ValueError(f"alpha_x values must be 1-D, got shape {ax.shape}")
+    if not np.isfinite(ax).all() or (ax < 0).any():
+        bad = ax[~(np.isfinite(ax) & (ax >= 0))][0]
+        raise ValueError(f"alpha_x must be finite and >= 0, got {bad}")
+    atten, n = config.atten_per_km, config.n_relays
+    x = ax / atten
+    # optimal_positions and _segment_lengths, elementwise
+    pts = [0.0]
+    if n:
+        delta = -math.log(config.eta) / atten
+        d = (x - delta) / (n + 1)
+        clamped = x <= delta
+        pts += [np.where(clamped, 0.0, i * d) for i in range(1, n + 1)]
+    pts.append(x)
+    # libm exp per element: np.exp can differ from it by an ulp
+    ts = [np.array([math.exp(-v)
+                    for v in (atten * np.maximum(b - a, 0.0)).tolist()])
+          for a, b in zip(pts, pts[1:])]
+    sig, rnd, empty, _ = _propagate(ts, config.eta, config.p_dark)
+    return _detect(sig, rnd, empty, config.p_dark)
 
 
 def chain_noise(config: ChainConfig, positions_km: Sequence[float]) -> float:
@@ -230,8 +352,7 @@ def sample_chain(config: ChainConfig, n_trials: int, seed: int,
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    lengths = _segment_lengths(config, positions_km)
-    trans = [math.exp(-config.atten_per_km * seg) for seg in lengths]
+    trans = _transmissions(config, positions_km)
     eta, pd2 = config.eta, 2.0 * config.p_dark
 
     n_chunks = (n_trials + chunk_size - 1) // chunk_size
@@ -278,14 +399,7 @@ def sample_chain(config: ChainConfig, n_trials: int, seed: int,
     var_n = max(second_moment - p_n * p_n, 0.0)
     stderr_p_s = math.sqrt(p_s * (1.0 - p_s) / n)
     stderr_p_n = math.sqrt(var_n / n)
-    if p_n > 0.0:
-        snr = p_s / p_n
-    elif p_s > 0.0:
-        snr = math.inf
-    else:
-        snr = math.nan
-    denom = p_n + p_s
-    q_b = 0.5 * p_n / denom if denom > 0.0 else math.nan
+    snr, q_b = _snr_qb(p_s, p_n)
     names = ("signal", "random", "empty", "no_gate")
     return SampledReport(
         p_s=p_s, p_n=p_n, snr=snr, q_b=q_b, n_trials=n, seed=seed,

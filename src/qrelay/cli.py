@@ -22,12 +22,12 @@ import numpy as np
 
 from . import __version__
 from .analytics import (ChainConfig, optimal_positions,
-                        optimize_positions_numeric, qber_from_snr,
-                        snr_n_relays)
-from .chain import chain_noise, run_chain, sample_chain
+                        optimize_positions_numeric, snr_n_relays)
+from .chain import chain_noise, run_chain, run_chain_grid, sample_chain
 from .errors import ContractViolationError, ConvergenceError
-from .reports import CurveReport, render_csv, render_json, write_csv, write_json
-from .throughput import EcPaParams, cutoff_alpha_x, key_fraction
+from .reports import (CurveReport, render_csv, render_json, write_csv,
+                      write_json, write_payload)
+from .throughput import EcPaParams, cutoff_alpha_x, throughput_curve
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -168,12 +168,6 @@ def _emit_report(report: CurveReport, params: _Params) -> None:
         sys.stdout.write(text)
 
 
-def _exact_chain(ax: float, n: int, eta: float, pd: float,
-                 atten: float) -> ChainConfig:
-    return ChainConfig(distance_km=ax / atten, atten_per_km=atten,
-                       n_relays=n, eta=eta, p_dark=pd)
-
-
 def cmd_snr(args: argparse.Namespace) -> int:
     """Sweep analytic and exact SNR over attenuation length for each N."""
     params = _Params(args)
@@ -184,14 +178,18 @@ def cmd_snr(args: argparse.Namespace) -> int:
     for n in ns:
         columns += [f"s_analytic_n{n}", f"s_exact_n{n}", f"q_b_n{n}",
                     f"rel_dev_n{n}"]
+    curves = []
+    for n in ns:
+        rep = run_chain_grid(ChainConfig(distance_km=0.0, atten_per_km=atten,
+                                         n_relays=n, eta=eta, p_dark=pd), grid)
+        curves.append((n, rep.snr.tolist(), rep.q_b.tolist()))
     rows = []
-    for ax in grid:
+    for j, ax in enumerate(grid):
         row = [ax]
-        for n in ns:
+        for n, snr, q_b in curves:
             s_an = snr_n_relays(ax, n, eta, pd)
-            rep = run_chain(_exact_chain(ax, n, eta, pd, atten))
-            dev = abs(rep.snr - s_an) / s_an if s_an > 0 else math.nan
-            row += [s_an, rep.snr, rep.q_b, dev]
+            dev = abs(snr[j] - s_an) / s_an if s_an > 0 else math.nan
+            row += [s_an, snr[j], q_b[j], dev]
         rows.append(tuple(row))
     meta = _metadata("snr", {
         "eta": eta, "pd": pd, "atten_per_km": atten, "n_relays": ns,
@@ -207,21 +205,21 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     ns = _parse_n_list(params.get("n_relays", "0,1,2,3"))
     grid = _grid(params)
     ec = EcPaParams(f_ec=float(params.get("f_ec")))
+    configs = [ChainConfig(distance_km=0.0, atten_per_km=atten, n_relays=n,
+                           eta=eta, p_dark=pd) for n in ns]
     columns = ["alpha_x"]
     for n in ns:
         columns += [f"s_exact_n{n}", f"q_b_n{n}", f"t_n_n{n}",
                     f"t_n_scaled_n{n}"]
+    curves = [throughput_curve(cfg, grid, ec) for cfg in configs]
     rows = []
-    for ax in grid:
+    for j, ax in enumerate(grid):
         row = [ax]
-        for n in ns:
-            rep = run_chain(_exact_chain(ax, n, eta, pd, atten))
-            t_n = key_fraction(rep.q_b, ec)
-            row += [rep.snr, rep.q_b, t_n, eta ** n * t_n]
+        for curve in curves:
+            p = curve[j]
+            row += [p.s, p.q_b, p.t_n, p.t_n_scaled]
         rows.append(tuple(row))
-    cutoffs = {str(n): cutoff_alpha_x(
-        ChainConfig(distance_km=0.0, atten_per_km=atten, n_relays=n,
-                    eta=eta, p_dark=pd), ec) for n in ns}
+    cutoffs = {str(cfg.n_relays): cutoff_alpha_x(cfg, ec) for cfg in configs}
     meta = _metadata("throughput", {
         "eta": eta, "pd": pd, "atten_per_km": atten, "n_relays": ns,
         "f_ec": ec.f_ec, "model": ec.model,
@@ -269,9 +267,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             "noise_numeric": f_numeric,
             "agree_within_tolerance": agree,
         }
-        with open(output, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_payload(payload, output)
         print(f"wrote {output}")
     return EXIT_OK
 
@@ -328,9 +324,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
                         "noise_events": sampled.noise_events,
                         "state_counts": sampled.state_counts},
         }
-        with open(output, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_payload(payload, output)
         print(f"wrote {output}")
     return EXIT_OK
 
@@ -343,7 +337,7 @@ def _parse_qubit(text: str) -> tuple[complex, complex]:
         a, b = complex(parts[0]), complex(parts[1])
     except ValueError as exc:
         raise ValueError(f"--input components must be numbers: {exc}") from exc
-    if abs(a) ** 2 + abs(b) ** 2 == 0:
+    if math.hypot(abs(a), abs(b)) == 0:
         raise ValueError("--input must not be the zero vector")
     return a, b
 
@@ -431,11 +425,9 @@ def cmd_verify_circuit(args: argparse.Namespace) -> int:
           f"({sum(c['ok'] for c in checks)}/{len(checks)} checks)")
     output = params.get("output")
     if output:
-        with open(output, "w") as fh:
-            json.dump({"artifact": f"qrelay {__version__}",
+        write_payload({"artifact": f"qrelay {__version__}",
                        "command": "verify-circuit", "ok": all_ok,
-                       "checks": checks}, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+                       "checks": checks}, output)
         print(f"wrote {output}")
     return EXIT_OK if all_ok else EXIT_INVARIANT
 

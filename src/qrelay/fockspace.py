@@ -177,7 +177,7 @@ def make_qubit(basis: ModeBasis, alpha, beta, spatial: str) -> PhotonicState:
     recorded on the returned state as ``norm_factor``.
     """
     alpha, beta = complex(alpha), complex(beta)
-    n = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    n = math.hypot(abs(alpha), abs(beta))
     if n == 0:
         raise ValueError("qubit amplitudes are both zero")
     hi, vi = basis.spatial_indices(spatial)

@@ -8,7 +8,8 @@ as one object with sorted keys. Neither format embeds timestamps or any other
 run-dependent value; identical inputs produce identical bytes. Both write
 strict JSON: table values spell non-finite floats as "nan"/"inf", and a
 non-finite metadata value raises ValueError instead of emitting the
-non-standard NaN/Infinity tokens.
+non-standard NaN/Infinity tokens. Free-form command payloads go through
+render_payload/write_payload, which spell non-finite floats the same way.
 """
 
 from __future__ import annotations
@@ -97,6 +98,31 @@ def render_json(report: CurveReport) -> str:
     }
     return json.dumps(payload, sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
+
+
+def _spell_non_finite(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else _format_value(value)
+    if isinstance(value, dict):
+        return {k: _spell_non_finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_non_finite(v) for v in value]
+    return value
+
+
+def render_payload(payload: dict) -> str:
+    """A command's JSON payload: sorted keys, indent 2, trailing newline.
+
+    Strict JSON: non-finite floats are spelled "nan"/"inf"/"-inf", as the
+    table values are, never as the NaN/Infinity tokens.
+    """
+    return json.dumps(_spell_non_finite(payload), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
+def write_payload(payload: dict, path) -> None:
+    with open(path, "w") as fh:
+        fh.write(render_payload(payload))
 
 
 def write_json(report: CurveReport, path) -> None:

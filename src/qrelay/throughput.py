@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .analytics import ChainConfig, qber_from_snr
-from .chain import run_chain
+from .chain import run_chain, run_chain_grid
 
 _SINGLE_PHOTON_BB84 = "single-photon-bb84"
 
@@ -127,23 +127,18 @@ def throughput_curve(config: ChainConfig, alpha_x_values: Sequence[float],
     """Exact-chain throughput at each attenuation length in the grid.
 
     Each grid point rescales the configured chain to distance alpha_x/alpha
-    with optimally placed relays, runs the exact propagation, and evaluates
-    the key fraction at the resulting bit error rate.
+    with optimally placed relays (run_chain_grid runs them all at once), and
+    evaluates the key fraction at the resulting bit error rate.
     """
     if params is None:
         params = EcPaParams()
+    alpha_x_values = list(alpha_x_values)
+    rep = run_chain_grid(config, alpha_x_values)
     scale = config.eta ** config.n_relays
     points = []
-    for ax in alpha_x_values:
-        if ax < 0:
-            raise ValueError(f"alpha_x must be >= 0, got {ax}")
-        cfg = ChainConfig(distance_km=ax / config.atten_per_km,
-                          atten_per_km=config.atten_per_km,
-                          n_relays=config.n_relays, eta=config.eta,
-                          p_dark=config.p_dark)
-        rep = run_chain(cfg)
-        t_n = key_fraction(rep.q_b, params)
-        points.append(ThroughputPoint(alpha_x=ax, s=rep.snr, q_b=rep.q_b,
+    for ax, s, q_b in zip(alpha_x_values, rep.snr.tolist(), rep.q_b.tolist()):
+        t_n = key_fraction(q_b, params)
+        points.append(ThroughputPoint(alpha_x=ax, s=s, q_b=q_b,
                                       t_n=t_n, t_n_scaled=scale * t_n))
     return points
 
@@ -160,11 +155,7 @@ def cutoff_alpha_x(config: ChainConfig, params: Optional[EcPaParams] = None,
     s_star = snr_cutoff(params)
 
     def s_at(ax: float) -> float:
-        cfg = ChainConfig(distance_km=ax / config.atten_per_km,
-                          atten_per_km=config.atten_per_km,
-                          n_relays=config.n_relays, eta=config.eta,
-                          p_dark=config.p_dark)
-        return run_chain(cfg).snr
+        return run_chain(config.at_alpha_x(ax)).snr
 
     if s_at(0.0) <= s_star:
         return 0.0

@@ -78,7 +78,9 @@ def test_qnd_measure_rejects_non_finite_input(alpha, beta):
 
 
 def test_qnd_measure_outcomes():
-    for a, b in [(1.0, 0.0), (0.0, 1.0), (SQ2, SQ2), (0.6, 0.8j)] + random_qubits(10, 99):
+    # the last two would overflow and underflow a norm taken from squares
+    for a, b in [(1.0, 0.0), (0.0, 1.0), (SQ2, SQ2), (0.6, 0.8j),
+                 (1e200, 1e200), (1e-200, 1e-200)] + random_qubits(10, 99):
         rep = qnd_measure(a, b)
         assert rep.success_probability == pytest.approx(0.5, abs=1e-12)
         assert len(rep.outcomes) == 4

@@ -9,7 +9,8 @@ import pytest
 import qrelay
 from qrelay import cli
 from qrelay.reports import (CurveReport, read_csv, read_json, render_csv,
-                            render_json, write_csv, write_json)
+                            render_json, render_payload, write_csv,
+                            write_json, write_payload)
 
 
 def small_report():
@@ -136,12 +137,15 @@ def test_cli_verify_circuit(tmp_path, capsys):
 
 
 def test_cli_verify_circuit_diagnostic_and_input(capsys):
-    code = run_cli(["verify-circuit", "--trials", "2", "--seed", "3",
-                    "--input", "0.6,0.8", "--diagnostic", "d2-on-mode-1"])
-    text = capsys.readouterr().out
-    assert code == 0
-    assert "DIAG" in text
-    assert "0.5" in text
+    # the last two would overflow and underflow a norm taken from squares
+    for qubit in ("0.6,0.8", "1e200,1e200", "1e-200,1e-200"):
+        code = run_cli(["verify-circuit", "--trials", "2", "--seed", "3",
+                        f"--input={qubit}", "--diagnostic", "d2-on-mode-1"])
+        text = capsys.readouterr().out
+        assert code == 0, qubit
+        assert "DIAG" in text
+        assert "success probability 0.500000000000" in text
+        assert "PASS verify-circuit (7/7 checks)" in text
 
 
 def test_cli_optimize(tmp_path, capsys):
@@ -275,6 +279,38 @@ def test_cli_rejects_non_finite_inputs(args, capsys):
     captured = capsys.readouterr()
     assert "configuration error" in captured.err
     assert captured.out == ""
+
+
+def _no_constants(name):
+    raise ValueError(f"non-standard JSON token {name}")
+
+
+def test_command_payloads_are_strict_json(tmp_path, capsys):
+    # no dark counts: every snr is infinite, which strict JSON cannot hold
+    # as a number, so it is spelled "inf" like the table values
+    out = tmp_path / "sample.json"
+    assert run_cli(["sample", "--alpha-x", "5", "--n-relays", "2",
+                    "--trials", "1000", "--seed", "1", "--pd", "0",
+                    "--output", str(out)]) == 0
+    capsys.readouterr()
+    payload = json.loads(out.read_text(), parse_constant=_no_constants)
+    assert payload["exact"]["snr"] == "inf"
+    assert payload["sampled"]["snr"] == "inf"
+    assert payload["exact"]["q_b"] == 0.0
+    assert out.read_text().endswith("}\n")
+
+
+def test_render_payload_strict_and_unchanged_when_finite(tmp_path):
+    payload = {"b": [1.5, math.inf, -math.inf], "a": {"x": math.nan, "n": 3,
+                                                     "ok": True}}
+    back = json.loads(render_payload(payload), parse_constant=_no_constants)
+    assert back == {"a": {"n": 3, "ok": True, "x": "nan"},
+                    "b": [1.5, "inf", "-inf"]}
+    finite = {"z": (0.1, 2), "a": {"k": 1e-300, "s": "text"}}
+    want = json.dumps(finite, sort_keys=True, indent=2) + "\n"
+    assert render_payload(finite) == want
+    write_payload(finite, tmp_path / "p.json")
+    assert (tmp_path / "p.json").read_text() == want
 
 
 def test_import_does_not_load_scipy():
