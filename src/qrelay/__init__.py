@@ -5,12 +5,15 @@ The package layers are, bottom up:
 - fockspace: sparse multimode Fock states and linear-optics transforms.
 - circuit: the heralded nondestructive photon-presence device built from a
   polarizing beam splitter, an entangled ancilla pair, and two detector
-  packages, plus its single-slot channel maps.
+  packages; it supplies the relay efficiency eta through
+  measured_relay_efficiency.
+- analytics: the chain configuration and its one (eta, p_dark) validator,
+  closed-form SNR/QBER expressions, relay placement (closed form and
+  numeric), range enhancement, raw rates.
 - chain: exact slot-by-slot event propagation through fiber segments and
-  relay stations, for one chain or a whole attenuation-length grid at once,
-  and a seeded Monte Carlo cross-check.
-- analytics: closed-form SNR/QBER expressions, relay placement (closed form
-  and numeric), range enhancement, raw rates.
+  relay stations (the per-slot relay map is apply_relay), for one chain or a
+  whole attenuation-length grid at once, and a seeded Monte Carlo
+  cross-check.
 - throughput: BB84 secure-key fraction and throughput sweeps.
 - reports: deterministic CSV/JSON tables.
 - cli: the `qrelay` command.
@@ -18,20 +21,19 @@ The package layers are, bottom up:
 
 __version__ = "0.1.0"
 
-from .analytics import (ChainConfig, RangeEnhancement, SnrPoint,
-                        noise_single_relay, optimal_position_single,
-                        optimal_positions, optimize_positions_numeric,
+from .analytics import (ChainConfig, RangeEnhancement, noise_single_relay,
+                        optimal_position_single, optimal_positions,
+                        optimize_positions_numeric,
                         qber_from_snr, range_enhancement, raw_rate,
                         snr_n_relays, snr_no_relay, solve_range_alpha_x)
 from .chain import (ChannelEventState, ReceiverReport, SampledReport,
                     apply_relay, chain_noise, initial_state, propagate_chain,
                     propagate_segment, receiver_detect, run_chain,
                     run_chain_grid, sample_chain)
-from .circuit import (PackageOutcome, QndChannelParams, QndReport,
-                      derive_feed_forward_table, encoder_postselect,
-                      feed_forward_sign, ideal_relay_map,
+from .circuit import (PackageOutcome, QndReport, derive_feed_forward_table,
+                      encoder_postselect, feed_forward_sign,
                       measured_relay_efficiency, multiphoton_gate_probability,
-                      noisy_relay_map, qnd_measure, vacuum_gate_probability)
+                      qnd_measure, vacuum_gate_probability)
 from .errors import ContractViolationError, ConvergenceError
 from .fockspace import (BasisMode, DetectionPattern, LinearModeTransform,
                         ModeBasis, PhotonicState, apply_transform,
@@ -49,14 +51,14 @@ __all__ = [
     "DetectionPattern", "vacuum", "fock_state", "make_qubit",
     "make_bell_phi_plus", "product", "apply_transform", "identity_transform",
     "pbs_hv", "basis_rotate_fs", "measure_pattern", "enumerate_outcomes",
-    "PackageOutcome", "QndReport", "QndChannelParams", "qnd_measure",
+    "PackageOutcome", "QndReport", "qnd_measure",
     "encoder_postselect", "feed_forward_sign", "derive_feed_forward_table",
     "vacuum_gate_probability", "multiphoton_gate_probability",
-    "measured_relay_efficiency", "ideal_relay_map", "noisy_relay_map",
+    "measured_relay_efficiency",
     "ChannelEventState", "ReceiverReport", "SampledReport", "initial_state",
     "propagate_segment", "apply_relay", "receiver_detect", "propagate_chain",
     "run_chain", "run_chain_grid", "chain_noise", "sample_chain",
-    "ChainConfig", "SnrPoint", "RangeEnhancement", "qber_from_snr",
+    "ChainConfig", "RangeEnhancement", "qber_from_snr",
     "snr_no_relay", "snr_n_relays", "noise_single_relay",
     "optimal_position_single", "optimal_positions",
     "optimize_positions_numeric", "solve_range_alpha_x", "range_enhancement",

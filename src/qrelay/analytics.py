@@ -16,6 +16,26 @@ from typing import Callable, Optional, Sequence
 from .errors import ConvergenceError
 
 
+def check_p_dark(p_dark: float) -> None:
+    """Reject a per-detector dark-count probability outside [0, 1/2)."""
+    if not 0.0 <= p_dark < 0.5:
+        raise ValueError(f"p_dark must be in [0, 0.5), got {p_dark}")
+
+
+def check_relay(eta: float, p_dark: float) -> None:
+    """Reject relay parameters outside the domain of the relay map.
+
+    A relay gates a photon through with probability eta in (0, 1] and false
+    gates with probability 2*p_dark; both together must stay a probability,
+    eta + 2*p_dark <= 1. NaN fails every comparison and is rejected.
+    """
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    check_p_dark(p_dark)
+    if eta + 2.0 * p_dark > 1.0:
+        raise ValueError("eta + 2*p_dark exceeds 1")
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """End-to-end channel description.
@@ -43,12 +63,7 @@ class ChainConfig:
         if (isinstance(self.n_relays, bool) or not isinstance(self.n_relays, int)
                 or self.n_relays < 0):
             raise ValueError(f"n_relays must be a nonnegative integer, got {self.n_relays}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if not 0.0 <= self.p_dark < 0.5:
-            raise ValueError(f"p_dark must be in [0, 0.5), got {self.p_dark}")
-        if self.eta + 2.0 * self.p_dark > 1.0:
-            raise ValueError("eta + 2*p_dark exceeds 1")
+        check_relay(self.eta, self.p_dark)
         if self.positions_km is not None:
             pos = tuple(float(p) for p in self.positions_km)
             object.__setattr__(self, "positions_km", pos)
@@ -81,15 +96,6 @@ class ChainConfig:
                              "itself; the config must not carry positions_km")
         return ChainConfig(alpha_x / self.atten_per_km, self.atten_per_km,
                            self.n_relays, self.eta, self.p_dark)
-
-
-@dataclass(frozen=True)
-class SnrPoint:
-    """One row of an SNR sweep."""
-
-    alpha_x: float
-    s: float
-    q_b: float
 
 
 def qber_from_snr(s: float) -> float:
@@ -167,7 +173,7 @@ def optimal_position_single(config: ChainConfig) -> float:
     return min(max(raw, 0.0), x)
 
 
-def optimal_positions(config: ChainConfig, refine: bool = False) -> tuple[float, ...]:
+def optimal_positions(config: ChainConfig) -> tuple[float, ...]:
     """Noise-minimizing relay locations for the configured chain.
 
     Interior optimum: the first N segments share one length d and the final
@@ -175,8 +181,8 @@ def optimal_positions(config: ChainConfig, refine: bool = False) -> tuple[float,
     (x - N ln(eta)/alpha)/(N + 1) from the receiver. When the channel is
     shorter than ln(1/eta)/alpha that pattern would need negative segments;
     the constrained optimum then parks every relay at the transmitter end.
-    With refine=True the pattern is polished by the numeric minimizer against
-    the exact chain noise (import deferred to keep the layering one-way).
+    optimize_positions_numeric starts from this pattern to polish it against
+    an exact noise objective.
     """
     n = config.n_relays
     if n == 0:
@@ -184,15 +190,9 @@ def optimal_positions(config: ChainConfig, refine: bool = False) -> tuple[float,
     x = config.distance_km
     delta = -math.log(config.eta) / config.atten_per_km
     if x <= delta:
-        pattern = (0.0,) * n
-    else:
-        d = (x - delta) / (n + 1)
-        pattern = tuple(i * d for i in range(1, n + 1))
-    if not refine:
-        return pattern
-    from .chain import chain_noise
-    return optimize_positions_numeric(
-        config, lambda pos: chain_noise(config, pos), x0=pattern)
+        return (0.0,) * n
+    d = (x - delta) / (n + 1)
+    return tuple(i * d for i in range(1, n + 1))
 
 
 # fminbound's rounded epsilon, kept so iterates match its reference exactly

@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytics import ChainConfig, optimal_positions
+from .analytics import (ChainConfig, check_p_dark, check_relay,
+                        optimal_positions)
 
 _SUM_TOL = 1e-12
 _LO, _HI = -_SUM_TOL, 1.0 + _SUM_TOL
@@ -102,32 +103,20 @@ def propagate_segment(state: ChannelEventState,
                              state.p_empty + lost, state.p_nogate)
 
 
-def _check_p_dark(p_dark: float) -> None:
-    if not 0.0 <= p_dark < 0.5:
-        raise ValueError(f"p_dark must be in [0, 0.5), got {p_dark}")
-
-
-def _check_relay(eta: float, p_dark: float) -> None:
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
-    _check_p_dark(p_dark)
-    if eta + 2.0 * p_dark > 1.0:
-        raise ValueError("eta + 2*p_dark exceeds 1")
-
-
-def apply_relay(state: ChannelEventState, params) -> ChannelEventState:
+def apply_relay(state: ChannelEventState,
+                config: ChainConfig) -> ChannelEventState:
     """One relay station: gate-and-pass efficiency eta, false gates 2*p_dark.
 
-    ``params`` is any object with eta and p_dark attributes (a ChainConfig
-    or a relay parameter set). An incoming photon is gated through with
-    probability eta. Independently of what the slot holds, the two detectors
-    that fire the gate can dark count, producing a false gate with probability
-    2*p_dark per live slot; a false gate launches a randomly polarized photon.
-    Slots gated neither way are vetoed and stay vetoed. The map is exactly
+    The relay parameters are the ChainConfig's eta and p_dark; nothing else
+    of it is read. An incoming photon is gated through with probability eta.
+    Independently of what the slot holds, the two detectors that fire the
+    gate can dark count, producing a false gate with probability 2*p_dark
+    per live slot; a false gate launches a randomly polarized photon. Slots
+    gated neither way are vetoed and stay vetoed. The map is exactly
     stochastic.
     """
-    eta, p_dark = float(params.eta), float(params.p_dark)
-    _check_relay(eta, p_dark)
+    eta, p_dark = float(config.eta), float(config.p_dark)
+    check_relay(eta, p_dark)
     pd2 = 2.0 * p_dark
     sig = eta * state.p_sig
     rnd = eta * state.p_rnd + pd2 * state.p_alive
@@ -179,7 +168,10 @@ def _detect(sig, rnd, empty, p_dark: float) -> ReceiverReport:
     """Receiver statistics of a slot state given as floats or arrays."""
     p_n = rnd + 2.0 * p_dark * (sig + rnd + empty)
     if isinstance(p_n, np.ndarray):
-        snr, q_b = (v.astype(float) for v in _snr_qb_elementwise(sig, p_n))
+        # a subnormal p_n overflows p_s/p_n to inf, silently as on floats
+        with np.errstate(over="ignore"):
+            snr, q_b = (v.astype(float)
+                        for v in _snr_qb_elementwise(sig, p_n))
     else:
         snr, q_b = _snr_qb(sig, p_n)
     return ReceiverReport(sig, p_n, snr, q_b)
@@ -187,7 +179,7 @@ def _detect(sig, rnd, empty, p_dark: float) -> ReceiverReport:
 
 def receiver_detect(state: ChannelEventState, p_dark: float) -> ReceiverReport:
     """Terminal detection on a slot state, with receiver dark rate p_dark."""
-    _check_p_dark(p_dark)
+    check_p_dark(p_dark)
     return _detect(state.p_sig, state.p_rnd, state.p_empty, p_dark)
 
 
@@ -201,7 +193,7 @@ def _propagate(ts, eta: float, p_dark: float):
     Returns (p_sig, p_rnd, p_empty, p_nogate).
     """
     eta, p_dark = float(eta), float(p_dark)
-    _check_relay(eta, p_dark)
+    check_relay(eta, p_dark)
     pd2 = 2.0 * p_dark
     gate_fail, false_gate_miss = 1.0 - eta - pd2, 1.0 - pd2
     sig, rnd, empty, nogate = 1.0, 0.0, 0.0, 0.0

@@ -12,13 +12,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .chain import ChannelEventState
 from .errors import ContractViolationError
 from .fockspace import (
     H,
@@ -245,73 +241,3 @@ def measured_relay_efficiency() -> float:
     """
     return qnd_measure(1 / math.sqrt(2), 1 / math.sqrt(2)).success_probability
 
-
-@dataclass(frozen=True)
-class QndChannelParams:
-    """Relay channel parameters: pass efficiency and detector dark-count rate.
-
-    ``p_dark`` is the per-detector dark probability within one gate window;
-    the relay's false-gate probability is 2*p_dark because only dark counts
-    in the package opposite the ancilla photon can fake a coincidence.
-    """
-
-    eta: float = 0.5
-    p_dark: float = 1e-5
-
-    def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if not 0.0 <= self.p_dark < 0.5:
-            raise ValueError(f"p_dark must be in [0, 0.5), got {self.p_dark}")
-        if self.eta + 2.0 * self.p_dark > 1.0:
-            raise ValueError("eta + 2*p_dark exceeds 1; the relay map would "
-                             "not be stochastic")
-        if self.p_dark > 1e-2:
-            warnings.warn(f"p_dark={self.p_dark} is far outside the regime "
-                          "where the first-order formulas apply", stacklevel=2)
-
-
-def _validate_theta(theta):
-    if theta is None:
-        return
-    m = np.asarray(theta, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError("polarization density matrix must be 2x2")
-    if np.max(np.abs(m - m.conj().T)) > 1e-9:
-        raise ValueError("polarization density matrix must be Hermitian")
-    if abs(np.trace(m).real - 1.0) > 1e-9:
-        raise ValueError("polarization density matrix must have unit trace")
-    if np.min(np.linalg.eigvalsh(m)) < -1e-12:
-        raise ValueError("polarization density matrix must be positive")
-
-
-def ideal_relay_map(p1: float, theta=None) -> ChannelEventState:
-    """Lossless relay on a slot carrying a photon with probability p1.
-
-    The photon passes with the device's intrinsic 1/2; everything else is
-    vetoed. The polarization state ``theta`` is untouched on the pass branch
-    (that is the point of the device) and is validated only.
-    """
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must be a probability, got {p1}")
-    _validate_theta(theta)
-    return ChannelEventState(p_sig=0.5 * p1, p_rnd=0.0, p_empty=0.0,
-                             p_nogate=1.0 - 0.5 * p1)
-
-
-def noisy_relay_map(p1: float, params: QndChannelParams, theta=None) -> ChannelEventState:
-    """Relay with finite efficiency and dark counts.
-
-    weight eta*p1:        legitimate gate, polarization preserved
-    weight 2*p_dark:      false gate emitting a randomly polarized photon
-    remainder:            no gate
-    The map is exactly trace-preserving and matches the first-order
-    gate/error/no-gate weights term by term.
-    """
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must be a probability, got {p1}")
-    _validate_theta(theta)
-    p_sig = params.eta * p1
-    p_rnd = 2.0 * params.p_dark
-    return ChannelEventState(p_sig=p_sig, p_rnd=p_rnd, p_empty=0.0,
-                             p_nogate=1.0 - p_sig - p_rnd)

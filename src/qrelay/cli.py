@@ -219,7 +219,9 @@ def cmd_throughput(args: argparse.Namespace) -> int:
             p = curve[j]
             row += [p.s, p.q_b, p.t_n, p.t_n_scaled]
         rows.append(tuple(row))
+    # an unbounded cutoff (no dark counts) is spelled as table values are
     cutoffs = {str(cfg.n_relays): cutoff_alpha_x(cfg, ec) for cfg in configs}
+    cutoffs = {n: c if math.isfinite(c) else "inf" for n, c in cutoffs.items()}
     meta = _metadata("throughput", {
         "eta": eta, "pd": pd, "atten_per_km": atten, "n_relays": ns,
         "f_ec": ec.f_ec, "model": ec.model,

@@ -173,8 +173,7 @@ def fock_state(basis: ModeBasis, occupations: Mapping) -> PhotonicState:
 def make_qubit(basis: ModeBasis, alpha, beta, spatial: str) -> PhotonicState:
     """Single-photon polarization qubit alpha|H> + beta|V> in one spatial mode.
 
-    The amplitude pair is normalized automatically; the applied factor is
-    recorded on the returned state as ``norm_factor``.
+    The amplitude pair is normalized automatically.
     """
     alpha, beta = complex(alpha), complex(beta)
     n = math.hypot(abs(alpha), abs(beta))
@@ -188,9 +187,7 @@ def make_qubit(basis: ModeBasis, alpha, beta, spatial: str) -> PhotonicState:
             cfg = list(base)
             cfg[idx] = 1
             amps[tuple(cfg)] = amp
-    state = PhotonicState(basis, amps)
-    state.norm_factor = n
-    return state
+    return PhotonicState(basis, amps)
 
 
 def make_bell_phi_plus(basis: ModeBasis, spatial_1: str, spatial_2: str) -> PhotonicState:
@@ -410,21 +407,32 @@ def enumerate_outcomes(state: PhotonicState, measured_modes: Iterable,
     """All detection patterns on the measured modes with nonzero probability.
 
     Returns (pattern, probability, conditional) triples sorted by the count
-    tuple, so the order is deterministic. Probabilities sum to 1.
+    tuple, so the order is deterministic. Probabilities sum to 1. One pass
+    over the terms groups them by pattern, accumulating in term order as
+    measure_pattern does, so each triple equals measure_pattern's bit for bit.
     """
     _check_normalized(state)
     basis = state.basis
     modes = sorted((BasisMode(*m) for m in measured_modes),
                    key=lambda m: basis.mode_index(m))
     idxs = [basis.mode_index(m) for m in modes]
-    groups: dict[tuple, float] = {}
-    for cfg in state.amps:
+    if len(set(idxs)) != len(idxs):
+        raise ValueError("duplicate measured modes")
+    measured = set(idxs)
+    # count tuple -> (probability, reduced configuration -> amplitude)
+    groups: dict[tuple, tuple[float, dict]] = {}
+    for cfg, amp in state.amps.items():
         key = tuple(cfg[i] for i in idxs)
-        groups[key] = 0.0
+        prob, kept = groups.get(key, (0.0, {}))
+        reduced = tuple(0 if i in measured else n for i, n in enumerate(cfg))
+        kept[reduced] = kept.get(reduced, 0j) + amp
+        groups[key] = (prob + abs(amp) ** 2, kept)
     out = []
     for key in sorted(groups):
-        pattern = DetectionPattern(tuple(zip(modes, key)))
-        prob, cond = measure_pattern(state, modes, dict(zip(modes, key)))
+        prob, kept = groups[key]
         if prob > 0.0:
-            out.append((pattern, prob, cond))
+            r = math.sqrt(prob)
+            out.append((DetectionPattern(tuple(zip(modes, key))), prob,
+                        PhotonicState(basis, {c: a / r
+                                              for c, a in kept.items()})))
     return out

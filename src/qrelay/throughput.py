@@ -149,7 +149,11 @@ def cutoff_alpha_x(config: ChainConfig, params: Optional[EcPaParams] = None,
 
     Bisects the exact-chain SNR against the cutoff SNR; the chain SNR is
     strictly decreasing in distance for fixed N with optimal placement.
+    Without dark counts (p_dark = 0) no noise reaches the receiver, the SNR
+    is infinite at every length, and the cutoff is math.inf.
     """
+    if config.p_dark == 0.0:
+        return math.inf
     if params is None:
         params = EcPaParams()
     s_star = snr_cutoff(params)

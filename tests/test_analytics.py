@@ -1,10 +1,9 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from qrelay.analytics import (ChainConfig, SnrPoint, _bounded_brent,
+from qrelay.analytics import (ChainConfig, _bounded_brent,
                               noise_single_relay, optimal_position_single,
                               optimal_positions, optimize_positions_numeric,
                               qber_from_snr, range_enhancement, raw_rate,
@@ -21,10 +20,13 @@ def test_chain_config_validation():
         ChainConfig(distance_km=-1.0)
     with pytest.raises(ValueError):
         ChainConfig(distance_km=10.0, atten_per_km=-0.05)
-    with pytest.raises(ValueError):
-        ChainConfig(distance_km=10.0, eta=1.2)
-    with pytest.raises(ValueError):
-        ChainConfig(distance_km=10.0, eta=0.999, p_dark=0.01)
+    # the relay domain: 0 < eta <= 1, 0 <= p_dark < 1/2, eta + 2 p_dark <= 1
+    for eta, p_dark in ((0.0, 1e-5), (1.2, 1e-5), (0.5, 0.5), (0.5, -1e-9),
+                        (0.999, 0.01), (math.nan, 1e-5), (0.5, math.nan)):
+        with pytest.raises(ValueError):
+            ChainConfig(distance_km=10.0, eta=eta, p_dark=p_dark)
+    edge = ChainConfig(distance_km=10.0, eta=1.0, p_dark=0.0)
+    assert (edge.eta, edge.p_dark) == (1.0, 0.0)
     with pytest.raises(ValueError):
         ChainConfig(distance_km=10.0, n_relays=-1)
     with pytest.raises(ValueError):
@@ -225,7 +227,7 @@ def test_optimal_positions_layout():
 def test_optimal_positions_refined_close_to_closed_form():
     cfg = ChainConfig(distance_km=150.0, n_relays=2)
     base = optimal_positions(cfg)
-    fine = optimal_positions(cfg, refine=True)
+    fine = optimize_positions_numeric(cfg, lambda p: chain_noise(cfg, p))
     for b, f in zip(base, fine):
         assert abs(b - f) <= 1e-3 * 150.0
     assert chain_noise(cfg, fine) <= chain_noise(cfg, base) * (1 + 1e-12)
@@ -345,8 +347,3 @@ def test_relay_gain_crossover():
     xs = [crossover(n) for n in (1, 2, 3, 4)]
     assert all(a < b for a, b in zip(xs, xs[1:]))
 
-
-def test_snr_point_container():
-    pt = SnrPoint(alpha_x=5.0, s=1450.0, q_b=3.4e-4)
-    assert pt.alpha_x == 5.0 and pt.s == 1450.0 and pt.q_b == 3.4e-4
-    assert dataclasses.is_dataclass(pt)

@@ -8,7 +8,6 @@ from qrelay.analytics import ChainConfig, optimal_positions, snr_n_relays
 from qrelay.chain import (ChannelEventState, apply_relay, chain_noise,
                           initial_state, propagate_chain, propagate_segment,
                           receiver_detect, run_chain, sample_chain)
-from qrelay.circuit import QndChannelParams, noisy_relay_map
 
 from oracles import markov_chain_reference
 
@@ -49,13 +48,14 @@ def test_propagate_segment():
 
 
 def test_apply_relay_weights():
-    params = QndChannelParams(eta=0.5, p_dark=1e-5)
+    params = ChainConfig(distance_km=1.0, eta=0.5, p_dark=1e-5)
     out = apply_relay(initial_state(), params)
     assert out.p_sig == pytest.approx(0.5, abs=1e-15)
     assert out.p_rnd == pytest.approx(2e-5, abs=1e-18)
     assert out.p_empty == 0.0
     # dark-count-free relay on a fresh slot: (eta, 0, 0, 1 - eta)
-    clean = apply_relay(initial_state(), QndChannelParams(eta=0.5, p_dark=0.0))
+    clean = apply_relay(initial_state(),
+                        ChainConfig(distance_km=1.0, eta=0.5, p_dark=0.0))
     assert (clean.p_sig, clean.p_rnd, clean.p_empty, clean.p_nogate) == \
         (0.5, 0.0, 0.0, 0.5)
     # an empty gated slot false-gates with probability 2 p_dark
@@ -69,29 +69,32 @@ def test_apply_relay_weights():
     assert out.p_sig == pytest.approx(0.5 * 0.4, abs=1e-15)
     assert out.p_rnd == pytest.approx(0.5 * 0.1 + 2e-5 * 0.8, abs=1e-15)
     assert out.p_empty == 0.0
-    # both parameter carriers expose the same fields
-    via_cfg = apply_relay(st, ChainConfig(distance_km=1.0, eta=0.5,
-                                          p_dark=1e-5))
-    assert via_cfg == out
 
 
-def test_apply_relay_matches_single_slot_device_map():
-    # the chain relay map restricted to a (photon, empty) slot equals the
-    # device-level channel map field by field
-    params = QndChannelParams(eta=0.5, p_dark=1e-5)
-    for p1 in (1.0, 0.6, 0.0):
-        via_chain = apply_relay(ChannelEventState(p1, 0.0, 1.0 - p1, 0.0),
-                                params)
-        via_device = noisy_relay_map(p1, params)
-        assert via_chain.p_sig == pytest.approx(via_device.p_sig, abs=1e-15)
-        assert via_chain.p_rnd == pytest.approx(via_device.p_rnd, abs=1e-15)
-        assert via_chain.p_nogate == pytest.approx(via_device.p_nogate,
-                                                   abs=1e-15)
+def test_apply_relay_on_photon_or_empty_slot():
+    # a slot holding a photon with probability p1, else empty and gated:
+    # the relay passes eta*p1, false-gates 2*p_dark, and vetoes the rest
+    cfg = ChainConfig(distance_km=1.0, eta=0.5, p_dark=1e-5)
+    for p1 in (1.0, 0.6, 0.5, 0.4, 0.0):
+        out = apply_relay(ChannelEventState(p1, 0.0, 1.0 - p1, 0.0), cfg)
+        assert out.p_sig == pytest.approx(0.5 * p1, abs=1e-15)
+        assert out.p_rnd == pytest.approx(2e-5, abs=1e-18)
+        assert out.p_empty == 0.0
+        assert out.p_nogate == pytest.approx(1.0 - 0.5 * p1 - 2e-5,
+                                             abs=1e-15)
+    # the lossless device: eta = 1/2 and no dark counts, exactly
+    ideal = ChainConfig(distance_km=1.0, eta=0.5, p_dark=0.0)
+    for p1, want in ((1.0, (0.5, 0.0, 0.0, 0.5)), (0.4, (0.2, 0.0, 0.0, 0.8))):
+        out = apply_relay(ChannelEventState(p1, 0.0, 1.0 - p1, 0.0), ideal)
+        assert (out.p_sig, out.p_rnd, out.p_empty, out.p_nogate) == want
+    # a photon probability p1 = 1.5 makes no slot state to relay
+    with pytest.raises(ValueError):
+        apply_relay(ChannelEventState(1.5, 0.0, -0.5, 0.0), ideal)
 
 
 def test_transition_maps_exactly_stochastic():
     rng = np.random.default_rng(17)
-    params = QndChannelParams(eta=0.5, p_dark=1e-4)
+    params = ChainConfig(distance_km=1.0, eta=0.5, p_dark=1e-4)
     for _ in range(1000):
         st = random_event_state(rng)
         seg = propagate_segment(st, float(rng.uniform(0, 3)))

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qrelay.circuit import (ENCODER_SPATIAL, QndChannelParams,
-                            build_encoder_state, derive_feed_forward_table,
-                            encoder_basis, encoder_postselect,
-                            feed_forward_sign, ideal_relay_map,
+from qrelay.circuit import (ENCODER_SPATIAL, build_encoder_state,
+                            derive_feed_forward_table, encoder_basis,
+                            encoder_postselect, feed_forward_sign,
                             measured_relay_efficiency,
-                            multiphoton_gate_probability, noisy_relay_map,
-                            qnd_measure, vacuum_gate_probability)
+                            multiphoton_gate_probability, qnd_measure,
+                            vacuum_gate_probability)
 from qrelay.errors import ContractViolationError
 from qrelay.fockspace import H, V, make_qubit, product
 
@@ -166,58 +165,6 @@ def test_device_pipeline_against_dense_oracle():
     for cfg in set(got.amps) | set(want):
         assert got.amps.get(cfg, 0j) == pytest.approx(want.get(cfg, 0j),
                                                       abs=1e-12)
-
-
-def test_channel_params_validation():
-    p = QndChannelParams()
-    assert p.eta == 0.5 and p.p_dark == 1e-5
-    with pytest.raises(ValueError):
-        QndChannelParams(eta=0.0)
-    with pytest.raises(ValueError):
-        QndChannelParams(eta=1.2)
-    with pytest.raises(ValueError):
-        QndChannelParams(p_dark=0.5)
-    with pytest.raises(ValueError):
-        QndChannelParams(eta=0.999, p_dark=0.01)
-    with pytest.warns(UserWarning):
-        QndChannelParams(eta=0.5, p_dark=0.05)
-
-
-def test_ideal_relay_map():
-    st = ideal_relay_map(1.0)
-    assert (st.p_sig, st.p_rnd, st.p_empty, st.p_nogate) == (0.5, 0.0, 0.0, 0.5)
-    st = ideal_relay_map(0.4)
-    assert st.p_sig == pytest.approx(0.2)
-    assert st.p_nogate == pytest.approx(0.8)
-    with pytest.raises(ValueError):
-        ideal_relay_map(1.5)
-
-
-def test_noisy_relay_map_weights():
-    params = QndChannelParams(eta=0.5, p_dark=1e-5)
-    st = noisy_relay_map(1.0, params)
-    assert st.p_sig == pytest.approx(0.5, abs=1e-15)
-    assert st.p_rnd == pytest.approx(2e-5, abs=1e-18)
-    assert st.p_empty == 0.0
-    total = st.p_sig + st.p_rnd + st.p_empty + st.p_nogate
-    assert total == pytest.approx(1.0, abs=1e-15)
-    # linear in the photon probability
-    st2 = noisy_relay_map(0.5, params)
-    assert st2.p_sig == pytest.approx(0.25, abs=1e-15)
-    assert st2.p_rnd == pytest.approx(2e-5, abs=1e-18)
-
-
-def test_relay_map_theta_validation():
-    params = QndChannelParams()
-    ok = [[0.5, 0.5], [0.5, 0.5]]
-    noisy_relay_map(1.0, params, theta=ok)
-    ideal_relay_map(1.0, theta=np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        noisy_relay_map(1.0, params, theta=[[1.0, 0.5], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        noisy_relay_map(1.0, params, theta=[[0.9, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        noisy_relay_map(1.0, params, theta=[[1.5, 0.0], [0.0, -0.5]])
 
 
 def test_basis_labels_exported():

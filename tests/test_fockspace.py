@@ -72,7 +72,6 @@ def test_make_qubit_normalizes_and_records_factor():
     b = small_basis()
     q = make_qubit(b, 3.0, 4.0j, "q")
     assert math.isclose(q.norm(), 1.0, abs_tol=1e-15)
-    assert math.isclose(q.norm_factor, 5.0)
     assert q.amplitude({("q", H): 1}) == pytest.approx(0.6)
     assert q.amplitude({("q", V): 1}) == pytest.approx(0.8j)
     with pytest.raises(ValueError):
@@ -232,6 +231,40 @@ def test_enumerate_outcomes_completeness():
     assert out[0][0].count(("q", V)) == 1
     vac = enumerate_outcomes(vacuum(b), [("p", H)])
     assert len(vac) == 1 and vac[0][1] == pytest.approx(1.0)
+
+
+def _bits(state):
+    return [(cfg, a.real.hex(), a.imag.hex()) for cfg, a in state.amps.items()]
+
+
+@pytest.mark.parametrize("d2", ["2", "1"])
+def test_enumerate_outcomes_equals_measure_pattern_bit_for_bit(d2):
+    # the device readout on random qubits, with the second detector package
+    # in place (mode 2) or moved onto the output mode (mode 1), and random
+    # multi-photon states: every triple is measure_pattern's, bit for bit
+    basis = ModeBasis(("0", "a", "1", "2", "b"), photon_cap=4)
+    readout = (pbs_hv(basis, ("0", "a"), ("2", "b"))
+               .then(basis_rotate_fs(basis, "b"))
+               .then(basis_rotate_fs(basis, d2)))
+    modes = [(d2, H), (d2, V), ("b", H), ("b", V)]
+    rng = np.random.default_rng(11)
+    states = []
+    for _ in range(30):
+        alpha, beta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        states.append(apply_transform(
+            product(make_qubit(basis, alpha, beta, "0"),
+                    make_bell_phi_plus(basis, "a", "1")), readout))
+    states += [random_state(basis, rng, n_photons=3, n_terms=12)
+               for _ in range(10)]
+    for st in states:
+        outcomes = enumerate_outcomes(st, modes)
+        assert outcomes
+        for pattern, prob, cond in outcomes:
+            want_prob, want = measure_pattern(st, modes, pattern)
+            assert prob == want_prob
+            assert _bits(cond) == _bits(want)
+    with pytest.raises(ValueError, match="duplicate"):
+        enumerate_outcomes(states[0], [("b", H), ("b", H)])
 
 
 def test_detection_pattern_helpers():

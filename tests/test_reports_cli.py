@@ -244,6 +244,19 @@ def test_cli_throughput(tmp_path):
     assert cutoffs["0"] == pytest.approx(9.4553, abs=1e-3)
 
 
+def test_cli_throughput_without_dark_counts(tmp_path):
+    out = tmp_path / "tn.csv"
+    code = run_cli(["throughput", "--pd", "0", "--steps", "5",
+                    "--n-relays", "0,1", "--output", str(out)])
+    assert code == 0
+    rep = read_csv(out)
+    assert rep.metadata["parameters"]["cutoff_alpha_x"] == {"0": "inf",
+                                                           "1": "inf"}
+    for n in (0, 1):
+        assert all(v == math.inf for v in rep.column(f"s_exact_n{n}"))
+        assert all(v == 1.0 for v in rep.column(f"t_n_n{n}"))
+
+
 def test_cli_json_format(tmp_path):
     out = tmp_path / "snr.json"
     code = run_cli(["snr", "--n-relays", "0", "--alpha-x", "1",

@@ -138,6 +138,12 @@ def test_cutoff_alpha_x_degenerate():
     # dark rate so high the link never clears the SNR threshold
     cfg = ChainConfig(distance_km=1.0, n_relays=0, p_dark=0.2)
     assert cutoff_alpha_x(cfg) == 0.0
+    # no dark counts: no noise reaches the receiver, the SNR is infinite at
+    # every length, and the key fraction never reaches zero
+    for n in (0, 1, 3):
+        cfg = ChainConfig(distance_km=1.0, n_relays=n, p_dark=0.0)
+        assert cutoff_alpha_x(cfg) == math.inf
+        assert run_chain(cfg.at_alpha_x(200.0)).snr == math.inf
 
 
 def test_cutoff_is_a_threshold_of_the_exact_chain():
