@@ -8,6 +8,9 @@ from qrelay.analytics import ChainConfig, optimal_positions, snr_n_relays
 from qrelay.chain import (ChannelEventState, apply_relay, chain_noise,
                           initial_state, propagate_chain, propagate_segment,
                           receiver_detect, run_chain, sample_chain)
+from qrelay.circuit import (measured_relay_efficiency,
+                            multiphoton_gate_probability,
+                            vacuum_gate_probability)
 
 from oracles import markov_chain_reference
 
@@ -71,7 +74,7 @@ def test_apply_relay_weights():
     assert out.p_empty == 0.0
 
 
-def test_apply_relay_on_photon_or_empty_slot():
+def test_apply_relay_matches_single_slot_device_map():
     # a slot holding a photon with probability p1, else empty and gated:
     # the relay passes eta*p1, false-gates 2*p_dark, and vetoes the rest
     cfg = ChainConfig(distance_km=1.0, eta=0.5, p_dark=1e-5)
@@ -82,14 +85,16 @@ def test_apply_relay_on_photon_or_empty_slot():
         assert out.p_empty == 0.0
         assert out.p_nogate == pytest.approx(1.0 - 0.5 * p1 - 2e-5,
                                              abs=1e-15)
-    # the lossless device: eta = 1/2 and no dark counts, exactly
-    ideal = ChainConfig(distance_km=1.0, eta=0.5, p_dark=0.0)
-    for p1, want in ((1.0, (0.5, 0.0, 0.0, 0.5)), (0.4, (0.2, 0.0, 0.0, 0.8))):
-        out = apply_relay(ChannelEventState(p1, 0.0, 1.0 - p1, 0.0), ideal)
-        assert (out.p_sig, out.p_rnd, out.p_empty, out.p_nogate) == want
-    # a photon probability p1 = 1.5 makes no slot state to relay
-    with pytest.raises(ValueError):
-        apply_relay(ChannelEventState(1.5, 0.0, -0.5, 0.0), ideal)
+    # without dark counts the map equals the simulated device: a photon
+    # passes with the device's gate probability, vacuum never gates
+    device = ChainConfig(distance_km=1.0, eta=measured_relay_efficiency(),
+                         p_dark=0.0)
+    for p1 in (1.0, 0.6, 0.0):
+        out = apply_relay(ChannelEventState(p1, 0.0, 1.0 - p1, 0.0), device)
+        assert out.p_sig == pytest.approx(
+            p1 * multiphoton_gate_probability(1, 0.6, 0.8), abs=1e-15)
+        assert out.p_rnd == pytest.approx(
+            (1.0 - p1) * vacuum_gate_probability(), abs=1e-15)
 
 
 def test_transition_maps_exactly_stochastic():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from qrelay.analytics import ChainConfig, check_relay
+from qrelay.chain import ChannelEventState, apply_relay
 from qrelay.circuit import (ENCODER_SPATIAL, build_encoder_state,
                             derive_feed_forward_table, encoder_basis,
                             encoder_postselect, feed_forward_sign,
@@ -165,6 +167,44 @@ def test_device_pipeline_against_dense_oracle():
     for cfg in set(got.amps) | set(want):
         assert got.amps.get(cfg, 0j) == pytest.approx(want.get(cfg, 0j),
                                                       abs=1e-12)
+
+
+def test_channel_params_validation():
+    # the relay channel defaults to the device's measured efficiency and a
+    # 1e-5 dark-count probability, both inside the relay domain
+    cfg = ChainConfig(distance_km=1.0)
+    assert cfg.eta == 0.5 and cfg.p_dark == 1e-5
+    assert cfg.eta == pytest.approx(measured_relay_efficiency(), abs=1e-12)
+    check_relay(measured_relay_efficiency(), cfg.p_dark)
+    for eta, p_dark in ((0.0, 1e-5), (1.2, 1e-5), (0.5, 0.5), (0.999, 0.01)):
+        with pytest.raises(ValueError):
+            check_relay(eta, p_dark)
+
+
+def test_ideal_relay_map():
+    # the lossless device: eta = 1/2 and no dark counts, exactly
+    ideal = ChainConfig(distance_km=1.0, eta=0.5, p_dark=0.0)
+    st = apply_relay(ChannelEventState(1.0, 0.0, 0.0, 0.0), ideal)
+    assert (st.p_sig, st.p_rnd, st.p_empty, st.p_nogate) == (0.5, 0.0, 0.0, 0.5)
+    st = apply_relay(ChannelEventState(0.4, 0.0, 0.6, 0.0), ideal)
+    assert (st.p_sig, st.p_rnd, st.p_empty, st.p_nogate) == (0.2, 0.0, 0.0, 0.8)
+    # a photon probability p1 = 1.5 makes no slot state to relay
+    with pytest.raises(ValueError):
+        apply_relay(ChannelEventState(1.5, 0.0, -0.5, 0.0), ideal)
+
+
+def test_noisy_relay_map_weights():
+    params = ChainConfig(distance_km=1.0, eta=0.5, p_dark=1e-5)
+    st = apply_relay(ChannelEventState(1.0, 0.0, 0.0, 0.0), params)
+    assert st.p_sig == pytest.approx(0.5, abs=1e-15)
+    assert st.p_rnd == pytest.approx(2e-5, abs=1e-18)
+    assert st.p_empty == 0.0
+    total = st.p_sig + st.p_rnd + st.p_empty + st.p_nogate
+    assert total == pytest.approx(1.0, abs=1e-15)
+    # linear in the photon probability
+    st2 = apply_relay(ChannelEventState(0.5, 0.0, 0.5, 0.0), params)
+    assert st2.p_sig == pytest.approx(0.25, abs=1e-15)
+    assert st2.p_rnd == pytest.approx(2e-5, abs=1e-18)
 
 
 def test_basis_labels_exported():
