@@ -8,12 +8,13 @@ The package layers are, bottom up:
   packages; it supplies the relay efficiency eta through
   measured_relay_efficiency.
 - analytics: the chain configuration and its one (eta, p_dark) validator,
-  closed-form SNR/QBER expressions, relay placement (closed form and
-  numeric), range enhancement, raw rates.
-- chain: exact slot-by-slot event propagation through fiber segments and
-  relay stations (the per-slot relay map is apply_relay), for one chain or a
-  whole attenuation-length grid at once, and a seeded Monte Carlo
-  cross-check.
+  first-order SNR/QBER expressions, the exact chain's closed form and its
+  SNR at the optimal placement (snr_exact), the relay placement, which is
+  exactly optimal, range enhancement, raw rates.
+- chain: the per-slot step maps through fiber segments and relay stations
+  (the relay map is apply_relay) composed into the reference propagation,
+  the exact receiver statistics at any positions through the closed form,
+  a numeric placement search, and a seeded Monte Carlo cross-check.
 - throughput: BB84 secure-key fraction and throughput sweeps.
 - reports: deterministic CSV/JSON tables.
 - cli: the `qrelay` command.
@@ -23,18 +24,18 @@ __version__ = "0.1.0"
 
 from .analytics import (ChainConfig, RangeEnhancement, noise_single_relay,
                         optimal_position_single, optimal_positions,
-                        optimize_positions_numeric,
                         qber_from_snr, range_enhancement, raw_rate,
-                        snr_n_relays, snr_no_relay, solve_range_alpha_x)
+                        snr_exact, snr_n_relays, snr_no_relay,
+                        solve_range_alpha_x)
 from .chain import (ChannelEventState, ReceiverReport, SampledReport,
                     apply_relay, chain_noise, initial_state, propagate_chain,
                     propagate_segment, receiver_detect, run_chain,
-                    run_chain_grid, sample_chain)
+                    sample_chain, search_positions)
 from .circuit import (PackageOutcome, QndReport, derive_feed_forward_table,
                       encoder_postselect, feed_forward_sign,
                       measured_relay_efficiency, multiphoton_gate_probability,
                       qnd_measure, vacuum_gate_probability)
-from .errors import ContractViolationError, ConvergenceError
+from .errors import ContractViolationError
 from .fockspace import (BasisMode, DetectionPattern, LinearModeTransform,
                         ModeBasis, PhotonicState, apply_transform,
                         basis_rotate_fs, enumerate_outcomes, fock_state,
@@ -57,15 +58,14 @@ __all__ = [
     "measured_relay_efficiency",
     "ChannelEventState", "ReceiverReport", "SampledReport", "initial_state",
     "propagate_segment", "apply_relay", "receiver_detect", "propagate_chain",
-    "run_chain", "run_chain_grid", "chain_noise", "sample_chain",
+    "run_chain", "chain_noise", "search_positions", "sample_chain",
     "ChainConfig", "RangeEnhancement", "qber_from_snr",
-    "snr_no_relay", "snr_n_relays", "noise_single_relay",
-    "optimal_position_single", "optimal_positions",
-    "optimize_positions_numeric", "solve_range_alpha_x", "range_enhancement",
-    "raw_rate",
+    "snr_no_relay", "snr_n_relays", "snr_exact", "noise_single_relay",
+    "optimal_position_single", "optimal_positions", "solve_range_alpha_x",
+    "range_enhancement", "raw_rate",
     "EcPaParams", "ThroughputPoint", "binary_entropy", "key_fraction",
     "key_fraction_cutoff", "snr_cutoff", "normalized_throughput",
     "throughput_curve", "cutoff_alpha_x",
     "CurveReport", "write_csv", "read_csv", "write_json", "read_json",
-    "ContractViolationError", "ConvergenceError",
+    "ContractViolationError",
 ]

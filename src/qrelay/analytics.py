@@ -1,19 +1,18 @@
 """Closed-form signal-to-noise and placement formulas for relay chains.
 
 Everything here works in the dimensionless attenuation length alpha*x where
-convenient; configs carry physical distances in km. The exact event-by-event
-propagation lives in the chain module; this module holds the first-order
-analytic forms and the relay placement results (uniform spacing with a longer
-final segment, clamped to the transmitter end at short range).
+convenient; configs carry physical distances in km. This module holds the
+first-order analytic forms, the exact chain's closed form (which the chain
+module evaluates at any relay positions) and the relay placement, uniform
+spacing with a longer final segment, clamped to the transmitter end at short
+range, which is the exact optimum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
-from .errors import ConvergenceError
+from typing import Optional, Sequence
 
 
 def check_p_dark(p_dark: float) -> None:
@@ -116,10 +115,9 @@ def snr_no_relay(p_dark: float, alpha_x: float) -> float:
 
     p_dark = 0 returns math.inf as a noise-free sentinel.
     """
-    if p_dark < 0:
-        raise ValueError(f"p_dark must be >= 0, got {p_dark}")
-    if alpha_x < 0:
-        raise ValueError(f"alpha_x must be >= 0, got {alpha_x}")
+    check_p_dark(p_dark)
+    if not 0.0 <= alpha_x < math.inf:
+        raise ValueError(f"alpha_x must be finite and >= 0, got {alpha_x}")
     if p_dark == 0.0:
         return math.inf
     return 0.5 / p_dark * math.exp(-alpha_x)
@@ -140,8 +138,7 @@ def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> fl
     """
     if n_relays < 0:
         raise ValueError(f"n_relays must be >= 0, got {n_relays}")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    check_relay(eta, p_dark)
     s0 = snr_no_relay(p_dark, alpha_x)
     r = n_relays / (n_relays + 1)
     bracket = (1.0 / (n_relays + 1)) * eta ** r * math.exp(alpha_x * r)
@@ -181,8 +178,12 @@ def optimal_positions(config: ChainConfig) -> tuple[float, ...]:
     (x - N ln(eta)/alpha)/(N + 1) from the receiver. When the channel is
     shorter than ln(1/eta)/alpha that pattern would need negative segments;
     the constrained optimum then parks every relay at the transmitter end.
-    optimize_positions_numeric starts from this pattern to polish it against
-    an exact noise objective.
+
+    The pattern is the exact optimum of the all-orders chain, not only of the
+    first-order noise: p_s does not depend on the positions, and the exact
+    noise (see snr_exact) is convex in the first N segment lengths, so they
+    are equal, and its derivative in their common length vanishes exactly
+    where the last segment's transmission is eta times theirs.
     """
     n = config.n_relays
     if n == 0:
@@ -195,135 +196,68 @@ def optimal_positions(config: ChainConfig) -> tuple[float, ...]:
     return tuple(i * d for i in range(1, n + 1))
 
 
-# fminbound's rounded epsilon, kept so iterates match its reference exactly
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+def _snr_qb(p_s: float, p_n: float) -> tuple[float, float]:
+    """(snr, q_b) from signal and noise detection probabilities.
 
-
-def _bounded_brent(f: Callable[[float], float], a: float, b: float,
-                   xatol: float, maxfun: int = 500) -> tuple[float, float]:
-    """Minimize f on [a, b] by Brent's golden-section + parabolic search.
-
-    The classic bounded (fminbound) iteration, in the operation order of
-    scipy.optimize.minimize_scalar(method="bounded"), so every iterate and
-    the returned (x, f(x)) match it bit for bit. Stops when the bracket
-    shrinks below xatol plus a relative term, or after maxfun calls of f.
-    Expects finite bounds with a <= b.
+    snr = p_s / p_n, inf when only the signal can click, nan when nothing
+    can; q_b = p_n / (2 (p_n + p_s)), nan when nothing can click.
     """
-    fulc = a + _GOLDEN * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = f(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign_or_one(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN * e
-
-        x = xf + _sign_or_one(rat) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return xf, fx
+    if p_n > 0.0:
+        snr = p_s / p_n
+    elif p_s > 0.0:
+        snr = math.inf
+    else:
+        snr = math.nan
+    denom = p_n + p_s
+    q_b = 0.5 * p_n / denom if denom > 0.0 else math.nan
+    return snr, q_b
 
 
-def _sign_or_one(v: float) -> float:
-    """+1.0 or -1.0 by the sign of v, with 0 (either sign) mapping to +1.0."""
-    return 1.0 if v == 0 else math.copysign(1.0, v)
+def _receiver_counts(s_n: float, alive: float, big_l: float, t_last: float,
+                     p_dark: float) -> tuple[float, float]:
+    """Receiver (p_s, p_n) of a relay chain, in closed form.
 
-
-def optimize_positions_numeric(config: ChainConfig,
-                               objective: Callable[[Sequence[float]], float],
-                               x0: Optional[Sequence[float]] = None,
-                               obj_tol: float = 1e-10,
-                               max_sweeps: int = 500) -> tuple[float, ...]:
-    """Coordinate-descent minimization of a noise objective over positions.
-
-    Each sweep line-searches every relay position inside the interval pinned
-    by its neighbours (bounded Brent). Stops when a full sweep improves the
-    objective by less than obj_tol relative; deterministic for a given config
-    and start. Raises ConvergenceError, carrying the best point found, if the
-    sweep budget runs out.
+    After each relay a live slot holds a photon. With t_j the transmission
+    of segment j and c = 2 p_dark/eta, s_n = S_N = prod_{j<=N} eta t_j,
+    big_l = L = sum_{j<=N} log1p(c/t_j) (inf for a t_j of 0), and the live
+    mass alive = S_N e^L = prod_{j<=N} (eta t_j + 2 p_dark):
+        p_s = S_N t_last,    p_n = S_N (t_last expm1(L) + 2 p_dark e^L).
+    S_N expm1(L) = alive - S_N is read off the products once L >= 1, where
+    the difference no longer cancels and e^L may overflow.
     """
-    n = config.n_relays
-    if n == 0:
-        return ()
-    x = config.distance_km
-    pos = list(optimal_positions(config) if x0 is None else x0)
-    if len(pos) != n:
-        raise ValueError(f"start point has {len(pos)} positions for {n} relays")
-    best = objective(pos)
-    xatol = max(1e-13, 1e-12 * x)
-    for _sweep in range(max_sweeps):
-        previous = best
-        for i in range(n):
-            lo = pos[i - 1] if i > 0 else 0.0
-            hi = pos[i + 1] if i < n - 1 else x
-            if hi - lo <= 2 * xatol:
-                continue
-            xi, fi = _bounded_brent(
-                lambda v: objective(pos[:i] + [v] + pos[i + 1:]),
-                lo, hi, xatol)
-            if fi < best:
-                pos[i] = xi
-                best = fi
-        # relative stop: noise objectives span many decades, so an absolute
-        # threshold would quit coordinate sweeps while still percent-level off
-        if previous - best <= obj_tol * abs(best):
-            return tuple(pos)
-    raise ConvergenceError(
-        f"placement search did not converge in {max_sweeps} sweeps",
-        best_positions=tuple(pos), best_value=best)
+    spurious = s_n * math.expm1(big_l) if big_l < 1.0 else alive - s_n
+    return s_n * t_last, t_last * spurious + 2.0 * p_dark * alive
+
+
+def snr_exact(alpha_x: float, n_relays: int, eta: float,
+              p_dark: float) -> float:
+    """Exact (all-orders) SNR with n relays at the optimal placement.
+
+    The pattern of optimal_positions, in attenuation lengths: N segments of
+    length d = (alpha x - ln(1/eta))/(N+1) with transmission t = e^(-d), and
+    a last one with transmission eta t, so S_N = (eta t)^N and L = N log1p(c/t)
+    in the closed form. At alpha x <= ln(1/eta) every relay sits at the
+    transmitter (t = 1) and the last segment is the whole fiber. Returns inf
+    without dark counts and nan when nothing can click.
+    """
+    if not 0.0 <= alpha_x < math.inf:
+        raise ValueError(f"alpha_x must be finite and >= 0, got {alpha_x}")
+    if (isinstance(n_relays, bool) or not isinstance(n_relays, int)
+            or n_relays < 0):
+        raise ValueError(f"n_relays must be a nonnegative integer, "
+                         f"got {n_relays}")
+    check_relay(eta, p_dark)
+    n, pd2 = n_relays, 2.0 * p_dark
+    log_eta = math.log(eta)
+    if n == 0 or alpha_x <= -log_eta:
+        t, t_last = 1.0, math.exp(-alpha_x)
+    else:
+        t = math.exp(-(alpha_x + log_eta) / (n + 1))
+        t_last = eta * t
+    big_l = n * math.log1p(pd2 / eta / t) if t > 0.0 else math.inf
+    counts = _receiver_counts((eta * t) ** n, (eta * t + pd2) ** n, big_l,
+                              t_last, p_dark)
+    return _snr_qb(*counts)[0]
 
 
 def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,

@@ -5,8 +5,9 @@ the slot still carries the original signal photon, it carries a randomly
 polarized spurious photon, it is empty but every relay so far has gated it,
 or some relay has already vetoed it. All orders of dark-count events are kept,
 so these probabilities are exact for the model, not first-order expansions.
-One kernel propagates a single chain on floats, or a whole grid of
-attenuation lengths at once on arrays, with the same result per element.
+The step maps (propagate_segment, apply_relay, receiver_detect) compose into
+propagate_chain, the reference; run_chain evaluates the same chain through
+its closed form in analytics.
 """
 
 from __future__ import annotations
@@ -17,42 +18,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytics import (ChainConfig, check_p_dark, check_relay,
-                        optimal_positions)
+from .analytics import (ChainConfig, _receiver_counts, _snr_qb, check_p_dark,
+                        check_relay, optimal_positions)
 
 _SUM_TOL = 1e-12
-_LO, _HI = -_SUM_TOL, 1.0 + _SUM_TOL
-_EVENTS = ("p_sig", "p_rnd", "p_empty", "p_nogate")
-
-
-def _checked(sig, rnd, empty, nogate) -> list:
-    """The four event probabilities after ChannelEventState's invariants.
-
-    Each value must lie in [0, 1] up to the sum tolerance; a value in
-    [-tol, 0) from float cancellation is clamped to 0; the clamped values
-    must sum to 1 within the tolerance. Works on floats and on equal-length
-    1-D arrays (checked as a whole); raises ValueError on a violation.
-    """
-    state = [sig, rnd, empty, nogate]
-    for k, v in enumerate(state):
-        if isinstance(v, np.ndarray):
-            bad = (v < _LO) | (v > _HI)
-            if bad.any():
-                raise ValueError(f"{_EVENTS[k]} = {v[bad][0]} outside [0, 1]")
-            state[k] = np.where(v < 0.0, 0.0, v)
-        elif v < 0.0 or v > _HI:
-            if v < _LO or v > _HI:
-                raise ValueError(f"{_EVENTS[k]} = {v} outside [0, 1]")
-            state[k] = 0.0
-    total = state[0] + state[1] + state[2] + state[3]
-    off = abs(total - 1.0) > _SUM_TOL
-    if isinstance(off, np.ndarray):
-        if off.any():
-            raise ValueError(f"event probabilities sum to "
-                             f"{float(total[off][0])!r}, not 1")
-    elif off:
-        raise ValueError(f"event probabilities sum to {total!r}, not 1")
-    return state
 
 
 @dataclass(frozen=True)
@@ -63,6 +32,8 @@ class ChannelEventState:
     p_rnd: a spurious (randomly polarized) photon occupies the slot.
     p_empty: no photon, but no relay has vetoed the slot yet.
     p_nogate: some relay failed to gate; the slot is discarded downstream.
+    Each lies in [0, 1] and they sum to 1, within _SUM_TOL; a value in
+    [-_SUM_TOL, 0) from float cancellation is clamped to 0.
     """
 
     p_sig: float
@@ -71,9 +42,16 @@ class ChannelEventState:
     p_nogate: float
 
     def __post_init__(self):
-        values = _checked(self.p_sig, self.p_rnd, self.p_empty, self.p_nogate)
-        for name, v in zip(_EVENTS, values):
-            object.__setattr__(self, name, v)
+        total = 0.0
+        for name in ("p_sig", "p_rnd", "p_empty", "p_nogate"):
+            v = getattr(self, name)
+            if not -_SUM_TOL <= v <= 1.0 + _SUM_TOL:
+                raise ValueError(f"{name} = {v} outside [0, 1]")
+            if v < 0.0:
+                object.__setattr__(self, name, 0.0)
+            total += getattr(self, name)
+        if abs(total - 1.0) > _SUM_TOL:
+            raise ValueError(f"event probabilities sum to {total!r}, not 1")
 
     @property
     def p_alive(self) -> float:
@@ -134,7 +112,6 @@ class ReceiverReport:
     noise detection (spurious photon or receiver dark count in a gated slot).
     snr is their ratio; q_b = p_n / (2 (p_n + p_s)) since random polarization
     errs half the time. A fully vetoed chain yields nan for snr and q_b.
-    Fields are floats, or 1-D arrays over the grid from run_chain_grid.
     """
 
     p_s: float
@@ -143,69 +120,11 @@ class ReceiverReport:
     q_b: float
 
 
-def _snr_qb(p_s: float, p_n: float) -> tuple[float, float]:
-    """(snr, q_b) from signal and noise detection probabilities.
-
-    snr = p_s / p_n, inf when only the signal can click, nan when nothing
-    can; q_b = p_n / (2 (p_n + p_s)), nan when nothing can click.
-    """
-    if p_n > 0.0:
-        snr = p_s / p_n
-    elif p_s > 0.0:
-        snr = math.inf
-    else:
-        snr = math.nan
-    denom = p_n + p_s
-    q_b = 0.5 * p_n / denom if denom > 0.0 else math.nan
-    return snr, q_b
-
-
-# the same rule element by element over arrays (object results)
-_snr_qb_elementwise = np.frompyfunc(_snr_qb, 2, 2)
-
-
-def _detect(sig, rnd, empty, p_dark: float) -> ReceiverReport:
-    """Receiver statistics of a slot state given as floats or arrays."""
-    p_n = rnd + 2.0 * p_dark * (sig + rnd + empty)
-    if isinstance(p_n, np.ndarray):
-        # a subnormal p_n overflows p_s/p_n to inf, silently as on floats
-        with np.errstate(over="ignore"):
-            snr, q_b = (v.astype(float)
-                        for v in _snr_qb_elementwise(sig, p_n))
-    else:
-        snr, q_b = _snr_qb(sig, p_n)
-    return ReceiverReport(sig, p_n, snr, q_b)
-
-
 def receiver_detect(state: ChannelEventState, p_dark: float) -> ReceiverReport:
     """Terminal detection on a slot state, with receiver dark rate p_dark."""
     check_p_dark(p_dark)
-    return _detect(state.p_sig, state.p_rnd, state.p_empty, p_dark)
-
-
-def _propagate(ts, eta: float, p_dark: float):
-    """Slot state after fiber segments of transmissions ts, relays between.
-
-    The operations and their order are those of propagate_segment and
-    apply_relay, and every step keeps ChannelEventState's invariants, so a
-    float run equals the step-by-step composition bit for bit. ts holds
-    floats, or equal-length 1-D arrays that run one chain per element.
-    Returns (p_sig, p_rnd, p_empty, p_nogate).
-    """
-    eta, p_dark = float(eta), float(p_dark)
-    check_relay(eta, p_dark)
-    pd2 = 2.0 * p_dark
-    gate_fail, false_gate_miss = 1.0 - eta - pd2, 1.0 - pd2
-    sig, rnd, empty, nogate = 1.0, 0.0, 0.0, 0.0
-    for i, t in enumerate(ts):
-        lost = (1.0 - t) * (sig + rnd)
-        sig, rnd, empty, nogate = _checked(t * sig, t * rnd, empty + lost,
-                                           nogate)
-        if i < len(ts) - 1:
-            sig, rnd, empty, nogate = _checked(
-                eta * sig, eta * rnd + pd2 * (sig + rnd + empty), 0.0,
-                nogate + gate_fail * (sig + rnd) + false_gate_miss * empty)
-    return sig, rnd, empty, nogate
+    p_n = state.p_rnd + 2.0 * p_dark * state.p_alive
+    return ReceiverReport(state.p_sig, p_n, *_snr_qb(state.p_sig, p_n))
 
 
 def _segment_lengths(config: ChainConfig,
@@ -240,57 +159,33 @@ def propagate_chain(config: ChainConfig,
     """Exact slot state at the receiver input for the configured chain.
 
     Positions come from the explicit argument, else the config, else the
-    analytic optimum. Segments alternate with relays; the receiver detector
-    itself is not applied here.
+    analytic optimum. Fiber segments alternate with relays, applied one step
+    map at a time; the receiver detector itself is not applied here.
     """
-    return ChannelEventState(*_propagate(_transmissions(config, positions_km),
-                                         config.eta, config.p_dark))
+    state = initial_state()
+    for i, seg in enumerate(_segment_lengths(config, positions_km)):
+        state = propagate_segment(state, config.atten_per_km * seg)
+        if i < config.n_relays:
+            state = apply_relay(state, config)
+    return state
 
 
 def run_chain(config: ChainConfig,
               positions_km: Optional[Sequence[float]] = None) -> ReceiverReport:
-    """Exact receiver statistics for the configured chain."""
-    sig, rnd, empty, _ = _propagate(_transmissions(config, positions_km),
-                                    config.eta, config.p_dark)
-    return _detect(sig, rnd, empty, config.p_dark)
+    """Exact receiver statistics for the configured chain, in closed form.
 
-
-def run_chain_grid(config: ChainConfig,
-                   alpha_x_values: Sequence[float]) -> ReceiverReport:
-    """Exact receiver statistics at every attenuation length of a grid.
-
-    Each point rescales the configured chain to distance alpha_x/alpha with
-    the relays at optimal_positions, as config.at_alpha_x does; the
-    configured distance is ignored and explicit positions are rejected. The
-    whole grid runs through the chain at once, and element i equals
-    run_chain(config.at_alpha_x(alpha_x_values[i])) bit for bit. Returns a
-    ReceiverReport of 1-D arrays.
+    Positions are resolved as in propagate_chain, whose step maps followed
+    by receiver_detect give the same report up to rounding.
     """
-    if config.positions_km is not None:
-        raise ValueError("a chain rescaled to alpha_x places its relays "
-                         "itself; the config must not carry positions_km")
-    ax = np.array(alpha_x_values, dtype=float)
-    if ax.ndim != 1:
-        raise ValueError(f"alpha_x values must be 1-D, got shape {ax.shape}")
-    if not np.isfinite(ax).all() or (ax < 0).any():
-        bad = ax[~(np.isfinite(ax) & (ax >= 0))][0]
-        raise ValueError(f"alpha_x must be finite and >= 0, got {bad}")
-    atten, n = config.atten_per_km, config.n_relays
-    x = ax / atten
-    # optimal_positions and _segment_lengths, elementwise
-    pts = [0.0]
-    if n:
-        delta = -math.log(config.eta) / atten
-        d = (x - delta) / (n + 1)
-        clamped = x <= delta
-        pts += [np.where(clamped, 0.0, i * d) for i in range(1, n + 1)]
-    pts.append(x)
-    # libm exp per element: np.exp can differ from it by an ulp
-    ts = [np.array([math.exp(-v)
-                    for v in (atten * np.maximum(b - a, 0.0)).tolist()])
-          for a, b in zip(pts, pts[1:])]
-    sig, rnd, empty, _ = _propagate(ts, config.eta, config.p_dark)
-    return _detect(sig, rnd, empty, config.p_dark)
+    *relay_ts, t_last = _transmissions(config, positions_km)
+    eta, pd2 = config.eta, 2.0 * config.p_dark
+    c = pd2 / eta
+    big_l = (sum(math.log1p(c / t) for t in relay_ts) if all(relay_ts)
+             else math.inf)
+    p_s, p_n = _receiver_counts(math.prod(eta * t for t in relay_ts),
+                                math.prod(eta * t + pd2 for t in relay_ts),
+                                big_l, t_last, config.p_dark)
+    return ReceiverReport(p_s, p_n, *_snr_qb(p_s, p_n))
 
 
 def chain_noise(config: ChainConfig, positions_km: Sequence[float]) -> float:
@@ -300,6 +195,43 @@ def chain_noise(config: ChainConfig, positions_km: Sequence[float]) -> float:
     depend on the positions, so minimizing noise maximizes SNR.
     """
     return run_chain(config, positions_km).p_n
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def search_positions(config: ChainConfig) -> tuple[float, ...]:
+    """Relay positions from a numeric search, a check on the closed form.
+
+    Golden-section search for the lowest chain_noise over the common length
+    d in [0, x/N] of the first N segments (relay i at i*d), down to a bracket
+    of 1e-12 x. Replaces optimal_positions only if strictly lower.
+    """
+    best = optimal_positions(config)
+    n, x = config.n_relays, config.distance_km
+    if n == 0:
+        return best
+
+    def place(d):
+        return tuple(min(i * d, x) for i in range(1, n + 1))
+
+    def f(d):
+        return chain_noise(config, place(d))
+
+    lo, hi = 0.0, x / n
+    a, b = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fa, fb = f(a), f(b)
+    while hi - lo > max(1e-13, 1e-12 * x):
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = hi - _INV_PHI * (hi - lo)
+            fa = f(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + _INV_PHI * (hi - lo)
+            fb = f(b)
+    found = place(a if fa <= fb else b)
+    return found if min(fa, fb) < chain_noise(config, best) else best
 
 
 # int8 slot states for the vectorized sampler

@@ -6,8 +6,7 @@ then explicit flags, in increasing precedence. Every command is deterministic
 for a fixed flag set (including --seed); reports carry their full parameter
 provenance and never embed timestamps.
 
-Exit codes: 0 success, 1 invariant/contract failure, 2 configuration error,
-3 numeric non-convergence.
+Exit codes: 0 success, 1 invariant/contract failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .analytics import (ChainConfig, optimal_positions,
-                        optimize_positions_numeric, snr_n_relays)
-from .chain import chain_noise, run_chain, run_chain_grid, sample_chain
-from .errors import ContractViolationError, ConvergenceError
+from .analytics import (ChainConfig, optimal_positions, qber_from_snr,
+                        snr_exact, snr_n_relays)
+from .chain import chain_noise, run_chain, sample_chain, search_positions
+from .errors import ContractViolationError
 from .reports import (CurveReport, render_csv, render_json, write_csv,
                       write_json, write_payload)
 from .throughput import EcPaParams, cutoff_alpha_x, throughput_curve
@@ -32,7 +31,6 @@ from .throughput import EcPaParams, cutoff_alpha_x, throughput_curve
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
-EXIT_NO_CONVERGENCE = 3
 
 _DEFAULTS = {
     "pd": 1e-5,
@@ -139,7 +137,10 @@ def _grid(params: _Params) -> list[float]:
         raise ValueError(f"alpha_x_min must be < alpha_x_max, got [{lo}, {hi}]")
     if lo < 0:
         raise ValueError(f"alpha_x_min must be >= 0, got {lo}")
-    return [float(v) for v in np.linspace(lo, hi, steps)]
+    # np.linspace's points: a step that underflows to 0 is scaled last
+    step = (hi - lo) / (steps - 1)
+    return [lo + (i * step if step else i / (steps - 1) * (hi - lo))
+            for i in range(steps - 1)] + [hi]
 
 
 def _channel(params: _Params) -> tuple[float, float, float]:
@@ -178,18 +179,14 @@ def cmd_snr(args: argparse.Namespace) -> int:
     for n in ns:
         columns += [f"s_analytic_n{n}", f"s_exact_n{n}", f"q_b_n{n}",
                     f"rel_dev_n{n}"]
-    curves = []
-    for n in ns:
-        rep = run_chain_grid(ChainConfig(distance_km=0.0, atten_per_km=atten,
-                                         n_relays=n, eta=eta, p_dark=pd), grid)
-        curves.append((n, rep.snr.tolist(), rep.q_b.tolist()))
     rows = []
-    for j, ax in enumerate(grid):
+    for ax in grid:
         row = [ax]
-        for n, snr, q_b in curves:
+        for n in ns:
             s_an = snr_n_relays(ax, n, eta, pd)
-            dev = abs(snr[j] - s_an) / s_an if s_an > 0 else math.nan
-            row += [s_an, snr[j], q_b[j], dev]
+            s_ex = snr_exact(ax, n, eta, pd)
+            dev = abs(s_ex - s_an) / s_an if s_an > 0 else math.nan
+            row += [s_an, s_ex, qber_from_snr(s_ex), dev]
         rows.append(tuple(row))
     meta = _metadata("snr", {
         "eta": eta, "pd": pd, "atten_per_km": atten, "n_relays": ns,
@@ -232,7 +229,7 @@ def cmd_throughput(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    """Compare closed-form relay placement with the numeric minimizer."""
+    """Compare closed-form relay placement with a numeric search."""
     params = _Params(args)
     eta, pd, atten = _channel(params)
     n = _single_n(params)
@@ -242,8 +239,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     config = ChainConfig(distance_km=x, atten_per_km=atten, n_relays=n,
                          eta=eta, p_dark=pd)
     analytic = optimal_positions(config)
-    numeric = optimize_positions_numeric(
-        config, lambda pos: chain_noise(config, pos))
+    numeric = search_positions(config)
     f_analytic = chain_noise(config, analytic)
     f_numeric = chain_noise(config, numeric)
     tol = 1e-6 * max(1.0, x)
@@ -528,12 +524,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.best_positions is not None:
-            print(f"best point found: {exc.best_positions} "
-                  f"(objective {exc.best_value})", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except ContractViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

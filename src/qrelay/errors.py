@@ -6,15 +6,3 @@ class ContractViolationError(ValueError):
     (non-unitary transform, unnormalized state, occupation over the photon cap).
     """
 
-
-class ConvergenceError(RuntimeError):
-    """A numeric routine failed to converge within its iteration budget.
-
-    Carries the best point found so far in ``best_positions`` / ``best_value``
-    so callers can inspect how close the run got.
-    """
-
-    def __init__(self, message, best_positions=None, best_value=None):
-        super().__init__(message)
-        self.best_positions = best_positions
-        self.best_value = best_value

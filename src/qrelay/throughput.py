@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .analytics import ChainConfig, qber_from_snr
-from .chain import run_chain, run_chain_grid
+from .analytics import ChainConfig, qber_from_snr, snr_exact
 
 _SINGLE_PHOTON_BB84 = "single-photon-bb84"
 
@@ -127,16 +126,18 @@ def throughput_curve(config: ChainConfig, alpha_x_values: Sequence[float],
     """Exact-chain throughput at each attenuation length in the grid.
 
     Each grid point rescales the configured chain to distance alpha_x/alpha
-    with optimally placed relays (run_chain_grid runs them all at once), and
-    evaluates the key fraction at the resulting bit error rate.
+    with optimally placed relays, as config.at_alpha_x does, so a config
+    with explicit positions is rejected. The SNR comes from snr_exact, and
+    the key fraction is evaluated at its bit error rate.
     """
+    config.at_alpha_x(0.0)     # rejects explicit positions
     if params is None:
         params = EcPaParams()
-    alpha_x_values = list(alpha_x_values)
-    rep = run_chain_grid(config, alpha_x_values)
     scale = config.eta ** config.n_relays
     points = []
-    for ax, s, q_b in zip(alpha_x_values, rep.snr.tolist(), rep.q_b.tolist()):
+    for ax in alpha_x_values:
+        s = snr_exact(ax, config.n_relays, config.eta, config.p_dark)
+        q_b = qber_from_snr(s)
         t_n = key_fraction(q_b, params)
         points.append(ThroughputPoint(alpha_x=ax, s=s, q_b=q_b,
                                       t_n=t_n, t_n_scaled=scale * t_n))
@@ -147,19 +148,21 @@ def cutoff_alpha_x(config: ChainConfig, params: Optional[EcPaParams] = None,
                    hi: float = 200.0) -> float:
     """Attenuation length at which the chain's key fraction reaches zero.
 
-    Bisects the exact-chain SNR against the cutoff SNR; the chain SNR is
-    strictly decreasing in distance for fixed N with optimal placement.
-    Without dark counts (p_dark = 0) no noise reaches the receiver, the SNR
-    is infinite at every length, and the cutoff is math.inf.
+    Bisects snr_exact, the chain rescaled as in throughput_curve, against the
+    cutoff SNR; the chain SNR is strictly decreasing in distance for fixed N
+    with optimal placement. Without dark counts (p_dark = 0) no noise reaches
+    the receiver, the SNR is infinite at every length, and the cutoff is
+    math.inf.
     """
     if config.p_dark == 0.0:
         return math.inf
+    config.at_alpha_x(0.0)     # rejects explicit positions
     if params is None:
         params = EcPaParams()
     s_star = snr_cutoff(params)
 
     def s_at(ax: float) -> float:
-        return run_chain(config.at_alpha_x(ax)).snr
+        return snr_exact(ax, config.n_relays, config.eta, config.p_dark)
 
     if s_at(0.0) <= s_star:
         return 0.0

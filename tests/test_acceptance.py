@@ -16,8 +16,7 @@ import pytest
 
 from qrelay import circuit
 from qrelay.analytics import (ChainConfig, noise_single_relay,
-                              optimal_position_single,
-                              optimize_positions_numeric, range_enhancement,
+                              optimal_position_single, range_enhancement,
                               raw_rate, snr_n_relays, snr_no_relay,
                               solve_range_alpha_x)
 from qrelay.chain import chain_noise, run_chain, sample_chain
@@ -25,7 +24,8 @@ from qrelay.fockspace import (LinearModeTransform, ModeBasis, PhotonicState,
                               apply_transform, basis_rotate_fs)
 from qrelay.throughput import cutoff_alpha_x, key_fraction, throughput_curve
 
-from oracles import configs_up_to, dense_apply, haar_unitary
+from oracles import (configs_up_to, coordinate_descent, dense_apply,
+                     haar_unitary)
 
 
 def announce(capsys, name: str, ok: bool, detail: str = ""):
@@ -115,7 +115,7 @@ def test_criterion_03_analytic_self_consistency(capsys):
         eta = float(rng.uniform(0.3, 0.9))
         cfg = ChainConfig(distance_km=x, n_relays=1, eta=eta)
         analytic = optimal_position_single(cfg)
-        numeric = optimize_positions_numeric(
+        numeric = coordinate_descent(
             cfg, lambda p: noise_single_relay(p[0], x - p[0], cfg))[0]
         worst_pos = max(worst_pos, abs(numeric - analytic) / max(1.0, x))
     elapsed = time.perf_counter() - t0

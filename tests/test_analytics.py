@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qrelay.analytics import (ChainConfig, _bounded_brent,
-                              noise_single_relay, optimal_position_single,
-                              optimal_positions, optimize_positions_numeric,
+from qrelay.analytics import (ChainConfig, noise_single_relay,
+                              optimal_position_single, optimal_positions,
                               qber_from_snr, range_enhancement, raw_rate,
-                              snr_n_relays, snr_no_relay, solve_range_alpha_x)
-from qrelay.chain import chain_noise, run_chain
-from qrelay.errors import ConvergenceError
+                              snr_exact, snr_n_relays, snr_no_relay,
+                              solve_range_alpha_x)
+from qrelay.chain import chain_noise, search_positions
+
+from oracles import coordinate_descent
 
 
 def test_chain_config_validation():
@@ -48,68 +51,6 @@ def test_chain_config_validation():
     assert two.positions_km == (4.0, 4.0)
 
 
-def _relay_noise_shape(v):
-    # eta e^(-a x1) + e^(-a x2) on a 100 km chain, as in noise_single_relay
-    return 0.5 * math.exp(-0.05 * v) + math.exp(-0.05 * (100.0 - v))
-
-
-@pytest.mark.parametrize("f, lo, hi, xatol", [
-    (lambda v: (v - 0.3) ** 2, 0.0, 1.0, 1e-12),
-    (lambda v: (v - 1234.5) ** 2 + 7.0, 0.0, 5000.0, 5e-9),
-    (_relay_noise_shape, 0.0, 100.0, 1e-10),
-    (_relay_noise_shape, 43.0, 43.0 + 4e-12, 1e-13),
-    (lambda v: v, 2.0, 9.0, 1e-12),
-    (lambda v: -v, 2.0, 9.0, 1e-12),
-    (lambda v: math.exp(3.0 * v), -1e-11, 1e-11, 1e-13),
-], ids=["quadratic", "quadratic-wide", "relay-noise", "relay-noise-tiny",
-        "min-at-lower", "min-at-upper", "exp-tiny"])
-def test_bounded_brent_matches_scipy_bit_for_bit(f, lo, hi, xatol):
-    from scipy.optimize import minimize_scalar
-    for maxfun in (500, 4):     # 4 calls cut all but the tiny bracket short
-        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                              options={"xatol": xatol, "maxiter": maxfun})
-        assert (_bounded_brent(f, lo, hi, xatol, maxfun)
-                == (float(ref.x), float(ref.fun)))
-
-
-def test_bounded_brent_matches_scipy_on_random_objectives():
-    # many parabolic steps, so a reordered floating-point operation shows
-    from scipy.optimize import minimize_scalar
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        lo = rng.uniform(-50.0, 50.0)
-        hi = lo + 10 ** rng.uniform(-10.0, 3.0)
-        c, w = rng.uniform(lo, hi), rng.uniform(0.1, 3.0)
-        xatol = (hi - lo) * 10 ** rng.uniform(-12.0, -3.0)
-
-        def f(v):
-            u = (v - c) / (hi - lo)
-            return math.cosh(w * u) + 0.1 * u
-
-        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                              options={"xatol": xatol})
-        assert _bounded_brent(f, lo, hi, xatol) == (float(ref.x),
-                                                    float(ref.fun))
-
-
-def test_bounded_brent_matches_scipy_on_chain_noise():
-    from scipy.optimize import minimize_scalar
-    cfg = ChainConfig(distance_km=300.0, n_relays=5)
-    pos = list(optimal_positions(cfg))
-    xatol = 1e-12 * cfg.distance_km
-    for i in range(cfg.n_relays):
-        lo = pos[i - 1] if i > 0 else 0.0
-        hi = pos[i + 1] if i < cfg.n_relays - 1 else cfg.distance_km
-
-        def f(v):
-            return chain_noise(cfg, pos[:i] + [v] + pos[i + 1:])
-
-        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                              options={"xatol": xatol})
-        assert _bounded_brent(f, lo, hi, xatol) == (float(ref.x),
-                                                    float(ref.fun))
-
-
 def test_qber_from_snr():
     assert qber_from_snr(math.inf) == 0.0
     assert qber_from_snr(0.0) == 0.5
@@ -127,13 +68,22 @@ def test_snr_no_relay():
     assert snr_no_relay(1e-5, 0.0) == pytest.approx(5e4)
     assert snr_no_relay(1e-5, 10.0) == pytest.approx(5e4 * math.exp(-10.0))
     assert math.isinf(snr_no_relay(0.0, 3.0))
-    with pytest.raises(ValueError):
-        snr_no_relay(-1e-5, 1.0)
+    for p_dark, alpha_x in ((-1e-5, 1.0), (0.5, 1.0), (math.nan, 1.0),
+                            (1e-5, -1.0), (1e-5, math.inf)):
+        with pytest.raises(ValueError):
+            snr_no_relay(p_dark, alpha_x)
 
 
 def test_snr_n_relays_reduces_to_no_relay():
     for ax in (0.0, 1.0, 5.0, 17.3):
         assert snr_n_relays(ax, 0, 0.5, 1e-5) == snr_no_relay(1e-5, ax)
+    # the relay domain of check_relay: 0 < eta <= 1, 0 <= p_dark < 1/2,
+    # eta + 2 p_dark <= 1
+    for n, eta, p_dark in ((-1, 0.5, 1e-5), (1, 0.0, 1e-5), (1, 1.2, 1e-5),
+                           (1, 0.5, 0.5), (0, 0.5, 0.5), (1, 0.5, -1e-9),
+                           (1, 0.999, 0.01), (1, math.nan, 1e-5)):
+        with pytest.raises(ValueError):
+            snr_n_relays(1.0, n, eta, p_dark)
 
 
 def test_snr_single_relay_closed_form():
@@ -192,7 +142,7 @@ def test_optimal_position_single_agrees_with_numeric():
         eta = float(rng.uniform(0.3, 0.9))
         cfg = ChainConfig(distance_km=x, n_relays=1, eta=eta, p_dark=1e-5)
         analytic = optimal_position_single(cfg)
-        numeric = optimize_positions_numeric(
+        numeric = coordinate_descent(
             cfg, lambda p: noise_single_relay(p[0], x - p[0], cfg))[0]
         assert abs(numeric - analytic) <= 1e-6 * max(1.0, x)
 
@@ -227,7 +177,7 @@ def test_optimal_positions_layout():
 def test_optimal_positions_refined_close_to_closed_form():
     cfg = ChainConfig(distance_km=150.0, n_relays=2)
     base = optimal_positions(cfg)
-    fine = optimize_positions_numeric(cfg, lambda p: chain_noise(cfg, p))
+    fine = coordinate_descent(cfg, lambda p: chain_noise(cfg, p))
     for b, f in zip(base, fine):
         assert abs(b - f) <= 1e-3 * 150.0
     assert chain_noise(cfg, fine) <= chain_noise(cfg, base) * (1 + 1e-12)
@@ -242,7 +192,7 @@ def test_numeric_optimum_multi_start():
         uniform = tuple(x * (i + 1) / (n + 1) for i in range(n))
         jitter = tuple(min(x, max(0.0, u + ((-1) ** i) * 0.07 * x))
                        for i, u in enumerate(uniform))
-        sols = [optimize_positions_numeric(cfg, objective, x0=s)
+        sols = [coordinate_descent(cfg, objective, x0=s)
                 for s in (None, uniform, jitter)]
         vals = [objective(s) for s in sols]
         for s in sols[1:]:
@@ -252,7 +202,7 @@ def test_numeric_optimum_multi_start():
 
 def test_numeric_optimum_matches_closed_form_spacing():
     cfg = ChainConfig(distance_km=200.0, n_relays=3)
-    got = optimize_positions_numeric(cfg, lambda p: chain_noise(cfg, p))
+    got = coordinate_descent(cfg, lambda p: chain_noise(cfg, p))
     want = optimal_positions(cfg)
     # first-order placement is already within a small fraction of the span
     for g, w in zip(got, want):
@@ -263,7 +213,7 @@ def test_perturbed_placement_increases_noise():
     for n in (1, 2, 3):
         cfg = ChainConfig(distance_km=180.0, n_relays=n)
         objective = lambda p: chain_noise(cfg, p)
-        best = optimize_positions_numeric(cfg, objective)
+        best = coordinate_descent(cfg, objective)
         base = objective(best)
         for k in range(n):
             for sign in (-1.0, 1.0):
@@ -276,13 +226,77 @@ def test_perturbed_placement_increases_noise():
         assert objective(closed) <= base * 1.01
 
 
-def test_convergence_error_carries_best():
-    cfg = ChainConfig(distance_km=150.0, n_relays=2)
-    with pytest.raises(ConvergenceError) as exc:
-        optimize_positions_numeric(cfg, lambda p: chain_noise(cfg, p),
-                                   max_sweeps=0)
-    assert len(exc.value.best_positions) == 2
-    assert exc.value.best_value > 0
+@st.composite
+def dark_chains(draw, max_relays=64):
+    """A chain with dark counts at an interior or a clamped length."""
+    p_dark = draw(st.floats(1e-9, 1e-2))
+    eta = draw(st.floats(0.05, 1.0))
+    assume(eta + 2.0 * p_dark <= 1.0)
+    atten = draw(st.floats(0.01, 1.0))
+    delta = -math.log(eta) / atten
+    if draw(st.booleans()):
+        x = delta + draw(st.floats(0.0, 60.0)) / atten
+    else:
+        x = draw(st.floats(0.0, 1.0)) * delta
+    return ChainConfig(x, atten, draw(st.integers(1, max_relays)), eta, p_dark)
+
+
+def lower_by_ulps(cfg, positions, base):
+    """How many ulps of base the noise at positions lies below base."""
+    return (base - chain_noise(cfg, tuple(positions))) / math.ulp(base)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cfg=dark_chains())
+def test_optimal_positions_is_exactly_optimal_under_moves(cfg):
+    # relative moves of 1e-6 and 1e-3 of the span, clipped to the
+    # neighbours; far smaller ones only probe rounding
+    best = optimal_positions(cfg)
+    base = chain_noise(cfg, best)
+    n, x = cfg.n_relays, cfg.distance_km
+    for i in range(n):
+        lo = best[i - 1] if i > 0 else 0.0
+        hi = best[i + 1] if i < n - 1 else x
+        for step in (1e-6 * x, -1e-6 * x, 1e-3 * x, -1e-3 * x):
+            moved = list(best)
+            moved[i] = min(max(best[i] + step, lo), hi)
+            assert lower_by_ulps(cfg, moved, base) <= 4.0, (i, step)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(cfg=dark_chains(max_relays=6),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+def test_optimal_positions_is_exactly_optimal_under_descent(cfg, fracs):
+    # a converged descent, so up to 6 relays; with 64 a coordinate descent
+    # stops far from any optimum within a test's time, and the moves above
+    # cover that range
+    best = optimal_positions(cfg)
+    base = chain_noise(cfg, best)
+    start = sorted(f * cfg.distance_km for f in fracs[:cfg.n_relays])
+    found = coordinate_descent(cfg, lambda p: chain_noise(cfg, p), x0=start)
+    assert lower_by_ulps(cfg, found, base) <= 4.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cfg=dark_chains(),
+       alpha_xs=st.lists(st.floats(0.0, 200.0), min_size=2, max_size=20))
+def test_snr_exact_does_not_increase_with_alpha_x(cfg, alpha_xs):
+    # cutoff_alpha_x bisects on this
+    s = [snr_exact(ax, cfg.n_relays, cfg.eta, cfg.p_dark)
+         for ax in sorted(alpha_xs)]
+    assert all(b <= a for a, b in zip(s, s[1:])), s
+
+
+def test_search_positions_keeps_the_closed_form_unless_lower():
+    assert search_positions(ChainConfig(distance_km=50.0)) == ()
+    for x, n in ((300.0, 3), (100.0, 1), (10.0, 5), (2000.0, 64)):
+        cfg = ChainConfig(distance_km=x, n_relays=n)
+        best = optimal_positions(cfg)
+        found = search_positions(cfg)
+        assert len(found) == n
+        assert (found == best
+                or chain_noise(cfg, found) < chain_noise(cfg, best))
+        assert max(abs(a - b) for a, b in zip(found, best)) <= 1e-6 * x
 
 
 def test_solve_range_alpha_x():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qrelay.analytics import ChainConfig, optimal_positions, snr_n_relays
 from qrelay.chain import (ChannelEventState, apply_relay, chain_noise,
@@ -107,6 +109,23 @@ def test_transition_maps_exactly_stochastic():
         for out in (seg, rel):
             total = out.p_sig + out.p_rnd + out.p_empty + out.p_nogate
             assert abs(total - 1.0) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       alpha_x=st.floats(0.0, 800.0), eta=st.floats(1e-3, 1.0),
+       p_dark=st.floats(0.0, 0.5, exclude_max=True))
+def test_step_maps_keep_states_stochastic(weights, alpha_x, eta, p_dark):
+    assume(sum(weights) > 0.0 and eta + 2.0 * p_dark <= 1.0)
+    total = math.fsum(weights)
+    state = ChannelEventState(*(w / total for w in weights))
+    relay = ChainConfig(distance_km=1.0, eta=eta, p_dark=p_dark)
+    # in [0, 1] and summing to 1 within rounding, far inside the 1e-12 the
+    # state's own check allows
+    for out in (propagate_segment(state, alpha_x), apply_relay(state, relay)):
+        values = (out.p_sig, out.p_rnd, out.p_empty, out.p_nogate)
+        assert all(0.0 <= v <= 1.0 + 1e-15 for v in values), values
+        assert abs(math.fsum(values) - 1.0) <= 1e-15, values
 
 
 def test_receiver_detect():

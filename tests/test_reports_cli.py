@@ -1,10 +1,14 @@
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qrelay
 from qrelay import cli
@@ -178,6 +182,25 @@ def test_cli_sample_distance_form(capsys):
                     "--seed", "4"])
     assert code == 0
     assert "p_n" in capsys.readouterr().out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ends=st.lists(st.floats(0.0, allow_infinity=False), min_size=2,
+                    max_size=2, unique=True),
+       steps=st.integers(2, 300))
+@example(ends=[0.0, 5e-324], steps=5)      # the step underflows to 0
+@example(ends=[0.0, 1.7e308], steps=7)
+def test_grid_is_np_linspace_bit_for_bit(ends, steps):
+    # every (lo, hi, steps) the CLI accepts: finite 0 <= lo < hi, steps >= 2
+    lo, hi = sorted(ends)
+    args = argparse.Namespace(config=None, alpha_x=None, alpha_x_min=lo,
+                              alpha_x_max=hi, steps=steps)
+    got = cli._grid(cli._Params(args))
+    # near the largest double, linspace overflows the point it then sets
+    # to hi
+    with np.errstate(over="ignore"):
+        want = np.linspace(lo, hi, steps)
+    assert [v.hex() for v in got] == [float(v).hex() for v in want]
 
 
 def test_cli_config_file_and_override(tmp_path):
