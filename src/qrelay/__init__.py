@@ -14,7 +14,8 @@ The package layers are, bottom up:
 - chain: the per-slot step maps through fiber segments and relay stations
   (the relay map is apply_relay) composed into the reference propagation,
   the exact receiver statistics at any positions through the closed form,
-  a numeric placement search, and a seeded Monte Carlo cross-check.
+  a numeric placement search, and a seeded Monte Carlo cross-check that
+  draws the slot count of each event.
 - throughput: BB84 secure-key fraction and throughput sweeps.
 - reports: deterministic CSV/JSON tables.
 - cli: the `qrelay` command.

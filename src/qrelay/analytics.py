@@ -35,6 +35,14 @@ def check_relay(eta: float, p_dark: float) -> None:
         raise ValueError("eta + 2*p_dark exceeds 1")
 
 
+def check_n_relays(n_relays: int) -> None:
+    """Reject a relay count that is not a nonnegative int (bools included)."""
+    if (isinstance(n_relays, bool) or not isinstance(n_relays, int)
+            or n_relays < 0):
+        raise ValueError(f"n_relays must be a nonnegative integer, "
+                         f"got {n_relays!r}")
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """End-to-end channel description.
@@ -59,9 +67,7 @@ class ChainConfig:
         if not math.isfinite(self.atten_per_km) or self.atten_per_km <= 0:
             raise ValueError(f"atten_per_km must be finite and > 0, "
                              f"got {self.atten_per_km}")
-        if (isinstance(self.n_relays, bool) or not isinstance(self.n_relays, int)
-                or self.n_relays < 0):
-            raise ValueError(f"n_relays must be a nonnegative integer, got {self.n_relays}")
+        check_n_relays(self.n_relays)
         check_relay(self.eta, self.p_dark)
         if self.positions_km is not None:
             pos = tuple(float(p) for p in self.positions_km)
@@ -136,8 +142,7 @@ def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> fl
     eta = 0.5 by up to 5.7% (N = 1, alpha x = 0), falling with N to 3.3% at
     N = 4 and 1.1% at N = 16.
     """
-    if n_relays < 0:
-        raise ValueError(f"n_relays must be >= 0, got {n_relays}")
+    check_n_relays(n_relays)
     check_relay(eta, p_dark)
     s0 = snr_no_relay(p_dark, alpha_x)
     r = n_relays / (n_relays + 1)
@@ -242,10 +247,7 @@ def snr_exact(alpha_x: float, n_relays: int, eta: float,
     """
     if not 0.0 <= alpha_x < math.inf:
         raise ValueError(f"alpha_x must be finite and >= 0, got {alpha_x}")
-    if (isinstance(n_relays, bool) or not isinstance(n_relays, int)
-            or n_relays < 0):
-        raise ValueError(f"n_relays must be a nonnegative integer, "
-                         f"got {n_relays}")
+    check_n_relays(n_relays)
     check_relay(eta, p_dark)
     n, pd2 = n_relays, 2.0 * p_dark
     log_eta = math.log(eta)
@@ -266,6 +268,7 @@ def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,
 
     Inverts the first-order SNR expression including its factor-2 terms.
     """
+    check_n_relays(n_relays)
     if p_dark <= 0 or s_target <= 0:
         raise ValueError("p_dark and s_target must be positive")
     r = n_relays / (n_relays + 1)
@@ -292,8 +295,7 @@ def range_enhancement(n_relays: int, eta: float, p_dark: float,
     both ranges solved from the full first-order expressions. Both need the
     log arguments below 1, otherwise the requested SNR is unreachable.
     """
-    if n_relays < 0:
-        raise ValueError(f"n_relays must be >= 0, got {n_relays}")
+    check_n_relays(n_relays)
     if p_dark <= 0 or s_target <= 0:
         raise ValueError("p_dark and s_target must be positive")
     ps = p_dark * s_target

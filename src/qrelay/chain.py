@@ -7,7 +7,9 @@ or some relay has already vetoed it. All orders of dark-count events are kept,
 so these probabilities are exact for the model, not first-order expansions.
 The step maps (propagate_segment, apply_relay, receiver_detect) compose into
 propagate_chain, the reference; run_chain evaluates the same chain through
-its closed form in analytics.
+its closed form in analytics. sample_chain is the seeded Monte Carlo check:
+it draws how many of n slots land in each event, step by step, from the
+event rules alone, in O(N) draws whatever n is.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .analytics import (ChainConfig, _receiver_counts, _snr_qb, check_p_dark,
                         check_relay, optimal_positions)
 
 _SUM_TOL = 1e-12
+_MAX_TRIALS = 2**63 - 1     # numpy's binomial counts are int64
 
 
 @dataclass(frozen=True)
@@ -234,10 +237,6 @@ def search_positions(config: ChainConfig) -> tuple[float, ...]:
     return found if min(fa, fb) < chain_noise(config, best) else best
 
 
-# int8 slot states for the vectorized sampler
-_SIG, _RND, _EMPTY, _NOGATE = 0, 1, 2, 3
-
-
 @dataclass(frozen=True)
 class SampledReport:
     """Monte Carlo estimate of the receiver statistics.
@@ -262,71 +261,60 @@ class SampledReport:
 
 
 def sample_chain(config: ChainConfig, n_trials: int, seed: int,
-                 positions_km: Optional[Sequence[float]] = None,
-                 chunk_size: int = 1_000_000) -> SampledReport:
+                 positions_km: Optional[Sequence[float]] = None
+                 ) -> SampledReport:
     """Simulate n_trials slots through the chain and tally detections.
 
-    Slots are processed in fixed-size chunks, each driven by its own child
-    of SeedSequence(seed), so results depend only on (config, n_trials, seed,
-    chunk_size) and not on execution order. The per-slot kernel matches
-    propagate_segment/apply_relay/receiver_detect event for event, so the
-    estimates are unbiased for the exact run_chain values.
+    Slots are independent, so the counts (sig, rnd, emp, nog) of slots in
+    each event are drawn step by step, multinomially given the counts before:
+    a segment of transmission t keeps Bin(sig, t) signal and Bin(rnd, t)
+    spurious photons and empties the rest; a relay splits sig over gated
+    (eta), false-gated into rnd (2 p_dark) and vetoed, keeps Bin(rnd, eta +
+    2 p_dark) spurious photons, turns Bin(emp, 2 p_dark) empty slots into rnd
+    and vetoes everything else. At the receiver Bin(rnd, 2 p_dark) slots add
+    a dark count to their spurious photon and Bin(sig + emp, 2 p_dark) have
+    a single one. Written from these event rules rather than the step maps,
+    the draw is an independent check on run_chain; results depend only on
+    (config, n_trials, seed, positions).
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    trans = _transmissions(config, positions_km)
+    if (isinstance(n_trials, bool) or not isinstance(n_trials, int)
+            or not 1 <= n_trials <= _MAX_TRIALS):
+        raise ValueError(f"n_trials must be an integer in [1, 2**63 - 1], "
+                         f"got {n_trials!r}")
+    rng = np.random.default_rng(seed)
     eta, pd2 = config.eta, 2.0 * config.p_dark
 
-    n_chunks = (n_trials + chunk_size - 1) // chunk_size
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    signal_count = 0
-    noise_c1 = 0    # slots with exactly one noise detection
-    noise_c2 = 0    # slots with two (spurious photon and a dark count)
-    state_hist = np.zeros(4, dtype=np.int64)
+    def draw(n, p):
+        return int(rng.binomial(n, p))
 
-    for ci in range(n_chunks):
-        m = min(chunk_size, n_trials - ci * chunk_size)
-        rng = np.random.default_rng(children[ci])
-        states = np.zeros(m, dtype=np.int8)
-        for i, t in enumerate(trans):
-            if t < 1.0:
-                u = rng.random(m)
-                photon = states <= _RND
-                states[photon & (u >= t)] = _EMPTY
-            if i < config.n_relays:
-                u = rng.random(m)
-                out = np.full(m, _NOGATE, dtype=np.int8)
-                sig = states == _SIG
-                rnd = states == _RND
-                emp = states == _EMPTY
-                out[sig & (u < eta)] = _SIG
-                out[sig & (u >= eta) & (u < eta + pd2)] = _RND
-                out[rnd & (u < eta + pd2)] = _RND
-                out[emp & (u < pd2)] = _RND
-                states = out
-        state_hist += np.bincount(states, minlength=4)
-        u = rng.random(m)
-        dark = (states != _NOGATE) & (u < pd2)
-        noise = (states == _RND).astype(np.int64) + dark
-        signal_count += int((states == _SIG).sum())
-        noise_c1 += int((noise == 1).sum())
-        noise_c2 += int((noise == 2).sum())
+    sig, rnd, emp, nog = n_trials, 0, 0, 0
+    for i, t in enumerate(_transmissions(config, positions_km)):
+        kept_sig, kept_rnd = draw(sig, t), draw(rnd, t)
+        emp += sig - kept_sig + rnd - kept_rnd
+        sig, rnd = kept_sig, kept_rnd
+        if i < config.n_relays:
+            # the veto share is clamped: 1 - eta - 2 p_dark can round below 0
+            gated, false_gated, vetoed = map(int, rng.multinomial(
+                sig, [eta, pd2, max(1.0 - eta - pd2, 0.0)]))
+            kept_rnd, opened = draw(rnd, eta + pd2), draw(emp, pd2)
+            nog += vetoed + rnd - kept_rnd + emp - opened
+            sig, rnd, emp = gated, false_gated + kept_rnd + opened, 0
+    two_noise = draw(rnd, pd2)     # a spurious photon and a dark count
+    one_noise = rnd - two_noise + draw(sig + emp, pd2)
 
     n = n_trials
-    p_s = signal_count / n
-    noise_events = noise_c1 + 2 * noise_c2
+    p_s = sig / n
+    noise_events = one_noise + 2 * two_noise
     p_n = noise_events / n
     # sample variance of the per-slot noise count (values 0, 1, 2)
-    second_moment = (noise_c1 + 4 * noise_c2) / n
+    second_moment = (one_noise + 4 * two_noise) / n
     var_n = max(second_moment - p_n * p_n, 0.0)
     stderr_p_s = math.sqrt(p_s * (1.0 - p_s) / n)
     stderr_p_n = math.sqrt(var_n / n)
     snr, q_b = _snr_qb(p_s, p_n)
-    names = ("signal", "random", "empty", "no_gate")
     return SampledReport(
         p_s=p_s, p_n=p_n, snr=snr, q_b=q_b, n_trials=n, seed=seed,
-        signal_count=signal_count, noise_events=noise_events,
+        signal_count=sig, noise_events=noise_events,
         stderr_p_s=stderr_p_s, stderr_p_n=stderr_p_n,
-        state_counts={k: int(v) for k, v in zip(names, state_hist)})
+        state_counts={"signal": sig, "random": rnd, "empty": emp,
+                      "no_gate": nog})

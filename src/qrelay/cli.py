@@ -45,8 +45,8 @@ _DEFAULTS = {
 
 _CONFIG_KEYS = {
     "pd", "eta", "atten_per_km", "n_relays", "distance_km", "alpha_x",
-    "alpha_x_min", "alpha_x_max", "steps", "seed", "trials", "chunk_size",
-    "f_ec", "format", "output", "input", "diagnostic",
+    "alpha_x_min", "alpha_x_max", "steps", "seed", "trials", "f_ec",
+    "format", "output", "input", "diagnostic",
 }
 
 
@@ -275,9 +275,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     params = _Params(args)
     eta, pd, atten = _channel(params)
     n = _single_n(params, default=0)
-    trials = int(params.require("trials", "--trials"))
-    if trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {trials}")
+    trials = params.require("trials", "--trials")
     seed = int(params.require("seed", "--seed"))
     ax = params.get("alpha_x")
     x = params.get("distance_km")
@@ -289,9 +287,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError("--alpha-x or --distance-km is required")
     config = ChainConfig(distance_km=float(x), atten_per_km=atten, n_relays=n,
                          eta=eta, p_dark=pd)
-    chunk = int(params.get("chunk_size", 1_000_000))
     exact = run_chain(config)
-    sampled = sample_chain(config, trials, seed, chunk_size=chunk)
+    sampled = sample_chain(config, trials, seed)
     print(f"chain: alpha_x = {config.alpha_x:.6f}, N = {n}, eta = {eta}, "
           f"p_dark = {pd}, trials = {trials}, seed = {seed}")
     print(f"exact    p_s = {exact.p_s:.9e}    p_n = {exact.p_n:.9e}")
@@ -310,8 +307,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         payload = {
             "config": {"alpha_x": config.alpha_x, "distance_km": float(x),
                        "atten_per_km": atten, "n_relays": n, "eta": eta,
-                       "pd": pd, "trials": trials, "seed": seed,
-                       "chunk_size": chunk},
+                       "pd": pd, "trials": trials, "seed": seed},
             "exact": {"p_s": exact.p_s, "p_n": exact.p_n,
                       "snr": exact.snr, "q_b": exact.q_b},
             "sampled": {"p_s": sampled.p_s, "p_n": sampled.p_n,
@@ -503,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_throughput)
 
     p = sub.add_parser("sample", help="Monte Carlo check against the exact "
-                       "propagation")
+                       "chain, drawing the slot counts of each event")
     _add_common(p)
     p.add_argument("--alpha-x", dest="alpha_x", type=float,
                    help="attenuation length (alternative to --distance-km)")
@@ -511,10 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total channel length")
     p.add_argument("--n-relays", dest="n_relays",
                    help="relay count (single integer, default 0)")
-    p.add_argument("--trials", type=int, help="number of slots to simulate")
+    p.add_argument("--trials", type=int, help="number of slots to simulate, "
+                   "1 to 2**63 - 1; the cost does not grow with it")
     p.add_argument("--seed", type=int, help="RNG seed (required)")
-    p.add_argument("--chunk-size", dest="chunk_size", type=int,
-                   help="slots per RNG chunk (default 1000000)")
     p.set_defaults(func=cmd_sample)
     return parser
 

@@ -40,7 +40,7 @@ def test_chain_config_validation():
         ChainConfig(distance_km=10.0, n_relays=2, positions_km=(4.0,))
     for bad in ({"distance_km": math.nan}, {"distance_km": math.inf},
                 {"atten_per_km": math.nan}, {"atten_per_km": math.inf},
-                {"n_relays": True}, {"n_relays": False},
+                {"n_relays": True}, {"n_relays": False}, {"n_relays": 2.5},
                 {"n_relays": 1, "positions_km": (math.nan,)}):
         with pytest.raises(ValueError):
             ChainConfig(**{"distance_km": 10.0, **bad})
@@ -77,9 +77,10 @@ def test_snr_no_relay():
 def test_snr_n_relays_reduces_to_no_relay():
     for ax in (0.0, 1.0, 5.0, 17.3):
         assert snr_n_relays(ax, 0, 0.5, 1e-5) == snr_no_relay(1e-5, ax)
-    # the relay domain of check_relay: 0 < eta <= 1, 0 <= p_dark < 1/2,
-    # eta + 2 p_dark <= 1
-    for n, eta, p_dark in ((-1, 0.5, 1e-5), (1, 0.0, 1e-5), (1, 1.2, 1e-5),
+    # a nonnegative int N (check_n_relays) and the relay domain of
+    # check_relay: 0 < eta <= 1, 0 <= p_dark < 1/2, eta + 2 p_dark <= 1
+    for n, eta, p_dark in ((-1, 0.5, 1e-5), (2.5, 0.5, 1e-5),
+                           (True, 0.5, 1e-5), (1, 0.0, 1e-5), (1, 1.2, 1e-5),
                            (1, 0.5, 0.5), (0, 0.5, 0.5), (1, 0.5, -1e-9),
                            (1, 0.999, 0.01), (1, math.nan, 1e-5)):
         with pytest.raises(ValueError):
@@ -313,6 +314,9 @@ def test_solve_range_alpha_x():
         solve_range_alpha_x(0, 0.5, 0.3, 10.0)
     with pytest.raises(ValueError):
         solve_range_alpha_x(0, 0.5, 1e-5, 0.0)
+    for n in (2.5, True, -1):
+        with pytest.raises(ValueError, match="n_relays"):
+            solve_range_alpha_x(n, 0.5, 1e-5, 1.0)
 
 
 def test_range_enhancement():
@@ -322,6 +326,9 @@ def test_range_enhancement():
     assert abs(r.approx - r.exact) / r.exact < 0.05
     none = range_enhancement(0, 0.5, 1e-5, 1.0)
     assert none.approx == 1.0 and none.exact == 1.0
+    for n in (2.5, True, -1):
+        with pytest.raises(ValueError, match="n_relays"):
+            range_enhancement(n, 0.5, 1e-5, 1.0)
 
 
 def test_range_enhancement_envelope():

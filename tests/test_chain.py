@@ -232,6 +232,22 @@ def test_gate_suppression_beyond_crossover():
     assert run_chain(short1).snr < run_chain(short0).snr
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(0, 64), eta=st.floats(0.05, 1.0),
+       p_dark=st.floats(1e-9, 1e-2), atten=st.floats(0.01, 1.0),
+       alpha_xs=st.lists(st.floats(0.0, 200.0), min_size=2, max_size=20))
+def test_run_chain_does_not_increase_with_distance(n, eta, p_dark, atten,
+                                                    alpha_xs):
+    # at the optimal placement, interior and clamped; p_n may rise by
+    # rounding only
+    assume(eta + 2.0 * p_dark <= 1.0)
+    reps = [run_chain(ChainConfig(ax / atten, atten, n, eta, p_dark))
+            for ax in sorted(alpha_xs)]
+    for near, far in zip(reps, reps[1:]):
+        assert far.p_s <= near.p_s, (near, far)
+        assert far.p_n <= near.p_n * (1.0 + 1e-13), (near, far)
+
+
 def test_chain_noise_is_the_optimization_objective():
     cfg = ChainConfig(distance_km=100.0, n_relays=1)
     assert chain_noise(cfg, (43.0,)) == run_chain(cfg, (43.0,)).p_n
@@ -259,10 +275,6 @@ def test_sample_chain_agrees_with_exact():
     z_n = (got.p_n - exact.p_n) / math.sqrt(exact.p_n * (1 - exact.p_n) / n)
     assert abs(z_s) < 4.0
     assert abs(z_n) < 4.0
-    # chunked run is also a valid draw, just a different stream
-    chunked = sample_chain(cfg, n, seed=2026, chunk_size=37_000)
-    z_c = (chunked.p_s - exact.p_s) / math.sqrt(exact.p_s * (1 - exact.p_s) / n)
-    assert abs(z_c) < 4.0
 
 
 def test_sample_chain_state_histogram_unbiased():
@@ -279,15 +291,80 @@ def test_sample_chain_state_histogram_unbiased():
     assert chi2 < 26.1
 
 
+def sampled_law(cfg, n, seed):
+    """z(p_s), z(p_n) and the 4-state chi-squared of one draw of n slots."""
+    final = propagate_chain(cfg)
+    probs = {"signal": final.p_sig, "random": final.p_rnd,
+             "empty": final.p_empty, "no_gate": final.p_nogate}
+    exact = receiver_detect(final, cfg.p_dark)
+    # per-slot noise count: spurious photon plus dark count, each 0 or 1
+    var_n = (exact.p_n + 2.0 * final.p_rnd * 2.0 * cfg.p_dark
+             - exact.p_n ** 2)
+    got = sample_chain(cfg, n, seed=seed)
+    z_s = (got.p_s - exact.p_s) / math.sqrt(exact.p_s * (1 - exact.p_s) / n)
+    z_n = (got.p_n - exact.p_n) / math.sqrt(var_n / n)
+    chi2 = sum((got.state_counts[k] - n * p) ** 2 / (n * p)
+               for k, p in probs.items())
+    return z_s, z_n, chi2
+
+
+def test_sample_chain_law_over_many_seeds():
+    # 400 seeds x 1e5 slots: each z is standard normal and each chi-squared
+    # has 3 degrees of freedom, so the means have standard errors 0.05 and
+    # sqrt(6/400) = 0.12
+    cfg = ChainConfig(distance_km=30.0, n_relays=2, p_dark=1e-3)
+    z_s, z_n, chi2 = np.array([sampled_law(cfg, 100_000, seed)
+                               for seed in range(400)]).T
+    assert abs(z_s.mean()) < 0.25
+    assert abs(z_n.mean()) < 0.25
+    assert 2.5 <= chi2.mean() <= 3.5
+
+
+@pytest.mark.parametrize("cfg", [
+    ChainConfig(distance_km=30.0, n_relays=3, eta=0.9, p_dark=0.05),
+    ChainConfig(distance_km=50.0, n_relays=2, eta=0.5, p_dark=0.1,
+                positions_km=(5.0, 30.0)),
+], ids=["eta-plus-2pd-is-1", "explicit-positions"])
+def test_sample_chain_exact_law_at_a_high_dark_rate(cfg):
+    # 1e12 slots cost no more than one: standard errors near 1e-6 of each
+    # value resolve every dark-count term of the event rules
+    z_s, z_n, chi2 = sampled_law(cfg, 10**12, seed=12)
+    assert abs(z_s) < 4.0
+    assert abs(z_n) < 4.0
+    assert chi2 < 26.1
+
+
 def test_sample_chain_edge_cases():
     cfg = ChainConfig(distance_km=10.0)
     one = sample_chain(cfg, 1, seed=9)
     assert one.p_s in (0.0, 1.0)
     assert one.n_trials == 1
-    with pytest.raises(ValueError):
-        sample_chain(cfg, 0, seed=9)
-    with pytest.raises(ValueError):
-        sample_chain(cfg, 10, seed=9, chunk_size=0)
+    # numpy's binomial would truncate 2.5 to 2 and overflow at 2**63
+    for bad in (0, -1, 2**63, True, False, 2.5, 10.0, "10", None):
+        with pytest.raises(ValueError, match="n_trials"):
+            sample_chain(cfg, bad, seed=9)
+    top = sample_chain(cfg, 2**63 - 1, seed=9)
+    assert sum(top.state_counts.values()) == 2**63 - 1
+
+
+@pytest.mark.parametrize("cfg", [
+    ChainConfig(distance_km=30.0, n_relays=3, eta=0.9, p_dark=0.05),
+    ChainConfig(distance_km=30.0, n_relays=3, eta=1.0, p_dark=0.0),
+    ChainConfig(distance_km=30.0, n_relays=2, p_dark=0.0),
+    ChainConfig(distance_km=10.0, n_relays=3, positions_km=(0.0, 0.0, 10.0)),
+    ChainConfig(distance_km=0.0, n_relays=2),
+], ids=["eta-plus-2pd-is-1", "eta-1-pd-0", "pd-0", "zero-length-segments",
+        "zero-distance"])
+@pytest.mark.parametrize("n_trials", [1, 100_000])
+def test_sample_chain_relay_domain_edges(cfg, n_trials):
+    # at eta = 0.9, p_dark = 0.05 the veto share 1 - eta - 2 p_dark rounds
+    # to -2.8e-17
+    got = sample_chain(cfg, n_trials, seed=3)
+    assert sum(got.state_counts.values()) == n_trials
+    assert all(type(v) is int for v in got.state_counts.values())
+    assert got.signal_count == got.state_counts["signal"]
+    if cfg.p_dark == 0.0:
+        assert got.noise_events == got.state_counts["random"] == 0
 
 
 def test_sample_chain_stderr_definitions():

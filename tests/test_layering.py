@@ -2,7 +2,8 @@
 
 analytics sits at the bottom and imports nothing of the package, fockspace
 imports only errors, and circuit builds on fockspace alone. Every relative
-import counts, including one deferred inside a function body.
+import counts, including one deferred inside a function body. Within chain,
+the Monte Carlo sampler does not call the exact model it checks.
 """
 
 import ast
@@ -34,3 +35,20 @@ def relative_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_lower_layers_import_only_downward(module):
     assert relative_imports(module) <= ALLOWED[module]
+
+
+def test_sampler_is_independent_of_the_exact_model(monkeypatch):
+    # sample_chain draws from the event rules alone, so it stays a check on
+    # the step maps and the closed form, not a rerun of them
+    from qrelay import analytics, chain
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sampler reached the exact model")
+
+    for name in ("apply_relay", "propagate_segment", "receiver_detect",
+                 "run_chain", "_receiver_counts"):
+        monkeypatch.setattr(chain, name, forbidden)
+    monkeypatch.setattr(analytics, "_receiver_counts", forbidden)
+    cfg = analytics.ChainConfig(distance_km=60.0, n_relays=3, p_dark=1e-3)
+    got = chain.sample_chain(cfg, 10_000, seed=1)
+    assert sum(got.state_counts.values()) == 10_000

@@ -235,12 +235,33 @@ def test_cli_config_errors(tmp_path, capsys):
     assert run_cli(["snr", "--config", str(missing)]) == 2
     capsys.readouterr()
 
+    # chunk_size is not a config key
+    chunked = tmp_path / "chunked.json"
+    chunked.write_text(json.dumps({"trials": 100, "chunk_size": 10}))
+    assert run_cli(["sample", "--alpha-x", "2", "--seed", "1",
+                    "--config", str(chunked)]) == 2
+    assert "chunk_size" in capsys.readouterr().err
+    for trials in (2.5, True):
+        cfg = tmp_path / "trials.json"
+        cfg.write_text(json.dumps({"trials": trials}))
+        assert run_cli(["sample", "--alpha-x", "2", "--seed", "1",
+                        "--config", str(cfg)]) == 2
+        assert "n_trials" in capsys.readouterr().err
+
 
 def test_cli_usage_errors(capsys):
     assert run_cli(["sample", "--alpha-x", "2", "--trials", "0",
                     "--seed", "1"]) == 2
     capsys.readouterr()
     assert run_cli(["sample", "--alpha-x", "2", "--trials", "100"]) == 2
+    capsys.readouterr()
+    assert run_cli(["sample", "--alpha-x", "2", "--trials", str(2**63),
+                    "--seed", "1"]) == 2
+    assert "n_trials" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sample", "--alpha-x", "2", "--trials", "100",
+                 "--seed", "1", "--chunk-size", "10"])
+    assert exc.value.code == 2
     capsys.readouterr()
     assert run_cli(["snr", "--alpha-x-min", "0", "--alpha-x-max", "10",
                     "--steps", "1"]) == 2
