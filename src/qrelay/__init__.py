@@ -5,7 +5,8 @@ The package layers are, bottom up:
 - fockspace: sparse multimode Fock states and linear-optics transforms.
 - circuit: the heralded nondestructive photon-presence device built from a
   polarizing beam splitter, an entangled ancilla pair, and two detector
-  packages; it supplies the relay efficiency eta through
+  packages, applied through its four cached Kraus operators
+  (device_operators); it supplies the relay efficiency eta through
   measured_relay_efficiency.
 - analytics: the chain configuration and its one (eta, p_dark) validator,
   first-order SNR/QBER expressions, the exact chain's closed form and its

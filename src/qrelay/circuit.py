@@ -6,6 +6,12 @@ half of a Bell pair (modes a, 1) on a polarizing beam splitter whose outputs
 one photon in each detector package signals "photon present" and leaves the
 qubit, up to a known sign correction, in mode 1 without having measured its
 polarization.
+
+Linear optics with post-selection is linear in the input amplitudes, so each
+accepted outcome is a 2x2 Kraus operator from the input qubit to mode 1.
+qnd_measure applies the four cached operators of device_operators, built from
+two Fock-engine runs on |H> and |V>; the diagnostics, the feed-forward table
+and the encoder projection run the engine itself.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .errors import ContractViolationError
 from .fockspace import (
@@ -145,27 +153,72 @@ def _run_device(input_state: PhotonicState, d2_spatial: str = "2"):
     return accepted
 
 
-def qnd_measure(alpha, beta, photon_cap: int = 4) -> QndReport:
-    """Full device run on a single-photon qubit.
+# photon cap -> device_operators' result, filled on the first call
+_OPERATORS: dict[int, tuple[tuple[str, str, np.ndarray], ...]] = {}
 
-    Accepts on one-and-only-one photon in each detector package, applies the
-    enumerated feed-forward sign rule, and reports every accepted outcome with
-    its corrected output state and fidelity. Success probability is exactly
-    1/2 with each of the four joint outcomes at 1/8. Non-finite amplitudes
-    are a configuration error (ValueError), not a contract violation.
+
+def device_operators(photon_cap: int = 4,
+                     ) -> tuple[tuple[str, str, np.ndarray], ...]:
+    """The device's accepted outcomes as (channel_d2, channel_db, K) triples.
+
+    The device is linear in the input amplitudes, so outcome o maps the
+    normalized qubit v = (alpha, beta) in mode 0 to the unnormalized mode-1
+    state K_o v = sqrt(p) * cond, with K_o a 2x2 matrix over (H, V)
+    (operator-sum form). Two _run_device runs, on |H> and |V>, give the
+    columns of every K_o. Built on the first call and cached, with read-only
+    arrays; the outcomes keep _run_device's order.
+    """
+    if photon_cap in _OPERATORS:
+        return _OPERATORS[photon_cap]
+    basis = encoder_basis(photon_cap)
+    out_h, out_v = basis.spatial_indices("1")
+    ops: dict[tuple[str, str], np.ndarray] = {}
+    for col, (alpha, beta) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        qubit = make_qubit(basis, alpha, beta, "0")
+        for ch2, chb, prob, cond in _run_device(qubit):
+            k = ops.setdefault((ch2, chb), np.zeros((2, 2), dtype=complex))
+            for cfg, amp in cond.amps.items():
+                if sum(cfg) != 1 or cfg[out_h] + cfg[out_v] != 1:
+                    raise ContractViolationError(
+                        f"outcome ({ch2},{chb}) leaves {cfg}, not one photon "
+                        f"in mode 1")
+                k[0 if cfg[out_h] else 1, col] = math.sqrt(prob) * amp
+    for k in ops.values():
+        k.setflags(write=False)
+    result = tuple((ch2, chb, k) for (ch2, chb), k in ops.items())
+    _OPERATORS[photon_cap] = result
+    return result
+
+
+def qnd_measure(alpha, beta, photon_cap: int = 4) -> QndReport:
+    """Device run on a single-photon qubit, through its Kraus operators.
+
+    Applies the four cached operators of device_operators (built from two
+    Fock-engine runs) to the normalized input: each accepted outcome (one and
+    only one photon in each detector package) has probability |K v|^2 and
+    leaves K v normalized in mode 1. Applies the enumerated feed-forward sign
+    rule and reports every accepted outcome, in _run_device's order, with its
+    corrected output state and fidelity. Success probability is exactly 1/2
+    with each of the four joint outcomes at 1/8. Non-finite amplitudes are a
+    configuration error (ValueError), not a contract violation, as is the
+    zero vector.
     """
     alpha, beta = complex(alpha), complex(beta)
     if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
         raise ValueError(f"qubit amplitudes must be finite, got "
                          f"({alpha}, {beta})")
     basis = encoder_basis(photon_cap)
-    qubit = make_qubit(basis, alpha, beta, "0")
     reference = make_qubit(basis, alpha, beta, "1")
+    norm = math.hypot(abs(alpha), abs(beta))
+    v = np.array([alpha / norm, beta / norm])
     outcomes = []
     total = 0.0
-    for ch2, chb, prob, cond in _run_device(qubit):
+    for ch2, chb, k in device_operators(photon_cap):
+        w_h, w_v = (k @ v).tolist()
+        prob = abs(w_h) ** 2 + abs(w_v) ** 2
+        # the feed-forward sign correction, as feed_forward_sign applies it
         flip = ch2 != chb
-        out = feed_forward_sign(cond, "1") if flip else cond
+        out = make_qubit(basis, w_h, -w_v if flip else w_v, "1")
         outcomes.append(PackageOutcome(
             channel_d2=ch2, channel_db=chb, probability=prob, flipped=flip,
             output=out, fidelity=out.fidelity(reference)))
@@ -241,3 +294,81 @@ def measured_relay_efficiency() -> float:
     """
     return qnd_measure(1 / math.sqrt(2), 1 / math.sqrt(2)).success_probability
 
+
+
+def device_checks(trials: int, seed: int) -> list[dict]:
+    """The device invariant suite behind `qrelay verify-circuit`.
+
+    Runs qnd_measure on four fixed qubits and on `trials` random ones drawn
+    from np.random.default_rng(seed), checks two exact identities of the Kraus
+    operators (sum of K^dagger K = I/2, each sign-corrected K a phase times
+    I/sqrt(8)), and runs the Fock engine for the feed-forward table, the
+    vacuum and two-photon rejections and the encoder branches. Returns the
+    seven checks as {"name", "ok", "detail"} records, in a fixed order.
+    """
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    checks = []
+
+    def check(name, ok, detail):
+        checks.append({"name": name, "ok": bool(ok), "detail": detail})
+
+    def probes():
+        # drawn one at a time, not held in a list
+        yield from ((1.0, 0.0), (0.0, 1.0),
+                    (1 / math.sqrt(2), 1 / math.sqrt(2)), (0.6, 0.8j))
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            v = rng.standard_normal(4)
+            yield complex(v[0], v[1]), complex(v[2], v[3])
+
+    n_inputs = 0
+    worst_succ = 0.0
+    worst_fid = 0.0
+    for a, b in probes():
+        n_inputs += 1
+        rep = qnd_measure(a, b)
+        worst_succ = max(worst_succ, abs(rep.success_probability - 0.5))
+        for o in rep.outcomes:
+            worst_fid = max(worst_fid, abs(o.fidelity - 1.0))
+    ops = device_operators()
+    ks = np.array([k for *_ch, k in ops])
+    completeness = float(np.abs((ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
+                                - np.eye(2) / 2).max())
+    flip = np.diag([1.0, -1.0])    # the feed-forward sign on (H, V)
+    corrected = np.array([flip @ k if ch2 != chb else k
+                          for ch2, chb, k in ops])
+    phases = corrected[:, 0, 0] / np.abs(corrected[:, 0, 0])
+    worst_op = float(np.abs(corrected - phases[:, None, None] * np.eye(2)
+                            / math.sqrt(8)).max())
+    check("success_probability", worst_succ <= 1e-12 and completeness <= 1e-12,
+          f"max |P - 1/2| = {worst_succ:.3e} over {n_inputs} inputs, "
+          f"|sum K^dagger K - I/2| = {completeness:.3e}")
+    check("corrected_fidelity", worst_fid <= 1e-12 and worst_op <= 1e-12,
+          f"max |F - 1| = {worst_fid:.3e} over all accepted outcomes, "
+          f"max |corrected K - phase I/sqrt(8)| = {worst_op:.3e}")
+
+    rep = qnd_measure(1 / math.sqrt(2), 1 / math.sqrt(2))
+    probs = sorted(o.probability for o in rep.outcomes)
+    check("outcome_probabilities",
+          len(probs) == 4 and all(abs(p - 0.125) <= 1e-12 for p in probs),
+          f"accepted outcome probabilities {['%.6f' % p for p in probs]}")
+
+    table = derive_feed_forward_table()
+    expected = {("F", "F"): False, ("S", "S"): False,
+                ("F", "S"): True, ("S", "F"): True}
+    check("feed_forward_table", table == expected,
+          f"flip table {sorted(table.items())}")
+
+    p_vac = vacuum_gate_probability()
+    check("vacuum_rejected", p_vac == 0.0, f"vacuum gate probability {p_vac!r}")
+    p_two = multiphoton_gate_probability(2)
+    check("two_photon_rejected", p_two == 0.0,
+          f"two-photon gate probability {p_two!r}")
+
+    branches = encoder_postselect(0.6, 0.8)
+    bp = sorted(p for _ch, p, _c in branches)
+    check("encoder_branches",
+          len(bp) == 2 and all(abs(p - 0.25) <= 1e-12 for p in bp),
+          f"heralded branch probabilities {['%.6f' % p for p in bp]}")
+    return checks

@@ -14,14 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
-from .analytics import (ChainConfig, optimal_positions, qber_from_snr,
-                        snr_exact, snr_n_relays)
+from .analytics import (ChainConfig, check_n_relays, optimal_positions,
+                        qber_from_snr, snr_exact, snr_n_relays)
 from .chain import chain_noise, run_chain, sample_chain, search_positions
 from .errors import ContractViolationError
 from .reports import (CurveReport, render_csv, render_json, write_csv,
@@ -84,36 +83,39 @@ class _Params:
             return _DEFAULTS[key]
         return default
 
-    def require(self, key: str, flag: str):
-        v = self.get(key)
+    def require(self, key: str, flag: str, default=None):
+        v = self.get(key, default)
         if v is None:
             raise ValueError(f"{flag} is required for this command")
         return v
 
 
+def _integer(value, name: str) -> int:
+    """An int or its text from a flag; a bool, 2.5 or other text is refused."""
+    if isinstance(value, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", value):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _parse_n_list(value) -> list[int]:
-    if isinstance(value, int):
-        return [value]
     if isinstance(value, (list, tuple)):
         items = list(value)
+    elif isinstance(value, str):
+        items = [t for t in value.replace(",", " ").split() if t]
     else:
-        items = [t for t in str(value).replace(",", " ").split() if t]
-    out = []
-    for item in items:
-        n = int(item)
-        if n < 0:
-            raise ValueError(f"n_relays entries must be >= 0, got {n}")
-        out.append(n)
+        items = [value]
+    out = [_integer(item, "n_relays entries") for item in items]
+    for n in out:
+        check_n_relays(n)
     if not out:
         raise ValueError("n_relays list is empty")
     return out
 
 
 def _single_n(params: _Params, default: Optional[int] = None) -> int:
-    v = params.get("n_relays", default)
-    if v is None:
-        raise ValueError("--n-relays is required for this command")
-    ns = _parse_n_list(v)
+    ns = _parse_n_list(params.require("n_relays", "--n-relays", default))
     if len(ns) != 1:
         raise ValueError(f"this command takes a single relay count, got {ns}")
     return ns[0]
@@ -130,7 +132,7 @@ def _grid(params: _Params) -> list[float]:
     hi = float(params.get("alpha_x_max"))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"alpha_x range must be finite, got [{lo}, {hi}]")
-    steps = int(params.get("steps"))
+    steps = _integer(params.get("steps"), "steps")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if not lo < hi:
@@ -156,6 +158,13 @@ def _metadata(command: str, params: dict) -> dict:
             "parameters": params}
 
 
+def _write_payload(payload: dict, params: _Params) -> None:
+    output = params.get("output")
+    if output:
+        write_payload(payload, output)
+        print(f"wrote {output}")
+
+
 def _emit_report(report: CurveReport, params: _Params) -> None:
     fmt = str(params.get("format"))
     if fmt not in ("csv", "json"):
@@ -165,8 +174,8 @@ def _emit_report(report: CurveReport, params: _Params) -> None:
         (write_csv if fmt == "csv" else write_json)(report, output)
         print(f"wrote {output}")
     else:
-        text = render_csv(report) if fmt == "csv" else render_json(report)
-        sys.stdout.write(text)
+        sys.stdout.write(render_csv(report) if fmt == "csv"
+                         else render_json(report))
 
 
 def cmd_snr(args: argparse.Namespace) -> int:
@@ -175,10 +184,8 @@ def cmd_snr(args: argparse.Namespace) -> int:
     eta, pd, atten = _channel(params)
     ns = _parse_n_list(params.get("n_relays", "0,1,2,4,8,16"))
     grid = _grid(params)
-    columns = ["alpha_x"]
-    for n in ns:
-        columns += [f"s_analytic_n{n}", f"s_exact_n{n}", f"q_b_n{n}",
-                    f"rel_dev_n{n}"]
+    columns = ["alpha_x"] + [f"{c}_n{n}" for n in ns for c in
+                             ("s_analytic", "s_exact", "q_b", "rel_dev")]
     rows = []
     for ax in grid:
         row = [ax]
@@ -204,18 +211,12 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     ec = EcPaParams(f_ec=float(params.get("f_ec")))
     configs = [ChainConfig(distance_km=0.0, atten_per_km=atten, n_relays=n,
                            eta=eta, p_dark=pd) for n in ns]
-    columns = ["alpha_x"]
-    for n in ns:
-        columns += [f"s_exact_n{n}", f"q_b_n{n}", f"t_n_n{n}",
-                    f"t_n_scaled_n{n}"]
+    columns = ["alpha_x"] + [f"{c}_n{n}" for n in ns for c in
+                             ("s_exact", "q_b", "t_n", "t_n_scaled")]
     curves = [throughput_curve(cfg, grid, ec) for cfg in configs]
-    rows = []
-    for j, ax in enumerate(grid):
-        row = [ax]
-        for curve in curves:
-            p = curve[j]
-            row += [p.s, p.q_b, p.t_n, p.t_n_scaled]
-        rows.append(tuple(row))
+    rows = [(ax, *(v for p in points for v in (p.s, p.q_b, p.t_n,
+                                                p.t_n_scaled)))
+            for ax, points in zip(grid, zip(*curves))]
     # an unbounded cutoff (no dark counts) is spelled as table values are
     cutoffs = {str(cfg.n_relays): cutoff_alpha_x(cfg, ec) for cfg in configs}
     cutoffs = {n: c if math.isfinite(c) else "inf" for n, c in cutoffs.items()}
@@ -246,27 +247,21 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     agree = all(abs(a - b) <= tol for a, b in zip(analytic, numeric))
     print(f"chain: x = {x} km, alpha = {atten} /km, N = {n}, "
           f"eta = {eta}, p_dark = {pd}")
-    print("analytic positions_km: "
-          + " ".join(f"{p:.6f}" for p in analytic))
-    print("numeric  positions_km: "
-          + " ".join(f"{p:.6f}" for p in numeric))
+    for label, pos in (("analytic", analytic), ("numeric ", numeric)):
+        print(f"{label} positions_km: " + " ".join(f"{p:.6f}" for p in pos))
     print(f"noise objective: analytic = {f_analytic:.12e}, "
           f"numeric = {f_numeric:.12e}")
     if not agree:
         print(f"WARNING: placements disagree beyond {tol:g} km")
-    output = params.get("output")
-    if output:
-        payload = {
-            "config": {"distance_km": x, "atten_per_km": atten,
-                       "n_relays": n, "eta": eta, "pd": pd},
-            "analytic_positions_km": list(analytic),
-            "numeric_positions_km": list(numeric),
-            "noise_analytic": f_analytic,
-            "noise_numeric": f_numeric,
-            "agree_within_tolerance": agree,
-        }
-        write_payload(payload, output)
-        print(f"wrote {output}")
+    _write_payload({
+        "config": {"distance_km": x, "atten_per_km": atten, "n_relays": n,
+                   "eta": eta, "pd": pd},
+        "analytic_positions_km": list(analytic),
+        "numeric_positions_km": list(numeric),
+        "noise_analytic": f_analytic,
+        "noise_numeric": f_numeric,
+        "agree_within_tolerance": agree,
+    }, params)
     return EXIT_OK
 
 
@@ -276,7 +271,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     eta, pd, atten = _channel(params)
     n = _single_n(params, default=0)
     trials = params.require("trials", "--trials")
-    seed = int(params.require("seed", "--seed"))
+    seed = _integer(params.require("seed", "--seed"), "seed")
     ax = params.get("alpha_x")
     x = params.get("distance_km")
     if ax is not None and x is not None:
@@ -294,32 +289,29 @@ def cmd_sample(args: argparse.Namespace) -> int:
     print(f"exact    p_s = {exact.p_s:.9e}    p_n = {exact.p_n:.9e}")
     print(f"sampled  p_s = {sampled.p_s:.9e} +- {sampled.stderr_p_s:.3e}"
           f"    p_n = {sampled.p_n:.9e} +- {sampled.stderr_p_n:.3e}")
-    for name, est, ref, err in (("p_s", sampled.p_s, exact.p_s,
-                                 sampled.stderr_p_s),
-                                ("p_n", sampled.p_n, exact.p_n,
-                                 sampled.stderr_p_n)):
-        z = (est - ref) / err if err > 0 else math.nan
-        print(f"z({name}) = {z:+.3f}")
+    for name in ("p_s", "p_n"):
+        err = getattr(sampled, f"stderr_{name}")
+        if err > 0:
+            z = (getattr(sampled, name) - getattr(exact, name)) / err
+            print(f"z({name}) = {z:+.3f}")
+        else:   # all draws alike, say p_n at p_d = 0: no z-score to give
+            print(f"z({name}) = n/a (no sampled variance)")
     print("slot states: " + " ".join(f"{k}={v}"
                                      for k, v in sampled.state_counts.items()))
-    output = params.get("output")
-    if output:
-        payload = {
-            "config": {"alpha_x": config.alpha_x, "distance_km": float(x),
-                       "atten_per_km": atten, "n_relays": n, "eta": eta,
-                       "pd": pd, "trials": trials, "seed": seed},
-            "exact": {"p_s": exact.p_s, "p_n": exact.p_n,
-                      "snr": exact.snr, "q_b": exact.q_b},
-            "sampled": {"p_s": sampled.p_s, "p_n": sampled.p_n,
-                        "snr": sampled.snr, "q_b": sampled.q_b,
-                        "stderr_p_s": sampled.stderr_p_s,
-                        "stderr_p_n": sampled.stderr_p_n,
-                        "signal_count": sampled.signal_count,
-                        "noise_events": sampled.noise_events,
-                        "state_counts": sampled.state_counts},
-        }
-        write_payload(payload, output)
-        print(f"wrote {output}")
+    _write_payload({
+        "config": {"alpha_x": config.alpha_x, "distance_km": float(x),
+                   "atten_per_km": atten, "n_relays": n, "eta": eta,
+                   "pd": pd, "trials": trials, "seed": seed},
+        "exact": {"p_s": exact.p_s, "p_n": exact.p_n,
+                  "snr": exact.snr, "q_b": exact.q_b},
+        "sampled": {"p_s": sampled.p_s, "p_n": sampled.p_n,
+                    "snr": sampled.snr, "q_b": sampled.q_b,
+                    "stderr_p_s": sampled.stderr_p_s,
+                    "stderr_p_n": sampled.stderr_p_n,
+                    "signal_count": sampled.signal_count,
+                    "noise_events": sampled.noise_events,
+                    "state_counts": sampled.state_counts},
+    }, params)
     return EXIT_OK
 
 
@@ -331,8 +323,6 @@ def _parse_qubit(text: str) -> tuple[complex, complex]:
         a, b = complex(parts[0]), complex(parts[1])
     except ValueError as exc:
         raise ValueError(f"--input components must be numbers: {exc}") from exc
-    if math.hypot(abs(a), abs(b)) == 0:
-        raise ValueError("--input must not be the zero vector")
     return a, b
 
 
@@ -341,63 +331,14 @@ def cmd_verify_circuit(args: argparse.Namespace) -> int:
     from . import circuit
 
     params = _Params(args)
-    trials = int(params.get("trials", 20))
-    if trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {trials}")
-    seed = int(params.get("seed", 20260815))
-    checks = []
+    checks = circuit.device_checks(
+        _integer(params.get("trials", 20), "trials"),
+        _integer(params.get("seed", 20260815), "seed"))
 
-    def check(name, ok, detail):
-        checks.append({"name": name, "ok": bool(ok), "detail": detail})
-
-    rng = np.random.default_rng(seed)
-    qubits = [(1.0, 0.0), (0.0, 1.0), (1 / math.sqrt(2), 1 / math.sqrt(2)),
-              (0.6, 0.8j)]
-    while len(qubits) < trials + 4:
-        v = rng.standard_normal(4)
-        qubits.append((complex(v[0], v[1]), complex(v[2], v[3])))
-
-    worst_succ = 0.0
-    worst_fid = 0.0
-    for a, b in qubits:
-        rep = circuit.qnd_measure(a, b)
-        worst_succ = max(worst_succ, abs(rep.success_probability - 0.5))
-        for o in rep.outcomes:
-            worst_fid = max(worst_fid, abs(o.fidelity - 1.0))
-    check("success_probability", worst_succ <= 1e-12,
-          f"max |P - 1/2| = {worst_succ:.3e} over {len(qubits)} inputs")
-    check("corrected_fidelity", worst_fid <= 1e-12,
-          f"max |F - 1| = {worst_fid:.3e} over all accepted outcomes")
-
-    rep = circuit.qnd_measure(1 / math.sqrt(2), 1 / math.sqrt(2))
-    probs = sorted(o.probability for o in rep.outcomes)
-    check("outcome_probabilities",
-          len(probs) == 4 and all(abs(p - 0.125) <= 1e-12 for p in probs),
-          f"accepted outcome probabilities {['%.6f' % p for p in probs]}")
-
-    table = circuit.derive_feed_forward_table()
-    expected = {("F", "F"): False, ("S", "S"): False,
-                ("F", "S"): True, ("S", "F"): True}
-    check("feed_forward_table", table == expected,
-          f"flip table {sorted(table.items())}")
-
-    p_vac = circuit.vacuum_gate_probability()
-    check("vacuum_rejected", p_vac == 0.0, f"vacuum gate probability {p_vac!r}")
-    p_two = circuit.multiphoton_gate_probability(2)
-    check("two_photon_rejected", p_two == 0.0,
-          f"two-photon gate probability {p_two!r}")
-
-    branches = circuit.encoder_postselect(0.6, 0.8)
-    bp = sorted(p for _ch, p, _c in branches)
-    check("encoder_branches",
-          len(bp) == 2 and all(abs(p - 0.25) <= 1e-12 for p in bp),
-          f"heralded branch probabilities {['%.6f' % p for p in bp]}")
-
-    if params.get("diagnostic"):
-        mode = str(params.get("diagnostic"))
-        if mode != "d2-on-mode-1":
-            raise ValueError(f"unknown diagnostic {mode!r}; "
-                             f"known: d2-on-mode-1")
+    mode = params.get("diagnostic")
+    if mode and mode != "d2-on-mode-1":
+        raise ValueError(f"unknown diagnostic {mode!r}; known: d2-on-mode-1")
+    if mode:
         p_diag = circuit.vacuum_gate_probability(d2_spatial="1")
         print(f"DIAG diagnostic d2-on-mode-1: vacuum false-gate probability "
               f"= {p_diag:.6f} (nonzero by construction)")
@@ -417,39 +358,36 @@ def cmd_verify_circuit(args: argparse.Namespace) -> int:
         print(f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}: {c['detail']}")
     print(f"{'PASS' if all_ok else 'FAIL'} verify-circuit "
           f"({sum(c['ok'] for c in checks)}/{len(checks)} checks)")
-    output = params.get("output")
-    if output:
-        write_payload({"artifact": f"qrelay {__version__}",
-                       "command": "verify-circuit", "ok": all_ok,
-                       "checks": checks}, output)
-        print(f"wrote {output}")
+    _write_payload({"artifact": f"qrelay {__version__}",
+                    "command": "verify-circuit", "ok": all_ok,
+                    "checks": checks}, params)
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
 
+def _flag(p: argparse.ArgumentParser, dest: str, help: str, **kw) -> None:
+    """Add the option --<dest with dashes>, stored under dest."""
+    p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=help, **kw)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="PATH",
-                   help="JSON config file; flags override its values")
-    p.add_argument("--pd", type=float, help="dark-count probability per "
-                   "detector per slot (default 1e-5)")
-    p.add_argument("--eta", type=float,
-                   help="relay pass efficiency (default 0.5)")
-    p.add_argument("--atten-per-km", dest="atten_per_km", type=float,
-                   help="fiber attenuation coefficient alpha (default 0.05)")
-    p.add_argument("--output", metavar="PATH", help="write the report here "
-                   "instead of (or in addition to) stdout")
+    _flag(p, "config", "JSON config file; flags override its values",
+          metavar="PATH")
+    _flag(p, "pd", "dark-count probability per detector per slot "
+          "(default 1e-5)", type=float)
+    _flag(p, "eta", "relay pass efficiency (default 0.5)", type=float)
+    _flag(p, "atten_per_km", "fiber attenuation coefficient alpha "
+          "(default 0.05)", type=float)
+    _flag(p, "output", "write the report here instead of (or in addition "
+          "to) stdout", metavar="PATH")
 
 
 def _add_grid(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha-x-min", dest="alpha_x_min", type=float,
-                   help="grid start (default 0)")
-    p.add_argument("--alpha-x-max", dest="alpha_x_max", type=float,
-                   help="grid end (default 40)")
-    p.add_argument("--steps", type=int, help="grid point count (default 100)")
-    p.add_argument("--alpha-x", dest="alpha_x", type=float,
-                   help="evaluate a single attenuation length instead of "
-                   "a grid")
-    p.add_argument("--format", choices=("csv", "json"),
-                   help="report format (default csv)")
+    _flag(p, "alpha_x_min", "grid start (default 0)", type=float)
+    _flag(p, "alpha_x_max", "grid end (default 40)", type=float)
+    _flag(p, "steps", "grid point count (default 100)", type=int)
+    _flag(p, "alpha_x", "evaluate a single attenuation length instead of a "
+          "grid", type=float)
+    _flag(p, "format", "report format (default csv)", choices=("csv", "json"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,51 +403,43 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-circuit",
                        help="run the device invariant suite")
     _add_common(p)
-    p.add_argument("--trials", type=int,
-                   help="number of random probe qubits (default 20)")
-    p.add_argument("--seed", type=int, help="seed for the probe qubits")
-    p.add_argument("--input", help="alpha,beta qubit to report in detail")
-    p.add_argument("--diagnostic", metavar="NAME",
-                   help="also run a named diagnostic (d2-on-mode-1)")
+    _flag(p, "trials", "number of random probe qubits (default 20)", type=int)
+    _flag(p, "seed", "seed for the probe qubits", type=int)
+    _flag(p, "input", "alpha,beta qubit to report in detail")
+    _flag(p, "diagnostic", "also run a named diagnostic (d2-on-mode-1)",
+          metavar="NAME")
     p.set_defaults(func=cmd_verify_circuit)
 
     p = sub.add_parser("snr", help="analytic vs exact SNR sweep")
     _add_common(p)
     _add_grid(p)
-    p.add_argument("--n-relays", dest="n_relays",
-                   help="comma-separated relay counts "
-                   "(default 0,1,2,4,8,16)")
+    _flag(p, "n_relays", "comma-separated relay counts (default 0,1,2,4,8,16)")
     p.set_defaults(func=cmd_snr)
 
     p = sub.add_parser("optimize", help="relay placement for one chain")
     _add_common(p)
-    p.add_argument("--distance-km", dest="distance_km", type=float,
-                   help="total channel length")
-    p.add_argument("--n-relays", dest="n_relays",
-                   help="relay count (single integer)")
+    _flag(p, "distance_km", "total channel length", type=float)
+    _flag(p, "n_relays", "relay count (single integer)")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("throughput", help="secure-key throughput sweep")
     _add_common(p)
     _add_grid(p)
-    p.add_argument("--n-relays", dest="n_relays",
-                   help="comma-separated relay counts (default 0,1,2,3)")
-    p.add_argument("--f-ec", dest="f_ec", type=float,
-                   help="error-correction inefficiency (default 1.16)")
+    _flag(p, "n_relays", "comma-separated relay counts (default 0,1,2,3)")
+    _flag(p, "f_ec", "error-correction inefficiency (default 1.16)",
+          type=float)
     p.set_defaults(func=cmd_throughput)
 
     p = sub.add_parser("sample", help="Monte Carlo check against the exact "
                        "chain, drawing the slot counts of each event")
     _add_common(p)
-    p.add_argument("--alpha-x", dest="alpha_x", type=float,
-                   help="attenuation length (alternative to --distance-km)")
-    p.add_argument("--distance-km", dest="distance_km", type=float,
-                   help="total channel length")
-    p.add_argument("--n-relays", dest="n_relays",
-                   help="relay count (single integer, default 0)")
-    p.add_argument("--trials", type=int, help="number of slots to simulate, "
-                   "1 to 2**63 - 1; the cost does not grow with it")
-    p.add_argument("--seed", type=int, help="RNG seed (required)")
+    _flag(p, "alpha_x", "attenuation length (alternative to --distance-km)",
+          type=float)
+    _flag(p, "distance_km", "total channel length", type=float)
+    _flag(p, "n_relays", "relay count (single integer, default 0)")
+    _flag(p, "trials", "number of slots to simulate, 1 to 2**63 - 1; the cost "
+          "does not grow with it", type=int)
+    _flag(p, "seed", "RNG seed (required)", type=int)
     p.set_defaults(func=cmd_sample)
     return parser
 

@@ -1,14 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qrelay
 from qrelay.analytics import ChainConfig, check_relay
 from qrelay.chain import ChannelEventState, apply_relay
-from qrelay.circuit import (ENCODER_SPATIAL, build_encoder_state,
-                            derive_feed_forward_table, encoder_basis,
-                            encoder_postselect, feed_forward_sign,
-                            measured_relay_efficiency,
+from qrelay.circuit import (ENCODER_SPATIAL, _run_device, build_encoder_state,
+                            derive_feed_forward_table, device_operators,
+                            encoder_basis, encoder_postselect,
+                            feed_forward_sign, measured_relay_efficiency,
                             multiphoton_gate_probability, qnd_measure,
                             vacuum_gate_probability)
 from qrelay.errors import ContractViolationError
@@ -101,6 +105,79 @@ def test_outcome_statistics_are_input_independent():
         rep = qnd_measure(a, b)
         for o in rep.outcomes:
             assert o.probability == pytest.approx(0.125, abs=1e-12)
+
+
+def engine_outputs(alpha, beta):
+    """(outcome, sqrt(p) * cond on mode 1 as an (H, V) pair) per accepted
+    outcome, straight from the Fock engine."""
+    basis = encoder_basis()
+    hi, vi = basis.spatial_indices("1")
+    out = []
+    for ch2, chb, prob, cond in _run_device(make_qubit(basis, alpha, beta, "0")):
+        assert all(sum(cfg) == 1 and cfg[hi] + cfg[vi] == 1 for cfg in cond.amps)
+        r = math.sqrt(prob)
+        out.append(((ch2, chb), (r * cond.amplitude({("1", H): 1}),
+                                 r * cond.amplitude({("1", V): 1}))))
+    return out
+
+
+def test_device_operators_match_the_engine():
+    # K_o v = sqrt(p) cond for every outcome: the device is linear in the
+    # input amplitudes, extreme magnitudes included
+    ops = device_operators()
+    worst = 0.0
+    for a, b in random_qubits(1000, 20261018) + [(1e200, 1e200),
+                                                  (1e-200, 1e-200)]:
+        norm = math.hypot(abs(a), abs(b))
+        v = np.array([a / norm, b / norm])
+        want = engine_outputs(a, b)
+        assert [key for key, _w in want] == [(c2, cb) for c2, cb, _k in ops]
+        for (_key, w), (_c2, _cb, k) in zip(want, ops):
+            worst = max(worst, float(np.abs(k @ v - np.array(w)).max()))
+    assert worst <= 1e-15
+
+
+def test_device_operators_sum_to_half_the_identity():
+    # sum_o K_o^dagger K_o = I/2: success probability 1/2 for every input
+    total = sum(k.conj().T @ k for _c2, _cb, k in device_operators())
+    assert np.abs(total - np.eye(2) / 2).max() <= 1e-15
+
+
+def test_corrected_operators_are_a_phase_times_identity():
+    # after the feed-forward sign, each outcome is e^{i phi}/sqrt(8) I: unit
+    # fidelity and probability 1/8 for every input
+    flip = np.diag([1.0, -1.0])
+    for ch2, chb, k in device_operators():
+        kc = flip @ k if ch2 != chb else k
+        phase = kc[0, 0] / abs(kc[0, 0])
+        assert np.abs(kc - phase * np.eye(2) / math.sqrt(8)).max() <= 1e-15
+
+
+def test_qnd_measure_keeps_the_engine_outcome_order():
+    basis = encoder_basis()
+    for a, b in [(0.6, 0.8j), (1.0, 0.0), (0.0, 1.0)] + random_qubits(5, 3):
+        engine = [(c2, cb) for c2, cb, _p, _c in
+                  _run_device(make_qubit(basis, a, b, "0"))]
+        rep = qnd_measure(a, b)
+        assert [(o.channel_d2, o.channel_db) for o in rep.outcomes] == engine
+
+
+def test_device_operators_are_cached_read_only_and_lazy():
+    ops = device_operators()
+    assert device_operators() is ops
+    assert len(ops) == 4
+    for _c2, _cb, k in ops:
+        assert k.shape == (2, 2) and not k.flags.writeable
+    # nothing is built when the package and the CLI are imported
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qrelay.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import qrelay.cli, qrelay.circuit as c; print(len(c._OPERATORS))"],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == "0"
 
 
 def test_feed_forward_table():

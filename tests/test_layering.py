@@ -3,7 +3,9 @@
 analytics sits at the bottom and imports nothing of the package, fockspace
 imports only errors, and circuit builds on fockspace alone. Every relative
 import counts, including one deferred inside a function body. Within chain,
-the Monte Carlo sampler does not call the exact model it checks.
+the Monte Carlo sampler does not call the exact model it checks, and within
+circuit a device run applies the cached Kraus operators without rerunning the
+Fock engine.
 """
 
 import ast
@@ -52,3 +54,41 @@ def test_sampler_is_independent_of_the_exact_model(monkeypatch):
     cfg = analytics.ChainConfig(distance_km=60.0, n_relays=3, p_dark=1e-3)
     got = chain.sample_chain(cfg, 10_000, seed=1)
     assert sum(got.state_counts.values()) == 10_000
+
+
+def test_qnd_measure_runs_no_fock_engine(monkeypatch):
+    # once its four Kraus operators are built, a device run is four 2x2
+    # products: the per-input path never reaches the Fock engine
+    import numpy as np
+
+    from qrelay import circuit
+
+    circuit.device_operators()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("qnd_measure reached the Fock engine")
+
+    for name in ("_run_device", "apply_transform", "product"):
+        monkeypatch.setattr(circuit, name, forbidden)
+    rng = np.random.default_rng(20261018)
+    for _ in range(50):
+        v = rng.standard_normal(4)
+        rep = circuit.qnd_measure(complex(v[0], v[1]), complex(v[2], v[3]))
+        assert len(rep.outcomes) == 4
+        for o in rep.outcomes:
+            assert abs(o.probability - 0.125) <= 1e-12
+
+
+def test_device_checks_returns_the_seven_records():
+    from qrelay import circuit
+
+    checks = circuit.device_checks(3, 7)
+    assert [c["name"] for c in checks] == [
+        "success_probability", "corrected_fidelity", "outcome_probabilities",
+        "feed_forward_table", "vacuum_rejected", "two_photon_rejected",
+        "encoder_branches"]
+    assert all(c["ok"] is True for c in checks)
+    assert "over 7 inputs" in checks[0]["detail"]
+    for trials in (0, -1, True, 2.5, "3"):
+        with pytest.raises(ValueError):
+            circuit.device_checks(trials, 7)

@@ -177,6 +177,18 @@ def test_cli_sample_reproducible(tmp_path, capsys):
     assert "p_s" in first and "z" in first
 
 
+def test_cli_sample_without_sampled_variance(capsys):
+    # no dark counts: every sampled slot has zero noise, so p_n has no
+    # standard error and no z-score, and the command says so instead of
+    # printing NaN
+    code = run_cli(["sample", "--alpha-x", "5", "--trials", "1000",
+                    "--seed", "1", "--pd", "0"])
+    text = capsys.readouterr().out
+    assert code == 0
+    assert "z(p_n) = n/a (no sampled variance)" in text
+    assert "z(p_s) = " in text and "nan" not in text.lower()
+
+
 def test_cli_sample_distance_form(capsys):
     code = run_cli(["sample", "--distance-km", "40", "--trials", "5000",
                     "--seed", "4"])
@@ -247,6 +259,34 @@ def test_cli_config_errors(tmp_path, capsys):
         assert run_cli(["sample", "--alpha-x", "2", "--seed", "1",
                         "--config", str(cfg)]) == 2
         assert "n_trials" in capsys.readouterr().err
+    # integer parameters are never truncated: a float, a bool or other
+    # text is a configuration error
+    for argv, data, name in (
+            (["verify-circuit"], {"trials": 2.5, "seed": 1.7}, "trials"),
+            (["verify-circuit"], {"seed": 1.7}, "seed"),
+            (["verify-circuit"], {"trials": True}, "trials"),
+            (["sample", "--alpha-x", "2", "--trials", "100"], {"seed": 1.7},
+             "seed"),
+            (["sample", "--alpha-x", "2", "--trials", "100"],
+             {"seed": "one"}, "seed"),
+            (["snr"], {"n_relays": [2.5], "steps": 2.5}, "n_relays"),
+            (["snr", "--n-relays", "2"], {"steps": 2.5}, "steps"),
+            (["snr", "--n-relays", "2"], {"steps": "3.0"}, "steps"),
+            (["snr"], {"n_relays": [True]}, "n_relays"),
+            (["snr"], {"n_relays": 1.0}, "n_relays"),
+            (["throughput"], {"n_relays": "1,2.5"}, "n_relays"),
+            (["optimize", "--distance-km", "10"], {"n_relays": 2.5},
+             "n_relays")):
+        cfg = tmp_path / "ints.json"
+        cfg.write_text(json.dumps(data))
+        assert run_cli(argv + ["--config", str(cfg)]) == 2, (argv, data)
+        err = capsys.readouterr().err
+        assert "must be an integer" in err and name in err, err
+    # integral values still work, as JSON numbers and as text
+    cfg = tmp_path / "ints.json"
+    cfg.write_text(json.dumps({"n_relays": [0, "2"], "steps": 3}))
+    assert run_cli(["snr", "--alpha-x-max", "4", "--config", str(cfg)]) == 0
+    assert "s_exact_n2" in capsys.readouterr().out
 
 
 def test_cli_usage_errors(capsys):
@@ -273,6 +313,11 @@ def test_cli_usage_errors(capsys):
     assert run_cli(["sample", "--alpha-x", "2", "--distance-km", "10",
                     "--trials", "10", "--seed", "1"]) == 2
     capsys.readouterr()
+    for relays in ("1.5", "two", "1,-2"):
+        assert run_cli(["snr", "--n-relays", relays]) == 2
+        assert "n_relays" in capsys.readouterr().err
+    assert run_cli(["verify-circuit", "--input", "0,0"]) == 2
+    assert "zero" in capsys.readouterr().err
 
 
 def test_cli_throughput(tmp_path):
