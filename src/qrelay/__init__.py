@@ -20,9 +20,16 @@ The package layers are, bottom up:
 - throughput: BB84 secure-key fraction and throughput sweeps.
 - reports: deterministic CSV/JSON tables.
 - cli: the `qrelay` command.
+
+Only the device layers (fockspace, circuit) and the Monte Carlo sampler need
+numpy. fockspace and circuit load on first access to one of their names, and
+sample_chain imports numpy when it runs, so importing the package, and the
+snr, throughput and optimize commands, never load numpy.
 """
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .analytics import (ChainConfig, RangeEnhancement, noise_single_relay,
                         optimal_position_single, optimal_positions,
@@ -33,20 +40,38 @@ from .chain import (ChannelEventState, ReceiverReport, SampledReport,
                     apply_relay, chain_noise, initial_state, propagate_chain,
                     propagate_segment, receiver_detect, run_chain,
                     sample_chain, search_positions)
-from .circuit import (PackageOutcome, QndReport, derive_feed_forward_table,
-                      encoder_postselect, feed_forward_sign,
-                      measured_relay_efficiency, multiphoton_gate_probability,
-                      qnd_measure, vacuum_gate_probability)
 from .errors import ContractViolationError
-from .fockspace import (BasisMode, DetectionPattern, LinearModeTransform,
-                        ModeBasis, PhotonicState, apply_transform,
-                        basis_rotate_fs, enumerate_outcomes, fock_state,
-                        identity_transform, make_bell_phi_plus, make_qubit,
-                        measure_pattern, pbs_hv, product, vacuum)
 from .reports import CurveReport, read_csv, read_json, write_csv, write_json
 from .throughput import (EcPaParams, ThroughputPoint, binary_entropy,
                          cutoff_alpha_x, key_fraction, key_fraction_cutoff,
                          normalized_throughput, snr_cutoff, throughput_curve)
+
+# The device layers need numpy; their names are imported on first access
+_LAZY = {
+    **dict.fromkeys((
+        "PackageOutcome", "QndReport", "derive_feed_forward_table",
+        "encoder_postselect", "feed_forward_sign",
+        "measured_relay_efficiency", "multiphoton_gate_probability",
+        "qnd_measure", "vacuum_gate_probability"), "circuit"),
+    **dict.fromkeys((
+        "BasisMode", "DetectionPattern", "LinearModeTransform", "ModeBasis",
+        "PhotonicState", "apply_transform", "basis_rotate_fs",
+        "enumerate_outcomes", "fock_state", "identity_transform",
+        "make_bell_phi_plus", "make_qubit", "measure_pattern", "pbs_hv",
+        "product", "vacuum"), "fockspace"),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY.values():      # the modules themselves
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "__version__",

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .analytics import (ChainConfig, _receiver_counts, _snr_qb, check_p_dark,
                         check_relay, optimal_positions)
 
@@ -281,6 +279,8 @@ def sample_chain(config: ChainConfig, n_trials: int, seed: int,
             or not 1 <= n_trials <= _MAX_TRIALS):
         raise ValueError(f"n_trials must be an integer in [1, 2**63 - 1], "
                          f"got {n_trials!r}")
+    import numpy as np      # the sampler alone needs it; sweeps never load it
+
     rng = np.random.default_rng(seed)
     eta, pd2 = config.eta, 2.0 * config.p_dark
 

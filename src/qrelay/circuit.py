@@ -17,6 +17,7 @@ and the encoder projection run the engine itself.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -47,8 +48,12 @@ F_CHANNEL = "F"
 S_CHANNEL = "S"
 
 
+@functools.cache
 def encoder_basis(photon_cap: int = 4) -> ModeBasis:
-    """The fixed five-spatial-mode basis used by the device."""
+    """The fixed five-spatial-mode basis used by the device.
+
+    One shared instance per photon cap; no caller mutates a ModeBasis.
+    """
     return ModeBasis(ENCODER_SPATIAL, photon_cap=photon_cap)
 
 

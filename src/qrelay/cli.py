@@ -6,7 +6,9 @@ then explicit flags, in increasing precedence. Every command is deterministic
 for a fixed flag set (including --seed); reports carry their full parameter
 provenance and never embed timestamps.
 
-Exit codes: 0 success, 1 invariant/contract failure, 2 configuration error.
+Exit codes: 0 success, 1 invariant/contract failure, 2 configuration error,
+141 (128 + SIGPIPE) when the reader of stdout closed it early, as `| head`
+does; nothing is printed then.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -30,6 +33,7 @@ from .throughput import EcPaParams, cutoff_alpha_x, throughput_curve
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
+EXIT_BROKEN_PIPE = 128 + 13     # SIGPIPE
 
 _DEFAULTS = {
     "pd": 1e-5,
@@ -448,7 +452,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone; point it at devnull so that the
+        # interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ContractViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

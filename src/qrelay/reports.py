@@ -44,21 +44,11 @@ class CurveReport:
         return [r[i] for r in self.rows]
 
 
-def _format_value(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return _FLOAT_FMT % v
-
-
 def render_csv(report: CurveReport) -> str:
-    lines = []
     meta_json = json.dumps(report.metadata, sort_keys=True, allow_nan=False)
-    lines.append("# " + meta_json)
-    lines.append(",".join(report.columns))
-    for row in report.rows:
-        lines.append(",".join(_format_value(v) for v in row))
+    row = ",".join([_FLOAT_FMT] * len(report.columns))   # one % per row
+    lines = ["# " + meta_json, ",".join(report.columns)]
+    lines += [row % r for r in report.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -91,18 +81,23 @@ def read_csv(path) -> CurveReport:
 
 
 def render_json(report: CurveReport) -> str:
-    payload = {
-        "metadata": report.metadata,
-        "columns": list(report.columns),
-        "rows": [[_format_value(v) for v in row] for row in report.rows],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    # the rows are written as json.dumps(indent=2) lays out a list of lists
+    # of strings, then spliced into the dump of everything else, where
+    # "rows" sorts last
+    text = json.dumps({"metadata": report.metadata,
+                       "columns": list(report.columns), "rows": []},
+                      sort_keys=True, indent=2, allow_nan=False)
+    if not report.rows:
+        return text + "\n"
+    cells = '",\n      "'.join([_FLOAT_FMT] * len(report.columns))
+    row = '    [\n      "' + cells + '"\n    ]' if report.columns else "    []"
+    block = ",\n".join([row % r for r in report.rows])
+    return text[:-len("[]\n}")] + "[\n" + block + "\n  ]\n}\n"
 
 
 def _spell_non_finite(value):
     if isinstance(value, float):
-        return value if math.isfinite(value) else _format_value(value)
+        return value if math.isfinite(value) else _FLOAT_FMT % value
     if isinstance(value, dict):
         return {k: _spell_non_finite(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -287,3 +287,9 @@ def test_noisy_relay_map_weights():
 def test_basis_labels_exported():
     assert ENCODER_SPATIAL == ("0", "a", "1", "2", "b")
     assert encoder_basis().photon_cap == 4
+
+
+def test_encoder_basis_is_one_instance_per_cap():
+    assert encoder_basis() is encoder_basis()
+    assert encoder_basis(3) is encoder_basis(3)
+    assert encoder_basis(3).photon_cap == 3

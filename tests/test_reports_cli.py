@@ -415,13 +415,125 @@ def test_render_payload_strict_and_unchanged_when_finite(tmp_path):
     assert (tmp_path / "p.json").read_text() == want
 
 
-def test_import_does_not_load_scipy():
+def _fresh_python(code: str, *args: str) -> str:
+    """Run code in a new interpreter that imports this package; its stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qrelay.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import qrelay, qrelay.cli, sys; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env,
+                          check=True).stdout
+
+
+def test_import_does_not_load_scipy():
+    out = _fresh_python(
+        "import qrelay, qrelay.cli, sys; print('scipy' in sys.modules)")
     assert out.strip() == "False"
+
+
+def test_sweep_commands_do_not_load_numpy(tmp_path):
+    # numpy is for the device layers and the sampler; the sweeps are pure
+    # Python, so a snr/throughput/optimize process never pays its import
+    code = """if True:
+        import sys
+        import qrelay, qrelay.cli
+        loaded = ["import"] if "numpy" in sys.modules else []
+        out = sys.argv[1]
+        for argv in (["snr", "--steps", "20", "--format", "json"],
+                     ["throughput", "--steps", "20"],
+                     ["optimize", "--distance-km", "300", "--n-relays", "3"]):
+            assert qrelay.cli.main(argv + ["--output", out]) == 0, argv
+            if "numpy" in sys.modules:
+                loaded.append(argv[0])
+        print("loaded numpy:", loaded)
+    """
+    out = _fresh_python(code, str(tmp_path / "report"))
+    assert out.splitlines()[-1] == "loaded numpy: []"
+
+
+def test_every_public_name_resolves():
+    for name in qrelay.__all__:
+        assert getattr(qrelay, name) is not None, name
+    namespace = {}
+    exec("from qrelay import *", namespace)
+    assert set(qrelay.__all__) <= set(namespace)
+    assert namespace["qnd_measure"] is qrelay.circuit.qnd_measure
+    assert namespace["ModeBasis"] is qrelay.fockspace.ModeBasis
+    with pytest.raises(AttributeError):
+        qrelay.no_such_name
+
+
+class _ClosedPipe:
+    """A stdout whose reader is gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [
+    ["snr", "--steps", "5"],
+    ["optimize", "--distance-km", "300", "--n-relays", "3"],
+], ids=["report", "print"])
+def test_cli_broken_pipe_is_not_a_config_error(argv, tmp_path, monkeypatch,
+                                               capsys):
+    # `qrelay snr | head` closes stdout early: exit 128 + SIGPIPE quietly,
+    # and leave stdout on devnull so the interpreter's last flush is harmless
+    target = tmp_path / "stdout"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert cli.main(argv) == 141
+        os.write(fd, b"after the pipe closed")
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+    assert target.read_bytes() == b""
+
+
+def _old_value(v: float) -> str:
+    if math.isnan(v):
+        return "nan"
+    if math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return "%.17e" % v
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+            2.2250738585072009e-308, 1.7976931348623157e308]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(table=st.integers(1, 40).flatmap(lambda ncols: st.tuples(
+           st.lists(st.text(max_size=4), min_size=ncols, max_size=ncols),
+           st.lists(st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL)),
+                             min_size=ncols, max_size=ncols), max_size=6))),
+       metadata=st.dictionaries(st.text(max_size=4), st.one_of(
+           st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+           st.text(max_size=4), st.lists(st.integers(), max_size=3)),
+           max_size=3))
+@example(table=(["x"], []), metadata={})
+@example(table=(["x", "y"], [_SPECIAL[:2], _SPECIAL[2:4], _SPECIAL[4:6]]),
+         metadata={"artifact": "demo"})
+def test_row_writers_match_the_per_value_encoding(table, metadata):
+    # each writer formats a row with one template; the bytes must be those
+    # of formatting every value alone and encoding with json/join
+    columns, rows = table
+    rep = CurveReport(tuple(columns), tuple(map(tuple, rows)), metadata)
+    values = [[_old_value(v) for v in r] for r in rep.rows]
+    payload = {"metadata": rep.metadata, "columns": list(rep.columns),
+               "rows": values}
+    assert render_json(rep) == json.dumps(payload, sort_keys=True,
+                                          indent=2) + "\n"
+    lines = ["# " + json.dumps(rep.metadata, sort_keys=True),
+             ",".join(rep.columns)] + [",".join(v) for v in values]
+    assert render_csv(rep) == "\n".join(lines) + "\n"
