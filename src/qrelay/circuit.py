@@ -11,7 +11,8 @@ Linear optics with post-selection is linear in the input amplitudes, so each
 accepted outcome is a 2x2 Kraus operator from the input qubit to mode 1.
 qnd_measure applies the four cached operators of device_operators, built from
 two Fock-engine runs on |H> and |V>; the diagnostics, the feed-forward table
-and the encoder projection run the engine itself.
+and the encoder projection run the engine itself. Like fockspace, the module
+is pure Python: each operator is a 2x2 tuple of complex.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import random
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import ContractViolationError
 from .fockspace import (
@@ -158,39 +158,41 @@ def _run_device(input_state: PhotonicState, d2_spatial: str = "2"):
     return accepted
 
 
+# a 2x2 operator over (H, V) as its two rows
+Kraus = tuple[tuple[complex, complex], tuple[complex, complex]]
+
 # photon cap -> device_operators' result, filled on the first call
-_OPERATORS: dict[int, tuple[tuple[str, str, np.ndarray], ...]] = {}
+_OPERATORS: dict[int, tuple[tuple[str, str, Kraus], ...]] = {}
 
 
 def device_operators(photon_cap: int = 4,
-                     ) -> tuple[tuple[str, str, np.ndarray], ...]:
+                     ) -> tuple[tuple[str, str, Kraus], ...]:
     """The device's accepted outcomes as (channel_d2, channel_db, K) triples.
 
     The device is linear in the input amplitudes, so outcome o maps the
     normalized qubit v = (alpha, beta) in mode 0 to the unnormalized mode-1
     state K_o v = sqrt(p) * cond, with K_o a 2x2 matrix over (H, V)
     (operator-sum form). Two _run_device runs, on |H> and |V>, give the
-    columns of every K_o. Built on the first call and cached, with read-only
-    arrays; the outcomes keep _run_device's order.
+    columns of every K_o. Built on the first call and cached, each K_o an
+    immutable tuple of rows; the outcomes keep _run_device's order.
     """
     if photon_cap in _OPERATORS:
         return _OPERATORS[photon_cap]
     basis = encoder_basis(photon_cap)
     out_h, out_v = basis.spatial_indices("1")
-    ops: dict[tuple[str, str], np.ndarray] = {}
+    ops: dict[tuple[str, str], list[list[complex]]] = {}
     for col, (alpha, beta) in enumerate(((1.0, 0.0), (0.0, 1.0))):
         qubit = make_qubit(basis, alpha, beta, "0")
         for ch2, chb, prob, cond in _run_device(qubit):
-            k = ops.setdefault((ch2, chb), np.zeros((2, 2), dtype=complex))
+            k = ops.setdefault((ch2, chb), [[0j, 0j], [0j, 0j]])
             for cfg, amp in cond.amps.items():
                 if sum(cfg) != 1 or cfg[out_h] + cfg[out_v] != 1:
                     raise ContractViolationError(
                         f"outcome ({ch2},{chb}) leaves {cfg}, not one photon "
                         f"in mode 1")
-                k[0 if cfg[out_h] else 1, col] = math.sqrt(prob) * amp
-    for k in ops.values():
-        k.setflags(write=False)
-    result = tuple((ch2, chb, k) for (ch2, chb), k in ops.items())
+                k[0 if cfg[out_h] else 1][col] = math.sqrt(prob) * amp
+    result = tuple((ch2, chb, (tuple(k[0]), tuple(k[1])))
+                   for (ch2, chb), k in ops.items())
     _OPERATORS[photon_cap] = result
     return result
 
@@ -215,11 +217,11 @@ def qnd_measure(alpha, beta, photon_cap: int = 4) -> QndReport:
     basis = encoder_basis(photon_cap)
     reference = make_qubit(basis, alpha, beta, "1")
     norm = math.hypot(abs(alpha), abs(beta))
-    v = np.array([alpha / norm, beta / norm])
+    a, b = alpha / norm, beta / norm
     outcomes = []
     total = 0.0
-    for ch2, chb, k in device_operators(photon_cap):
-        w_h, w_v = (k @ v).tolist()
+    for ch2, chb, ((k00, k01), (k10, k11)) in device_operators(photon_cap):
+        w_h, w_v = k00 * a + k01 * b, k10 * a + k11 * b
         prob = abs(w_h) ** 2 + abs(w_v) ** 2
         # the feed-forward sign correction, as feed_forward_sign applies it
         flip = ch2 != chb
@@ -300,19 +302,22 @@ def measured_relay_efficiency() -> float:
     return qnd_measure(1 / math.sqrt(2), 1 / math.sqrt(2)).success_probability
 
 
-
 def device_checks(trials: int, seed: int) -> list[dict]:
     """The device invariant suite behind `qrelay verify-circuit`.
 
-    Runs qnd_measure on four fixed qubits and on `trials` random ones drawn
-    from np.random.default_rng(seed), checks two exact identities of the Kraus
-    operators (sum of K^dagger K = I/2, each sign-corrected K a phase times
-    I/sqrt(8)), and runs the Fock engine for the feed-forward table, the
-    vacuum and two-photon rejections and the encoder branches. Returns the
-    seven checks as {"name", "ok", "detail"} records, in a fixed order.
+    Runs qnd_measure on four fixed qubits and on `trials` random ones, each
+    from four normals drawn from random.Random(seed); checks two exact
+    identities of the Kraus operators (sum of K^dagger K = I/2, each
+    sign-corrected K a phase times I/sqrt(8)), and runs the Fock engine for
+    the feed-forward table, the vacuum and two-photon rejections and the
+    encoder branches. Returns the seven checks as {"name", "ok", "detail"}
+    records, in a fixed order. `trials` must be an integer >= 1 and `seed` a
+    non-negative integer (ValueError otherwise).
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     checks = []
 
     def check(name, ok, detail):
@@ -322,10 +327,10 @@ def device_checks(trials: int, seed: int) -> list[dict]:
         # drawn one at a time, not held in a list
         yield from ((1.0, 0.0), (0.0, 1.0),
                     (1 / math.sqrt(2), 1 / math.sqrt(2)), (0.6, 0.8j))
-        rng = np.random.default_rng(seed)
+        gauss = random.Random(seed).gauss
         for _ in range(trials):
-            v = rng.standard_normal(4)
-            yield complex(v[0], v[1]), complex(v[2], v[3])
+            yield (complex(gauss(0.0, 1.0), gauss(0.0, 1.0)),
+                   complex(gauss(0.0, 1.0), gauss(0.0, 1.0)))
 
     n_inputs = 0
     worst_succ = 0.0
@@ -337,15 +342,20 @@ def device_checks(trials: int, seed: int) -> list[dict]:
         for o in rep.outcomes:
             worst_fid = max(worst_fid, abs(o.fidelity - 1.0))
     ops = device_operators()
-    ks = np.array([k for *_ch, k in ops])
-    completeness = float(np.abs((ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
-                                - np.eye(2) / 2).max())
-    flip = np.diag([1.0, -1.0])    # the feed-forward sign on (H, V)
-    corrected = np.array([flip @ k if ch2 != chb else k
-                          for ch2, chb, k in ops])
-    phases = corrected[:, 0, 0] / np.abs(corrected[:, 0, 0])
-    worst_op = float(np.abs(corrected - phases[:, None, None] * np.eye(2)
-                            / math.sqrt(8)).max())
+    # (K^dagger K)[i][j] = conj(K[0][i]) K[0][j] + conj(K[1][i]) K[1][j],
+    # summed over the outcomes
+    completeness = max(
+        abs(sum(k[0][i].conjugate() * k[0][j] + k[1][i].conjugate() * k[1][j]
+                for *_ch, k in ops) - (0.5 if i == j else 0.0))
+        for i in (0, 1) for j in (0, 1))
+    worst_op = 0.0
+    for ch2, chb, (row_h, row_v) in ops:
+        if ch2 != chb:      # the feed-forward sign on (H, V)
+            row_v = tuple(-u for u in row_v)
+        phase = row_h[0] / abs(row_h[0])
+        target = phase / math.sqrt(8)
+        worst_op = max(worst_op, abs(row_h[0] - target), abs(row_h[1]),
+                       abs(row_v[0]), abs(row_v[1] - target))
     check("success_probability", worst_succ <= 1e-12 and completeness <= 1e-12,
           f"max |P - 1/2| = {worst_succ:.3e} over {n_inputs} inputs, "
           f"|sum K^dagger K - I/2| = {completeness:.3e}")

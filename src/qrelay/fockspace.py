@@ -4,6 +4,10 @@ States are sparse maps from occupation configurations to complex amplitudes.
 Every spatial mode carries two basis modes (horizontal H and vertical V
 polarization), and linear-optics elements act by rewriting creation operators,
 so multi-photon bookkeeping (the sqrt(n!) factors) is handled exactly.
+
+The module is pure Python: a transform is a tuple of row tuples of complex,
+and at the device's ten basis modes plain loops beat an array library's
+per-call overhead.
 """
 
 from __future__ import annotations
@@ -11,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
-
-import numpy as np
 
 from .errors import ContractViolationError
 
@@ -53,6 +55,9 @@ class ModeBasis:
         self.modes = tuple(BasisMode(s, p) for s in labels for p in (H, V))
         self.index = {m: i for i, m in enumerate(self.modes)}
         self.size = len(self.modes)
+        # spatial label -> (H index, V index)
+        self._pairs = {s: (self.index[BasisMode(s, H)],
+                           self.index[BasisMode(s, V)]) for s in labels}
 
     def mode_index(self, mode) -> int:
         m = BasisMode(*mode)
@@ -62,7 +67,11 @@ class ModeBasis:
 
     def spatial_indices(self, spatial: str) -> tuple[int, int]:
         """Indices of the (H, V) pair of one spatial mode."""
-        return self.mode_index((spatial, H)), self.mode_index((spatial, V))
+        try:
+            return self._pairs[spatial]
+        except KeyError:
+            raise ValueError(f"unknown spatial mode {spatial!r} for basis "
+                             f"{self.spatial}") from None
 
     def __eq__(self, other):
         return isinstance(other, ModeBasis) and self.modes == other.modes \
@@ -84,16 +93,18 @@ class PhotonicState:
 
     def __init__(self, basis: ModeBasis, amps: Mapping[tuple, complex]):
         self.basis = basis
+        size, cap = basis.size, basis.photon_cap
         clean = {}
         for cfg, amp in amps.items():
-            cfg = tuple(int(n) for n in cfg)
-            if len(cfg) != basis.size:
-                raise ValueError(f"config length {len(cfg)} != basis size {basis.size}")
-            if any(n < 0 for n in cfg):
+            cfg = tuple(map(int, cfg))
+            if len(cfg) != size:
+                raise ValueError(f"config length {len(cfg)} != basis size {size}")
+            if min(cfg, default=0) < 0:
                 raise ValueError(f"negative occupation in {cfg}")
-            if sum(cfg) > basis.photon_cap:
+            total = sum(cfg)
+            if total > cap:
                 raise ContractViolationError(
-                    f"config {cfg} has {sum(cfg)} photons, cap is {basis.photon_cap}")
+                    f"config {cfg} has {total} photons, cap is {cap}")
             a = complex(amp)
             if a != 0:
                 clean[cfg] = clean.get(cfg, 0j) + a
@@ -226,23 +237,50 @@ def product(s1: PhotonicState, s2: PhotonicState) -> PhotonicState:
     return PhotonicState(s1.basis, out)
 
 
+Matrix = tuple[tuple[complex, ...], ...]
+
+
+def _identity_rows(size: int) -> list[list[complex]]:
+    return [[1 + 0j if i == j else 0j for j in range(size)]
+            for i in range(size)]
+
+
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                 for row in a)
+
+
+def _adjoint(m: Matrix) -> Matrix:
+    return tuple(tuple(u.conjugate() for u in col) for col in zip(*m))
+
+
 @dataclass(frozen=True)
 class LinearModeTransform:
     """Unitary rewriting of creation operators over a ModeBasis.
 
     Column j of ``matrix`` is the image of input basis mode j: the operator
-    for mode j maps to sum_i matrix[i, j] * (operator for mode i). Validated
-    unitary to 1e-12 at construction.
+    for mode j maps to sum_i matrix[i][j] * (operator for mode i). Any square
+    nested sequence (an ndarray too) is accepted and stored as a tuple of row
+    tuples of complex. Validated unitary to 1e-12 at construction.
     """
 
     basis: ModeBasis
-    matrix: np.ndarray
+    matrix: Matrix
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.basis.size, self.basis.size):
-            raise ValueError(f"matrix shape {m.shape} != ({self.basis.size},) * 2")
-        dev = np.max(np.abs(m @ m.conj().T - np.eye(self.basis.size)))
+        size = self.basis.size
+        try:
+            m = tuple(tuple(map(complex, row)) for row in self.matrix)
+        except TypeError as exc:
+            raise ValueError(f"matrix must be a square nested sequence of "
+                             f"numbers: {exc}") from None
+        if len(m) != size or any(len(row) != size for row in m):
+            raise ValueError(f"matrix row lengths {[len(row) for row in m]} "
+                             f"are not {size} rows of {size}")
+        dev = max((abs(u - (1.0 if i == j else 0.0))
+                   for i, row in enumerate(_matmul(m, _adjoint(m)))
+                   for j, u in enumerate(row)), default=0.0)
         if dev > 1e-12:
             raise ContractViolationError(f"transform is not unitary (deviation {dev:.3e})")
         object.__setattr__(self, "matrix", m)
@@ -251,14 +289,14 @@ class LinearModeTransform:
         """Composite transform: self first, then ``later``."""
         if self.basis != later.basis:
             raise ValueError("transforms live on different bases")
-        return LinearModeTransform(self.basis, later.matrix @ self.matrix)
+        return LinearModeTransform(self.basis, _matmul(later.matrix, self.matrix))
 
     def inverse(self) -> "LinearModeTransform":
-        return LinearModeTransform(self.basis, self.matrix.conj().T)
+        return LinearModeTransform(self.basis, _adjoint(self.matrix))
 
 
 def identity_transform(basis: ModeBasis) -> LinearModeTransform:
-    return LinearModeTransform(basis, np.eye(basis.size, dtype=complex))
+    return LinearModeTransform(basis, _identity_rows(basis.size))
 
 
 def pbs_hv(basis: ModeBasis, in_pair: tuple[str, str],
@@ -283,9 +321,9 @@ def pbs_hv(basis: ModeBasis, in_pair: tuple[str, str],
     }
     for src, dst in list(mapping.items()):
         mapping.setdefault(dst, src)
-    m = np.zeros((basis.size, basis.size), dtype=complex)
+    m = [[0j] * basis.size for _ in range(basis.size)]
     for src in range(basis.size):
-        m[mapping.get(src, src), src] = 1.0
+        m[mapping.get(src, src)][src] = 1 + 0j
     return LinearModeTransform(basis, m)
 
 
@@ -297,12 +335,12 @@ def basis_rotate_fs(basis: ModeBasis, spatial: str) -> LinearModeTransform:
     its own inverse.
     """
     hi, vi = basis.spatial_indices(spatial)
-    m = np.eye(basis.size, dtype=complex)
+    m = _identity_rows(basis.size)
     r = 1 / math.sqrt(2)
-    m[hi, hi] = r
-    m[hi, vi] = r
-    m[vi, hi] = r
-    m[vi, vi] = -r
+    m[hi][hi] = r
+    m[hi][vi] = r
+    m[vi][hi] = r
+    m[vi][vi] = -r
     return LinearModeTransform(basis, m)
 
 
@@ -313,8 +351,8 @@ def apply_transform(state: PhotonicState, t: LinearModeTransform) -> PhotonicSta
     size = state.basis.size
     # nonzero entries per column; exact zeros are skipped so permutations and
     # block rotations expand without float dust
-    cols = [[(i, t.matrix[i, j]) for i in range(size) if t.matrix[i, j] != 0]
-            for j in range(size)]
+    cols = [[(i, u) for i, u in enumerate(col) if u != 0]
+            for col in zip(*t.matrix)]
     out: dict[tuple, complex] = {}
     for cfg, amp in state.amps.items():
         denom = math.prod(math.factorial(n) for n in cfg)

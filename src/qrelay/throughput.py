@@ -16,6 +16,10 @@ from typing import Optional, Sequence
 
 from .analytics import ChainConfig, qber_from_snr, snr_exact
 
+# largest bracket cutoff_alpha_x searches; float spacing there (1.2e-10) is
+# still below its 1e-9 bisection tolerance
+MAX_CUTOFF_ALPHA_X = 1e6
+
 _SINGLE_PHOTON_BB84 = "single-photon-bb84"
 
 
@@ -150,8 +154,11 @@ def cutoff_alpha_x(config: ChainConfig, params: Optional[EcPaParams] = None,
 
     Bisects snr_exact, the chain rescaled as in throughput_curve, against the
     cutoff SNR; the chain SNR is strictly decreasing in distance for fixed N
-    with optimal placement. Without dark counts (p_dark = 0) no noise reaches
-    the receiver, the SNR is infinite at every length, and the cutoff is
+    with optimal placement. The bracket starts at [0, hi] and hi doubles
+    while the key fraction is still positive there, up to MAX_CUTOFF_ALPHA_X
+    (ValueError past it), so long chains (N = 64 cuts off near 291) are
+    bracketed too. Without dark counts (p_dark = 0) no noise reaches the
+    receiver, the SNR is infinite at every length, and the cutoff is
     math.inf.
     """
     if config.p_dark == 0.0:
@@ -166,8 +173,10 @@ def cutoff_alpha_x(config: ChainConfig, params: Optional[EcPaParams] = None,
 
     if s_at(0.0) <= s_star:
         return 0.0
-    if s_at(hi) >= s_star:
-        raise ValueError(f"key fraction still positive at alpha_x = {hi}")
+    while s_at(hi) >= s_star:
+        if 2.0 * hi > MAX_CUTOFF_ALPHA_X:
+            raise ValueError(f"key fraction still positive at alpha_x = {hi}")
+        hi *= 2.0
     lo_ax, hi_ax = 0.0, hi
     while hi_ax - lo_ax > 1e-9:
         mid = 0.5 * (lo_ax + hi_ax)

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -85,6 +88,45 @@ def test_snr_n_relays_reduces_to_no_relay():
                            (1, 0.999, 0.01), (1, math.nan, 1e-5)):
         with pytest.raises(ValueError):
             snr_n_relays(1.0, n, eta, p_dark)
+
+
+def _snr_n_relays_reference(ax, n, eta, p_dark):
+    # eta^(N/(N+1)) e^(-alpha x/(N+1)) / (2 p_d (N+1)) to 50 digits, at the
+    # exact values of the float arguments
+    with localcontext() as ctx:
+        ctx.prec = 50
+        m = Decimal(n + 1)
+        value = ((Decimal(eta).ln() * Decimal(n) / m).exp()
+                 * (-Decimal(ax) / m).exp() / (2 * Decimal(p_dark) * m))
+        return value
+
+
+def test_snr_n_relays_matches_a_high_precision_reference():
+    worst = 0.0
+    for n in (0, 1, 2, 4, 8, 16, 32, 64):
+        for i in range(241):
+            ax = 60.0 * i / 240
+            want = _snr_n_relays_reference(ax, n, 0.5, 1e-5)
+            got = snr_n_relays(ax, n, 0.5, 1e-5)
+            worst = max(worst, float(abs(Decimal(got) - want) / want))
+    assert worst < 4e-15
+
+
+def test_snr_n_relays_is_finite_on_long_chains():
+    # e^(alpha x N/(N+1)) alone would overflow past alpha x ~ 709 (N+1)/N
+    for n in (1, 64):
+        for ax in (800.0, 1e3, 1e4):
+            s = snr_n_relays(ax, n, 0.5, 1e-5)
+            assert math.isfinite(s) and s >= 0.0
+            # e^y amplifies the rounding of y = alpha x/(N+1) by y
+            want = _snr_n_relays_reference(ax, n, 0.5, 1e-5)
+            tol = (ax / (n + 1) + 8) * sys.float_info.epsilon
+            if want > Decimal(sys.float_info.min):
+                assert abs(Decimal(s) - want) <= Decimal(tol) * want
+    assert snr_n_relays(800.0, 64, 0.5, 0.0) == math.inf
+    for ax in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            snr_n_relays(ax, 64, 0.5, 1e-5)
 
 
 def test_snr_single_relay_closed_form():
@@ -298,6 +340,18 @@ def test_search_positions_keeps_the_closed_form_unless_lower():
         assert (found == best
                 or chain_noise(cfg, found) < chain_noise(cfg, best))
         assert max(abs(a - b) for a, b in zip(found, best)) <= 1e-6 * x
+
+
+def test_search_positions_ignores_rounding_dips():
+    # the closed form is the exact optimum; the search replaces it only for
+    # a drop beyond rounding, so on any chain it returns the closed form
+    rng = random.Random(20261018)
+    for _ in range(40):
+        cfg = ChainConfig(distance_km=rng.uniform(0.0, 3000.0),
+                          n_relays=rng.randint(1, 64),
+                          eta=rng.uniform(0.05, 0.95),
+                          p_dark=10 ** rng.uniform(-9, -2))
+        assert search_positions(cfg) == optimal_positions(cfg), cfg
 
 
 def test_solve_range_alpha_x():

@@ -1,7 +1,8 @@
 """The package's lower layers import only downward.
 
 analytics sits at the bottom and imports nothing of the package, fockspace
-imports only errors, and circuit builds on fockspace alone. Every relative
+imports only errors, and circuit builds on fockspace alone; outside the
+package, fockspace and circuit import only the standard library. Every
 import counts, including one deferred inside a function body. Within chain,
 the Monte Carlo sampler does not call the exact model it checks, and within
 circuit a device run applies the cached Kraus operators without rerunning the
@@ -9,6 +10,7 @@ Fock engine.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,22 @@ def relative_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_lower_layers_import_only_downward(module):
     assert relative_imports(module) <= ALLOWED[module]
+
+
+@pytest.mark.parametrize("module", ["fockspace", "circuit"])
+def test_device_layers_import_only_the_standard_library(module):
+    source = Path(qrelay.__file__).with_name(f"{module}.py").read_text()
+    outside = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        outside.update(n.split(".")[0] for n in names
+                       if n.split(".")[0] not in sys.stdlib_module_names)
+    assert not outside
 
 
 def test_sampler_is_independent_of_the_exact_model(monkeypatch):
@@ -92,3 +110,6 @@ def test_device_checks_returns_the_seven_records():
     for trials in (0, -1, True, 2.5, "3"):
         with pytest.raises(ValueError):
             circuit.device_checks(trials, 7)
+    for seed in (-1, True, 2.5, "3", None):
+        with pytest.raises(ValueError, match="seed"):
+            circuit.device_checks(3, seed)

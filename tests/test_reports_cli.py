@@ -164,6 +164,13 @@ def test_cli_optimize(tmp_path, capsys):
         43.06852819440055, abs=1e-6)
     assert payload["numeric_positions_km"][0] == pytest.approx(
         43.06852819440055, abs=1e-3)
+    # rounding dips of the search never displace the exact optimum
+    out = tmp_path / "opt3.json"
+    assert run_cli(["optimize", "--distance-km", "300", "--n-relays", "3",
+                    "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["numeric_positions_km"] == payload["analytic_positions_km"]
+    assert payload["noise_numeric"] == payload["noise_analytic"]
 
 
 def test_cli_sample_reproducible(tmp_path, capsys):
@@ -450,6 +457,59 @@ def test_sweep_commands_do_not_load_numpy(tmp_path):
     """
     out = _fresh_python(code, str(tmp_path / "report"))
     assert out.splitlines()[-1] == "loaded numpy: []"
+
+
+def test_device_layers_do_not_load_numpy(tmp_path):
+    # fockspace and circuit are pure Python: importing them, and a whole
+    # verify-circuit run, leave numpy unloaded; only the sampler needs it
+    code = """if True:
+        import sys
+        import qrelay.circuit, qrelay.fockspace
+        loaded = ["import"] if "numpy" in sys.modules else []
+        import qrelay.cli
+        argv = ["verify-circuit", "--trials", "3", "--input=0.6,0.8j",
+                "--diagnostic", "d2-on-mode-1", "--output", sys.argv[1]]
+        assert qrelay.cli.main(argv) == 0
+        if "numpy" in sys.modules:
+            loaded.append(argv[0])
+        print("loaded numpy:", loaded)
+    """
+    out = _fresh_python(code, str(tmp_path / "verify.json"))
+    assert out.splitlines()[-1] == "loaded numpy: []"
+
+
+def test_cli_verify_circuit_seed_contract(capsys):
+    # a seed is a non-negative integer, and fixes the output byte for byte
+    for seed in ("-1", "-20260815"):
+        assert run_cli(["verify-circuit", "--trials", "2", "--seed",
+                        seed]) == 2
+        assert "seed" in capsys.readouterr().err
+    texts = []
+    for _ in range(2):
+        assert run_cli(["verify-circuit", "--trials", "50", "--seed", "5",
+                        "--input=0.6,0.8j"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+
+
+def test_cli_long_chains(tmp_path, capsys):
+    # N/(N+1) alpha x past 709 once overflowed the first-order SNR, and a
+    # cutoff past alpha x = 200 once failed the throughput metadata
+    out = tmp_path / "snr.json"
+    assert run_cli(["snr", "--n-relays", "1,64", "--steps", "3",
+                    "--alpha-x-max", "1e4", "--format", "json",
+                    "--output", str(out)]) == 0
+    rep = read_json(out)
+    for n in (1, 64):
+        assert all(math.isfinite(v) for v in rep.column(f"s_analytic_n{n}"))
+    assert rep.column("s_analytic_n64")[-1] > 0.0
+    out = tmp_path / "tp.csv"
+    assert run_cli(["throughput", "--n-relays", "48,64", "--steps", "3",
+                    "--output", str(out)]) == 0
+    cutoffs = read_csv(out).metadata["parameters"]["cutoff_alpha_x"]
+    assert cutoffs["48"] == pytest.approx(233.8, abs=0.1)
+    assert cutoffs["64"] == pytest.approx(291.5, abs=0.1)
+    capsys.readouterr()
 
 
 def test_every_public_name_resolves():

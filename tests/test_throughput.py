@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qrelay.analytics import ChainConfig
+from qrelay import throughput
+from qrelay.analytics import ChainConfig, snr_exact
 from qrelay.chain import run_chain
 from qrelay.throughput import (EcPaParams, ThroughputPoint, binary_entropy,
                                cutoff_alpha_x, key_fraction,
@@ -156,3 +157,21 @@ def test_cutoff_is_a_threshold_of_the_exact_chain():
     just_outside = run_chain(ChainConfig(distance_km=kms * (1 + 1e-6),
                                          n_relays=1))
     assert just_inside.snr > s_star > just_outside.snr
+
+
+def test_cutoff_alpha_x_of_long_chains(monkeypatch):
+    # the bracket grows past its first guess of 200 (N = 48 cuts off near
+    # 234, N = 64 near 291), and the result still brackets the cutoff SNR
+    s_star = snr_cutoff()
+    for n, want in ((48, 233.8), (64, 291.5)):
+        cfg = ChainConfig(distance_km=1.0, n_relays=n)
+        cut = cutoff_alpha_x(cfg)
+        assert cut == pytest.approx(want, abs=0.1)
+        assert (snr_exact(cut - 1e-6, n, cfg.eta, cfg.p_dark) > s_star
+                > snr_exact(cut + 1e-6, n, cfg.eta, cfg.p_dark))
+    # a bracket that would grow past the cap is a configuration error
+    monkeypatch.setattr(throughput, "MAX_CUTOFF_ALPHA_X", 300.0)
+    assert cutoff_alpha_x(ChainConfig(distance_km=1.0, n_relays=8)) \
+        == pytest.approx(58.848, abs=1e-3)
+    with pytest.raises(ValueError, match="still positive at alpha_x = 200"):
+        cutoff_alpha_x(ChainConfig(distance_km=1.0, n_relays=64))
