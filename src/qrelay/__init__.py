@@ -9,15 +9,16 @@ The package layers are, bottom up:
   (device_operators); it supplies the relay efficiency eta through
   measured_relay_efficiency.
 - analytics: the chain configuration and its one (eta, p_dark) validator,
-  first-order SNR/QBER expressions, the exact chain's closed form and its
-  SNR at the optimal placement (snr_exact), the relay placement, which is
-  exactly optimal, range enhancement, raw rates.
+  first-order SNR/QBER expressions, the exact chain's closed form, one
+  binomial at the optimal placement (snr_exact), the relay placement, which
+  is exactly optimal, range enhancement, raw rates.
 - chain: the per-slot step maps through fiber segments and relay stations
   (the relay map is apply_relay) composed into the reference propagation,
   the exact receiver statistics at any positions through the closed form,
   a numeric placement search, and a seeded Monte Carlo cross-check that
   draws the slot count of each event.
-- throughput: BB84 secure-key fraction and throughput sweeps.
+- throughput: BB84 key fraction and throughput sweeps; the cutoff range
+  inverts the binomial.
 - reports: deterministic CSV/JSON tables.
 - cli: the `qrelay` command.
 

@@ -6,6 +6,12 @@ first-order analytic forms, the exact chain's closed form (which the chain
 module evaluates at any relay positions) and the relay placement, uniform
 spacing with a longer final segment, clamped to the transmitter end at short
 range, which is the exact optimum.
+
+At that placement the exact chain is one binomial. In the interior
+(alpha x > ln(1/eta), or N = 0), with u = (2 p_dark/eta) e^((alpha x +
+ln eta)/(N+1)), S = 1/((1 + u)^(N+1) - 1) and the paper's first-order SNR is
+exactly S_1 = 1/((N+1) u): the gap is the binomial tail. Clamped (every relay
+at the transmitter), 1/S = (1 + 2 p_dark/eta)^N (1 + 2 p_dark e^(alpha x)) - 1.
 """
 
 from __future__ import annotations
@@ -130,21 +136,15 @@ def snr_no_relay(p_dark: float, alpha_x: float) -> float:
 
 
 def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> float:
-    """First-order SNR with n optimally placed relays.
+    """First-order SNR with n optimally placed relays, S_1 = 1/((N+1) u).
 
-    S_N = S_0 * (1/(N+1)) * eta^(N/(N+1)) * e^(alpha x N/(N+1)). The two
-    exponentials are combined, S_N = (1/(2 p_d)) * eta^(N/(N+1)) *
-    e^(-alpha x/(N+1)) / (N+1), so no factor overflows at any finite alpha x
-    and the large exponent alpha x N/(N+1) is never rounded or exponentiated
-    on its own. At N = 0 this is exactly snr_no_relay,
-    and at N = 1 it reduces to the single-relay closed form; both are
-    algebraic identities, not approximations.
-
-    The closed form assumes the interior optimum, alpha x > ln(1/eta). On a
-    shorter channel optimal_positions parks every relay at the transmitter,
-    and the first-order SNR of that placement differs from this formula: at
-    eta = 0.5 by up to 5.7% (N = 1, alpha x = 0), falling with N to 3.3% at
-    N = 4 and 1.1% at N = 16.
+    S_N = S_0 * (1/(N+1)) * eta^(N/(N+1)) * e^(alpha x N/(N+1)), evaluated
+    as (1/(2 p_d)) * eta^(N/(N+1)) * e^(-alpha x/(N+1)) / (N+1), so no factor
+    overflows at any finite alpha x. At N = 0 this is exactly snr_no_relay.
+    It assumes the interior optimum, alpha x > ln(1/eta); below that the
+    relays are clamped to the transmitter and the first-order SNR of that
+    placement differs from this formula: at eta = 0.5 by up to 5.7% (N = 1,
+    alpha x = 0), falling with N to 1.1% at N = 16.
     """
     check_n_relays(n_relays)
     check_relay(eta, p_dark)
@@ -205,23 +205,6 @@ def optimal_positions(config: ChainConfig) -> tuple[float, ...]:
     return tuple(i * d for i in range(1, n + 1))
 
 
-def _snr_qb(p_s: float, p_n: float) -> tuple[float, float]:
-    """(snr, q_b) from signal and noise detection probabilities.
-
-    snr = p_s / p_n, inf when only the signal can click, nan when nothing
-    can; q_b = p_n / (2 (p_n + p_s)), nan when nothing can click.
-    """
-    if p_n > 0.0:
-        snr = p_s / p_n
-    elif p_s > 0.0:
-        snr = math.inf
-    else:
-        snr = math.nan
-    denom = p_n + p_s
-    q_b = 0.5 * p_n / denom if denom > 0.0 else math.nan
-    return snr, q_b
-
-
 def _receiver_counts(s_n: float, alive: float, big_l: float, t_last: float,
                      p_dark: float) -> tuple[float, float]:
     """Receiver (p_s, p_n) of a relay chain, in closed form.
@@ -238,32 +221,44 @@ def _receiver_counts(s_n: float, alive: float, big_l: float, t_last: float,
     return s_n * t_last, t_last * spurious + 2.0 * p_dark * alive
 
 
-def snr_exact(alpha_x: float, n_relays: int, eta: float,
-              p_dark: float) -> float:
-    """Exact (all-orders) SNR with n relays at the optimal placement.
+# math.exp and math.expm1 overflow past about 709.78
+_EXP_MAX = 700.0
 
-    The pattern of optimal_positions, in attenuation lengths: N segments of
-    length d = (alpha x - ln(1/eta))/(N+1) with transmission t = e^(-d), and
-    a last one with transmission eta t, so S_N = (eta t)^N and L = N log1p(c/t)
-    in the closed form. At alpha x <= ln(1/eta) every relay sits at the
-    transmitter (t = 1) and the last segment is the whole fiber. Returns inf
-    without dark counts and nan when nothing can click.
+
+def _chain_at(alpha_x: float, n_relays: int, eta: float,
+              p_dark: float) -> tuple[float, float, Optional[float]]:
+    """(S, K, ln u) of the optimal chain, K = ln(1 + 1/S) in the binomial form.
+
+    ln u is None on the clamped branch and -inf without dark counts, where
+    K = 0. Only alpha_x is checked; the callers check (eta, p_dark, N).
     """
     if not 0.0 <= alpha_x < math.inf:
         raise ValueError(f"alpha_x must be finite and >= 0, got {alpha_x}")
+    if p_dark == 0.0:
+        return math.inf, 0.0, -math.inf
+    n, log_eta = n_relays, math.log(eta)
+    if n and alpha_x <= -log_eta:   # N relays of t = 1, then the bare fiber
+        k = (n * math.log1p(2.0 * p_dark / eta)
+             + _chain_at(alpha_x, 0, eta, p_dark)[1])
+        log_u = None
+    else:
+        y = (alpha_x - n * log_eta) / (n + 1)       # u = 2 p_dark e^y
+        log_u = math.log(2.0 * p_dark) + y
+        if y < _EXP_MAX:    # u itself is a double, one rounding from exact
+            k = (n + 1) * math.log1p(2.0 * p_dark * math.exp(y))
+        else:
+            k = (n + 1) * (max(log_u, 0.0) + math.log1p(math.exp(-abs(log_u))))
+    if k == 0.0:    # u below the double range: no noise reaches the receiver
+        return math.inf, k, log_u
+    return (1.0 / math.expm1(k) if k < _EXP_MAX else math.exp(-k)), k, log_u
+
+
+def snr_exact(alpha_x: float, n_relays: int, eta: float,
+              p_dark: float) -> float:
+    """Exact (all-orders) SNR at the optimal placement; inf if p_dark = 0."""
     check_n_relays(n_relays)
     check_relay(eta, p_dark)
-    n, pd2 = n_relays, 2.0 * p_dark
-    log_eta = math.log(eta)
-    if n == 0 or alpha_x <= -log_eta:
-        t, t_last = 1.0, math.exp(-alpha_x)
-    else:
-        t = math.exp(-(alpha_x + log_eta) / (n + 1))
-        t_last = eta * t
-    big_l = n * math.log1p(pd2 / eta / t) if t > 0.0 else math.inf
-    counts = _receiver_counts((eta * t) ** n, (eta * t + pd2) ** n, big_l,
-                              t_last, p_dark)
-    return _snr_qb(*counts)[0]
+    return _chain_at(alpha_x, n_relays, eta, p_dark)[0]
 
 
 def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .analytics import (ChainConfig, _receiver_counts, _snr_qb, check_p_dark,
+from .analytics import (ChainConfig, _receiver_counts, check_p_dark,
                         check_relay, optimal_positions)
 
 _SUM_TOL = 1e-12
@@ -104,6 +104,13 @@ def apply_relay(state: ChannelEventState,
               + (1.0 - eta - pd2) * (state.p_sig + state.p_rnd)
               + (1.0 - pd2) * state.p_empty)
     return ChannelEventState(sig, rnd, 0.0, nogate)
+
+
+def _snr_qb(p_s: float, p_n: float) -> tuple[float, float]:
+    """(snr, q_b) = (p_s/p_n, p_n/(2 (p_n + p_s))); nan, nan if both are 0."""
+    if p_n + p_s == 0.0:
+        return math.nan, math.nan
+    return p_s / p_n if p_n > 0.0 else math.inf, 0.5 * p_n / (p_n + p_s)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,11 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .analytics import (ChainConfig, check_n_relays, optimal_positions,
-                        qber_from_snr, snr_exact, snr_n_relays)
+from .analytics import (_EXP_MAX, ChainConfig, _chain_at, check_n_relays,
+                        optimal_positions, qber_from_snr, snr_n_relays)
 from .chain import chain_noise, run_chain, sample_chain, search_positions
 from .errors import ContractViolationError
-from .reports import (CurveReport, render_csv, render_json, write_csv,
-                      write_json, write_payload)
+from .reports import CurveReport, render_csv, render_json, render_payload
 from .throughput import EcPaParams, cutoff_alpha_x, throughput_curve
 
 EXIT_OK = 0
@@ -157,29 +156,51 @@ def _channel(params: _Params) -> tuple[float, float, float]:
     return eta, pd, atten
 
 
-def _metadata(command: str, params: dict) -> dict:
-    return {"artifact": f"qrelay {__version__}", "command": command,
-            "parameters": params}
-
-
-def _write_payload(payload: dict, params: _Params) -> None:
+def _write(text: str, params: _Params) -> bool:
+    """Write text to --output, if one is given, and say so."""
     output = params.get("output")
     if output:
-        write_payload(payload, output)
+        with open(output, "w", newline="") as fh:
+            fh.write(text)
         print(f"wrote {output}")
+    return bool(output)
 
 
-def _emit_report(report: CurveReport, params: _Params) -> None:
+def _emit_sweep(command: str, fields: Sequence[str], curves: list,
+                grid: list[float], parameters: dict, params: _Params) -> None:
+    """Report a row per grid point: alpha_x, then each (N, curve)'s fields."""
     fmt = str(params.get("format"))
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    output = params.get("output")
-    if output:
-        (write_csv if fmt == "csv" else write_json)(report, output)
-        print(f"wrote {output}")
+    parameters["grid"] = [grid[0], grid[-1], len(grid)]
+    report = CurveReport(
+        ("alpha_x", *(f"{f}_n{n}" for n, _ in curves for f in fields)),
+        tuple((ax, *(v for _, curve in curves for v in curve[i]))
+              for i, ax in enumerate(grid)),
+        {"artifact": f"qrelay {__version__}", "command": command,
+         "parameters": parameters})
+    text = (render_csv if fmt == "csv" else render_json)(report)
+    if not _write(text, params):
+        sys.stdout.write(text)
+
+
+def _snr_point(ax: float, n: int, eta: float, pd: float) -> tuple:
+    """(s_analytic, s_exact, q_b, rel_dev) of one chain at alpha_x.
+
+    rel_dev takes S_exact/S_1 = (N+1) u/expm1(K) from logs in the interior,
+    finite past the double range; clamped, S_1 is another placement's curve.
+    """
+    s_an = snr_n_relays(ax, n, eta, pd)
+    s_ex, k, log_u = _chain_at(ax, n, eta, pd)
+    if k == 0.0:    # no noise: S_exact = inf, and S_1 = inf or all but
+        dev = 0.0
+    elif log_u is None:
+        dev = abs(s_ex - s_an) / s_an if s_ex != s_an else 0.0
     else:
-        sys.stdout.write(render_csv(report) if fmt == "csv"
-                         else render_json(report))
+        log_expm1_k = (math.log(math.expm1(k)) if k < _EXP_MAX
+                       else k + math.log1p(-math.exp(-k)))
+        dev = abs(math.expm1(math.log(n + 1) + log_u - log_expm1_k))
+    return s_an, s_ex, qber_from_snr(s_ex), dev
 
 
 def cmd_snr(args: argparse.Namespace) -> int:
@@ -188,21 +209,10 @@ def cmd_snr(args: argparse.Namespace) -> int:
     eta, pd, atten = _channel(params)
     ns = _parse_n_list(params.get("n_relays", "0,1,2,4,8,16"))
     grid = _grid(params)
-    columns = ["alpha_x"] + [f"{c}_n{n}" for n in ns for c in
-                             ("s_analytic", "s_exact", "q_b", "rel_dev")]
-    rows = []
-    for ax in grid:
-        row = [ax]
-        for n in ns:
-            s_an = snr_n_relays(ax, n, eta, pd)
-            s_ex = snr_exact(ax, n, eta, pd)
-            dev = abs(s_ex - s_an) / s_an if s_an > 0 else math.nan
-            row += [s_an, s_ex, qber_from_snr(s_ex), dev]
-        rows.append(tuple(row))
-    meta = _metadata("snr", {
-        "eta": eta, "pd": pd, "atten_per_km": atten, "n_relays": ns,
-        "grid": [grid[0], grid[-1], len(grid)]})
-    _emit_report(CurveReport(tuple(columns), tuple(rows), meta), params)
+    curves = [(n, [_snr_point(ax, n, eta, pd) for ax in grid]) for n in ns]
+    _emit_sweep("snr", ("s_analytic", "s_exact", "q_b", "rel_dev"), curves,
+                grid, {"eta": eta, "pd": pd, "atten_per_km": atten,
+                       "n_relays": ns}, params)
     return EXIT_OK
 
 
@@ -215,21 +225,17 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     ec = EcPaParams(f_ec=float(params.get("f_ec")))
     configs = [ChainConfig(distance_km=0.0, atten_per_km=atten, n_relays=n,
                            eta=eta, p_dark=pd) for n in ns]
-    columns = ["alpha_x"] + [f"{c}_n{n}" for n in ns for c in
-                             ("s_exact", "q_b", "t_n", "t_n_scaled")]
-    curves = [throughput_curve(cfg, grid, ec) for cfg in configs]
-    rows = [(ax, *(v for p in points for v in (p.s, p.q_b, p.t_n,
-                                                p.t_n_scaled)))
-            for ax, points in zip(grid, zip(*curves))]
+    curves = [(cfg.n_relays, [(p.s, p.q_b, p.t_n, p.t_n_scaled)
+                              for p in throughput_curve(cfg, grid, ec)])
+              for cfg in configs]
     # an unbounded cutoff (no dark counts) is spelled as table values are
     cutoffs = {str(cfg.n_relays): cutoff_alpha_x(cfg, ec) for cfg in configs}
     cutoffs = {n: c if math.isfinite(c) else "inf" for n, c in cutoffs.items()}
-    meta = _metadata("throughput", {
-        "eta": eta, "pd": pd, "atten_per_km": atten, "n_relays": ns,
-        "f_ec": ec.f_ec, "model": ec.model,
-        "grid": [grid[0], grid[-1], len(grid)],
-        "cutoff_alpha_x": cutoffs})
-    _emit_report(CurveReport(tuple(columns), tuple(rows), meta), params)
+    _emit_sweep("throughput", ("s_exact", "q_b", "t_n", "t_n_scaled"),
+                curves, grid, {"eta": eta, "pd": pd, "atten_per_km": atten,
+                               "n_relays": ns, "f_ec": ec.f_ec,
+                               "model": ec.model, "cutoff_alpha_x": cutoffs},
+                params)
     return EXIT_OK
 
 
@@ -257,7 +263,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
           f"numeric = {f_numeric:.12e}")
     if not agree:
         print(f"WARNING: placements disagree beyond {tol:g} km")
-    _write_payload({
+    _write(render_payload({
         "config": {"distance_km": x, "atten_per_km": atten, "n_relays": n,
                    "eta": eta, "pd": pd},
         "analytic_positions_km": list(analytic),
@@ -265,7 +271,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "noise_analytic": f_analytic,
         "noise_numeric": f_numeric,
         "agree_within_tolerance": agree,
-    }, params)
+    }), params)
     return EXIT_OK
 
 
@@ -302,7 +308,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             print(f"z({name}) = n/a (no sampled variance)")
     print("slot states: " + " ".join(f"{k}={v}"
                                      for k, v in sampled.state_counts.items()))
-    _write_payload({
+    _write(render_payload({
         "config": {"alpha_x": config.alpha_x, "distance_km": float(x),
                    "atten_per_km": atten, "n_relays": n, "eta": eta,
                    "pd": pd, "trials": trials, "seed": seed},
@@ -315,7 +321,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
                     "signal_count": sampled.signal_count,
                     "noise_events": sampled.noise_events,
                     "state_counts": sampled.state_counts},
-    }, params)
+    }), params)
     return EXIT_OK
 
 
@@ -362,9 +368,9 @@ def cmd_verify_circuit(args: argparse.Namespace) -> int:
         print(f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}: {c['detail']}")
     print(f"{'PASS' if all_ok else 'FAIL'} verify-circuit "
           f"({sum(c['ok'] for c in checks)}/{len(checks)} checks)")
-    _write_payload({"artifact": f"qrelay {__version__}",
-                    "command": "verify-circuit", "ok": all_ok,
-                    "checks": checks}, params)
+    _write(render_payload({"artifact": f"qrelay {__version__}",
+                           "command": "verify-circuit", "ok": all_ok,
+                           "checks": checks}), params)
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
 

@@ -6,6 +6,8 @@ limit, clamped at zero. Normalized throughput multiplies nothing in: it is the
 key fraction evaluated at the chain's exact bit error rate, i.e. key bits per
 gated-and-detected slot. An alternative normalization per transmitted slot
 folds in the relay gating passes (a factor eta per relay); both are reported.
+The chain's SNR is the binomial closed form of analytics, and the cutoff
+range where the key fraction reaches zero is that form inverted.
 """
 
 from __future__ import annotations
@@ -14,11 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .analytics import ChainConfig, qber_from_snr, snr_exact
-
-# largest bracket cutoff_alpha_x searches; float spacing there (1.2e-10) is
-# still below its 1e-9 bisection tolerance
-MAX_CUTOFF_ALPHA_X = 1e6
+from .analytics import ChainConfig, _chain_at, qber_from_snr
 
 _SINGLE_PHOTON_BB84 = "single-photon-bb84"
 
@@ -129,18 +127,17 @@ def throughput_curve(config: ChainConfig, alpha_x_values: Sequence[float],
                      ) -> list[ThroughputPoint]:
     """Exact-chain throughput at each attenuation length in the grid.
 
-    Each grid point rescales the configured chain to distance alpha_x/alpha
-    with optimally placed relays, as config.at_alpha_x does, so a config
-    with explicit positions is rejected. The SNR comes from snr_exact, and
-    the key fraction is evaluated at its bit error rate.
+    Each grid point is the chain config.at_alpha_x gives, optimally placed
+    (explicit positions are rejected), at snr_exact's SNR and its QBER.
     """
     config.at_alpha_x(0.0)     # rejects explicit positions
     if params is None:
         params = EcPaParams()
-    scale = config.eta ** config.n_relays
+    n, eta, p_dark = config.n_relays, config.eta, config.p_dark
+    scale = eta ** n
     points = []
     for ax in alpha_x_values:
-        s = snr_exact(ax, config.n_relays, config.eta, config.p_dark)
+        s = _chain_at(ax, n, eta, p_dark)[0]
         q_b = qber_from_snr(s)
         t_n = key_fraction(q_b, params)
         points.append(ThroughputPoint(alpha_x=ax, s=s, q_b=q_b,
@@ -148,40 +145,29 @@ def throughput_curve(config: ChainConfig, alpha_x_values: Sequence[float],
     return points
 
 
-def cutoff_alpha_x(config: ChainConfig, params: Optional[EcPaParams] = None,
-                   hi: float = 200.0) -> float:
+def cutoff_alpha_x(config: ChainConfig,
+                   params: Optional[EcPaParams] = None) -> float:
     """Attenuation length at which the chain's key fraction reaches zero.
 
-    Bisects snr_exact, the chain rescaled as in throughput_curve, against the
-    cutoff SNR; the chain SNR is strictly decreasing in distance for fixed N
-    with optimal placement. The bracket starts at [0, hi] and hi doubles
-    while the key fraction is still positive there, up to MAX_CUTOFF_ALPHA_X
-    (ValueError past it), so long chains (N = 64 cuts off near 291) are
-    bracketed too. Without dark counts (p_dark = 0) no noise reaches the
-    receiver, the SNR is infinite at every length, and the cutoff is
-    math.inf.
+    snr_exact's binomial inverted at K* = log1p(1/S*), S* the cutoff SNR: in
+    the interior u* = expm1(K*/(N+1)) is 2 p_dark e^((alpha x - N ln eta)/
+    (N+1)), as _chain_at writes u; clamped, (1+c)^N (1 + 2 p_dark e^(alpha x))
+    = e^(K*) with c = 2 p_dark/eta. The SNR falls strictly with alpha x, so
+    this is its one crossing of S*; 0 when S(0) <= S*, math.inf without dark
+    counts (S = inf).
     """
     if config.p_dark == 0.0:
         return math.inf
     config.at_alpha_x(0.0)     # rejects explicit positions
-    if params is None:
-        params = EcPaParams()
-    s_star = snr_cutoff(params)
-
-    def s_at(ax: float) -> float:
-        return snr_exact(ax, config.n_relays, config.eta, config.p_dark)
-
-    if s_at(0.0) <= s_star:
+    n, eta, pd2 = config.n_relays, config.eta, 2.0 * config.p_dark
+    k_star = math.log1p(1.0 / snr_cutoff(params))
+    if _chain_at(0.0, n, eta, config.p_dark)[1] >= k_star:
         return 0.0
-    while s_at(hi) >= s_star:
-        if 2.0 * hi > MAX_CUTOFF_ALPHA_X:
-            raise ValueError(f"key fraction still positive at alpha_x = {hi}")
-        hi *= 2.0
-    lo_ax, hi_ax = 0.0, hi
-    while hi_ax - lo_ax > 1e-9:
-        mid = 0.5 * (lo_ax + hi_ax)
-        if s_at(mid) > s_star:
-            lo_ax = mid
-        else:
-            hi_ax = mid
-    return 0.5 * (lo_ax + hi_ax)
+    log_pd2, log_eta = math.log(pd2), math.log(eta)
+    alpha_x = ((n + 1) * (math.log(math.expm1(k_star / (n + 1))) - log_pd2)
+               + n * log_eta)
+    if n and alpha_x <= -log_eta:
+        # K* > K(0) = N log1p(c) + log1p(2 p_dark), so the log is of > 2 p_dark
+        alpha_x = (math.log(math.expm1(k_star - n * math.log1p(pd2 / eta)))
+                   - log_pd2)
+    return alpha_x

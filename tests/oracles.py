@@ -3,11 +3,14 @@
 Nothing here reuses the package's evolution code paths: transforms are applied
 via matrix permanents over dense occupation enumerations, chains via explicit
 4x4 stochastic transfer matrices, and relay placements are searched by a
-coordinate descent over scipy's bounded line search.
+coordinate descent over scipy's bounded line search. The chain's SNR at the
+optimal placement is also evaluated in 60-digit decimal arithmetic from the
+product form, where no double underflows.
 """
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -114,6 +117,35 @@ def markov_chain_reference(distance_km, atten_per_km, eta, p_dark,
     alive = v[0] + v[1] + v[2]
     p_n = v[1] + 2.0 * p_dark * alive
     return {"p_s": float(p_s), "p_n": float(p_n), "state": v}
+
+
+def decimal_snr_reference(alpha_x, n_relays, eta, p_dark, digits=60):
+    """SNR at the optimal placement from the product form, as a Decimal.
+
+    N segments of transmission t = e^(-(alpha x - ln(1/eta))/(N+1)) and a
+    last one of eta t, or every relay at the transmitter (t = 1) when
+    alpha x <= ln(1/eta). With e^L = prod (1 + 2 p_dark/(eta t_j)) and S_N
+    cancelled, S = t_last / (t_last (e^L - 1) + 2 p_dark e^L). The float
+    arguments are taken at their exact values; p_dark = 0 gives Infinity.
+    e^L - 1 cancels about as many digits as 2 p_dark/(eta t) >= 2 p_dark has
+    leading zeros, so those are added to the working precision.
+    """
+    ax, eta, pd2 = Decimal(alpha_x), Decimal(eta), 2 * Decimal(p_dark)
+    if pd2 == 0:
+        return Decimal("Infinity")
+    with localcontext() as ctx:
+        ctx.prec = digits + max(0, -pd2.adjusted())
+        delta = -eta.ln()
+        if n_relays == 0 or ax <= delta:
+            t, t_last = Decimal(1), (-ax).exp()
+        else:
+            t = (-(ax - delta) / (n_relays + 1)).exp()
+            t_last = eta * t
+        e_l = (1 + pd2 / (eta * t)) ** n_relays
+        s = t_last / (t_last * (e_l - 1) + pd2 * e_l)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return +s
 
 
 def coordinate_descent(config, objective, x0=None, obj_tol=1e-10,

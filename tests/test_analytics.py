@@ -324,7 +324,8 @@ def test_optimal_positions_is_exactly_optimal_under_descent(cfg, fracs):
 @given(cfg=dark_chains(),
        alpha_xs=st.lists(st.floats(0.0, 200.0), min_size=2, max_size=20))
 def test_snr_exact_does_not_increase_with_alpha_x(cfg, alpha_xs):
-    # cutoff_alpha_x bisects on this
+    # cutoff_alpha_x inverts the closed form, which needs this to be the
+    # only crossing of the cutoff SNR
     s = [snr_exact(ax, cfg.n_relays, cfg.eta, cfg.p_dark)
          for ax in sorted(alpha_xs)]
     assert all(b <= a for a, b in zip(s, s[1:])), s

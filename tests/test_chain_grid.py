@@ -15,6 +15,7 @@ an exponent is a relative one in the result.
 import json
 import math
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -24,17 +25,24 @@ from hypothesis import strategies as st
 
 from qrelay import cli
 from qrelay.analytics import (ChainConfig, optimal_positions, qber_from_snr,
-                              snr_exact)
+                              snr_exact, snr_n_relays)
 from qrelay.chain import propagate_chain, receiver_detect, run_chain
 from qrelay.reports import read_csv
 
-from oracles import markov_chain_reference
+from oracles import decimal_snr_reference, markov_chain_reference
 
 DATA = Path(__file__).parent / "data"
 
 # Four times the largest deviation / max(1, alpha_x) measured over every
 # comparison in this file: 1.017e-15, on run_chain's snr at alpha_x <= 1
 REL_BOUND = 4.07e-15
+# Four times the largest deviation / max(1, alpha_x, K) of snr_exact from the
+# Decimal product form over 5,000 derandomized examples of
+# test_binomial_form_matches_the_decimal_product_form: 5.13e-15, at a
+# subnormal p_dark, where 2 p_dark/eta itself rounds on the subnormal grid.
+# K = ln(1 + 1/S) is the conditioning of S = 1/expm1(K): an absolute error
+# in K is a relative one in S, and the clamped branch reaches K ~ 66
+FORM_BOUND = 2.05e-14
 # below the smallest normal double, relative precision is not defined
 _FLOOR = sys.float_info.min
 
@@ -59,6 +67,15 @@ def deviation(got, want):
 def assert_close(got, want, alpha_x, where):
     dev = deviation(got, want)
     assert dev <= REL_BOUND * max(1.0, alpha_x), (where, got, want, dev)
+
+
+def assert_decimal_close(got, want, alpha_x, where, bound=REL_BOUND):
+    """got against a Decimal reference, relative above _FLOOR as deviation."""
+    if math.isinf(got) or want.is_infinite():
+        dev = 0.0 if got == float(want) else math.inf
+    else:
+        dev = float(abs(Decimal(got) - want) / max(want, Decimal(_FLOOR)))
+    assert dev <= bound * max(1.0, alpha_x), (where, got, want, dev)
 
 
 def step_report(cfg, positions=None):
@@ -109,10 +126,59 @@ def test_closed_form_agrees_with_step_maps_and_oracle(cfg, extra, frac):
         want = step_report(point)
         assert_reports_close(run_chain(point), want, ax, ("run_chain", ax))
         pattern = snr_exact(ax, cfg.n_relays, cfg.eta, cfg.p_dark)
-        assert_reports_close(
-            type(want)(want.p_s, want.p_n, pattern, qber_from_snr(pattern)),
-            want, ax, ("snr_exact", ax))
+        if 0.0 in (want.p_s, want.p_n):
+            # the step maps' p_s = (eta t)^(N+1), or p_n with it, underflows
+            # to 0 while S may still be a double; the product form in
+            # Decimal does not underflow
+            assert_decimal_close(pattern, decimal_snr_reference(
+                ax, cfg.n_relays, cfg.eta, cfg.p_dark), ax, ("snr_exact", ax))
+        else:
+            assert_reports_close(type(want)(want.p_s, want.p_n, pattern,
+                                            qber_from_snr(pattern)),
+                                 want, ax, ("snr_exact", ax))
         assert_oracle_close(point, optimal_positions(point), want, ax)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(0, 64), eta=st.floats(0.01, 1.0),
+       p_dark=st.floats(0.0, 1e-2), frac=st.floats(0.0, 1.0),
+       far=st.floats(0.0, 800.0))
+def test_binomial_form_matches_the_decimal_product_form(n, eta, p_dark, frac,
+                                                        far):
+    # the interior, N = 0, and the clamped branch alpha_x <= ln(1/eta) with
+    # its edge, against 60 digits of the product form
+    assume(eta + 2.0 * p_dark <= 1.0)
+    edge = -math.log(eta)
+    for ax in (0.0, frac * edge, edge, far):
+        want = decimal_snr_reference(ax, n, eta, p_dark)
+        k = float((1 + 1 / want).ln()) if 0 < want < math.inf else 0.0
+        assert_decimal_close(snr_exact(ax, n, eta, p_dark), want,
+                             max(ax, k), (n, eta, p_dark, ax),
+                             bound=FORM_BOUND)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64])
+def test_first_order_gap_is_the_binomial_tail(n):
+    # S_1/S_exact - 1 = ((1+u)^(N+1) - 1 - (N+1) u)/((N+1) u), the tail
+    # sum_{k>=2} C(N+1, k) u^k/((N+1) u); its first term N u/2 is
+    # N/(2 (N+1) S_1), the p_d^2 law of acceptance criterion 04
+    eta = 0.5
+    for p_dark in (1e-7, 1e-5, 1e-3):
+        for ax in (1.0, 10.0, 40.0, 100.0):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                u = (2 * Decimal(p_dark) / Decimal(eta)
+                     * ((Decimal(ax) + Decimal(eta).ln()) / (n + 1)).exp())
+                tail = sum(math.comb(n + 1, k) * u ** k
+                           for k in range(2, n + 2)) / ((n + 1) * u)
+                first = n * u / 2
+            s_1 = snr_n_relays(ax, n, eta, p_dark)
+            gap = s_1 / snr_exact(ax, n, eta, p_dark) - 1.0
+            # the ratio of two values each within REL_BOUND max(1, alpha_x)
+            assert abs(gap - float(tail)) \
+                <= (1.0 + float(tail)) * 2 * REL_BOUND * max(1.0, ax)
+            assert float(first) == pytest.approx(n / (2 * (n + 1) * s_1),
+                                                 rel=4 * REL_BOUND * ax)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -168,13 +234,16 @@ def test_grid_contract():
 
 def test_grid_non_finite_ratio_rules():
     # no dark counts: only the signal can click; beyond exp underflow
-    # nothing can, and snr and q_b become nan as in receiver_detect
+    # nothing can in run_chain, and snr and q_b become nan as in
+    # receiver_detect. snr_exact's closed form has p_n exactly 0 and p_s
+    # positive however far, so its SNR stays inf
     cfg = ChainConfig(distance_km=0.0, n_relays=1, p_dark=0.0)
     for ax, snr in ((1.0, math.inf), (1600.0, math.nan)):
         point = cfg.at_alpha_x(ax)
         got, want = run_chain(point), step_report(point)
         assert_reports_close(got, want, ax, ("run_chain", ax))
-        assert deviation(snr_exact(ax, 1, 0.5, 0.0), snr) == 0.0
+        assert deviation(got.snr, snr) == 0.0
+        assert snr_exact(ax, 1, 0.5, 0.0) == math.inf
     assert run_chain(cfg.at_alpha_x(1.0)).q_b == 0.0
     rep = run_chain(cfg.at_alpha_x(1600.0))
     assert rep.p_s == 0.0 and rep.p_n == 0.0 and math.isnan(rep.q_b)

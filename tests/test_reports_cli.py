@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -351,6 +353,16 @@ def test_cli_throughput_without_dark_counts(tmp_path):
     for n in (0, 1):
         assert all(v == math.inf for v in rep.column(f"s_exact_n{n}"))
         assert all(v == 1.0 for v in rep.column(f"t_n_n{n}"))
+    # past alpha_x ~ 745 e^(-alpha_x) underflows, yet the closed form keeps
+    # s = inf and q_b = 0 there
+    code = run_cli(["throughput", "--pd", "0", "--alpha-x-max", "1600",
+                    "--steps", "5", "--n-relays", "0,1", "--output", str(out)])
+    assert code == 0
+    rep = read_csv(out)
+    for n in (0, 1):
+        assert all(v == math.inf for v in rep.column(f"s_exact_n{n}"))
+        assert all(v == 0.0 for v in rep.column(f"q_b_n{n}"))
+        assert all(v == 1.0 for v in rep.column(f"t_n_n{n}"))
 
 
 def test_cli_json_format(tmp_path):
@@ -502,7 +514,15 @@ def test_cli_long_chains(tmp_path, capsys):
     rep = read_json(out)
     for n in (1, 64):
         assert all(math.isfinite(v) for v in rep.column(f"s_analytic_n{n}"))
+        # S_1 underflows there; rel_dev is taken from logs and stays finite
+        assert all(math.isfinite(v) for v in rep.column(f"rel_dev_n{n}"))
     assert rep.column("s_analytic_n64")[-1] > 0.0
+    # without dark counts both SNRs are inf and do not deviate
+    assert run_cli(["snr", "--pd", "0", "--steps", "5", "--format", "json",
+                    "--output", str(out)]) == 0
+    rep = read_json(out)
+    for n in (0, 1, 2, 4, 8, 16):
+        assert rep.column(f"rel_dev_n{n}") == [0.0] * 5
     out = tmp_path / "tp.csv"
     assert run_cli(["throughput", "--n-relays", "48,64", "--steps", "3",
                     "--output", str(out)]) == 0
@@ -510,6 +530,29 @@ def test_cli_long_chains(tmp_path, capsys):
     assert cutoffs["48"] == pytest.approx(233.8, abs=0.1)
     assert cutoffs["64"] == pytest.approx(291.5, abs=0.1)
     capsys.readouterr()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ns=st.lists(st.integers(0, 64), min_size=1, max_size=3),
+       alpha_x_max=st.floats(1e-3, 1e4), eta=st.floats(0.01, 0.98),
+       p_dark=st.one_of(st.just(0.0), st.floats(0.0, 1e-2)))
+@example(ns=[1, 64], alpha_x_max=1e4, eta=0.5, p_dark=1e-5)
+@example(ns=[0, 1], alpha_x_max=1600.0, eta=0.5, p_dark=0.0)
+def test_sweeps_exit_0_with_no_nan(ns, alpha_x_max, eta, p_dark):
+    # every column of snr and throughput is finite or a documented inf, on
+    # long chains, far grids and without dark counts
+    for command in ("snr", "throughput"):
+        argv = [command, "--n-relays", ",".join(map(str, ns)), "--steps", "4",
+                "--alpha-x-max", repr(alpha_x_max), "--eta", repr(eta),
+                "--pd", repr(p_dark), "--format", "json"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0, argv
+        payload = json.loads(out.getvalue())
+        assert not any(math.isnan(float(v)) for row in payload["rows"]
+                       for v in row), argv
+        cutoffs = payload["metadata"]["parameters"].get("cutoff_alpha_x", {})
+        assert not any(math.isnan(float(c)) for c in cutoffs.values()), argv
 
 
 def test_every_public_name_resolves():

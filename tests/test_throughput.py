@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qrelay import throughput
 from qrelay.analytics import ChainConfig, snr_exact
 from qrelay.chain import run_chain
 from qrelay.throughput import (EcPaParams, ThroughputPoint, binary_entropy,
@@ -159,19 +158,17 @@ def test_cutoff_is_a_threshold_of_the_exact_chain():
     assert just_inside.snr > s_star > just_outside.snr
 
 
-def test_cutoff_alpha_x_of_long_chains(monkeypatch):
-    # the bracket grows past its first guess of 200 (N = 48 cuts off near
-    # 234, N = 64 near 291), and the result still brackets the cutoff SNR
+def test_cutoff_alpha_x_of_long_chains():
+    # past the old first bracket of 200 (N = 48 cuts off near 234, N = 64
+    # near 291, N = 1000 near 1740), and on the clamped branch (N = 1,
+    # p_dark = 0.035 cuts off below ln 2), the result brackets the cutoff SNR
     s_star = snr_cutoff()
-    for n, want in ((48, 233.8), (64, 291.5)):
-        cfg = ChainConfig(distance_km=1.0, n_relays=n)
+    for n, p_dark, want in ((48, 1e-5, 233.8), (64, 1e-5, 291.5),
+                            (1000, 1e-5, 1740.0), (1, 0.035, 0.3698)):
+        cfg = ChainConfig(distance_km=1.0, n_relays=n, p_dark=p_dark)
         cut = cutoff_alpha_x(cfg)
         assert cut == pytest.approx(want, abs=0.1)
         assert (snr_exact(cut - 1e-6, n, cfg.eta, cfg.p_dark) > s_star
                 > snr_exact(cut + 1e-6, n, cfg.eta, cfg.p_dark))
-    # a bracket that would grow past the cap is a configuration error
-    monkeypatch.setattr(throughput, "MAX_CUTOFF_ALPHA_X", 300.0)
-    assert cutoff_alpha_x(ChainConfig(distance_km=1.0, n_relays=8)) \
-        == pytest.approx(58.848, abs=1e-3)
-    with pytest.raises(ValueError, match="still positive at alpha_x = 200"):
-        cutoff_alpha_x(ChainConfig(distance_km=1.0, n_relays=64))
+    assert cutoff_alpha_x(ChainConfig(1.0, n_relays=1, p_dark=0.035)) \
+        < math.log(2.0)
