@@ -22,10 +22,10 @@ The package layers are, bottom up:
 - reports: deterministic CSV/JSON tables.
 - cli: the `qrelay` command.
 
-Only the Monte Carlo sampler needs numpy, and sample_chain imports it when
-it runs, so every other command (verify-circuit included) and importing the
-package never load numpy. The device layers (fockspace, circuit) load on
-first access to one of their names, because the sweeps never use them.
+Every module runs on the standard library alone; the Monte Carlo sampler
+draws its binomials from random.Random. The device layers (fockspace,
+circuit) load on first access to one of their names, because the sweeps
+never use them.
 """
 
 __version__ = "0.1.0"
@@ -38,9 +38,9 @@ from .analytics import (ChainConfig, RangeEnhancement, noise_single_relay,
                         snr_exact, snr_n_relays, snr_no_relay,
                         solve_range_alpha_x)
 from .chain import (ChannelEventState, ReceiverReport, SampledReport,
-                    apply_relay, chain_noise, initial_state, propagate_chain,
-                    propagate_segment, receiver_detect, run_chain,
-                    sample_chain, search_positions)
+                    apply_relay, chain_noise, initial_state, log_chain_noise,
+                    propagate_chain, propagate_segment, receiver_detect,
+                    run_chain, sample_chain, search_positions)
 from .errors import ContractViolationError
 from .reports import CurveReport, read_csv, read_json, write_csv, write_json
 from .throughput import (EcPaParams, ThroughputPoint, binary_entropy,
@@ -87,7 +87,8 @@ __all__ = [
     "measured_relay_efficiency",
     "ChannelEventState", "ReceiverReport", "SampledReport", "initial_state",
     "propagate_segment", "apply_relay", "receiver_detect", "propagate_chain",
-    "run_chain", "chain_noise", "search_positions", "sample_chain",
+    "run_chain", "chain_noise", "log_chain_noise", "search_positions",
+    "sample_chain",
     "ChainConfig", "RangeEnhancement", "qber_from_snr",
     "snr_no_relay", "snr_n_relays", "snr_exact", "noise_single_relay",
     "optimal_position_single", "optimal_positions", "solve_range_alpha_x",

@@ -225,6 +225,25 @@ def _receiver_counts(s_n: float, alive: float, big_l: float, t_last: float,
 _EXP_MAX = 700.0
 
 
+def _softplus(z: float) -> float:
+    """ln(1 + e^z) at any finite z."""
+    return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
+
+
+def _log_expm1(k: float) -> float:
+    """ln(e^k - 1) for k >= 0, -inf at 0 and finite past exp's range."""
+    if k >= _EXP_MAX:
+        return k + math.log1p(-math.exp(-k))
+    return math.log(math.expm1(k)) if k > 0.0 else -math.inf
+
+
+def _snr_from_k(k: float) -> float:
+    """S = 1/expm1(K) of a chain whose noise exponent is K = ln(1 + 1/S)."""
+    if k == 0.0:    # no noise reaches the receiver
+        return math.inf
+    return 1.0 / math.expm1(k) if k < _EXP_MAX else math.exp(-k)
+
+
 def _chain_at(alpha_x: float, n_relays: int, eta: float,
               p_dark: float) -> tuple[float, float, Optional[float]]:
     """(S, K, ln u) of the optimal chain, K = ln(1 + 1/S) in the binomial form.
@@ -247,10 +266,9 @@ def _chain_at(alpha_x: float, n_relays: int, eta: float,
         if y < _EXP_MAX:    # u itself is a double, one rounding from exact
             k = (n + 1) * math.log1p(2.0 * p_dark * math.exp(y))
         else:
-            k = (n + 1) * (max(log_u, 0.0) + math.log1p(math.exp(-abs(log_u))))
-    if k == 0.0:    # u below the double range: no noise reaches the receiver
-        return math.inf, k, log_u
-    return (1.0 / math.expm1(k) if k < _EXP_MAX else math.exp(-k)), k, log_u
+            k = (n + 1) * _softplus(log_u)
+    # k = 0 where u is below the double range: no noise reaches the receiver
+    return _snr_from_k(k), k, log_u
 
 
 def snr_exact(alpha_x: float, n_relays: int, eta: float,

@@ -15,15 +15,17 @@ event rules alone, in O(N) draws whatever n is.
 from __future__ import annotations
 
 import math
+import random
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .analytics import (ChainConfig, _receiver_counts, check_p_dark,
-                        check_relay, optimal_positions)
+from .analytics import (_EXP_MAX, ChainConfig, _log_expm1, _receiver_counts,
+                        _snr_from_k, _softplus, check_p_dark, check_relay,
+                        optimal_positions, qber_from_snr)
 
 _SUM_TOL = 1e-12
-_MAX_TRIALS = 2**63 - 1     # numpy's binomial counts are int64
+_MAX_TRIALS = 2**63 - 1     # the --trials range; _binomial is tested up to it
 
 
 @dataclass(frozen=True)
@@ -179,50 +181,97 @@ def propagate_chain(config: ChainConfig,
     return state
 
 
+def _noise_terms(config: ChainConfig, positions_km: Optional[Sequence[float]]
+                 ) -> tuple[list[float], list[float]]:
+    """The segments' alpha dx_j and the terms ln(1 + c_j/t_j) of K.
+
+    t_j = e^(-alpha dx_j) is a segment's transmission and c_j is
+    2 p_dark/eta at a relay and 2 p_dark at the receiver, so that
+    1 + p_n/p_s = prod_j (1 + c_j/t_j) and the noise exponent
+    K = ln(1 + p_n/p_s) is the sum of the terms. Where t_j leaves exp's
+    range a term is taken from ln c_j + alpha dx_j.
+    """
+    ys = [config.atten_per_km * seg
+          for seg in _segment_lengths(config, positions_km)]
+    if config.p_dark == 0.0:
+        return ys, [0.0] * len(ys)
+    pd2 = 2.0 * config.p_dark
+    cs = [pd2 / config.eta] * config.n_relays + [pd2]
+    return ys, [math.log1p(c / math.exp(-y)) if y < _EXP_MAX
+                else _softplus(math.log(c) + y) for c, y in zip(cs, ys)]
+
+
+def _noise_exponent(config: ChainConfig,
+                    positions_km: Optional[Sequence[float]]) -> float:
+    """K = ln(1 + p_n/p_s), which relay placement minimizes.
+
+    p_s does not depend on the positions, so K rises with the noise; it
+    neither underflows nor overflows where p_s and p_n do.
+    """
+    return sum(_noise_terms(config, positions_km)[1])
+
+
 def run_chain(config: ChainConfig,
               positions_km: Optional[Sequence[float]] = None) -> ReceiverReport:
     """Exact receiver statistics for the configured chain, in closed form.
 
     Positions are resolved as in propagate_chain, whose step maps followed
-    by receiver_detect give the same report up to rounding.
+    by receiver_detect give the same report up to rounding. snr and q_b are
+    taken from the noise exponent K, as snr_exact takes them, so they stay
+    finite where p_s and p_n underflow together on long chains, and inf and
+    0 without dark counts.
     """
-    *relay_ts, t_last = _transmissions(config, positions_km)
+    ys, terms = _noise_terms(config, positions_km)
+    *relay_ts, t_last = [math.exp(-y) for y in ys]
     eta, pd2 = config.eta, 2.0 * config.p_dark
-    c = pd2 / eta
-    big_l = (sum(math.log1p(c / t) for t in relay_ts) if all(relay_ts)
-             else math.inf)
+    big_l = sum(terms[:-1])
     p_s, p_n = _receiver_counts(math.prod(eta * t for t in relay_ts),
                                 math.prod(eta * t + pd2 for t in relay_ts),
                                 big_l, t_last, config.p_dark)
-    return ReceiverReport(p_s, p_n, *_snr_qb(p_s, p_n))
+    snr = _snr_from_k(big_l + terms[-1])
+    return ReceiverReport(p_s, p_n, snr, qber_from_snr(snr))
 
 
 def chain_noise(config: ChainConfig, positions_km: Sequence[float]) -> float:
     """Receiver noise probability as a function of relay positions.
 
-    The objective minimized by relay placement; signal probability does not
-    depend on the positions, so minimizing noise maximizes SNR.
+    Signal probability does not depend on the positions, so less noise is
+    a higher SNR. It underflows to 0 on long chains; log_chain_noise and
+    the exponent that search_positions minimizes do not.
     """
     return run_chain(config, positions_km).p_n
 
 
+def log_chain_noise(config: ChainConfig,
+                    positions_km: Sequence[float]) -> float:
+    """ln p_n at the given positions, finite wherever p_dark > 0.
+
+    ln p_n = ln p_s + ln expm1(K) with ln p_s = N ln eta - alpha x taken
+    segment by segment; -inf without dark counts.
+    """
+    ys, terms = _noise_terms(config, positions_km)
+    return (config.n_relays * math.log(config.eta) - sum(ys)
+            + _log_expm1(sum(terms)))
+
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# relative noise drop per segment that search_positions needs before it
-# replaces the closed-form placement
+# relative drop of the noise exponent per segment that search_positions
+# needs before it replaces the closed-form placement
 SEARCH_MARGIN = 16 * sys.float_info.epsilon
 
 
 def search_positions(config: ChainConfig) -> tuple[float, ...]:
     """Relay positions from a numeric search, a check on the closed form.
 
-    Golden-section search for the lowest chain_noise over the common length
-    d in [0, x/N] of the first N segments (relay i at i*d), down to a bracket
-    of 1e-12 x. Replaces optimal_positions only if its noise is lower by
-    more than SEARCH_MARGIN (N+1) relative, 16 (N+1) machine epsilons: about
-    four times the largest dip that rounding alone gave over 600 random
-    chains (N <= 64, x <= 3000 km), so a rounding dip never displaces the
-    exact optimum.
+    Golden-section search for the lowest noise exponent K (see run_chain)
+    over the common length d in [0, x/N] of the first N segments (relay i
+    at i*d), down to a bracket of 1e-12 x. K rises with the noise and stays
+    a double where p_n underflows, so long chains are compared too. Replaces
+    optimal_positions only if its K is lower by more than SEARCH_MARGIN
+    (N+1) relative, 16 (N+1) machine epsilons: about twelve times the
+    largest dip that rounding alone gave over 1,200 random chains (N <= 64,
+    x <= 3000 km), so a rounding dip never displaces the exact optimum.
     """
     best = optimal_positions(config)
     n, x = config.n_relays, config.distance_km
@@ -233,7 +282,7 @@ def search_positions(config: ChainConfig) -> tuple[float, ...]:
         return tuple(min(i * d, x) for i in range(1, n + 1))
 
     def f(d):
-        return chain_noise(config, place(d))
+        return _noise_exponent(config, place(d))
 
     lo, hi = 0.0, x / n
     a, b = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
@@ -248,8 +297,80 @@ def search_positions(config: ChainConfig) -> tuple[float, ...]:
             b = lo + _INV_PHI * (hi - lo)
             fb = f(b)
     found = place(a if fa <= fb else b)
-    floor = chain_noise(config, best) * (1.0 - SEARCH_MARGIN * (n + 1))
+    floor = _noise_exponent(config, best) * (1.0 - SEARCH_MARGIN * (n + 1))
     return found if min(fa, fb) < floor else best
+
+
+# ln k! - [(k + 1/2) ln(k + 1) - (k + 1) + ln(2 pi)/2], tabulated below 10
+_STIRLING_TABLE = tuple(math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1)
+                        + (k + 1) - 0.5 * math.log(2.0 * math.pi)
+                        for k in range(10))
+
+
+def _stirling_tail(k: int) -> float:
+    """The remainder of Stirling's series for ln k!, within 1e-13 past 9."""
+    if k < 10:
+        return _STIRLING_TABLE[k]
+    r = 1.0 / (k + 1)
+    r2 = r * r
+    return (1.0 / 12 - r2 * (1.0 / 360 - r2 * (1.0 / 1260 - r2 / 1680))) * r
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One Bin(n, p) draw for an int n >= 0 and p in [0, 1].
+
+    p > 1/2 is drawn as n - Bin(n, 1 - p), which is exact in floats. Below
+    a mean of 10, Devroye's geometric gaps count the successes one by one;
+    above it, Hormann's BTRS transformed rejection takes about 1.2 tries.
+    Its acceptance test writes ln f(k)/f(m), f the pmf and m its mode, as
+    Stirling differences whose log1p and log arguments are ratios of exact
+    integers, so it keeps an absolute error near 1e-16 (k - m) at any n up
+    to 2**63 - 1, where differences of lgamma would lose 65,536 to rounding.
+    The centre n p + 1/2 of the hat is split into an exact integer part and
+    a fraction for the same reason.
+    """
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    if n == 0 or p == 0.0:
+        return 0
+    if n * p < 10.0:
+        c, x, y = math.log1p(-p), 0, 0
+        while True:     # x successes in the first y trials; the gap to
+            u = rng.random()    # the next is floor(g) + 1, inf at u = 0
+            g = math.log(u) / c if u else math.inf
+            if g >= n - y:
+                return x
+            y += math.floor(g) + 1
+            x += 1
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    alpha = (2.83 + 5.1 / b) * spq
+    vr = 0.92 - 4.2 / b
+    num, den = p.as_integer_ratio()
+    centre, rem = divmod(n * num, den)      # n p = centre + rem/den exactly
+    shift = rem / den + 0.5
+    m = (n + 1) * num // den                # the mode, floor((n + 1) p)
+    log_odds = math.log(p) - math.log1p(-p)
+    h = _stirling_tail(m) + _stirling_tail(n - m)
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:   # random() gave 0.0: the hat has no mass there
+            continue
+        k = centre + math.floor((2.0 * a / us + b) * u + shift)
+        if not 0 <= k <= n:
+            continue
+        v = rng.random()
+        if us >= 0.07 and v <= vr:      # the squeeze
+            return k
+        v *= alpha / (a / (us * us) + b)
+        if v == 0.0 or math.log(v) <= (
+                h - _stirling_tail(k) - _stirling_tail(n - k)
+                + (m + 0.5) * math.log1p((m - k) / (k + 1))
+                + (n - m + 0.5) * math.log1p((k - m) / (n - k + 1))
+                + (m - k) * (math.log((k + 1) / (n - k + 1)) - log_odds)):
+            return k
 
 
 @dataclass(frozen=True)
@@ -290,19 +411,25 @@ def sample_chain(config: ChainConfig, n_trials: int, seed: int,
     a dark count to their spurious photon and Bin(sig + emp, 2 p_dark) have
     a single one. Written from these event rules rather than the step maps,
     the draw is an independent check on run_chain; results depend only on
-    (config, n_trials, seed, positions).
+    (config, n_trials, seed, positions). The draws come from
+    random.Random(seed), and a seed must be a non-negative int, since
+    Random(-1) repeats the stream of Random(1).
     """
     if (isinstance(n_trials, bool) or not isinstance(n_trials, int)
             or not 1 <= n_trials <= _MAX_TRIALS):
         raise ValueError(f"n_trials must be an integer in [1, 2**63 - 1], "
                          f"got {n_trials!r}")
-    import numpy as np      # the sampler alone needs it; sweeps never load it
-
-    rng = np.random.default_rng(seed)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    rng = random.Random(seed)
     eta, pd2 = config.eta, 2.0 * config.p_dark
+    # a relay splits sig three ways: gated, then false-gated among the rest
+    # with probability 2 p_dark/(1 - eta), which rounds past 1 where
+    # eta + 2 p_dark = 1, and vetoed
+    p_false = min(pd2 / (1.0 - eta), 1.0) if eta < 1.0 else 0.0
 
     def draw(n, p):
-        return int(rng.binomial(n, p))
+        return _binomial(rng, n, p)
 
     sig, rnd, emp, nog = n_trials, 0, 0, 0
     for i, t in enumerate(_transmissions(config, positions_km)):
@@ -310,11 +437,11 @@ def sample_chain(config: ChainConfig, n_trials: int, seed: int,
         emp += sig - kept_sig + rnd - kept_rnd
         sig, rnd = kept_sig, kept_rnd
         if i < config.n_relays:
-            # the veto share is clamped: 1 - eta - 2 p_dark can round below 0
-            gated, false_gated, vetoed = map(int, rng.multinomial(
-                sig, [eta, pd2, max(1.0 - eta - pd2, 0.0)]))
+            gated = draw(sig, eta)
+            false_gated = draw(sig - gated, p_false)
             kept_rnd, opened = draw(rnd, eta + pd2), draw(emp, pd2)
-            nog += vetoed + rnd - kept_rnd + emp - opened
+            nog += (sig - gated - false_gated + rnd - kept_rnd
+                    + emp - opened)
             sig, rnd, emp = gated, false_gated + kept_rnd + opened, 0
     two_noise = draw(rnd, pd2)     # a spurious photon and a dark count
     one_noise = rnd - two_noise + draw(sig + emp, pd2)

@@ -22,9 +22,10 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .analytics import (_EXP_MAX, ChainConfig, _chain_at, check_n_relays,
+from .analytics import (ChainConfig, _chain_at, _log_expm1, check_n_relays,
                         optimal_positions, qber_from_snr, snr_n_relays)
-from .chain import chain_noise, run_chain, sample_chain, search_positions
+from .chain import (chain_noise, log_chain_noise, run_chain, sample_chain,
+                    search_positions)
 from .errors import ContractViolationError
 from .reports import CurveReport, render_csv, render_json, render_payload
 from .throughput import EcPaParams, cutoff_alpha_x, throughput_curve
@@ -197,9 +198,7 @@ def _snr_point(ax: float, n: int, eta: float, pd: float) -> tuple:
     elif log_u is None:
         dev = abs(s_ex - s_an) / s_an if s_ex != s_an else 0.0
     else:
-        log_expm1_k = (math.log(math.expm1(k)) if k < _EXP_MAX
-                       else k + math.log1p(-math.exp(-k)))
-        dev = abs(math.expm1(math.log(n + 1) + log_u - log_expm1_k))
+        dev = abs(math.expm1(math.log(n + 1) + log_u - _log_expm1(k)))
     return s_an, s_ex, qber_from_snr(s_ex), dev
 
 
@@ -253,14 +252,17 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     numeric = search_positions(config)
     f_analytic = chain_noise(config, analytic)
     f_numeric = chain_noise(config, numeric)
+    # in logs, which stay apart where p_n underflows to 0 on long chains
+    log_analytic = log_chain_noise(config, analytic)
+    log_numeric = log_chain_noise(config, numeric)
     tol = 1e-6 * max(1.0, x)
     agree = all(abs(a - b) <= tol for a, b in zip(analytic, numeric))
     print(f"chain: x = {x} km, alpha = {atten} /km, N = {n}, "
           f"eta = {eta}, p_dark = {pd}")
     for label, pos in (("analytic", analytic), ("numeric ", numeric)):
         print(f"{label} positions_km: " + " ".join(f"{p:.6f}" for p in pos))
-    print(f"noise objective: analytic = {f_analytic:.12e}, "
-          f"numeric = {f_numeric:.12e}")
+    print(f"noise objective ln p_n: analytic = {log_analytic:.12f}, "
+          f"numeric = {log_numeric:.12f}")
     if not agree:
         print(f"WARNING: placements disagree beyond {tol:g} km")
     _write(render_payload({

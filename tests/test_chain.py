@@ -1,15 +1,19 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from qrelay.analytics import ChainConfig, optimal_positions, snr_n_relays
-from qrelay.chain import (ChannelEventState, apply_relay, chain_noise,
-                          initial_state, propagate_chain, propagate_segment,
-                          receiver_detect, run_chain, sample_chain)
+from qrelay.analytics import (ChainConfig, optimal_positions, snr_exact,
+                              snr_n_relays)
+from qrelay.chain import (ChannelEventState, _binomial, apply_relay,
+                          chain_noise, initial_state, log_chain_noise,
+                          propagate_chain, propagate_segment, receiver_detect,
+                          run_chain, sample_chain, search_positions)
 from qrelay.circuit import (measured_relay_efficiency,
                             multiphoton_gate_probability,
                             vacuum_gate_probability)
@@ -365,6 +369,100 @@ def test_sample_chain_relay_domain_edges(cfg, n_trials):
     assert got.signal_count == got.state_counts["signal"]
     if cfg.p_dark == 0.0:
         assert got.noise_events == got.state_counts["random"] == 0
+
+
+def test_sample_chain_seed_contract():
+    # random.Random(-1) repeats the stream of Random(1), so only a
+    # non-negative int seeds the sampler
+    cfg = ChainConfig(distance_km=10.0)
+    for seed in (-1, True, 2.5, "3", None):
+        with pytest.raises(ValueError, match="seed"):
+            sample_chain(cfg, 100, seed=seed)
+    assert sample_chain(cfg, 100, seed=0).seed == 0
+
+
+# (n, p) at each branch of _binomial: the geometric gaps (mean below 10),
+# BTRS, both reflected for p > 1/2, and n = 2**63 - 1 at a tiny p and at
+# p near 1/2
+BINOMIAL_POINTS = [
+    (50, 0.1), (40, 0.95), (2**63 - 1, 1e-18),
+    (30, 0.4), (1000, 0.3), (2 * 10**7, 0.0067), (10**12, 2e-5),
+    (100, 0.8), (2**63 - 1, 3e-12), (2**63 - 1, 0.49),
+]
+
+
+@pytest.mark.parametrize("i", range(len(BINOMIAL_POINTS)),
+                         ids=[f"n={n}-p={p}" for n, p in BINOMIAL_POINTS])
+def test_binomial_matches_scipy_binom(i):
+    # 60,000 draws (seed i) binned at the reference's mean + sigma z_j for
+    # the 19 inner 5% normal quantiles z_j; each point must pass the
+    # chi-squared test at the 0.1% significance level. scipy's binom cdf,
+    # an incomplete beta, returns nan and 0 or 1 near the mean at n = 2**63
+    # - 1 and p = 0.49, so there the reference is the normal law with a
+    # continuity correction, which is off the binomial cdf by about
+    # (1 - 2p)/(6 sigma), 1e-12
+    n, p = BINOMIAL_POINTS[i]
+    rng = random.Random(i)
+    draws = [_binomial(rng, n, p) for _ in range(60_000)]
+    assert all(type(k) is int and 0 <= k <= n for k in draws)
+    mean, var = stats.binom.stats(n, p)
+    sigma = math.sqrt(var)
+    edges = sorted({math.floor(mean + sigma * z)
+                    for z in stats.norm.ppf(np.arange(1, 20) / 20)})
+    if var > 1e17:
+        cdf = stats.norm.cdf((np.array(edges, float) + 0.5 - mean) / sigma)
+    else:
+        cdf = stats.binom.cdf(edges, n, p)
+    expected = np.diff(np.concatenate([[0.0], cdf, [1.0]])) * len(draws)
+    # bin j holds the draws in (edges[j - 1], edges[j]]
+    observed = np.bincount(
+        [np.searchsorted(np.array(edges, object), k) for k in draws],
+        minlength=len(expected))
+    assert observed[expected == 0].sum() == 0
+    seen = expected > 0
+    chi2 = ((observed[seen] - expected[seen]) ** 2 / expected[seen]).sum()
+    assert stats.chi2.sf(chi2, seen.sum() - 1) >= 1e-3, (n, p, chi2)
+    assert abs(sum(draws) / len(draws) - mean) < 5 * sigma / len(draws) ** 0.5
+
+
+def test_binomial_exact_edges():
+    rng = random.Random(1)
+    for n in (0, 1, 7, 2**63 - 1):
+        assert _binomial(rng, n, 0.0) == 0
+        assert _binomial(rng, n, 1.0) == n
+    for p in (0.0, 1e-300, 0.3, 0.5, 0.9, 1.0):
+        assert _binomial(rng, 0, p) == 0
+
+
+def test_run_chain_matches_snr_exact_on_long_chains():
+    # p_s and p_n underflow together on long chains (S_N = prod eta t_j
+    # falls below the double range); snr and q_b come from the noise
+    # exponent K = ln(1 + p_n/p_s), which does not, and match snr_exact
+    # wherever it is finite. An absolute error in K or in a segment's
+    # exponent is a relative one in S: the bound is four times the largest
+    # deviation / max(1, alpha_x, K) over this grid, 1.47e-14, at N = 1000
+    # and alpha_x = 0.1, where K sums 1001 terms
+    cfg = ChainConfig(0.0, n_relays=1000).at_alpha_x(51.6)
+    rep = run_chain(cfg)
+    assert rep.p_s == rep.p_n == 0.0
+    assert rep.snr == pytest.approx(23.2406615013134, rel=1e-12)
+    for n in (1, 64, 1000):
+        for p_dark in (1e-5, 1e-2, 1e-300):
+            for ax in (0.1, 51.6, 700.0, 1740.0, 1e4):
+                s = snr_exact(ax, n, 0.5, p_dark)
+                point = ChainConfig(0.0, n_relays=n,
+                                    p_dark=p_dark).at_alpha_x(ax)
+                got = run_chain(point)
+                k = math.log1p(1.0 / s) if s > 0.0 else ax
+                bound = 5.9e-14 * max(1.0, ax, k)
+                assert got.snr == pytest.approx(s, rel=bound, abs=0.0), (
+                    n, p_dark, ax)
+                assert got.q_b == pytest.approx(0.5 / (1.0 + s), rel=bound)
+                # the placement search compares values that are not 0
+                assert math.isfinite(log_chain_noise(point,
+                                                     optimal_positions(point)))
+    # the closed form stays the optimum of a 1000-relay chain
+    assert search_positions(cfg) == optimal_positions(cfg)
 
 
 def test_sample_chain_stderr_definitions():

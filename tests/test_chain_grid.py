@@ -50,16 +50,19 @@ _FLOOR = sys.float_info.min
 def deviation(got, want):
     """Relative deviation of got from want, inf where they cannot agree.
 
-    Exact zeros, infinities and nans must match exactly; otherwise the
-    difference is taken relative to the larger magnitude, floored at the
-    smallest normal double.
+    Infinities and nans must match exactly, and so must a zero against a
+    normal double; otherwise the difference is taken relative to the larger
+    magnitude, floored at the smallest normal double. Below that floor two
+    products of the same factors, multiplied in another order, can round
+    to 0 and to the least subnormal, so there a zero is held to the floor.
     """
     got, want = float(got), float(want)
     if math.isnan(got) or math.isnan(want):
         return 0.0 if math.isnan(got) and math.isnan(want) else math.inf
     if got == want:
         return 0.0
-    if 0.0 in (got, want) or math.isinf(got) or math.isinf(want):
+    if (math.isinf(got) or math.isinf(want)
+            or 0.0 in (got, want) and max(abs(got), abs(want)) >= _FLOOR):
         return math.inf
     return abs(got - want) / max(abs(got), abs(want), _FLOOR)
 
@@ -86,9 +89,11 @@ def step_report(cfg, positions=None):
 def assert_reports_close(got, want, alpha_x, where):
     for f in ("p_s", "p_n"):
         assert_close(getattr(got, f), getattr(want, f), alpha_x, (where, f))
-    # the ratios inherit the inputs' precision, lost below the normal range
-    if all(getattr(want, f) == 0.0 or getattr(want, f) >= _FLOOR
-           for f in ("p_s", "p_n")):
+    # the ratios inherit the inputs' precision, lost below the normal range.
+    # p_n is 0 without dark counts, but p_s only by underflow, where the
+    # step maps' ratio is 0 or 0/0 and run_chain takes its own from the
+    # noise exponent
+    if want.p_s >= _FLOOR and (want.p_n == 0.0 or want.p_n >= _FLOOR):
         for f in ("snr", "q_b"):
             assert_close(getattr(got, f), getattr(want, f), alpha_x,
                          (where, f))
@@ -132,6 +137,10 @@ def test_closed_form_agrees_with_step_maps_and_oracle(cfg, extra, frac):
             # Decimal does not underflow
             assert_decimal_close(pattern, decimal_snr_reference(
                 ax, cfg.n_relays, cfg.eta, cfg.p_dark), ax, ("snr_exact", ax))
+            # and run_chain's ratio, from its noise exponent, is that S
+            k = math.log1p(1.0 / pattern) if pattern > 0.0 else ax
+            assert_close(run_chain(point).snr, pattern, max(ax, k),
+                         ("run_chain snr", ax))
         else:
             assert_reports_close(type(want)(want.p_s, want.p_n, pattern,
                                             qber_from_snr(pattern)),
@@ -233,20 +242,20 @@ def test_grid_contract():
 
 
 def test_grid_non_finite_ratio_rules():
-    # no dark counts: only the signal can click; beyond exp underflow
-    # nothing can in run_chain, and snr and q_b become nan as in
-    # receiver_detect. snr_exact's closed form has p_n exactly 0 and p_s
-    # positive however far, so its SNR stays inf
+    # no dark counts: only the signal can click. Beyond exp underflow p_s
+    # and p_n are both 0, and receiver_detect's ratio becomes nan; the
+    # closed form has p_n exactly 0 and p_s positive however far, so
+    # run_chain's SNR, like snr_exact's, stays inf and its q_b 0
     cfg = ChainConfig(distance_km=0.0, n_relays=1, p_dark=0.0)
-    for ax, snr in ((1.0, math.inf), (1600.0, math.nan)):
+    for ax in (1.0, 1600.0):
         point = cfg.at_alpha_x(ax)
         got, want = run_chain(point), step_report(point)
         assert_reports_close(got, want, ax, ("run_chain", ax))
-        assert deviation(got.snr, snr) == 0.0
-        assert snr_exact(ax, 1, 0.5, 0.0) == math.inf
-    assert run_chain(cfg.at_alpha_x(1.0)).q_b == 0.0
+        assert got.snr == snr_exact(ax, 1, 0.5, 0.0) == math.inf
+        assert got.q_b == 0.0
+    assert math.isnan(step_report(cfg.at_alpha_x(1600.0)).snr)
     rep = run_chain(cfg.at_alpha_x(1600.0))
-    assert rep.p_s == 0.0 and rep.p_n == 0.0 and math.isnan(rep.q_b)
+    assert rep.p_s == 0.0 and rep.p_n == 0.0
     # with dark counts, a segment of transmission 0 (N = 1, 3) or an S_N
     # that underflows (N = 20) leaves only false gates: no 0 * inf nan, no
     # overflow, and the step maps' noise

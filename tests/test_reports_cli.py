@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -408,10 +409,12 @@ def _no_constants(name):
 
 def test_command_payloads_are_strict_json(tmp_path, capsys):
     # no dark counts: every snr is infinite, which strict JSON cannot hold
-    # as a number, so it is spelled "inf" like the table values
+    # as a number, so it is spelled "inf" like the table values; 1e6 slots
+    # make sure some signal is sampled (mean 1,684), or the sampled snr
+    # would be 0/0
     out = tmp_path / "sample.json"
     assert run_cli(["sample", "--alpha-x", "5", "--n-relays", "2",
-                    "--trials", "1000", "--seed", "1", "--pd", "0",
+                    "--trials", "1000000", "--seed", "1", "--pd", "0",
                     "--output", str(out)]) == 0
     capsys.readouterr()
     payload = json.loads(out.read_text(), parse_constant=_no_constants)
@@ -452,8 +455,8 @@ def test_import_does_not_load_scipy():
 
 
 def test_sweep_commands_do_not_load_numpy(tmp_path):
-    # numpy is for the device layers and the sampler; the sweeps are pure
-    # Python, so a snr/throughput/optimize process never pays its import
+    # the sweeps are pure Python, so a snr/throughput/optimize process never
+    # pays numpy's import
     code = """if True:
         import sys
         import qrelay, qrelay.cli
@@ -473,7 +476,7 @@ def test_sweep_commands_do_not_load_numpy(tmp_path):
 
 def test_device_layers_do_not_load_numpy(tmp_path):
     # fockspace and circuit are pure Python: importing them, and a whole
-    # verify-circuit run, leave numpy unloaded; only the sampler needs it
+    # verify-circuit run, leave numpy unloaded
     code = """if True:
         import sys
         import qrelay.circuit, qrelay.fockspace
@@ -490,6 +493,25 @@ def test_device_layers_do_not_load_numpy(tmp_path):
     assert out.splitlines()[-1] == "loaded numpy: []"
 
 
+def test_sampler_does_not_load_numpy(tmp_path):
+    # the Monte Carlo sampler is pure Python too, so with the two tests above
+    # no command of the package loads numpy
+    code = """if True:
+        import sys
+        import qrelay.chain
+        loaded = ["import"] if "numpy" in sys.modules else []
+        import qrelay.cli
+        argv = ["sample", "--alpha-x", "5", "--n-relays", "4",
+                "--trials", "20000000", "--seed", "7", "--output", sys.argv[1]]
+        assert qrelay.cli.main(argv) == 0
+        if "numpy" in sys.modules:
+            loaded.append(argv[0])
+        print("loaded numpy:", loaded)
+    """
+    out = _fresh_python(code, str(tmp_path / "sample.json"))
+    assert out.splitlines()[-1] == "loaded numpy: []"
+
+
 def test_cli_verify_circuit_seed_contract(capsys):
     # a seed is a non-negative integer, and fixes the output byte for byte
     for seed in ("-1", "-20260815"):
@@ -502,6 +524,21 @@ def test_cli_verify_circuit_seed_contract(capsys):
                         "--input=0.6,0.8j"]) == 0
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
+
+
+def test_cli_sample_seed_contract(capsys):
+    # Random(-1) would repeat the stream of Random(1), so a negative seed is
+    # refused, not aliased
+    for seed in ("-1", "-20260815"):
+        assert run_cli(["sample", "--alpha-x", "2", "--trials", "100",
+                        "--seed", seed]) == 2
+        assert "seed" in capsys.readouterr().err
+    texts = []
+    for seed in ("1", "1", "2"):
+        assert run_cli(["sample", "--alpha-x", "2", "--n-relays", "2",
+                        "--trials", "1000000", "--seed", seed]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] != texts[2]
 
 
 def test_cli_long_chains(tmp_path, capsys):
@@ -553,6 +590,45 @@ def test_sweeps_exit_0_with_no_nan(ns, alpha_x_max, eta, p_dark):
                        for v in row), argv
         cutoffs = payload["metadata"]["parameters"].get("cutoff_alpha_x", {})
         assert not any(math.isnan(float(c)) for c in cutoffs.values()), argv
+
+
+_OBJECTIVE = re.compile(r"^noise objective ln p_n: analytic = (\S+), "
+                        r"numeric = (\S+)$", re.M)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(0, 1000), alpha_x=st.floats(0.0, 1e4),
+       eta=st.floats(0.01, 0.98),
+       p_dark=st.one_of(st.just(0.0), st.floats(0.0, 1e-2)))
+@example(n=1000, alpha_x=51.6, eta=0.5, p_dark=1e-5)
+def test_optimize_and_exact_sample_exit_0_with_no_nan(tmp_path_factory, n,
+                                                      alpha_x, eta, p_dark):
+    # long chains, far ranges and no dark counts: optimize compares two
+    # objective values that are not both 0 (they are ln p_n, -inf without
+    # dark counts) and writes no NaN; sample's exact block holds no NaN.
+    # The sampled block can hold the 0/0 of a run in which every slot is
+    # vetoed, which is what the sampled counts say, so it is not checked
+    out = tmp_path_factory.mktemp("reports") / "report.json"
+    channel = ["--eta", repr(eta), "--pd", repr(p_dark), "--output", str(out)]
+    if n:
+        text = io.StringIO()
+        argv = ["optimize", "--distance-km", repr(alpha_x / 0.05),
+                "--n-relays", str(n), *channel]
+        with contextlib.redirect_stdout(text):
+            assert cli.main(argv) == 0, argv
+        objective = _OBJECTIVE.search(text.getvalue())
+        assert objective, text.getvalue()
+        values = [float(v) for v in objective.groups()]
+        assert not any(math.isnan(v) for v in values), argv
+        assert values != [0.0, 0.0], argv
+        payload = out.read_text()
+        assert "nan" not in text.getvalue() + payload, argv
+    argv = ["sample", "--alpha-x", repr(alpha_x), "--n-relays", str(n),
+            "--trials", "1000000", "--seed", "5", *channel]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    exact = json.loads(out.read_text())["exact"]
+    assert not any(math.isnan(float(v)) for v in exact.values()), argv
 
 
 def test_every_public_name_resolves():
