@@ -23,44 +23,48 @@ The package layers are, bottom up:
 - cli: the `qrelay` command.
 
 Every module runs on the standard library alone; the Monte Carlo sampler
-draws its binomials from random.Random. The device layers (fockspace,
-circuit) load on first access to one of their names, because the sweeps
-never use them.
+draws its binomials from random.Random. Every layer loads on first access to
+one of its names, and each command imports only its own layers: the sweeps
+never load the device or the sampler, and verify-circuit never loads chain
+or throughput.
 """
 
 __version__ = "0.1.0"
 
 import importlib
 
-from .analytics import (ChainConfig, RangeEnhancement, noise_single_relay,
-                        optimal_position_single, optimal_positions,
-                        qber_from_snr, range_enhancement, raw_rate,
-                        snr_exact, snr_n_relays, snr_no_relay,
-                        solve_range_alpha_x)
-from .chain import (ChannelEventState, ReceiverReport, SampledReport,
-                    apply_relay, chain_noise, initial_state, log_chain_noise,
-                    propagate_chain, propagate_segment, receiver_detect,
-                    run_chain, sample_chain, search_positions)
-from .errors import ContractViolationError
-from .reports import CurveReport, read_csv, read_json, write_csv, write_json
-from .throughput import (EcPaParams, ThroughputPoint, binary_entropy,
-                         cutoff_alpha_x, key_fraction, key_fraction_cutoff,
-                         normalized_throughput, snr_cutoff, throughput_curve)
-
-# The sweeps never use the device layers; their names are imported on first
-# access
+# Every public name loads its module on first access, so a process imports
+# only the layers it uses: `import qrelay` loads none of them
 _LAZY = {
+    **dict.fromkeys((
+        "ChainConfig", "RangeEnhancement", "noise_single_relay",
+        "optimal_position_single", "optimal_positions", "qber_from_snr",
+        "range_enhancement", "raw_rate", "snr_exact", "snr_n_relays",
+        "snr_no_relay", "solve_range_alpha_x"), "analytics"),
+    **dict.fromkeys((
+        "ChannelEventState", "ReceiverReport", "SampledReport", "apply_relay",
+        "chain_noise", "initial_state", "log_chain_noise", "propagate_chain",
+        "propagate_segment", "receiver_detect", "run_chain", "sample_chain",
+        "search_positions"), "chain"),
     **dict.fromkeys((
         "PackageOutcome", "QndReport", "derive_feed_forward_table",
         "encoder_postselect", "feed_forward_sign",
         "measured_relay_efficiency", "multiphoton_gate_probability",
         "qnd_measure", "vacuum_gate_probability"), "circuit"),
+    "ContractViolationError": "errors",
     **dict.fromkeys((
         "BasisMode", "DetectionPattern", "LinearModeTransform", "ModeBasis",
         "PhotonicState", "apply_transform", "basis_rotate_fs",
         "enumerate_outcomes", "fock_state", "identity_transform",
         "make_bell_phi_plus", "make_qubit", "measure_pattern", "pbs_hv",
         "product", "vacuum"), "fockspace"),
+    **dict.fromkeys((
+        "CurveReport", "read_csv", "read_json", "write_csv", "write_json"),
+        "reports"),
+    **dict.fromkeys((
+        "EcPaParams", "ThroughputPoint", "binary_entropy", "cutoff_alpha_x",
+        "key_fraction", "key_fraction_cutoff", "normalized_throughput",
+        "snr_cutoff", "throughput_curve"), "throughput"),
 }
 
 

@@ -9,10 +9,11 @@ polarization.
 
 Linear optics with post-selection is linear in the input amplitudes, so each
 accepted outcome is a 2x2 Kraus operator from the input qubit to mode 1.
-qnd_measure applies the four cached operators of device_operators, built from
-two Fock-engine runs on |H> and |V>; the diagnostics, the feed-forward table
-and the encoder projection run the engine itself. Like fockspace, the module
-is pure Python: each operator is a 2x2 tuple of complex.
+qnd_measure and the device checks apply the four cached operators of
+device_operators, built from two Fock-engine runs on |H> and |V>, to the
+input's 2-vector; the diagnostics, the feed-forward table and the encoder
+projection run the engine itself. Like fockspace, the module is pure Python:
+each operator is a 2x2 tuple of complex.
 """
 
 from __future__ import annotations
@@ -57,9 +58,13 @@ def encoder_basis(photon_cap: int = 4) -> ModeBasis:
     return ModeBasis(ENCODER_SPATIAL, photon_cap=photon_cap)
 
 
+@functools.cache
 def _device_transform(basis: ModeBasis, d2_spatial: str = "2"):
     """PBS from (0, a) into (2, b), then F/S readout on b and on the second
-    detector package's mode (mode 2 normally, mode 1 for the diagnostic)."""
+    detector package's mode (mode 2 normally, mode 1 for the diagnostic).
+
+    Built once per (basis, d2_spatial); a transform is immutable.
+    """
     t = pbs_hv(basis, ("0", "a"), ("2", "b"))
     t = t.then(basis_rotate_fs(basis, "b"))
     return t.then(basis_rotate_fs(basis, d2_spatial))
@@ -197,6 +202,39 @@ def device_operators(photon_cap: int = 4,
     return result
 
 
+def _kraus_outcomes(alpha, beta, photon_cap: int = 4) -> list[tuple]:
+    """The four cached Kraus operators applied to the qubit's 2-vector.
+
+    Returns (channel_d2, channel_db, probability, flipped, (w_H, w_V),
+    fidelity) per accepted outcome, in device_operators' order: w = K v on
+    the normalized input v with the feed-forward sign applied, |w|^2, and
+    the fidelity of w normalized by hypot with v. That is the arithmetic of
+    make_qubit and PhotonicState.fidelity, so every value is bit for bit the
+    states' value, with no state built. Non-finite amplitudes and the zero
+    vector are a ValueError.
+    """
+    alpha, beta = complex(alpha), complex(beta)
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise ValueError(f"qubit amplitudes must be finite, got "
+                         f"({alpha}, {beta})")
+    norm = math.hypot(abs(alpha), abs(beta))
+    if norm == 0:
+        raise ValueError("qubit amplitudes are both zero")
+    a, b = alpha / norm, beta / norm
+    outcomes = []
+    for ch2, chb, ((k00, k01), (k10, k11)) in device_operators(photon_cap):
+        w_h, w_v = k00 * a + k01 * b, k10 * a + k11 * b
+        prob = abs(w_h) ** 2 + abs(w_v) ** 2
+        # the feed-forward sign correction, as feed_forward_sign applies it
+        flip = ch2 != chb
+        if flip:
+            w_v = -w_v
+        m = math.hypot(abs(w_h), abs(w_v))
+        fid = abs((w_h / m).conjugate() * a + (w_v / m).conjugate() * b) ** 2
+        outcomes.append((ch2, chb, prob, flip, (w_h, w_v), fid))
+    return outcomes
+
+
 def qnd_measure(alpha, beta, photon_cap: int = 4) -> QndReport:
     """Device run on a single-photon qubit, through its Kraus operators.
 
@@ -210,25 +248,14 @@ def qnd_measure(alpha, beta, photon_cap: int = 4) -> QndReport:
     configuration error (ValueError), not a contract violation, as is the
     zero vector.
     """
-    alpha, beta = complex(alpha), complex(beta)
-    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
-        raise ValueError(f"qubit amplitudes must be finite, got "
-                         f"({alpha}, {beta})")
     basis = encoder_basis(photon_cap)
-    reference = make_qubit(basis, alpha, beta, "1")
-    norm = math.hypot(abs(alpha), abs(beta))
-    a, b = alpha / norm, beta / norm
     outcomes = []
     total = 0.0
-    for ch2, chb, ((k00, k01), (k10, k11)) in device_operators(photon_cap):
-        w_h, w_v = k00 * a + k01 * b, k10 * a + k11 * b
-        prob = abs(w_h) ** 2 + abs(w_v) ** 2
-        # the feed-forward sign correction, as feed_forward_sign applies it
-        flip = ch2 != chb
-        out = make_qubit(basis, w_h, -w_v if flip else w_v, "1")
+    for ch2, chb, prob, flip, (w_h, w_v), fid in _kraus_outcomes(
+            alpha, beta, photon_cap):
         outcomes.append(PackageOutcome(
             channel_d2=ch2, channel_db=chb, probability=prob, flipped=flip,
-            output=out, fidelity=out.fidelity(reference)))
+            output=make_qubit(basis, w_h, w_v, "1"), fidelity=fid))
         total += prob
     return QndReport(outcomes=tuple(outcomes), success_probability=total)
 
@@ -305,8 +332,9 @@ def measured_relay_efficiency() -> float:
 def device_checks(trials: int, seed: int) -> list[dict]:
     """The device invariant suite behind `qrelay verify-circuit`.
 
-    Runs qnd_measure on four fixed qubits and on `trials` random ones, each
-    from four normals drawn from random.Random(seed); checks two exact
+    Applies the Kraus operators to four fixed qubits and to `trials` random
+    ones, each from four normals drawn from random.Random(seed), as
+    qnd_measure does but on the 2-vectors alone; checks two exact
     identities of the Kraus operators (sum of K^dagger K = I/2, each
     sign-corrected K a phase times I/sqrt(8)), and runs the Fock engine for
     the feed-forward table, the vacuum and two-photon rejections and the
@@ -337,10 +365,11 @@ def device_checks(trials: int, seed: int) -> list[dict]:
     worst_fid = 0.0
     for a, b in probes():
         n_inputs += 1
-        rep = qnd_measure(a, b)
-        worst_succ = max(worst_succ, abs(rep.success_probability - 0.5))
-        for o in rep.outcomes:
-            worst_fid = max(worst_fid, abs(o.fidelity - 1.0))
+        total = 0.0     # summed as qnd_measure sums its success probability
+        for *_ch, prob, _flip, _w, fid in _kraus_outcomes(a, b):
+            total += prob
+            worst_fid = max(worst_fid, abs(fid - 1.0))
+        worst_succ = max(worst_succ, abs(total - 0.5))
     ops = device_operators()
     # (K^dagger K)[i][j] = conj(K[0][i]) K[0][j] + conj(K[1][i]) K[1][j],
     # summed over the outcomes

@@ -24,11 +24,12 @@ from typing import Optional, Sequence
 from . import __version__
 from .analytics import (ChainConfig, _chain_at, _log_expm1, check_n_relays,
                         optimal_positions, qber_from_snr, snr_n_relays)
-from .chain import (chain_noise, log_chain_noise, run_chain, sample_chain,
-                    search_positions)
 from .errors import ContractViolationError
 from .reports import CurveReport, render_csv, render_json, render_payload
-from .throughput import EcPaParams, cutoff_alpha_x, throughput_curve
+
+# chain, throughput and circuit are imported in the cmd_* functions that use
+# them, once per run, so no command loads (or compiles) a layer it never
+# calls. Never import in a per-point helper such as _snr_point.
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -217,6 +218,8 @@ def cmd_snr(args: argparse.Namespace) -> int:
 
 def cmd_throughput(args: argparse.Namespace) -> int:
     """Sweep normalized throughput over attenuation length for each N."""
+    from .throughput import EcPaParams, cutoff_alpha_x, throughput_curve
+
     params = _Params(args)
     eta, pd, atten = _channel(params)
     ns = _parse_n_list(params.get("n_relays", "0,1,2,3"))
@@ -240,6 +243,8 @@ def cmd_throughput(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     """Compare closed-form relay placement with a numeric search."""
+    from .chain import chain_noise, log_chain_noise, search_positions
+
     params = _Params(args)
     eta, pd, atten = _channel(params)
     n = _single_n(params)
@@ -272,6 +277,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "numeric_positions_km": list(numeric),
         "noise_analytic": f_analytic,
         "noise_numeric": f_numeric,
+        "log_noise_analytic": log_analytic,
+        "log_noise_numeric": log_numeric,
         "agree_within_tolerance": agree,
     }), params)
     return EXIT_OK
@@ -279,6 +286,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     """Monte Carlo the chain and print the estimate beside the exact value."""
+    from .chain import run_chain, sample_chain
+
     params = _Params(args)
     eta, pd, atten = _channel(params)
     n = _single_n(params, default=0)
@@ -343,21 +352,25 @@ def cmd_verify_circuit(args: argparse.Namespace) -> int:
     from . import circuit
 
     params = _Params(args)
-    checks = circuit.device_checks(
-        _integer(params.get("trials", 20), "trials"),
-        _integer(params.get("seed", 20260815), "seed"))
-
+    trials = _integer(params.get("trials", 20), "trials")
+    seed = _integer(params.get("seed", 20260815), "seed")
+    # every flag is refused before the suite runs: the input qubit's own run
+    # raises the finite and nonzero errors
     mode = params.get("diagnostic")
     if mode and mode != "d2-on-mode-1":
         raise ValueError(f"unknown diagnostic {mode!r}; known: d2-on-mode-1")
+    rep = None
+    if params.get("input"):
+        a, b = _parse_qubit(str(params.get("input")))
+        rep = circuit.qnd_measure(a, b)
+    checks = circuit.device_checks(trials, seed)
+
     if mode:
         p_diag = circuit.vacuum_gate_probability(d2_spatial="1")
         print(f"DIAG diagnostic d2-on-mode-1: vacuum false-gate probability "
               f"= {p_diag:.6f} (nonzero by construction)")
 
-    if params.get("input"):
-        a, b = _parse_qubit(str(params.get("input")))
-        rep = circuit.qnd_measure(a, b)
+    if rep is not None:
         print(f"input qubit ({a}, {b}) normalized; "
               f"success probability {rep.success_probability:.12f}")
         for o in rep.outcomes:

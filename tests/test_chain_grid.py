@@ -306,6 +306,11 @@ def test_reports_match_goldens_value_by_value(golden, argv, tmp_path, capsys):
         for key in ("noise_analytic", "noise_numeric"):
             assert_close(meta.pop(key), want_meta.pop(key), alpha_x,
                          ("golden", key))
+        for key in ("log_noise_analytic", "log_noise_numeric"):
+            # an absolute error in ln p_n is a relative one in p_n
+            got, want = meta.pop(key), want_meta.pop(key)
+            assert abs(got - want) <= REL_BOUND * max(1.0, alpha_x), (
+                "golden", key, got, want)
         for got, want in zip(meta.pop("numeric_positions_km"),
                              want_meta.pop("numeric_positions_km")):
             assert abs(got - want) <= 1e-6 * max(1.0, x)

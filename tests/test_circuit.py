@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -9,10 +10,12 @@ import pytest
 import qrelay
 from qrelay.analytics import ChainConfig, check_relay
 from qrelay.chain import ChannelEventState, apply_relay
-from qrelay.circuit import (ENCODER_SPATIAL, _run_device, build_encoder_state,
-                            derive_feed_forward_table, device_operators,
-                            encoder_basis, encoder_postselect,
-                            feed_forward_sign, measured_relay_efficiency,
+from qrelay import circuit
+from qrelay.circuit import (ENCODER_SPATIAL, _kraus_outcomes, _run_device,
+                            build_encoder_state, derive_feed_forward_table,
+                            device_checks, device_operators, encoder_basis,
+                            encoder_postselect, feed_forward_sign,
+                            measured_relay_efficiency,
                             multiphoton_gate_probability, qnd_measure,
                             vacuum_gate_probability)
 from qrelay.errors import ContractViolationError
@@ -162,6 +165,60 @@ def test_qnd_measure_keeps_the_engine_outcome_order():
                   _run_device(make_qubit(basis, a, b, "0"))]
         rep = qnd_measure(a, b)
         assert [(o.channel_d2, o.channel_db) for o in rep.outcomes] == engine
+
+
+def test_kraus_outcomes_match_the_fock_states_bit_for_bit():
+    # the 2-vector helper reads the exact floats of the Fock states it no
+    # longer builds: |K v|^2, and the fidelity of make_qubit's output state
+    # with make_qubit's reference, extreme magnitudes included
+    basis = encoder_basis()
+    ops = device_operators()
+    for a, b in random_qubits(300, 20261018) + [
+            (1, 0), (0, 1j), (1e-300, 1e-300j), (1e300, 1)]:
+        reference = make_qubit(basis, a, b, "1")
+        norm = math.hypot(abs(complex(a)), abs(complex(b)))
+        v_h, v_v = complex(a) / norm, complex(b) / norm
+        rep = qnd_measure(a, b)
+        helper = _kraus_outcomes(a, b)
+        assert len(rep.outcomes) == len(helper) == len(ops) == 4
+        for o, (ch2, chb, prob, flip, w, fid), (_c2, _cb, k) in zip(
+                rep.outcomes, helper, ops):
+            k_v = [row[0] * v_h + row[1] * v_v for row in k]
+            assert (o.channel_d2, o.channel_db, o.flipped) == (ch2, chb, flip)
+            assert o.probability == prob \
+                == abs(k_v[0]) ** 2 + abs(k_v[1]) ** 2
+            assert o.fidelity == fid == o.output.fidelity(reference)
+            assert w == (k_v[0], -k_v[1] if flip else k_v[1])
+
+
+def test_device_checks_reads_what_qnd_measure_reports(monkeypatch):
+    # the suite runs the helper on the same probe stream as before, and its
+    # worst cases are those of a qnd_measure loop over that stream
+    trials, seed = 400, 20261018
+    gauss = random.Random(seed).gauss
+    stream = [(1.0, 0.0), (0.0, 1.0), (SQ2, SQ2), (0.6, 0.8j)] + [
+        (complex(gauss(0.0, 1.0), gauss(0.0, 1.0)),
+         complex(gauss(0.0, 1.0), gauss(0.0, 1.0))) for _ in range(trials)]
+    worst_succ = worst_fid = 0.0
+    for a, b in stream:
+        rep = qnd_measure(a, b)
+        worst_succ = max(worst_succ, abs(rep.success_probability - 0.5))
+        for o in rep.outcomes:
+            worst_fid = max(worst_fid, abs(o.fidelity - 1.0))
+    seen = []
+    helper = circuit._kraus_outcomes
+
+    def recorded(alpha, beta, *args):
+        seen.append((alpha, beta))
+        return helper(alpha, beta, *args)
+
+    monkeypatch.setattr(circuit, "_kraus_outcomes", recorded)
+    checks = device_checks(trials, seed)
+    # then the one qnd_measure run of outcome_probabilities
+    assert seen == stream + [(SQ2, SQ2)]
+    assert checks[0]["detail"].startswith(
+        f"max |P - 1/2| = {worst_succ:.3e} over {len(stream)} inputs,")
+    assert checks[1]["detail"].startswith(f"max |F - 1| = {worst_fid:.3e} ")
 
 
 def test_device_operators_are_cached_read_only_and_lazy():

@@ -62,6 +62,26 @@ def test_modules_import_only_the_standard_library(module):
     assert not outside
 
 
+def test_cli_imports_layers_only_at_command_level():
+    # cli imports chain, throughput and circuit inside the cmd_* functions
+    # that use them, which run once per process; an import in a per-point
+    # helper such as _snr_point would run once per grid point
+    tree = ast.parse(Path(qrelay.__file__).with_name("cli.py").read_text())
+    placed = {}     # function -> what it imports, nested functions included
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    placed.setdefault(fn.name, set()).add(node.module)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    placed.setdefault(fn.name, set()).update(
+                        alias.name for alias in node.names)
+    assert all(name.startswith("cmd_") for name in placed), placed
+    assert placed == {"cmd_throughput": {"throughput"},
+                      "cmd_optimize": {"chain"}, "cmd_sample": {"chain"},
+                      "cmd_verify_circuit": {"circuit"}}
+
+
 def test_sampler_is_independent_of_the_exact_model(monkeypatch):
     # sample_chain draws from the event rules alone, so it stays a check on
     # the step maps and the closed form, not a rerun of them

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from qrelay import cli
 from qrelay.reports import (CurveReport, read_csv, read_json, render_csv,
                             render_json, render_payload, write_csv,
                             write_json, write_payload)
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_report():
@@ -155,6 +158,43 @@ def test_cli_verify_circuit_diagnostic_and_input(capsys):
         assert "PASS verify-circuit (7/7 checks)" in text
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--diagnostic=foo", "unknown diagnostic 'foo'; known: d2-on-mode-1"),
+    ("--input=1,2,3", "--input wants 'alpha,beta', got '1,2,3'"),
+    ("--input=x,1", "--input components must be numbers"),
+    ("--input=0,0", "qubit amplitudes are both zero"),
+    ("--input=nan,1", "qubit amplitudes must be finite"),
+    ("--input=1,-infj", "qubit amplitudes must be finite"),
+])
+def test_cli_verify_circuit_checks_flags_before_the_suite(flag, message,
+                                                          monkeypatch,
+                                                          capsys):
+    # a bad --diagnostic or --input is refused before the suite runs, with
+    # the messages and exit code it had after it
+    from qrelay import circuit
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the suite ran before the flags were checked")
+
+    monkeypatch.setattr(circuit, "device_checks", forbidden)
+    assert run_cli(["verify-circuit", "--trials", "200000", flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: {message}")
+
+
+def test_cli_verify_circuit_matches_its_golden(tmp_path, capsys):
+    # the golden was written by the device path that built Fock states for
+    # every probe; the 2-vector path reproduces its bytes
+    out = tmp_path / "verify.json"
+    assert run_cli(["verify-circuit", "--trials", "2000", "--seed", "5",
+                    "--input=0.6,0.8j", "--output", str(out)]) == 0
+    stdout = (DATA / "verify_trials2000_seed5.stdout").read_text()
+    assert capsys.readouterr().out == stdout + f"wrote {out}\n"
+    assert out.read_bytes() == \
+        (DATA / "verify_trials2000_seed5.json").read_bytes()
+
+
 def test_cli_optimize(tmp_path, capsys):
     out = tmp_path / "opt.json"
     code = run_cli(["optimize", "--distance-km", "100", "--n-relays", "1",
@@ -174,6 +214,26 @@ def test_cli_optimize(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["numeric_positions_km"] == payload["analytic_positions_km"]
     assert payload["noise_numeric"] == payload["noise_analytic"]
+
+
+def test_cli_optimize_reports_ln_p_n(tmp_path, capsys):
+    # p_n underflows to 0 on a long chain; the report carries ln p_n, the
+    # values stdout prints, and spells -inf at p_d = 0 as table values are
+    out = tmp_path / "opt.json"
+    assert run_cli(["optimize", "--distance-km", "1032", "--n-relays", "1000",
+                    "--output", str(out)]) == 0
+    text = capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["noise_analytic"] == payload["noise_numeric"] == 0.0
+    logs = payload["log_noise_analytic"], payload["log_noise_numeric"]
+    assert all(-750.0 < v < -745.0 for v in logs)
+    assert (f"ln p_n: analytic = {logs[0]:.12f}, numeric = {logs[1]:.12f}"
+            in text)
+    assert run_cli(["optimize", "--distance-km", "300", "--n-relays", "3",
+                    "--pd", "0", "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["log_noise_analytic"] == payload["log_noise_numeric"] \
+        == "-inf"
 
 
 def test_cli_sample_reproducible(tmp_path, capsys):
@@ -510,6 +570,40 @@ def test_sampler_does_not_load_numpy(tmp_path):
     """
     out = _fresh_python(code, str(tmp_path / "sample.json"))
     assert out.splitlines()[-1] == "loaded numpy: []"
+
+
+def test_import_loads_no_layer():
+    out = _fresh_python(
+        "import qrelay, sys; "
+        "print(sorted(m for m in sys.modules if m.startswith('qrelay.')))")
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["verify-circuit", "--trials", "3", "--input=0.6,0.8j",
+      "--diagnostic", "d2-on-mode-1"], {"chain", "throughput"}),
+    (["snr", "--steps", "20", "--format", "json"],
+     {"chain", "circuit", "fockspace"}),
+    (["throughput", "--steps", "20"], {"chain", "circuit", "fockspace"}),
+    (["sample", "--alpha-x", "5", "--n-relays", "4", "--trials", "1000",
+      "--seed", "7"], {"throughput", "circuit", "fockspace"}),
+    (["optimize", "--distance-km", "300", "--n-relays", "3"],
+     {"throughput", "circuit", "fockspace"}),
+], ids=["verify-circuit", "snr", "throughput", "sample", "optimize"])
+def test_each_command_loads_only_its_layers(argv, absent, tmp_path):
+    # a process imports the layers its command uses and no other: each one
+    # skipped is import and compile time a user does not wait for
+    code = """if True:
+        import sys
+        import qrelay.cli
+        assert qrelay.cli.main(sys.argv[2:] + ["--output", sys.argv[1]]) == 0
+        print(sorted(m.split(".")[1] for m in sys.modules
+                     if m.startswith("qrelay.")))
+    """
+    out = _fresh_python(code, str(tmp_path / "report"), *argv)
+    loaded = set(eval(out.splitlines()[-1]))
+    assert loaded & absent == set(), argv[0]
+    assert "cli" in loaded
 
 
 def test_cli_verify_circuit_seed_contract(capsys):
