@@ -79,27 +79,4 @@ def __getattr__(name: str):
     return value
 
 
-__all__ = [
-    "__version__",
-    "BasisMode", "ModeBasis", "PhotonicState", "LinearModeTransform",
-    "DetectionPattern", "vacuum", "fock_state", "make_qubit",
-    "make_bell_phi_plus", "product", "apply_transform", "identity_transform",
-    "pbs_hv", "basis_rotate_fs", "measure_pattern", "enumerate_outcomes",
-    "PackageOutcome", "QndReport", "qnd_measure",
-    "encoder_postselect", "feed_forward_sign", "derive_feed_forward_table",
-    "vacuum_gate_probability", "multiphoton_gate_probability",
-    "measured_relay_efficiency",
-    "ChannelEventState", "ReceiverReport", "SampledReport", "initial_state",
-    "propagate_segment", "apply_relay", "receiver_detect", "propagate_chain",
-    "run_chain", "chain_noise", "log_chain_noise", "search_positions",
-    "sample_chain",
-    "ChainConfig", "RangeEnhancement", "qber_from_snr",
-    "snr_no_relay", "snr_n_relays", "snr_exact", "noise_single_relay",
-    "optimal_position_single", "optimal_positions", "solve_range_alpha_x",
-    "range_enhancement", "raw_rate",
-    "EcPaParams", "ThroughputPoint", "binary_entropy", "key_fraction",
-    "key_fraction_cutoff", "snr_cutoff", "normalized_throughput",
-    "throughput_curve", "cutoff_alpha_x",
-    "CurveReport", "write_csv", "read_csv", "write_json", "read_json",
-    "ContractViolationError",
-]
+__all__ = ["__version__", *_LAZY]

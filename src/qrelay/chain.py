@@ -140,22 +140,18 @@ def receiver_detect(state: ChannelEventState, p_dark: float) -> ReceiverReport:
 
 def _segment_lengths(config: ChainConfig,
                      positions_km: Optional[Sequence[float]]) -> list[float]:
-    if positions_km is None:
-        positions_km = (config.positions_km if config.positions_km is not None
-                        else optimal_positions(config))
-    positions_km = tuple(float(p) for p in positions_km)
-    if len(positions_km) != config.n_relays:
-        raise ValueError(f"{len(positions_km)} positions for "
-                         f"{config.n_relays} relays")
-    pts = (0.0,) + positions_km + (config.distance_km,)
-    lengths = []
-    for a, b in zip(pts, pts[1:]):
-        seg = b - a
-        if seg < -1e-12:
-            raise ValueError(f"positions must be non-decreasing within "
-                             f"[0, {config.distance_km}], got {positions_km}")
-        lengths.append(max(seg, 0.0))
-    return lengths
+    """Segment lengths between the relays, which sit at the explicit
+    positions (checked by ChainConfig), else the config's, else the optimum.
+    """
+    if positions_km is not None:
+        positions_km = config.with_positions(positions_km).positions_km
+    elif config.positions_km is not None:
+        positions_km = config.positions_km
+    else:
+        positions_km = optimal_positions(config)
+    pts = (0.0, *positions_km, config.distance_km)
+    # ChainConfig lets positions step back by up to 1e-12 km: no segment < 0
+    return [max(b - a, 0.0) for a, b in zip(pts, pts[1:])]
 
 
 def _transmissions(config: ChainConfig,

@@ -2,9 +2,10 @@
 
 Subcommands: verify-circuit, snr, optimize, throughput, sample. Parameters
 come from built-in defaults, then an optional JSON config file (--config),
-then explicit flags, in increasing precedence. Every command is deterministic
-for a fixed flag set (including --seed); reports carry their full parameter
-provenance and never embed timestamps.
+then explicit flags, in increasing precedence, each read once by its key's
+parser in _KEYS; _COMMANDS lists each command's keys and defaults. Every
+command is deterministic for a fixed flag set (including --seed); reports
+carry their full parameter provenance and never embed timestamps.
 
 Exit codes: 0 success, 1 invariant/contract failure, 2 configuration error,
 141 (128 + SIGPIPE) when the reader of stdout closed it early, as `| head`
@@ -17,8 +18,8 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
+from dataclasses import asdict, replace
 from typing import Optional, Sequence
 
 from . import __version__
@@ -36,22 +37,92 @@ EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 EXIT_BROKEN_PIPE = 128 + 13     # SIGPIPE
 
-_DEFAULTS = {
-    "pd": 1e-5,
-    "eta": 0.5,
-    "atten_per_km": 0.05,
-    "alpha_x_min": 0.0,
-    "alpha_x_max": 40.0,
-    "steps": 100,
-    "f_ec": 1.16,
-    "format": "csv",
+
+# Each parser reads a flag's text or a JSON config value, named `name` in
+# its errors; the layers check domains (eta <= 1, ...) where values are used.
+
+def _real(value, name: str) -> float:
+    """A number or its text; a bool is refused."""
+    try:
+        if type(value) in (int, float, str):     # not bool, whose type is bool
+            return float(value)
+    except (ValueError, OverflowError):     # OverflowError: an int past 1e308
+        pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _integer(value, name: str) -> int:
+    """An int or its text; a bool, 2.5 or "3.0" is refused, never truncated."""
+    try:
+        if type(value) in (int, str):     # not bool, whose type is bool
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _relays(value, name: str) -> list[int]:
+    """Relay counts from a list, an int, or text split at commas or spaces."""
+    items = (value.replace(",", " ").split() if isinstance(value, str)
+             else value if isinstance(value, list) else [value])
+    out = [_integer(item, f"{name} entries") for item in items]
+    for n in out:
+        check_n_relays(n)
+    if not out:
+        raise ValueError(f"{name} list is empty")
+    return out
+
+
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _choice(*known: str):
+    """A parser that accepts only the strings in known."""
+    def parse(value, name: str) -> str:
+        if _text(value, name) not in known:
+            raise ValueError(f"unknown {name} {value!r}; "
+                             f"known: {', '.join(known)}")
+        return value
+    return parse
+
+
+def _qubit(value, name: str) -> tuple[complex, complex]:
+    parts = [t.strip() for t in _text(value, name).split(",")]
+    if len(parts) != 2:
+        raise ValueError(f"--input wants 'alpha,beta', got {value!r}")
+    try:
+        return complex(parts[0]), complex(parts[1])
+    except ValueError as exc:
+        raise ValueError(f"--input components must be numbers: {exc}") from exc
+
+
+# Every setting: (parser, help). These are also the config file's keys.
+_KEYS = {
+    "pd": (_real, "dark-count probability per detector per slot"),
+    "eta": (_real, "relay pass efficiency"),
+    "atten_per_km": (_real, "fiber attenuation coefficient alpha"),
+    "output": (_text, "write the report to this file"),
+    "alpha_x_min": (_real, "grid start"),
+    "alpha_x_max": (_real, "grid end"),
+    "steps": (_integer, "grid point count"),
+    "alpha_x": (_real, "a single attenuation length alpha x"),
+    "format": (_choice("csv", "json"), "report format"),
+    "n_relays": (_relays, "relay counts, comma-separated (optimize and "
+                          "sample take one)"),
+    "distance_km": (_real, "total channel length"),
+    "f_ec": (_real, "error-correction inefficiency"),
+    # named as chain.sample_chain names the count in its own range error
+    "trials": (lambda value, name: _integer(value, "n_trials"),
+               "probe qubits, or slots to simulate (1 to 2**63 - 1)"),
+    "seed": (_integer, "RNG seed, a non-negative integer"),
+    "input": (_qubit, "alpha,beta qubit to report in detail"),
+    "diagnostic": (_choice("d2-on-mode-1"), "also run a named diagnostic"),
 }
 
-_CONFIG_KEYS = {
-    "pd", "eta", "atten_per_km", "n_relays", "distance_km", "alpha_x",
-    "alpha_x_min", "alpha_x_max", "steps", "seed", "trials", "f_ec",
-    "format", "output", "input", "diagnostic",
-}
+REQUIRED = object()     # a _COMMANDS default: the value must be given
 
 
 def _load_config_file(path: str) -> dict:
@@ -64,80 +135,46 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object of key/value "
                          f"pairs")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    unknown = sorted(set(data) - set(_KEYS))
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}; "
-                         f"known keys: {sorted(_CONFIG_KEYS)}")
+                         f"known keys: {sorted(_KEYS)}")
     return data
 
 
-class _Params:
-    """Layered parameter lookup: flags over config file over defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file = _load_config_file(args.config) if args.config else {}
-
-    def get(self, key: str, default=None):
-        v = getattr(self.args, key, None)
-        if v is not None:
-            return v
-        if key in self.file:
-            return self.file[key]
-        if key in _DEFAULTS:
-            return _DEFAULTS[key]
-        return default
-
-    def require(self, key: str, flag: str, default=None):
-        v = self.get(key, default)
-        if v is None:
-            raise ValueError(f"{flag} is required for this command")
-        return v
+def _settings(args: argparse.Namespace, defaults: dict) -> dict:
+    """A command's keys, each parsed from its flag, else the config file
+    (null counts as absent), else its default; other file keys are ignored."""
+    file = _load_config_file(args.config) if args.config else {}
+    params = {}
+    for key, default in defaults.items():
+        for value in (getattr(args, key), file.get(key), default):
+            if value is not None:
+                break
+        if value is REQUIRED:
+            raise ValueError(f"--{key.replace('_', '-')} is required for "
+                             f"this command")
+        params[key] = None if value is None else _KEYS[key][0](value, key)
+    return params
 
 
-def _integer(value, name: str) -> int:
-    """An int or its text from a flag; a bool, 2.5 or other text is refused."""
-    if isinstance(value, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", value):
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _parse_n_list(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    elif isinstance(value, str):
-        items = [t for t in value.replace(",", " ").split() if t]
-    else:
-        items = [value]
-    out = [_integer(item, "n_relays entries") for item in items]
-    for n in out:
-        check_n_relays(n)
-    if not out:
-        raise ValueError("n_relays list is empty")
-    return out
-
-
-def _single_n(params: _Params, default: Optional[int] = None) -> int:
-    ns = _parse_n_list(params.require("n_relays", "--n-relays", default))
+def _single_n(params: dict) -> int:
+    ns = params["n_relays"]
     if len(ns) != 1:
         raise ValueError(f"this command takes a single relay count, got {ns}")
     return ns[0]
 
 
-def _grid(params: _Params) -> list[float]:
-    ax = params.get("alpha_x")
+def _grid(params: dict) -> list[float]:
+    ax = params["alpha_x"]
     if ax is not None:
-        ax = float(ax)
         if not math.isfinite(ax) or ax < 0:
             raise ValueError(f"alpha_x must be finite and >= 0, got {ax}")
         return [ax]
-    lo = float(params.get("alpha_x_min"))
-    hi = float(params.get("alpha_x_max"))
+    lo, hi = params["alpha_x_min"], params["alpha_x_max"]
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"alpha_x range must be finite, got [{lo}, {hi}]")
-    steps = _integer(params.get("steps"), "steps")
+    steps = params["steps"]
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if not lo < hi:
@@ -150,17 +187,15 @@ def _grid(params: _Params) -> list[float]:
             for i in range(steps - 1)] + [hi]
 
 
-def _channel(params: _Params) -> tuple[float, float, float]:
-    eta = float(params.get("eta"))
-    pd = float(params.get("pd"))
-    atten = float(params.get("atten_per_km"))
-    ChainConfig(distance_km=0.0, atten_per_km=atten, eta=eta, p_dark=pd)
-    return eta, pd, atten
+def _chain(params: dict, n_relays: int = 0) -> ChainConfig:
+    """A zero-length chain, which validates the channel settings."""
+    return ChainConfig(0.0, params["atten_per_km"], n_relays, params["eta"],
+                       params["pd"])
 
 
-def _write(text: str, params: _Params) -> bool:
+def _write(text: str, params: dict) -> bool:
     """Write text to --output, if one is given, and say so."""
-    output = params.get("output")
+    output = params["output"]
     if output:
         with open(output, "w", newline="") as fh:
             fh.write(text)
@@ -169,19 +204,18 @@ def _write(text: str, params: _Params) -> bool:
 
 
 def _emit_sweep(command: str, fields: Sequence[str], curves: list,
-                grid: list[float], parameters: dict, params: _Params) -> None:
+                grid: list[float], extra: dict, params: dict) -> None:
     """Report a row per grid point: alpha_x, then each (N, curve)'s fields."""
-    fmt = str(params.get("format"))
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
-    parameters["grid"] = [grid[0], grid[-1], len(grid)]
+    parameters = {key: params[key]
+                  for key in ("eta", "pd", "atten_per_km", "n_relays")}
+    parameters.update(extra, grid=[grid[0], grid[-1], len(grid)])
     report = CurveReport(
         ("alpha_x", *(f"{f}_n{n}" for n, _ in curves for f in fields)),
         tuple((ax, *(v for _, curve in curves for v in curve[i]))
               for i, ax in enumerate(grid)),
         {"artifact": f"qrelay {__version__}", "command": command,
          "parameters": parameters})
-    text = (render_csv if fmt == "csv" else render_json)(report)
+    text = (render_csv if params["format"] == "csv" else render_json)(report)
     if not _write(text, params):
         sys.stdout.write(text)
 
@@ -203,30 +237,25 @@ def _snr_point(ax: float, n: int, eta: float, pd: float) -> tuple:
     return s_an, s_ex, qber_from_snr(s_ex), dev
 
 
-def cmd_snr(args: argparse.Namespace) -> int:
+def cmd_snr(params: dict) -> int:
     """Sweep analytic and exact SNR over attenuation length for each N."""
-    params = _Params(args)
-    eta, pd, atten = _channel(params)
-    ns = _parse_n_list(params.get("n_relays", "0,1,2,4,8,16"))
+    _chain(params)
+    eta, pd = params["eta"], params["pd"]
     grid = _grid(params)
-    curves = [(n, [_snr_point(ax, n, eta, pd) for ax in grid]) for n in ns]
+    curves = [(n, [_snr_point(ax, n, eta, pd) for ax in grid])
+              for n in params["n_relays"]]
     _emit_sweep("snr", ("s_analytic", "s_exact", "q_b", "rel_dev"), curves,
-                grid, {"eta": eta, "pd": pd, "atten_per_km": atten,
-                       "n_relays": ns}, params)
+                grid, {}, params)
     return EXIT_OK
 
 
-def cmd_throughput(args: argparse.Namespace) -> int:
+def cmd_throughput(params: dict) -> int:
     """Sweep normalized throughput over attenuation length for each N."""
     from .throughput import EcPaParams, cutoff_alpha_x, throughput_curve
 
-    params = _Params(args)
-    eta, pd, atten = _channel(params)
-    ns = _parse_n_list(params.get("n_relays", "0,1,2,3"))
+    configs = [_chain(params, n) for n in params["n_relays"]]
     grid = _grid(params)
-    ec = EcPaParams(f_ec=float(params.get("f_ec")))
-    configs = [ChainConfig(distance_km=0.0, atten_per_km=atten, n_relays=n,
-                           eta=eta, p_dark=pd) for n in ns]
+    ec = EcPaParams(f_ec=params["f_ec"])
     curves = [(cfg.n_relays, [(p.s, p.q_b, p.t_n, p.t_n_scaled)
                               for p in throughput_curve(cfg, grid, ec)])
               for cfg in configs]
@@ -234,25 +263,21 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     cutoffs = {str(cfg.n_relays): cutoff_alpha_x(cfg, ec) for cfg in configs}
     cutoffs = {n: c if math.isfinite(c) else "inf" for n, c in cutoffs.items()}
     _emit_sweep("throughput", ("s_exact", "q_b", "t_n", "t_n_scaled"),
-                curves, grid, {"eta": eta, "pd": pd, "atten_per_km": atten,
-                               "n_relays": ns, "f_ec": ec.f_ec,
-                               "model": ec.model, "cutoff_alpha_x": cutoffs},
-                params)
+                curves, grid, {"f_ec": ec.f_ec, "model": ec.model,
+                               "cutoff_alpha_x": cutoffs}, params)
     return EXIT_OK
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
+def cmd_optimize(params: dict) -> int:
     """Compare closed-form relay placement with a numeric search."""
     from .chain import chain_noise, log_chain_noise, search_positions
 
-    params = _Params(args)
-    eta, pd, atten = _channel(params)
     n = _single_n(params)
     if n < 1:
         raise ValueError("optimize needs n_relays >= 1")
-    x = float(params.require("distance_km", "--distance-km"))
-    config = ChainConfig(distance_km=x, atten_per_km=atten, n_relays=n,
-                         eta=eta, p_dark=pd)
+    config = replace(_chain(params, n), distance_km=params["distance_km"])
+    x, atten = config.distance_km, config.atten_per_km
+    eta, pd = config.eta, config.p_dark
     analytic = optimal_positions(config)
     numeric = search_positions(config)
     f_analytic = chain_noise(config, analytic)
@@ -284,29 +309,21 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
+def cmd_sample(params: dict) -> int:
     """Monte Carlo the chain and print the estimate beside the exact value."""
     from .chain import run_chain, sample_chain
 
-    params = _Params(args)
-    eta, pd, atten = _channel(params)
-    n = _single_n(params, default=0)
-    trials = params.require("trials", "--trials")
-    seed = _integer(params.require("seed", "--seed"), "seed")
-    ax = params.get("alpha_x")
-    x = params.get("distance_km")
-    if ax is not None and x is not None:
-        raise ValueError("give either --alpha-x or --distance-km, not both")
-    if ax is not None:
-        x = float(ax) / atten
-    elif x is None:
-        raise ValueError("--alpha-x or --distance-km is required")
-    config = ChainConfig(distance_km=float(x), atten_per_km=atten, n_relays=n,
-                         eta=eta, p_dark=pd)
+    n, trials, seed = _single_n(params), params["trials"], params["seed"]
+    ax, x = params["alpha_x"], params["distance_km"]
+    if (ax is None) == (x is None):
+        raise ValueError("give one of --alpha-x and --distance-km")
+    base = _chain(params, n)
+    config = base.at_alpha_x(ax) if x is None else replace(base, distance_km=x)
     exact = run_chain(config)
     sampled = sample_chain(config, trials, seed)
-    print(f"chain: alpha_x = {config.alpha_x:.6f}, N = {n}, eta = {eta}, "
-          f"p_dark = {pd}, trials = {trials}, seed = {seed}")
+    print(f"chain: alpha_x = {config.alpha_x:.6f}, N = {n}, "
+          f"eta = {config.eta}, p_dark = {config.p_dark}, trials = {trials}, "
+          f"seed = {seed}")
     print(f"exact    p_s = {exact.p_s:.9e}    p_n = {exact.p_n:.9e}")
     print(f"sampled  p_s = {sampled.p_s:.9e} +- {sampled.stderr_p_s:.3e}"
           f"    p_n = {sampled.p_n:.9e} +- {sampled.stderr_p_n:.3e}")
@@ -320,50 +337,27 @@ def cmd_sample(args: argparse.Namespace) -> int:
     print("slot states: " + " ".join(f"{k}={v}"
                                      for k, v in sampled.state_counts.items()))
     _write(render_payload({
-        "config": {"alpha_x": config.alpha_x, "distance_km": float(x),
-                   "atten_per_km": atten, "n_relays": n, "eta": eta,
-                   "pd": pd, "trials": trials, "seed": seed},
-        "exact": {"p_s": exact.p_s, "p_n": exact.p_n,
-                  "snr": exact.snr, "q_b": exact.q_b},
-        "sampled": {"p_s": sampled.p_s, "p_n": sampled.p_n,
-                    "snr": sampled.snr, "q_b": sampled.q_b,
-                    "stderr_p_s": sampled.stderr_p_s,
-                    "stderr_p_n": sampled.stderr_p_n,
-                    "signal_count": sampled.signal_count,
-                    "noise_events": sampled.noise_events,
-                    "state_counts": sampled.state_counts},
+        "config": {"alpha_x": config.alpha_x, "n_relays": n, "trials": trials,
+                   "distance_km": config.distance_km, "seed": seed,
+                   "atten_per_km": config.atten_per_km, "eta": config.eta,
+                   "pd": config.p_dark},
+        "exact": asdict(exact),
+        # n_trials and seed are reported once, in config
+        "sampled": {k: v for k, v in asdict(sampled).items()
+                    if k not in ("n_trials", "seed")},
     }), params)
     return EXIT_OK
 
 
-def _parse_qubit(text: str) -> tuple[complex, complex]:
-    parts = [t.strip() for t in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"--input wants 'alpha,beta', got {text!r}")
-    try:
-        a, b = complex(parts[0]), complex(parts[1])
-    except ValueError as exc:
-        raise ValueError(f"--input components must be numbers: {exc}") from exc
-    return a, b
-
-
-def cmd_verify_circuit(args: argparse.Namespace) -> int:
+def cmd_verify_circuit(params: dict) -> int:
     """Run the device invariant suite and report PASS/FAIL per check."""
     from . import circuit
 
-    params = _Params(args)
-    trials = _integer(params.get("trials", 20), "trials")
-    seed = _integer(params.get("seed", 20260815), "seed")
-    # every flag is refused before the suite runs: the input qubit's own run
+    # every flag was parsed before the suite runs: the input qubit's own run
     # raises the finite and nonzero errors
-    mode = params.get("diagnostic")
-    if mode and mode != "d2-on-mode-1":
-        raise ValueError(f"unknown diagnostic {mode!r}; known: d2-on-mode-1")
-    rep = None
-    if params.get("input"):
-        a, b = _parse_qubit(str(params.get("input")))
-        rep = circuit.qnd_measure(a, b)
-    checks = circuit.device_checks(trials, seed)
+    mode, qubit = params["diagnostic"], params["input"]
+    rep = None if qubit is None else circuit.qnd_measure(*qubit)
+    checks = circuit.device_checks(params["trials"], params["seed"])
 
     if mode:
         p_diag = circuit.vacuum_gate_probability(d2_spatial="1")
@@ -371,7 +365,7 @@ def cmd_verify_circuit(args: argparse.Namespace) -> int:
               f"= {p_diag:.6f} (nonzero by construction)")
 
     if rep is not None:
-        print(f"input qubit ({a}, {b}) normalized; "
+        print(f"input qubit ({qubit[0]}, {qubit[1]}) normalized; "
               f"success probability {rep.success_probability:.12f}")
         for o in rep.outcomes:
             print(f"  outcome D2={o.channel_d2} Db={o.channel_db}: "
@@ -389,30 +383,26 @@ def cmd_verify_circuit(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
 
-def _flag(p: argparse.ArgumentParser, dest: str, help: str, **kw) -> None:
-    """Add the option --<dest with dashes>, stored under dest."""
-    p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=help, **kw)
+_CHANNEL = {"pd": 1e-5, "eta": 0.5, "atten_per_km": 0.05, "output": None}
+_GRID = {"alpha_x_min": 0.0, "alpha_x_max": 40.0, "steps": 100,
+         "alpha_x": None, "format": "csv"}
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    _flag(p, "config", "JSON config file; flags override its values",
-          metavar="PATH")
-    _flag(p, "pd", "dark-count probability per detector per slot "
-          "(default 1e-5)", type=float)
-    _flag(p, "eta", "relay pass efficiency (default 0.5)", type=float)
-    _flag(p, "atten_per_km", "fiber attenuation coefficient alpha "
-          "(default 0.05)", type=float)
-    _flag(p, "output", "write the report here instead of (or in addition "
-          "to) stdout", metavar="PATH")
-
-
-def _add_grid(p: argparse.ArgumentParser) -> None:
-    _flag(p, "alpha_x_min", "grid start (default 0)", type=float)
-    _flag(p, "alpha_x_max", "grid end (default 40)", type=float)
-    _flag(p, "steps", "grid point count (default 100)", type=int)
-    _flag(p, "alpha_x", "evaluate a single attenuation length instead of a "
-          "grid", type=float)
-    _flag(p, "format", "report format (default csv)", choices=("csv", "json"))
+# Every command: (function, help, {key: default, None or REQUIRED}), its
+# flags in help order
+_COMMANDS = {
+    "verify-circuit": (cmd_verify_circuit, "run the device invariant suite", {
+        **_CHANNEL, "trials": 20, "seed": 20260815, "input": None,
+        "diagnostic": None}),
+    "snr": (cmd_snr, "analytic vs exact SNR sweep", {
+        **_CHANNEL, "n_relays": "0,1,2,4,8,16", **_GRID}),
+    "optimize": (cmd_optimize, "relay placement for one chain", {
+        **_CHANNEL, "distance_km": REQUIRED, "n_relays": REQUIRED}),
+    "throughput": (cmd_throughput, "secure-key throughput sweep", {
+        **_CHANNEL, "n_relays": "0,1,2,3", **_GRID, "f_ec": 1.16}),
+    "sample": (cmd_sample, "Monte Carlo check against the exact chain", {
+        **_CHANNEL, "alpha_x": None, "distance_km": None, "n_relays": 0,
+        "trials": REQUIRED, "seed": REQUIRED}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,56 +414,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"qrelay {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-circuit",
-                       help="run the device invariant suite")
-    _add_common(p)
-    _flag(p, "trials", "number of random probe qubits (default 20)", type=int)
-    _flag(p, "seed", "seed for the probe qubits", type=int)
-    _flag(p, "input", "alpha,beta qubit to report in detail")
-    _flag(p, "diagnostic", "also run a named diagnostic (d2-on-mode-1)",
-          metavar="NAME")
-    p.set_defaults(func=cmd_verify_circuit)
-
-    p = sub.add_parser("snr", help="analytic vs exact SNR sweep")
-    _add_common(p)
-    _add_grid(p)
-    _flag(p, "n_relays", "comma-separated relay counts (default 0,1,2,4,8,16)")
-    p.set_defaults(func=cmd_snr)
-
-    p = sub.add_parser("optimize", help="relay placement for one chain")
-    _add_common(p)
-    _flag(p, "distance_km", "total channel length", type=float)
-    _flag(p, "n_relays", "relay count (single integer)")
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("throughput", help="secure-key throughput sweep")
-    _add_common(p)
-    _add_grid(p)
-    _flag(p, "n_relays", "comma-separated relay counts (default 0,1,2,3)")
-    _flag(p, "f_ec", "error-correction inefficiency (default 1.16)",
-          type=float)
-    p.set_defaults(func=cmd_throughput)
-
-    p = sub.add_parser("sample", help="Monte Carlo check against the exact "
-                       "chain, drawing the slot counts of each event")
-    _add_common(p)
-    _flag(p, "alpha_x", "attenuation length (alternative to --distance-km)",
-          type=float)
-    _flag(p, "distance_km", "total channel length", type=float)
-    _flag(p, "n_relays", "relay count (single integer, default 0)")
-    _flag(p, "trials", "number of slots to simulate, 1 to 2**63 - 1; the cost "
-          "does not grow with it", type=int)
-    _flag(p, "seed", "RNG seed (required)", type=int)
-    p.set_defaults(func=cmd_sample)
+    for command, (_, summary, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", metavar="PATH",
+                       help="JSON config file; flags override its values")
+        for key, default in defaults.items():
+            note = ("" if default is None else " (required)"
+                    if default is REQUIRED else f" (default {default})")
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=_KEYS[key][1] + note)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    func, _, defaults = _COMMANDS[args.command]
     try:
-        code = args.func(args)
+        code = func(_settings(args, defaults))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

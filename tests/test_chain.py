@@ -197,6 +197,20 @@ def test_position_sources_and_overrides():
                   positions_km=(50.0, 20.0))
 
 
+@pytest.mark.parametrize("position", [math.nan, math.inf, -math.inf])
+def test_non_finite_positions_are_refused(position):
+    # explicit positions pass ChainConfig's check, finiteness included: a nan
+    # once gave p_s = p_n = snr = nan, and the sampler died converting it
+    cfg = ChainConfig(distance_km=100.0, n_relays=1)
+    for call in (lambda pos: run_chain(cfg, pos),
+                 lambda pos: chain_noise(cfg, pos),
+                 lambda pos: log_chain_noise(cfg, pos),
+                 lambda pos: propagate_chain(cfg, pos),
+                 lambda pos: sample_chain(cfg, 1000, 1, pos)):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            call([position])
+
+
 def test_degenerate_chains():
     # zero distance with relays stacked at the transmitter
     cfg = ChainConfig(distance_km=0.0, n_relays=2)

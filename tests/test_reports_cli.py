@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -275,9 +274,9 @@ def test_cli_sample_distance_form(capsys):
 def test_grid_is_np_linspace_bit_for_bit(ends, steps):
     # every (lo, hi, steps) the CLI accepts: finite 0 <= lo < hi, steps >= 2
     lo, hi = sorted(ends)
-    args = argparse.Namespace(config=None, alpha_x=None, alpha_x_min=lo,
-                              alpha_x_max=hi, steps=steps)
-    got = cli._grid(cli._Params(args))
+    params = {"alpha_x": None, "alpha_x_min": lo, "alpha_x_max": hi,
+              "steps": steps}
+    got = cli._grid(params)
     # near the largest double, linspace overflows the point it then sets
     # to hi
     with np.errstate(over="ignore"):
@@ -357,6 +356,97 @@ def test_cli_config_errors(tmp_path, capsys):
     cfg.write_text(json.dumps({"n_relays": [0, "2"], "steps": 3}))
     assert run_cli(["snr", "--alpha-x-max", "4", "--config", str(cfg)]) == 0
     assert "s_exact_n2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, data, name", [
+    # an int once reached open() as a file descriptor: the table went to
+    # stdout, which was then closed
+    (["snr", "--n-relays", "0", "--alpha-x", "1"], {"output": 1}, "output"),
+    (["optimize", "--distance-km", "100", "--n-relays", "1"],
+     {"output": True}, "output"),
+    (["verify-circuit", "--trials", "2"], {"input": 1}, "input"),
+    (["verify-circuit", "--trials", "2"], {"diagnostic": 1}, "diagnostic"),
+    (["snr", "--n-relays", "0"], {"format": ["csv"]}, "format"),
+    # a bool once read as a number: eta = 1.0, alpha_x = 0
+    (["snr", "--n-relays", "0", "--alpha-x", "1"], {"pd": 0, "eta": True},
+     "eta"),
+    (["snr", "--n-relays", "0"], {"alpha_x": False}, "alpha_x"),
+    (["sample", "--alpha-x", "2", "--trials", "10", "--seed", "1"],
+     {"pd": False}, "pd"),
+    (["throughput", "--n-relays", "0"], {"f_ec": "1.1x"}, "f_ec"),
+    (["optimize", "--n-relays", "1"], {"distance_km": 10**400},
+     "distance_km"),
+])
+def test_cli_config_values_of_the_wrong_type(argv, data, name, tmp_path,
+                                            capsys):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(data))
+    assert run_cli(argv + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: {name} must be")
+
+
+def test_cli_integer_text_in_a_config(tmp_path, capsys):
+    # integral text is an integer setting for every command that takes it;
+    # sample once refused the trials verify-circuit accepted
+    cfg = tmp_path / "text.json"
+    cfg.write_text(json.dumps({"trials": "1000", "seed": "3"}))
+    assert run_cli(["sample", "--alpha-x", "2", "--config", str(cfg)]) == 0
+    assert "trials = 1000, seed = 3" in capsys.readouterr().out
+    assert run_cli(["verify-circuit", "--config", str(cfg)]) == 0
+    assert "PASS verify-circuit (7/7 checks)" in capsys.readouterr().out
+    # a JSON null is an absent key: the flag or the default applies
+    cfg.write_text(json.dumps({"trials": None, "pd": None}))
+    assert run_cli(["sample", "--alpha-x", "2", "--trials", "1000",
+                    "--seed", "3", "--config", str(cfg)]) == 0
+    assert "p_dark = 1e-05, trials = 1000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_cli_help_shows_every_default(command, monkeypatch, capsys):
+    # one option per entry: wide enough that argparse wraps no help line
+    monkeypatch.setenv("COLUMNS", "400")
+    with pytest.raises(SystemExit):
+        run_cli([command, "--help"])
+    text = capsys.readouterr().out
+    entries = {entry.split()[0]: " ".join(entry.split())
+               for entry in re.split(r"\n  (?=--)", text)[1:]}
+    _, _, defaults = cli._COMMANDS[command]
+    assert set(entries) == {"--config", *(f"--{key.replace('_', '-')}"
+                                          for key in defaults)}
+    for key, default in defaults.items():
+        entry = entries[f"--{key.replace('_', '-')}"]
+        if default is cli.REQUIRED:
+            assert entry.endswith("(required)"), entry
+        elif default is None:
+            assert "(default" not in entry and "(required)" not in entry
+        else:
+            assert entry.endswith(f"(default {default})"), entry
+    # spelled out, so that a default and its help cannot drift together
+    spelled = {"snr": "--n-relays N_RELAYS relay counts",
+               "verify-circuit": "(default 20260815)",
+               "sample": "(default 0)", "optimize": "(required)",
+               "throughput": "error-correction inefficiency (default 1.16)"}
+    assert spelled[command] in " ".join(text.split())
+
+
+@pytest.mark.parametrize("argv, stem", [
+    (["sample", "--alpha-x", "5", "--n-relays", "4", "--trials", "20000000",
+      "--seed", "5"], "sample_ax5_n4_trials20000000_seed5"),
+    (["optimize", "--distance-km", "2000", "--n-relays", "64"],
+     "optimize_2000km_n64"),
+])
+def test_cli_sample_and_optimize_match_their_goldens(argv, stem, tmp_path,
+                                                     capsys):
+    # both goldens were written before the settings table replaced the
+    # per-flag parsing; sample's blocks now come from dataclasses.asdict
+    out = tmp_path / "report.json"
+    assert run_cli(argv + ["--output", str(out)]) == 0
+    stdout = (DATA / f"{stem}.stdout").read_text()
+    assert capsys.readouterr().out == stdout + f"wrote {out}\n"
+    if (DATA / f"{stem}.json").exists():
+        assert out.read_bytes() == (DATA / f"{stem}.json").read_bytes()
 
 
 def test_cli_usage_errors(capsys):
