@@ -12,14 +12,14 @@ The package layers are, bottom up:
   first-order SNR/QBER expressions, the exact chain's closed form, one
   binomial at the optimal placement (snr_exact), the relay placement, which
   is exactly optimal, range enhancement, raw rates.
-- chain: the per-slot step maps through fiber segments and relay stations
-  (the relay map is apply_relay) composed into the reference propagation,
-  the exact receiver statistics at any positions through the closed form,
-  a numeric placement search, and a seeded Monte Carlo cross-check that
-  draws the slot count of each event.
+- chain: the exact receiver statistics at any positions through the closed
+  form, a numeric placement search, and a seeded Monte Carlo cross-check
+  that draws the slot count of each event. A relay gates a photon with
+  probability eta and false-gates every live slot with probability
+  2 p_dark, launching a spurious photon; the rest is vetoed.
 - throughput: BB84 key fraction and throughput sweeps; the cutoff range
   inverts the binomial.
-- reports: deterministic CSV/JSON tables.
+- reports: deterministic CSV/JSON tables, rendered as text.
 - cli: the `qrelay` command.
 
 Every module runs on the standard library alone; the Monte Carlo sampler
@@ -42,10 +42,8 @@ _LAZY = {
         "range_enhancement", "raw_rate", "snr_exact", "snr_n_relays",
         "snr_no_relay", "solve_range_alpha_x"), "analytics"),
     **dict.fromkeys((
-        "ChannelEventState", "ReceiverReport", "SampledReport", "apply_relay",
-        "chain_noise", "initial_state", "log_chain_noise", "propagate_chain",
-        "propagate_segment", "receiver_detect", "run_chain", "sample_chain",
-        "search_positions"), "chain"),
+        "ReceiverReport", "SampledReport", "chain_noise", "log_chain_noise",
+        "run_chain", "sample_chain", "search_positions"), "chain"),
     **dict.fromkeys((
         "PackageOutcome", "QndReport", "derive_feed_forward_table",
         "encoder_postselect", "feed_forward_sign",
@@ -58,9 +56,7 @@ _LAZY = {
         "enumerate_outcomes", "fock_state", "identity_transform",
         "make_bell_phi_plus", "make_qubit", "measure_pattern", "pbs_hv",
         "product", "vacuum"), "fockspace"),
-    **dict.fromkeys((
-        "CurveReport", "read_csv", "read_json", "write_csv", "write_json"),
-        "reports"),
+    **dict.fromkeys(("CurveReport", "read_csv", "read_json"), "reports"),
     **dict.fromkeys((
         "EcPaParams", "ThroughputPoint", "binary_entropy", "cutoff_alpha_x",
         "key_fraction", "key_fraction_cutoff", "normalized_throughput",

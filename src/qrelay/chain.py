@@ -1,15 +1,24 @@
-"""Exact slot-by-slot propagation through a relay chain.
+"""Exact receiver statistics of a relay chain, and a seeded sampler of it.
 
-A clock slot is tracked as a probability vector over four exclusive events:
-the slot still carries the original signal photon, it carries a randomly
-polarized spurious photon, it is empty but every relay so far has gated it,
-or some relay has already vetoed it. All orders of dark-count events are kept,
-so these probabilities are exact for the model, not first-order expansions.
-The step maps (propagate_segment, apply_relay, receiver_detect) compose into
-propagate_chain, the reference; run_chain evaluates the same chain through
-its closed form in analytics. sample_chain is the seeded Monte Carlo check:
-it draws how many of n slots land in each event, step by step, from the
-event rules alone, in O(N) draws whatever n is.
+A clock slot is in one of four exclusive events: it still carries the
+original signal photon, it carries a randomly polarized spurious photon, it
+is empty but every relay so far has gated it, or some relay has already
+vetoed it. A fiber segment of transmission t = e^(-alpha dx) keeps each
+photon with probability t and empties the slot otherwise. A relay gates a
+photon through with probability eta, and the two detectors that fire its
+gate dark count on every live slot, a false gate with probability 2 p_dark
+that launches a spurious photon; a slot gated neither way is vetoed and
+stays vetoed. On the live masses (sig, rnd, emp) one relay is
+
+    (sig, rnd, emp) -> (eta sig, eta rnd + 2 p_dark (sig + rnd + emp), 0).
+
+The receiver counts the signal photon, a spurious photon, and a dark count
+(2 p_dark) in every live slot. run_chain evaluates this chain through its
+closed form in analytics, keeping all orders of dark-count events, so its
+probabilities are exact for the model, not first-order expansions.
+sample_chain is the seeded Monte Carlo check: it draws how many of n slots
+land in each event, step by step, from the same rules, in O(N) draws
+whatever n is.
 """
 
 from __future__ import annotations
@@ -21,91 +30,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .analytics import (_EXP_MAX, ChainConfig, _log_expm1, _receiver_counts,
-                        _snr_from_k, _softplus, check_p_dark, check_relay,
-                        optimal_positions, qber_from_snr)
+                        _snr_from_k, _softplus, optimal_positions,
+                        qber_from_snr)
 
-_SUM_TOL = 1e-12
 _MAX_TRIALS = 2**63 - 1     # the --trials range; _binomial is tested up to it
-
-
-@dataclass(frozen=True)
-class ChannelEventState:
-    """Distribution of one clock slot over the four channel events.
-
-    p_sig: original photon still present and so far always gated through.
-    p_rnd: a spurious (randomly polarized) photon occupies the slot.
-    p_empty: no photon, but no relay has vetoed the slot yet.
-    p_nogate: some relay failed to gate; the slot is discarded downstream.
-    Each lies in [0, 1] and they sum to 1, within _SUM_TOL; a value in
-    [-_SUM_TOL, 0) from float cancellation is clamped to 0.
-    """
-
-    p_sig: float
-    p_rnd: float
-    p_empty: float
-    p_nogate: float
-
-    def __post_init__(self):
-        total = 0.0
-        for name in ("p_sig", "p_rnd", "p_empty", "p_nogate"):
-            v = getattr(self, name)
-            if not -_SUM_TOL <= v <= 1.0 + _SUM_TOL:
-                raise ValueError(f"{name} = {v} outside [0, 1]")
-            if v < 0.0:
-                object.__setattr__(self, name, 0.0)
-            total += getattr(self, name)
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"event probabilities sum to {total!r}, not 1")
-
-    @property
-    def p_alive(self) -> float:
-        """Probability the slot has not been vetoed yet."""
-        return self.p_sig + self.p_rnd + self.p_empty
-
-
-def initial_state() -> ChannelEventState:
-    """Slot state at the transmitter: signal photon present with certainty."""
-    return ChannelEventState(1.0, 0.0, 0.0, 0.0)
-
-
-def propagate_segment(state: ChannelEventState,
-                      alpha_x_segment: float) -> ChannelEventState:
-    """Fiber segment of dimensionless length alpha*dx: survival t = e^(-a dx).
-
-    Lost photons leave the slot empty but still gated; classical gate signals
-    do not attenuate. Zero length is the identity, and consecutive segments
-    compose additively in alpha*dx.
-    """
-    if alpha_x_segment < 0:
-        raise ValueError(f"segment alpha*dx must be >= 0, "
-                         f"got {alpha_x_segment}")
-    t = math.exp(-alpha_x_segment)
-    lost = (1.0 - t) * (state.p_sig + state.p_rnd)
-    return ChannelEventState(t * state.p_sig, t * state.p_rnd,
-                             state.p_empty + lost, state.p_nogate)
-
-
-def apply_relay(state: ChannelEventState,
-                config: ChainConfig) -> ChannelEventState:
-    """One relay station: gate-and-pass efficiency eta, false gates 2*p_dark.
-
-    The relay parameters are the ChainConfig's eta and p_dark; nothing else
-    of it is read. An incoming photon is gated through with probability eta.
-    Independently of what the slot holds, the two detectors that fire the
-    gate can dark count, producing a false gate with probability 2*p_dark
-    per live slot; a false gate launches a randomly polarized photon. Slots
-    gated neither way are vetoed and stay vetoed. The map is exactly
-    stochastic.
-    """
-    eta, p_dark = float(config.eta), float(config.p_dark)
-    check_relay(eta, p_dark)
-    pd2 = 2.0 * p_dark
-    sig = eta * state.p_sig
-    rnd = eta * state.p_rnd + pd2 * state.p_alive
-    nogate = (state.p_nogate
-              + (1.0 - eta - pd2) * (state.p_sig + state.p_rnd)
-              + (1.0 - pd2) * state.p_empty)
-    return ChannelEventState(sig, rnd, 0.0, nogate)
 
 
 def _snr_qb(p_s: float, p_n: float) -> tuple[float, float]:
@@ -117,25 +45,20 @@ def _snr_qb(p_s: float, p_n: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ReceiverReport:
-    """Detection probabilities per transmitted slot, conditioned on nothing.
+    """Detection statistics per transmitted slot, conditioned on nothing.
 
-    p_s and p_n are per-slot probabilities of a signal detection and of a
-    noise detection (spurious photon or receiver dark count in a gated slot).
-    snr is their ratio; q_b = p_n / (2 (p_n + p_s)) since random polarization
-    errs half the time. A fully vetoed chain yields nan for snr and q_b.
+    p_s is the per-slot probability of a signal detection. p_n is the
+    expected count of noise clicks per slot, not a probability: a live slot
+    adds a receiver dark count (2 p_dark) to a spurious photon, so a slot
+    holding both counts two. snr is their ratio; q_b = p_n / (2 (p_n + p_s))
+    since random polarization errs half the time. A fully vetoed chain
+    yields nan for snr and q_b.
     """
 
     p_s: float
     p_n: float
     snr: float
     q_b: float
-
-
-def receiver_detect(state: ChannelEventState, p_dark: float) -> ReceiverReport:
-    """Terminal detection on a slot state, with receiver dark rate p_dark."""
-    check_p_dark(p_dark)
-    p_n = state.p_rnd + 2.0 * p_dark * state.p_alive
-    return ReceiverReport(state.p_sig, p_n, *_snr_qb(state.p_sig, p_n))
 
 
 def _segment_lengths(config: ChainConfig,
@@ -160,23 +83,6 @@ def _transmissions(config: ChainConfig,
             for seg in _segment_lengths(config, positions_km)]
 
 
-def propagate_chain(config: ChainConfig,
-                    positions_km: Optional[Sequence[float]] = None
-                    ) -> ChannelEventState:
-    """Exact slot state at the receiver input for the configured chain.
-
-    Positions come from the explicit argument, else the config, else the
-    analytic optimum. Fiber segments alternate with relays, applied one step
-    map at a time; the receiver detector itself is not applied here.
-    """
-    state = initial_state()
-    for i, seg in enumerate(_segment_lengths(config, positions_km)):
-        state = propagate_segment(state, config.atten_per_km * seg)
-        if i < config.n_relays:
-            state = apply_relay(state, config)
-    return state
-
-
 def _noise_terms(config: ChainConfig, positions_km: Optional[Sequence[float]]
                  ) -> tuple[list[float], list[float]]:
     """The segments' alpha dx_j and the terms ln(1 + c_j/t_j) of K.
@@ -192,9 +98,13 @@ def _noise_terms(config: ChainConfig, positions_km: Optional[Sequence[float]]
     if config.p_dark == 0.0:
         return ys, [0.0] * len(ys)
     pd2 = 2.0 * config.p_dark
-    cs = [pd2 / config.eta] * config.n_relays + [pd2]
-    return ys, [math.log1p(c / math.exp(-y)) if y < _EXP_MAX
-                else _softplus(math.log(c) + y) for c, y in zip(cs, ys)]
+    # on the subnormal grid 2 p_dark/eta keeps few digits (none at 5e-324),
+    # so there c_j and t_j are both scaled by 2^64, exactly
+    scale = 2.0**64 if pd2 / config.eta < sys.float_info.min else 1.0
+    cs = [pd2 * scale / config.eta] * config.n_relays + [pd2 * scale]
+    return ys, [math.log1p(c / (math.exp(-y) * scale)) if y < _EXP_MAX
+                else _softplus(math.log(c) - math.log(scale) + y)
+                for c, y in zip(cs, ys)]
 
 
 def _noise_exponent(config: ChainConfig,
@@ -211,11 +121,14 @@ def run_chain(config: ChainConfig,
               positions_km: Optional[Sequence[float]] = None) -> ReceiverReport:
     """Exact receiver statistics for the configured chain, in closed form.
 
-    Positions are resolved as in propagate_chain, whose step maps followed
-    by receiver_detect give the same report up to rounding. snr and q_b are
-    taken from the noise exponent K, as snr_exact takes them, so they stay
-    finite where p_s and p_n underflow together on long chains, and inf and
-    0 without dark counts.
+    The relays sit at the explicit positions, else the config's, else the
+    analytic optimum. Each relay maps the live masses (sig, rnd, emp) to
+    (eta sig, eta rnd + 2 p_dark (sig + rnd + emp), 0), each segment keeps
+    a photon with its transmission t_j, and the receiver adds 2 p_dark per
+    live slot; _receiver_counts evaluates their composition. snr and
+    q_b are taken from the noise exponent K, as snr_exact takes them, so
+    they stay finite where p_s and p_n underflow together on long chains,
+    and inf and 0 without dark counts.
     """
     ys, terms = _noise_terms(config, positions_km)
     *relay_ts, t_last = [math.exp(-y) for y in ys]
@@ -405,9 +318,9 @@ def sample_chain(config: ChainConfig, n_trials: int, seed: int,
     2 p_dark) spurious photons, turns Bin(emp, 2 p_dark) empty slots into rnd
     and vetoes everything else. At the receiver Bin(rnd, 2 p_dark) slots add
     a dark count to their spurious photon and Bin(sig + emp, 2 p_dark) have
-    a single one. Written from these event rules rather than the step maps,
-    the draw is an independent check on run_chain; results depend only on
-    (config, n_trials, seed, positions). The draws come from
+    a single one. Written from these event rules rather than the closed
+    form, the draw is an independent check on run_chain; results depend
+    only on (config, n_trials, seed, positions). The draws come from
     random.Random(seed), and a seed must be a non-negative int, since
     Random(-1) repeats the stream of Random(1).
     """

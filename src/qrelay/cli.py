@@ -391,7 +391,7 @@ _GRID = {"alpha_x_min": 0.0, "alpha_x_max": 40.0, "steps": 100,
 # flags in help order
 _COMMANDS = {
     "verify-circuit": (cmd_verify_circuit, "run the device invariant suite", {
-        **_CHANNEL, "trials": 20, "seed": 20260815, "input": None,
+        "output": None, "trials": 20, "seed": 20260815, "input": None,
         "diagnostic": None}),
     "snr": (cmd_snr, "analytic vs exact SNR sweep", {
         **_CHANNEL, "n_relays": "0,1,2,4,8,16", **_GRID}),

@@ -9,7 +9,8 @@ run-dependent value; identical inputs produce identical bytes. Both write
 strict JSON: table values spell non-finite floats as "nan"/"inf", and a
 non-finite metadata value raises ValueError instead of emitting the
 non-standard NaN/Infinity tokens. Free-form command payloads go through
-render_payload/write_payload, which spell non-finite floats the same way.
+render_payload, which spells non-finite floats the same way. This module
+renders text and reads files back; the command line writes every report.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 _FLOAT_FMT = "%.17e"
 
@@ -50,11 +50,6 @@ def render_csv(report: CurveReport) -> str:
     lines = ["# " + meta_json, ",".join(report.columns)]
     lines += [row % r for r in report.rows]
     return "\n".join(lines) + "\n"
-
-
-def write_csv(report: CurveReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(render_csv(report))
 
 
 def read_csv(path) -> CurveReport:
@@ -113,16 +108,6 @@ def render_payload(payload: dict) -> str:
     """
     return json.dumps(_spell_non_finite(payload), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
-
-
-def write_payload(payload: dict, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(render_payload(payload))
-
-
-def write_json(report: CurveReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(render_json(report))
 
 
 def read_json(path) -> CurveReport:

@@ -1,16 +1,18 @@
 """Independent brute-force references the tests compare the package against.
 
 Nothing here reuses the package's evolution code paths: transforms are applied
-via matrix permanents over dense occupation enumerations, chains via explicit
-4x4 stochastic transfer matrices, and relay placements are searched by a
-coordinate descent over scipy's bounded line search. The chain's SNR at the
-optimal placement is also evaluated in 60-digit decimal arithmetic from the
-product form, where no double underflows.
+via matrix permanents over dense occupation enumerations, chains one event
+rule at a time on a plain 4-tuple slot state, and relay placements are
+searched by a coordinate descent over scipy's bounded line search. The chain's
+SNR at the optimal placement, and the noise of any placement, are also
+evaluated in 60-digit decimal arithmetic from the product form, where no
+double underflows.
 """
 
 import itertools
 import math
 from decimal import Decimal, localcontext
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,42 +83,73 @@ def haar_unitary(n: int, rng) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
 
 
-# 4x4 transfer-matrix chain reference; state vector order matches
-# (p_sig, p_rnd, p_empty, p_nogate)
+# The chain's event rules on a slot state (p_sig, p_rnd, p_empty, p_nogate):
+# the original photon, a spurious one, an empty slot that every relay so far
+# has gated, and a vetoed slot. Each rule is one step of the paper's relay.
 
-def _segment_matrix(alpha_x: float) -> np.ndarray:
-    t = math.exp(-alpha_x)
-    return np.array([
-        [t, 0.0, 0.0, 0.0],
-        [0.0, t, 0.0, 0.0],
-        [1.0 - t, 1.0 - t, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
+TRANSMITTED = (1.0, 0.0, 0.0, 0.0)
 
 
-def _relay_matrix(eta: float, p_dark: float) -> np.ndarray:
+def propagate_segment(state, alpha_dx):
+    """A fiber segment: each photon survives with t = e^(-alpha dx), and a
+    lost one leaves the slot empty but gated; gate signals do not fade."""
+    sig, rnd, empty, nogate = state
+    t = math.exp(-alpha_dx)
+    return (t * sig, t * rnd, empty + (1.0 - t) * (sig + rnd), nogate)
+
+
+def apply_relay(state, eta, p_dark):
+    """A relay: a photon gates through with probability eta, and on every
+    live slot a false gate (2 p_dark) launches a spurious photon; a slot
+    gated neither way is vetoed for good."""
+    sig, rnd, empty, nogate = state
     pd2 = 2.0 * p_dark
-    return np.array([
-        [eta, 0.0, 0.0, 0.0],
-        [pd2, eta + pd2, pd2, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-        [1.0 - eta - pd2, 1.0 - eta - pd2, 1.0 - pd2, 1.0],
-    ])
+    alive = sig + rnd + empty
+    nogate = nogate + (1.0 - eta - pd2) * (sig + rnd) + (1.0 - pd2) * empty
+    # 1 - eta - 2 p_dark rounds to -2.8e-17 at eta = 0.9, p_dark = 0.05
+    return (eta * sig, eta * rnd + pd2 * alive, 0.0, max(nogate, 0.0))
 
 
-def markov_chain_reference(distance_km, atten_per_km, eta, p_dark,
-                           positions_km) -> dict:
-    """Receiver p_s/p_n by explicit stochastic matrix products."""
-    pts = [0.0] + list(positions_km) + [distance_km]
-    v = np.array([1.0, 0.0, 0.0, 0.0])
-    for i in range(len(pts) - 1):
-        v = _segment_matrix(atten_per_km * (pts[i + 1] - pts[i])) @ v
-        if i < len(positions_km):
-            v = _relay_matrix(eta, p_dark) @ v
-    p_s = v[0]
-    alive = v[0] + v[1] + v[2]
-    p_n = v[1] + 2.0 * p_dark * alive
-    return {"p_s": float(p_s), "p_n": float(p_n), "state": v}
+def receiver_detect(state, p_dark):
+    """(p_s, p_n, snr, q_b) at the receiver: the signal photon clicks, and a
+    spurious photon and a dark count (2 p_dark per live slot) each add a
+    noise click. nan, nan where nothing can click."""
+    sig, rnd, empty, _ = state
+    p_n = rnd + 2.0 * p_dark * (sig + rnd + empty)
+    if sig + p_n == 0.0:
+        return sig, p_n, math.nan, math.nan
+    return (sig, p_n, sig / p_n if p_n > 0.0 else math.inf,
+            0.5 * p_n / (p_n + sig))
+
+
+class ChainReference(NamedTuple):
+    p_s: float
+    p_n: float
+    snr: float
+    q_b: float
+    state: tuple     # the slot state at the receiver input
+
+
+def markov_chain_reference(config, positions_km=None) -> ChainReference:
+    """The chain's receiver statistics, one event rule at a time.
+
+    The relays sit at the explicit positions, else the config's, else the
+    analytic optimum; segments alternate with relays, and the receiver
+    reads the last state.
+    """
+    if positions_km is None:
+        positions_km = config.positions_km
+    if positions_km is None:
+        from qrelay.analytics import optimal_positions
+        positions_km = optimal_positions(config)
+    pts = (0.0, *positions_km, config.distance_km)
+    state = TRANSMITTED
+    for i, (a, b) in enumerate(zip(pts, pts[1:])):
+        # positions may step back by rounding: no segment < 0
+        state = propagate_segment(state, config.atten_per_km * max(b - a, 0.0))
+        if i < config.n_relays:
+            state = apply_relay(state, config.eta, config.p_dark)
+    return ChainReference(*receiver_detect(state, config.p_dark), state)
 
 
 def decimal_snr_reference(alpha_x, n_relays, eta, p_dark, digits=60):
@@ -146,6 +179,27 @@ def decimal_snr_reference(alpha_x, n_relays, eta, p_dark, digits=60):
     with localcontext() as ctx:
         ctx.prec = digits
         return +s
+
+
+def decimal_noise_ratio(config, positions_km, digits=60):
+    """1 + p_n/p_s = prod_j (1 + c_j/t_j) at the given positions, a Decimal.
+
+    t_j = e^(-alpha dx_j) over the exact differences of the float positions,
+    c_j = 2 p_dark/eta at a relay and 2 p_dark at the receiver. p_s does not
+    depend on the positions, so this orders placements as p_n does, with no
+    rounding of the segment terms.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        pd2 = 2 * Decimal(config.p_dark)
+        c_relay = pd2 / Decimal(config.eta)
+        pts = [Decimal(0), *map(Decimal, positions_km),
+               Decimal(config.distance_km)]
+        ratio = Decimal(1)
+        for j, (a, b) in enumerate(zip(pts, pts[1:])):
+            c = c_relay if j < config.n_relays else pd2
+            ratio *= 1 + c * (Decimal(config.atten_per_km) * (b - a)).exp()
+        return ratio
 
 
 def coordinate_descent(config, objective, x0=None, obj_tol=1e-10,

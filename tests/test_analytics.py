@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qrelay.analytics import (ChainConfig, noise_single_relay,
@@ -15,7 +15,7 @@ from qrelay.analytics import (ChainConfig, noise_single_relay,
                               solve_range_alpha_x)
 from qrelay.chain import chain_noise, search_positions
 
-from oracles import coordinate_descent
+from oracles import coordinate_descent, decimal_noise_ratio
 
 
 def test_chain_config_validation():
@@ -289,8 +289,20 @@ def lower_by_ulps(cfg, positions, base):
     return (base - chain_noise(cfg, tuple(positions))) / math.ulp(base)
 
 
+def assert_no_lower(cfg, positions, best, base, where):
+    """The noise at positions is not below the optimum's: within 4 ulps of
+    base in floats, or else in 60-digit arithmetic, where the float dip
+    would be rounding in the sum of N + 1 segment terms."""
+    if lower_by_ulps(cfg, positions, base) > 4.0:
+        assert (decimal_noise_ratio(cfg, positions)
+                >= decimal_noise_ratio(cfg, best)), where
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cfg=dark_chains())
+# 5 ulps lower in floats at relays 21-36, higher by 1.3e-31 in K exactly
+@example(cfg=ChainConfig(0.18623545611519096, 1.0, 40, 0.830078125,
+                         0.009765625))
 def test_optimal_positions_is_exactly_optimal_under_moves(cfg):
     # relative moves of 1e-6 and 1e-3 of the span, clipped to the
     # neighbours; far smaller ones only probe rounding
@@ -303,7 +315,7 @@ def test_optimal_positions_is_exactly_optimal_under_moves(cfg):
         for step in (1e-6 * x, -1e-6 * x, 1e-3 * x, -1e-3 * x):
             moved = list(best)
             moved[i] = min(max(best[i] + step, lo), hi)
-            assert lower_by_ulps(cfg, moved, base) <= 4.0, (i, step)
+            assert_no_lower(cfg, moved, best, base, (i, step))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -317,7 +329,7 @@ def test_optimal_positions_is_exactly_optimal_under_descent(cfg, fracs):
     base = chain_noise(cfg, best)
     start = sorted(f * cfg.distance_km for f in fracs[:cfg.n_relays])
     found = coordinate_descent(cfg, lambda p: chain_noise(cfg, p), x0=start)
-    assert lower_by_ulps(cfg, found, base) <= 4.0
+    assert_no_lower(cfg, found, best, base, found)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

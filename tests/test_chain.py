@@ -10,109 +10,103 @@ from scipy import stats
 
 from qrelay.analytics import (ChainConfig, optimal_positions, snr_exact,
                               snr_n_relays)
-from qrelay.chain import (ChannelEventState, _binomial, apply_relay,
-                          chain_noise, initial_state, log_chain_noise,
-                          propagate_chain, propagate_segment, receiver_detect,
-                          run_chain, sample_chain, search_positions)
+from qrelay.chain import (_binomial, chain_noise, log_chain_noise, run_chain,
+                          sample_chain, search_positions)
 from qrelay.circuit import (measured_relay_efficiency,
                             multiphoton_gate_probability,
                             vacuum_gate_probability)
 
-from oracles import markov_chain_reference
+from oracles import (TRANSMITTED, apply_relay, markov_chain_reference,
+                     propagate_segment, receiver_detect)
 
-
-def random_event_state(rng) -> ChannelEventState:
-    v = rng.dirichlet(np.ones(4))
-    return ChannelEventState(*map(float, v))
-
-
-def test_event_state_validation():
-    with pytest.raises(ValueError):
-        ChannelEventState(0.5, 0.5, 0.5, -0.5)
-    with pytest.raises(ValueError):
-        ChannelEventState(0.4, 0.4, 0.4, 0.4)
-    # a tiny negative from float cancellation is clipped, not fatal
-    st = ChannelEventState(1.0 + 5e-14, -5e-14, 0.0, 0.0)
-    assert st.p_rnd == 0.0
-    assert initial_state() == ChannelEventState(1.0, 0.0, 0.0, 0.0)
-    assert initial_state().p_alive == 1.0
+# The oracle's event rules act on slot states (p_sig, p_rnd, p_empty,
+# p_nogate); the first tests pin the rules themselves, the rest check the
+# package against them
 
 
 def test_propagate_segment():
-    st = propagate_segment(initial_state(), 1.0)
-    assert st.p_sig == pytest.approx(math.exp(-1))
-    assert st.p_empty == pytest.approx(1 - math.exp(-1))
-    assert st.p_rnd == 0.0 and st.p_nogate == 0.0
+    st = propagate_segment(TRANSMITTED, 1.0)
+    assert st[0] == pytest.approx(math.exp(-1))
+    assert st[2] == pytest.approx(1 - math.exp(-1))
+    assert st[1] == 0.0 and st[3] == 0.0
     # zero length is the identity
     assert propagate_segment(st, 0.0) == st
     # semigroup: two segments compose additively
-    two = propagate_segment(propagate_segment(initial_state(), 0.7), 0.5)
-    one = propagate_segment(initial_state(), 1.2)
-    assert two.p_sig == pytest.approx(one.p_sig, rel=1e-15)
-    with pytest.raises(ValueError):
-        propagate_segment(st, -0.1)
+    two = propagate_segment(propagate_segment(TRANSMITTED, 0.7), 0.5)
+    one = propagate_segment(TRANSMITTED, 1.2)
+    assert two[0] == pytest.approx(one[0], rel=1e-15)
     # vetoed mass is untouched by fiber
-    vetoed = ChannelEventState(0.0, 0.0, 0.0, 1.0)
+    vetoed = (0.0, 0.0, 0.0, 1.0)
     assert propagate_segment(vetoed, 3.0) == vetoed
 
 
 def test_apply_relay_weights():
-    params = ChainConfig(distance_km=1.0, eta=0.5, p_dark=1e-5)
-    out = apply_relay(initial_state(), params)
-    assert out.p_sig == pytest.approx(0.5, abs=1e-15)
-    assert out.p_rnd == pytest.approx(2e-5, abs=1e-18)
-    assert out.p_empty == 0.0
+    out = apply_relay(TRANSMITTED, 0.5, 1e-5)
+    assert out[0] == pytest.approx(0.5, abs=1e-15)
+    assert out[1] == pytest.approx(2e-5, abs=1e-18)
+    assert out[2] == 0.0
     # dark-count-free relay on a fresh slot: (eta, 0, 0, 1 - eta)
-    clean = apply_relay(initial_state(),
-                        ChainConfig(distance_km=1.0, eta=0.5, p_dark=0.0))
-    assert (clean.p_sig, clean.p_rnd, clean.p_empty, clean.p_nogate) == \
-        (0.5, 0.0, 0.0, 0.5)
+    assert apply_relay(TRANSMITTED, 0.5, 0.0) == (0.5, 0.0, 0.0, 0.5)
     # an empty gated slot false-gates with probability 2 p_dark
-    empty = ChannelEventState(0.0, 0.0, 1.0, 0.0)
-    out = apply_relay(empty, params)
-    assert out.p_rnd == pytest.approx(2e-5, abs=1e-18)
-    assert out.p_nogate == pytest.approx(1 - 2e-5, abs=1e-15)
+    out = apply_relay((0.0, 0.0, 1.0, 0.0), 0.5, 1e-5)
+    assert out[1] == pytest.approx(2e-5, abs=1e-18)
+    assert out[3] == pytest.approx(1 - 2e-5, abs=1e-15)
     # generic state, exact bookkeeping
-    st = ChannelEventState(0.4, 0.1, 0.3, 0.2)
-    out = apply_relay(st, params)
-    assert out.p_sig == pytest.approx(0.5 * 0.4, abs=1e-15)
-    assert out.p_rnd == pytest.approx(0.5 * 0.1 + 2e-5 * 0.8, abs=1e-15)
-    assert out.p_empty == 0.0
+    out = apply_relay((0.4, 0.1, 0.3, 0.2), 0.5, 1e-5)
+    assert out[0] == pytest.approx(0.5 * 0.4, abs=1e-15)
+    assert out[1] == pytest.approx(0.5 * 0.1 + 2e-5 * 0.8, abs=1e-15)
+    assert out[2] == 0.0
 
 
 def test_apply_relay_matches_single_slot_device_map():
     # a slot holding a photon with probability p1, else empty and gated:
     # the relay passes eta*p1, false-gates 2*p_dark, and vetoes the rest
-    cfg = ChainConfig(distance_km=1.0, eta=0.5, p_dark=1e-5)
     for p1 in (1.0, 0.6, 0.5, 0.4, 0.0):
-        out = apply_relay(ChannelEventState(p1, 0.0, 1.0 - p1, 0.0), cfg)
-        assert out.p_sig == pytest.approx(0.5 * p1, abs=1e-15)
-        assert out.p_rnd == pytest.approx(2e-5, abs=1e-18)
-        assert out.p_empty == 0.0
-        assert out.p_nogate == pytest.approx(1.0 - 0.5 * p1 - 2e-5,
-                                             abs=1e-15)
-    # without dark counts the map equals the simulated device: a photon
+        out = apply_relay((p1, 0.0, 1.0 - p1, 0.0), 0.5, 1e-5)
+        assert out[0] == pytest.approx(0.5 * p1, abs=1e-15)
+        assert out[1] == pytest.approx(2e-5, abs=1e-18)
+        assert out[2] == 0.0
+        assert out[3] == pytest.approx(1.0 - 0.5 * p1 - 2e-5, abs=1e-15)
+    # without dark counts the rule equals the simulated device: a photon
     # passes with the device's gate probability, vacuum never gates
-    device = ChainConfig(distance_km=1.0, eta=measured_relay_efficiency(),
-                         p_dark=0.0)
     for p1 in (1.0, 0.6, 0.0):
-        out = apply_relay(ChannelEventState(p1, 0.0, 1.0 - p1, 0.0), device)
-        assert out.p_sig == pytest.approx(
+        out = apply_relay((p1, 0.0, 1.0 - p1, 0.0),
+                          measured_relay_efficiency(), 0.0)
+        assert out[0] == pytest.approx(
             p1 * multiphoton_gate_probability(1, 0.6, 0.8), abs=1e-15)
-        assert out.p_rnd == pytest.approx(
+        assert out[1] == pytest.approx(
             (1.0 - p1) * vacuum_gate_probability(), abs=1e-15)
+    # the same holds for the rule that commands run: one relay at the
+    # transmitter, then fiber of transmission t to the receiver
+    t = math.exp(-0.5)
+    device = ChainConfig(10.0, n_relays=1, eta=measured_relay_efficiency(),
+                         p_dark=0.0, positions_km=(0.0,))
+    rep = run_chain(device)
+    assert rep.p_s == pytest.approx(
+        multiphoton_gate_probability(1, 0.6, 0.8) * t, abs=1e-15)
+    assert rep.p_n == pytest.approx(vacuum_gate_probability(), abs=1e-15)
+    n = 10**12
+    got = sample_chain(device, n, seed=4)
+    assert got.noise_events == got.state_counts["random"] == 0
+    assert abs(got.p_s - rep.p_s) < 4.0 * math.sqrt(
+        rep.p_s * (1.0 - rep.p_s) / n)
+    # with dark counts the sampler draws the law of the same rule
+    noisy = ChainConfig(10.0, n_relays=1, eta=0.5, p_dark=1e-5,
+                        positions_km=(0.0,))
+    z_s, z_n, chi2 = sampled_law(noisy, n, seed=4)
+    assert abs(z_s) < 4.0
+    assert abs(z_n) < 4.0
+    assert chi2 < 26.1
 
 
 def test_transition_maps_exactly_stochastic():
     rng = np.random.default_rng(17)
-    params = ChainConfig(distance_km=1.0, eta=0.5, p_dark=1e-4)
     for _ in range(1000):
-        st = random_event_state(rng)
+        st = tuple(map(float, rng.dirichlet(np.ones(4))))
         seg = propagate_segment(st, float(rng.uniform(0, 3)))
-        rel = apply_relay(st, params)
+        rel = apply_relay(st, 0.5, 1e-4)
         for out in (seg, rel):
-            total = out.p_sig + out.p_rnd + out.p_empty + out.p_nogate
-            assert abs(total - 1.0) <= 1e-12
+            assert abs(sum(out) - 1.0) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -122,35 +116,30 @@ def test_transition_maps_exactly_stochastic():
 def test_step_maps_keep_states_stochastic(weights, alpha_x, eta, p_dark):
     assume(sum(weights) > 0.0 and eta + 2.0 * p_dark <= 1.0)
     total = math.fsum(weights)
-    state = ChannelEventState(*(w / total for w in weights))
-    relay = ChainConfig(distance_km=1.0, eta=eta, p_dark=p_dark)
-    # in [0, 1] and summing to 1 within rounding, far inside the 1e-12 the
-    # state's own check allows
-    for out in (propagate_segment(state, alpha_x), apply_relay(state, relay)):
-        values = (out.p_sig, out.p_rnd, out.p_empty, out.p_nogate)
-        assert all(0.0 <= v <= 1.0 + 1e-15 for v in values), values
-        assert abs(math.fsum(values) - 1.0) <= 1e-15, values
+    state = tuple(w / total for w in weights)
+    # in [0, 1] and summing to 1 within rounding
+    for out in (propagate_segment(state, alpha_x),
+                apply_relay(state, eta, p_dark)):
+        assert all(0.0 <= v <= 1.0 + 1e-15 for v in out), out
+        assert abs(math.fsum(out) - 1.0) <= 1e-15, out
 
 
 def test_receiver_detect():
-    rep = receiver_detect(initial_state(), 1e-5)
-    assert rep.p_s == 1.0
-    assert rep.p_n == pytest.approx(2e-5, abs=1e-18)
-    assert rep.snr == pytest.approx(5e4)
-    assert rep.q_b == pytest.approx(0.5 * rep.p_n / (rep.p_n + rep.p_s))
+    p_s, p_n, snr, q_b = receiver_detect(TRANSMITTED, 1e-5)
+    assert p_s == 1.0
+    assert p_n == pytest.approx(2e-5, abs=1e-18)
+    assert snr == pytest.approx(5e4)
+    assert q_b == pytest.approx(0.5 * p_n / (p_n + p_s))
     # fully vetoed chain: nothing can click
-    dead = receiver_detect(ChannelEventState(0, 0, 0, 1), 1e-5)
-    assert dead.p_s == 0.0 and dead.p_n == 0.0
-    assert math.isnan(dead.snr) and math.isnan(dead.q_b)
+    p_s, p_n, snr, q_b = receiver_detect((0.0, 0.0, 0.0, 1.0), 1e-5)
+    assert p_s == 0.0 and p_n == 0.0
+    assert math.isnan(snr) and math.isnan(q_b)
     # pure spurious photon: noise 1 + 2 p_dark, QBER near 1/2
-    spur = receiver_detect(ChannelEventState(0, 1, 0, 0), 1e-5)
-    assert spur.p_n == pytest.approx(1 + 2e-5)
-    assert spur.q_b == pytest.approx(0.5)
+    _, p_n, _, q_b = receiver_detect((0.0, 1.0, 0.0, 0.0), 1e-5)
+    assert p_n == pytest.approx(1 + 2e-5)
+    assert q_b == pytest.approx(0.5)
     # noise-free sentinel
-    clean = receiver_detect(initial_state(), 0.0)
-    assert math.isinf(clean.snr)
-    with pytest.raises(ValueError):
-        receiver_detect(initial_state(), -0.1)
+    assert math.isinf(receiver_detect(TRANSMITTED, 0.0)[2])
 
 
 def test_run_chain_matches_markov_reference():
@@ -162,9 +151,9 @@ def test_run_chain_matches_markov_reference():
             cfg = ChainConfig(distance_km=x, atten_per_km=0.05, n_relays=n,
                               eta=0.5, p_dark=1e-5, positions_km=tuple(pos))
             got = run_chain(cfg)
-            want = markov_chain_reference(x, 0.05, 0.5, 1e-5, pos)
-            assert got.p_s == pytest.approx(want["p_s"], rel=1e-13, abs=1e-300)
-            assert got.p_n == pytest.approx(want["p_n"], rel=1e-13, abs=1e-300)
+            want = markov_chain_reference(cfg)
+            assert got.p_s == pytest.approx(want.p_s, rel=1e-13, abs=1e-300)
+            assert got.p_n == pytest.approx(want.p_n, rel=1e-13, abs=1e-300)
 
 
 def test_run_chain_against_first_order_formula():
@@ -205,7 +194,6 @@ def test_non_finite_positions_are_refused(position):
     for call in (lambda pos: run_chain(cfg, pos),
                  lambda pos: chain_noise(cfg, pos),
                  lambda pos: log_chain_noise(cfg, pos),
-                 lambda pos: propagate_chain(cfg, pos),
                  lambda pos: sample_chain(cfg, 1000, 1, pos)):
         with pytest.raises(ValueError, match="non-decreasing"):
             call([position])
@@ -226,17 +214,17 @@ def test_degenerate_chains():
 def test_nogate_mass_is_monotone():
     cfg = ChainConfig(distance_km=200.0, n_relays=4)
     positions = optimal_positions(cfg)
-    state = initial_state()
+    state = TRANSMITTED
     last = 0.0
     pts = (0.0,) + positions + (200.0,)
     for i in range(len(pts) - 1):
         state = propagate_segment(state, 0.05 * (pts[i + 1] - pts[i]))
-        assert state.p_nogate >= last
-        last = state.p_nogate
+        assert state[3] >= last
+        last = state[3]
         if i < 4:
-            state = apply_relay(state, cfg)
-            assert state.p_nogate >= last
-            last = state.p_nogate
+            state = apply_relay(state, cfg.eta, cfg.p_dark)
+            assert state[3] >= last
+            last = state[3]
 
 
 def test_gate_suppression_beyond_crossover():
@@ -300,9 +288,8 @@ def test_sample_chain_state_histogram_unbiased():
     # distribution; 3 degrees of freedom, 26.1 is the 1e-5 tail
     cfg = ChainConfig(distance_km=30.0, n_relays=2, p_dark=1e-3)
     n = 300_000
-    final = propagate_chain(cfg)
-    expected = {"signal": final.p_sig, "random": final.p_rnd,
-                "empty": final.p_empty, "no_gate": final.p_nogate}
+    expected = dict(zip(("signal", "random", "empty", "no_gate"),
+                        markov_chain_reference(cfg).state))
     got = sample_chain(cfg, n, seed=77)
     chi2 = sum((got.state_counts[k] - n * p) ** 2 / (n * p)
                for k, p in expected.items() if p > 0)
@@ -311,12 +298,10 @@ def test_sample_chain_state_histogram_unbiased():
 
 def sampled_law(cfg, n, seed):
     """z(p_s), z(p_n) and the 4-state chi-squared of one draw of n slots."""
-    final = propagate_chain(cfg)
-    probs = {"signal": final.p_sig, "random": final.p_rnd,
-             "empty": final.p_empty, "no_gate": final.p_nogate}
-    exact = receiver_detect(final, cfg.p_dark)
+    exact = markov_chain_reference(cfg)
+    probs = dict(zip(("signal", "random", "empty", "no_gate"), exact.state))
     # per-slot noise count: spurious photon plus dark count, each 0 or 1
-    var_n = (exact.p_n + 2.0 * final.p_rnd * 2.0 * cfg.p_dark
+    var_n = (exact.p_n + 2.0 * probs["random"] * 2.0 * cfg.p_dark
              - exact.p_n ** 2)
     got = sample_chain(cfg, n, seed=seed)
     z_s = (got.p_s - exact.p_s) / math.sqrt(exact.p_s * (1 - exact.p_s) / n)

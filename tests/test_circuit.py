@@ -9,7 +9,7 @@ import pytest
 
 import qrelay
 from qrelay.analytics import ChainConfig, check_relay
-from qrelay.chain import ChannelEventState, apply_relay
+from qrelay.chain import run_chain, sample_chain
 from qrelay import circuit
 from qrelay.circuit import (ENCODER_SPATIAL, _kraus_outcomes, _run_device,
                             build_encoder_state, derive_feed_forward_table,
@@ -21,7 +21,7 @@ from qrelay.circuit import (ENCODER_SPATIAL, _kraus_outcomes, _run_device,
 from qrelay.errors import ContractViolationError
 from qrelay.fockspace import H, V, make_qubit, product
 
-from oracles import dense_apply
+from oracles import TRANSMITTED, apply_relay, dense_apply
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -323,28 +323,39 @@ def test_channel_params_validation():
 
 def test_ideal_relay_map():
     # the lossless device: eta = 1/2 and no dark counts, exactly
-    ideal = ChainConfig(distance_km=1.0, eta=0.5, p_dark=0.0)
-    st = apply_relay(ChannelEventState(1.0, 0.0, 0.0, 0.0), ideal)
-    assert (st.p_sig, st.p_rnd, st.p_empty, st.p_nogate) == (0.5, 0.0, 0.0, 0.5)
-    st = apply_relay(ChannelEventState(0.4, 0.0, 0.6, 0.0), ideal)
-    assert (st.p_sig, st.p_rnd, st.p_empty, st.p_nogate) == (0.2, 0.0, 0.0, 0.8)
-    # a photon probability p1 = 1.5 makes no slot state to relay
-    with pytest.raises(ValueError):
-        apply_relay(ChannelEventState(1.5, 0.0, -0.5, 0.0), ideal)
+    assert apply_relay(TRANSMITTED, 0.5, 0.0) == (0.5, 0.0, 0.0, 0.5)
+    assert apply_relay((0.4, 0.0, 0.6, 0.0), 0.5, 0.0) == (0.2, 0.0, 0.0, 0.8)
+    # the chain that commands run: one relay at the transmitter, then fiber
+    # of transmission t, and no noise click at all
+    ideal = ChainConfig(10.0, n_relays=1, eta=0.5, p_dark=0.0,
+                        positions_km=(0.0,))
+    rep = run_chain(ideal)
+    assert rep.p_s == pytest.approx(0.5 * math.exp(-0.5), abs=1e-15)
+    assert rep.p_n == 0.0
+    got = sample_chain(ideal, 10**6, seed=3)
+    assert got.noise_events == got.state_counts["random"] == 0
 
 
 def test_noisy_relay_map_weights():
-    params = ChainConfig(distance_km=1.0, eta=0.5, p_dark=1e-5)
-    st = apply_relay(ChannelEventState(1.0, 0.0, 0.0, 0.0), params)
-    assert st.p_sig == pytest.approx(0.5, abs=1e-15)
-    assert st.p_rnd == pytest.approx(2e-5, abs=1e-18)
-    assert st.p_empty == 0.0
-    total = st.p_sig + st.p_rnd + st.p_empty + st.p_nogate
-    assert total == pytest.approx(1.0, abs=1e-15)
+    out = apply_relay(TRANSMITTED, 0.5, 1e-5)
+    assert out[0] == pytest.approx(0.5, abs=1e-15)
+    assert out[1] == pytest.approx(2e-5, abs=1e-18)
+    assert out[2] == 0.0
+    assert sum(out) == pytest.approx(1.0, abs=1e-15)
     # linear in the photon probability
-    st2 = apply_relay(ChannelEventState(0.5, 0.0, 0.5, 0.0), params)
-    assert st2.p_sig == pytest.approx(0.25, abs=1e-15)
-    assert st2.p_rnd == pytest.approx(2e-5, abs=1e-18)
+    out = apply_relay((0.5, 0.0, 0.5, 0.0), 0.5, 1e-5)
+    assert out[0] == pytest.approx(0.25, abs=1e-15)
+    assert out[1] == pytest.approx(2e-5, abs=1e-18)
+    # in the chain that commands run, the relay at the transmitter gates the
+    # photon with eta and false-gates the slot with 2 p_dark, a spurious
+    # photon the fiber keeps with t; the receiver adds 2 p_dark per live slot
+    t = math.exp(-0.5)
+    noisy = ChainConfig(10.0, n_relays=1, eta=0.5, p_dark=1e-5,
+                        positions_km=(0.0,))
+    rep = run_chain(noisy)
+    assert rep.p_s == pytest.approx(0.5 * t, abs=1e-15)
+    assert rep.p_n == pytest.approx(2e-5 * t + 2e-5 * (0.5 + 2e-5),
+                                    abs=1e-18)
 
 
 def test_basis_labels_exported():

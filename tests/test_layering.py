@@ -84,14 +84,14 @@ def test_cli_imports_layers_only_at_command_level():
 
 def test_sampler_is_independent_of_the_exact_model(monkeypatch):
     # sample_chain draws from the event rules alone, so it stays a check on
-    # the step maps and the closed form, not a rerun of them
+    # the closed form, not a rerun of it
     from qrelay import analytics, chain
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the sampler reached the exact model")
 
-    for name in ("apply_relay", "propagate_segment", "receiver_detect",
-                 "run_chain", "_receiver_counts"):
+    for name in ("run_chain", "_noise_terms", "_noise_exponent",
+                 "_receiver_counts"):
         monkeypatch.setattr(chain, name, forbidden)
     monkeypatch.setattr(analytics, "_receiver_counts", forbidden)
     cfg = analytics.ChainConfig(distance_km=60.0, n_relays=3, p_dark=1e-3)

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 import qrelay
 from qrelay import cli
 from qrelay.reports import (CurveReport, read_csv, read_json, render_csv,
-                            render_json, render_payload, write_csv,
-                            write_json, write_payload)
+                            render_json, render_payload)
 
 DATA = Path(__file__).parent / "data"
 
@@ -39,10 +38,17 @@ def test_curve_report_validation():
         CurveReport(columns=("x", "y"), rows=((1.0,),), metadata={})
 
 
+def write(text, path):
+    """Write a report as every command does, through cli._write."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli._write(text, {"output": str(path)})
+    assert out.getvalue() == f"wrote {path}\n"
+
+
 def test_csv_round_trip(tmp_path):
     rep = small_report()
     path = tmp_path / "curve.csv"
-    write_csv(rep, path)
+    write(render_csv(rep), path)
     text = path.read_text()
     assert text.startswith("# {")
     assert text == render_csv(rep)
@@ -54,14 +60,14 @@ def test_csv_round_trip(tmp_path):
     assert math.isnan(back.rows[2][1])
     # serialization is reproducible byte for byte
     second = tmp_path / "curve2.csv"
-    write_csv(back, second)
+    write(render_csv(back), second)
     assert second.read_text() == text
 
 
 def test_json_round_trip(tmp_path):
     rep = small_report()
     path = tmp_path / "curve.json"
-    write_json(rep, path)
+    write(render_json(rep), path)
     back = read_json(path)
     assert back.columns == rep.columns
     assert back.metadata == rep.metadata
@@ -180,6 +186,21 @@ def test_cli_verify_circuit_checks_flags_before_the_suite(flag, message,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"configuration error: {message}")
+
+
+def test_cli_verify_circuit_refuses_channel_flags(tmp_path, capsys):
+    # the device suite reads no channel setting, so it takes no flag for
+    # one; a config file's channel keys are ignored, as every unused key is
+    for flag in ("--pd", "--eta", "--atten-per-km"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify-circuit", "--trials", "3", flag, "5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    cfg = tmp_path / "channel.json"
+    cfg.write_text(json.dumps({"pd": 5, "eta": 2, "atten_per_km": -1}))
+    assert run_cli(["verify-circuit", "--trials", "3", "--config",
+                    str(cfg)]) == 0
+    assert "PASS verify-circuit (7/7 checks)" in capsys.readouterr().out
 
 
 def test_cli_verify_circuit_matches_its_golden(tmp_path, capsys):
@@ -583,7 +604,7 @@ def test_render_payload_strict_and_unchanged_when_finite(tmp_path):
     finite = {"z": (0.1, 2), "a": {"k": 1e-300, "s": "text"}}
     want = json.dumps(finite, sort_keys=True, indent=2) + "\n"
     assert render_payload(finite) == want
-    write_payload(finite, tmp_path / "p.json")
+    write(render_payload(finite), tmp_path / "p.json")
     assert (tmp_path / "p.json").read_text() == want
 
 
