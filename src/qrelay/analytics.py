@@ -17,8 +17,9 @@ at the transmitter), 1/S = (1 + 2 p_dark/eta)^N (1 + 2 p_dark e^(alpha x)) - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+import sys
+from collections import namedtuple
+from typing import NamedTuple, Optional, Sequence
 
 
 def check_p_dark(p_dark: float) -> None:
@@ -49,44 +50,51 @@ def check_n_relays(n_relays: int) -> None:
                          f"got {n_relays!r}")
 
 
-@dataclass(frozen=True)
-class ChainConfig:
-    """End-to-end channel description.
+class ChainConfig(namedtuple("ChainConfig", (
+        "distance_km", "atten_per_km", "n_relays", "eta", "p_dark",
+        "positions_km"))):
+    """End-to-end channel description, checked at construction.
 
-    positions_km, when given, lists relay locations measured from the
-    transmitter; they must be non-decreasing and inside [0, distance_km]
-    (zero-length segments are legal and occur in degenerate sweeps). When
-    absent, operations that need positions use optimal_positions().
+    Fields: distance_km, atten_per_km (0.05), n_relays (0), eta (0.5),
+    p_dark (1e-5) and positions_km (None). positions_km, when given, lists
+    relay locations measured from the transmitter; they must be
+    non-decreasing and inside [0, distance_km] (zero-length segments are
+    legal and occur in degenerate sweeps). When absent, operations that need
+    positions use optimal_positions().
     """
 
-    distance_km: float
-    atten_per_km: float = 0.05
-    n_relays: int = 0
-    eta: float = 0.5
-    p_dark: float = 1e-5
-    positions_km: Optional[tuple[float, ...]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.distance_km) or self.distance_km < 0:
+    def __new__(cls, distance_km: float, atten_per_km: float = 0.05,
+                n_relays: int = 0, eta: float = 0.5, p_dark: float = 1e-5,
+                positions_km: Optional[Sequence[float]] = None):
+        if not math.isfinite(distance_km) or distance_km < 0:
             raise ValueError(f"distance_km must be finite and >= 0, "
-                             f"got {self.distance_km}")
-        if not math.isfinite(self.atten_per_km) or self.atten_per_km <= 0:
+                             f"got {distance_km}")
+        if not math.isfinite(atten_per_km) or atten_per_km <= 0:
             raise ValueError(f"atten_per_km must be finite and > 0, "
-                             f"got {self.atten_per_km}")
-        check_n_relays(self.n_relays)
-        check_relay(self.eta, self.p_dark)
-        if self.positions_km is not None:
-            pos = tuple(float(p) for p in self.positions_km)
-            object.__setattr__(self, "positions_km", pos)
-            if len(pos) != self.n_relays:
-                raise ValueError(f"{len(pos)} positions for {self.n_relays} relays")
+                             f"got {atten_per_km}")
+        check_n_relays(n_relays)
+        check_relay(eta, p_dark)
+        if positions_km is not None:
+            positions_km = tuple(float(p) for p in positions_km)
+            if len(positions_km) != n_relays:
+                raise ValueError(f"{len(positions_km)} positions for "
+                                 f"{n_relays} relays")
             lo = 0.0
-            for p in pos:
+            for p in positions_km:
                 if (not math.isfinite(p) or p < lo - 1e-12
-                        or p > self.distance_km + 1e-12):
+                        or p > distance_km + 1e-12):
                     raise ValueError(f"relay positions must be non-decreasing "
-                                     f"within [0, {self.distance_km}], got {pos}")
+                                     f"within [0, {distance_km}], "
+                                     f"got {positions_km}")
                 lo = p
+        return super().__new__(cls, distance_km, atten_per_km, n_relays, eta,
+                               p_dark, positions_km)
+
+    def _replace(self, **changes) -> "ChainConfig":
+        """A copy with some fields changed, checked as a new config is."""
+        return ChainConfig(**{**self._asdict(), **changes})
 
     @property
     def alpha_x(self) -> float:
@@ -148,10 +156,28 @@ def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> fl
     """
     check_n_relays(n_relays)
     check_relay(eta, p_dark)
-    if math.isinf(snr_no_relay(p_dark, alpha_x)):   # checks alpha_x; p_d = 0
-        return math.inf
+    return _snr_n_relays_curve((alpha_x,), n_relays, eta, p_dark)[0]
+
+
+def _check_alpha_xs(alpha_xs: Sequence[float]) -> None:
+    for alpha_x in alpha_xs:
+        if not 0.0 <= alpha_x < math.inf:
+            raise ValueError(f"alpha_x must be finite and >= 0, "
+                             f"got {alpha_x}")
+
+
+def _snr_n_relays_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
+                        p_dark: float) -> list[float]:
+    """snr_n_relays at each alpha_x, its factors taken once per curve.
+
+    Only the alpha_xs are checked; the callers check (eta, p_dark, N).
+    """
+    _check_alpha_xs(alpha_xs)
+    if p_dark == 0.0:
+        return [math.inf] * len(alpha_xs)
     m = n_relays + 1
-    return 0.5 / p_dark * (eta ** (n_relays / m) * math.exp(-alpha_x / m) / m)
+    s_0, gain = 0.5 / p_dark, eta ** (n_relays / m)
+    return [s_0 * (gain * math.exp(-alpha_x / m) / m) for alpha_x in alpha_xs]
 
 
 def noise_single_relay(x1_km: float, x2_km: float, config: ChainConfig) -> float:
@@ -244,31 +270,49 @@ def _snr_from_k(k: float) -> float:
     return 1.0 / math.expm1(k) if k < _EXP_MAX else math.exp(-k)
 
 
-def _chain_at(alpha_x: float, n_relays: int, eta: float,
-              p_dark: float) -> tuple[float, float, Optional[float]]:
-    """(S, K, ln u) of the optimal chain, K = ln(1 + 1/S) in the binomial form.
+def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
+                 p_dark: float) -> list[tuple[float, float, Optional[float]]]:
+    """(S, K, ln u) of the optimal chain at each alpha_x, K = ln(1 + 1/S) in
+    the binomial form, the chain's constants taken once per curve.
 
     ln u is None on the clamped branch and -inf without dark counts, where
-    K = 0. Only alpha_x is checked; the callers check (eta, p_dark, N).
+    K = 0. Only the alpha_xs are checked; the callers check (eta, p_dark, N).
     """
-    if not 0.0 <= alpha_x < math.inf:
-        raise ValueError(f"alpha_x must be finite and >= 0, got {alpha_x}")
+    _check_alpha_xs(alpha_xs)
     if p_dark == 0.0:
-        return math.inf, 0.0, -math.inf
-    n, log_eta = n_relays, math.log(eta)
-    if n and alpha_x <= -log_eta:   # N relays of t = 1, then the bare fiber
-        k = (n * math.log1p(2.0 * p_dark / eta)
-             + _chain_at(alpha_x, 0, eta, p_dark)[1])
-        log_u = None
-    else:
-        y = (alpha_x - n * log_eta) / (n + 1)       # u = 2 p_dark e^y
-        log_u = math.log(2.0 * p_dark) + y
-        if y < _EXP_MAX:    # u itself is a double, one rounding from exact
-            k = (n + 1) * math.log1p(2.0 * p_dark * math.exp(y))
+        return [(math.inf, 0.0, -math.inf)] * len(alpha_xs)
+    n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
+    n_log_eta, pd2 = n * log_eta, 2.0 * p_dark
+    log_pd2 = math.log(pd2)
+    # on the subnormal grid 2 p_dark/eta keeps few digits (none at 5e-324),
+    # so there it is scaled by 2^64, exactly, and the N relay terms are
+    # rounded to that grid once, as a sum
+    scale = 2.0**64 if pd2 / eta < sys.float_info.min else 1.0
+    relays = n * math.log1p(pd2 * scale / eta) / scale
+    out = []
+    for alpha_x in alpha_xs:
+        if n and alpha_x <= -log_eta:   # N relays of t = 1, then bare fiber
+            k = relays + (math.log1p(pd2 * math.exp(alpha_x))
+                          if alpha_x < _EXP_MAX
+                          else _softplus(log_pd2 + alpha_x))
+            log_u = None
         else:
-            k = (n + 1) * _softplus(log_u)
-    # k = 0 where u is below the double range: no noise reaches the receiver
-    return _snr_from_k(k), k, log_u
+            y = (alpha_x - n_log_eta) / m       # u = 2 p_dark e^y
+            log_u = log_pd2 + y
+            if y < _EXP_MAX:    # u itself is a double, one rounding from exact
+                k = m * math.log1p(pd2 * math.exp(y))
+            else:
+                k = m * _softplus(log_u)
+        # k = 0 where u is below the double range: no noise reaches the
+        # receiver
+        out.append((_snr_from_k(k), k, log_u))
+    return out
+
+
+def _chain_at(alpha_x: float, n_relays: int, eta: float,
+              p_dark: float) -> tuple[float, float, Optional[float]]:
+    """_chain_curve at one alpha_x."""
+    return _chain_curve((alpha_x,), n_relays, eta, p_dark)[0]
 
 
 def snr_exact(alpha_x: float, n_relays: int, eta: float,
@@ -297,8 +341,7 @@ def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,
     return -(n_relays + 1) * math.log(arg)
 
 
-@dataclass(frozen=True)
-class RangeEnhancement:
+class RangeEnhancement(NamedTuple):
     approx: float
     exact: float
 

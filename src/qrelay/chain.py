@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .analytics import (_EXP_MAX, ChainConfig, _log_expm1, _receiver_counts,
                         _snr_from_k, _softplus, optimal_positions,
@@ -43,8 +42,7 @@ def _snr_qb(p_s: float, p_n: float) -> tuple[float, float]:
     return p_s / p_n if p_n > 0.0 else math.inf, 0.5 * p_n / (p_n + p_s)
 
 
-@dataclass(frozen=True)
-class ReceiverReport:
+class ReceiverReport(NamedTuple):
     """Detection statistics per transmitted slot, conditioned on nothing.
 
     p_s is the per-slot probability of a signal detection. p_n is the
@@ -282,8 +280,7 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-@dataclass(frozen=True)
-class SampledReport:
+class SampledReport(NamedTuple):
     """Monte Carlo estimate of the receiver statistics.
 
     Counts are over n_trials transmitted slots. noise_events counts receiver
@@ -302,7 +299,7 @@ class SampledReport:
     noise_events: int
     stderr_p_s: float
     stderr_p_n: float
-    state_counts: dict = field(default_factory=dict)
+    state_counts: dict
 
 
 def sample_chain(config: ChainConfig, n_trials: int, seed: int,

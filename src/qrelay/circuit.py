@@ -22,8 +22,7 @@ import cmath
 import functools
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ContractViolationError
 from .fockspace import (
@@ -95,8 +94,7 @@ def _one_and_only_one(pattern, basis, spatial) -> Optional[str]:
     return F_CHANNEL if f == 1 else S_CHANNEL
 
 
-@dataclass(frozen=True)
-class PackageOutcome:
+class PackageOutcome(NamedTuple):
     """One accepted joint detector outcome of the device."""
 
     channel_d2: str
@@ -107,8 +105,7 @@ class PackageOutcome:
     fidelity: float               # against the input qubit
 
 
-@dataclass(frozen=True)
-class QndReport:
+class QndReport(NamedTuple):
     outcomes: tuple[PackageOutcome, ...]
     success_probability: float
 

@@ -15,22 +15,24 @@ does; nothing is printed then.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
 from typing import Optional, Sequence
 
 from . import __version__
-from .analytics import (ChainConfig, _chain_at, _log_expm1, check_n_relays,
-                        optimal_positions, qber_from_snr, snr_n_relays)
+from .analytics import (ChainConfig, _chain_curve, _log_expm1,
+                        _snr_n_relays_curve, check_n_relays,
+                        optimal_positions, qber_from_snr)
 from .errors import ContractViolationError
 from .reports import CurveReport, render_csv, render_json, render_payload
 
 # chain, throughput and circuit are imported in the cmd_* functions that use
 # them, once per run, so no command loads (or compiles) a layer it never
-# calls. Never import in a per-point helper such as _snr_point.
+# calls. Never import in a helper that runs once per curve or grid point,
+# such as _snr_curve.
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -211,8 +213,8 @@ def _emit_sweep(command: str, fields: Sequence[str], curves: list,
     parameters.update(extra, grid=[grid[0], grid[-1], len(grid)])
     report = CurveReport(
         ("alpha_x", *(f"{f}_n{n}" for n, _ in curves for f in fields)),
-        tuple((ax, *(v for _, curve in curves for v in curve[i]))
-              for i, ax in enumerate(grid)),
+        tuple((ax, *itertools.chain.from_iterable(points))
+              for ax, *points in zip(grid, *(curve for _, curve in curves))),
         {"artifact": f"qrelay {__version__}", "command": command,
          "parameters": parameters})
     text = (render_csv if params["format"] == "csv" else render_json)(report)
@@ -220,21 +222,24 @@ def _emit_sweep(command: str, fields: Sequence[str], curves: list,
         sys.stdout.write(text)
 
 
-def _snr_point(ax: float, n: int, eta: float, pd: float) -> tuple:
-    """(s_analytic, s_exact, q_b, rel_dev) of one chain at alpha_x.
+def _snr_curve(grid: list[float], n: int, eta: float, pd: float) -> list:
+    """(s_analytic, s_exact, q_b, rel_dev) of one chain at each alpha_x.
 
     rel_dev takes S_exact/S_1 = (N+1) u/expm1(K) from logs in the interior,
     finite past the double range; clamped, S_1 is another placement's curve.
     """
-    s_an = snr_n_relays(ax, n, eta, pd)
-    s_ex, k, log_u = _chain_at(ax, n, eta, pd)
-    if k == 0.0:    # no noise: S_exact = inf, and S_1 = inf or all but
-        dev = 0.0
-    elif log_u is None:
-        dev = abs(s_ex - s_an) / s_an if s_ex != s_an else 0.0
-    else:
-        dev = abs(math.expm1(math.log(n + 1) + log_u - _log_expm1(k)))
-    return s_an, s_ex, qber_from_snr(s_ex), dev
+    log_m = math.log(n + 1)
+    points = []
+    for s_an, (s_ex, k, log_u) in zip(_snr_n_relays_curve(grid, n, eta, pd),
+                                      _chain_curve(grid, n, eta, pd)):
+        if k == 0.0:    # no noise: S_exact = inf, and S_1 = inf or all but
+            dev = 0.0
+        elif log_u is None:
+            dev = abs(s_ex - s_an) / s_an if s_ex != s_an else 0.0
+        else:
+            dev = abs(math.expm1(log_m + log_u - _log_expm1(k)))
+        points.append((s_an, s_ex, qber_from_snr(s_ex), dev))
+    return points
 
 
 def cmd_snr(params: dict) -> int:
@@ -242,8 +247,7 @@ def cmd_snr(params: dict) -> int:
     _chain(params)
     eta, pd = params["eta"], params["pd"]
     grid = _grid(params)
-    curves = [(n, [_snr_point(ax, n, eta, pd) for ax in grid])
-              for n in params["n_relays"]]
+    curves = [(n, _snr_curve(grid, n, eta, pd)) for n in params["n_relays"]]
     _emit_sweep("snr", ("s_analytic", "s_exact", "q_b", "rel_dev"), curves,
                 grid, {}, params)
     return EXIT_OK
@@ -256,8 +260,7 @@ def cmd_throughput(params: dict) -> int:
     configs = [_chain(params, n) for n in params["n_relays"]]
     grid = _grid(params)
     ec = EcPaParams(f_ec=params["f_ec"])
-    curves = [(cfg.n_relays, [(p.s, p.q_b, p.t_n, p.t_n_scaled)
-                              for p in throughput_curve(cfg, grid, ec)])
+    curves = [(cfg.n_relays, [p[1:] for p in throughput_curve(cfg, grid, ec)])
               for cfg in configs]
     # an unbounded cutoff (no dark counts) is spelled as table values are
     cutoffs = {str(cfg.n_relays): cutoff_alpha_x(cfg, ec) for cfg in configs}
@@ -275,7 +278,7 @@ def cmd_optimize(params: dict) -> int:
     n = _single_n(params)
     if n < 1:
         raise ValueError("optimize needs n_relays >= 1")
-    config = replace(_chain(params, n), distance_km=params["distance_km"])
+    config = _chain(params, n)._replace(distance_km=params["distance_km"])
     x, atten = config.distance_km, config.atten_per_km
     eta, pd = config.eta, config.p_dark
     analytic = optimal_positions(config)
@@ -318,9 +321,17 @@ def cmd_sample(params: dict) -> int:
     if (ax is None) == (x is None):
         raise ValueError("give one of --alpha-x and --distance-km")
     base = _chain(params, n)
-    config = base.at_alpha_x(ax) if x is None else replace(base, distance_km=x)
+    config = (base.at_alpha_x(ax) if x is None
+              else base._replace(distance_km=x))
     exact = run_chain(config)
     sampled = sample_chain(config, trials, seed)
+    if sampled.p_s + sampled.p_n == 0.0:    # its snr and q_b would be 0/0
+        vetoed = sampled.state_counts["no_gate"]
+        fate = (f"all {trials} slots were vetoed" if vetoed == trials else
+                f"{vetoed} of the {trials} slots were vetoed and the rest "
+                f"reached the receiver undetected")
+        raise ValueError(f"no sampled slot was detected ({fate}), so the "
+                         f"sampled snr and q_b would be 0/0; raise --trials")
     print(f"chain: alpha_x = {config.alpha_x:.6f}, N = {n}, "
           f"eta = {config.eta}, p_dark = {config.p_dark}, trials = {trials}, "
           f"seed = {seed}")
@@ -341,9 +352,9 @@ def cmd_sample(params: dict) -> int:
                    "distance_km": config.distance_km, "seed": seed,
                    "atten_per_km": config.atten_per_km, "eta": config.eta,
                    "pd": config.p_dark},
-        "exact": asdict(exact),
+        "exact": exact._asdict(),
         # n_trials and seed are reported once, in config
-        "sampled": {k: v for k, v in asdict(sampled).items()
+        "sampled": {k: v for k, v in sampled._asdict().items()
                     if k not in ("n_trials", "seed")},
     }), params)
     return EXIT_OK

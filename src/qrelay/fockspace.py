@@ -13,7 +13,7 @@ per-call overhead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ContractViolationError
@@ -255,8 +255,8 @@ def _adjoint(m: Matrix) -> Matrix:
     return tuple(tuple(u.conjugate() for u in col) for col in zip(*m))
 
 
-@dataclass(frozen=True)
-class LinearModeTransform:
+class LinearModeTransform(namedtuple("LinearModeTransform",
+                                     ("basis", "matrix"))):
     """Unitary rewriting of creation operators over a ModeBasis.
 
     Column j of ``matrix`` is the image of input basis mode j: the operator
@@ -265,13 +265,12 @@ class LinearModeTransform:
     tuples of complex. Validated unitary to 1e-12 at construction.
     """
 
-    basis: ModeBasis
-    matrix: Matrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        size = self.basis.size
+    def __new__(cls, basis: ModeBasis, matrix):
+        size = basis.size
         try:
-            m = tuple(tuple(map(complex, row)) for row in self.matrix)
+            m = tuple(tuple(map(complex, row)) for row in matrix)
         except TypeError as exc:
             raise ValueError(f"matrix must be a square nested sequence of "
                              f"numbers: {exc}") from None
@@ -283,7 +282,11 @@ class LinearModeTransform:
                    for j, u in enumerate(row)), default=0.0)
         if dev > 1e-12:
             raise ContractViolationError(f"transform is not unitary (deviation {dev:.3e})")
-        object.__setattr__(self, "matrix", m)
+        return super().__new__(cls, basis, m)
+
+    def _replace(self, **changes) -> "LinearModeTransform":
+        """A copy with some fields changed, checked as a new transform is."""
+        return LinearModeTransform(**{**self._asdict(), **changes})
 
     def then(self, later: "LinearModeTransform") -> "LinearModeTransform":
         """Composite transform: self first, then ``later``."""
@@ -372,8 +375,7 @@ def apply_transform(state: PhotonicState, t: LinearModeTransform) -> PhotonicSta
     return PhotonicState(state.basis, out).prune()
 
 
-@dataclass(frozen=True)
-class DetectionPattern:
+class DetectionPattern(NamedTuple):
     """Photon counts on a set of measured basis modes."""
 
     counts: tuple[tuple[BasisMode, int], ...]

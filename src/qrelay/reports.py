@@ -17,27 +17,36 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import Optional
 
 _FLOAT_FMT = "%.17e"
 
 
-@dataclass(frozen=True)
-class CurveReport:
-    """A named table: column labels, float rows, and run metadata."""
+class CurveReport(namedtuple("CurveReport",
+                             ("columns", "rows", "metadata"))):
+    """A named table: column labels, float rows, and run metadata.
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
-    metadata: dict = field(default_factory=dict)
+    Labels are stored as str and values as float; a row whose width is not
+    the column count is refused at construction. metadata defaults to a new
+    empty dict.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(str(c) for c in self.columns))
-        rows = tuple(tuple(float(v) for v in r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    __slots__ = ()
+
+    def __new__(cls, columns, rows, metadata: Optional[dict] = None):
+        columns = tuple(str(c) for c in columns)
+        rows = tuple(tuple(map(float, r)) for r in rows)
         for r in rows:
-            if len(r) != len(self.columns):
+            if len(r) != len(columns):
                 raise ValueError(f"row of width {len(r)} in a table with "
-                                 f"{len(self.columns)} columns")
+                                 f"{len(columns)} columns")
+        return super().__new__(cls, columns, rows,
+                               {} if metadata is None else metadata)
+
+    def _replace(self, **changes) -> "CurveReport":
+        """A copy with some fields changed, checked as a new table is."""
+        return CurveReport(**{**self._asdict(), **changes})
 
     def column(self, name: str) -> list[float]:
         i = self.columns.index(name)

@@ -13,10 +13,10 @@ range where the key fraction reaches zero is that form inverted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections import namedtuple
+from typing import NamedTuple, Optional, Sequence
 
-from .analytics import ChainConfig, _chain_at, qber_from_snr
+from .analytics import ChainConfig, _chain_at, _chain_curve, qber_from_snr
 
 _SINGLE_PHOTON_BB84 = "single-photon-bb84"
 
@@ -30,25 +30,28 @@ def binary_entropy(e: float) -> float:
     return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
 
 
-@dataclass(frozen=True)
-class EcPaParams:
+class EcPaParams(namedtuple("EcPaParams", ("f_ec", "model"))):
     """Error-correction / privacy-amplification model parameters.
 
-    f_ec is the error-correction inefficiency (1 = Shannon limit). model
-    selects the key-fraction formula; only "single-photon-bb84" is built in,
-    and unknown identifiers are rejected so new models must be registered in
-    _MODELS explicitly.
+    f_ec (1.16) is the error-correction inefficiency (1 = Shannon limit).
+    model selects the key-fraction formula; only "single-photon-bb84" is
+    built in, and unknown identifiers are rejected so new models must be
+    registered in _MODELS explicitly. Both are checked at construction.
     """
 
-    f_ec: float = 1.16
-    model: str = _SINGLE_PHOTON_BB84
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.f_ec) or self.f_ec < 1.0:
-            raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
-        if self.model not in _MODELS:
-            raise ValueError(f"unknown throughput model {self.model!r}; "
+    def __new__(cls, f_ec: float = 1.16, model: str = _SINGLE_PHOTON_BB84):
+        if not math.isfinite(f_ec) or f_ec < 1.0:
+            raise ValueError(f"f_ec must be finite and >= 1, got {f_ec}")
+        if model not in _MODELS:
+            raise ValueError(f"unknown throughput model {model!r}; "
                              f"known: {sorted(_MODELS)}")
+        return super().__new__(cls, f_ec, model)
+
+    def _replace(self, **changes) -> "EcPaParams":
+        """A copy with some fields changed, checked as new parameters are."""
+        return EcPaParams(**{**self._asdict(), **changes})
 
 
 def _tau_single_photon_bb84(e: float, params: EcPaParams) -> float:
@@ -107,8 +110,7 @@ def normalized_throughput(s: float, params: Optional[EcPaParams] = None) -> floa
     return key_fraction(qber_from_snr(s), params)
 
 
-@dataclass(frozen=True)
-class ThroughputPoint:
+class ThroughputPoint(NamedTuple):
     """One attenuation-length sample of a throughput sweep.
 
     t_n is per detected slot; t_n_scaled additionally charges the eta of each
@@ -128,20 +130,20 @@ def throughput_curve(config: ChainConfig, alpha_x_values: Sequence[float],
     """Exact-chain throughput at each attenuation length in the grid.
 
     Each grid point is the chain config.at_alpha_x gives, optimally placed
-    (explicit positions are rejected), at snr_exact's SNR and its QBER.
+    (explicit positions are rejected), at snr_exact's SNR and its QBER,
+    which is in [0, 1/2], the domain key_fraction checks.
     """
     config.at_alpha_x(0.0)     # rejects explicit positions
     if params is None:
         params = EcPaParams()
-    n, eta, p_dark = config.n_relays, config.eta, config.p_dark
-    scale = eta ** n
+    tau = _MODELS[params.model]
+    scale = config.eta ** config.n_relays
     points = []
-    for ax in alpha_x_values:
-        s = _chain_at(ax, n, eta, p_dark)[0]
+    for alpha_x, (s, _, _) in zip(alpha_x_values, _chain_curve(
+            alpha_x_values, config.n_relays, config.eta, config.p_dark)):
         q_b = qber_from_snr(s)
-        t_n = key_fraction(q_b, params)
-        points.append(ThroughputPoint(alpha_x=ax, s=s, q_b=q_b,
-                                      t_n=t_n, t_n_scaled=scale * t_n))
+        t_n = max(tau(q_b, params), 0.0)
+        points.append(ThroughputPoint(alpha_x, s, q_b, t_n, scale * t_n))
     return points
 
 
@@ -151,10 +153,10 @@ def cutoff_alpha_x(config: ChainConfig,
 
     snr_exact's binomial inverted at K* = log1p(1/S*), S* the cutoff SNR: in
     the interior u* = expm1(K*/(N+1)) is 2 p_dark e^((alpha x - N ln eta)/
-    (N+1)), as _chain_at writes u; clamped, (1+c)^N (1 + 2 p_dark e^(alpha x))
-    = e^(K*) with c = 2 p_dark/eta. The SNR falls strictly with alpha x, so
-    this is its one crossing of S*; 0 when S(0) <= S*, math.inf without dark
-    counts (S = inf).
+    (N+1)), as _chain_curve writes u; clamped, (1+c)^N (1 + 2 p_dark
+    e^(alpha x)) = e^(K*) with c = 2 p_dark/eta. The SNR falls strictly with
+    alpha x, so this is its one crossing of S*; 0 when S(0) <= S*, math.inf
+    without dark counts (S = inf).
     """
     if config.p_dark == 0.0:
         return math.inf

@@ -6,7 +6,6 @@ Run with plain pytest; the lines appear on the live terminal even when the
 suite is green.
 """
 
-import dataclasses
 import json
 import math
 import time
@@ -169,7 +168,7 @@ def test_criterion_04_snr_curve_reproduction(capsys):
                               p_dark=p_dark)
             rep = run_chain(cfg)
             p_n1 = (p_dark / eps) * run_chain(
-                dataclasses.replace(cfg, p_dark=eps)).p_n
+                cfg._replace(p_dark=eps)).p_n
             g = (rep.p_n - p_n1) / p_n1
             law = n / (2 * (n + 1) * s_an)
 
@@ -302,8 +301,8 @@ def test_criterion_09_stochastic_validation(capsys):
     again = sample_chain(cfg, n, seed=20260815)
     z_s = (got.p_s - exact.p_s) / math.sqrt(exact.p_s * (1 - exact.p_s) / n)
     z_n = (got.p_n - exact.p_n) / math.sqrt(exact.p_n * (1 - exact.p_n) / n)
-    same_bytes = (json.dumps(dataclasses.asdict(got), sort_keys=True)
-                  == json.dumps(dataclasses.asdict(again), sort_keys=True))
+    same_bytes = (json.dumps(got._asdict(), sort_keys=True)
+                  == json.dumps(again._asdict(), sort_keys=True))
     elapsed = time.perf_counter() - t0
     ok = abs(z_s) < 3.0 and abs(z_n) < 3.0 and same_bytes and elapsed < 60.0
     announce(capsys, "stochastic validation (1e7 trials)", ok,

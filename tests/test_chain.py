@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -177,12 +176,12 @@ def test_position_sources_and_overrides():
     assert default.p_n == pytest.approx(explicit.p_n, rel=1e-12)
     worse = run_chain(cfg, positions_km=(10.0,))
     assert worse.p_n > default.p_n
-    via_config = run_chain(dataclasses.replace(cfg, positions_km=(10.0,)))
+    via_config = run_chain(cfg._replace(positions_km=(10.0,)))
     assert via_config.p_n == pytest.approx(worse.p_n, rel=1e-15)
     with pytest.raises(ValueError):
         run_chain(cfg, positions_km=(10.0, 20.0))
     with pytest.raises(ValueError):
-        run_chain(dataclasses.replace(cfg, n_relays=2),
+        run_chain(cfg._replace(n_relays=2),
                   positions_km=(50.0, 20.0))
 
 

@@ -155,6 +155,10 @@ def test_closed_form_agrees_with_step_maps_and_oracle(cfg, extra, frac):
 @given(n=st.integers(0, 64), eta=st.floats(0.01, 1.0),
        p_dark=st.floats(0.0, 1e-2), frac=st.floats(0.0, 1.0),
        far=st.floats(0.0, 800.0))
+# 2 p_dark/eta on the subnormal grid: N relay terms each rounded there put
+# the clamped branch 2.08e-14 off
+@example(n=64, eta=0.6505715085313096, p_dark=3.0980174803234e-311, frac=0.0,
+         far=0.0)
 def test_binomial_form_matches_the_decimal_product_form(n, eta, p_dark, frac,
                                                         far):
     # the interior, N = 0, and the clamped branch alpha_x <= ln(1/eta) with
@@ -167,6 +171,39 @@ def test_binomial_form_matches_the_decimal_product_form(n, eta, p_dark, frac,
         assert_decimal_close(snr_exact(ax, n, eta, p_dark), want,
                              max(ax, k), (n, eta, p_dark, ax),
                              bound=FORM_BOUND)
+
+
+# alpha_x = 0; the clamped branch up to its edge ln(1/eta), past exp's range
+# at eta = 1e-305; the interior; and y = (alpha_x - N ln eta)/(N+1) >= 700,
+# where u leaves exp's range
+_CURVE_GRID = [0.0, 1e-300, 0.1, 0.5, math.log(2.0), 0.7, 1.0, 10.0, 40.0,
+               699.0, 700.0, 800.0, 2800.0, 1e4, 1e5]
+
+
+@pytest.mark.parametrize("n, eta, p_dark", [
+    (0, 0.5, 1e-5), (1, 0.5, 1e-5), (4, 0.3, 1e-3), (16, 0.99999, 1e-6),
+    (64, 0.6505715085313096, 3.0980174803234e-311), (3, 0.5, 0.0),
+    (5, 1.0, 0.0), (1000, 0.01, 4e-3), (2, 1e-305, 1e-6)])
+def test_curve_forms_match_the_scalar_functions_bit_for_bit(n, eta, p_dark):
+    # each formula is written once: the per-curve forms behind snr and
+    # throughput give, point by point, the bits of the public functions
+    from qrelay.throughput import EcPaParams, key_fraction, throughput_curve
+
+    def bits(*values):
+        return [float(v).hex() for v in values]
+
+    ec = EcPaParams(f_ec=1.2)
+    config = ChainConfig(0.0, 0.05, n, eta, p_dark)
+    for ax, snr_row, point in zip(
+            _CURVE_GRID, cli._snr_curve(_CURVE_GRID, n, eta, p_dark),
+            throughput_curve(config, _CURVE_GRID, ec)):
+        s_1, s = snr_n_relays(ax, n, eta, p_dark), snr_exact(ax, n, eta,
+                                                             p_dark)
+        q_b = qber_from_snr(s)
+        t_n = key_fraction(q_b, ec)
+        assert bits(*snr_row[:3]) == bits(s_1, s, q_b), (ax, snr_row)
+        assert bits(*point) == bits(ax, s, q_b, t_n, eta ** n * t_n), (
+            ax, point)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64])

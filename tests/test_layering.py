@@ -2,14 +2,17 @@
 
 analytics sits at the bottom and imports nothing of the package, fockspace
 imports only errors, and circuit builds on fockspace alone; outside the
-package, every module imports only the standard library. Every import
-counts, including one deferred inside a function body. Within chain,
-the Monte Carlo sampler does not call the exact model it checks, and within
-circuit a device run applies the cached Kraus operators without rerunning the
-Fock engine.
+package, every module imports only the standard library, and not
+dataclasses, whose import loads inspect, ast, dis and tokenize into every
+command. Every import counts, including one deferred inside a function body.
+Within chain, the Monte Carlo sampler does not call the exact model it
+checks, and within circuit a device run applies the cached Kraus operators
+without rerunning the Fock engine.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,28 +47,80 @@ def test_lower_layers_import_only_downward(module):
 MODULES = sorted(p.stem for p in Path(qrelay.__file__).parent.glob("*.py"))
 
 
+def absolute_imports(module: str) -> set[str]:
+    """Top-level names of the modules that module imports from outside."""
+    source = Path(qrelay.__file__).with_name(f"{module}.py").read_text()
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_modules_import_only_the_standard_library(module):
     # the package has no runtime dependency: no module imports anything
     # outside the standard library, not even inside a function body
-    source = Path(qrelay.__file__).with_name(f"{module}.py").read_text()
-    outside = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        outside.update(n.split(".")[0] for n in names
-                       if n.split(".")[0] not in sys.stdlib_module_names)
-    assert not outside
+    assert absolute_imports(module) <= sys.stdlib_module_names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_dataclasses(module):
+    assert "dataclasses" not in absolute_imports(module)
+
+
+@pytest.mark.parametrize("argv", [
+    ["snr"], ["throughput"], ["optimize", "--distance-km", "100",
+                              "--n-relays", "2"],
+    ["sample", "--alpha-x", "5", "--n-relays", "1", "--trials", "100000",
+     "--seed", "1"],
+    ["verify-circuit", "--trials", "3"]], ids=lambda argv: argv[0])
+def test_commands_load_neither_dataclasses_nor_inspect(argv, tmp_path):
+    # in a fresh interpreter, without site's start-up hooks (-S), which are
+    # the machine's and may load anything
+    probe = ("import sys\n"
+             "from qrelay import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "print(code, sorted({'dataclasses', 'inspect'}"
+             " & set(sys.modules)))\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(qrelay.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv,
+         "--output", str(tmp_path / "report")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 []", (done.stdout, done.stderr)
+
+
+def test_replace_checks_the_new_record():
+    # _replace rebuilds through the checking constructor; the stock
+    # namedtuple _replace goes through _make, which would skip the checks
+    from qrelay.analytics import ChainConfig
+    from qrelay.fockspace import ModeBasis, identity_transform
+    from qrelay.reports import CurveReport
+    from qrelay.throughput import EcPaParams
+
+    table = CurveReport(("a", "b"), ((1.0, 2.0),))
+    transform = identity_transform(ModeBasis(("0",), photon_cap=1))
+    with pytest.raises(ValueError, match="2 relays"):
+        ChainConfig(100.0, n_relays=1,
+                    positions_km=(10.0,))._replace(n_relays=2)
+    with pytest.raises(ValueError, match="f_ec"):
+        EcPaParams()._replace(f_ec=0.5)
+    with pytest.raises(ValueError, match="row of width 1"):
+        table._replace(rows=((1.0,),))
+    with pytest.raises(ValueError, match="not unitary"):
+        transform._replace(matrix=((2.0, 0.0), (0.0, 1.0)))
+    assert table._replace(rows=((3.0, 4.0),)) == (("a", "b"), ((3.0, 4.0),),
+                                                 {})
 
 
 def test_cli_imports_layers_only_at_command_level():
     # cli imports chain, throughput and circuit inside the cmd_* functions
-    # that use them, which run once per process; an import in a per-point
-    # helper such as _snr_point would run once per grid point
+    # that use them, which run once per process; an import in a helper
+    # such as _snr_curve would run once per curve, or per point
     tree = ast.parse(Path(qrelay.__file__).with_name("cli.py").read_text())
     placed = {}     # function -> what it imports, nested functions included
     for fn in ast.walk(tree):

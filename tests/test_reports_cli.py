@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 import qrelay
 from qrelay import cli
+from qrelay.analytics import ChainConfig
+from qrelay.chain import run_chain
 from qrelay.reports import (CurveReport, read_csv, read_json, render_csv,
                             render_json, render_payload)
 
@@ -461,7 +463,7 @@ def test_cli_help_shows_every_default(command, monkeypatch, capsys):
 def test_cli_sample_and_optimize_match_their_goldens(argv, stem, tmp_path,
                                                      capsys):
     # both goldens were written before the settings table replaced the
-    # per-flag parsing; sample's blocks now come from dataclasses.asdict
+    # per-flag parsing; sample's blocks now come from the records' _asdict()
     out = tmp_path / "report.json"
     assert run_cli(argv + ["--output", str(out)]) == 0
     stdout = (DATA / f"{stem}.stdout").read_text()
@@ -581,8 +583,8 @@ def _no_constants(name):
 def test_command_payloads_are_strict_json(tmp_path, capsys):
     # no dark counts: every snr is infinite, which strict JSON cannot hold
     # as a number, so it is spelled "inf" like the table values; 1e6 slots
-    # make sure some signal is sampled (mean 1,684), or the sampled snr
-    # would be 0/0
+    # make sure some signal is sampled (mean 1,684), or the run would be
+    # refused
     out = tmp_path / "sample.json"
     assert run_cli(["sample", "--alpha-x", "5", "--n-relays", "2",
                     "--trials", "1000000", "--seed", "1", "--pd", "0",
@@ -696,7 +698,7 @@ def test_import_loads_no_layer():
     (["snr", "--steps", "20", "--format", "json"],
      {"chain", "circuit", "fockspace"}),
     (["throughput", "--steps", "20"], {"chain", "circuit", "fockspace"}),
-    (["sample", "--alpha-x", "5", "--n-relays", "4", "--trials", "1000",
+    (["sample", "--alpha-x", "5", "--n-relays", "4", "--trials", "100000",
       "--seed", "7"], {"throughput", "circuit", "fockspace"}),
     (["optimize", "--distance-km", "300", "--n-relays", "3"],
      {"throughput", "circuit", "fockspace"}),
@@ -810,15 +812,15 @@ def test_optimize_and_exact_sample_exit_0_with_no_nan(tmp_path_factory, n,
                                                       alpha_x, eta, p_dark):
     # long chains, far ranges and no dark counts: optimize compares two
     # objective values that are not both 0 (they are ln p_n, -inf without
-    # dark counts) and writes no NaN; sample's exact block holds no NaN.
-    # The sampled block can hold the 0/0 of a run in which every slot is
-    # vetoed, which is what the sampled counts say, so it is not checked
+    # dark counts) and writes no NaN; sample's exact and sampled blocks hold
+    # no NaN. A sampled run with no detection, whose ratios would be 0/0,
+    # exits 2 and writes no report; its exact statistics still hold no NaN
     out = tmp_path_factory.mktemp("reports") / "report.json"
-    channel = ["--eta", repr(eta), "--pd", repr(p_dark), "--output", str(out)]
+    channel = ["--eta", repr(eta), "--pd", repr(p_dark)]
     if n:
         text = io.StringIO()
         argv = ["optimize", "--distance-km", repr(alpha_x / 0.05),
-                "--n-relays", str(n), *channel]
+                "--n-relays", str(n), *channel, "--output", str(out)]
         with contextlib.redirect_stdout(text):
             assert cli.main(argv) == 0, argv
         objective = _OBJECTIVE.search(text.getvalue())
@@ -828,12 +830,43 @@ def test_optimize_and_exact_sample_exit_0_with_no_nan(tmp_path_factory, n,
         assert values != [0.0, 0.0], argv
         payload = out.read_text()
         assert "nan" not in text.getvalue() + payload, argv
+    out = out.with_name("sample.json")
     argv = ["sample", "--alpha-x", repr(alpha_x), "--n-relays", str(n),
-            "--trials", "1000000", "--seed", "5", *channel]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
-    exact = json.loads(out.read_text())["exact"]
-    assert not any(math.isnan(float(v)) for v in exact.values()), argv
+            "--trials", "1000000", "--seed", "5", *channel, "--output",
+            str(out)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 2:
+        assert "no sampled slot was detected" in err.getvalue(), argv
+        assert not out.exists(), argv
+        exact = run_chain(ChainConfig(0.0, 0.05, n, eta, p_dark)
+                          .at_alpha_x(alpha_x))._asdict()
+        blocks = [exact]
+    else:
+        assert code == 0, argv
+        payload = json.loads(out.read_text())
+        blocks = [payload["exact"], payload["sampled"]]
+    for block in blocks:
+        assert not any(math.isnan(float(v)) for k, v in block.items()
+                       if k != "state_counts"), argv
+
+
+def test_cli_sample_refuses_a_run_with_no_detection(tmp_path, capsys):
+    # every one of the 1000 slots is vetoed on this chain, so the sampled
+    # snr and q_b would be 0/0
+    out = tmp_path / "r.json"
+    assert run_cli(["sample", "--alpha-x", "51.6", "--n-relays", "1000",
+                    "--trials", "1000", "--seed", "1",
+                    "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "configuration error: no sampled slot was detected (all 1000 slots "
+        "were vetoed), so the sampled snr and q_b would be 0/0; raise "
+        "--trials\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_every_public_name_resolves():
