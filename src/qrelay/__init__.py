@@ -5,10 +5,12 @@ The package layers are, bottom up:
 - fockspace: sparse multimode Fock states and linear-optics transforms.
 - circuit: the heralded nondestructive photon-presence device built from a
   polarizing beam splitter, an entangled ancilla pair, and two detector
-  packages, applied through its four cached Kraus operators
-  (device_operators); it supplies the relay efficiency eta through
-  measured_relay_efficiency.
-- analytics: the chain configuration and its one (eta, p_dark) validator,
+  packages, with a fixed photon budget (one input photon plus the pair),
+  applied through its four cached Kraus operators (device_operators); it
+  supplies the relay efficiency eta through measured_relay_efficiency.
+- analytics: the chain configuration (five fields; relay positions are an
+  argument of the chain functions, not a field), its one (eta, p_dark)
+  validator,
   first-order SNR/QBER expressions, the exact chain's closed form, one
   binomial at the optimal placement (snr_exact), the relay placement, which
   is exactly optimal, range enhancement, raw rates.
@@ -17,16 +19,16 @@ The package layers are, bottom up:
   that draws the slot count of each event. A relay gates a photon with
   probability eta and false-gates every live slot with probability
   2 p_dark, launching a spurious photon; the rest is vetoed.
-- throughput: BB84 key fraction and throughput sweeps; the cutoff range
-  inverts the binomial.
+- throughput: the single-photon BB84 key fraction, whose one parameter is
+  f_ec, and throughput sweeps; the cutoff range inverts the binomial.
 - reports: deterministic CSV/JSON tables, rendered as text.
 - cli: the `qrelay` command.
 
 Every module runs on the standard library alone; the Monte Carlo sampler
 draws its binomials from random.Random. Every layer loads on first access to
 one of its names, and each command imports only its own layers: the sweeps
-never load the device or the sampler, and verify-circuit never loads chain
-or throughput.
+never load the device or the sampler, and verify-circuit never loads
+analytics, chain or throughput.
 """
 
 __version__ = "0.1.0"

@@ -51,23 +51,19 @@ def check_n_relays(n_relays: int) -> None:
 
 
 class ChainConfig(namedtuple("ChainConfig", (
-        "distance_km", "atten_per_km", "n_relays", "eta", "p_dark",
-        "positions_km"))):
+        "distance_km", "atten_per_km", "n_relays", "eta", "p_dark"))):
     """End-to-end channel description, checked at construction.
 
-    Fields: distance_km, atten_per_km (0.05), n_relays (0), eta (0.5),
-    p_dark (1e-5) and positions_km (None). positions_km, when given, lists
-    relay locations measured from the transmitter; they must be
-    non-decreasing and inside [0, distance_km] (zero-length segments are
-    legal and occur in degenerate sweeps). When absent, operations that need
-    positions use optimal_positions().
+    Fields: distance_km, atten_per_km (0.05), n_relays (0), eta (0.5) and
+    p_dark (1e-5). Relay positions are not part of the config: functions
+    that take positions get them as an argument, else use
+    optimal_positions().
     """
 
     __slots__ = ()
 
     def __new__(cls, distance_km: float, atten_per_km: float = 0.05,
-                n_relays: int = 0, eta: float = 0.5, p_dark: float = 1e-5,
-                positions_km: Optional[Sequence[float]] = None):
+                n_relays: int = 0, eta: float = 0.5, p_dark: float = 1e-5):
         if not math.isfinite(distance_km) or distance_km < 0:
             raise ValueError(f"distance_km must be finite and >= 0, "
                              f"got {distance_km}")
@@ -76,21 +72,8 @@ class ChainConfig(namedtuple("ChainConfig", (
                              f"got {atten_per_km}")
         check_n_relays(n_relays)
         check_relay(eta, p_dark)
-        if positions_km is not None:
-            positions_km = tuple(float(p) for p in positions_km)
-            if len(positions_km) != n_relays:
-                raise ValueError(f"{len(positions_km)} positions for "
-                                 f"{n_relays} relays")
-            lo = 0.0
-            for p in positions_km:
-                if (not math.isfinite(p) or p < lo - 1e-12
-                        or p > distance_km + 1e-12):
-                    raise ValueError(f"relay positions must be non-decreasing "
-                                     f"within [0, {distance_km}], "
-                                     f"got {positions_km}")
-                lo = p
         return super().__new__(cls, distance_km, atten_per_km, n_relays, eta,
-                               p_dark, positions_km)
+                               p_dark)
 
     def _replace(self, **changes) -> "ChainConfig":
         """A copy with some fields changed, checked as a new config is."""
@@ -100,19 +83,9 @@ class ChainConfig(namedtuple("ChainConfig", (
     def alpha_x(self) -> float:
         return self.atten_per_km * self.distance_km
 
-    def with_positions(self, positions_km: Sequence[float]) -> "ChainConfig":
-        return ChainConfig(self.distance_km, self.atten_per_km, self.n_relays,
-                           self.eta, self.p_dark, tuple(positions_km))
-
     def at_alpha_x(self, alpha_x: float) -> "ChainConfig":
-        """The same chain rescaled to attenuation length alpha_x.
-
-        The distance becomes alpha_x/alpha and the relays go to their
-        optimal positions, so a config with explicit positions is rejected.
-        """
-        if self.positions_km is not None:
-            raise ValueError("a chain rescaled to alpha_x places its relays "
-                             "itself; the config must not carry positions_km")
+        """The same chain rescaled to attenuation length alpha_x, whose
+        distance becomes alpha_x/alpha."""
         return ChainConfig(alpha_x / self.atten_per_km, self.atten_per_km,
                            self.n_relays, self.eta, self.p_dark)
 
@@ -176,8 +149,12 @@ def _snr_n_relays_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     if p_dark == 0.0:
         return [math.inf] * len(alpha_xs)
     m = n_relays + 1
-    s_0, gain = 0.5 / p_dark, eta ** (n_relays / m)
-    return [s_0 * (gain * math.exp(-alpha_x / m) / m) for alpha_x in alpha_xs]
+    # 1/(2 p_dark) overflows below p_dark = 2.8e-309, where S_1 itself may
+    # not: there p_dark is scaled by 2^64, exactly, and each S_1 scaled back
+    scale = 2.0**64 if 0.5 / p_dark == math.inf else 1.0
+    s_0, gain = 0.5 / (p_dark * scale), eta ** (n_relays / m)
+    return [s_0 * (gain * math.exp(-alpha_x / m) / m) * scale
+            for alpha_x in alpha_xs]
 
 
 def noise_single_relay(x1_km: float, x2_km: float, config: ChainConfig) -> float:
@@ -299,12 +276,12 @@ def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
         else:
             y = (alpha_x - n_log_eta) / m       # u = 2 p_dark e^y
             log_u = log_pd2 + y
-            if y < _EXP_MAX:    # u itself is a double, one rounding from exact
-                k = m * math.log1p(pd2 * math.exp(y))
-            else:
+            if y >= _EXP_MAX:
                 k = m * _softplus(log_u)
-        # k = 0 where u is below the double range: no noise reaches the
-        # receiver
+            elif (u := pd2 * math.exp(y)) >= sys.float_info.min:
+                k = m * math.log1p(u)   # u is one rounding from exact
+            else:   # u on the subnormal grid: scaled by 2^64, exactly
+                k = m * math.log1p(pd2 * 2.0**64 * math.exp(y)) / 2.0**64
         out.append((_snr_from_k(k), k, log_u))
     return out
 
@@ -313,6 +290,36 @@ def _chain_at(alpha_x: float, n_relays: int, eta: float,
               p_dark: float) -> tuple[float, float, Optional[float]]:
     """_chain_curve at one alpha_x."""
     return _chain_curve((alpha_x,), n_relays, eta, p_dark)[0]
+
+
+def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
+               p_dark: float) -> list[tuple[float, float, float, float]]:
+    """(S_1, S, q_b, rel_dev) of the optimal chain at each alpha_x: the
+    first-order and exact SNR, the QBER at S and rel_dev = |S/S_1 - 1|.
+
+    In the interior S/S_1 = (N+1) u/expm1(K) is taken from logs, finite past
+    the double range. Clamped, S_1 is another placement's curve: rel_dev is
+    their direct difference, or from logs where S_1 overflows. Only the
+    alpha_xs are checked; the callers check (eta, p_dark, N).
+    """
+    m = n_relays + 1
+    log_m, n_log_eta = math.log(m), n_relays * math.log(eta)
+    points = []
+    for alpha_x, s_an, (s_ex, k, log_u) in zip(
+            alpha_xs, _snr_n_relays_curve(alpha_xs, n_relays, eta, p_dark),
+            _chain_curve(alpha_xs, n_relays, eta, p_dark)):
+        if k == 0.0:    # no noise: S = inf, and S_1 = inf or all but
+            dev = 0.0
+        elif log_u is not None:
+            dev = abs(math.expm1(log_m + log_u - _log_expm1(k)))
+        elif s_an == math.inf:
+            log_s_an = (n_log_eta - alpha_x) / m - math.log(2.0 * p_dark) \
+                - log_m
+            dev = abs(math.expm1(-_log_expm1(k) - log_s_an))
+        else:
+            dev = abs(s_ex - s_an) / s_an if s_ex != s_an else 0.0
+        points.append((s_an, s_ex, qber_from_snr(s_ex), dev))
+    return points
 
 
 def snr_exact(alpha_x: float, n_relays: int, eta: float,

@@ -15,7 +15,8 @@ stays vetoed. On the live masses (sig, rnd, emp) one relay is
 The receiver counts the signal photon, a spurious photon, and a dark count
 (2 p_dark) in every live slot. run_chain evaluates this chain through its
 closed form in analytics, keeping all orders of dark-count events, so its
-probabilities are exact for the model, not first-order expansions.
+probabilities are exact for the model, not first-order expansions. Relay
+positions are an argument, the optimum where omitted.
 sample_chain is the seeded Monte Carlo check: it draws how many of n slots
 land in each event, step by step, from the same rules, in O(N) draws
 whatever n is.
@@ -62,16 +63,28 @@ class ReceiverReport(NamedTuple):
 def _segment_lengths(config: ChainConfig,
                      positions_km: Optional[Sequence[float]]) -> list[float]:
     """Segment lengths between the relays, which sit at the explicit
-    positions (checked by ChainConfig), else the config's, else the optimum.
+    positions, else at the optimum.
+
+    Explicit positions, measured from the transmitter, must be one per relay,
+    finite, non-decreasing and inside [0, distance_km], each within 1e-12 km;
+    zero-length segments are legal and occur in degenerate sweeps.
     """
-    if positions_km is not None:
-        positions_km = config.with_positions(positions_km).positions_km
-    elif config.positions_km is not None:
-        positions_km = config.positions_km
-    else:
+    if positions_km is None:
         positions_km = optimal_positions(config)
+    else:
+        positions_km = tuple(float(p) for p in positions_km)
+        x = config.distance_km
+        if len(positions_km) != config.n_relays:
+            raise ValueError(f"{len(positions_km)} positions for "
+                             f"{config.n_relays} relays")
+        lo = 0.0
+        for p in positions_km:
+            if not math.isfinite(p) or p < lo - 1e-12 or p > x + 1e-12:
+                raise ValueError(f"relay positions must be non-decreasing "
+                                 f"within [0, {x}], got {positions_km}")
+            lo = p
     pts = (0.0, *positions_km, config.distance_km)
-    # ChainConfig lets positions step back by up to 1e-12 km: no segment < 0
+    # positions may step back by up to 1e-12 km: no segment < 0
     return [max(b - a, 0.0) for a, b in zip(pts, pts[1:])]
 
 
@@ -119,8 +132,8 @@ def run_chain(config: ChainConfig,
               positions_km: Optional[Sequence[float]] = None) -> ReceiverReport:
     """Exact receiver statistics for the configured chain, in closed form.
 
-    The relays sit at the explicit positions, else the config's, else the
-    analytic optimum. Each relay maps the live masses (sig, rnd, emp) to
+    The relays sit at the explicit positions, else at the analytic optimum.
+    Each relay maps the live masses (sig, rnd, emp) to
     (eta sig, eta rnd + 2 p_dark (sig + rnd + emp), 0), each segment keeps
     a photon with its transmission t_j, and the receiver adds 2 p_dark per
     live slot; _receiver_counts evaluates their composition. snr and
@@ -150,8 +163,9 @@ def chain_noise(config: ChainConfig, positions_km: Sequence[float]) -> float:
 
 
 def log_chain_noise(config: ChainConfig,
-                    positions_km: Sequence[float]) -> float:
-    """ln p_n at the given positions, finite wherever p_dark > 0.
+                    positions_km: Optional[Sequence[float]] = None) -> float:
+    """ln p_n at the given positions, else at the optimum, finite wherever
+    p_dark > 0.
 
     ln p_n = ln p_s + ln expm1(K) with ln p_s = N ln eta - alpha x taken
     segment by segment; -inf without dark counts.

@@ -7,6 +7,10 @@ one photon in each detector package signals "photon present" and leaves the
 qubit, up to a known sign correction, in mode 1 without having measured its
 polarization.
 
+Every device run uses one Fock basis, capped at four photons: the ancilla
+pair plus up to two input photons, enough for the single-photon runs and the
+two-photon rejection. Only multiphoton_gate_probability takes a higher cap.
+
 Linear optics with post-selection is linear in the input amplitudes, so each
 accepted outcome is a 2x2 Kraus operator from the input qubit to mode 1.
 qnd_measure and the device checks apply the four cached operators of
@@ -52,7 +56,9 @@ S_CHANNEL = "S"
 def encoder_basis(photon_cap: int = 4) -> ModeBasis:
     """The fixed five-spatial-mode basis used by the device.
 
-    One shared instance per photon cap; no caller mutates a ModeBasis.
+    Device runs use the default cap of 4; multiphoton_gate_probability asks
+    for more. One shared instance per photon cap; no caller mutates a
+    ModeBasis.
     """
     return ModeBasis(ENCODER_SPATIAL, photon_cap=photon_cap)
 
@@ -69,13 +75,13 @@ def _device_transform(basis: ModeBasis, d2_spatial: str = "2"):
     return t.then(basis_rotate_fs(basis, d2_spatial))
 
 
-def build_encoder_state(alpha, beta, photon_cap: int = 4) -> PhotonicState:
+def build_encoder_state(alpha, beta) -> PhotonicState:
     """Qubit plus Bell pair after the PBS, before any readout rotation.
 
     Four terms: the two accepted ones keep one photon in mode b, the two
     rejected ones put zero or two photons there.
     """
-    basis = encoder_basis(photon_cap)
+    basis = encoder_basis()
     joint = product(make_qubit(basis, alpha, beta, "0"),
                     make_bell_phi_plus(basis, "a", "1"))
     return apply_transform(joint, pbs_hv(basis, ("0", "a"), ("2", "b")))
@@ -127,15 +133,15 @@ def feed_forward_sign(state: PhotonicState, spatial: str = "1") -> PhotonicState
                          {c: a * (-1) ** c[vi] for c, a in state.amps.items()})
 
 
-def encoder_postselect(alpha, beta, photon_cap: int = 4):
+def encoder_postselect(alpha, beta):
     """Heralded Bell-state encoding: read out mode b only.
 
     Returns a list of (channel, probability, conditional) for the one-photon
     outcomes in the b package. Each branch has probability 1/4 and leaves
     modes 1 and 2 in (alpha|HH> +/- beta|VV>) up to normalization.
     """
-    basis = encoder_basis(photon_cap)
-    st = apply_transform(build_encoder_state(alpha, beta, photon_cap),
+    basis = encoder_basis()
+    st = apply_transform(build_encoder_state(alpha, beta),
                          basis_rotate_fs(basis, "b"))
     branches = []
     for pattern, prob, cond in enumerate_outcomes(st, _package_modes(basis, "b")):
@@ -163,12 +169,9 @@ def _run_device(input_state: PhotonicState, d2_spatial: str = "2"):
 # a 2x2 operator over (H, V) as its two rows
 Kraus = tuple[tuple[complex, complex], tuple[complex, complex]]
 
-# photon cap -> device_operators' result, filled on the first call
-_OPERATORS: dict[int, tuple[tuple[str, str, Kraus], ...]] = {}
 
-
-def device_operators(photon_cap: int = 4,
-                     ) -> tuple[tuple[str, str, Kraus], ...]:
+@functools.cache
+def device_operators() -> tuple[tuple[str, str, Kraus], ...]:
     """The device's accepted outcomes as (channel_d2, channel_db, K) triples.
 
     The device is linear in the input amplitudes, so outcome o maps the
@@ -178,9 +181,7 @@ def device_operators(photon_cap: int = 4,
     columns of every K_o. Built on the first call and cached, each K_o an
     immutable tuple of rows; the outcomes keep _run_device's order.
     """
-    if photon_cap in _OPERATORS:
-        return _OPERATORS[photon_cap]
-    basis = encoder_basis(photon_cap)
+    basis = encoder_basis()
     out_h, out_v = basis.spatial_indices("1")
     ops: dict[tuple[str, str], list[list[complex]]] = {}
     for col, (alpha, beta) in enumerate(((1.0, 0.0), (0.0, 1.0))):
@@ -193,13 +194,11 @@ def device_operators(photon_cap: int = 4,
                         f"outcome ({ch2},{chb}) leaves {cfg}, not one photon "
                         f"in mode 1")
                 k[0 if cfg[out_h] else 1][col] = math.sqrt(prob) * amp
-    result = tuple((ch2, chb, (tuple(k[0]), tuple(k[1])))
-                   for (ch2, chb), k in ops.items())
-    _OPERATORS[photon_cap] = result
-    return result
+    return tuple((ch2, chb, (tuple(k[0]), tuple(k[1])))
+                 for (ch2, chb), k in ops.items())
 
 
-def _kraus_outcomes(alpha, beta, photon_cap: int = 4) -> list[tuple]:
+def _kraus_outcomes(alpha, beta) -> list[tuple]:
     """The four cached Kraus operators applied to the qubit's 2-vector.
 
     Returns (channel_d2, channel_db, probability, flipped, (w_H, w_V),
@@ -219,7 +218,7 @@ def _kraus_outcomes(alpha, beta, photon_cap: int = 4) -> list[tuple]:
         raise ValueError("qubit amplitudes are both zero")
     a, b = alpha / norm, beta / norm
     outcomes = []
-    for ch2, chb, ((k00, k01), (k10, k11)) in device_operators(photon_cap):
+    for ch2, chb, ((k00, k01), (k10, k11)) in device_operators():
         w_h, w_v = k00 * a + k01 * b, k10 * a + k11 * b
         prob = abs(w_h) ** 2 + abs(w_v) ** 2
         # the feed-forward sign correction, as feed_forward_sign applies it
@@ -232,7 +231,7 @@ def _kraus_outcomes(alpha, beta, photon_cap: int = 4) -> list[tuple]:
     return outcomes
 
 
-def qnd_measure(alpha, beta, photon_cap: int = 4) -> QndReport:
+def qnd_measure(alpha, beta) -> QndReport:
     """Device run on a single-photon qubit, through its Kraus operators.
 
     Applies the four cached operators of device_operators (built from two
@@ -245,11 +244,10 @@ def qnd_measure(alpha, beta, photon_cap: int = 4) -> QndReport:
     configuration error (ValueError), not a contract violation, as is the
     zero vector.
     """
-    basis = encoder_basis(photon_cap)
+    basis = encoder_basis()
     outcomes = []
     total = 0.0
-    for ch2, chb, prob, flip, (w_h, w_v), fid in _kraus_outcomes(
-            alpha, beta, photon_cap):
+    for ch2, chb, prob, flip, (w_h, w_v), fid in _kraus_outcomes(alpha, beta):
         outcomes.append(PackageOutcome(
             channel_d2=ch2, channel_db=chb, probability=prob, flipped=flip,
             output=make_qubit(basis, w_h, w_v, "1"), fidelity=fid))
@@ -280,16 +278,15 @@ def derive_feed_forward_table(probe=(0.6, 0.8j)) -> dict[tuple[str, str], bool]:
     return table
 
 
-def vacuum_gate_probability(d2_spatial: str = "2", photon_cap: int = 4) -> float:
+def vacuum_gate_probability(d2_spatial: str = "2") -> float:
     """Probability of a (false) gate with no input photon.
 
     Exactly zero for the real device. Relocating the second detector package
     onto the output mode (d2_spatial="1") is a diagnostic that shows why that
     placement would false-gate on vacuum with probability 1/2.
     """
-    basis = encoder_basis(photon_cap)
     return float(sum(prob for *_ch, prob, _c in
-                     _run_device(vacuum(basis), d2_spatial)))
+                     _run_device(vacuum(encoder_basis()), d2_spatial)))
 
 
 def multiphoton_gate_probability(n_input: int, alpha=1.0, beta=0.0,

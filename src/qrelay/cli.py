@@ -23,16 +23,13 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .analytics import (ChainConfig, _chain_curve, _log_expm1,
-                        _snr_n_relays_curve, check_n_relays,
-                        optimal_positions, qber_from_snr)
 from .errors import ContractViolationError
 from .reports import CurveReport, render_csv, render_json, render_payload
 
-# chain, throughput and circuit are imported in the cmd_* functions that use
-# them, once per run, so no command loads (or compiles) a layer it never
-# calls. Never import in a helper that runs once per curve or grid point,
-# such as _snr_curve.
+# analytics, chain, throughput and circuit are imported in the functions that
+# use them, so no command loads (or compiles) a layer it never calls:
+# verify-circuit loads neither analytics nor chain. Never import in a helper
+# that runs once per grid point.
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -65,6 +62,8 @@ def _integer(value, name: str) -> int:
 
 def _relays(value, name: str) -> list[int]:
     """Relay counts from a list, an int, or text split at commas or spaces."""
+    from .analytics import check_n_relays
+
     items = (value.replace(",", " ").split() if isinstance(value, str)
              else value if isinstance(value, list) else [value])
     out = [_integer(item, f"{name} entries") for item in items]
@@ -189,8 +188,10 @@ def _grid(params: dict) -> list[float]:
             for i in range(steps - 1)] + [hi]
 
 
-def _chain(params: dict, n_relays: int = 0) -> ChainConfig:
-    """A zero-length chain, which validates the channel settings."""
+def _chain(params: dict, n_relays: int = 0):
+    """A zero-length ChainConfig, which validates the channel settings."""
+    from .analytics import ChainConfig
+
     return ChainConfig(0.0, params["atten_per_km"], n_relays, params["eta"],
                        params["pd"])
 
@@ -222,28 +223,10 @@ def _emit_sweep(command: str, fields: Sequence[str], curves: list,
         sys.stdout.write(text)
 
 
-def _snr_curve(grid: list[float], n: int, eta: float, pd: float) -> list:
-    """(s_analytic, s_exact, q_b, rel_dev) of one chain at each alpha_x.
-
-    rel_dev takes S_exact/S_1 = (N+1) u/expm1(K) from logs in the interior,
-    finite past the double range; clamped, S_1 is another placement's curve.
-    """
-    log_m = math.log(n + 1)
-    points = []
-    for s_an, (s_ex, k, log_u) in zip(_snr_n_relays_curve(grid, n, eta, pd),
-                                      _chain_curve(grid, n, eta, pd)):
-        if k == 0.0:    # no noise: S_exact = inf, and S_1 = inf or all but
-            dev = 0.0
-        elif log_u is None:
-            dev = abs(s_ex - s_an) / s_an if s_ex != s_an else 0.0
-        else:
-            dev = abs(math.expm1(log_m + log_u - _log_expm1(k)))
-        points.append((s_an, s_ex, qber_from_snr(s_ex), dev))
-    return points
-
-
 def cmd_snr(params: dict) -> int:
     """Sweep analytic and exact SNR over attenuation length for each N."""
+    from .analytics import _snr_curve
+
     _chain(params)
     eta, pd = params["eta"], params["pd"]
     grid = _grid(params)
@@ -255,7 +238,7 @@ def cmd_snr(params: dict) -> int:
 
 def cmd_throughput(params: dict) -> int:
     """Sweep normalized throughput over attenuation length for each N."""
-    from .throughput import EcPaParams, cutoff_alpha_x, throughput_curve
+    from .throughput import MODEL, EcPaParams, cutoff_alpha_x, throughput_curve
 
     configs = [_chain(params, n) for n in params["n_relays"]]
     grid = _grid(params)
@@ -266,13 +249,14 @@ def cmd_throughput(params: dict) -> int:
     cutoffs = {str(cfg.n_relays): cutoff_alpha_x(cfg, ec) for cfg in configs}
     cutoffs = {n: c if math.isfinite(c) else "inf" for n, c in cutoffs.items()}
     _emit_sweep("throughput", ("s_exact", "q_b", "t_n", "t_n_scaled"),
-                curves, grid, {"f_ec": ec.f_ec, "model": ec.model,
+                curves, grid, {"f_ec": ec.f_ec, "model": MODEL,
                                "cutoff_alpha_x": cutoffs}, params)
     return EXIT_OK
 
 
 def cmd_optimize(params: dict) -> int:
     """Compare closed-form relay placement with a numeric search."""
+    from .analytics import optimal_positions
     from .chain import chain_noise, log_chain_noise, search_positions
 
     n = _single_n(params)
@@ -314,7 +298,7 @@ def cmd_optimize(params: dict) -> int:
 
 def cmd_sample(params: dict) -> int:
     """Monte Carlo the chain and print the estimate beside the exact value."""
-    from .chain import run_chain, sample_chain
+    from .chain import log_chain_noise, run_chain, sample_chain
 
     n, trials, seed = _single_n(params), params["trials"], params["seed"]
     ax, x = params["alpha_x"], params["distance_km"]
@@ -324,6 +308,9 @@ def cmd_sample(params: dict) -> int:
     config = (base.at_alpha_x(ax) if x is None
               else base._replace(distance_km=x))
     exact = run_chain(config)
+    # ln p_s and ln p_n stay finite where p_s and p_n underflow to 0
+    logs = {"log_p_s": n * math.log(config.eta) - config.alpha_x,
+            "log_p_n": log_chain_noise(config)}
     sampled = sample_chain(config, trials, seed)
     if sampled.p_s + sampled.p_n == 0.0:    # its snr and q_b would be 0/0
         vetoed = sampled.state_counts["no_gate"]
@@ -336,6 +323,8 @@ def cmd_sample(params: dict) -> int:
           f"eta = {config.eta}, p_dark = {config.p_dark}, trials = {trials}, "
           f"seed = {seed}")
     print(f"exact    p_s = {exact.p_s:.9e}    p_n = {exact.p_n:.9e}")
+    print(f"exact    ln p_s = {logs['log_p_s']:.12f}    "
+          f"ln p_n = {logs['log_p_n']:.12f}")
     print(f"sampled  p_s = {sampled.p_s:.9e} +- {sampled.stderr_p_s:.3e}"
           f"    p_n = {sampled.p_n:.9e} +- {sampled.stderr_p_n:.3e}")
     for name in ("p_s", "p_n"):
@@ -352,7 +341,7 @@ def cmd_sample(params: dict) -> int:
                    "distance_km": config.distance_km, "seed": seed,
                    "atten_per_km": config.atten_per_km, "eta": config.eta,
                    "pd": config.p_dark},
-        "exact": exact._asdict(),
+        "exact": {**exact._asdict(), **logs},
         # n_trials and seed are reported once, in config
         "sampled": {k: v for k, v in sampled._asdict().items()
                     if k not in ("n_trials", "seed")},

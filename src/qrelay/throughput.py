@@ -2,7 +2,8 @@
 
 The key fraction per accepted bit is 1 - f_ec h(e) - log2(1 + 4e - 4e^2) for
 single-photon BB84 with error correction working at f_ec times the Shannon
-limit, clamped at zero. Normalized throughput multiplies nothing in: it is the
+limit, clamped at zero; it is the one key-fraction model, and f_ec its one
+parameter. Normalized throughput multiplies nothing in: it is the
 key fraction evaluated at the chain's exact bit error rate, i.e. key bits per
 gated-and-detected slot. An alternative normalization per transmitted slot
 folds in the relay gating passes (a factor eta per relay); both are reported.
@@ -18,7 +19,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .analytics import ChainConfig, _chain_at, _chain_curve, qber_from_snr
 
-_SINGLE_PHOTON_BB84 = "single-photon-bb84"
+# the one key-fraction formula here (_tau), as the throughput report names it
+MODEL = "single-photon-bb84"
 
 
 def binary_entropy(e: float) -> float:
@@ -30,52 +32,40 @@ def binary_entropy(e: float) -> float:
     return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
 
 
-class EcPaParams(namedtuple("EcPaParams", ("f_ec", "model"))):
-    """Error-correction / privacy-amplification model parameters.
+class EcPaParams(namedtuple("EcPaParams", ("f_ec",))):
+    """Error-correction / privacy-amplification parameters.
 
-    f_ec (1.16) is the error-correction inefficiency (1 = Shannon limit).
-    model selects the key-fraction formula; only "single-photon-bb84" is
-    built in, and unknown identifiers are rejected so new models must be
-    registered in _MODELS explicitly. Both are checked at construction.
+    f_ec (1.16) is the error-correction inefficiency (1 = Shannon limit),
+    checked at construction.
     """
 
     __slots__ = ()
 
-    def __new__(cls, f_ec: float = 1.16, model: str = _SINGLE_PHOTON_BB84):
+    def __new__(cls, f_ec: float = 1.16):
         if not math.isfinite(f_ec) or f_ec < 1.0:
             raise ValueError(f"f_ec must be finite and >= 1, got {f_ec}")
-        if model not in _MODELS:
-            raise ValueError(f"unknown throughput model {model!r}; "
-                             f"known: {sorted(_MODELS)}")
-        return super().__new__(cls, f_ec, model)
+        return super().__new__(cls, f_ec)
 
     def _replace(self, **changes) -> "EcPaParams":
         """A copy with some fields changed, checked as new parameters are."""
         return EcPaParams(**{**self._asdict(), **changes})
 
 
-def _tau_single_photon_bb84(e: float, params: EcPaParams) -> float:
+def _tau(e: float, params: EcPaParams) -> float:
+    """The key fraction before clamping; negative past the cutoff."""
     return 1.0 - params.f_ec * binary_entropy(e) \
         - math.log2(1.0 + 4.0 * e - 4.0 * e * e)
 
 
-_MODELS = {_SINGLE_PHOTON_BB84: _tau_single_photon_bb84}
-
-
-def key_fraction(e: float, params: Optional[EcPaParams] = None,
-                 clamp: bool = True) -> float:
+def key_fraction(e: float, params: Optional[EcPaParams] = None) -> float:
     """Secret bits per sifted bit at error rate e, clamped at zero.
 
     Accepts e in [0, 0.5]; beyond that the sifted channel is worse than
-    guessing. clamp=False exposes the raw (possibly negative) expression,
-    which is what the cutoff solver roots.
+    guessing.
     """
     if not 0.0 <= e <= 0.5:
         raise ValueError(f"key_fraction needs e in [0, 0.5], got {e}")
-    if params is None:
-        params = EcPaParams()
-    tau = _MODELS[params.model](e, params)
-    return max(tau, 0.0) if clamp else tau
+    return max(_tau(e, params or EcPaParams()), 0.0)
 
 
 def key_fraction_cutoff(params: Optional[EcPaParams] = None) -> float:
@@ -84,9 +74,8 @@ def key_fraction_cutoff(params: Optional[EcPaParams] = None) -> float:
     The unclamped expression is positive at e = 0 and strictly negative by
     e = 0.25, so the root is bracketed; bisection to 1e-12.
     """
-    if params is None:
-        params = EcPaParams()
-    f = lambda e: key_fraction(e, params, clamp=False)
+    params = params or EcPaParams()
+    f = lambda e: _tau(e, params)
     lo, hi = 1e-12, 0.25
     if f(lo) <= 0.0 or f(hi) >= 0.0:
         raise ValueError("key fraction does not change sign on (0, 0.25)")
@@ -129,20 +118,17 @@ def throughput_curve(config: ChainConfig, alpha_x_values: Sequence[float],
                      ) -> list[ThroughputPoint]:
     """Exact-chain throughput at each attenuation length in the grid.
 
-    Each grid point is the chain config.at_alpha_x gives, optimally placed
-    (explicit positions are rejected), at snr_exact's SNR and its QBER,
-    which is in [0, 1/2], the domain key_fraction checks.
+    Each grid point is the chain config.at_alpha_x gives, optimally placed,
+    at snr_exact's SNR and its QBER, which is in [0, 1/2], the domain
+    key_fraction checks.
     """
-    config.at_alpha_x(0.0)     # rejects explicit positions
-    if params is None:
-        params = EcPaParams()
-    tau = _MODELS[params.model]
+    params = params or EcPaParams()
     scale = config.eta ** config.n_relays
     points = []
     for alpha_x, (s, _, _) in zip(alpha_x_values, _chain_curve(
             alpha_x_values, config.n_relays, config.eta, config.p_dark)):
         q_b = qber_from_snr(s)
-        t_n = max(tau(q_b, params), 0.0)
+        t_n = max(_tau(q_b, params), 0.0)
         points.append(ThroughputPoint(alpha_x, s, q_b, t_n, scale * t_n))
     return points
 
@@ -160,7 +146,6 @@ def cutoff_alpha_x(config: ChainConfig,
     """
     if config.p_dark == 0.0:
         return math.inf
-    config.at_alpha_x(0.0)     # rejects explicit positions
     n, eta, pd2 = config.n_relays, config.eta, 2.0 * config.p_dark
     k_star = math.log1p(1.0 / snr_cutoff(params))
     if _chain_at(0.0, n, eta, config.p_dark)[1] >= k_star:

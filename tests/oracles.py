@@ -133,12 +133,9 @@ class ChainReference(NamedTuple):
 def markov_chain_reference(config, positions_km=None) -> ChainReference:
     """The chain's receiver statistics, one event rule at a time.
 
-    The relays sit at the explicit positions, else the config's, else the
-    analytic optimum; segments alternate with relays, and the receiver
-    reads the last state.
+    The relays sit at the explicit positions, else at the analytic optimum;
+    segments alternate with relays, and the receiver reads the last state.
     """
-    if positions_km is None:
-        positions_km = config.positions_km
     if positions_km is None:
         from qrelay.analytics import optimal_positions
         positions_km = optimal_positions(config)

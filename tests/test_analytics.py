@@ -13,7 +13,7 @@ from qrelay.analytics import (ChainConfig, noise_single_relay,
                               qber_from_snr, range_enhancement, raw_rate,
                               snr_exact, snr_n_relays, snr_no_relay,
                               solve_range_alpha_x)
-from qrelay.chain import chain_noise, search_positions
+from qrelay.chain import chain_noise, run_chain, search_positions
 
 from oracles import coordinate_descent, decimal_noise_ratio
 
@@ -35,23 +35,20 @@ def test_chain_config_validation():
     assert (edge.eta, edge.p_dark) == (1.0, 0.0)
     with pytest.raises(ValueError):
         ChainConfig(distance_km=10.0, n_relays=-1)
-    with pytest.raises(ValueError):
-        ChainConfig(distance_km=10.0, n_relays=1, positions_km=(11.0,))
-    with pytest.raises(ValueError):
-        ChainConfig(distance_km=10.0, n_relays=2, positions_km=(6.0, 4.0))
-    with pytest.raises(ValueError):
-        ChainConfig(distance_km=10.0, n_relays=2, positions_km=(4.0,))
     for bad in ({"distance_km": math.nan}, {"distance_km": math.inf},
                 {"atten_per_km": math.nan}, {"atten_per_km": math.inf},
-                {"n_relays": True}, {"n_relays": False}, {"n_relays": 2.5},
-                {"n_relays": 1, "positions_km": (math.nan,)}):
+                {"n_relays": True}, {"n_relays": False}, {"n_relays": 2.5}):
         with pytest.raises(ValueError):
             ChainConfig(**{"distance_km": 10.0, **bad})
-    two = ChainConfig(distance_km=10.0, n_relays=2, positions_km=(4.0, 4.0))
-    assert two.positions_km == (4.0, 4.0)
-    moved = two.with_positions((3.0, 7.0))
-    assert moved.positions_km == (3.0, 7.0)
-    assert two.positions_km == (4.0, 4.0)
+    # relay positions are checked where they are used, not in the config
+    one, two = (ChainConfig(distance_km=10.0, n_relays=n) for n in (1, 2))
+    for cfg, positions in ((one, (11.0,)), (two, (6.0, 4.0)), (two, (4.0,)),
+                           (one, (math.nan,))):
+        with pytest.raises(ValueError):
+            run_chain(cfg, positions)
+    for positions in ((4.0, 4.0), (3.0, 7.0)):     # a repeat is legal
+        assert run_chain(two, positions).p_s == pytest.approx(
+            0.25 * math.exp(-0.5), rel=1e-14)
 
 
 def test_qber_from_snr():

@@ -79,20 +79,19 @@ def test_apply_relay_matches_single_slot_device_map():
     # transmitter, then fiber of transmission t to the receiver
     t = math.exp(-0.5)
     device = ChainConfig(10.0, n_relays=1, eta=measured_relay_efficiency(),
-                         p_dark=0.0, positions_km=(0.0,))
-    rep = run_chain(device)
+                         p_dark=0.0)
+    rep = run_chain(device, (0.0,))
     assert rep.p_s == pytest.approx(
         multiphoton_gate_probability(1, 0.6, 0.8) * t, abs=1e-15)
     assert rep.p_n == pytest.approx(vacuum_gate_probability(), abs=1e-15)
     n = 10**12
-    got = sample_chain(device, n, seed=4)
+    got = sample_chain(device, n, seed=4, positions_km=(0.0,))
     assert got.noise_events == got.state_counts["random"] == 0
     assert abs(got.p_s - rep.p_s) < 4.0 * math.sqrt(
         rep.p_s * (1.0 - rep.p_s) / n)
     # with dark counts the sampler draws the law of the same rule
-    noisy = ChainConfig(10.0, n_relays=1, eta=0.5, p_dark=1e-5,
-                        positions_km=(0.0,))
-    z_s, z_n, chi2 = sampled_law(noisy, n, seed=4)
+    noisy = ChainConfig(10.0, n_relays=1, eta=0.5, p_dark=1e-5)
+    z_s, z_n, chi2 = sampled_law(noisy, n, seed=4, positions_km=(0.0,))
     assert abs(z_s) < 4.0
     assert abs(z_n) < 4.0
     assert chi2 < 26.1
@@ -148,9 +147,9 @@ def test_run_chain_matches_markov_reference():
             x = float(rng.uniform(10, 300))
             pos = sorted(float(rng.uniform(0, x)) for _ in range(n))
             cfg = ChainConfig(distance_km=x, atten_per_km=0.05, n_relays=n,
-                              eta=0.5, p_dark=1e-5, positions_km=tuple(pos))
-            got = run_chain(cfg)
-            want = markov_chain_reference(cfg)
+                              eta=0.5, p_dark=1e-5)
+            got = run_chain(cfg, pos)
+            want = markov_chain_reference(cfg, pos)
             assert got.p_s == pytest.approx(want.p_s, rel=1e-13, abs=1e-300)
             assert got.p_n == pytest.approx(want.p_n, rel=1e-13, abs=1e-300)
 
@@ -176,8 +175,6 @@ def test_position_sources_and_overrides():
     assert default.p_n == pytest.approx(explicit.p_n, rel=1e-12)
     worse = run_chain(cfg, positions_km=(10.0,))
     assert worse.p_n > default.p_n
-    via_config = run_chain(cfg._replace(positions_km=(10.0,)))
-    assert via_config.p_n == pytest.approx(worse.p_n, rel=1e-15)
     with pytest.raises(ValueError):
         run_chain(cfg, positions_km=(10.0, 20.0))
     with pytest.raises(ValueError):
@@ -187,8 +184,9 @@ def test_position_sources_and_overrides():
 
 @pytest.mark.parametrize("position", [math.nan, math.inf, -math.inf])
 def test_non_finite_positions_are_refused(position):
-    # explicit positions pass ChainConfig's check, finiteness included: a nan
-    # once gave p_s = p_n = snr = nan, and the sampler died converting it
+    # every function that takes explicit positions checks them, finiteness
+    # included: a nan once gave p_s = p_n = snr = nan, and the sampler died
+    # converting it
     cfg = ChainConfig(distance_km=100.0, n_relays=1)
     for call in (lambda pos: run_chain(cfg, pos),
                  lambda pos: chain_noise(cfg, pos),
@@ -205,8 +203,7 @@ def test_degenerate_chains():
     assert rep.p_s == pytest.approx(0.25, abs=1e-12)
     assert rep.snr > 0
     # relay exactly at the receiver end
-    end = run_chain(ChainConfig(distance_km=50.0, n_relays=1,
-                                positions_km=(50.0,)))
+    end = run_chain(ChainConfig(distance_km=50.0, n_relays=1), (50.0,))
     assert end.p_s == pytest.approx(0.5 * math.exp(-2.5), rel=1e-12)
 
 
@@ -295,14 +292,14 @@ def test_sample_chain_state_histogram_unbiased():
     assert chi2 < 26.1
 
 
-def sampled_law(cfg, n, seed):
+def sampled_law(cfg, n, seed, positions_km=None):
     """z(p_s), z(p_n) and the 4-state chi-squared of one draw of n slots."""
-    exact = markov_chain_reference(cfg)
+    exact = markov_chain_reference(cfg, positions_km)
     probs = dict(zip(("signal", "random", "empty", "no_gate"), exact.state))
     # per-slot noise count: spurious photon plus dark count, each 0 or 1
     var_n = (exact.p_n + 2.0 * probs["random"] * 2.0 * cfg.p_dark
              - exact.p_n ** 2)
-    got = sample_chain(cfg, n, seed=seed)
+    got = sample_chain(cfg, n, seed=seed, positions_km=positions_km)
     z_s = (got.p_s - exact.p_s) / math.sqrt(exact.p_s * (1 - exact.p_s) / n)
     z_n = (got.p_n - exact.p_n) / math.sqrt(var_n / n)
     chi2 = sum((got.state_counts[k] - n * p) ** 2 / (n * p)
@@ -322,15 +319,15 @@ def test_sample_chain_law_over_many_seeds():
     assert 2.5 <= chi2.mean() <= 3.5
 
 
-@pytest.mark.parametrize("cfg", [
-    ChainConfig(distance_km=30.0, n_relays=3, eta=0.9, p_dark=0.05),
-    ChainConfig(distance_km=50.0, n_relays=2, eta=0.5, p_dark=0.1,
-                positions_km=(5.0, 30.0)),
+@pytest.mark.parametrize("cfg, positions", [
+    (ChainConfig(distance_km=30.0, n_relays=3, eta=0.9, p_dark=0.05), None),
+    (ChainConfig(distance_km=50.0, n_relays=2, eta=0.5, p_dark=0.1),
+     (5.0, 30.0)),
 ], ids=["eta-plus-2pd-is-1", "explicit-positions"])
-def test_sample_chain_exact_law_at_a_high_dark_rate(cfg):
+def test_sample_chain_exact_law_at_a_high_dark_rate(cfg, positions):
     # 1e12 slots cost no more than one: standard errors near 1e-6 of each
     # value resolve every dark-count term of the event rules
-    z_s, z_n, chi2 = sampled_law(cfg, 10**12, seed=12)
+    z_s, z_n, chi2 = sampled_law(cfg, 10**12, seed=12, positions_km=positions)
     assert abs(z_s) < 4.0
     assert abs(z_n) < 4.0
     assert chi2 < 26.1
@@ -349,19 +346,19 @@ def test_sample_chain_edge_cases():
     assert sum(top.state_counts.values()) == 2**63 - 1
 
 
-@pytest.mark.parametrize("cfg", [
-    ChainConfig(distance_km=30.0, n_relays=3, eta=0.9, p_dark=0.05),
-    ChainConfig(distance_km=30.0, n_relays=3, eta=1.0, p_dark=0.0),
-    ChainConfig(distance_km=30.0, n_relays=2, p_dark=0.0),
-    ChainConfig(distance_km=10.0, n_relays=3, positions_km=(0.0, 0.0, 10.0)),
-    ChainConfig(distance_km=0.0, n_relays=2),
+@pytest.mark.parametrize("cfg, positions", [
+    (ChainConfig(distance_km=30.0, n_relays=3, eta=0.9, p_dark=0.05), None),
+    (ChainConfig(distance_km=30.0, n_relays=3, eta=1.0, p_dark=0.0), None),
+    (ChainConfig(distance_km=30.0, n_relays=2, p_dark=0.0), None),
+    (ChainConfig(distance_km=10.0, n_relays=3), (0.0, 0.0, 10.0)),
+    (ChainConfig(distance_km=0.0, n_relays=2), None),
 ], ids=["eta-plus-2pd-is-1", "eta-1-pd-0", "pd-0", "zero-length-segments",
         "zero-distance"])
 @pytest.mark.parametrize("n_trials", [1, 100_000])
-def test_sample_chain_relay_domain_edges(cfg, n_trials):
+def test_sample_chain_relay_domain_edges(cfg, positions, n_trials):
     # at eta = 0.9, p_dark = 0.05 the veto share 1 - eta - 2 p_dark rounds
     # to -2.8e-17
-    got = sample_chain(cfg, n_trials, seed=3)
+    got = sample_chain(cfg, n_trials, seed=3, positions_km=positions)
     assert sum(got.state_counts.values()) == n_trials
     assert all(type(v) is int for v in got.state_counts.values())
     assert got.signal_count == got.state_counts["signal"]

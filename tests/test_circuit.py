@@ -238,7 +238,8 @@ def test_device_operators_are_cached_read_only_and_lazy():
         p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import qrelay.cli, qrelay.circuit as c; print(len(c._OPERATORS))"],
+         "import qrelay.cli, qrelay.circuit as c; "
+         "print(c.device_operators.cache_info().currsize)"],
         capture_output=True, text=True, env=env, check=True).stdout
     assert out.strip() == "0"
 
@@ -327,12 +328,11 @@ def test_ideal_relay_map():
     assert apply_relay((0.4, 0.0, 0.6, 0.0), 0.5, 0.0) == (0.2, 0.0, 0.0, 0.8)
     # the chain that commands run: one relay at the transmitter, then fiber
     # of transmission t, and no noise click at all
-    ideal = ChainConfig(10.0, n_relays=1, eta=0.5, p_dark=0.0,
-                        positions_km=(0.0,))
-    rep = run_chain(ideal)
+    ideal = ChainConfig(10.0, n_relays=1, eta=0.5, p_dark=0.0)
+    rep = run_chain(ideal, (0.0,))
     assert rep.p_s == pytest.approx(0.5 * math.exp(-0.5), abs=1e-15)
     assert rep.p_n == 0.0
-    got = sample_chain(ideal, 10**6, seed=3)
+    got = sample_chain(ideal, 10**6, seed=3, positions_km=(0.0,))
     assert got.noise_events == got.state_counts["random"] == 0
 
 
@@ -350,9 +350,8 @@ def test_noisy_relay_map_weights():
     # photon with eta and false-gates the slot with 2 p_dark, a spurious
     # photon the fiber keeps with t; the receiver adds 2 p_dark per live slot
     t = math.exp(-0.5)
-    noisy = ChainConfig(10.0, n_relays=1, eta=0.5, p_dark=1e-5,
-                        positions_km=(0.0,))
-    rep = run_chain(noisy)
+    noisy = ChainConfig(10.0, n_relays=1, eta=0.5, p_dark=1e-5)
+    rep = run_chain(noisy, (0.0,))
     assert rep.p_s == pytest.approx(0.5 * t, abs=1e-15)
     assert rep.p_n == pytest.approx(2e-5 * t + 2e-5 * (0.5 + 2e-5),
                                     abs=1e-18)

@@ -104,9 +104,8 @@ def test_replace_checks_the_new_record():
 
     table = CurveReport(("a", "b"), ((1.0, 2.0),))
     transform = identity_transform(ModeBasis(("0",), photon_cap=1))
-    with pytest.raises(ValueError, match="2 relays"):
-        ChainConfig(100.0, n_relays=1,
-                    positions_km=(10.0,))._replace(n_relays=2)
+    with pytest.raises(ValueError, match="n_relays"):
+        ChainConfig(100.0, n_relays=1)._replace(n_relays=-1)
     with pytest.raises(ValueError, match="f_ec"):
         EcPaParams()._replace(f_ec=0.5)
     with pytest.raises(ValueError, match="row of width 1"):
@@ -118,10 +117,14 @@ def test_replace_checks_the_new_record():
 
 
 def test_cli_imports_layers_only_at_command_level():
-    # cli imports chain, throughput and circuit inside the cmd_* functions
-    # that use them, which run once per process; an import in a helper
-    # such as _snr_curve would run once per curve, or per point
+    # cli imports analytics, chain, throughput and circuit inside the
+    # functions that use them, never at module level, so verify-circuit
+    # loads no chain layer; each of these runs once per command or curve,
+    # none once per grid point
     tree = ast.parse(Path(qrelay.__file__).with_name("cli.py").read_text())
+    top = {node.module for node in tree.body
+           if isinstance(node, ast.ImportFrom) and node.level}
+    assert top == {None, "errors", "reports"}     # None: from . import x
     placed = {}     # function -> what it imports, nested functions included
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -131,10 +134,34 @@ def test_cli_imports_layers_only_at_command_level():
                 elif isinstance(node, (ast.Import, ast.ImportFrom)):
                     placed.setdefault(fn.name, set()).update(
                         alias.name for alias in node.names)
-    assert all(name.startswith("cmd_") for name in placed), placed
-    assert placed == {"cmd_throughput": {"throughput"},
-                      "cmd_optimize": {"chain"}, "cmd_sample": {"chain"},
+    assert placed == {"_relays": {"analytics"}, "_chain": {"analytics"},
+                      "cmd_snr": {"analytics"},
+                      "cmd_throughput": {"throughput"},
+                      "cmd_optimize": {"analytics", "chain"},
+                      "cmd_sample": {"chain"},
                       "cmd_verify_circuit": {"circuit"}}
+
+
+def test_no_option_chooses_among_alternatives_no_command_uses():
+    # the relay is one device with a fixed photon budget, one input photon
+    # plus the ancilla pair, feeding one key-fraction model; relay positions
+    # are an argument of the functions that take them, not a config field
+    from inspect import signature
+
+    from qrelay import circuit
+    from qrelay.analytics import ChainConfig
+    from qrelay.throughput import EcPaParams, key_fraction
+
+    assert ChainConfig._fields == ("distance_km", "atten_per_km", "n_relays",
+                                   "eta", "p_dark")
+    assert not hasattr(ChainConfig, "with_positions")
+    assert EcPaParams._fields == ("f_ec",)
+    assert "clamp" not in signature(key_fraction).parameters
+    for name in ("build_encoder_state", "encoder_postselect",
+                 "device_operators", "_kraus_outcomes", "qnd_measure",
+                 "vacuum_gate_probability"):
+        params = signature(getattr(circuit, name)).parameters
+        assert "photon_cap" not in params, name
 
 
 def test_sampler_is_independent_of_the_exact_model(monkeypatch):

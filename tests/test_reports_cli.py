@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,12 @@ from hypothesis import strategies as st
 
 import qrelay
 from qrelay import cli
-from qrelay.analytics import ChainConfig
+from qrelay.analytics import ChainConfig, optimal_positions
 from qrelay.chain import run_chain
 from qrelay.reports import (CurveReport, read_csv, read_json, render_csv,
                             render_json, render_payload)
+
+from oracles import decimal_noise_ratio, decimal_snr_reference
 
 DATA = Path(__file__).parent / "data"
 
@@ -463,7 +466,8 @@ def test_cli_help_shows_every_default(command, monkeypatch, capsys):
 def test_cli_sample_and_optimize_match_their_goldens(argv, stem, tmp_path,
                                                      capsys):
     # both goldens were written before the settings table replaced the
-    # per-flag parsing; sample's blocks now come from the records' _asdict()
+    # per-flag parsing; sample's blocks now come from the records' _asdict(),
+    # and its exact block also carries ln p_s and ln p_n
     out = tmp_path / "report.json"
     assert run_cli(argv + ["--output", str(out)]) == 0
     stdout = (DATA / f"{stem}.stdout").read_text()
@@ -694,7 +698,7 @@ def test_import_loads_no_layer():
 
 @pytest.mark.parametrize("argv, absent", [
     (["verify-circuit", "--trials", "3", "--input=0.6,0.8j",
-      "--diagnostic", "d2-on-mode-1"], {"chain", "throughput"}),
+      "--diagnostic", "d2-on-mode-1"], {"analytics", "chain", "throughput"}),
     (["snr", "--steps", "20", "--format", "json"],
      {"chain", "circuit", "fockspace"}),
     (["throughput", "--steps", "20"], {"chain", "circuit", "fockspace"}),
@@ -776,12 +780,41 @@ def test_cli_long_chains(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n, eta, p_dark, alpha_x", [
+    (64, 0.6505715085313096, 3.0980174803234e-311, 0.0),
+    (1, 0.5, 1e-309, 0.1)], ids=["n64", "n1"])
+def test_snr_at_a_subnormal_p_dark(n, eta, p_dark, alpha_x, tmp_path):
+    # 1/(2 p_dark) overflows, though S_1 does not: s_analytic read inf and
+    # the clamped branch's rel_dev inf/inf = nan, with exit 0
+    out = tmp_path / "snr.json"
+    assert run_cli(["snr", "--pd", repr(p_dark), "--eta", repr(eta),
+                    "--n-relays", str(n), "--alpha-x", repr(alpha_x),
+                    "--format", "json", "--output", str(out)]) == 0
+    (ax, s_1, s, _q_b, dev), = read_json(out).rows
+    with localcontext() as ctx:
+        ctx.prec = 60
+        m = n + 1
+        want_s_1 = ((Decimal(eta).ln() * n - Decimal(ax)) / m).exp() \
+            / (2 * Decimal(p_dark) * m)
+        want_dev = abs(decimal_snr_reference(ax, n, eta, p_dark) / want_s_1
+                       - 1)
+    assert s_1 == pytest.approx(float(want_s_1), rel=1e-14)
+    assert s == pytest.approx(float(decimal_snr_reference(ax, n, eta, p_dark)),
+                              rel=1e-14)
+    assert dev == pytest.approx(float(want_dev), rel=1e-12)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(ns=st.lists(st.integers(0, 64), min_size=1, max_size=3),
        alpha_x_max=st.floats(1e-3, 1e4), eta=st.floats(0.01, 0.98),
        p_dark=st.one_of(st.just(0.0), st.floats(0.0, 1e-2)))
 @example(ns=[1, 64], alpha_x_max=1e4, eta=0.5, p_dark=1e-5)
 @example(ns=[0, 1], alpha_x_max=1600.0, eta=0.5, p_dark=0.0)
+# a subnormal p_dark, where 1/(2 p_dark) overflows: on the clamped branch
+# rel_dev was inf/inf
+@example(ns=[64], alpha_x_max=1.0, eta=0.6505715085313096,
+         p_dark=3.0980174803234e-311)
+@example(ns=[1], alpha_x_max=0.3, eta=0.5, p_dark=1e-309)
 def test_sweeps_exit_0_with_no_nan(ns, alpha_x_max, eta, p_dark):
     # every column of snr and throughput is finite or a documented inf, on
     # long chains, far grids and without dark counts
@@ -867,6 +900,29 @@ def test_cli_sample_refuses_a_run_with_no_detection(tmp_path, capsys):
         "--trials\n")
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_cli_sample_reports_ln_p_n_where_p_n_underflows(tmp_path, capsys):
+    # p_n = p_s expm1(K) = 1.1e-18 * 6e-307 underflows to 0, while K is a
+    # normal double; the exact block's log_p_s and log_p_n keep both, here
+    # against the Decimal product form 1 + p_n/p_s. 9e18 slots see about
+    # 10 signal detections
+    out = tmp_path / "r.json"
+    assert run_cli(["sample", "--alpha-x", "40", "--n-relays", "2", "--pd",
+                    "1e-313", "--trials", str(9 * 10**18), "--seed", "1",
+                    "--output", str(out)]) == 0
+    exact = json.loads(out.read_text())["exact"]
+    assert exact["p_n"] == 0.0 < exact["p_s"]
+    config = ChainConfig(0.0, 0.05, 2, 0.5, 1e-313).at_alpha_x(40.0)
+    ratio = decimal_noise_ratio(config, optimal_positions(config), digits=400)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        log_p_s = 2 * Decimal(0.5).ln() - Decimal(config.alpha_x)
+        log_p_n = log_p_s + (ratio - 1).ln()
+    assert exact["log_p_s"] == pytest.approx(float(log_p_s), rel=1e-15)
+    assert exact["log_p_n"] == pytest.approx(float(log_p_n), rel=1e-14)
+    assert (f"exact    ln p_s = {exact['log_p_s']:.12f}    "
+            f"ln p_n = {exact['log_p_n']:.12f}\n") in capsys.readouterr().out
 
 
 def test_every_public_name_resolves():

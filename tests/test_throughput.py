@@ -6,8 +6,8 @@ from scipy import stats
 
 from qrelay.analytics import ChainConfig, snr_exact
 from qrelay.chain import run_chain
-from qrelay.throughput import (EcPaParams, ThroughputPoint, binary_entropy,
-                               cutoff_alpha_x, key_fraction,
+from qrelay.throughput import (EcPaParams, ThroughputPoint, _tau,
+                               binary_entropy, cutoff_alpha_x, key_fraction,
                                key_fraction_cutoff, normalized_throughput,
                                snr_cutoff, throughput_curve)
 
@@ -28,11 +28,9 @@ def test_binary_entropy():
 
 def test_ec_pa_params():
     p = EcPaParams()
-    assert p.f_ec == 1.16 and p.model == "single-photon-bb84"
+    assert p == (1.16,) and p.f_ec == 1.16
     with pytest.raises(ValueError):
         EcPaParams(f_ec=0.9)
-    with pytest.raises(ValueError):
-        EcPaParams(model="no-such-model")
     for f_ec in (math.nan, math.inf):
         with pytest.raises(ValueError):
             EcPaParams(f_ec=f_ec)
@@ -41,7 +39,7 @@ def test_ec_pa_params():
 def test_key_fraction_endpoints():
     assert key_fraction(0.0) == 1.0
     # deep in the error regime the unclamped fraction goes negative
-    raw = key_fraction(0.25, clamp=False)
+    raw = _tau(0.25, EcPaParams())
     assert raw == pytest.approx(-0.7484375464301981, abs=1e-6)
     assert key_fraction(0.25) == 0.0
     with pytest.raises(ValueError):
@@ -58,15 +56,15 @@ def test_key_fraction_formula():
         assert key_fraction(e, p) == pytest.approx(want, rel=1e-12)
     # key fraction falls monotonically with the error rate
     grid = np.linspace(0.0, 0.10, 60)
-    vals = [key_fraction(float(e), p, clamp=False) for e in grid]
+    vals = [_tau(float(e), p) for e in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_key_fraction_cutoff():
     e_star = key_fraction_cutoff()
     assert e_star == pytest.approx(0.10175520191401302, abs=1e-6)
-    assert key_fraction(e_star - 1e-6, clamp=False) > 0
-    assert key_fraction(e_star + 1e-6, clamp=False) < 0
+    assert _tau(e_star - 1e-6, EcPaParams()) > 0
+    assert _tau(e_star + 1e-6, EcPaParams()) < 0
     # ideal error correction tolerates more errors
     assert key_fraction_cutoff(EcPaParams(f_ec=1.0)) > e_star
 
