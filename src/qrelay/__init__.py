@@ -2,7 +2,9 @@
 
 The package layers are, bottom up:
 
-- fockspace: sparse multimode Fock states and linear-optics transforms.
+- fockspace: sparse multimode Fock states, linear-optics transforms, and
+  the one photon-count projection, enumerate_outcomes, whose patterns are
+  {BasisMode: count} dicts.
 - circuit: the heralded nondestructive photon-presence device built from a
   polarizing beam splitter, an entangled ancilla pair, and two detector
   packages, with a fixed photon budget (one input photon plus the pair),
@@ -21,8 +23,13 @@ The package layers are, bottom up:
   2 p_dark, launching a spurious photon; the rest is vetoed.
 - throughput: the single-photon BB84 key fraction, whose one parameter is
   f_ec, and throughput sweeps; the cutoff range inverts the binomial.
-- reports: deterministic CSV/JSON tables, rendered as text.
+- reports: deterministic CSV/JSON tables, rendered as text; nothing reads
+  them back.
 - cli: the `qrelay` command.
+
+A name is public only if a command, a paper result of the acceptance tests
+or the README uses it; the test-only references (a one-pattern projection,
+number states, report readers) live beside the tests, in tests/oracles.py.
 
 Every module runs on the standard library alone; the Monte Carlo sampler
 draws its binomials from random.Random. Every layer loads on first access to
@@ -53,16 +60,15 @@ _LAZY = {
         "qnd_measure", "vacuum_gate_probability"), "circuit"),
     "ContractViolationError": "errors",
     **dict.fromkeys((
-        "BasisMode", "DetectionPattern", "LinearModeTransform", "ModeBasis",
-        "PhotonicState", "apply_transform", "basis_rotate_fs",
-        "enumerate_outcomes", "fock_state", "identity_transform",
-        "make_bell_phi_plus", "make_qubit", "measure_pattern", "pbs_hv",
-        "product", "vacuum"), "fockspace"),
-    **dict.fromkeys(("CurveReport", "read_csv", "read_json"), "reports"),
+        "BasisMode", "LinearModeTransform", "ModeBasis", "PhotonicState",
+        "apply_transform", "basis_rotate_fs", "enumerate_outcomes",
+        "make_bell_phi_plus", "make_qubit", "pbs_hv", "product", "vacuum"),
+        "fockspace"),
+    "CurveReport": "reports",
     **dict.fromkeys((
         "EcPaParams", "ThroughputPoint", "binary_entropy", "cutoff_alpha_x",
-        "key_fraction", "key_fraction_cutoff", "normalized_throughput",
-        "snr_cutoff", "throughput_curve"), "throughput"),
+        "key_fraction", "key_fraction_cutoff", "snr_cutoff",
+        "throughput_curve"), "throughput"),
 }
 
 

@@ -299,11 +299,16 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
 
     In the interior S/S_1 = (N+1) u/expm1(K) is taken from logs, finite past
     the double range. Clamped, S_1 is another placement's curve: rel_dev is
-    their direct difference, or from logs where S_1 overflows. Only the
-    alpha_xs are checked; the callers check (eta, p_dark, N).
+    their direct difference, or from logs where S_1 overflows. A K below the
+    normal range keeps few digits on the subnormal grid, so there
+    ln expm1(K) = ln K is taken from logs too: ln (N+1) + ln u in the
+    interior, where S/S_1 = 1 to double precision, and
+    ln(2 p_dark) + ln(N/eta + e^(alpha x)) clamped. Only the alpha_xs are
+    checked; the callers check (eta, p_dark, N).
     """
     m = n_relays + 1
     log_m, n_log_eta = math.log(m), n_relays * math.log(eta)
+    tiny = sys.float_info.min
     points = []
     for alpha_x, s_an, (s_ex, k, log_u) in zip(
             alpha_xs, _snr_n_relays_curve(alpha_xs, n_relays, eta, p_dark),
@@ -311,11 +316,16 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
         if k == 0.0:    # no noise: S = inf, and S_1 = inf or all but
             dev = 0.0
         elif log_u is not None:
-            dev = abs(math.expm1(log_m + log_u - _log_expm1(k)))
+            # a K below tiny keeps few digits, but there
+            # ln expm1(K) = ln K = ln (N+1) + ln u, and S/S_1 = 1
+            dev = (abs(math.expm1(log_m + log_u - _log_expm1(k)))
+                   if k >= tiny else 0.0)
         elif s_an == math.inf:
-            log_s_an = (n_log_eta - alpha_x) / m - math.log(2.0 * p_dark) \
-                - log_m
-            dev = abs(math.expm1(-_log_expm1(k) - log_s_an))
+            log_pd2 = math.log(2.0 * p_dark)
+            log_expm1_k = _log_expm1(k) if k >= tiny else (
+                log_pd2 + math.log(n_relays / eta + math.exp(alpha_x)))
+            log_s_an = (n_log_eta - alpha_x) / m - log_pd2 - log_m
+            dev = abs(math.expm1(-log_expm1_k - log_s_an))
         else:
             dev = abs(s_ex - s_an) / s_an if s_ex != s_an else 0.0
         points.append((s_an, s_ex, qber_from_snr(s_ex), dev))

@@ -49,9 +49,12 @@ class ReceiverReport(NamedTuple):
     p_s is the per-slot probability of a signal detection. p_n is the
     expected count of noise clicks per slot, not a probability: a live slot
     adds a receiver dark count (2 p_dark) to a spurious photon, so a slot
-    holding both counts two. snr is their ratio; q_b = p_n / (2 (p_n + p_s))
-    since random polarization errs half the time. A fully vetoed chain
-    yields nan for snr and q_b.
+    holding both counts two. p_n exceeds 1 where slots with two noise
+    clicks outnumber slots with none, which takes p_dark near 1/2: at
+    alpha x = 1, N = 1, eta = 0.01 and p_dark = 0.495, p_n = 1.354. snr is
+    their ratio; q_b = p_n / (2 (p_n + p_s)), a ratio of counts, since
+    random polarization errs half the time. A fully vetoed chain yields nan
+    for snr and q_b.
     """
 
     p_s: float
@@ -153,7 +156,8 @@ def run_chain(config: ChainConfig,
 
 
 def chain_noise(config: ChainConfig, positions_km: Sequence[float]) -> float:
-    """Receiver noise probability as a function of relay positions.
+    """Receiver noise p_n as a function of relay positions: the expected
+    count of noise clicks per slot, not a probability (see ReceiverReport).
 
     Signal probability does not depend on the positions, so less noise is
     a higher SNR. It underflows to 0 on long chains; log_chain_noise and
@@ -168,11 +172,28 @@ def log_chain_noise(config: ChainConfig,
     p_dark > 0.
 
     ln p_n = ln p_s + ln expm1(K) with ln p_s = N ln eta - alpha x taken
-    segment by segment; -inf without dark counts.
+    segment by segment; -inf without dark counts. Only a subnormal 2 p_dark
+    puts a term of K below the normal range (c_j/t_j >= c_j), where the
+    subnormal grid leaves it few digits; its log ln c_j + alpha dx_j
+    (ln(1 + x) = x there) keeps them. Below K = 2^-53, ln expm1(K) = ln K
+    to double precision, so where such a term occurs it is the log-sum-exp
+    of the terms' logs.
     """
     ys, terms = _noise_terms(config, positions_km)
-    return (config.n_relays * math.log(config.eta) - sum(ys)
-            + _log_expm1(sum(terms)))
+    k, pd2, tiny = sum(terms), 2.0 * config.p_dark, sys.float_info.min
+    logs = []
+    if 0.0 < pd2 < tiny and k < 2.0**-53:
+        log_pd2 = math.log(pd2)
+        log_cs = [log_pd2 - math.log(config.eta)] * config.n_relays + [log_pd2]
+        logs = [lc + y for lc, y in zip(log_cs, ys)]
+    if min(logs, default=0.0) < math.log(tiny):
+        logs = [v if v < math.log(tiny) else math.log(term)
+                for v, term in zip(logs, terms)]
+        top = max(logs)
+        log_k = top + math.log(sum(math.exp(v - top) for v in logs))
+    else:
+        log_k = _log_expm1(k)
+    return config.n_relays * math.log(config.eta) - sum(ys) + log_k
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

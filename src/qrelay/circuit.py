@@ -87,14 +87,14 @@ def build_encoder_state(alpha, beta) -> PhotonicState:
     return apply_transform(joint, pbs_hv(basis, ("0", "a"), ("2", "b")))
 
 
-def _package_modes(basis: ModeBasis, spatial: str):
+def _package_modes(spatial: str):
     return [(spatial, H), (spatial, V)]
 
 
-def _one_and_only_one(pattern, basis, spatial) -> Optional[str]:
+def _one_and_only_one(pattern: dict, spatial: str) -> Optional[str]:
     """Channel label if the package saw exactly one photon, else None."""
-    f = pattern.count((spatial, H))
-    s = pattern.count((spatial, V))
+    f = pattern[(spatial, H)]
+    s = pattern[(spatial, V)]
     if f + s != 1:
         return None
     return F_CHANNEL if f == 1 else S_CHANNEL
@@ -114,12 +114,6 @@ class PackageOutcome(NamedTuple):
 class QndReport(NamedTuple):
     outcomes: tuple[PackageOutcome, ...]
     success_probability: float
-
-    def outcome(self, channel_d2: str, channel_db: str) -> PackageOutcome:
-        for o in self.outcomes:
-            if (o.channel_d2, o.channel_db) == (channel_d2, channel_db):
-                return o
-        raise KeyError((channel_d2, channel_db))
 
 
 def feed_forward_sign(state: PhotonicState, spatial: str = "1") -> PhotonicState:
@@ -144,8 +138,8 @@ def encoder_postselect(alpha, beta):
     st = apply_transform(build_encoder_state(alpha, beta),
                          basis_rotate_fs(basis, "b"))
     branches = []
-    for pattern, prob, cond in enumerate_outcomes(st, _package_modes(basis, "b")):
-        ch = _one_and_only_one(pattern, basis, "b")
+    for pattern, prob, cond in enumerate_outcomes(st, _package_modes("b")):
+        ch = _one_and_only_one(pattern, "b")
         if ch is not None:
             branches.append((ch, prob, cond))
     return branches
@@ -156,11 +150,11 @@ def _run_device(input_state: PhotonicState, d2_spatial: str = "2"):
     basis = input_state.basis
     joint = product(input_state, make_bell_phi_plus(basis, "a", "1"))
     st = apply_transform(joint, _device_transform(basis, d2_spatial))
-    measured = _package_modes(basis, d2_spatial) + _package_modes(basis, "b")
+    measured = _package_modes(d2_spatial) + _package_modes("b")
     accepted = []
     for pattern, prob, cond in enumerate_outcomes(st, measured):
-        ch2 = _one_and_only_one(pattern, basis, d2_spatial)
-        chb = _one_and_only_one(pattern, basis, "b")
+        ch2 = _one_and_only_one(pattern, d2_spatial)
+        chb = _one_and_only_one(pattern, "b")
         if ch2 is not None and chb is not None:
             accepted.append((ch2, chb, prob, cond))
     return accepted

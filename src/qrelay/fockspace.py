@@ -110,10 +110,6 @@ class PhotonicState:
                 clean[cfg] = clean.get(cfg, 0j) + a
         self.amps = clean
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.amps
-
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
 
@@ -122,13 +118,6 @@ class PhotonicState:
         if n == 0:
             raise ValueError("cannot normalize the zero state")
         return PhotonicState(self.basis, {c: a / n for c, a in self.amps.items()})
-
-    def amplitude(self, occupations: Mapping) -> complex:
-        """Amplitude of the configuration given as {mode: count} (rest zero)."""
-        cfg = [0] * self.basis.size
-        for mode, n in occupations.items():
-            cfg[self.basis.mode_index(mode)] = int(n)
-        return self.amps.get(tuple(cfg), 0j)
 
     def overlap(self, other: "PhotonicState") -> complex:
         if self.basis != other.basis:
@@ -150,13 +139,10 @@ class PhotonicState:
         """|<self|other>|^2 for normalized states."""
         return abs(self.overlap(other)) ** 2
 
-    def prune(self, tol: float = PRUNE_TOL) -> "PhotonicState":
-        return PhotonicState(self.basis,
-                             {c: a for c, a in self.amps.items() if abs(a) > tol})
-
-    def total_photons(self) -> int:
-        """Photon number if sharp, else the maximum over terms."""
-        return max((sum(c) for c in self.amps), default=0)
+    def prune(self) -> "PhotonicState":
+        """The state without its amplitudes of magnitude PRUNE_TOL or less."""
+        return PhotonicState(self.basis, {c: a for c, a in self.amps.items()
+                                          if abs(a) > PRUNE_TOL})
 
     def __repr__(self):
         terms = []
@@ -171,14 +157,6 @@ class PhotonicState:
 
 def vacuum(basis: ModeBasis) -> PhotonicState:
     return PhotonicState(basis, {(0,) * basis.size: 1.0})
-
-
-def fock_state(basis: ModeBasis, occupations: Mapping) -> PhotonicState:
-    """Normalized number state with the given {mode: count} occupations."""
-    cfg = [0] * basis.size
-    for mode, n in occupations.items():
-        cfg[basis.mode_index(mode)] = int(n)
-    return PhotonicState(basis, {tuple(cfg): 1.0})
 
 
 def make_qubit(basis: ModeBasis, alpha, beta, spatial: str) -> PhotonicState:
@@ -240,11 +218,6 @@ def product(s1: PhotonicState, s2: PhotonicState) -> PhotonicState:
 Matrix = tuple[tuple[complex, ...], ...]
 
 
-def _identity_rows(size: int) -> list[list[complex]]:
-    return [[1 + 0j if i == j else 0j for j in range(size)]
-            for i in range(size)]
-
-
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
     cols = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
@@ -294,13 +267,6 @@ class LinearModeTransform(namedtuple("LinearModeTransform",
             raise ValueError("transforms live on different bases")
         return LinearModeTransform(self.basis, _matmul(later.matrix, self.matrix))
 
-    def inverse(self) -> "LinearModeTransform":
-        return LinearModeTransform(self.basis, _adjoint(self.matrix))
-
-
-def identity_transform(basis: ModeBasis) -> LinearModeTransform:
-    return LinearModeTransform(basis, _identity_rows(basis.size))
-
 
 def pbs_hv(basis: ModeBasis, in_pair: tuple[str, str],
            out_pair: tuple[str, str]) -> LinearModeTransform:
@@ -338,7 +304,8 @@ def basis_rotate_fs(basis: ModeBasis, spatial: str) -> LinearModeTransform:
     its own inverse.
     """
     hi, vi = basis.spatial_indices(spatial)
-    m = _identity_rows(basis.size)
+    m = [[1 + 0j if i == j else 0j for j in range(basis.size)]
+         for i in range(basis.size)]
     r = 1 / math.sqrt(2)
     m[hi][hi] = r
     m[hi][vi] = r
@@ -375,83 +342,21 @@ def apply_transform(state: PhotonicState, t: LinearModeTransform) -> PhotonicSta
     return PhotonicState(state.basis, out).prune()
 
 
-class DetectionPattern(NamedTuple):
-    """Photon counts on a set of measured basis modes."""
-
-    counts: tuple[tuple[BasisMode, int], ...]
-
-    @classmethod
-    def from_dict(cls, basis: ModeBasis, counts: Mapping) -> "DetectionPattern":
-        items = sorted(((BasisMode(*m), int(n)) for m, n in counts.items()),
-                       key=lambda it: basis.mode_index(it[0]))
-        return cls(tuple(items))
-
-    def count(self, mode) -> int:
-        m = BasisMode(*mode)
-        for mode_i, n in self.counts:
-            if mode_i == m:
-                return n
-        return 0
-
-    @property
-    def total(self) -> int:
-        return sum(n for _, n in self.counts)
-
-    def as_dict(self) -> dict:
-        return {m: n for m, n in self.counts}
-
-    def __repr__(self):
-        inner = ", ".join(f"{m.pol}_{m.spatial}:{n}" for m, n in self.counts)
-        return f"DetectionPattern({inner})"
-
-
-def _check_normalized(state: PhotonicState):
-    if abs(state.norm() - 1.0) > NORM_TOL:
-        raise ContractViolationError(
-            f"state norm {state.norm():.12f} is not 1 within {NORM_TOL}")
-
-
-def measure_pattern(state: PhotonicState, measured_modes: Iterable,
-                    pattern: Mapping) -> tuple[float, PhotonicState]:
-    """Project onto a photon-count pattern over the measured modes.
-
-    Measured modes absent from ``pattern`` must hold zero photons. Returns
-    (probability, conditional state); the conditional has the measured modes
-    emptied, and is the zero state when the probability vanishes.
-    """
-    _check_normalized(state)
-    basis = state.basis
-    idxs = sorted(basis.mode_index(m) for m in measured_modes)
-    if len(set(idxs)) != len(idxs):
-        raise ValueError("duplicate measured modes")
-    want = {basis.mode_index(m): int(n) for m, n in
-            (pattern.as_dict() if isinstance(pattern, DetectionPattern) else pattern).items()}
-    for i in want:
-        if i not in idxs:
-            raise ValueError("pattern refers to an unmeasured mode")
-    kept = {}
-    prob = 0.0
-    for cfg, amp in state.amps.items():
-        if all(cfg[i] == want.get(i, 0) for i in idxs):
-            prob += abs(amp) ** 2
-            reduced = tuple(0 if i in idxs else n for i, n in enumerate(cfg))
-            kept[reduced] = kept.get(reduced, 0j) + amp
-    if prob == 0.0:
-        return 0.0, PhotonicState(basis, {})
-    r = math.sqrt(prob)
-    return prob, PhotonicState(basis, {c: a / r for c, a in kept.items()})
-
-
 def enumerate_outcomes(state: PhotonicState, measured_modes: Iterable,
-                       ) -> list[tuple[DetectionPattern, float, PhotonicState]]:
+                       ) -> list[tuple[dict, float, PhotonicState]]:
     """All detection patterns on the measured modes with nonzero probability.
 
     Returns (pattern, probability, conditional) triples sorted by the count
-    tuple, so the order is deterministic. Probabilities sum to 1. One pass
-    over the terms groups them by pattern, accumulating in term order as
-    measure_pattern does, so each triple equals measure_pattern's bit for bit.
+    tuple, so the order is deterministic. A pattern is a {BasisMode: count}
+    dict over every measured mode, in basis order; the conditional has the
+    measured modes emptied. Probabilities sum to 1. One pass over the terms
+    groups them by pattern, accumulating in term order, so each triple
+    equals, bit for bit, the one-pattern projection measure_pattern of
+    tests/oracles.py. The input must be normalized.
     """
-    _check_normalized(state)
+    if abs(state.norm() - 1.0) > NORM_TOL:
+        raise ContractViolationError(
+            f"state norm {state.norm():.12f} is not 1 within {NORM_TOL}")
     basis = state.basis
     modes = sorted((BasisMode(*m) for m in measured_modes),
                    key=lambda m: basis.mode_index(m))
@@ -472,7 +377,7 @@ def enumerate_outcomes(state: PhotonicState, measured_modes: Iterable,
         prob, kept = groups[key]
         if prob > 0.0:
             r = math.sqrt(prob)
-            out.append((DetectionPattern(tuple(zip(modes, key))), prob,
+            out.append((dict(zip(modes, key)), prob,
                         PhotonicState(basis, {c: a / r
                                               for c, a in kept.items()})))
     return out

@@ -1,16 +1,16 @@
 """Deterministic table serialization for sweep outputs.
 
 A CurveReport is a rectangular table of floats plus a metadata mapping. CSV
-files carry the metadata as '# ' comment lines holding one JSON object, then
-a header row, then data rows with every value printed as '%.17e' so that a
-write/read/write cycle is byte identical. JSON files carry the same content
-as one object with sorted keys. Neither format embeds timestamps or any other
-run-dependent value; identical inputs produce identical bytes. Both write
-strict JSON: table values spell non-finite floats as "nan"/"inf", and a
-non-finite metadata value raises ValueError instead of emitting the
+text carries the metadata as a '# ' comment line holding one JSON object,
+then a header row, then data rows with every value printed as '%.17e', so
+that each value reads back as the same double. JSON text carries the same
+content as one object with sorted keys. Neither format embeds timestamps or
+any other run-dependent value; identical inputs produce identical bytes.
+Both are strict JSON: table values spell non-finite floats as "nan"/"inf",
+and a non-finite metadata value raises ValueError instead of emitting the
 non-standard NaN/Infinity tokens. Free-form command payloads go through
 render_payload, which spells non-finite floats the same way. This module
-renders text and reads files back; the command line writes every report.
+only renders text; the command line writes every report.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ class CurveReport(namedtuple("CurveReport",
         """A copy with some fields changed, checked as a new table is."""
         return CurveReport(**{**self._asdict(), **changes})
 
-    def column(self, name: str) -> list[float]:
-        i = self.columns.index(name)
-        return [r[i] for r in self.rows]
-
 
 def render_csv(report: CurveReport) -> str:
     meta_json = json.dumps(report.metadata, sort_keys=True, allow_nan=False)
@@ -59,29 +55,6 @@ def render_csv(report: CurveReport) -> str:
     lines = ["# " + meta_json, ",".join(report.columns)]
     lines += [row % r for r in report.rows]
     return "\n".join(lines) + "\n"
-
-
-def read_csv(path) -> CurveReport:
-    metadata = {}
-    columns = None
-    rows = []
-    with open(path, "r") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body:
-                    metadata.update(json.loads(body))
-                continue
-            if columns is None:
-                columns = tuple(line.split(","))
-                continue
-            rows.append(tuple(float(tok) for tok in line.split(",")))
-    if columns is None:
-        raise ValueError(f"{path}: no header row found")
-    return CurveReport(columns=columns, rows=tuple(rows), metadata=metadata)
 
 
 def render_json(report: CurveReport) -> str:
@@ -118,11 +91,3 @@ def render_payload(payload: dict) -> str:
     return json.dumps(_spell_non_finite(payload), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
 
-
-def read_json(path) -> CurveReport:
-    with open(path, "r") as fh:
-        payload = json.load(fh)
-    return CurveReport(columns=tuple(payload["columns"]),
-                       rows=tuple(tuple(float(v) for v in row)
-                                  for row in payload["rows"]),
-                       metadata=payload.get("metadata", {}))

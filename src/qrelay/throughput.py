@@ -94,11 +94,6 @@ def snr_cutoff(params: Optional[EcPaParams] = None) -> float:
     return 0.5 / e_star - 1.0
 
 
-def normalized_throughput(s: float, params: Optional[EcPaParams] = None) -> float:
-    """Key bits per detected slot for a receiver seeing SNR s."""
-    return key_fraction(qber_from_snr(s), params)
-
-
 class ThroughputPoint(NamedTuple):
     """One attenuation-length sample of a throughput sweep.
 

@@ -1,20 +1,27 @@
 """Independent brute-force references the tests compare the package against.
 
 Nothing here reuses the package's evolution code paths: transforms are applied
-via matrix permanents over dense occupation enumerations, chains one event
-rule at a time on a plain 4-tuple slot state, and relay placements are
-searched by a coordinate descent over scipy's bounded line search. The chain's
-SNR at the optimal placement, and the noise of any placement, are also
-evaluated in 60-digit decimal arithmetic from the product form, where no
-double underflows.
+via matrix permanents over dense occupation enumerations, a detection pattern
+is projected one pattern at a time, chains one event rule at a time on a
+plain 4-tuple slot state, and relay placements are searched by a coordinate
+descent over scipy's bounded line search. The chain's SNR at the optimal
+placement, and the noise of any placement, are also evaluated in 60-digit
+decimal arithmetic from the product form, where no double underflows. The
+small readers at the end look up one amplitude of a state and read a
+written report back.
 """
 
 import itertools
+import json
 import math
 from decimal import Decimal, localcontext
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+from qrelay.fockspace import PhotonicState
+from qrelay.reports import CurveReport
 
 
 def permanent(mat) -> complex:
@@ -75,6 +82,31 @@ def dense_apply(matrix, amps: dict) -> dict:
             if w != 0:
                 out[cfg_out] = out.get(cfg_out, 0j) + w
     return {c: a for c, a in out.items() if abs(a) > 1e-300}
+
+
+def measure_pattern(state, measured_modes, pattern):
+    """Project onto one photon-count pattern {mode: count} over the measured
+    modes; a measured mode absent from the pattern holds zero photons.
+
+    Returns (probability, conditional), the conditional with the measured
+    modes emptied, or the zero state where the probability vanishes. The
+    reference for enumerate_outcomes, which groups every pattern in one pass
+    and must give each pattern's triple bit for bit.
+    """
+    basis = state.basis
+    idxs = sorted(basis.mode_index(m) for m in measured_modes)
+    want = {basis.mode_index(m): n for m, n in pattern.items()}
+    kept = {}
+    prob = 0.0
+    for cfg, amp in state.amps.items():
+        if all(cfg[i] == want.get(i, 0) for i in idxs):
+            prob += abs(amp) ** 2
+            reduced = tuple(0 if i in idxs else n for i, n in enumerate(cfg))
+            kept[reduced] = kept.get(reduced, 0j) + amp
+    if prob == 0.0:
+        return 0.0, PhotonicState(basis, {})
+    r = math.sqrt(prob)
+    return prob, PhotonicState(basis, {c: a / r for c, a in kept.items()})
 
 
 def haar_unitary(n: int, rng) -> np.ndarray:
@@ -233,3 +265,34 @@ def coordinate_descent(config, objective, x0=None, obj_tol=1e-10,
         if previous - best <= obj_tol * abs(best):
             break
     return tuple(pos)
+
+
+def occupation(basis, occupations) -> tuple:
+    """The occupation tuple of {mode: count}, every other mode empty."""
+    cfg = [0] * basis.size
+    for mode, n in occupations.items():
+        cfg[basis.mode_index(mode)] = n
+    return tuple(cfg)
+
+
+def amplitude(state, occupations) -> complex:
+    """The state's amplitude on the configuration {mode: count}."""
+    return state.amps.get(occupation(state.basis, occupations), 0j)
+
+
+def read_report(path) -> CurveReport:
+    """A table report as render_csv or render_json wrote it, read back."""
+    text = Path(path).read_text()
+    if text.startswith("{"):
+        payload = json.loads(text)
+        return CurveReport(payload["columns"], payload["rows"],
+                           payload["metadata"])
+    meta, header, *rows = text.splitlines()
+    return CurveReport(header.split(","), [r.split(",") for r in rows],
+                       json.loads(meta[len("# "):]))
+
+
+def column(report, name) -> list:
+    """One named column of a CurveReport."""
+    i = report.columns.index(name)
+    return [row[i] for row in report.rows]

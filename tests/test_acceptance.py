@@ -23,8 +23,8 @@ from qrelay.fockspace import (LinearModeTransform, ModeBasis, PhotonicState,
                               apply_transform, basis_rotate_fs)
 from qrelay.throughput import cutoff_alpha_x, key_fraction, throughput_curve
 
-from oracles import (configs_up_to, coordinate_descent, dense_apply,
-                     haar_unitary)
+from oracles import (amplitude, configs_up_to, coordinate_descent,
+                     dense_apply, haar_unitary)
 
 
 def announce(capsys, name: str, ok: bool, detail: str = ""):
@@ -86,9 +86,9 @@ def test_criterion_02_encoder_projection(capsys):
             sign = 1.0 if ch == "F" else -1.0
             worst = max(worst, abs(prob - 0.25))
             worst = max(worst,
-                        abs(cond.amplitude({("1", H): 1, ("2", H): 1}) - a))
+                        abs(amplitude(cond, {("1", H): 1, ("2", H): 1}) - a))
             worst = max(worst,
-                        abs(cond.amplitude({("1", V): 1, ("2", V): 1})
+                        abs(amplitude(cond, {("1", V): 1, ("2", V): 1})
                             - sign * b))
             worst = max(worst, abs(cond.norm() - 1.0))
     ok = worst <= 1e-12

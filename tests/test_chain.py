@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from qrelay.circuit import (measured_relay_efficiency,
                             multiphoton_gate_probability,
                             vacuum_gate_probability)
 
-from oracles import (TRANSMITTED, apply_relay, markov_chain_reference,
-                     propagate_segment, receiver_detect)
+from oracles import (TRANSMITTED, apply_relay, decimal_noise_ratio,
+                     markov_chain_reference, propagate_segment,
+                     receiver_detect)
 
 # The oracle's event rules act on slot states (p_sig, p_rnd, p_empty,
 # p_nogate); the first tests pin the rules themselves, the rest check the
@@ -458,6 +460,29 @@ def test_run_chain_matches_snr_exact_on_long_chains():
                                                      optimal_positions(point)))
     # the closed form stays the optimum of a 1000-relay chain
     assert search_positions(cfg) == optimal_positions(cfg)
+
+
+@pytest.mark.parametrize("cfg, positions", [
+    (ChainConfig(0.0, 0.05, 4, 0.5, 5e-324).at_alpha_x(5.0), None),
+    (ChainConfig(0.0, 0.05, 1, 0.5, 5e-324).at_alpha_x(0.3), None),
+    (ChainConfig(0.0, 0.05, 0, 0.5, 5e-324).at_alpha_x(10.0), None),
+    (ChainConfig(1200.0, 0.05, 2, 0.5, 5e-324), (20.0, 1180.0)),
+    (ChainConfig(0.0, 0.05, 64, 0.65, 1e-318).at_alpha_x(40.0), None)],
+    ids=["n4", "clamped", "n0", "mixed", "n64"])
+def test_log_chain_noise_at_a_subnormal_p_dark(cfg, positions):
+    # each term c_j/t_j of K below the normal range was rounded on the
+    # subnormal grid: `qrelay sample --alpha-x 5 --n-relays 4 --pd 5e-324`
+    # printed ln p_n = -748.405998153851, p_n 5% low. "mixed" holds a
+    # normal relay term between two subnormal ones
+    positions = optimal_positions(cfg) if positions is None else positions
+    ratio = decimal_noise_ratio(cfg, positions, digits=400)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        want = (cfg.n_relays * Decimal(cfg.eta).ln()
+                - Decimal(cfg.atten_per_km) * Decimal(cfg.distance_km)
+                + (ratio - 1).ln())
+    assert log_chain_noise(cfg, positions) == pytest.approx(float(want),
+                                                            rel=1e-15)
 
 
 def test_sample_chain_stderr_definitions():

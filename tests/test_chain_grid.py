@@ -28,9 +28,9 @@ from qrelay import cli
 from qrelay.analytics import (ChainConfig, _snr_curve, qber_from_snr,
                               snr_exact, snr_n_relays)
 from qrelay.chain import run_chain
-from qrelay.reports import read_csv
 
-from oracles import decimal_snr_reference, markov_chain_reference
+from oracles import (decimal_snr_reference, markov_chain_reference,
+                     read_report)
 
 DATA = Path(__file__).parent / "data"
 
@@ -313,7 +313,7 @@ def test_grid_non_finite_ratio_rules():
 
 def _values(path):
     if path.suffix == ".csv":
-        rep = read_csv(path)
+        rep = read_report(path)
         return rep.metadata, rep.columns, rep.rows
     payload = json.loads(path.read_text())
     if "rows" in payload:

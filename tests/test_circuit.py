@@ -21,7 +21,7 @@ from qrelay.circuit import (ENCODER_SPATIAL, _kraus_outcomes, _run_device,
 from qrelay.errors import ContractViolationError
 from qrelay.fockspace import H, V, make_qubit, product
 
-from oracles import TRANSMITTED, apply_relay, dense_apply
+from oracles import TRANSMITTED, amplitude, apply_relay, dense_apply
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -41,10 +41,10 @@ def test_encoder_state_structure():
     a, b = 0.6, 0.8
     st = build_encoder_state(a, b)
     r = 1 / math.sqrt(2)
-    assert st.amplitude({("1", H): 1, ("2", H): 1, ("b", H): 1}) == pytest.approx(a * r)
-    assert st.amplitude({("1", V): 1, ("2", V): 1, ("b", V): 1}) == pytest.approx(b * r)
-    assert st.amplitude({("1", V): 1, ("2", H): 1, ("2", V): 1}) == pytest.approx(a * r)
-    assert st.amplitude({("1", H): 1, ("b", H): 1, ("b", V): 1}) == pytest.approx(b * r)
+    assert amplitude(st, {("1", H): 1, ("2", H): 1, ("b", H): 1}) == pytest.approx(a * r)
+    assert amplitude(st, {("1", V): 1, ("2", V): 1, ("b", V): 1}) == pytest.approx(b * r)
+    assert amplitude(st, {("1", V): 1, ("2", H): 1, ("2", V): 1}) == pytest.approx(a * r)
+    assert amplitude(st, {("1", H): 1, ("b", H): 1, ("b", V): 1}) == pytest.approx(b * r)
     assert len(st.amps) == 4
     basis = st.basis
     bh, bv = basis.spatial_indices("b")
@@ -60,8 +60,8 @@ def test_encoder_postselect_branches():
     for ch, prob, cond in branches:
         assert prob == pytest.approx(0.25, abs=1e-12)
         sign = 1.0 if ch == "F" else -1.0
-        got_hh = cond.amplitude({("1", H): 1, ("2", H): 1})
-        got_vv = cond.amplitude({("1", V): 1, ("2", V): 1})
+        got_hh = amplitude(cond, {("1", H): 1, ("2", H): 1})
+        got_vv = amplitude(cond, {("1", V): 1, ("2", V): 1})
         assert got_hh == pytest.approx(a, abs=1e-12)
         assert got_vv == pytest.approx(sign * b, abs=1e-12)
         assert len(cond.amps) == 2
@@ -73,8 +73,8 @@ def test_encoder_postselect_complex_qubit():
     for ch, prob, cond in branches:
         assert prob == pytest.approx(0.25, abs=1e-12)
         sign = 1.0 if ch == "F" else -1.0
-        assert cond.amplitude({("1", H): 1, ("2", H): 1}) == pytest.approx(a, abs=1e-12)
-        assert cond.amplitude({("1", V): 1, ("2", V): 1}) == pytest.approx(sign * b, abs=1e-12)
+        assert amplitude(cond, {("1", H): 1, ("2", H): 1}) == pytest.approx(a, abs=1e-12)
+        assert amplitude(cond, {("1", V): 1, ("2", V): 1}) == pytest.approx(sign * b, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.inf),
@@ -119,8 +119,8 @@ def engine_outputs(alpha, beta):
     for ch2, chb, prob, cond in _run_device(make_qubit(basis, alpha, beta, "0")):
         assert all(sum(cfg) == 1 and cfg[hi] + cfg[vi] == 1 for cfg in cond.amps)
         r = math.sqrt(prob)
-        out.append(((ch2, chb), (r * cond.amplitude({("1", H): 1}),
-                                 r * cond.amplitude({("1", V): 1}))))
+        out.append(((ch2, chb), (r * amplitude(cond, {("1", H): 1}),
+                                 r * amplitude(cond, {("1", V): 1}))))
     return out
 
 
@@ -254,17 +254,18 @@ def test_feed_forward_sign_involution():
     basis = encoder_basis()
     st = make_qubit(basis, 0.6, 0.8j, "1")
     flipped = feed_forward_sign(st, "1")
-    assert flipped.amplitude({("1", V): 1}) == pytest.approx(-0.8j)
+    assert amplitude(flipped, {("1", V): 1}) == pytest.approx(-0.8j)
     again = feed_forward_sign(flipped, "1")
     assert again.fidelity(st) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_outcome_lookup():
+    # one outcome per joint channel pair, found by its channels
     rep = qnd_measure(SQ2, SQ2)
-    o = rep.outcome("S", "F")
-    assert o.flipped
-    with pytest.raises(KeyError):
-        rep.outcome("F", "X")
+    by_channels = {(o.channel_d2, o.channel_db): o for o in rep.outcomes}
+    assert len(by_channels) == 4
+    assert by_channels["S", "F"].flipped
+    assert ("F", "X") not in by_channels
 
 
 def test_vacuum_gate_probability_exactly_zero():

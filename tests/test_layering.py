@@ -1,4 +1,5 @@
-"""The package's lower layers import only downward.
+"""The package's lower layers import only downward, and every public name
+is used outside the tests.
 
 analytics sits at the bottom and imports nothing of the package, fockspace
 imports only errors, and circuit builds on fockspace alone; outside the
@@ -12,6 +13,7 @@ without rerunning the Fock engine.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +73,39 @@ def test_no_module_imports_dataclasses(module):
     assert "dataclasses" not in absolute_imports(module)
 
 
+def names_read(module: str) -> set[str]:
+    """The names a module reads, as a Name, an Attribute or an imported
+    name, outside the top-level definition of the same name."""
+    source = Path(qrelay.__file__).with_name(f"{module}.py").read_text()
+    found = set()
+    for stmt in ast.parse(source).body:
+        inner = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                inner.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                inner.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                inner.update(alias.name for alias in node.names)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            inner.discard(stmt.name)
+        found |= inner
+    return found
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a public name stays only if the program reads it, the README names it
+    # or an acceptance criterion (a paper result) checks it; the references
+    # only tests use live in tests/oracles.py
+    read = set().union(*(names_read(m) for m in MODULES if m != "__init__"))
+    here = Path(__file__).parent
+    text = ((here.parent / "README.md").read_text()
+            + (here / "test_acceptance.py").read_text())
+    unused = [name for name in qrelay.__all__ if name not in read
+              and not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert unused == []
+
+
 @pytest.mark.parametrize("argv", [
     ["snr"], ["throughput"], ["optimize", "--distance-km", "100",
                               "--n-relays", "2"],
@@ -98,12 +133,13 @@ def test_replace_checks_the_new_record():
     # _replace rebuilds through the checking constructor; the stock
     # namedtuple _replace goes through _make, which would skip the checks
     from qrelay.analytics import ChainConfig
-    from qrelay.fockspace import ModeBasis, identity_transform
+    from qrelay.fockspace import LinearModeTransform, ModeBasis
     from qrelay.reports import CurveReport
     from qrelay.throughput import EcPaParams
 
     table = CurveReport(("a", "b"), ((1.0, 2.0),))
-    transform = identity_transform(ModeBasis(("0",), photon_cap=1))
+    transform = LinearModeTransform(ModeBasis(("0",), photon_cap=1),
+                                    ((1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(ValueError, match="n_relays"):
         ChainConfig(100.0, n_relays=1)._replace(n_relays=-1)
     with pytest.raises(ValueError, match="f_ec"):

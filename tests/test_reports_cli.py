@@ -18,10 +18,11 @@ import qrelay
 from qrelay import cli
 from qrelay.analytics import ChainConfig, optimal_positions
 from qrelay.chain import run_chain
-from qrelay.reports import (CurveReport, read_csv, read_json, render_csv,
-                            render_json, render_payload)
+from qrelay.reports import (CurveReport, render_csv, render_json,
+                            render_payload)
 
-from oracles import decimal_noise_ratio, decimal_snr_reference
+from oracles import (column, decimal_noise_ratio, decimal_snr_reference,
+                     read_report)
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,11 +35,8 @@ def small_report():
 
 
 def test_curve_report_validation():
-    rep = small_report()
-    assert rep.column("y")[0] == 1.0
-    assert math.isnan(rep.column("y")[2])
-    with pytest.raises(ValueError):
-        rep.column("z")
+    rep = CurveReport(columns=(0, "y"), rows=[[1, "inf"]])
+    assert rep == (("0", "y"), ((1.0, math.inf),), {})
     with pytest.raises(ValueError):
         CurveReport(columns=("x", "y"), rows=((1.0,),), metadata={})
 
@@ -57,7 +55,7 @@ def test_csv_round_trip(tmp_path):
     text = path.read_text()
     assert text.startswith("# {")
     assert text == render_csv(rep)
-    back = read_csv(path)
+    back = read_report(path)
     assert back.columns == rep.columns
     assert back.metadata == rep.metadata
     assert back.rows[0] == rep.rows[0]
@@ -73,7 +71,7 @@ def test_json_round_trip(tmp_path):
     rep = small_report()
     path = tmp_path / "curve.json"
     write(render_json(rep), path)
-    back = read_json(path)
+    back = read_report(path)
     assert back.columns == rep.columns
     assert back.metadata == rep.metadata
     assert back.rows[0][1] == 1.0
@@ -107,7 +105,7 @@ def test_cli_snr_single_point(tmp_path, capsys):
     code = run_cli(["snr", "--n-relays", "0", "--alpha-x", "0",
                     "--output", str(out)])
     assert code == 0
-    rep = read_csv(out)
+    rep = read_report(out)
     row = dict(zip(rep.columns, rep.rows[0]))
     assert row["alpha_x"] == 0.0
     assert row["s_analytic_n0"] == pytest.approx(5e4)
@@ -122,12 +120,12 @@ def test_cli_snr_multi_relay_columns(tmp_path):
                     "--alpha-x-max", "5", "--steps", "3",
                     "--output", str(out)])
     assert code == 0
-    rep = read_csv(out)
+    rep = read_report(out)
     assert "s_exact_n2" in rep.columns
     assert "q_b_n2" in rep.columns
     assert "rel_dev_n0" in rep.columns
     assert len(rep.rows) == 3
-    assert rep.column("alpha_x") == [1.0, 3.0, 5.0]
+    assert column(rep, "alpha_x") == [1.0, 3.0, 5.0]
 
 
 def test_cli_same_invocation_identical_bytes(tmp_path):
@@ -318,12 +316,12 @@ def test_cli_config_file_and_override(tmp_path):
     code = run_cli(["snr", "--config", str(cfg), "--n-relays", "0",
                     "--steps", "3", "--output", str(out)])
     assert code == 0
-    rep = read_csv(out)
+    rep = read_report(out)
     # flag wins over file, file wins over default
     assert len(rep.rows) == 3
     assert rep.metadata["parameters"]["grid"] == [0.0, 6.0, 3]
     assert rep.metadata["parameters"]["pd"] == 1e-4
-    assert rep.column("s_analytic_n0")[0] == pytest.approx(5e3)
+    assert column(rep, "s_analytic_n0")[0] == pytest.approx(5e3)
 
 
 def test_cli_config_errors(tmp_path, capsys):
@@ -513,9 +511,9 @@ def test_cli_throughput(tmp_path):
                     "--alpha-x-min", "0", "--alpha-x-max", "12",
                     "--steps", "4", "--output", str(out)])
     assert code == 0
-    rep = read_csv(out)
+    rep = read_report(out)
     assert "t_n_n0" in rep.columns and "t_n_scaled_n1" in rep.columns
-    assert rep.column("t_n_n0")[0] > 0.99
+    assert column(rep, "t_n_n0")[0] > 0.99
     cutoffs = rep.metadata["parameters"]["cutoff_alpha_x"]
     assert cutoffs["0"] == pytest.approx(9.4553, abs=1e-3)
 
@@ -525,22 +523,22 @@ def test_cli_throughput_without_dark_counts(tmp_path):
     code = run_cli(["throughput", "--pd", "0", "--steps", "5",
                     "--n-relays", "0,1", "--output", str(out)])
     assert code == 0
-    rep = read_csv(out)
+    rep = read_report(out)
     assert rep.metadata["parameters"]["cutoff_alpha_x"] == {"0": "inf",
                                                            "1": "inf"}
     for n in (0, 1):
-        assert all(v == math.inf for v in rep.column(f"s_exact_n{n}"))
-        assert all(v == 1.0 for v in rep.column(f"t_n_n{n}"))
+        assert all(v == math.inf for v in column(rep, f"s_exact_n{n}"))
+        assert all(v == 1.0 for v in column(rep, f"t_n_n{n}"))
     # past alpha_x ~ 745 e^(-alpha_x) underflows, yet the closed form keeps
     # s = inf and q_b = 0 there
     code = run_cli(["throughput", "--pd", "0", "--alpha-x-max", "1600",
                     "--steps", "5", "--n-relays", "0,1", "--output", str(out)])
     assert code == 0
-    rep = read_csv(out)
+    rep = read_report(out)
     for n in (0, 1):
-        assert all(v == math.inf for v in rep.column(f"s_exact_n{n}"))
-        assert all(v == 0.0 for v in rep.column(f"q_b_n{n}"))
-        assert all(v == 1.0 for v in rep.column(f"t_n_n{n}"))
+        assert all(v == math.inf for v in column(rep, f"s_exact_n{n}"))
+        assert all(v == 0.0 for v in column(rep, f"q_b_n{n}"))
+        assert all(v == 1.0 for v in column(rep, f"t_n_n{n}"))
 
 
 def test_cli_json_format(tmp_path):
@@ -548,8 +546,8 @@ def test_cli_json_format(tmp_path):
     code = run_cli(["snr", "--n-relays", "0", "--alpha-x", "1",
                     "--format", "json", "--output", str(out)])
     assert code == 0
-    rep = read_json(out)
-    assert rep.column("s_analytic_n0")[0] == pytest.approx(
+    rep = read_report(out)
+    assert column(rep, "s_analytic_n0")[0] == pytest.approx(
         5e4 * math.exp(-1.0))
 
 
@@ -759,22 +757,22 @@ def test_cli_long_chains(tmp_path, capsys):
     assert run_cli(["snr", "--n-relays", "1,64", "--steps", "3",
                     "--alpha-x-max", "1e4", "--format", "json",
                     "--output", str(out)]) == 0
-    rep = read_json(out)
+    rep = read_report(out)
     for n in (1, 64):
-        assert all(math.isfinite(v) for v in rep.column(f"s_analytic_n{n}"))
+        assert all(math.isfinite(v) for v in column(rep, f"s_analytic_n{n}"))
         # S_1 underflows there; rel_dev is taken from logs and stays finite
-        assert all(math.isfinite(v) for v in rep.column(f"rel_dev_n{n}"))
-    assert rep.column("s_analytic_n64")[-1] > 0.0
+        assert all(math.isfinite(v) for v in column(rep, f"rel_dev_n{n}"))
+    assert column(rep, "s_analytic_n64")[-1] > 0.0
     # without dark counts both SNRs are inf and do not deviate
     assert run_cli(["snr", "--pd", "0", "--steps", "5", "--format", "json",
                     "--output", str(out)]) == 0
-    rep = read_json(out)
+    rep = read_report(out)
     for n in (0, 1, 2, 4, 8, 16):
-        assert rep.column(f"rel_dev_n{n}") == [0.0] * 5
+        assert column(rep, f"rel_dev_n{n}") == [0.0] * 5
     out = tmp_path / "tp.csv"
     assert run_cli(["throughput", "--n-relays", "48,64", "--steps", "3",
                     "--output", str(out)]) == 0
-    cutoffs = read_csv(out).metadata["parameters"]["cutoff_alpha_x"]
+    cutoffs = read_report(out).metadata["parameters"]["cutoff_alpha_x"]
     assert cutoffs["48"] == pytest.approx(233.8, abs=0.1)
     assert cutoffs["64"] == pytest.approx(291.5, abs=0.1)
     capsys.readouterr()
@@ -790,7 +788,7 @@ def test_snr_at_a_subnormal_p_dark(n, eta, p_dark, alpha_x, tmp_path):
     assert run_cli(["snr", "--pd", repr(p_dark), "--eta", repr(eta),
                     "--n-relays", str(n), "--alpha-x", repr(alpha_x),
                     "--format", "json", "--output", str(out)]) == 0
-    (ax, s_1, s, _q_b, dev), = read_json(out).rows
+    (ax, s_1, s, _q_b, dev), = read_report(out).rows
     with localcontext() as ctx:
         ctx.prec = 60
         m = n + 1
@@ -802,6 +800,33 @@ def test_snr_at_a_subnormal_p_dark(n, eta, p_dark, alpha_x, tmp_path):
     assert s == pytest.approx(float(decimal_snr_reference(ax, n, eta, p_dark)),
                               rel=1e-14)
     assert dev == pytest.approx(float(want_dev), rel=1e-12)
+
+
+@pytest.mark.parametrize("p_dark", [1e-318, 5e-324])
+def test_snr_rel_dev_where_k_is_subnormal(p_dark, tmp_path):
+    # K below the normal range kept few digits on the subnormal grid, and
+    # rel_dev read its log: 1.55e-6, 5.3e-4 and 2.7e-3 at alpha_x = 10 and
+    # p_dark = 5e-324, and 4.5e-11 at N = 0 and 1e-318, where S = S_1. The
+    # grid holds clamped points (alpha_x < ln 2) and interior ones; the
+    # bound is 8 ulps of the logs near -745 that rel_dev is taken from
+    out = tmp_path / "snr.json"
+    assert run_cli(["snr", "--pd", repr(p_dark), "--n-relays", "0,1,4",
+                    "--alpha-x-min", "0", "--alpha-x-max", "10", "--steps",
+                    "21", "--format", "json", "--output", str(out)]) == 0
+    rep = read_report(out)
+    for n in (0, 1, 4):
+        for ax, s_1, s, dev in zip(
+                column(rep, "alpha_x"), column(rep, f"s_analytic_n{n}"),
+                column(rep, f"s_exact_n{n}"), column(rep, f"rel_dev_n{n}")):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                want_s = decimal_snr_reference(ax, n, 0.5, p_dark)
+                want_s_1 = ((Decimal(0.5).ln() * n - Decimal(ax)) / (n + 1)
+                            ).exp() / (2 * Decimal(p_dark) * (n + 1))
+                want_dev = abs(want_s / want_s_1 - 1)
+            assert s == float(want_s) == s_1 == math.inf, (n, ax)
+            assert dev == pytest.approx(float(want_dev),
+                                        abs=8 * math.ulp(745.0)), (n, ax)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qrelay.analytics import ChainConfig, snr_exact
+from qrelay.analytics import ChainConfig, qber_from_snr, snr_exact
 from qrelay.chain import run_chain
 from qrelay.throughput import (EcPaParams, ThroughputPoint, _tau,
                                binary_entropy, cutoff_alpha_x, key_fraction,
-                               key_fraction_cutoff, normalized_throughput,
-                               snr_cutoff, throughput_curve)
+                               key_fraction_cutoff, snr_cutoff,
+                               throughput_curve)
+
+
+def normalized_throughput(s):
+    """Key bits per detected slot for a receiver seeing SNR s, the t_n of
+    throughput_curve."""
+    return key_fraction(qber_from_snr(s))
 
 
 def test_binary_entropy():
