@@ -1,0 +1,152 @@
+"""Regenerate tests/data/byte_corpus.json, the byte record of every command.
+
+Each case is one `qrelay` argv, run in-process through cli.main in an empty
+working directory, so that a report written with `--output report.json`
+names the same relative path on every run. A case records the exit code,
+stdout, stderr and the report file's bytes; a text longer than INLINE
+bytes is kept as its sha256 and length. test_byte_corpus.py reruns every
+case and compares.
+
+Run it from the repository root, only when a change is meant to move
+bytes, and list each changed case in CHANGES.md:
+
+    PYTHONPATH=src python tests/make_byte_corpus.py
+
+pytest never runs it.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+CORPUS = Path(__file__).parent / "data" / "byte_corpus.json"
+
+# texts above this many bytes are stored as a digest
+INLINE = 4096
+
+_SWEEP_AX = "60.000000"     # one draw of the sweep workload's grid end
+
+
+def _cases() -> list[list[str]]:
+    cases = [
+        # the benchmark workloads' flags (perfbench/workloads.py)
+        ["snr", "--n-relays", "0,1,2,4,8,16,32,64", "--steps", "1000",
+         "--alpha-x-max", _SWEEP_AX, "--format", "json",
+         "--output", "report.json"],
+        ["throughput", "--n-relays", "0,1,2,3,4,5,6,7,8", "--steps", "1000",
+         "--alpha-x-max", _SWEEP_AX, "--output", "report.csv"],
+        ["optimize", "--distance-km", "2000", "--n-relays", "64",
+         "--output", "report.json"],
+        ["verify-circuit", "--trials", "2000", "--seed", "5",
+         "--input=0.6,0.8j", "--output", "report.json"],
+        ["sample", "--alpha-x", "5", "--n-relays", "4", "--trials",
+         "20000000", "--seed", "5", "--output", "report.json"],
+        # the remaining goldens' flags (tests/data)
+        ["snr", "--n-relays", "0,1,2,4,8,16,32,64", "--steps", "50",
+         "--format", "json", "--output", "report.json"],
+        ["throughput", "--n-relays", "0,1,2,3,4,5,6,7,8", "--steps", "50",
+         "--output", "report.csv"],
+        ["optimize", "--distance-km", "300", "--n-relays", "3",
+         "--output", "report.json"],
+        # defaults, in CSV and in JSON
+        ["snr"], ["snr", "--format", "json"],
+        ["throughput"], ["throughput", "--format", "json"],
+        ["verify-circuit"],
+    ]
+    # no dark counts, a small normal p_dark and subnormal ones down to the
+    # least double, over clamped and interior points
+    for pd in ("0", "1e-300", "1e-318", "5e-324"):
+        cases += [
+            ["snr", "--pd", pd, "--n-relays", "0,1,4,64", "--steps", "21",
+             "--alpha-x-max", "10", "--format", "json"],
+            ["throughput", "--pd", pd, "--n-relays", "0,1,4", "--steps", "21",
+             "--alpha-x-max", "10"],
+            ["optimize", "--pd", pd, "--distance-km", "300", "--n-relays",
+             "3"],
+            ["sample", "--pd", pd, "--alpha-x", "5", "--n-relays", "4",
+             "--trials", "20000000", "--seed", "5"],
+        ]
+    cases += [
+        # eta = 1e-300: the clamped branch reaches alpha x = 690.8
+        ["snr", "--eta", "1e-300", "--n-relays", "0,1,2", "--steps", "21",
+         "--alpha-x-max", "1000", "--format", "json"],
+        ["throughput", "--eta", "1e-300", "--n-relays", "0,1,2", "--steps",
+         "21", "--alpha-x-max", "1000"],
+        ["sample", "--eta", "1e-300", "--alpha-x", "1", "--n-relays", "1",
+         "--trials", "1000000", "--seed", "2"],
+        # long chains and far grids
+        ["snr", "--n-relays", "0,1,64,1000", "--steps", "41",
+         "--alpha-x-max", "1e4", "--format", "json"],
+        ["throughput", "--n-relays", "0,1,64,1000", "--steps", "41",
+         "--alpha-x-max", "1e4"],
+        ["optimize", "--distance-km", "1032", "--n-relays", "1000"],
+        ["sample", "--alpha-x", "1e4", "--n-relays", "1", "--trials",
+         "9000000000000000000", "--seed", "1"],
+        # p_dark near 1/2, where p_n exceeds 1
+        ["snr", "--pd", "0.495", "--eta", "0.01", "--n-relays", "0,1,4",
+         "--steps", "11", "--alpha-x-max", "10"],
+        ["throughput", "--pd", "0.495", "--eta", "0.01", "--n-relays",
+         "0,1,4", "--steps", "11", "--alpha-x-max", "10"],
+        ["sample", "--pd", "0.495", "--eta", "0.01", "--alpha-x", "1",
+         "--n-relays", "1", "--trials", "1000000", "--seed", "3"],
+        # a sample with no detection is refused
+        ["sample", "--alpha-x", "51.6", "--n-relays", "1000", "--trials",
+         "1000", "--seed", "1", "--output", "report.json"],
+        # small u, where rel_dev is a small number
+        ["snr", "--pd", "1e-20", "--n-relays", "4", "--alpha-x", "10"],
+        ["snr", "--pd", "1e-300", "--eta", "0.99", "--n-relays", "4",
+         "--alpha-x", "0.1"],
+        # a configuration error (exit 2) per command
+        ["snr", "--eta", "1.5"],
+        ["throughput", "--steps", "1"],
+        ["optimize", "--distance-km", "100", "--n-relays", "0"],
+        ["sample", "--alpha-x", "5"],
+        ["verify-circuit", "--trials", "0"],
+    ]
+    return cases
+
+
+def _record(text: str):
+    """A text as it is stored: itself, or its digest when long."""
+    if len(text.encode()) <= INLINE:
+        return text
+    data = text.encode()
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
+def run_case(argv: list[str]) -> dict:
+    """Run one argv through cli.main in a fresh directory, and record it."""
+    from qrelay import cli
+
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            reports = sorted(Path(work).iterdir())
+            report = reports[0].read_bytes().decode() if reports else None
+        finally:
+            os.chdir(here)
+    assert len(reports) <= 1, reports
+    return {"argv": argv, "exit": code, "stdout": _record(out.getvalue()),
+            "stderr": _record(err.getvalue()),
+            "report": None if report is None else _record(report)}
+
+
+def main() -> None:
+    cases = [run_case(argv) for argv in _cases()]
+    CORPUS.write_text(json.dumps(cases, indent=1) + "\n")
+    print(f"wrote {len(cases)} cases to {CORPUS}")
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    main()
