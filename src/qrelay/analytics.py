@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 
 def check_p_dark(p_dark: float) -> None:
@@ -120,8 +120,8 @@ def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> fl
     """First-order SNR with n optimally placed relays, S_1 = 1/((N+1) u).
 
     S_N = S_0 * (1/(N+1)) * eta^(N/(N+1)) * e^(alpha x N/(N+1)), evaluated
-    as (1/(2 p_d)) * eta^(N/(N+1)) * e^(-alpha x/(N+1)) / (N+1), so no factor
-    overflows at any finite alpha x. At N = 0 this is exactly snr_no_relay.
+    as (1/(2 p_d)) * eta^(N/(N+1)) * e^(-alpha x/(N+1)) / (N+1), or from
+    logs where that underflows; at N = 0, snr_no_relay where that does not.
     It assumes the interior optimum, alpha x > ln(1/eta); below that the
     relays are clamped to the transmitter and the first-order SNR of that
     placement differs from this formula: at eta = 0.5 by up to 5.7% (N = 1,
@@ -141,20 +141,21 @@ def _check_alpha_xs(alpha_xs: Sequence[float]) -> None:
 
 def _snr_n_relays_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
                         p_dark: float) -> list[float]:
-    """snr_n_relays at each alpha_x, its factors taken once per curve.
-
-    Only the alpha_xs are checked; the callers check (eta, p_dark, N).
+    """snr_n_relays at each alpha_x: S_1 = e^-y/(2 p_dark (N+1)) with
+    y = (alpha x - N ln eta)/(N+1), from logs where e^-y/(N+1) leaves the
+    normal range and with p_dark at _noise_kernel's exact scale 2^-e. Only
+    the alpha_xs are checked; the callers check (eta, p_dark, N).
     """
     _check_alpha_xs(alpha_xs)
     if p_dark == 0.0:
         return [math.inf] * len(alpha_xs)
-    m = n_relays + 1
-    # 1/(2 p_dark) overflows below p_dark = 2.8e-309, where S_1 itself may
-    # not: there p_dark is scaled by 2^64, exactly, and each S_1 scaled back
-    scale = 2.0**64 if 0.5 / p_dark == math.inf else 1.0
-    s_0, gain = 0.5 / (p_dark * scale), eta ** (n_relays / m)
-    return [s_0 * (gain * math.exp(-alpha_x / m) / m) * scale
-            for alpha_x in alpha_xs]
+    m, e = n_relays + 1, _noise_kernel(p_dark, eta)[1]
+    log_m, n_log_eta = math.log(m), n_relays * math.log(eta)
+    log_pd2 = math.log(2.0 * p_dark)
+    s_0, gain = 0.5 / math.ldexp(p_dark, -e), eta ** (n_relays / m)
+    return [_ldexp(s_0 * (gain * math.exp(-alpha_x / m) / m), -e)
+            if (y := (alpha_x - n_log_eta) / m) + log_m < _EXP_NORMAL
+            else math.exp(-(log_pd2 + y) - log_m) for alpha_x in alpha_xs]
 
 
 def noise_single_relay(x1_km: float, x2_km: float, config: ChainConfig) -> float:
@@ -224,72 +225,113 @@ def _receiver_counts(s_n: float, alive: float, big_l: float, t_last: float,
     return s_n * t_last, t_last * spurious + 2.0 * p_dark * alive
 
 
-# math.exp and math.expm1 overflow past about 709.78
-_EXP_MAX = 700.0
+# math.exp and math.expm1 overflow past about 709.78, and math.exp(-x)
+# leaves the normal range past 708.39
+_EXP_MAX, _EXP_NORMAL = 700.0, 708.0
+_LN2 = math.log(2.0)
 
 
-def _softplus(z: float) -> float:
-    """ln(1 + e^z) at any finite z."""
-    return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
+def _ldexp(x: float, i: int) -> float:
+    """x 2^i for x >= 0, inf past the double range, where math.ldexp raises."""
+    return math.ldexp(x, i) if math.frexp(x)[1] + i <= 1024 else math.inf
 
 
-def _log_expm1(k: float) -> float:
-    """ln(e^k - 1) for k >= 0, -inf at 0 and finite past exp's range."""
+def _noise_kernel(p_dark: float, eta: float):
+    """(terms, e): the one evaluation of the noise exponent's terms.
+
+    terms(ys, n_relays=0, divide=False) gives the terms ln(1 + c_j e^(y_j))
+    of K = ln(1 + p_n/p_s) for segments of attenuation lengths ys, and K,
+    as an exactly scaled pair (terms 2^s, K 2^s, s); c_j = 2 p_dark/eta on
+    the first n_relays segments, 2 p_dark on the rest. A term is log1p of
+    c_j e^(y_j), rounded once as c_j exp(y_j) or, with divide (run_chain
+    divides by a transmission), c_j/exp(-y_j); that product itself below
+    2^-53; softplus(ln c_j + y_j) past exp's range. A subnormal 2 p_dark =
+    m 2^e (frexp) is taken at the exact scale 2^-e, else e = 0; s = -e where
+    every term is below 2^-53, else s = 0 (a subnormal term 2^-1075 off).
+    """
+    pd2 = 2.0 * p_dark
+    e = math.frexp(pd2)[1] if pd2 < sys.float_info.min else 0
+    c_last = math.ldexp(pd2, -e)
+    c_relay, log_scale, small = c_last / eta, e * _LN2, 2.0**-53
+
+    def terms(ys, n_relays=0, divide=False):
+        plain, scaled = [], []
+        for j, y in enumerate(ys):
+            c = c_relay if j < n_relays else c_last
+            v = c and (math.inf if y >= _EXP_MAX     # c = 0: no dark counts
+                       else c / math.exp(-y) if divide else c * math.exp(y))
+            if (x := math.ldexp(v, e)) < small:
+                scaled.append(v)
+            elif x < math.inf:
+                x = math.log1p(x)
+            else:               # softplus: ln(1 + e^z) at z = ln c + y
+                z = math.log(c) + log_scale + y
+                x = max(z, 0.0) + math.log1p(math.exp(-abs(z)))
+            plain.append(x)
+        if len(scaled) < len(plain):
+            return plain, sum(plain), 0
+        return scaled, sum(scaled), -e
+
+    return terms, e
+
+
+def _log_expm1(k: float, s: int = 0) -> float:
+    """ln(e^K - 1) of K = k 2^-s >= 0, -inf at 0 and finite past exp's
+    range; ln K + K/2 where s != 0, every term of K below 2^-53."""
+    if s:
+        return math.log(k) - s * _LN2 + math.ldexp(k, -s) / 2
     if k >= _EXP_MAX:
         return k + math.log1p(-math.exp(-k))
     return math.log(math.expm1(k)) if k > 0.0 else -math.inf
 
 
-def _snr_from_k(k: float) -> float:
-    """S = 1/expm1(K) of a chain whose noise exponent is K = ln(1 + 1/S)."""
+def _snr_from_k(k: float, s: int = 0) -> float:
+    """S = 1/expm1(K) of a chain whose noise exponent is K = k 2^-s =
+    ln(1 + 1/S), with expm1(K) = K (1 + K/2) where s != 0."""
     if k == 0.0:    # no noise reaches the receiver
         return math.inf
+    if s:
+        return _ldexp(1.0 / (k * (1.0 + math.ldexp(k, -s) / 2)), s)
     return 1.0 / math.expm1(k) if k < _EXP_MAX else math.exp(-k)
 
 
-def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
-                 p_dark: float) -> list[tuple[float, float, Optional[float]]]:
-    """(S, K, ln u) of the optimal chain at each alpha_x, K = ln(1 + 1/S) in
-    the binomial form, the chain's constants taken once per curve.
+def _log_sinhc(z: float) -> float:
+    """ln(sinh(z)/z) for z >= 0, to full relative precision: up to z = 1 the
+    log1p of (sinh(z) - z)/z = z^2/3! + z^4/5! + ..., terms falling 20-fold.
+    """
+    if z > 1.0:
+        return _log_expm1(2.0 * z) - math.log(2.0 * z) - z
+    zz = z * z
+    term, total, i = zz / 6.0, 0.0, 3
+    while total + term != total:
+        total += term
+        i += 2
+        term *= zz / ((i - 1) * i)
+    return math.log1p(total)
 
-    ln u is None on the clamped branch and -inf without dark counts, where
-    K = 0. Only the alpha_xs are checked; the callers check (eta, p_dark, N).
+
+def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
+                 p_dark: float) -> list[tuple]:
+    """(S, k, s, w) of the optimal chain at each alpha_x, its constants taken
+    once per curve: K = k 2^-s = ln(1 + 1/S), a scaled pair of
+    _noise_kernel's; in the interior each segment's term is w 2^-s =
+    log1p(u), clamped w is None. Only the alpha_xs are checked; the callers
+    check (eta, p_dark, N).
     """
     _check_alpha_xs(alpha_xs)
-    if p_dark == 0.0:
-        return [(math.inf, 0.0, -math.inf)] * len(alpha_xs)
+    terms = _noise_kernel(p_dark, eta)[0]
     n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
-    n_log_eta, pd2 = n * log_eta, 2.0 * p_dark
-    log_pd2 = math.log(pd2)
-    # on the subnormal grid 2 p_dark/eta keeps few digits (none at 5e-324),
-    # so there it is scaled by 2^64, exactly, and the N relay terms are
-    # rounded to that grid once, as a sum
-    scale = 2.0**64 if pd2 / eta < sys.float_info.min else 1.0
-    relays = n * math.log1p(pd2 * scale / eta) / scale
+    n_log_eta = n * log_eta
     out = []
     for alpha_x in alpha_xs:
         if n and alpha_x <= -log_eta:   # N relays of t = 1, then bare fiber
-            k = relays + (math.log1p(pd2 * math.exp(alpha_x))
-                          if alpha_x < _EXP_MAX
-                          else _softplus(log_pd2 + alpha_x))
-            log_u = None
-        else:
-            y = (alpha_x - n_log_eta) / m       # u = 2 p_dark e^y
-            log_u = log_pd2 + y
-            if y >= _EXP_MAX:
-                k = m * _softplus(log_u)
-            elif (u := pd2 * math.exp(y)) >= sys.float_info.min:
-                k = m * math.log1p(u)   # u is one rounding from exact
-            else:   # u on the subnormal grid: scaled by 2^64, exactly
-                k = m * math.log1p(pd2 * 2.0**64 * math.exp(y)) / 2.0**64
-        out.append((_snr_from_k(k), k, log_u))
+            (relay, last), _, s = terms((0.0, alpha_x), 1)
+            k, w = n * relay + last, None
+        else:                           # u = 2 p_dark e^y
+            (w,), _, s = terms(((alpha_x - n_log_eta) / m,))
+            k = m * w
+        out.append((_snr_from_k(k, s), k, s, w))
     return out
-
-
-def _chain_at(alpha_x: float, n_relays: int, eta: float,
-              p_dark: float) -> tuple[float, float, Optional[float]]:
-    """_chain_curve at one alpha_x."""
-    return _chain_curve((alpha_x,), n_relays, eta, p_dark)[0]
 
 
 def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
@@ -297,35 +339,29 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     """(S_1, S, q_b, rel_dev) of the optimal chain at each alpha_x: the
     first-order and exact SNR, the QBER at S and rel_dev = |S/S_1 - 1|.
 
-    In the interior S/S_1 = (N+1) u/expm1(K) is taken from logs, finite past
-    the double range. Clamped, S_1 is another placement's curve: rel_dev is
-    their direct difference, or from logs where S_1 overflows. A K below the
-    normal range keeps few digits on the subnormal grid, so there
-    ln expm1(K) = ln K is taken from logs too: ln (N+1) + ln u in the
-    interior, where S/S_1 = 1 to double precision, and
-    ln(2 p_dark) + ln(N/eta + e^(alpha x)) clamped. Only the alpha_xs are
+    In the interior S/S_1 = r = (N+1) u/expm1(K), with w = log1p(u) and
+    K = (N+1) w, so with g(x) = ln(expm1(x)/x) = x/2 + _log_sinhc(x/2),
+    ln r = g(w) - g(K) = -N w/2 (at the kernel's scale) + _log_sinhc(w/2) -
+    _log_sinhc(K/2): rel_dev = |expm1(ln r)| keeps its digits however small
+    u is. Clamped, S_1 is another placement's curve: rel_dev is their
+    difference, from logs where S_1 overflows. Only the alpha_xs are
     checked; the callers check (eta, p_dark, N).
     """
-    m = n_relays + 1
-    log_m, n_log_eta = math.log(m), n_relays * math.log(eta)
-    tiny = sys.float_info.min
+    m, n_log_eta = n_relays + 1, n_relays * math.log(eta)
     points = []
-    for alpha_x, s_an, (s_ex, k, log_u) in zip(
+    for alpha_x, s_an, (s_ex, k, s, w) in zip(
             alpha_xs, _snr_n_relays_curve(alpha_xs, n_relays, eta, p_dark),
             _chain_curve(alpha_xs, n_relays, eta, p_dark)):
         if k == 0.0:    # no noise: S = inf, and S_1 = inf or all but
             dev = 0.0
-        elif log_u is not None:
-            # a K below tiny keeps few digits, but there
-            # ln expm1(K) = ln K = ln (N+1) + ln u, and S/S_1 = 1
-            dev = (abs(math.expm1(log_m + log_u - _log_expm1(k)))
-                   if k >= tiny else 0.0)
+        elif w is not None:
+            half = math.ldexp(w, -s) / 2
+            dev = abs(math.expm1(math.ldexp(-n_relays * w / 2, -s)
+                                 + _log_sinhc(half) - _log_sinhc(m * half)))
         elif s_an == math.inf:
-            log_pd2 = math.log(2.0 * p_dark)
-            log_expm1_k = _log_expm1(k) if k >= tiny else (
-                log_pd2 + math.log(n_relays / eta + math.exp(alpha_x)))
-            log_s_an = (n_log_eta - alpha_x) / m - log_pd2 - log_m
-            dev = abs(math.expm1(-log_expm1_k - log_s_an))
+            log_s_an = ((n_log_eta - alpha_x) / m - math.log(2.0 * p_dark)
+                        - math.log(m))
+            dev = abs(math.expm1(-_log_expm1(k, s) - log_s_an))
         else:
             dev = abs(s_ex - s_an) / s_an if s_ex != s_an else 0.0
         points.append((s_an, s_ex, qber_from_snr(s_ex), dev))
@@ -337,7 +373,7 @@ def snr_exact(alpha_x: float, n_relays: int, eta: float,
     """Exact (all-orders) SNR at the optimal placement; inf if p_dark = 0."""
     check_n_relays(n_relays)
     check_relay(eta, p_dark)
-    return _chain_at(alpha_x, n_relays, eta, p_dark)[0]
+    return _chain_curve((alpha_x,), n_relays, eta, p_dark)[0][0]
 
 
 def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,

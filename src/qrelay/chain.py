@@ -29,8 +29,8 @@ import random
 import sys
 from typing import NamedTuple, Optional, Sequence
 
-from .analytics import (_EXP_MAX, ChainConfig, _log_expm1, _receiver_counts,
-                        _snr_from_k, _softplus, optimal_positions,
+from .analytics import (ChainConfig, _log_expm1, _noise_kernel,
+                        _receiver_counts, _snr_from_k, optimal_positions,
                         qber_from_snr)
 
 _MAX_TRIALS = 2**63 - 1     # the --trials range; _binomial is tested up to it
@@ -91,44 +91,16 @@ def _segment_lengths(config: ChainConfig,
     return [max(b - a, 0.0) for a, b in zip(pts, pts[1:])]
 
 
-def _transmissions(config: ChainConfig,
-                   positions_km: Optional[Sequence[float]]) -> list[float]:
-    return [math.exp(-(config.atten_per_km * seg))
-            for seg in _segment_lengths(config, positions_km)]
-
-
 def _noise_terms(config: ChainConfig, positions_km: Optional[Sequence[float]]
-                 ) -> tuple[list[float], list[float]]:
-    """The segments' alpha dx_j and the terms ln(1 + c_j/t_j) of K.
-
-    t_j = e^(-alpha dx_j) is a segment's transmission and c_j is
-    2 p_dark/eta at a relay and 2 p_dark at the receiver, so that
-    1 + p_n/p_s = prod_j (1 + c_j/t_j) and the noise exponent
-    K = ln(1 + p_n/p_s) is the sum of the terms. Where t_j leaves exp's
-    range a term is taken from ln c_j + alpha dx_j.
+                 ) -> tuple[list[float], list[float], float, int]:
+    """(ys, terms 2^s, K 2^s, s): the segments' y_j = alpha dx_j, then
+    _noise_kernel's scaled terms ln(1 + c_j/t_j) of the noise exponent
+    K = ln(1 + p_n/p_s), t_j = e^(-y_j) a segment's transmission.
     """
     ys = [config.atten_per_km * seg
           for seg in _segment_lengths(config, positions_km)]
-    if config.p_dark == 0.0:
-        return ys, [0.0] * len(ys)
-    pd2 = 2.0 * config.p_dark
-    # on the subnormal grid 2 p_dark/eta keeps few digits (none at 5e-324),
-    # so there c_j and t_j are both scaled by 2^64, exactly
-    scale = 2.0**64 if pd2 / config.eta < sys.float_info.min else 1.0
-    cs = [pd2 * scale / config.eta] * config.n_relays + [pd2 * scale]
-    return ys, [math.log1p(c / (math.exp(-y) * scale)) if y < _EXP_MAX
-                else _softplus(math.log(c) - math.log(scale) + y)
-                for c, y in zip(cs, ys)]
-
-
-def _noise_exponent(config: ChainConfig,
-                    positions_km: Optional[Sequence[float]]) -> float:
-    """K = ln(1 + p_n/p_s), which relay placement minimizes.
-
-    p_s does not depend on the positions, so K rises with the noise; it
-    neither underflows nor overflows where p_s and p_n do.
-    """
-    return sum(_noise_terms(config, positions_km)[1])
+    terms = _noise_kernel(config.p_dark, config.eta)[0]
+    return (ys, *terms(ys, config.n_relays, divide=True))
 
 
 def run_chain(config: ChainConfig,
@@ -139,19 +111,18 @@ def run_chain(config: ChainConfig,
     Each relay maps the live masses (sig, rnd, emp) to
     (eta sig, eta rnd + 2 p_dark (sig + rnd + emp), 0), each segment keeps
     a photon with its transmission t_j, and the receiver adds 2 p_dark per
-    live slot; _receiver_counts evaluates their composition. snr and
-    q_b are taken from the noise exponent K, as snr_exact takes them, so
-    they stay finite where p_s and p_n underflow together on long chains,
-    and inf and 0 without dark counts.
+    live slot; _receiver_counts evaluates their composition. snr and q_b
+    come from the noise exponent K, as snr_exact's do: finite where p_s and
+    p_n underflow together on long chains, inf and 0 without dark counts.
     """
-    ys, terms = _noise_terms(config, positions_km)
+    ys, terms, k, s = _noise_terms(config, positions_km)
     *relay_ts, t_last = [math.exp(-y) for y in ys]
     eta, pd2 = config.eta, 2.0 * config.p_dark
-    big_l = sum(terms[:-1])
     p_s, p_n = _receiver_counts(math.prod(eta * t for t in relay_ts),
                                 math.prod(eta * t + pd2 for t in relay_ts),
-                                big_l, t_last, config.p_dark)
-    snr = _snr_from_k(big_l + terms[-1])
+                                math.ldexp(sum(terms[:-1]), -s), t_last,
+                                config.p_dark)
+    snr = _snr_from_k(k, s)
     return ReceiverReport(p_s, p_n, snr, qber_from_snr(snr))
 
 
@@ -171,29 +142,12 @@ def log_chain_noise(config: ChainConfig,
     """ln p_n at the given positions, else at the optimum, finite wherever
     p_dark > 0.
 
-    ln p_n = ln p_s + ln expm1(K) with ln p_s = N ln eta - alpha x taken
-    segment by segment; -inf without dark counts. Only a subnormal 2 p_dark
-    puts a term of K below the normal range (c_j/t_j >= c_j), where the
-    subnormal grid leaves it few digits; its log ln c_j + alpha dx_j
-    (ln(1 + x) = x there) keeps them. Below K = 2^-53, ln expm1(K) = ln K
-    to double precision, so where such a term occurs it is the log-sum-exp
-    of the terms' logs.
+    ln p_n = ln p_s + ln expm1(K), ln p_s = N ln eta - alpha x taken segment
+    by segment and K from its scaled pair, whose log keeps its digits below
+    the normal range; -inf without dark counts.
     """
-    ys, terms = _noise_terms(config, positions_km)
-    k, pd2, tiny = sum(terms), 2.0 * config.p_dark, sys.float_info.min
-    logs = []
-    if 0.0 < pd2 < tiny and k < 2.0**-53:
-        log_pd2 = math.log(pd2)
-        log_cs = [log_pd2 - math.log(config.eta)] * config.n_relays + [log_pd2]
-        logs = [lc + y for lc, y in zip(log_cs, ys)]
-    if min(logs, default=0.0) < math.log(tiny):
-        logs = [v if v < math.log(tiny) else math.log(term)
-                for v, term in zip(logs, terms)]
-        top = max(logs)
-        log_k = top + math.log(sum(math.exp(v - top) for v in logs))
-    else:
-        log_k = _log_expm1(k)
-    return config.n_relays * math.log(config.eta) - sum(ys) + log_k
+    ys, _, k, s = _noise_terms(config, positions_km)
+    return config.n_relays * math.log(config.eta) - sum(ys) + _log_expm1(k, s)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -223,8 +177,12 @@ def search_positions(config: ChainConfig) -> tuple[float, ...]:
     def place(d):
         return tuple(min(i * d, x) for i in range(1, n + 1))
 
+    def k_at(positions):
+        _, _, k, s = _noise_terms(config, positions)
+        return math.ldexp(k, -s)
+
     def f(d):
-        return _noise_exponent(config, place(d))
+        return k_at(place(d))
 
     lo, hi = 0.0, x / n
     a, b = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
@@ -239,7 +197,7 @@ def search_positions(config: ChainConfig) -> tuple[float, ...]:
             b = lo + _INV_PHI * (hi - lo)
             fb = f(b)
     found = place(a if fa <= fb else b)
-    floor = _noise_exponent(config, best) * (1.0 - SEARCH_MARGIN * (n + 1))
+    floor = k_at(best) * (1.0 - SEARCH_MARGIN * (n + 1))
     return found if min(fa, fb) < floor else best
 
 
@@ -373,7 +331,8 @@ def sample_chain(config: ChainConfig, n_trials: int, seed: int,
         return _binomial(rng, n, p)
 
     sig, rnd, emp, nog = n_trials, 0, 0, 0
-    for i, t in enumerate(_transmissions(config, positions_km)):
+    for i, seg in enumerate(_segment_lengths(config, positions_km)):
+        t = math.exp(-(config.atten_per_km * seg))
         kept_sig, kept_rnd = draw(sig, t), draw(rnd, t)
         emp += sig - kept_sig + rnd - kept_rnd
         sig, rnd = kept_sig, kept_rnd

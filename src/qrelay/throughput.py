@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple, Optional, Sequence
 
-from .analytics import ChainConfig, _chain_at, _chain_curve, qber_from_snr
+from .analytics import ChainConfig, _chain_curve, _noise_kernel, qber_from_snr
 
 # the one key-fraction formula here (_tau), as the throughput report names it
 MODEL = "single-photon-bb84"
@@ -69,10 +69,12 @@ def key_fraction(e: float, params: Optional[EcPaParams] = None) -> float:
 
 
 def key_fraction_cutoff(params: Optional[EcPaParams] = None) -> float:
-    """Error rate at which the key fraction hits zero.
+    """Error rate e* at which the key fraction hits zero, by bisection.
 
     The unclamped expression is positive at e = 0 and strictly negative by
-    e = 0.25, so the root is bracketed; bisection to 1e-12.
+    e = 0.25, so the root is bracketed; bisection to 1e-12. This is the one
+    search here: cutoff_alpha_x takes S* = 1/(2 e*) - 1 from it and then
+    inverts the chain's SNR in closed form.
     """
     params = params or EcPaParams()
     f = lambda e: _tau(e, params)
@@ -120,7 +122,7 @@ def throughput_curve(config: ChainConfig, alpha_x_values: Sequence[float],
     params = params or EcPaParams()
     scale = config.eta ** config.n_relays
     points = []
-    for alpha_x, (s, _, _) in zip(alpha_x_values, _chain_curve(
+    for alpha_x, (s, *_) in zip(alpha_x_values, _chain_curve(
             alpha_x_values, config.n_relays, config.eta, config.p_dark)):
         q_b = qber_from_snr(s)
         t_n = max(_tau(q_b, params), 0.0)
@@ -143,13 +145,15 @@ def cutoff_alpha_x(config: ChainConfig,
         return math.inf
     n, eta, pd2 = config.n_relays, config.eta, 2.0 * config.p_dark
     k_star = math.log1p(1.0 / snr_cutoff(params))
-    if _chain_at(0.0, n, eta, config.p_dark)[1] >= k_star:
+    # K(0): N relays at t = 1, then a receiver at t = 1
+    (relay, last), _, s = _noise_kernel(config.p_dark, eta)[0]((0.0, 0.0), 1)
+    relays = n * math.ldexp(relay, -s)
+    if relays + math.ldexp(last, -s) >= k_star:
         return 0.0
     log_pd2, log_eta = math.log(pd2), math.log(eta)
     alpha_x = ((n + 1) * (math.log(math.expm1(k_star / (n + 1))) - log_pd2)
                + n * log_eta)
     if n and alpha_x <= -log_eta:
         # K* > K(0) = N log1p(c) + log1p(2 p_dark), so the log is of > 2 p_dark
-        alpha_x = (math.log(math.expm1(k_star - n * math.log1p(pd2 / eta)))
-                   - log_pd2)
+        alpha_x = math.log(math.expm1(k_star - relays)) - log_pd2
     return alpha_x

@@ -210,6 +210,52 @@ def decimal_snr_reference(alpha_x, n_relays, eta, p_dark, digits=60):
         return +s
 
 
+def decimal_first_order_snr(alpha_x, n_relays, eta, p_dark, digits=60):
+    """S_1 = eta^(N/(N+1)) e^(-alpha x/(N+1))/(2 p_dark (N+1)), a Decimal
+    (Infinity at p_dark = 0), from the float arguments' exact values."""
+    if p_dark == 0.0:
+        return Decimal("Infinity")
+    with localcontext() as ctx:
+        ctx.prec = digits
+        m = n_relays + 1
+        return (((Decimal(eta).ln() * n_relays - Decimal(alpha_x)) / m).exp()
+                / (2 * Decimal(p_dark) * m))
+
+
+def decimal_rel_dev_reference(alpha_x, n_relays, eta, p_dark, digits=60):
+    """rel_dev = |S/S_1 - 1| at the optimal placement, as a Decimal.
+
+    In the interior (alpha x > ln(1/eta), or N = 0), S/S_1 = (N+1) u/
+    ((1 + u)^(N+1) - 1) with u = (2 p_dark/eta) e^((alpha x + ln eta)/(N+1))
+    taken in Decimal: (1 + u)^(N+1) - 1 cancels |log10 u| digits and the
+    ratio's difference from 1 as many again, so 2 |log10 u| are added to
+    the working precision. 60 digits of decimal_snr_reference alone read
+    S/S_1 - 1 = 1e-60 at p_dark = 1e-300, where it is 4.1e-300. Clamped,
+    S_1 is the interior formula at another placement, and the two SNRs are
+    taken to as many extra digits as p_dark has leading zeros.
+    """
+    if p_dark == 0.0 or n_relays == 0:     # N = 0: S = 1/u = S_1 exactly
+        return Decimal(0)
+    m = n_relays + 1
+    log10_u = (math.log(2.0 * p_dark / eta)
+               + (alpha_x + math.log(eta)) / m) / math.log(10.0)
+    prec = digits + 2 * max(0, math.ceil(-log10_u))
+    with localcontext() as ctx:
+        ctx.prec = prec
+        ax, delta = Decimal(alpha_x), -Decimal(eta).ln()
+        if ax <= delta:
+            ratio = (decimal_snr_reference(alpha_x, n_relays, eta, p_dark, prec)
+                     / decimal_first_order_snr(alpha_x, n_relays, eta, p_dark,
+                                               prec))
+        else:
+            u = 2 * Decimal(p_dark) / Decimal(eta) * ((ax - delta) / m).exp()
+            ratio = m * u / ((1 + u) ** m - 1)
+        dev = abs(ratio - 1)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return +dev
+
+
 def decimal_noise_ratio(config, positions_km, digits=60):
     """1 + p_n/p_s = prod_j (1 + c_j/t_j) at the given positions, a Decimal.
 
@@ -229,6 +275,51 @@ def decimal_noise_ratio(config, positions_km, digits=60):
             c = c_relay if j < config.n_relays else pd2
             ratio *= 1 + c * (Decimal(config.atten_per_km) * (b - a)).exp()
         return ratio
+
+
+def _decimal_log1p(x):
+    """ln(1 + x) of a Decimal x >= 0 to the context's relative precision."""
+    if x >= Decimal("1e-3"):
+        return (1 + x).ln()
+    total, power, k = Decimal(0), x, 1
+    while total + power / k != total:   # x - x^2/2 + x^3/3 - ...
+        total += power / k
+        power *= -x
+        k += 1
+    return total
+
+
+def _decimal_expm1(k):
+    """e^k - 1 of a Decimal k >= 0 to the context's relative precision."""
+    if k >= Decimal("1e-3"):
+        return k.exp() - 1
+    total, term, i = Decimal(0), k, 1
+    while total + term != total:        # k + k^2/2! + k^3/3! + ...
+        total += term
+        i += 1
+        term *= k / i
+    return total
+
+
+def decimal_noise_excess(config, positions_km, digits=40):
+    """p_n/p_s = prod_j (1 + c_j/t_j) - 1 at the given positions, a Decimal.
+
+    The quantity decimal_noise_ratio gives minus 1, taken as expm1 of the
+    sum of log1p(c_j/t_j), each by its series where small, so that it keeps
+    `digits` relative digits however small 2 p_dark is: the product form
+    needs as many extra digits as 2 p_dark has leading zeros, in every
+    segment's exp (about 1.8 s at N = 1000 and p_dark = 1e-300).
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        pd2 = 2 * Decimal(config.p_dark)
+        c_relay = pd2 / Decimal(config.eta)
+        pts = [Decimal(0), *map(Decimal, positions_km),
+               Decimal(config.distance_km)]
+        k = sum(_decimal_log1p((c_relay if j < config.n_relays else pd2)
+                               * (Decimal(config.atten_per_km) * (b - a)).exp())
+                for j, (a, b) in enumerate(zip(pts, pts[1:])))
+        return _decimal_expm1(Decimal(k))
 
 
 def coordinate_descent(config, objective, x0=None, obj_tol=1e-10,

@@ -15,6 +15,7 @@ them as FORM_BOUND's comment says.
 
 import json
 import math
+import random
 import sys
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -27,10 +28,11 @@ from hypothesis import strategies as st
 from qrelay import cli
 from qrelay.analytics import (ChainConfig, _snr_curve, qber_from_snr,
                               snr_exact, snr_n_relays)
-from qrelay.chain import run_chain
+from qrelay.chain import log_chain_noise, run_chain
 
-from oracles import (decimal_snr_reference, markov_chain_reference,
-                     read_report)
+from oracles import (decimal_first_order_snr, decimal_noise_excess,
+                     decimal_rel_dev_reference, decimal_snr_reference,
+                     markov_chain_reference, read_report)
 
 DATA = Path(__file__).parent / "data"
 
@@ -174,6 +176,103 @@ def test_binomial_form_matches_the_decimal_product_form(n, eta, p_dark, frac,
         assert_decimal_close(snr_exact(ax, n, eta, p_dark), want,
                              max(ax, k), (n, eta, p_dark, ax),
                              bound=FORM_BOUND)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# The whole domain: p_dark = 0 or log-uniform down to the least subnormal,
+# eta down to 1e-300, N <= 1000 and alpha_x up to 1e5
+_DOMAIN = {"n": st.integers(0, 1000),
+           "eta": st.one_of(st.floats(0.01, 1.0), _log_uniform(1e-300, 1.0)),
+           "p_dark": st.one_of(st.just(0.0), _log_uniform(5e-324, 0.49)),
+           "alpha_x": st.one_of(st.floats(0.0, 1e5), _log_uniform(1e-3, 1e5))}
+
+# Each value against its Decimal reference, within DOMAIN_BOUND machine
+# epsilons times its conditioning, relative to the reference, plus one step
+# of the subnormal grid, the most a value below the normal range keeps.
+# The conditioning is the size of the exponent whose rounding the value
+# inherits: alpha_x/(N+1) or ln(1/eta) in S_1; alpha_x + N ln(1/eta)/(N+1)
+# or K in S and K; y = (alpha_x - N ln eta)/(N+1) in the interior rel_dev.
+# 8 is four times the largest ratio, 1.96 on S_1, measured over 12,000
+# random points of this domain. The clamped rel_dev is a difference of two
+# placements' SNRs, so it is held absolutely, to CLAMPED_BOUND: eight ulps
+# of the logs near -745 it is taken from where S_1 overflows (the largest
+# measured was 1.6)
+DOMAIN_BOUND = 8
+CLAMPED_BOUND = 8 * math.ulp(745.0)
+
+
+def assert_domain_close(got, want, cond, where):
+    if math.isinf(got) or want.is_infinite():
+        assert got == float(want), (where, got, want)
+        return
+    err = abs(Decimal(got) - want)
+    allowed = (Decimal(DOMAIN_BOUND * sys.float_info.epsilon * cond) * want
+               + Decimal(math.ulp(0.0)))
+    assert err <= allowed, (where, got, want, float(err / max(
+        want, Decimal(math.ulp(0.0)))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(frac=st.floats(0.0, 1.0), **_DOMAIN)
+# `qrelay snr --pd 1e-20 --n-relays 4 --alpha-x 10` wrote rel_dev 7.1e-15
+# for 5.146e-19, and `--pd 1e-300 --eta 0.99 --n-relays 4 --alpha-x 0.1`
+# 1.1e-13 for 4.114e-300: the difference of two logs has an absolute floor
+@example(n=4, eta=0.5, p_dark=1e-20, alpha_x=10.0, frac=0.0)
+@example(n=4, eta=0.99, p_dark=1e-300, alpha_x=0.1, frac=0.0)
+def test_snr_columns_over_the_whole_domain(n, eta, p_dark, alpha_x, frac):
+    # s_analytic, s_exact and rel_dev as `qrelay snr` writes them, at a
+    # drawn point and at one on the clamped branch, alpha_x <= ln(1/eta)
+    assume(eta + 2.0 * p_dark <= 1.0)
+    m, ln_eta = n + 1, -math.log(eta)
+    for ax in (alpha_x, frac * ln_eta):
+        (s_1, s, _, dev), = _snr_curve([ax], n, eta, p_dark)
+        where = (n, eta, p_dark, ax)
+        assert_domain_close(s_1, decimal_first_order_snr(ax, n, eta, p_dark),
+                            max(1.0, ax / m, ln_eta), ("s_analytic", where))
+        want = decimal_snr_reference(ax, n, eta, p_dark)
+        k = float((1 + 1 / want).ln()) if 0 < want < math.inf else 0.0
+        assert_domain_close(s, want, max(1.0, ax + n * ln_eta / m, k),
+                            ("s_exact", where))
+        want = decimal_rel_dev_reference(ax, n, eta, p_dark)
+        if n and ax <= ln_eta:
+            assert abs(Decimal(dev) - want) <= Decimal(CLAMPED_BOUND), (
+                "clamped rel_dev", where, dev, want)
+        else:
+            assert_domain_close(dev, want, max(1.0, (ax + n * ln_eta) / m),
+                                ("rel_dev", where))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), **_DOMAIN)
+def test_chain_at_random_positions_over_the_whole_domain(n, eta, p_dark,
+                                                         alpha_x, seed):
+    # log_chain_noise and run_chain's snr at random relay positions against
+    # p_n/p_s in Decimal. K sums N + 1 terms, rounding N times, so the
+    # conditioning is S's times N + 1, with the size of ln p_n added for
+    # ln p_n, whose absolute error is a relative one in p_n
+    assume(eta + 2.0 * p_dark <= 1.0)
+    rng = random.Random(seed)
+    positions = sorted(rng.uniform(0.0, alpha_x) for _ in range(n))
+    cfg = ChainConfig(alpha_x, 1.0, n, eta, p_dark)
+    got = run_chain(cfg, positions)
+    if p_dark == 0.0:
+        assert got.snr == math.inf
+        assert log_chain_noise(cfg, positions) == -math.inf
+        return
+    with localcontext() as ctx:
+        ctx.prec = 40
+        excess = decimal_noise_excess(cfg, positions)
+        k = float((1 + excess).ln())
+        want_log = float(n * Decimal(eta).ln() - Decimal(alpha_x)
+                         + excess.ln())
+    cond = (n + 1) * max(1.0, alpha_x, n * -math.log(eta), k)
+    assert_domain_close(got.snr, 1 / excess, cond, ("snr", seed))
+    assert abs(log_chain_noise(cfg, positions) - want_log) <= (
+        DOMAIN_BOUND * sys.float_info.epsilon * max(cond, abs(want_log))), (
+        "ln p_n", seed)
 
 
 # alpha_x = 0; the clamped branch up to its edge ln(1/eta), past exp's range

@@ -8,7 +8,9 @@ dataclasses, whose import loads inspect, ast, dis and tokenize into every
 command. Every import counts, including one deferred inside a function body.
 Within chain, the Monte Carlo sampler does not call the exact model it
 checks, and within circuit a device run applies the cached Kraus operators
-without rerunning the Fock engine.
+without rerunning the Fock engine. The terms of the noise exponent are
+taken in one kernel, analytics._noise_kernel, the one place that scales
+below the normal range.
 """
 
 import ast
@@ -200,6 +202,41 @@ def test_no_option_chooses_among_alternatives_no_command_uses():
         assert "photon_cap" not in params, name
 
 
+def scale_sites(module: str) -> list[tuple[str, int]]:
+    """Where a module writes a power-of-two scale 2.0 ** k or reads
+    float_info.min, the smallest normal double: (what, line)."""
+    source = Path(qrelay.__file__).with_name(f"{module}.py").read_text()
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.left, ast.Constant)
+                and node.left.value == 2 and isinstance(node.left.value,
+                                                        float)):
+            found.append(("2.0 ** k", node.lineno))
+        elif (isinstance(node, ast.Attribute) and node.attr == "min"
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "float_info"):
+            found.append(("float_info.min", node.lineno))
+    return found
+
+
+def test_only_the_noise_kernel_scales_below_the_normal_range():
+    # a scale or a smallest-normal test anywhere else would be a second
+    # place that handles the subnormal range: every other function reads
+    # the kernel's scaled pair
+    tree = ast.parse(Path(qrelay.__file__).with_name("analytics.py")
+                     .read_text())
+    kernel, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "_noise_kernel"]
+    inside = range(kernel.lineno, kernel.end_lineno + 1)
+    outside = [(module, what, line) for module in MODULES
+               for what, line in scale_sites(module)
+               if not (module == "analytics" and line in inside)]
+    assert outside == []
+    assert {what for what, _ in scale_sites("analytics")} == {
+        "2.0 ** k", "float_info.min"}
+
+
 def test_sampler_is_independent_of_the_exact_model(monkeypatch):
     # sample_chain draws from the event rules alone, so it stays a check on
     # the closed form, not a rerun of it
@@ -208,10 +245,11 @@ def test_sampler_is_independent_of_the_exact_model(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the sampler reached the exact model")
 
-    for name in ("run_chain", "_noise_terms", "_noise_exponent",
+    for name in ("run_chain", "_noise_terms", "_noise_kernel",
                  "_receiver_counts"):
         monkeypatch.setattr(chain, name, forbidden)
-    monkeypatch.setattr(analytics, "_receiver_counts", forbidden)
+    for name in ("_noise_kernel", "_receiver_counts"):
+        monkeypatch.setattr(analytics, name, forbidden)
     cfg = analytics.ChainConfig(distance_km=60.0, n_relays=3, p_dark=1e-3)
     got = chain.sample_chain(cfg, 10_000, seed=1)
     assert sum(got.state_counts.values()) == 10_000

@@ -21,8 +21,8 @@ from qrelay.chain import run_chain
 from qrelay.reports import (CurveReport, render_csv, render_json,
                             render_payload)
 
-from oracles import (column, decimal_noise_ratio, decimal_snr_reference,
-                     read_report)
+from oracles import (column, decimal_noise_ratio, decimal_rel_dev_reference,
+                     decimal_snr_reference, read_report)
 
 DATA = Path(__file__).parent / "data"
 
@@ -802,13 +802,50 @@ def test_snr_at_a_subnormal_p_dark(n, eta, p_dark, alpha_x, tmp_path):
     assert dev == pytest.approx(float(want_dev), rel=1e-12)
 
 
+# rel_dev, relative to its true value, within REL_DEV_BOUND machine
+# epsilons times y = (alpha_x - N ln eta)/(N+1), whose rounding it inherits,
+# plus one step of the subnormal grid, the most a value below the normal
+# range keeps: 4 times the largest ratio measured over 12,000 random points
+# of test_chain_grid's whole domain, 1.8
+REL_DEV_BOUND = 8
+
+
+def assert_rel_dev_close(dev, want, y, where):
+    allowed = (Decimal(REL_DEV_BOUND * sys.float_info.epsilon * max(1.0, y))
+               * want + Decimal(math.ulp(0.0)))
+    assert abs(Decimal(dev) - want) <= allowed, (where, dev, want)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["--pd", "1e-20", "--n-relays", "4", "--alpha-x", "10"], 5.146038e-19),
+    (["--pd", "1e-300", "--eta", "0.99", "--n-relays", "4", "--alpha-x",
+      "0.1"], 4.113748e-300)], ids=["pd1e-20", "pd1e-300"])
+def test_snr_rel_dev_at_small_u(argv, want, tmp_path):
+    # rel_dev was |expm1(ln (N+1) + ln u - ln expm1(K))|, whose logs near
+    # -45 and -690 put an absolute floor under it: these wrote 7.1e-15 and
+    # 1.1e-13. It is now ln r = -N w/2 + the small parts of
+    # ln(expm1(x)/x), each to full relative precision
+    out = tmp_path / "snr.json"
+    assert run_cli(["snr", *argv, "--format", "json", "--output",
+                    str(out)]) == 0
+    rep = read_report(out)
+    (ax, _, _, _, dev), = rep.rows
+    params = rep.metadata["parameters"]
+    n, eta, p_dark = params["n_relays"][0], params["eta"], params["pd"]
+    assert dev == pytest.approx(want, rel=1e-6)
+    assert_rel_dev_close(dev, decimal_rel_dev_reference(ax, n, eta, p_dark),
+                         (ax - n * math.log(eta)) / (n + 1), argv)
+
+
 @pytest.mark.parametrize("p_dark", [1e-318, 5e-324])
 def test_snr_rel_dev_where_k_is_subnormal(p_dark, tmp_path):
     # K below the normal range kept few digits on the subnormal grid, and
     # rel_dev read its log: 1.55e-6, 5.3e-4 and 2.7e-3 at alpha_x = 10 and
     # p_dark = 5e-324, and 4.5e-11 at N = 0 and 1e-318, where S = S_1. The
-    # grid holds clamped points (alpha_x < ln 2) and interior ones; the
-    # bound is 8 ulps of the logs near -745 that rel_dev is taken from
+    # grid holds clamped points (alpha_x < ln 2) and interior ones. In the
+    # interior rel_dev is held relative to its true value; clamped it is a
+    # difference of logs near 745, where S_1 overflows, held to 8 of their
+    # ulps
     out = tmp_path / "snr.json"
     assert run_cli(["snr", "--pd", repr(p_dark), "--n-relays", "0,1,4",
                     "--alpha-x-min", "0", "--alpha-x-max", "10", "--steps",
@@ -818,15 +855,16 @@ def test_snr_rel_dev_where_k_is_subnormal(p_dark, tmp_path):
         for ax, s_1, s, dev in zip(
                 column(rep, "alpha_x"), column(rep, f"s_analytic_n{n}"),
                 column(rep, f"s_exact_n{n}"), column(rep, f"rel_dev_n{n}")):
-            with localcontext() as ctx:
-                ctx.prec = 60
-                want_s = decimal_snr_reference(ax, n, 0.5, p_dark)
-                want_s_1 = ((Decimal(0.5).ln() * n - Decimal(ax)) / (n + 1)
-                            ).exp() / (2 * Decimal(p_dark) * (n + 1))
-                want_dev = abs(want_s / want_s_1 - 1)
+            want_s = decimal_snr_reference(ax, n, 0.5, p_dark)
+            want_dev = decimal_rel_dev_reference(ax, n, 0.5, p_dark)
             assert s == float(want_s) == s_1 == math.inf, (n, ax)
-            assert dev == pytest.approx(float(want_dev),
-                                        abs=8 * math.ulp(745.0)), (n, ax)
+            if n and ax <= math.log(2.0):
+                assert abs(Decimal(dev) - want_dev) \
+                    <= Decimal(8 * math.ulp(745.0)), (n, ax)
+            else:
+                assert_rel_dev_close(dev, want_dev,
+                                     (ax + n * math.log(2.0)) / (n + 1),
+                                     (n, ax))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
