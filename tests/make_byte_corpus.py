@@ -107,6 +107,12 @@ def _cases() -> list[list[str]]:
         ["optimize", "--distance-km", "100", "--n-relays", "0"],
         ["sample", "--alpha-x", "5"],
         ["verify-circuit", "--trials", "0"],
+        # a long clamped chain whose noise exponent sums 812 large terms
+        ["optimize", "--distance-km", "0", "--n-relays", "811", "--eta",
+         "4.9162761621739796e-256", "--pd", "0.02441167864678435"],
+        # a single alpha x outside its domain
+        ["snr", "--alpha-x", "-1"],
+        ["throughput", "--alpha-x", "nan"],
     ]
     return cases
 
