@@ -50,6 +50,14 @@ def check_n_relays(n_relays: int) -> None:
                          f"got {n_relays!r}")
 
 
+def _check_alpha_xs(alpha_xs: Sequence[float]) -> None:
+    """Reject an attenuation length that is not finite and >= 0."""
+    for alpha_x in alpha_xs:
+        if not 0.0 <= alpha_x < math.inf:
+            raise ValueError(f"alpha_x must be finite and >= 0, "
+                             f"got {alpha_x}")
+
+
 class ChainConfig(namedtuple("ChainConfig", (
         "distance_km", "atten_per_km", "n_relays", "eta", "p_dark"))):
     """End-to-end channel description, checked at construction.
@@ -96,9 +104,7 @@ def qber_from_snr(s: float) -> float:
     Noise photons are randomly polarized, so half of them land in the wrong
     detector: Q_B = 1 / (2 (1 + S)). S = 0 gives 1/2, S -> inf gives 0.
     """
-    if math.isinf(s):
-        return 0.0
-    if s < 0:
+    if not 0.0 <= s <= math.inf:
         raise ValueError(f"snr must be nonnegative, got {s}")
     return 0.5 / (1.0 + s)
 
@@ -109,8 +115,7 @@ def snr_no_relay(p_dark: float, alpha_x: float) -> float:
     p_dark = 0 returns math.inf as a noise-free sentinel.
     """
     check_p_dark(p_dark)
-    if not 0.0 <= alpha_x < math.inf:
-        raise ValueError(f"alpha_x must be finite and >= 0, got {alpha_x}")
+    _check_alpha_xs((alpha_x,))
     if p_dark == 0.0:
         return math.inf
     return 0.5 / p_dark * math.exp(-alpha_x)
@@ -130,13 +135,6 @@ def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> fl
     check_n_relays(n_relays)
     check_relay(eta, p_dark)
     return _snr_n_relays_curve((alpha_x,), n_relays, eta, p_dark)[0]
-
-
-def _check_alpha_xs(alpha_xs: Sequence[float]) -> None:
-    for alpha_x in alpha_xs:
-        if not 0.0 <= alpha_x < math.inf:
-            raise ValueError(f"alpha_x must be finite and >= 0, "
-                             f"got {alpha_x}")
 
 
 def _snr_n_relays_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
@@ -161,12 +159,14 @@ def _snr_n_relays_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
 def noise_single_relay(x1_km: float, x2_km: float, config: ChainConfig) -> float:
     """First-order noise rate with one relay: 2 P_d (eta e^(-a x1) + e^(-a x2)).
 
-    The two legs must add up to the configured total distance.
+    The two legs must be in the alpha x domain and add up to the configured
+    total distance.
     """
+    a = config.atten_per_km
+    _check_alpha_xs((a * x1_km, a * x2_km))
     if abs(x1_km + x2_km - config.distance_km) > 1e-9 * max(1.0, config.distance_km):
         raise ValueError(f"legs {x1_km} + {x2_km} do not add up to "
                          f"{config.distance_km}")
-    a = config.atten_per_km
     return 2.0 * config.p_dark * (config.eta * math.exp(-a * x1_km)
                                   + math.exp(-a * x2_km))
 
@@ -381,16 +381,19 @@ def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,
     """Attenuation length at which the N-relay SNR equals s_target.
 
     Inverts the first-order SNR expression including its factor-2 terms.
+    The range is positive and finite where its log argument is in (0, 1):
+    not without dark counts, nor where even alpha x = 0 misses the target.
     """
     check_n_relays(n_relays)
-    if p_dark <= 0 or s_target <= 0:
-        raise ValueError("p_dark and s_target must be positive")
+    check_relay(eta, p_dark)
+    if not 0.0 < s_target < math.inf:
+        raise ValueError(f"s_target must be finite and > 0, got {s_target}")
     r = n_relays / (n_relays + 1)
     arg = 2.0 * p_dark * s_target * (n_relays + 1) * eta ** (-r)
-    if arg >= 1.0:
+    if not 0.0 < arg < 1.0:
         raise ValueError(
-            f"no positive range: 2*p_dark*s_target*(N+1)*eta^(-N/(N+1)) = "
-            f"{arg:.3g} >= 1")
+            f"no positive finite range: 2*p_dark*s_target*(N+1)*"
+            f"eta^(-N/(N+1)) = {arg:.3g} is not in (0, 1)")
     return -(n_relays + 1) * math.log(arg)
 
 
@@ -405,22 +408,16 @@ def range_enhancement(n_relays: int, eta: float, p_dark: float,
 
     approx: R = (N+1) ln[(N+1) eta^(-N/(N+1)) P_d S] / ln[P_d S], the compact
     published form that drops the factor-2 terms. exact: the same ratio with
-    both ranges solved from the full first-order expressions. Both need the
-    log arguments below 1, otherwise the requested SNR is unreachable.
+    both ranges solved from the full first-order expressions, whose log
+    arguments solve_range_alpha_x checks: below 1 they put the compact
+    form's two below 1/2.
     """
-    check_n_relays(n_relays)
-    if p_dark <= 0 or s_target <= 0:
-        raise ValueError("p_dark and s_target must be positive")
-    ps = p_dark * s_target
-    if ps >= 1.0:
-        raise ValueError(f"p_dark * s_target must be < 1, got {ps}")
-    r = n_relays / (n_relays + 1)
-    arg = (n_relays + 1) * eta ** (-r) * ps
-    if arg >= 1.0:
-        raise ValueError(f"approximate form out of domain: argument {arg:.3g} >= 1")
-    approx = (n_relays + 1) * math.log(arg) / math.log(ps)
     exact = (solve_range_alpha_x(n_relays, eta, p_dark, s_target)
              / solve_range_alpha_x(0, eta, p_dark, s_target))
+    ps = p_dark * s_target
+    r = n_relays / (n_relays + 1)
+    approx = ((n_relays + 1) * math.log((n_relays + 1) * eta ** (-r) * ps)
+              / math.log(ps))
     return RangeEnhancement(approx=approx, exact=exact)
 
 
@@ -429,8 +426,7 @@ def raw_rate(clock_hz: float, alpha_x: float) -> float:
 
     Relays do not change this; they only suppress which slots are accepted.
     """
-    if clock_hz < 0:
-        raise ValueError(f"clock_hz must be >= 0, got {clock_hz}")
-    if alpha_x < 0:
-        raise ValueError(f"alpha_x must be >= 0, got {alpha_x}")
+    if not 0.0 <= clock_hz < math.inf:
+        raise ValueError(f"clock_hz must be finite and >= 0, got {clock_hz}")
+    _check_alpha_xs((alpha_x,))
     return clock_hz * math.exp(-alpha_x)

@@ -168,9 +168,7 @@ def _single_n(params: dict) -> int:
 
 def _grid(params: dict) -> list[float]:
     ax = params["alpha_x"]
-    if ax is not None:
-        if not math.isfinite(ax) or ax < 0:
-            raise ValueError(f"alpha_x must be finite and >= 0, got {ax}")
+    if ax is not None:      # checked, as every grid point is, by the curves
         return [ax]
     lo, hi = params["alpha_x_min"], params["alpha_x_max"]
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -411,6 +411,63 @@ def test_raw_rate():
         raw_rate(-1.0, 1.0)
 
 
+def _noise_closing_the_span(x1_km):
+    # noise_single_relay with the second leg closing its 100 km span, so
+    # that only the first leg's domain is at stake
+    return noise_single_relay(x1_km, 100.0 - x1_km,
+                              ChainConfig(100.0, n_relays=1))
+
+
+def _rescaled(alpha_x):
+    return ChainConfig(100.0).at_alpha_x(alpha_x)
+
+
+# every public analytics entry point with its parameters, called at these
+# in-domain values with one parameter replaced by each value outside it
+_IN_DOMAIN = {"alpha_x": 10.0, "n_relays": 1, "eta": 0.5, "p_dark": 1e-5,
+              "s_target": 10.0, "clock_hz": 1e9, "s": 3.0, "x1_km": 40.0,
+              "distance_km": 100.0, "atten_per_km": 0.05}
+_OUTSIDE = {
+    "alpha_x": (math.nan, math.inf, -math.inf, -1.0),
+    "n_relays": (math.nan, math.inf, -1, 1.5, True),
+    "eta": (math.nan, math.inf, -math.inf, -1.0, 0.0, 2.0),
+    "p_dark": (math.nan, math.inf, -math.inf, -1.0, 0.5),
+    "s_target": (math.nan, math.inf, -math.inf, -1.0, 0.0),
+    "clock_hz": (math.nan, math.inf, -math.inf, -1.0),
+    "s": (math.nan, -math.inf, -1.0),       # S = inf is Q_B = 0
+    "x1_km": (math.nan, math.inf, -math.inf, -1.0),
+    "distance_km": (math.nan, math.inf, -math.inf, -1.0),
+    "atten_per_km": (math.nan, math.inf, -math.inf, -1.0, 0.0),
+}
+_ENTRY_POINTS = (
+    (ChainConfig, ("distance_km", "atten_per_km", "n_relays", "eta",
+                   "p_dark")),
+    (_rescaled, ("alpha_x",)),
+    (qber_from_snr, ("s",)),
+    (snr_no_relay, ("p_dark", "alpha_x")),
+    (snr_n_relays, ("alpha_x", "n_relays", "eta", "p_dark")),
+    (snr_exact, ("alpha_x", "n_relays", "eta", "p_dark")),
+    (_noise_closing_the_span, ("x1_km",)),
+    (solve_range_alpha_x, ("n_relays", "eta", "p_dark", "s_target")),
+    (range_enhancement, ("n_relays", "eta", "p_dark", "s_target")),
+    (raw_rate, ("clock_hz", "alpha_x")),
+)
+_OUT_OF_DOMAIN_CALLS = [
+    (entry, tuple(value if p == name else _IN_DOMAIN[p] for p in params))
+    for entry, params in _ENTRY_POINTS
+    for name in params for value in _OUTSIDE[name]] + [
+    # in the relay domain's complement only through eta + 2 p_dark > 1
+    (solve_range_alpha_x, (1, 0.5, 0.7, 0.1)),
+]
+
+
+@pytest.mark.parametrize("entry, args", _OUT_OF_DOMAIN_CALLS, ids=[
+    f"{entry.__name__}{args!r}" for entry, args in _OUT_OF_DOMAIN_CALLS])
+def test_every_entry_point_rejects_inputs_outside_its_domain(entry, args):
+    with pytest.raises(ValueError):
+        entry(*args)
+
+
 def test_relay_gain_crossover():
     # at short range the relay overhead dominates; the crossover range grows
     # with the number of relays
