@@ -55,9 +55,9 @@ _LAZY = {
         "run_chain", "sample_chain", "search_positions"), "chain"),
     **dict.fromkeys((
         "PackageOutcome", "QndReport", "derive_feed_forward_table",
-        "encoder_postselect", "feed_forward_sign",
-        "measured_relay_efficiency", "multiphoton_gate_probability",
-        "qnd_measure", "vacuum_gate_probability"), "circuit"),
+        "encoder_postselect", "measured_relay_efficiency",
+        "multiphoton_gate_probability", "qnd_measure",
+        "vacuum_gate_probability"), "circuit"),
     "ContractViolationError": "errors",
     **dict.fromkeys((
         "BasisMode", "LinearModeTransform", "ModeBasis", "PhotonicState",

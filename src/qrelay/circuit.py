@@ -15,9 +15,10 @@ Linear optics with post-selection is linear in the input amplitudes, so each
 accepted outcome is a 2x2 Kraus operator from the input qubit to mode 1.
 qnd_measure and the device checks apply the four cached operators of
 device_operators, built from two Fock-engine runs on |H> and |V>, to the
-input's 2-vector; the diagnostics, the feed-forward table and the encoder
-projection run the engine itself. Like fockspace, the module is pure Python:
-each operator is a 2x2 tuple of complex.
+input's 2-vector, and each outcome's feed-forward sign is read off its
+operator; the diagnostics and the encoder projection run the engine itself.
+Like fockspace, the module is pure Python: each operator is a 2x2 tuple of
+complex.
 """
 
 from __future__ import annotations
@@ -116,17 +117,6 @@ class QndReport(NamedTuple):
     success_probability: float
 
 
-def feed_forward_sign(state: PhotonicState, spatial: str = "1") -> PhotonicState:
-    """Sign correction: phase (-1) per V photon in the given spatial mode.
-
-    Negates the beta component of a qubit there, and the VV component of a
-    two-qubit correlated state. Applying it twice is the identity.
-    """
-    _, vi = state.basis.spatial_indices(spatial)
-    return PhotonicState(state.basis,
-                         {c: a * (-1) ** c[vi] for c, a in state.amps.items()})
-
-
 def encoder_postselect(alpha, beta):
     """Heralded Bell-state encoding: read out mode b only.
 
@@ -164,16 +154,36 @@ def _run_device(input_state: PhotonicState, d2_spatial: str = "2"):
 Kraus = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
+def _sign_flip(ch2: str, chb: str, k: Kraus) -> bool:
+    """The feed-forward sign of outcome (ch2, chb), read off its operator.
+
+    K must be a phase times diag(1, 1) or diag(1, -1), each entry within
+    1e-9 of |K_HH|; the outcome is flipped (its V amplitude negated) in the
+    -1 case. An operator that neither sign choice fixes breaks the device
+    contract.
+    """
+    (k00, k01), (k10, k11) = k
+    tol = 1e-9 * abs(k00)
+    if k00 and abs(k01) <= tol and abs(k10) <= tol:
+        for flip in (False, True):
+            if abs(k11 - (-k00 if flip else k00)) <= tol:
+                return flip
+    raise ContractViolationError(
+        f"outcome ({ch2},{chb}) is fixed by neither sign choice")
+
+
 @functools.cache
-def device_operators() -> tuple[tuple[str, str, Kraus], ...]:
-    """The device's accepted outcomes as (channel_d2, channel_db, K) triples.
+def device_operators() -> tuple[tuple[str, str, Kraus, bool], ...]:
+    """The device's accepted outcomes as (channel_d2, channel_db, K,
+    flipped) records.
 
     The device is linear in the input amplitudes, so outcome o maps the
     normalized qubit v = (alpha, beta) in mode 0 to the unnormalized mode-1
     state K_o v = sqrt(p) * cond, with K_o a 2x2 matrix over (H, V)
     (operator-sum form). Two _run_device runs, on |H> and |V>, give the
-    columns of every K_o. Built on the first call and cached, each K_o an
-    immutable tuple of rows; the outcomes keep _run_device's order.
+    columns of every K_o, and flipped is its feed-forward sign (_sign_flip).
+    Built on the first call and cached, each K_o an immutable tuple of rows;
+    the outcomes keep _run_device's order.
     """
     basis = encoder_basis()
     out_h, out_v = basis.spatial_indices("1")
@@ -188,8 +198,9 @@ def device_operators() -> tuple[tuple[str, str, Kraus], ...]:
                         f"outcome ({ch2},{chb}) leaves {cfg}, not one photon "
                         f"in mode 1")
                 k[0 if cfg[out_h] else 1][col] = math.sqrt(prob) * amp
-    return tuple((ch2, chb, (tuple(k[0]), tuple(k[1])))
-                 for (ch2, chb), k in ops.items())
+    kraus = {key: (tuple(k[0]), tuple(k[1])) for key, k in ops.items()}
+    return tuple((ch2, chb, k, _sign_flip(ch2, chb, k))
+                 for (ch2, chb), k in kraus.items())
 
 
 def _kraus_outcomes(alpha, beta) -> list[tuple]:
@@ -197,7 +208,8 @@ def _kraus_outcomes(alpha, beta) -> list[tuple]:
 
     Returns (channel_d2, channel_db, probability, flipped, (w_H, w_V),
     fidelity) per accepted outcome, in device_operators' order: w = K v on
-    the normalized input v with the feed-forward sign applied, |w|^2, and
+    the normalized input v with its outcome's feed-forward sign applied,
+    |w|^2, and
     the fidelity of w normalized by hypot with v. That is the arithmetic of
     make_qubit and PhotonicState.fidelity, so every value is bit for bit the
     states' value, with no state built. Non-finite amplitudes and the zero
@@ -212,11 +224,9 @@ def _kraus_outcomes(alpha, beta) -> list[tuple]:
         raise ValueError("qubit amplitudes are both zero")
     a, b = alpha / norm, beta / norm
     outcomes = []
-    for ch2, chb, ((k00, k01), (k10, k11)) in device_operators():
+    for ch2, chb, ((k00, k01), (k10, k11)), flip in device_operators():
         w_h, w_v = k00 * a + k01 * b, k10 * a + k11 * b
         prob = abs(w_h) ** 2 + abs(w_v) ** 2
-        # the feed-forward sign correction, as feed_forward_sign applies it
-        flip = ch2 != chb
         if flip:
             w_v = -w_v
         m = math.hypot(abs(w_h), abs(w_v))
@@ -231,9 +241,9 @@ def qnd_measure(alpha, beta) -> QndReport:
     Applies the four cached operators of device_operators (built from two
     Fock-engine runs) to the normalized input: each accepted outcome (one and
     only one photon in each detector package) has probability |K v|^2 and
-    leaves K v normalized in mode 1. Applies the enumerated feed-forward sign
-    rule and reports every accepted outcome, in _run_device's order, with its
-    corrected output state and fidelity. Success probability is exactly 1/2
+    leaves K v normalized in mode 1. Applies each outcome's feed-forward
+    sign, read off its K, and reports every accepted outcome, in
+    _run_device's order, with its corrected output state and fidelity. Success probability is exactly 1/2
     with each of the four joint outcomes at 1/8. Non-finite amplitudes are a
     configuration error (ValueError), not a contract violation, as is the
     zero vector.
@@ -249,27 +259,13 @@ def qnd_measure(alpha, beta) -> QndReport:
     return QndReport(outcomes=tuple(outcomes), success_probability=total)
 
 
-def derive_feed_forward_table(probe=(0.6, 0.8j)) -> dict[tuple[str, str], bool]:
-    """Which joint outcomes need the sign correction, found by enumeration.
-
-    Probes the device with an asymmetric qubit and marks an outcome as
-    flipped when the raw conditional state needs feed_forward_sign to reach
-    unit fidelity with the input. The result flips exactly the mixed-parity
-    outcomes (F with S).
+def derive_feed_forward_table() -> dict[tuple[str, str], bool]:
+    """Which joint outcomes need the sign correction: the flips that
+    device_operators reads off the Kraus operators, with no engine run of
+    its own. device_checks compares it with the mixed-parity (F with S)
+    outcomes that the physics predicts.
     """
-    alpha, beta = probe
-    basis = encoder_basis()
-    reference = make_qubit(basis, alpha, beta, "1")
-    table = {}
-    for ch2, chb, _prob, cond in _run_device(make_qubit(basis, alpha, beta, "0")):
-        fid_raw = cond.fidelity(reference)
-        fid_flip = feed_forward_sign(cond, "1").fidelity(reference)
-        if not (math.isclose(fid_raw, 1.0, abs_tol=1e-9)
-                ^ math.isclose(fid_flip, 1.0, abs_tol=1e-9)):
-            raise ContractViolationError(
-                f"outcome ({ch2},{chb}) is fixed by neither or both sign choices")
-        table[(ch2, chb)] = fid_flip > fid_raw
-    return table
+    return {(ch2, chb): flip for ch2, chb, _k, flip in device_operators()}
 
 
 def vacuum_gate_probability(d2_spatial: str = "2") -> float:
@@ -324,9 +320,9 @@ def device_checks(trials: int, seed: int) -> list[dict]:
     ones, each from four normals drawn from random.Random(seed), as
     qnd_measure does but on the 2-vectors alone; checks two exact
     identities of the Kraus operators (sum of K^dagger K = I/2, each
-    sign-corrected K a phase times I/sqrt(8)), and runs the Fock engine for
-    the feed-forward table, the vacuum and two-photon rejections and the
-    encoder branches. Returns the seven checks as {"name", "ok", "detail"}
+    sign-corrected K a phase times I/sqrt(8)), compares the derived
+    feed-forward table with the expected one, and runs the Fock engine for
+    the vacuum and two-photon rejections and the encoder branches. Returns the seven checks as {"name", "ok", "detail"}
     records, in a fixed order. `trials` must be an integer >= 1 and `seed` a
     non-negative integer (ValueError otherwise).
     """
@@ -363,11 +359,11 @@ def device_checks(trials: int, seed: int) -> list[dict]:
     # summed over the outcomes
     completeness = max(
         abs(sum(k[0][i].conjugate() * k[0][j] + k[1][i].conjugate() * k[1][j]
-                for *_ch, k in ops) - (0.5 if i == j else 0.0))
+                for _c2, _cb, k, _f in ops) - (0.5 if i == j else 0.0))
         for i in (0, 1) for j in (0, 1))
     worst_op = 0.0
-    for ch2, chb, (row_h, row_v) in ops:
-        if ch2 != chb:      # the feed-forward sign on (H, V)
+    for _c2, _cb, (row_h, row_v), flip in ops:
+        if flip:            # the feed-forward sign on (H, V)
             row_v = tuple(-u for u in row_v)
         phase = row_h[0] / abs(row_h[0])
         target = phase / math.sqrt(8)
@@ -387,6 +383,7 @@ def device_checks(trials: int, seed: int) -> list[dict]:
           f"accepted outcome probabilities {['%.6f' % p for p in probs]}")
 
     table = derive_feed_forward_table()
+    # the physics expectation: a mixed-parity coincidence flips the sign
     expected = {("F", "F"): False, ("S", "S"): False,
                 ("F", "S"): True, ("S", "F"): True}
     check("feed_forward_table", table == expected,

@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import random
@@ -12,10 +13,10 @@ from qrelay.analytics import ChainConfig, check_relay
 from qrelay.chain import run_chain, sample_chain
 from qrelay import circuit
 from qrelay.circuit import (ENCODER_SPATIAL, _kraus_outcomes, _run_device,
-                            build_encoder_state, derive_feed_forward_table,
-                            device_checks, device_operators, encoder_basis,
-                            encoder_postselect, feed_forward_sign,
-                            measured_relay_efficiency,
+                            _sign_flip, build_encoder_state,
+                            derive_feed_forward_table, device_checks,
+                            device_operators, encoder_basis,
+                            encoder_postselect, measured_relay_efficiency,
                             multiphoton_gate_probability, qnd_measure,
                             vacuum_gate_probability)
 from qrelay.errors import ContractViolationError
@@ -134,8 +135,8 @@ def test_device_operators_match_the_engine():
         norm = math.hypot(abs(a), abs(b))
         v = np.array([a / norm, b / norm])
         want = engine_outputs(a, b)
-        assert [key for key, _w in want] == [(c2, cb) for c2, cb, _k in ops]
-        for (_key, w), (_c2, _cb, k) in zip(want, ops):
+        assert [key for key, _w in want] == [(c2, cb) for c2, cb, *_ in ops]
+        for (_key, w), (_c2, _cb, k, _f) in zip(want, ops):
             worst = max(worst, float(np.abs(k @ v - np.array(w)).max()))
     assert worst <= 1e-15
 
@@ -143,15 +144,17 @@ def test_device_operators_match_the_engine():
 def test_device_operators_sum_to_half_the_identity():
     # sum_o K_o^dagger K_o = I/2: success probability 1/2 for every input
     total = sum(np.asarray(k).conj().T @ np.asarray(k)
-                for _c2, _cb, k in device_operators())
+                for _c2, _cb, k, _f in device_operators())
     assert np.abs(total - np.eye(2) / 2).max() <= 1e-15
 
 
 def test_corrected_operators_are_a_phase_times_identity():
     # after the feed-forward sign, each outcome is e^{i phi}/sqrt(8) I: unit
-    # fidelity and probability 1/8 for every input
+    # fidelity and probability 1/8 for every input. The sign read off each
+    # operator is the mixed-parity rule (F with S)
     flip = np.diag([1.0, -1.0])
-    for ch2, chb, k in device_operators():
+    for ch2, chb, k, flipped in device_operators():
+        assert flipped == (ch2 != chb)
         k = np.asarray(k)
         kc = flip @ k if ch2 != chb else k
         phase = kc[0, 0] / abs(kc[0, 0])
@@ -181,7 +184,7 @@ def test_kraus_outcomes_match_the_fock_states_bit_for_bit():
         rep = qnd_measure(a, b)
         helper = _kraus_outcomes(a, b)
         assert len(rep.outcomes) == len(helper) == len(ops) == 4
-        for o, (ch2, chb, prob, flip, w, fid), (_c2, _cb, k) in zip(
+        for o, (ch2, chb, prob, flip, w, fid), (_c2, _cb, k, _f) in zip(
                 rep.outcomes, helper, ops):
             k_v = [row[0] * v_h + row[1] * v_v for row in k]
             assert (o.channel_d2, o.channel_db, o.flipped) == (ch2, chb, flip)
@@ -225,7 +228,8 @@ def test_device_operators_are_cached_read_only_and_lazy():
     ops = device_operators()
     assert device_operators() is ops
     assert len(ops) == 4
-    for _c2, _cb, k in ops:
+    for _c2, _cb, k, flipped in ops:
+        assert type(flipped) is bool
         # a 2x2 tuple of tuples of complex: immutable, so safe to share
         assert isinstance(k, tuple) and len(k) == 2
         for row in k:
@@ -250,13 +254,16 @@ def test_feed_forward_table():
                      ("F", "S"): True, ("S", "F"): True}
 
 
-def test_feed_forward_sign_involution():
-    basis = encoder_basis()
-    st = make_qubit(basis, 0.6, 0.8j, "1")
-    flipped = feed_forward_sign(st, "1")
-    assert amplitude(flipped, {("1", V): 1}) == pytest.approx(-0.8j)
-    again = feed_forward_sign(flipped, "1")
-    assert again.fidelity(st) == pytest.approx(1.0, abs=1e-15)
+def test_sign_flip_reads_the_operator_or_breaks_the_contract():
+    c = cmath.exp(0.3j) / math.sqrt(8)
+    assert _sign_flip("F", "F", ((c, 0j), (0j, c))) is False
+    assert _sign_flip("F", "S", ((c, 0j), (0j, -c))) is True
+    # no sign choice fixes a relative phase of i, an off-diagonal entry or
+    # the zero operator
+    for k in (((c, 0j), (0j, 1j * c)), ((c, 1e-6 * c), (0j, c)),
+              ((c, 0j), (1e-6 * c, -c)), ((0j, 0j), (0j, 0j))):
+        with pytest.raises(ContractViolationError, match="neither sign"):
+            _sign_flip("S", "F", k)
 
 
 def test_outcome_lookup():

@@ -278,6 +278,23 @@ def test_qnd_measure_runs_no_fock_engine(monkeypatch):
             assert abs(o.probability - 0.125) <= 1e-12
 
 
+def test_derive_feed_forward_table_runs_no_fock_engine(monkeypatch):
+    # the sign rule is read off the cached Kraus operators: the table needs
+    # no probe run of the engine
+    from qrelay import circuit
+
+    circuit.device_operators()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("derive_feed_forward_table reached the engine")
+
+    for name in ("_run_device", "apply_transform", "product", "make_qubit"):
+        monkeypatch.setattr(circuit, name, forbidden)
+    assert circuit.derive_feed_forward_table() == {
+        ("F", "F"): False, ("S", "S"): False,
+        ("F", "S"): True, ("S", "F"): True}
+
+
 def test_device_checks_returns_the_seven_records():
     from qrelay import circuit
 
