@@ -239,27 +239,27 @@ def _ldexp(x: float, i: int) -> float:
 def _noise_kernel(p_dark: float, eta: float):
     """(terms, e): the one evaluation of the noise exponent's terms.
 
-    terms(ys, n_relays=0, divide=False) gives the terms ln(1 + c_j e^(y_j))
-    of K = ln(1 + p_n/p_s) for segments of attenuation lengths ys, and K,
-    as an exactly scaled pair (terms 2^s, K 2^s, s); c_j = 2 p_dark/eta on
-    the first n_relays segments, 2 p_dark on the rest. A term is log1p of
-    c_j e^(y_j), rounded once as c_j exp(y_j) or, with divide (run_chain
-    divides by a transmission), c_j/exp(-y_j); that product itself below
-    2^-53; softplus(ln c_j + y_j) past exp's range. A subnormal 2 p_dark =
-    m 2^e (frexp) is taken at the exact scale 2^-e, else e = 0; s = -e where
-    every term is below 2^-53, else s = 0 (a subnormal term 2^-1075 off).
+    terms(ys, n_relays=0) gives the terms ln(1 + c_j e^(y_j)) of
+    K = ln(1 + p_n/p_s) for segments of attenuation lengths ys, and K, as
+    an exactly scaled pair (terms 2^s, K 2^s, s); c_j = 2 p_dark/eta on the
+    first n_relays segments, 2 p_dark on the rest. A term is log1p of
+    c_j e^(y_j), rounded once as c_j exp(y_j); that product itself below
+    2^-53; softplus(ln c_j + y_j) past exp's range. K is their correctly
+    rounded sum (math.fsum). A subnormal 2 p_dark = m 2^e (frexp) is taken
+    at the exact scale 2^-e, else e = 0; s = -e where every term is below
+    2^-53, else s = 0 (a subnormal term 2^-1075 off).
     """
     pd2 = 2.0 * p_dark
     e = math.frexp(pd2)[1] if pd2 < sys.float_info.min else 0
     c_last = math.ldexp(pd2, -e)
     c_relay, log_scale, small = c_last / eta, e * _LN2, 2.0**-53
 
-    def terms(ys, n_relays=0, divide=False):
+    def terms(ys, n_relays=0):
         plain, scaled = [], []
         for j, y in enumerate(ys):
             c = c_relay if j < n_relays else c_last
-            v = c and (math.inf if y >= _EXP_MAX     # c = 0: no dark counts
-                       else c / math.exp(-y) if divide else c * math.exp(y))
+            # c = 0: no dark counts
+            v = c and (math.inf if y >= _EXP_MAX else c * math.exp(y))
             if (x := math.ldexp(v, e)) < small:
                 scaled.append(v)
             elif x < math.inf:
@@ -269,8 +269,8 @@ def _noise_kernel(p_dark: float, eta: float):
                 x = max(z, 0.0) + math.log1p(math.exp(-abs(z)))
             plain.append(x)
         if len(scaled) < len(plain):
-            return plain, sum(plain), 0
-        return scaled, sum(scaled), -e
+            return plain, math.fsum(plain), 0
+        return scaled, math.fsum(scaled), -e
 
     return terms, e
 

@@ -100,7 +100,7 @@ def _noise_terms(config: ChainConfig, positions_km: Optional[Sequence[float]]
     ys = [config.atten_per_km * seg
           for seg in _segment_lengths(config, positions_km)]
     terms = _noise_kernel(config.p_dark, config.eta)[0]
-    return (ys, *terms(ys, config.n_relays, divide=True))
+    return (ys, *terms(ys, config.n_relays))
 
 
 def run_chain(config: ChainConfig,

@@ -275,6 +275,23 @@ def test_chain_at_random_positions_over_the_whole_domain(n, eta, p_dark,
         "ln p_n", seed)
 
 
+def test_log_chain_noise_sums_many_large_terms_exactly():
+    # `qrelay optimize --distance-km 0 --n-relays 811 --eta
+    # 4.9162761621739796e-256 --pd 0.02441167864678435` printed ln p_n =
+    # -2448.804500057071 while K was summed left to right: 812 terms near
+    # 3, 4.5e-9 off the 40-digit value. Summed exactly, K keeps ln p_n within
+    # one rounding of N ln eta, 1.06e-10
+    n, eta = 811, 4.9162761621739796e-256
+    cfg = ChainConfig(0.0, 0.05, n, eta, 0.02441167864678435)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        want = float(n * Decimal(eta).ln()
+                     + decimal_noise_excess(cfg, (0.0,) * n).ln())
+    got = log_chain_noise(cfg)
+    assert abs(got - want) <= sys.float_info.epsilon * n * -math.log(eta), (
+        got, want)
+
+
 # alpha_x = 0; the clamped branch up to its edge ln(1/eta), past exp's range
 # at eta = 1e-305; the interior; and y = (alpha_x - N ln eta)/(N+1) >= 700,
 # where u leaves exp's range
