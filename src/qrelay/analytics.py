@@ -176,11 +176,10 @@ def optimal_position_single(config: ChainConfig) -> float:
 
     The stationary point of noise_single_relay is x1 = (x + ln(eta)/alpha)/2,
     biased toward the transmitter because a spurious photon born at the relay
-    still has to survive the second leg. Clamped into [0, x].
+    still has to survive the second leg; 0 where that is negative. It is
+    optimal_positions' placement at N = 1.
     """
-    x = config.distance_km
-    raw = 0.5 * (x + math.log(config.eta) / config.atten_per_km)
-    return min(max(raw, 0.0), x)
+    return optimal_positions(config._replace(n_relays=1))[0]
 
 
 def optimal_positions(config: ChainConfig) -> tuple[float, ...]:
