@@ -209,11 +209,10 @@ def _kraus_outcomes(alpha, beta) -> list[tuple]:
     Returns (channel_d2, channel_db, probability, flipped, (w_H, w_V),
     fidelity) per accepted outcome, in device_operators' order: w = K v on
     the normalized input v with its outcome's feed-forward sign applied,
-    |w|^2, and
-    the fidelity of w normalized by hypot with v. That is the arithmetic of
-    make_qubit and PhotonicState.fidelity, so every value is bit for bit the
-    states' value, with no state built. Non-finite amplitudes and the zero
-    vector are a ValueError.
+    |w|^2, and the fidelity of w normalized by hypot with v. That is the
+    arithmetic of make_qubit and PhotonicState.fidelity, so every value is
+    bit for bit the states' value, with no state built. Non-finite
+    amplitudes and the zero vector are a ValueError.
     """
     alpha, beta = complex(alpha), complex(beta)
     if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
@@ -243,8 +242,9 @@ def qnd_measure(alpha, beta) -> QndReport:
     only one photon in each detector package) has probability |K v|^2 and
     leaves K v normalized in mode 1. Applies each outcome's feed-forward
     sign, read off its K, and reports every accepted outcome, in
-    _run_device's order, with its corrected output state and fidelity. Success probability is exactly 1/2
-    with each of the four joint outcomes at 1/8. Non-finite amplitudes are a
+    _run_device's order, with its corrected output state and fidelity.
+    Success probability is exactly 1/2 with each of the four joint outcomes
+    at 1/8. Non-finite amplitudes are a
     configuration error (ValueError), not a contract violation, as is the
     zero vector.
     """
@@ -322,9 +322,10 @@ def device_checks(trials: int, seed: int) -> list[dict]:
     identities of the Kraus operators (sum of K^dagger K = I/2, each
     sign-corrected K a phase times I/sqrt(8)), compares the derived
     feed-forward table with the expected one, and runs the Fock engine for
-    the vacuum and two-photon rejections and the encoder branches. Returns the seven checks as {"name", "ok", "detail"}
-    records, in a fixed order. `trials` must be an integer >= 1 and `seed` a
-    non-negative integer (ValueError otherwise).
+    the vacuum and two-photon rejections and the encoder branches. Returns
+    the seven checks as {"name", "ok", "detail"} records, in a fixed order.
+    `trials` must be an integer >= 1 and `seed` a non-negative integer
+    (ValueError otherwise).
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
