@@ -113,6 +113,10 @@ def _cases() -> list[list[str]]:
         # a single alpha x outside its domain
         ["snr", "--alpha-x", "-1"],
         ["throughput", "--alpha-x", "nan"],
+        # an input qubit outside its domain: not finite, or the zero vector
+        ["verify-circuit", "--trials", "1", "--input=nan,1"],
+        ["verify-circuit", "--trials", "1", "--input=0,0"],
+        ["verify-circuit", "--trials", "1", "--input=inf,0"],
     ]
     return cases
 
