@@ -7,9 +7,9 @@ The package layers are, bottom up:
   {BasisMode: count} dicts.
 - circuit: the heralded nondestructive photon-presence device built from a
   polarizing beam splitter, an entangled ancilla pair, and two detector
-  packages, with a fixed photon budget (one input photon plus the pair),
-  applied through its four cached Kraus operators (device_operators); it
-  supplies the relay efficiency eta through measured_relay_efficiency.
+  packages, applied through its four cached Kraus operators
+  (device_operators); it supplies the relay efficiency eta through
+  measured_relay_efficiency.
 - analytics: the chain configuration (five fields; relay positions are an
   argument of the chain functions, not a field), its one (eta, p_dark)
   validator,

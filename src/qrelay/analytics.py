@@ -208,22 +208,6 @@ def optimal_positions(config: ChainConfig) -> tuple[float, ...]:
     return tuple(i * d for i in range(1, n + 1))
 
 
-def _receiver_counts(s_n: float, alive: float, big_l: float, t_last: float,
-                     p_dark: float) -> tuple[float, float]:
-    """Receiver (p_s, p_n) of a relay chain, in closed form.
-
-    After each relay a live slot holds a photon. With t_j the transmission
-    of segment j and c = 2 p_dark/eta, s_n = S_N = prod_{j<=N} eta t_j,
-    big_l = L = sum_{j<=N} log1p(c/t_j) (inf for a t_j of 0), and the live
-    mass alive = S_N e^L = prod_{j<=N} (eta t_j + 2 p_dark):
-        p_s = S_N t_last,    p_n = S_N (t_last expm1(L) + 2 p_dark e^L).
-    S_N expm1(L) = alive - S_N is read off the products once L >= 1, where
-    the difference no longer cancels and e^L may overflow.
-    """
-    spurious = s_n * math.expm1(big_l) if big_l < 1.0 else alive - s_n
-    return s_n * t_last, t_last * spurious + 2.0 * p_dark * alive
-
-
 # math.exp and math.expm1 overflow past about 709.78, and math.exp(-x)
 # leaves the normal range past 708.39
 _EXP_MAX, _EXP_NORMAL = 700.0, 708.0
@@ -375,6 +359,23 @@ def snr_exact(alpha_x: float, n_relays: int, eta: float,
     return _chain_curve((alpha_x,), n_relays, eta, p_dark)[0][0]
 
 
+def _log_product(*factors: float) -> float:
+    """ln of a product of positive finite factors, finite where the product
+    leaves the double range. frexp splits each factor into a mantissa and an
+    exponent: the mantissas multiply in order, renormalized, and the
+    exponents add exactly, so where the product is a normal double its log
+    is taken of the plain product's bits.
+    """
+    m, e = 1.0, 0
+    for factor in factors:
+        f_m, f_e = math.frexp(factor)
+        m, m_e = math.frexp(m * f_m)
+        e += f_e + m_e
+    if -1021 <= e <= 1024:      # m 2^e is a normal double
+        return math.log(math.ldexp(m, e))
+    return math.log(m) + e * _LN2
+
+
 def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,
                         s_target: float) -> float:
     """Attenuation length at which the N-relay SNR equals s_target.
@@ -382,18 +383,21 @@ def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,
     Inverts the first-order SNR expression including its factor-2 terms.
     The range is positive and finite where its log argument is in (0, 1):
     not without dark counts, nor where even alpha x = 0 misses the target.
+    The log is taken as _log_product's, so a subnormal p_dark s_target
+    still has a range.
     """
     check_n_relays(n_relays)
     check_relay(eta, p_dark)
     if not 0.0 < s_target < math.inf:
         raise ValueError(f"s_target must be finite and > 0, got {s_target}")
     r = n_relays / (n_relays + 1)
-    arg = 2.0 * p_dark * s_target * (n_relays + 1) * eta ** (-r)
-    if not 0.0 < arg < 1.0:
+    log_arg = (_log_product(2.0, p_dark, s_target, n_relays + 1, eta ** (-r))
+               if p_dark else -math.inf)
+    if not -math.inf < log_arg < 0.0:
         raise ValueError(
             f"no positive finite range: 2*p_dark*s_target*(N+1)*"
-            f"eta^(-N/(N+1)) = {arg:.3g} is not in (0, 1)")
-    return -(n_relays + 1) * math.log(arg)
+            f"eta^(-N/(N+1)) = e^{log_arg:.3g} is not in (0, 1)")
+    return -(n_relays + 1) * log_arg
 
 
 class RangeEnhancement(NamedTuple):
@@ -406,17 +410,16 @@ def range_enhancement(n_relays: int, eta: float, p_dark: float,
     """Range gain of an N-relay chain over direct transmission at fixed SNR.
 
     approx: R = (N+1) ln[(N+1) eta^(-N/(N+1)) P_d S] / ln[P_d S], the compact
-    published form that drops the factor-2 terms. exact: the same ratio with
-    both ranges solved from the full first-order expressions, whose log
-    arguments solve_range_alpha_x checks: below 1 they put the compact
-    form's two below 1/2.
+    published form that drops the factor-2 terms, its logs taken as
+    _log_product's. exact: the same ratio with both ranges solved from the
+    full first-order expressions, whose log arguments solve_range_alpha_x
+    checks: below 1 they put the compact form's two below 1/2.
     """
     exact = (solve_range_alpha_x(n_relays, eta, p_dark, s_target)
              / solve_range_alpha_x(0, eta, p_dark, s_target))
-    ps = p_dark * s_target
-    r = n_relays / (n_relays + 1)
-    approx = ((n_relays + 1) * math.log((n_relays + 1) * eta ** (-r) * ps)
-              / math.log(ps))
+    m = n_relays + 1
+    approx = (m * _log_product(m * eta ** (-n_relays / m), p_dark, s_target)
+              / _log_product(p_dark, s_target))
     return RangeEnhancement(approx=approx, exact=exact)
 
 

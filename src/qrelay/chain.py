@@ -13,10 +13,10 @@ stays vetoed. On the live masses (sig, rnd, emp) one relay is
     (sig, rnd, emp) -> (eta sig, eta rnd + 2 p_dark (sig + rnd + emp), 0).
 
 The receiver counts the signal photon, a spurious photon, and a dark count
-(2 p_dark) in every live slot. run_chain evaluates this chain through its
-closed form in analytics, keeping all orders of dark-count events, so its
-probabilities are exact for the model, not first-order expansions. Relay
-positions are an argument, the optimum where omitted.
+(2 p_dark) in every live slot. run_chain evaluates this chain in closed
+form, keeping all orders of dark-count events, so its probabilities are
+exact for the model, not first-order expansions. Relay positions are an
+argument, the optimum where omitted.
 sample_chain is the seeded Monte Carlo check: it draws how many of n slots
 land in each event, step by step, from the same rules, in O(N) draws
 whatever n is.
@@ -29,9 +29,8 @@ import random
 import sys
 from typing import NamedTuple, Optional, Sequence
 
-from .analytics import (ChainConfig, _log_expm1, _noise_kernel,
-                        _receiver_counts, _snr_from_k, optimal_positions,
-                        qber_from_snr)
+from .analytics import (ChainConfig, _log_expm1, _noise_kernel, _snr_from_k,
+                        optimal_positions, qber_from_snr)
 
 _MAX_TRIALS = 2**63 - 1     # the --trials range; _binomial is tested up to it
 
@@ -111,17 +110,25 @@ def run_chain(config: ChainConfig,
     Each relay maps the live masses (sig, rnd, emp) to
     (eta sig, eta rnd + 2 p_dark (sig + rnd + emp), 0), each segment keeps
     a photon with its transmission t_j, and the receiver adds 2 p_dark per
-    live slot; _receiver_counts evaluates their composition. snr and q_b
-    come from the noise exponent K, as snr_exact's do: finite where p_s and
-    p_n underflow together on long chains, inf and 0 without dark counts.
+    live slot. After each relay a live slot holds a photon, so with
+    c = 2 p_dark/eta, S_N = prod_{j<=N} eta t_j, L = sum_{j<=N}
+    log1p(c/t_j) (inf for a t_j of 0) and the live mass
+    S_N e^L = prod_{j<=N} (eta t_j + 2 p_dark):
+        p_s = S_N t_last,    p_n = S_N (t_last expm1(L) + 2 p_dark e^L).
+    S_N expm1(L) = S_N e^L - S_N is read off the products once L >= 1,
+    where the difference no longer cancels and e^L may overflow. snr and
+    q_b come from the noise exponent K, as snr_exact's do: finite where p_s
+    and p_n underflow together on long chains, inf and 0 without dark
+    counts.
     """
     ys, terms, k, s = _noise_terms(config, positions_km)
     *relay_ts, t_last = [math.exp(-y) for y in ys]
     eta, pd2 = config.eta, 2.0 * config.p_dark
-    p_s, p_n = _receiver_counts(math.prod(eta * t for t in relay_ts),
-                                math.prod(eta * t + pd2 for t in relay_ts),
-                                math.ldexp(sum(terms[:-1]), -s), t_last,
-                                config.p_dark)
+    s_n = math.prod(eta * t for t in relay_ts)
+    alive = math.prod(eta * t + pd2 for t in relay_ts)
+    big_l = math.ldexp(sum(terms[:-1]), -s)
+    spurious = s_n * math.expm1(big_l) if big_l < 1.0 else alive - s_n
+    p_s, p_n = s_n * t_last, t_last * spurious + pd2 * alive
     snr = _snr_from_k(k, s)
     return ReceiverReport(p_s, p_n, snr, qber_from_snr(snr))
 

@@ -7,10 +7,6 @@ one photon in each detector package signals "photon present" and leaves the
 qubit, up to a known sign correction, in mode 1 without having measured its
 polarization.
 
-Every device run uses one Fock basis, capped at four photons: the ancilla
-pair plus up to two input photons, enough for the single-photon runs and the
-two-photon rejection. Only multiphoton_gate_probability takes a higher cap.
-
 Linear optics with post-selection is linear in the input amplitudes, so each
 accepted outcome is a 2x2 Kraus operator from the input qubit to mode 1.
 qnd_measure and the device checks apply the four cached operators of
@@ -23,7 +19,6 @@ complex.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import random
@@ -35,6 +30,7 @@ from .fockspace import (
     V,
     ModeBasis,
     PhotonicState,
+    _unit_qubit,
     apply_transform,
     basis_rotate_fs,
     enumerate_outcomes,
@@ -54,14 +50,12 @@ S_CHANNEL = "S"
 
 
 @functools.cache
-def encoder_basis(photon_cap: int = 4) -> ModeBasis:
+def encoder_basis() -> ModeBasis:
     """The fixed five-spatial-mode basis used by the device.
 
-    Device runs use the default cap of 4; multiphoton_gate_probability asks
-    for more. One shared instance per photon cap; no caller mutates a
-    ModeBasis.
+    One shared instance; no caller mutates a ModeBasis.
     """
-    return ModeBasis(ENCODER_SPATIAL, photon_cap=photon_cap)
+    return ModeBasis(ENCODER_SPATIAL)
 
 
 @functools.cache
@@ -209,19 +203,13 @@ def _kraus_outcomes(alpha, beta) -> list[tuple]:
     Returns (channel_d2, channel_db, probability, flipped, (w_H, w_V),
     fidelity) per accepted outcome, in device_operators' order: w = K v on
     the normalized input v with its outcome's feed-forward sign applied,
-    |w|^2, and the fidelity of w normalized by hypot with v. That is the
-    arithmetic of make_qubit and PhotonicState.fidelity, so every value is
-    bit for bit the states' value, with no state built. Non-finite
-    amplitudes and the zero vector are a ValueError.
+    |w|^2, and the fidelity of w normalized by hypot with v. v is
+    make_qubit's normalization, _unit_qubit, and the fidelity is
+    PhotonicState.fidelity's arithmetic, so every value is bit for bit the
+    states' value, with no state built. Non-finite amplitudes and the zero
+    vector are a ValueError.
     """
-    alpha, beta = complex(alpha), complex(beta)
-    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
-        raise ValueError(f"qubit amplitudes must be finite, got "
-                         f"({alpha}, {beta})")
-    norm = math.hypot(abs(alpha), abs(beta))
-    if norm == 0:
-        raise ValueError("qubit amplitudes are both zero")
-    a, b = alpha / norm, beta / norm
+    a, b = _unit_qubit(alpha, beta)
     outcomes = []
     for ch2, chb, ((k00, k01), (k10, k11)), flip in device_operators():
         w_h, w_v = k00 * a + k01 * b, k10 * a + k11 * b
@@ -279,8 +267,7 @@ def vacuum_gate_probability(d2_spatial: str = "2") -> float:
                      _run_device(vacuum(encoder_basis()), d2_spatial)))
 
 
-def multiphoton_gate_probability(n_input: int, alpha=1.0, beta=0.0,
-                                 photon_cap: int = 4) -> float:
+def multiphoton_gate_probability(n_input: int, alpha=1.0, beta=0.0) -> float:
     """Gate probability for an n-photon polarized input pulse.
 
     Any input with two or more photons is rejected outright: with the Bell
@@ -289,11 +276,7 @@ def multiphoton_gate_probability(n_input: int, alpha=1.0, beta=0.0,
     """
     if n_input < 0:
         raise ValueError("photon number must be nonnegative")
-    if n_input + 2 > photon_cap:
-        raise ValueError(
-            f"{n_input} input photons plus the ancilla pair exceeds the "
-            f"photon cap {photon_cap}")
-    basis = encoder_basis(photon_cap)
+    basis = encoder_basis()
     if n_input == 0:
         st = vacuum(basis)
     else:

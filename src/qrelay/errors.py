@@ -3,6 +3,7 @@
 
 class ContractViolationError(ValueError):
     """An operation was handed a state or operator that breaks its contract
-    (non-unitary transform, unnormalized state, occupation over the photon cap).
+    (non-unitary transform, unnormalized state, a device outcome off its
+    one-photon or sign contract).
     """
 

@@ -3,7 +3,9 @@
 States are sparse maps from occupation configurations to complex amplitudes.
 Every spatial mode carries two basis modes (horizontal H and vertical V
 polarization), and linear-optics elements act by rewriting creation operators,
-so multi-photon bookkeeping (the sqrt(n!) factors) is handled exactly.
+so multi-photon bookkeeping (the sqrt(n!) factors) is handled exactly. A
+linear transform conserves photon number and a state stores only the
+configurations it occupies, so no photon-number cutoff is needed.
 
 The module is pure Python: a transform is a tuple of row tuples of complex,
 and at the device's ten basis modes plain loops beat an array library's
@@ -12,6 +14,7 @@ per-call overhead.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
 from typing import Iterable, Mapping, NamedTuple
@@ -26,8 +29,6 @@ PRUNE_TOL = 1e-14
 
 # tolerance for "the input state must be normalized" preconditions
 NORM_TOL = 1e-9
-
-DEFAULT_PHOTON_CAP = 4
 
 
 class BasisMode(NamedTuple):
@@ -44,14 +45,11 @@ class ModeBasis:
     occupation configuration is a tuple of photon counts in exactly this order.
     """
 
-    def __init__(self, spatial_labels: Iterable[str], photon_cap: int = DEFAULT_PHOTON_CAP):
+    def __init__(self, spatial_labels: Iterable[str]):
         labels = tuple(str(s) for s in spatial_labels)
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate spatial labels: {labels}")
-        if photon_cap < 1:
-            raise ValueError("photon cap must be at least 1")
         self.spatial = labels
-        self.photon_cap = int(photon_cap)
         self.modes = tuple(BasisMode(s, p) for s in labels for p in (H, V))
         self.index = {m: i for i, m in enumerate(self.modes)}
         self.size = len(self.modes)
@@ -74,14 +72,13 @@ class ModeBasis:
                              f"{self.spatial}") from None
 
     def __eq__(self, other):
-        return isinstance(other, ModeBasis) and self.modes == other.modes \
-            and self.photon_cap == other.photon_cap
+        return isinstance(other, ModeBasis) and self.modes == other.modes
 
     def __hash__(self):
-        return hash((self.modes, self.photon_cap))
+        return hash(self.modes)
 
     def __repr__(self):
-        return f"ModeBasis(spatial={self.spatial}, photon_cap={self.photon_cap})"
+        return f"ModeBasis(spatial={self.spatial})"
 
 
 class PhotonicState:
@@ -93,7 +90,7 @@ class PhotonicState:
 
     def __init__(self, basis: ModeBasis, amps: Mapping[tuple, complex]):
         self.basis = basis
-        size, cap = basis.size, basis.photon_cap
+        size = basis.size
         clean = {}
         for cfg, amp in amps.items():
             cfg = tuple(map(int, cfg))
@@ -101,10 +98,6 @@ class PhotonicState:
                 raise ValueError(f"config length {len(cfg)} != basis size {size}")
             if min(cfg, default=0) < 0:
                 raise ValueError(f"negative occupation in {cfg}")
-            total = sum(cfg)
-            if total > cap:
-                raise ContractViolationError(
-                    f"config {cfg} has {total} photons, cap is {cap}")
             a = complex(amp)
             if a != 0:
                 clean[cfg] = clean.get(cfg, 0j) + a
@@ -159,19 +152,31 @@ def vacuum(basis: ModeBasis) -> PhotonicState:
     return PhotonicState(basis, {(0,) * basis.size: 1.0})
 
 
-def make_qubit(basis: ModeBasis, alpha, beta, spatial: str) -> PhotonicState:
-    """Single-photon polarization qubit alpha|H> + beta|V> in one spatial mode.
+def _unit_qubit(alpha, beta) -> tuple[complex, complex]:
+    """The amplitude pair (alpha, beta) divided by hypot(|alpha|, |beta|).
 
-    The amplitude pair is normalized automatically.
+    Non-finite amplitudes and the zero vector are a ValueError.
     """
     alpha, beta = complex(alpha), complex(beta)
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise ValueError(f"qubit amplitudes must be finite, got "
+                         f"({alpha}, {beta})")
     n = math.hypot(abs(alpha), abs(beta))
     if n == 0:
         raise ValueError("qubit amplitudes are both zero")
+    return alpha / n, beta / n
+
+
+def make_qubit(basis: ModeBasis, alpha, beta, spatial: str) -> PhotonicState:
+    """Single-photon polarization qubit alpha|H> + beta|V> in one spatial mode.
+
+    The amplitude pair is normalized by _unit_qubit, which rejects
+    non-finite amplitudes and the zero vector.
+    """
     hi, vi = basis.spatial_indices(spatial)
     base = [0] * basis.size
     amps = {}
-    for idx, amp in ((hi, alpha / n), (vi, beta / n)):
+    for idx, amp in zip((hi, vi), _unit_qubit(alpha, beta)):
         if amp != 0:
             cfg = list(base)
             cfg[idx] = 1
@@ -354,7 +359,7 @@ def enumerate_outcomes(state: PhotonicState, measured_modes: Iterable,
     equals, bit for bit, the one-pattern projection measure_pattern of
     tests/oracles.py. The input must be normalized.
     """
-    if abs(state.norm() - 1.0) > NORM_TOL:
+    if not abs(state.norm() - 1.0) <= NORM_TOL:     # NaN fails too
         raise ContractViolationError(
             f"state norm {state.norm():.12f} is not 1 within {NORM_TOL}")
     basis = state.basis

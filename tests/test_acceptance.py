@@ -319,7 +319,7 @@ def test_criterion_09_stochastic_validation(capsys):
 
 
 def test_criterion_10_engine_matches_dense_oracle(capsys):
-    basis = ModeBasis(("p", "q", "r"), photon_cap=3)
+    basis = ModeBasis(("p", "q", "r"))
     modes = basis.modes
     n_modes = len(modes)
     configs = list(configs_up_to(n_modes, 3))

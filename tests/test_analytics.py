@@ -383,6 +383,23 @@ def test_solve_range_alpha_x():
             solve_range_alpha_x(n, 0.5, 1e-5, 1.0)
 
 
+def test_range_survives_a_subnormal_dark_count_product():
+    # p_dark s_target is subnormal, where the product form underflowed: the
+    # logs are sums of the factors' frexp parts, against 40-digit values
+    assert solve_range_alpha_x(0, 0.5, 1e-320, 1e-10) == pytest.approx(
+        759.1599446403544176453, rel=1e-15)
+    assert solve_range_alpha_x(1, 0.5, 1e-320, 1e-10) == pytest.approx(
+        1516.240447739028999362, rel=1e-15)
+    assert range_enhancement(0, 0.5, 5e-324, 0.5) == (1.0, 1.0)
+    r = range_enhancement(3, 0.5, 5e-324, 0.5)
+    assert r.approx == pytest.approx(3.989767441860465116279, rel=1e-15)
+    assert r.exact == pytest.approx(3.989757914338919925512, rel=1e-15)
+    # still no range without dark counts, nor where even alpha x = 0 misses
+    for p_dark, s_target in ((0.0, 1.0), (0.1, 10.0)):
+        with pytest.raises(ValueError, match="no positive finite range"):
+            solve_range_alpha_x(0, 0.5, p_dark, s_target)
+
+
 def test_range_enhancement():
     r = range_enhancement(1, 0.5, 1e-5, 1.0)
     assert r.approx == pytest.approx(1.8193820026016112, abs=1e-12)

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import os
 import random
@@ -78,11 +79,20 @@ def test_encoder_postselect_complex_qubit():
         assert amplitude(cond, {("1", V): 1, ("2", V): 1}) == pytest.approx(sign * b, abs=1e-12)
 
 
-@pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.inf),
-                                         (complex(0.6, math.nan), 0.8)])
-def test_qnd_measure_rejects_non_finite_input(alpha, beta):
-    with pytest.raises(ValueError) as info:
-        qnd_measure(alpha, beta)
+@pytest.mark.parametrize("run", [
+    qnd_measure, encoder_postselect,
+    functools.partial(multiphoton_gate_probability, 1)],
+    ids=["qnd_measure", "encoder_postselect", "multiphoton_gate_probability"])
+@pytest.mark.parametrize("alpha, beta, message", [
+    (math.nan, 1.0, "must be finite"), (1.0, math.inf, "must be finite"),
+    (complex(0.6, math.nan), 0.8, "must be finite"),
+    (0.0, 0.0, "both zero")])
+def test_device_runs_reject_a_qubit_outside_the_domain(run, alpha, beta,
+                                                       message):
+    # one qubit rule for the Kraus path and the Fock engine alike: a
+    # configuration error, not a norm contract violation further down
+    with pytest.raises(ValueError, match=message) as info:
+        run(alpha, beta)
     assert not isinstance(info.value, ContractViolationError)
 
 
@@ -288,11 +298,10 @@ def test_diagnostic_variant_false_gates_on_vacuum():
 def test_multiphoton_gate_probabilities():
     assert multiphoton_gate_probability(0) == 0.0
     assert multiphoton_gate_probability(1, 0.6, 0.8) == pytest.approx(0.5, abs=1e-12)
-    assert multiphoton_gate_probability(2) == 0.0
     assert multiphoton_gate_probability(2, 0.6, 0.8) == 0.0
-    assert multiphoton_gate_probability(3, photon_cap=5) == 0.0
-    with pytest.raises(ValueError):
-        multiphoton_gate_probability(3)  # cap 4 cannot hold 3 + ancilla pair
+    # photon number is conserved, so any pulse fits the one basis
+    for n in range(2, 9):
+        assert multiphoton_gate_probability(n) == 0.0
     with pytest.raises(ValueError):
         multiphoton_gate_probability(-1)
 
@@ -367,10 +376,8 @@ def test_noisy_relay_map_weights():
 
 def test_basis_labels_exported():
     assert ENCODER_SPATIAL == ("0", "a", "1", "2", "b")
-    assert encoder_basis().photon_cap == 4
+    assert encoder_basis().spatial == ENCODER_SPATIAL
 
 
-def test_encoder_basis_is_one_instance_per_cap():
+def test_encoder_basis_is_one_instance():
     assert encoder_basis() is encoder_basis()
-    assert encoder_basis(3) is encoder_basis(3)
-    assert encoder_basis(3).photon_cap == 3

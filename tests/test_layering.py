@@ -140,7 +140,7 @@ def test_replace_checks_the_new_record():
     from qrelay.throughput import EcPaParams
 
     table = CurveReport(("a", "b"), ((1.0, 2.0),))
-    transform = LinearModeTransform(ModeBasis(("0",), photon_cap=1),
+    transform = LinearModeTransform(ModeBasis(("0",)),
                                     ((1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(ValueError, match="n_relays"):
         ChainConfig(100.0, n_relays=1)._replace(n_relays=-1)
@@ -181,13 +181,15 @@ def test_cli_imports_layers_only_at_command_level():
 
 
 def test_no_option_chooses_among_alternatives_no_command_uses():
-    # the relay is one device with a fixed photon budget, one input photon
-    # plus the ancilla pair, feeding one key-fraction model; relay positions
-    # are an argument of the functions that take them, not a config field
+    # the relay is one device feeding one key-fraction model, and linear
+    # optics conserves photon number, so no Fock basis or device function
+    # takes a photon cap; relay positions are an argument of the functions
+    # that take them, not a config field
     from inspect import signature
 
     from qrelay import circuit
     from qrelay.analytics import ChainConfig
+    from qrelay.fockspace import ModeBasis
     from qrelay.throughput import EcPaParams, key_fraction
 
     assert ChainConfig._fields == ("distance_km", "atten_per_km", "n_relays",
@@ -195,9 +197,11 @@ def test_no_option_chooses_among_alternatives_no_command_uses():
     assert not hasattr(ChainConfig, "with_positions")
     assert EcPaParams._fields == ("f_ec",)
     assert "clamp" not in signature(key_fraction).parameters
-    for name in ("build_encoder_state", "encoder_postselect",
+    assert list(signature(ModeBasis).parameters) == ["spatial_labels"]
+    assert not hasattr(ModeBasis(("0",)), "photon_cap")
+    for name in ("encoder_basis", "build_encoder_state", "encoder_postselect",
                  "device_operators", "_kraus_outcomes", "qnd_measure",
-                 "vacuum_gate_probability"):
+                 "vacuum_gate_probability", "multiphoton_gate_probability"):
         params = signature(getattr(circuit, name)).parameters
         assert "photon_cap" not in params, name
 
@@ -245,11 +249,9 @@ def test_sampler_is_independent_of_the_exact_model(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the sampler reached the exact model")
 
-    for name in ("run_chain", "_noise_terms", "_noise_kernel",
-                 "_receiver_counts"):
+    for name in ("run_chain", "_noise_terms", "_noise_kernel"):
         monkeypatch.setattr(chain, name, forbidden)
-    for name in ("_noise_kernel", "_receiver_counts"):
-        monkeypatch.setattr(analytics, name, forbidden)
+    monkeypatch.setattr(analytics, "_noise_kernel", forbidden)
     cfg = analytics.ChainConfig(distance_km=60.0, n_relays=3, p_dark=1e-3)
     got = chain.sample_chain(cfg, 10_000, seed=1)
     assert sum(got.state_counts.values()) == 10_000
