@@ -359,23 +359,6 @@ def snr_exact(alpha_x: float, n_relays: int, eta: float,
     return _chain_curve((alpha_x,), n_relays, eta, p_dark)[0][0]
 
 
-def _log_product(*factors: float) -> float:
-    """ln of a product of positive finite factors, finite where the product
-    leaves the double range. frexp splits each factor into a mantissa and an
-    exponent: the mantissas multiply in order, renormalized, and the
-    exponents add exactly, so where the product is a normal double its log
-    is taken of the plain product's bits.
-    """
-    m, e = 1.0, 0
-    for factor in factors:
-        f_m, f_e = math.frexp(factor)
-        m, m_e = math.frexp(m * f_m)
-        e += f_e + m_e
-    if -1021 <= e <= 1024:      # m 2^e is a normal double
-        return math.log(math.ldexp(m, e))
-    return math.log(m) + e * _LN2
-
-
 def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,
                         s_target: float) -> float:
     """Attenuation length at which the N-relay SNR equals s_target.
@@ -383,15 +366,16 @@ def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,
     Inverts the first-order SNR expression including its factor-2 terms.
     The range is positive and finite where its log argument is in (0, 1):
     not without dark counts, nor where even alpha x = 0 misses the target.
-    The log is taken as _log_product's, so a subnormal p_dark s_target
-    still has a range.
+    The log argument's log is a sum of its factors' logs, so a subnormal
+    p_dark s_target or eta still has a range.
     """
     check_n_relays(n_relays)
     check_relay(eta, p_dark)
     if not 0.0 < s_target < math.inf:
         raise ValueError(f"s_target must be finite and > 0, got {s_target}")
     r = n_relays / (n_relays + 1)
-    log_arg = (_log_product(2.0, p_dark, s_target, n_relays + 1, eta ** (-r))
+    log_arg = (math.log(2.0 * (n_relays + 1)) + math.log(p_dark)
+               + math.log(s_target) - r * math.log(eta)
                if p_dark else -math.inf)
     if not -math.inf < log_arg < 0.0:
         raise ValueError(
@@ -410,16 +394,16 @@ def range_enhancement(n_relays: int, eta: float, p_dark: float,
     """Range gain of an N-relay chain over direct transmission at fixed SNR.
 
     approx: R = (N+1) ln[(N+1) eta^(-N/(N+1)) P_d S] / ln[P_d S], the compact
-    published form that drops the factor-2 terms, its logs taken as
-    _log_product's. exact: the same ratio with both ranges solved from the
-    full first-order expressions, whose log arguments solve_range_alpha_x
+    published form that drops the factor-2 terms, its logs taken as sums
+    of the factors' logs. exact: the same ratio with both ranges solved from
+    the full first-order expressions, whose log arguments solve_range_alpha_x
     checks: below 1 they put the compact form's two below 1/2.
     """
     exact = (solve_range_alpha_x(n_relays, eta, p_dark, s_target)
              / solve_range_alpha_x(0, eta, p_dark, s_target))
     m = n_relays + 1
-    approx = (m * _log_product(m * eta ** (-n_relays / m), p_dark, s_target)
-              / _log_product(p_dark, s_target))
+    lps = math.log(p_dark) + math.log(s_target)
+    approx = m * (math.log(m) - n_relays / m * math.log(eta) + lps) / lps
     return RangeEnhancement(approx=approx, exact=exact)
 
 

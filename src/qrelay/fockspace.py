@@ -155,13 +155,21 @@ def vacuum(basis: ModeBasis) -> PhotonicState:
 def _unit_qubit(alpha, beta) -> tuple[complex, complex]:
     """The amplitude pair (alpha, beta) divided by hypot(|alpha|, |beta|).
 
-    Non-finite amplitudes and the zero vector are a ValueError.
+    Non-finite amplitudes and the zero vector are a ValueError. Finite
+    amplitudes whose norm leaves the double range are first divided by 4,
+    which is exact there and brings the norm below 2^1024.
     """
     alpha, beta = complex(alpha), complex(beta)
     if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
         raise ValueError(f"qubit amplitudes must be finite, got "
                          f"({alpha}, {beta})")
-    n = math.hypot(abs(alpha), abs(beta))
+    try:
+        n = math.hypot(abs(alpha), abs(beta))
+    except OverflowError:           # abs() of a complex past the range
+        n = math.inf
+    if n == math.inf:
+        alpha, beta = alpha / 4.0, beta / 4.0
+        n = math.hypot(abs(alpha), abs(beta))
     if n == 0:
         raise ValueError("qubit amplitudes are both zero")
     return alpha / n, beta / n

@@ -385,7 +385,7 @@ def test_solve_range_alpha_x():
 
 def test_range_survives_a_subnormal_dark_count_product():
     # p_dark s_target is subnormal, where the product form underflowed: the
-    # logs are sums of the factors' frexp parts, against 40-digit values
+    # logs are sums of the factors' logs, against 40-digit values
     assert solve_range_alpha_x(0, 0.5, 1e-320, 1e-10) == pytest.approx(
         759.1599446403544176453, rel=1e-15)
     assert solve_range_alpha_x(1, 0.5, 1e-320, 1e-10) == pytest.approx(
@@ -394,6 +394,12 @@ def test_range_survives_a_subnormal_dark_count_product():
     r = range_enhancement(3, 0.5, 5e-324, 0.5)
     assert r.approx == pytest.approx(3.989767441860465116279, rel=1e-15)
     assert r.exact == pytest.approx(3.989757914338919925512, rel=1e-15)
+    # a subnormal eta, where eta^(-N/(N+1)) itself overflowed
+    assert solve_range_alpha_x(1000, 1e-320, 5e-324, 1e-10) == pytest.approx(
+        23796.64402136409362545, rel=1e-14)
+    r = range_enhancement(1000, 1e-320, 5e-324, 1e-10)
+    assert r.approx == pytest.approx(31.91084270962353610031, rel=1e-14)
+    assert r.exact == pytest.approx(31.03480558571883617148, rel=1e-14)
     # still no range without dark counts, nor where even alpha x = 0 misses
     for p_dark, s_target in ((0.0, 1.0), (0.1, 10.0)):
         with pytest.raises(ValueError, match="no positive finite range"):

@@ -73,6 +73,10 @@ def test_make_qubit_normalizes_and_records_factor():
     assert math.isclose(q.norm(), 1.0, abs_tol=1e-15)
     assert amplitude(q, {("q", H): 1}) == pytest.approx(0.6)
     assert amplitude(q, {("q", V): 1}) == pytest.approx(0.8j)
+    # finite amplitudes whose moduli overflow a double still normalize
+    big = make_qubit(b, complex(1.7e308, 1.7e308), 1.7e308, "q")
+    assert math.isclose(big.norm(), 1.0, abs_tol=1e-15)
+    assert amplitude(big, {("q", V): 1}) == pytest.approx(1 / math.sqrt(3))
     with pytest.raises(ValueError, match="both zero"):
         make_qubit(b, 0, 0, "q")
     for alpha, beta in ((math.nan, 1.0), (math.inf, 0.0),

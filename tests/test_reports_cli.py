@@ -155,8 +155,10 @@ def test_cli_verify_circuit(tmp_path, capsys):
 
 
 def test_cli_verify_circuit_diagnostic_and_input(capsys):
-    # the last two would overflow and underflow a norm taken from squares
-    for qubit in ("0.6,0.8", "1e200,1e200", "1e-200,1e-200"):
+    # the next two would overflow and underflow a norm taken from squares;
+    # the last has a finite amplitude whose modulus overflows a double
+    for qubit in ("0.6,0.8", "1e200,1e200", "1e-200,1e-200",
+                  "1.7e308+1.7e308j,0"):
         code = run_cli(["verify-circuit", "--trials", "2", "--seed", "3",
                         f"--input={qubit}", "--diagnostic", "d2-on-mode-1"])
         text = capsys.readouterr().out
