@@ -8,7 +8,9 @@ bytes is kept as its sha256 and length. test_byte_corpus.py reruns every
 case and compares.
 
 Run it from the repository root, only when a change is meant to move
-bytes, and list each changed case in CHANGES.md:
+bytes, and list each changed case in CHANGES.md; it prints the id of
+every case whose record differs from the committed corpus (a new case
+counts as changed):
 
     PYTHONPATH=src python tests/make_byte_corpus.py
 
@@ -117,6 +119,18 @@ def _cases() -> list[list[str]]:
         ["verify-circuit", "--trials", "1", "--input=nan,1"],
         ["verify-circuit", "--trials", "1", "--input=0,0"],
         ["verify-circuit", "--trials", "1", "--input=inf,0"],
+        # ln p_s from the segments, against alpha x: a million slots see
+        # no detection, a billion do, and the report keeps every digit
+        ["sample", "--distance-km", "300", "--n-relays", "3", "--trials",
+         "1000000", "--seed", "4"],
+        ["sample", "--distance-km", "300", "--n-relays", "3", "--trials",
+         "1000000000", "--seed", "4", "--output", "report.json"],
+        # a short chain: every relay clamped to the transmitter
+        ["optimize", "--distance-km", "5", "--n-relays", "3"],
+        # the clamped rel_dev close to the clamp edge, where S and S_1 agree
+        # to ten digits
+        ["snr", "--n-relays", "673", "--eta", "0.7595298071364913", "--pd",
+         "4.8639012522493653e-20", "--alpha-x", "0.27450416626345975"],
     ]
     return cases
 
@@ -151,8 +165,17 @@ def run_case(argv: list[str]) -> dict:
             "report": None if report is None else _record(report)}
 
 
+def case_id(i: int, case: dict) -> str:
+    """A case's name in test_byte_corpus.py: its index and command."""
+    return f"{i:02d}-{case['argv'][0]}"
+
+
 def main() -> None:
+    old = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
     cases = [run_case(argv) for argv in _cases()]
+    for i, case in enumerate(cases):
+        if i >= len(old) or old[i] != case:
+            print(f"changed: {case_id(i, case)}")
     CORPUS.write_text(json.dumps(cases, indent=1) + "\n")
     print(f"wrote {len(cases)} cases to {CORPUS}")
 

@@ -10,12 +10,12 @@ import json
 
 import pytest
 
-from make_byte_corpus import CORPUS, run_case
+from make_byte_corpus import CORPUS, case_id, run_case
 
 _CASES = json.loads(CORPUS.read_text())
 
 
 @pytest.mark.parametrize("case", _CASES, ids=[
-    f"{i:02d}-{case['argv'][0]}" for i, case in enumerate(_CASES)])
+    case_id(i, case) for i, case in enumerate(_CASES)])
 def test_command_bytes_match_the_corpus(case):
     assert run_case(case["argv"]) == case
