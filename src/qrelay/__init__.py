@@ -17,8 +17,9 @@ The package layers are, bottom up:
   binomial at the optimal placement (snr_exact), the relay placement, which
   is exactly optimal, range enhancement, raw rates.
 - chain: the exact receiver statistics at any positions through the closed
-  form, a numeric placement search, and a seeded Monte Carlo cross-check
-  that draws the slot count of each event. A relay gates a photon with
+  form, in one record that also carries ln p_s and ln p_n, a numeric
+  placement search, and a seeded Monte Carlo cross-check that draws the
+  slot count of each event. A relay gates a photon with
   probability eta and false-gates every live slot with probability
   2 p_dark, launching a spurious photon; the rest is vetoed.
 - throughput: the single-photon BB84 key fraction, whose one parameter is
@@ -51,8 +52,8 @@ _LAZY = {
         "range_enhancement", "raw_rate", "snr_exact", "snr_n_relays",
         "snr_no_relay", "solve_range_alpha_x"), "analytics"),
     **dict.fromkeys((
-        "ReceiverReport", "SampledReport", "chain_noise", "log_chain_noise",
-        "run_chain", "sample_chain", "search_positions"), "chain"),
+        "ReceiverReport", "SampledReport", "run_chain", "sample_chain",
+        "search_positions"), "chain"),
     **dict.fromkeys((
         "PackageOutcome", "QndReport", "derive_feed_forward_table",
         "encoder_postselect", "measured_relay_efficiency",

@@ -134,26 +134,7 @@ def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> fl
     """
     check_n_relays(n_relays)
     check_relay(eta, p_dark)
-    return _snr_n_relays_curve((alpha_x,), n_relays, eta, p_dark)[0]
-
-
-def _snr_n_relays_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
-                        p_dark: float) -> list[float]:
-    """snr_n_relays at each alpha_x: S_1 = e^-y/(2 p_dark (N+1)) with
-    y = (alpha x - N ln eta)/(N+1), from logs where e^-y/(N+1) leaves the
-    normal range and with p_dark at _noise_kernel's exact scale 2^-e. Only
-    the alpha_xs are checked; the callers check (eta, p_dark, N).
-    """
-    _check_alpha_xs(alpha_xs)
-    if p_dark == 0.0:
-        return [math.inf] * len(alpha_xs)
-    m, e = n_relays + 1, _noise_kernel(p_dark, eta)[1]
-    log_m, n_log_eta = math.log(m), n_relays * math.log(eta)
-    log_pd2 = math.log(2.0 * p_dark)
-    s_0, gain = 0.5 / math.ldexp(p_dark, -e), eta ** (n_relays / m)
-    return [_ldexp(s_0 * (gain * math.exp(-alpha_x / m) / m), -e)
-            if (y := (alpha_x - n_log_eta) / m) + log_m < _EXP_NORMAL
-            else math.exp(-(log_pd2 + y) - log_m) for alpha_x in alpha_xs]
+    return _chain_curve((alpha_x,), n_relays, eta, p_dark)[0][0]
 
 
 def noise_single_relay(x1_km: float, x2_km: float, config: ChainConfig) -> float:
@@ -220,42 +201,46 @@ def _ldexp(x: float, i: int) -> float:
 
 
 def _noise_kernel(p_dark: float, eta: float):
-    """(terms, e): the one evaluation of the noise exponent's terms.
+    """(terms, term, e): the one evaluation of the noise exponent's terms.
 
-    terms(ys, n_relays=0) gives the terms ln(1 + c_j e^(y_j)) of
-    K = ln(1 + p_n/p_s) for segments of attenuation lengths ys, and K, as
-    an exactly scaled pair (terms 2^s, K 2^s, s); c_j = 2 p_dark/eta on the
-    first n_relays segments, 2 p_dark on the rest. A term is log1p of
-    c_j e^(y_j), rounded once as c_j exp(y_j); that product itself below
-    2^-53; softplus(ln c_j + y_j) past exp's range. K is their correctly
-    rounded sum (math.fsum). A subnormal 2 p_dark = m 2^e (frexp) is taken
-    at the exact scale 2^-e, else e = 0; s = -e where every term is below
-    2^-53, else s = 0 (a subnormal term 2^-1075 off).
+    term(y) gives the term ln(1 + c e^y) of K = ln(1 + p_n/p_s) for a
+    segment of attenuation length y as an exactly scaled pair (w, s), the
+    term w 2^-s; c = 2 p_dark, the receiver's, unless the relay's c is
+    given. It is log1p of c e^y, rounded once as c exp(y); that product
+    itself below 2^-53, with s = -e; softplus(ln c + y) past exp's range.
+    terms(ys, n_relays=0) gives the terms of segments of attenuation
+    lengths ys, and K, as one scaled pair (terms 2^s, K 2^s, s);
+    c_j = 2 p_dark/eta on the first n_relays segments, 2 p_dark on the
+    rest. K is their correctly rounded sum (math.fsum). A subnormal
+    2 p_dark = m 2^e (frexp) is taken at the exact scale 2^-e, else e = 0;
+    s = -e where every term is below 2^-53, else s = 0 (a subnormal term
+    2^-1075 off).
     """
     pd2 = 2.0 * p_dark
     e = math.frexp(pd2)[1] if pd2 < sys.float_info.min else 0
     c_last = math.ldexp(pd2, -e)
     c_relay, log_scale, small = c_last / eta, e * _LN2, 2.0**-53
 
-    def terms(ys, n_relays=0):
-        plain, scaled = [], []
-        for j, y in enumerate(ys):
-            c = c_relay if j < n_relays else c_last
-            # c = 0: no dark counts
-            v = c and (math.inf if y >= _EXP_MAX else c * math.exp(y))
-            if (x := math.ldexp(v, e)) < small:
-                scaled.append(v)
-            elif x < math.inf:
-                x = math.log1p(x)
-            else:               # softplus: ln(1 + e^z) at z = ln c + y
-                z = math.log(c) + log_scale + y
-                x = max(z, 0.0) + math.log1p(math.exp(-abs(z)))
-            plain.append(x)
-        if len(scaled) < len(plain):
-            return plain, math.fsum(plain), 0
-        return scaled, math.fsum(scaled), -e
+    def term(y, c=c_last):
+        # c = 0: no dark counts
+        v = c and (math.inf if y >= _EXP_MAX else c * math.exp(y))
+        if (x := math.ldexp(v, e)) < small:
+            return v, -e
+        if x < math.inf:
+            return math.log1p(x), 0
+        z = math.log(c) + log_scale + y     # softplus: ln(1 + e^z)
+        return max(z, 0.0) + math.log1p(math.exp(-abs(z))), 0
 
-    return terms, e
+    def terms(ys, n_relays=0):
+        pairs = [term(y, c_relay if j < n_relays else c_last)
+                 for j, y in enumerate(ys)]
+        if all(s for _, s in pairs):
+            scaled = [w for w, _ in pairs]
+            return scaled, math.fsum(scaled), -e
+        plain = [math.ldexp(w, -s) for w, s in pairs]
+        return plain, math.fsum(plain), 0
+
+    return terms, term, e
 
 
 def _log_expm1(k: float, s: int = 0) -> float:
@@ -295,25 +280,35 @@ def _log_sinhc(z: float) -> float:
 
 def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
                  p_dark: float) -> list[tuple]:
-    """(S, k, s, w) of the optimal chain at each alpha_x, its constants taken
-    once per curve: K = k 2^-s = ln(1 + 1/S), a scaled pair of
-    _noise_kernel's; in the interior each segment's term is w 2^-s =
-    log1p(u), clamped w is None. Only the alpha_xs are checked; the callers
-    check (eta, p_dark, N).
+    """(S_1, S, k, s, w) of the optimal chain at each alpha_x, its constants
+    taken once per curve. S_1 = e^-y/(2 p_dark (N+1)) is the first-order
+    SNR, y = (alpha x - N ln eta)/(N+1), from logs where e^-y/(N+1) leaves
+    the normal range and with p_dark at _noise_kernel's exact scale 2^-e.
+    S is exact, K = k 2^-s = ln(1 + 1/S) a scaled pair of _noise_kernel's;
+    in the interior each segment's term is w 2^-s = log1p(u), u =
+    2 p_dark e^y, clamped w is None. Only the alpha_xs are checked; the
+    callers check (eta, p_dark, N).
     """
     _check_alpha_xs(alpha_xs)
-    terms = _noise_kernel(p_dark, eta)[0]
+    terms, term, e = _noise_kernel(p_dark, eta)
     n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
-    n_log_eta = n * log_eta
+    n_log_eta, log_m, gain = n * log_eta, math.log(m), eta ** (n / m)
+    # no dark counts: s_0 = inf and ln(2 p_dark) = -inf, so S_1 = inf
+    s_0, log_pd2 = ((0.5 / math.ldexp(p_dark, -e), math.log(2.0 * p_dark))
+                    if p_dark else (math.inf, -math.inf))
     out = []
     for alpha_x in alpha_xs:
+        y = (alpha_x - n_log_eta) / m
+        s_1 = (_ldexp(s_0 * (gain * math.exp(-alpha_x / m) / m), -e)
+               if y + log_m < _EXP_NORMAL
+               else math.exp(-(log_pd2 + y) - log_m))
         if n and alpha_x <= -log_eta:   # N relays of t = 1, then bare fiber
             (relay, last), _, s = terms((0.0, alpha_x), 1)
             k, w = n * relay + last, None
-        else:                           # u = 2 p_dark e^y
-            (w,), _, s = terms(((alpha_x - n_log_eta) / m,))
+        else:
+            w, s = term(y)
             k = m * w
-        out.append((_snr_from_k(k, s), k, s, w))
+        out.append((s_1, _snr_from_k(k, s), k, s, w))
     return out
 
 
@@ -332,9 +327,8 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     """
     m, n_log_eta = n_relays + 1, n_relays * math.log(eta)
     points = []
-    for alpha_x, s_an, (s_ex, k, s, w) in zip(
-            alpha_xs, _snr_n_relays_curve(alpha_xs, n_relays, eta, p_dark),
-            _chain_curve(alpha_xs, n_relays, eta, p_dark)):
+    for alpha_x, (s_an, s_ex, k, s, w) in zip(
+            alpha_xs, _chain_curve(alpha_xs, n_relays, eta, p_dark)):
         if k == 0.0:    # no noise: S = inf, and S_1 = inf or all but
             dev = 0.0
         elif w is not None:
@@ -356,7 +350,7 @@ def snr_exact(alpha_x: float, n_relays: int, eta: float,
     """Exact (all-orders) SNR at the optimal placement; inf if p_dark = 0."""
     check_n_relays(n_relays)
     check_relay(eta, p_dark)
-    return _chain_curve((alpha_x,), n_relays, eta, p_dark)[0][0]
+    return _chain_curve((alpha_x,), n_relays, eta, p_dark)[0][1]
 
 
 def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,

@@ -15,8 +15,9 @@ stays vetoed. On the live masses (sig, rnd, emp) one relay is
 The receiver counts the signal photon, a spurious photon, and a dark count
 (2 p_dark) in every live slot. run_chain evaluates this chain in closed
 form, keeping all orders of dark-count events, so its probabilities are
-exact for the model, not first-order expansions. Relay positions are an
-argument, the optimum where omitted.
+exact for the model, not first-order expansions, and carries their logs,
+which stay finite where the probabilities underflow. Relay positions are
+an argument, the optimum where omitted.
 sample_chain is the seeded Monte Carlo check: it draws how many of n slots
 land in each event, step by step, from the same rules, in O(N) draws
 whatever n is.
@@ -53,13 +54,17 @@ class ReceiverReport(NamedTuple):
     alpha x = 1, N = 1, eta = 0.01 and p_dark = 0.495, p_n = 1.354. snr is
     their ratio; q_b = p_n / (2 (p_n + p_s)), a ratio of counts, since
     random polarization errs half the time. A fully vetoed chain yields nan
-    for snr and q_b.
+    for snr and q_b. log_p_s and log_p_n are ln p_s and ln p_n, finite
+    where p_s and p_n underflow to 0 on long chains; log_p_n is -inf
+    without dark counts.
     """
 
     p_s: float
     p_n: float
     snr: float
     q_b: float
+    log_p_s: float
+    log_p_n: float
 
 
 def _segment_lengths(config: ChainConfig,
@@ -119,7 +124,9 @@ def run_chain(config: ChainConfig,
     where the difference no longer cancels and e^L may overflow. snr and
     q_b come from the noise exponent K, as snr_exact's do: finite where p_s
     and p_n underflow together on long chains, inf and 0 without dark
-    counts.
+    counts. So do the logs: ln p_s = N ln eta - sum_j y_j, the segments'
+    attenuation lengths y_j summed, and ln p_n = ln p_s + ln expm1(K), K
+    from its scaled pair, whose log keeps its digits below the normal range.
     """
     ys, terms, k, s = _noise_terms(config, positions_km)
     *relay_ts, t_last = [math.exp(-y) for y in ys]
@@ -130,31 +137,9 @@ def run_chain(config: ChainConfig,
     spurious = s_n * math.expm1(big_l) if big_l < 1.0 else alive - s_n
     p_s, p_n = s_n * t_last, t_last * spurious + pd2 * alive
     snr = _snr_from_k(k, s)
-    return ReceiverReport(p_s, p_n, snr, qber_from_snr(snr))
-
-
-def chain_noise(config: ChainConfig, positions_km: Sequence[float]) -> float:
-    """Receiver noise p_n as a function of relay positions: the expected
-    count of noise clicks per slot, not a probability (see ReceiverReport).
-
-    Signal probability does not depend on the positions, so less noise is
-    a higher SNR. It underflows to 0 on long chains; log_chain_noise and
-    the exponent that search_positions minimizes do not.
-    """
-    return run_chain(config, positions_km).p_n
-
-
-def log_chain_noise(config: ChainConfig,
-                    positions_km: Optional[Sequence[float]] = None) -> float:
-    """ln p_n at the given positions, else at the optimum, finite wherever
-    p_dark > 0.
-
-    ln p_n = ln p_s + ln expm1(K), ln p_s = N ln eta - alpha x taken segment
-    by segment and K from its scaled pair, whose log keeps its digits below
-    the normal range; -inf without dark counts.
-    """
-    ys, _, k, s = _noise_terms(config, positions_km)
-    return config.n_relays * math.log(config.eta) - sum(ys) + _log_expm1(k, s)
+    log_p_s = config.n_relays * math.log(eta) - sum(ys)
+    return ReceiverReport(p_s, p_n, snr, qber_from_snr(snr), log_p_s,
+                          log_p_s + _log_expm1(k, s))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

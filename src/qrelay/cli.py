@@ -194,6 +194,12 @@ def _chain(params: dict, n_relays: int = 0):
                        params["pd"])
 
 
+def _config_block(config) -> dict:
+    """A report's config block: the ChainConfig's fields under their keys."""
+    return {("pd" if key == "p_dark" else key): value
+            for key, value in config._asdict().items()}
+
+
 def _write(text: str, params: dict) -> bool:
     """Write text to --output, if one is given, and say so."""
     output = params["output"]
@@ -255,7 +261,7 @@ def cmd_throughput(params: dict) -> int:
 def cmd_optimize(params: dict) -> int:
     """Compare closed-form relay placement with a numeric search."""
     from .analytics import optimal_positions
-    from .chain import chain_noise, log_chain_noise, search_positions
+    from .chain import run_chain, search_positions
 
     n = _single_n(params)
     if n < 1:
@@ -265,30 +271,27 @@ def cmd_optimize(params: dict) -> int:
     eta, pd = config.eta, config.p_dark
     analytic = optimal_positions(config)
     numeric = search_positions(config)
-    f_analytic = chain_noise(config, analytic)
-    f_numeric = chain_noise(config, numeric)
-    # in logs, which stay apart where p_n underflows to 0 on long chains
-    log_analytic = log_chain_noise(config, analytic)
-    log_numeric = log_chain_noise(config, numeric)
+    at_analytic = run_chain(config, analytic)
+    at_numeric = run_chain(config, numeric)
     tol = 1e-6 * max(1.0, x)
     agree = all(abs(a - b) <= tol for a, b in zip(analytic, numeric))
     print(f"chain: x = {x} km, alpha = {atten} /km, N = {n}, "
           f"eta = {eta}, p_dark = {pd}")
     for label, pos in (("analytic", analytic), ("numeric ", numeric)):
         print(f"{label} positions_km: " + " ".join(f"{p:.6f}" for p in pos))
-    print(f"noise objective ln p_n: analytic = {log_analytic:.12f}, "
-          f"numeric = {log_numeric:.12f}")
+    # in logs, which stay apart where p_n underflows to 0 on long chains
+    print(f"noise objective ln p_n: analytic = {at_analytic.log_p_n:.12f}, "
+          f"numeric = {at_numeric.log_p_n:.12f}")
     if not agree:
         print(f"WARNING: placements disagree beyond {tol:g} km")
     _write(render_payload({
-        "config": {"distance_km": x, "atten_per_km": atten, "n_relays": n,
-                   "eta": eta, "pd": pd},
+        "config": _config_block(config),
         "analytic_positions_km": list(analytic),
         "numeric_positions_km": list(numeric),
-        "noise_analytic": f_analytic,
-        "noise_numeric": f_numeric,
-        "log_noise_analytic": log_analytic,
-        "log_noise_numeric": log_numeric,
+        "noise_analytic": at_analytic.p_n,
+        "noise_numeric": at_numeric.p_n,
+        "log_noise_analytic": at_analytic.log_p_n,
+        "log_noise_numeric": at_numeric.log_p_n,
         "agree_within_tolerance": agree,
     }), params)
     return EXIT_OK
@@ -296,7 +299,7 @@ def cmd_optimize(params: dict) -> int:
 
 def cmd_sample(params: dict) -> int:
     """Monte Carlo the chain and print the estimate beside the exact value."""
-    from .chain import log_chain_noise, run_chain, sample_chain
+    from .chain import run_chain, sample_chain
 
     n, trials, seed = _single_n(params), params["trials"], params["seed"]
     ax, x = params["alpha_x"], params["distance_km"]
@@ -306,9 +309,6 @@ def cmd_sample(params: dict) -> int:
     config = (base.at_alpha_x(ax) if x is None
               else base._replace(distance_km=x))
     exact = run_chain(config)
-    # ln p_s and ln p_n stay finite where p_s and p_n underflow to 0
-    logs = {"log_p_s": n * math.log(config.eta) - config.alpha_x,
-            "log_p_n": log_chain_noise(config)}
     sampled = sample_chain(config, trials, seed)
     if sampled.p_s + sampled.p_n == 0.0:    # its snr and q_b would be 0/0
         vetoed = sampled.state_counts["no_gate"]
@@ -321,8 +321,9 @@ def cmd_sample(params: dict) -> int:
           f"eta = {config.eta}, p_dark = {config.p_dark}, trials = {trials}, "
           f"seed = {seed}")
     print(f"exact    p_s = {exact.p_s:.9e}    p_n = {exact.p_n:.9e}")
-    print(f"exact    ln p_s = {logs['log_p_s']:.12f}    "
-          f"ln p_n = {logs['log_p_n']:.12f}")
+    # ln p_s and ln p_n stay finite where p_s and p_n underflow to 0
+    print(f"exact    ln p_s = {exact.log_p_s:.12f}    "
+          f"ln p_n = {exact.log_p_n:.12f}")
     print(f"sampled  p_s = {sampled.p_s:.9e} +- {sampled.stderr_p_s:.3e}"
           f"    p_n = {sampled.p_n:.9e} +- {sampled.stderr_p_n:.3e}")
     for name in ("p_s", "p_n"):
@@ -335,11 +336,9 @@ def cmd_sample(params: dict) -> int:
     print("slot states: " + " ".join(f"{k}={v}"
                                      for k, v in sampled.state_counts.items()))
     _write(render_payload({
-        "config": {"alpha_x": config.alpha_x, "n_relays": n, "trials": trials,
-                   "distance_km": config.distance_km, "seed": seed,
-                   "atten_per_km": config.atten_per_km, "eta": config.eta,
-                   "pd": config.p_dark},
-        "exact": {**exact._asdict(), **logs},
+        "config": {**_config_block(config), "alpha_x": config.alpha_x,
+                   "trials": trials, "seed": seed},
+        "exact": exact._asdict(),
         # n_trials and seed are reported once, in config
         "sampled": {k: v for k, v in sampled._asdict().items()
                     if k not in ("n_trials", "seed")},

@@ -122,7 +122,7 @@ def throughput_curve(config: ChainConfig, alpha_x_values: Sequence[float],
     params = params or EcPaParams()
     scale = config.eta ** config.n_relays
     points = []
-    for alpha_x, (s, *_) in zip(alpha_x_values, _chain_curve(
+    for alpha_x, (_, s, *_) in zip(alpha_x_values, _chain_curve(
             alpha_x_values, config.n_relays, config.eta, config.p_dark)):
         q_b = qber_from_snr(s)
         t_n = max(_tau(q_b, params), 0.0)

@@ -18,7 +18,7 @@ from qrelay.analytics import (ChainConfig, noise_single_relay,
                               optimal_position_single, range_enhancement,
                               raw_rate, snr_n_relays, snr_no_relay,
                               solve_range_alpha_x)
-from qrelay.chain import chain_noise, run_chain, sample_chain
+from qrelay.chain import run_chain, sample_chain
 from qrelay.fockspace import (LinearModeTransform, ModeBasis, PhotonicState,
                               apply_transform, basis_rotate_fs)
 from qrelay.throughput import cutoff_alpha_x, key_fraction, throughput_curve

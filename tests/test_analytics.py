@@ -13,7 +13,7 @@ from qrelay.analytics import (ChainConfig, noise_single_relay,
                               qber_from_snr, range_enhancement, raw_rate,
                               snr_exact, snr_n_relays, snr_no_relay,
                               solve_range_alpha_x)
-from qrelay.chain import chain_noise, run_chain, search_positions
+from qrelay.chain import run_chain, search_positions
 
 from oracles import coordinate_descent, decimal_noise_ratio
 
@@ -158,7 +158,7 @@ def test_noise_single_relay():
     with pytest.raises(ValueError):
         noise_single_relay(40.0, 59.0, cfg)
     # first-order formula tracks the exact chain to O(p_dark)
-    exact = chain_noise(cfg, (40.0,))
+    exact = run_chain(cfg, (40.0,)).p_n
     assert pn == pytest.approx(exact, rel=1e-3)
 
 
@@ -217,10 +217,11 @@ def test_optimal_positions_layout():
 def test_optimal_positions_refined_close_to_closed_form():
     cfg = ChainConfig(distance_km=150.0, n_relays=2)
     base = optimal_positions(cfg)
-    fine = coordinate_descent(cfg, lambda p: chain_noise(cfg, p))
+    fine = coordinate_descent(cfg, lambda p: run_chain(cfg, p).p_n)
     for b, f in zip(base, fine):
         assert abs(b - f) <= 1e-3 * 150.0
-    assert chain_noise(cfg, fine) <= chain_noise(cfg, base) * (1 + 1e-12)
+    assert (run_chain(cfg, fine).p_n
+            <= run_chain(cfg, base).p_n * (1 + 1e-12))
 
 
 def test_numeric_optimum_multi_start():
@@ -228,7 +229,7 @@ def test_numeric_optimum_multi_start():
     for n in (2, 4):
         cfg = ChainConfig(distance_km=200.0, n_relays=n)
         x = cfg.distance_km
-        objective = lambda p: chain_noise(cfg, p)
+        objective = lambda p: run_chain(cfg, p).p_n
         uniform = tuple(x * (i + 1) / (n + 1) for i in range(n))
         jitter = tuple(min(x, max(0.0, u + ((-1) ** i) * 0.07 * x))
                        for i, u in enumerate(uniform))
@@ -242,7 +243,7 @@ def test_numeric_optimum_multi_start():
 
 def test_numeric_optimum_matches_closed_form_spacing():
     cfg = ChainConfig(distance_km=200.0, n_relays=3)
-    got = coordinate_descent(cfg, lambda p: chain_noise(cfg, p))
+    got = coordinate_descent(cfg, lambda p: run_chain(cfg, p).p_n)
     want = optimal_positions(cfg)
     # first-order placement is already within a small fraction of the span
     for g, w in zip(got, want):
@@ -252,7 +253,7 @@ def test_numeric_optimum_matches_closed_form_spacing():
 def test_perturbed_placement_increases_noise():
     for n in (1, 2, 3):
         cfg = ChainConfig(distance_km=180.0, n_relays=n)
-        objective = lambda p: chain_noise(cfg, p)
+        objective = lambda p: run_chain(cfg, p).p_n
         best = coordinate_descent(cfg, objective)
         base = objective(best)
         for k in range(n):
@@ -283,7 +284,7 @@ def dark_chains(draw, max_relays=64):
 
 def lower_by_ulps(cfg, positions, base):
     """How many ulps of base the noise at positions lies below base."""
-    return (base - chain_noise(cfg, tuple(positions))) / math.ulp(base)
+    return (base - run_chain(cfg, tuple(positions)).p_n) / math.ulp(base)
 
 
 def assert_no_lower(cfg, positions, best, base, where):
@@ -304,7 +305,7 @@ def test_optimal_positions_is_exactly_optimal_under_moves(cfg):
     # relative moves of 1e-6 and 1e-3 of the span, clipped to the
     # neighbours; far smaller ones only probe rounding
     best = optimal_positions(cfg)
-    base = chain_noise(cfg, best)
+    base = run_chain(cfg, best).p_n
     n, x = cfg.n_relays, cfg.distance_km
     for i in range(n):
         lo = best[i - 1] if i > 0 else 0.0
@@ -323,9 +324,10 @@ def test_optimal_positions_is_exactly_optimal_under_descent(cfg, fracs):
     # stops far from any optimum within a test's time, and the moves above
     # cover that range
     best = optimal_positions(cfg)
-    base = chain_noise(cfg, best)
+    base = run_chain(cfg, best).p_n
     start = sorted(f * cfg.distance_km for f in fracs[:cfg.n_relays])
-    found = coordinate_descent(cfg, lambda p: chain_noise(cfg, p), x0=start)
+    found = coordinate_descent(cfg, lambda p: run_chain(cfg, p).p_n,
+                               x0=start)
     assert_no_lower(cfg, found, best, base, found)
 
 
@@ -348,7 +350,7 @@ def test_search_positions_keeps_the_closed_form_unless_lower():
         found = search_positions(cfg)
         assert len(found) == n
         assert (found == best
-                or chain_noise(cfg, found) < chain_noise(cfg, best))
+                or run_chain(cfg, found).p_n < run_chain(cfg, best).p_n)
         assert max(abs(a - b) for a, b in zip(found, best)) <= 1e-6 * x
 
 

@@ -10,8 +10,7 @@ from scipy import stats
 
 from qrelay.analytics import (ChainConfig, optimal_positions, snr_exact,
                               snr_n_relays)
-from qrelay.chain import (_binomial, chain_noise, log_chain_noise, run_chain,
-                          sample_chain, search_positions)
+from qrelay.chain import _binomial, run_chain, sample_chain, search_positions
 from qrelay.circuit import (measured_relay_efficiency,
                             multiphoton_gate_probability,
                             vacuum_gate_probability)
@@ -191,8 +190,6 @@ def test_non_finite_positions_are_refused(position):
     # converting it
     cfg = ChainConfig(distance_km=100.0, n_relays=1)
     for call in (lambda pos: run_chain(cfg, pos),
-                 lambda pos: chain_noise(cfg, pos),
-                 lambda pos: log_chain_noise(cfg, pos),
                  lambda pos: sample_chain(cfg, 1000, 1, pos)):
         with pytest.raises(ValueError, match="non-decreasing"):
             call([position])
@@ -250,11 +247,6 @@ def test_run_chain_does_not_increase_with_distance(n, eta, p_dark, atten,
     for near, far in zip(reps, reps[1:]):
         assert far.p_s <= near.p_s, (near, far)
         assert far.p_n <= near.p_n * (1.0 + 1e-13), (near, far)
-
-
-def test_chain_noise_is_the_optimization_objective():
-    cfg = ChainConfig(distance_km=100.0, n_relays=1)
-    assert chain_noise(cfg, (43.0,)) == run_chain(cfg, (43.0,)).p_n
 
 
 def test_sample_chain_deterministic():
@@ -456,8 +448,8 @@ def test_run_chain_matches_snr_exact_on_long_chains():
                     n, p_dark, ax)
                 assert got.q_b == pytest.approx(0.5 / (1.0 + s), rel=bound)
                 # the placement search compares values that are not 0
-                assert math.isfinite(log_chain_noise(point,
-                                                     optimal_positions(point)))
+                assert math.isfinite(
+                    run_chain(point, optimal_positions(point)).log_p_n)
     # the closed form stays the optimum of a 1000-relay chain
     assert search_positions(cfg) == optimal_positions(cfg)
 
@@ -469,7 +461,7 @@ def test_run_chain_matches_snr_exact_on_long_chains():
     (ChainConfig(1200.0, 0.05, 2, 0.5, 5e-324), (20.0, 1180.0)),
     (ChainConfig(0.0, 0.05, 64, 0.65, 1e-318).at_alpha_x(40.0), None)],
     ids=["n4", "clamped", "n0", "mixed", "n64"])
-def test_log_chain_noise_at_a_subnormal_p_dark(cfg, positions):
+def test_log_p_n_at_a_subnormal_p_dark(cfg, positions):
     # each term c_j/t_j of K below the normal range was rounded on the
     # subnormal grid: `qrelay sample --alpha-x 5 --n-relays 4 --pd 5e-324`
     # printed ln p_n = -748.405998153851, p_n 5% low. "mixed" holds a
@@ -481,8 +473,8 @@ def test_log_chain_noise_at_a_subnormal_p_dark(cfg, positions):
         want = (cfg.n_relays * Decimal(cfg.eta).ln()
                 - Decimal(cfg.atten_per_km) * Decimal(cfg.distance_km)
                 + (ratio - 1).ln())
-    assert log_chain_noise(cfg, positions) == pytest.approx(float(want),
-                                                            rel=1e-15)
+    assert run_chain(cfg, positions).log_p_n == pytest.approx(float(want),
+                                                              rel=1e-15)
 
 
 def test_sample_chain_stderr_definitions():

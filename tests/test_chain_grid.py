@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from qrelay import cli
 from qrelay.analytics import (ChainConfig, _snr_curve, qber_from_snr,
                               snr_exact, snr_n_relays)
-from qrelay.chain import log_chain_noise, run_chain
+from qrelay.chain import run_chain
 
 from oracles import (decimal_first_order_snr, decimal_noise_excess,
                      decimal_rel_dev_reference, decimal_snr_reference,
@@ -249,7 +249,7 @@ def test_snr_columns_over_the_whole_domain(n, eta, p_dark, alpha_x, frac):
 @given(seed=st.integers(0, 2**32 - 1), **_DOMAIN)
 def test_chain_at_random_positions_over_the_whole_domain(n, eta, p_dark,
                                                          alpha_x, seed):
-    # log_chain_noise and run_chain's snr at random relay positions against
+    # run_chain's ln p_n and snr at random relay positions against
     # p_n/p_s in Decimal. K sums N + 1 terms, rounding N times, so the
     # conditioning is S's times N + 1, with the size of ln p_n added for
     # ln p_n, whose absolute error is a relative one in p_n
@@ -260,7 +260,7 @@ def test_chain_at_random_positions_over_the_whole_domain(n, eta, p_dark,
     got = run_chain(cfg, positions)
     if p_dark == 0.0:
         assert got.snr == math.inf
-        assert log_chain_noise(cfg, positions) == -math.inf
+        assert got.log_p_n == -math.inf
         return
     with localcontext() as ctx:
         ctx.prec = 40
@@ -270,12 +270,12 @@ def test_chain_at_random_positions_over_the_whole_domain(n, eta, p_dark,
                          + excess.ln())
     cond = (n + 1) * max(1.0, alpha_x, n * -math.log(eta), k)
     assert_domain_close(got.snr, 1 / excess, cond, ("snr", seed))
-    assert abs(log_chain_noise(cfg, positions) - want_log) <= (
+    assert abs(got.log_p_n - want_log) <= (
         DOMAIN_BOUND * sys.float_info.epsilon * max(cond, abs(want_log))), (
         "ln p_n", seed)
 
 
-def test_log_chain_noise_sums_many_large_terms_exactly():
+def test_log_p_n_sums_many_large_terms_exactly():
     # `qrelay optimize --distance-km 0 --n-relays 811 --eta
     # 4.9162761621739796e-256 --pd 0.02441167864678435` printed ln p_n =
     # -2448.804500057071 while K was summed left to right: 812 terms near
@@ -287,7 +287,7 @@ def test_log_chain_noise_sums_many_large_terms_exactly():
         ctx.prec = 40
         want = float(n * Decimal(eta).ln()
                      + decimal_noise_excess(cfg, (0.0,) * n).ln())
-    got = log_chain_noise(cfg)
+    got = run_chain(cfg).log_p_n
     assert abs(got - want) <= sys.float_info.epsilon * n * -math.log(eta), (
         got, want)
 

@@ -10,10 +10,11 @@ Within chain, the Monte Carlo sampler does not call the exact model it
 checks, and within circuit a device run applies the cached Kraus operators
 without rerunning the Fock engine. The terms of the noise exponent are
 taken in one kernel, analytics._noise_kernel, the one place that scales
-below the normal range.
+below the normal range, and each chain a command reports is evaluated once.
 """
 
 import ast
+import math
 import os
 import re
 import subprocess
@@ -255,6 +256,61 @@ def test_sampler_is_independent_of_the_exact_model(monkeypatch):
     cfg = analytics.ChainConfig(distance_km=60.0, n_relays=3, p_dark=1e-3)
     got = chain.sample_chain(cfg, 10_000, seed=1)
     assert sum(got.state_counts.values()) == 10_000
+
+
+def test_optimize_and_sample_evaluate_each_chain_once(monkeypatch, capsys):
+    # a report's p_n and ln p_n come from one ReceiverReport per placement:
+    # optimize evaluates its two placements (the search returning the
+    # closed form here) and sample its one chain, each exactly once
+    from qrelay import chain, cli
+
+    run_chain, noise_terms = chain.run_chain, chain._noise_terms
+    runs, evaluations = [], []
+
+    def counted_run(*args, **kwargs):
+        runs.append(args)
+        return run_chain(*args, **kwargs)
+
+    def counted_terms(*args):
+        evaluations.append(args)
+        return noise_terms(*args)
+
+    monkeypatch.setattr(chain, "run_chain", counted_run)
+    monkeypatch.setattr(chain, "_noise_terms", counted_terms)
+    monkeypatch.setattr(chain, "search_positions", chain.optimal_positions)
+    for argv, want in (
+            (["optimize", "--distance-km", "300", "--n-relays", "3"], 2),
+            (["sample", "--alpha-x", "5", "--n-relays", "4", "--trials",
+              "1000000", "--seed", "1"], 1)):
+        runs.clear()
+        evaluations.clear()
+        assert cli.main(argv) == 0
+        assert len(runs) == len(evaluations) == want, argv
+    capsys.readouterr()
+
+
+def test_chain_curve_calls_terms_only_at_clamped_points(monkeypatch):
+    # an interior point is one term, taken by the kernel's term directly;
+    # only a clamped point sums a relay's term and the receiver's
+    from qrelay import analytics
+
+    kernel, calls = analytics._noise_kernel, []
+
+    def counting(p_dark, eta):
+        terms, *rest = kernel(p_dark, eta)
+
+        def counted(ys, n_relays=0):
+            calls.append(tuple(ys))
+            return terms(ys, n_relays)
+        return (counted, *rest)
+
+    monkeypatch.setattr(analytics, "_noise_kernel", counting)
+    grid = [0.0, 0.3, math.log(2.0), 0.7, 10.0, 800.0]
+    for n, want in ((4, [(0.0, 0.0), (0.0, 0.3), (0.0, math.log(2.0))]),
+                    (0, [])):
+        calls.clear()
+        analytics._chain_curve(grid, n, 0.5, 1e-5)
+        assert calls == want, n
 
 
 def test_qnd_measure_runs_no_fock_engine(monkeypatch):
