@@ -203,10 +203,9 @@ def _ldexp(x: float, i: int) -> float:
 def _noise_kernel(p_dark: float, eta: float):
     """(terms, term, e): the one evaluation of the noise exponent's terms.
 
-    term(y) gives the term ln(1 + c e^y) of K = ln(1 + p_n/p_s) for a
-    segment of attenuation length y as an exactly scaled pair (w, s), the
-    term w 2^-s; c = 2 p_dark, the receiver's, unless the relay's c is
-    given. It is log1p of c e^y, rounded once as c exp(y); that product
+    term(y, c=2 p_dark) gives the term ln(1 + c e^y) of K = ln(1 + p_n/p_s)
+    of a segment of attenuation length y as an exactly scaled pair (w, s),
+    the term w 2^-s: log1p of c e^y, rounded once as c exp(y); that product
     itself below 2^-53, with s = -e; softplus(ln c + y) past exp's range.
     terms(ys, n_relays=0) gives the terms of segments of attenuation
     lengths ys, and K, as one scaled pair (terms 2^s, K 2^s, s);
@@ -278,6 +277,19 @@ def _log_sinhc(z: float) -> float:
     return math.log1p(total)
 
 
+def _expm1_minus(x: float) -> float:
+    """expm1(x) - x to full relative precision: up to |x| = 1 the series
+    x^2/2! + x^3/3! + ..., terms falling at least 3-fold."""
+    if abs(x) > 1.0:
+        return math.expm1(x) - x
+    term, total, i = x * x / 2, 0.0, 2
+    while total + term != total:
+        total += term
+        i += 1
+        term *= x / i
+    return total
+
+
 def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
                  p_dark: float) -> list[tuple]:
     """(S_1, S, k, s, w) of the optimal chain at each alpha_x, its constants
@@ -286,8 +298,8 @@ def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     the normal range and with p_dark at _noise_kernel's exact scale 2^-e.
     S is exact, K = k 2^-s = ln(1 + 1/S) a scaled pair of _noise_kernel's;
     in the interior each segment's term is w 2^-s = log1p(u), u =
-    2 p_dark e^y, clamped w is None. Only the alpha_xs are checked; the
-    callers check (eta, p_dark, N).
+    2 p_dark e^y; clamped, w 2^-s is a relay's, log1p(2 p_dark/eta). Only
+    the alpha_xs are checked; the callers check (eta, p_dark, N).
     """
     _check_alpha_xs(alpha_xs)
     terms, term, e = _noise_kernel(p_dark, eta)
@@ -304,7 +316,7 @@ def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
                else math.exp(-(log_pd2 + y) - log_m))
         if n and alpha_x <= -log_eta:   # N relays of t = 1, then bare fiber
             (relay, last), _, s = terms((0.0, alpha_x), 1)
-            k, w = n * relay + last, None
+            k, w = n * relay + last, relay
         else:
             w, s = term(y)
             k = m * w
@@ -321,26 +333,38 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     K = (N+1) w, so with g(x) = ln(expm1(x)/x) = x/2 + _log_sinhc(x/2),
     ln r = g(w) - g(K) = -N w/2 (at the kernel's scale) + _log_sinhc(w/2) -
     _log_sinhc(K/2): rel_dev = |expm1(ln r)| keeps its digits however small
-    u is. Clamped, S_1 is another placement's curve: rel_dev is their
-    difference, from logs where S_1 overflows. Only the alpha_xs are
-    checked; the callers check (eta, p_dark, N).
+    u is. Clamped (alpha x <= ln(1/eta), N >= 1), S_1 is another
+    placement's: with d = alpha x + ln eta <= 0, c = 2 p_dark/eta and
+    L = log1p(c), r = (N+1) c e^(d/(N+1))/expm1(K) and ln r = -f(d) - D.
+    The placements' gap f(d) = ln(1 + expm1(d)/(N+1)) - d/(N+1) >= 0 is
+    h(d)/(N+1) - h(ln(1 + expm1(d)/(N+1))), h(x) = expm1(x) - x, so no
+    digit cancels at small d; the O(c) rest D = ln(expm1(K)/(c (N + e^d)))
+    >= 0 is log1p((N expm1(g(N L) - g(L)) + e^d expm1(N L))/(N + e^d)).
+    Past K = 700, ln r < -100: rel_dev is 1 in doubles. Only the alpha_xs
+    are checked; the callers check (eta, p_dark, N).
     """
-    m, n_log_eta = n_relays + 1, n_relays * math.log(eta)
+    m, log_eta = n_relays + 1, math.log(eta)
     points = []
     for alpha_x, (s_an, s_ex, k, s, w) in zip(
             alpha_xs, _chain_curve(alpha_xs, n_relays, eta, p_dark)):
         if k == 0.0:    # no noise: S = inf, and S_1 = inf or all but
             dev = 0.0
-        elif w is not None:
+        elif not n_relays or alpha_x > -log_eta:
             half = math.ldexp(w, -s) / 2
             dev = abs(math.expm1(math.ldexp(-n_relays * w / 2, -s)
                                  + _log_sinhc(half) - _log_sinhc(m * half)))
-        elif s_an == math.inf:
-            log_s_an = ((n_log_eta - alpha_x) / m - math.log(2.0 * p_dark)
-                        - math.log(m))
-            dev = abs(math.expm1(-_log_expm1(k, s) - log_s_an))
+        elif math.ldexp(k, -s) < _EXP_MAX:
+            d, big_l = alpha_x + log_eta, math.ldexp(w, -s)
+            n_l, e_d = n_relays * big_l, math.exp(d)
+            g_gap = ((n_relays - 1) * big_l / 2 + _log_sinhc(n_l / 2)
+                     - _log_sinhc(big_l / 2))
+            dev = abs(math.expm1(
+                _expm1_minus(math.log1p(math.expm1(d) / m))
+                - _expm1_minus(d) / m - math.log1p(
+                    (n_relays * math.expm1(g_gap) + e_d * math.expm1(n_l))
+                    / (n_relays + e_d))))
         else:
-            dev = abs(s_ex - s_an) / s_an if s_ex != s_an else 0.0
+            dev = 1.0
         points.append((s_an, s_ex, qber_from_snr(s_ex), dev))
     return points
 

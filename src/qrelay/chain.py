@@ -14,10 +14,9 @@ stays vetoed. On the live masses (sig, rnd, emp) one relay is
 
 The receiver counts the signal photon, a spurious photon, and a dark count
 (2 p_dark) in every live slot. run_chain evaluates this chain in closed
-form, keeping all orders of dark-count events, so its probabilities are
-exact for the model, not first-order expansions, and carries their logs,
-which stay finite where the probabilities underflow. Relay positions are
-an argument, the optimum where omitted.
+form, keeping all orders of dark-count events, so its probabilities and
+their logs are exact for the model, not first-order expansions. Relay
+positions are an argument, the optimum where omitted.
 sample_chain is the seeded Monte Carlo check: it draws how many of n slots
 land in each event, step by step, from the same rules, in O(N) draws
 whatever n is.
@@ -54,9 +53,8 @@ class ReceiverReport(NamedTuple):
     alpha x = 1, N = 1, eta = 0.01 and p_dark = 0.495, p_n = 1.354. snr is
     their ratio; q_b = p_n / (2 (p_n + p_s)), a ratio of counts, since
     random polarization errs half the time. A fully vetoed chain yields nan
-    for snr and q_b. log_p_s and log_p_n are ln p_s and ln p_n, finite
-    where p_s and p_n underflow to 0 on long chains; log_p_n is -inf
-    without dark counts.
+    for snr and q_b. log_p_s and log_p_n, their logs, stay finite where
+    p_s and p_n underflow to 0 (log_p_n is -inf without dark counts).
     """
 
     p_s: float
@@ -124,9 +122,8 @@ def run_chain(config: ChainConfig,
     where the difference no longer cancels and e^L may overflow. snr and
     q_b come from the noise exponent K, as snr_exact's do: finite where p_s
     and p_n underflow together on long chains, inf and 0 without dark
-    counts. So do the logs: ln p_s = N ln eta - sum_j y_j, the segments'
-    attenuation lengths y_j summed, and ln p_n = ln p_s + ln expm1(K), K
-    from its scaled pair, whose log keeps its digits below the normal range.
+    counts. So do ln p_s = N ln eta - sum_j y_j, y_j = alpha dx_j, and
+    ln p_n = ln p_s + ln expm1(K), K's log kept below the normal range.
     """
     ys, terms, k, s = _noise_terms(config, positions_km)
     *relay_ts, t_last = [math.exp(-y) for y in ys]

@@ -267,16 +267,15 @@ def cmd_optimize(params: dict) -> int:
     if n < 1:
         raise ValueError("optimize needs n_relays >= 1")
     config = _chain(params, n)._replace(distance_km=params["distance_km"])
-    x, atten = config.distance_km, config.atten_per_km
-    eta, pd = config.eta, config.p_dark
+    x = config.distance_km
     analytic = optimal_positions(config)
     numeric = search_positions(config)
     at_analytic = run_chain(config, analytic)
     at_numeric = run_chain(config, numeric)
     tol = 1e-6 * max(1.0, x)
     agree = all(abs(a - b) <= tol for a, b in zip(analytic, numeric))
-    print(f"chain: x = {x} km, alpha = {atten} /km, N = {n}, "
-          f"eta = {eta}, p_dark = {pd}")
+    print(f"chain: x = {x} km, alpha = {config.atten_per_km} /km, N = {n}, "
+          f"eta = {config.eta}, p_dark = {config.p_dark}")
     for label, pos in (("analytic", analytic), ("numeric ", numeric)):
         print(f"{label} positions_km: " + " ".join(f"{p:.6f}" for p in pos))
     # in logs, which stay apart where p_n underflows to 0 on long chains

@@ -14,6 +14,7 @@ written report back.
 import itertools
 import json
 import math
+import sys
 from decimal import Decimal, localcontext
 from pathlib import Path
 from typing import NamedTuple
@@ -254,6 +255,27 @@ def decimal_rel_dev_reference(alpha_x, n_relays, eta, p_dark, digits=60):
     with localcontext() as ctx:
         ctx.prec = digits
         return +dev
+
+
+def clamped_rel_dev_allowance(alpha_x, n_relays, eta, p_dark, bound):
+    """(want, allowed): decimal_rel_dev_reference on the clamped branch
+    (alpha x <= ln(1/eta)) and the error allowed a float evaluation of it.
+
+    A float d = alpha x + ln eta carries an absolute error of up to
+    |ln eta| epsilons from the rounding of ln eta, which moves rel_dev by
+    what no evaluation from that d can take back: near the clamp edge,
+    where rel_dev is about N d^2/(2 (N+1)^2), a relative 2 |ln eta|/|d|
+    epsilons. allowed is bound epsilons of want, plus how far the reference
+    moves when alpha x moves by bound such errors, plus one step of the
+    subnormal grid.
+    """
+    want = decimal_rel_dev_reference(alpha_x, n_relays, eta, p_dark)
+    step = bound * sys.float_info.epsilon * -math.log(eta)
+    moved = decimal_rel_dev_reference(
+        alpha_x - step if alpha_x >= step else alpha_x + step, n_relays, eta,
+        p_dark)
+    return want, (Decimal(bound * sys.float_info.epsilon) * want
+                  + abs(moved - want) + Decimal(math.ulp(0.0)))
 
 
 def decimal_noise_ratio(config, positions_km, digits=60):

@@ -21,8 +21,9 @@ from qrelay.chain import run_chain
 from qrelay.reports import (CurveReport, render_csv, render_json,
                             render_payload)
 
-from oracles import (column, decimal_noise_ratio, decimal_rel_dev_reference,
-                     decimal_snr_reference, read_report)
+from oracles import (clamped_rel_dev_allowance, column, decimal_noise_ratio,
+                     decimal_rel_dev_reference, decimal_snr_reference,
+                     read_report)
 
 DATA = Path(__file__).parent / "data"
 
@@ -844,10 +845,9 @@ def test_snr_rel_dev_where_k_is_subnormal(p_dark, tmp_path):
     # K below the normal range kept few digits on the subnormal grid, and
     # rel_dev read its log: 1.55e-6, 5.3e-4 and 2.7e-3 at alpha_x = 10 and
     # p_dark = 5e-324, and 4.5e-11 at N = 0 and 1e-318, where S = S_1. The
-    # grid holds clamped points (alpha_x < ln 2) and interior ones. In the
-    # interior rel_dev is held relative to its true value; clamped it is a
-    # difference of logs near 745, where S_1 overflows, held to 8 of their
-    # ulps
+    # grid holds clamped points (alpha_x < ln 2) and interior ones, and
+    # rel_dev is held relative to its true value on both, within the same
+    # REL_DEV_BOUND epsilons (clamped, see oracles.clamped_rel_dev_allowance)
     out = tmp_path / "snr.json"
     assert run_cli(["snr", "--pd", repr(p_dark), "--n-relays", "0,1,4",
                     "--alpha-x-min", "0", "--alpha-x-max", "10", "--steps",
@@ -858,15 +858,15 @@ def test_snr_rel_dev_where_k_is_subnormal(p_dark, tmp_path):
                 column(rep, "alpha_x"), column(rep, f"s_analytic_n{n}"),
                 column(rep, f"s_exact_n{n}"), column(rep, f"rel_dev_n{n}")):
             want_s = decimal_snr_reference(ax, n, 0.5, p_dark)
-            want_dev = decimal_rel_dev_reference(ax, n, 0.5, p_dark)
             assert s == float(want_s) == s_1 == math.inf, (n, ax)
             if n and ax <= math.log(2.0):
-                assert abs(Decimal(dev) - want_dev) \
-                    <= Decimal(8 * math.ulp(745.0)), (n, ax)
+                want_dev, allowed = clamped_rel_dev_allowance(
+                    ax, n, 0.5, p_dark, REL_DEV_BOUND)
+                assert abs(Decimal(dev) - want_dev) <= allowed, (n, ax)
             else:
-                assert_rel_dev_close(dev, want_dev,
-                                     (ax + n * math.log(2.0)) / (n + 1),
-                                     (n, ax))
+                assert_rel_dev_close(
+                    dev, decimal_rel_dev_reference(ax, n, 0.5, p_dark),
+                    (ax + n * math.log(2.0)) / (n + 1), (n, ax))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
