@@ -131,6 +131,15 @@ def _cases() -> list[list[str]]:
         # to ten digits
         ["snr", "--n-relays", "673", "--eta", "0.7595298071364913", "--pd",
          "4.8639012522493653e-20", "--alpha-x", "0.27450416626345975"],
+        # the throughput cutoff on each branch of its inverse: clamped
+        # (N = 2 at p_dark = 0.02, N = 1 at 0.035), interior, 0, and long
+        # chains far past alpha x = 200
+        ["throughput", "--pd", "0.02", "--n-relays", "0,1,2,4", "--steps",
+         "5", "--alpha-x-max", "3"],
+        ["throughput", "--pd", "0.035", "--n-relays", "1,2", "--steps", "5",
+         "--alpha-x-max", "1"],
+        ["throughput", "--n-relays", "64,1000", "--steps", "5",
+         "--alpha-x-max", "2000"],
     ]
     return cases
 
