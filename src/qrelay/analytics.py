@@ -134,7 +134,7 @@ def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> fl
     """
     check_n_relays(n_relays)
     check_relay(eta, p_dark)
-    return _chain_curve((alpha_x,), n_relays, eta, p_dark)[0][0]
+    return _snr_curve((alpha_x,), n_relays, eta, p_dark)[0][0]
 
 
 def noise_single_relay(x1_km: float, x2_km: float, config: ChainConfig) -> float:
@@ -292,36 +292,50 @@ def _expm1_minus(x: float) -> float:
 
 def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
                  p_dark: float) -> list[tuple]:
-    """(S_1, S, k, s, w) of the optimal chain at each alpha_x, its constants
-    taken once per curve. S_1 = e^-y/(2 p_dark (N+1)) is the first-order
-    SNR, y = (alpha x - N ln eta)/(N+1), from logs where e^-y/(N+1) leaves
-    the normal range and with p_dark at _noise_kernel's exact scale 2^-e.
-    S is exact, K = k 2^-s = ln(1 + 1/S) a scaled pair of _noise_kernel's;
-    in the interior each segment's term is w 2^-s = log1p(u), u =
-    2 p_dark e^y; clamped, w 2^-s is a relay's, log1p(2 p_dark/eta). Only
-    the alpha_xs are checked; the callers check (eta, p_dark, N).
-    """
+    """(S, k, s, w) of the exact optimal chain at each alpha_x, its
+    constants taken once per curve. K = k 2^-s = ln(1 + 1/S) is a scaled
+    pair of _noise_kernel's; in the interior each segment's term is
+    w 2^-s = log1p(u), u = 2 p_dark e^y, y = (alpha x - N ln eta)/(N+1);
+    clamped, w 2^-s is a relay's, log1p(2 p_dark/eta). Only the alpha_xs
+    are checked; the callers check (eta, p_dark, N)."""
     _check_alpha_xs(alpha_xs)
-    terms, term, e = _noise_kernel(p_dark, eta)
+    terms, term, _ = _noise_kernel(p_dark, eta)
     n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
-    n_log_eta, log_m, gain = n * log_eta, math.log(m), eta ** (n / m)
-    # no dark counts: s_0 = inf and ln(2 p_dark) = -inf, so S_1 = inf
-    s_0, log_pd2 = ((0.5 / math.ldexp(p_dark, -e), math.log(2.0 * p_dark))
-                    if p_dark else (math.inf, -math.inf))
     out = []
     for alpha_x in alpha_xs:
-        y = (alpha_x - n_log_eta) / m
-        s_1 = (_ldexp(s_0 * (gain * math.exp(-alpha_x / m) / m), -e)
-               if y + log_m < _EXP_NORMAL
-               else math.exp(-(log_pd2 + y) - log_m))
         if n and alpha_x <= -log_eta:   # N relays of t = 1, then bare fiber
             (relay, last), _, s = terms((0.0, alpha_x), 1)
             k, w = n * relay + last, relay
         else:
-            w, s = term(y)
+            w, s = term((alpha_x - n * log_eta) / m)
             k = m * w
-        out.append((s_1, _snr_from_k(k, s), k, s, w))
+        out.append((_snr_from_k(k, s), k, s, w))
     return out
+
+
+def _alpha_x_at_snr(s_target: float, n_relays: int, eta: float,
+                    p_dark: float) -> float:
+    """alpha x at which the optimal chain's S falls to s_target > 0, its one
+    crossing (S falls strictly): _chain_curve inverted at K* =
+    log1p(1/s_target), K(0) and a relay's term L its own at alpha x = 0.
+    Interior: u* = expm1(K*/(N+1)) = 2 p_dark e^((alpha x - N ln eta)/
+    (N+1)); clamped: N L + log1p(2 p_dark e^(alpha x)) = K*. 0 where
+    S(0) <= s_target, math.inf without dark counts; the callers check
+    (eta, p_dark, N)."""
+    if p_dark == 0.0:
+        return math.inf
+    n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
+    k_star = math.log1p(1.0 / s_target)
+    (_, k_0, s, relay), = _chain_curve((0.0,), n, eta, p_dark)
+    if math.ldexp(k_0, -s) >= k_star:
+        return 0.0
+    log_pd2 = math.log(2.0 * p_dark)
+    alpha_x = m * (math.log(math.expm1(k_star / m)) - log_pd2) + n * log_eta
+    if n and alpha_x <= -log_eta:
+        # K* > K(0) = N L + log1p(2 p_dark), so the log is of > 2 p_dark
+        relays = n * math.ldexp(relay, -s)
+        alpha_x = math.log(math.expm1(k_star - relays)) - log_pd2
+    return alpha_x
 
 
 def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
@@ -329,13 +343,16 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     """(S_1, S, q_b, rel_dev) of the optimal chain at each alpha_x: the
     first-order and exact SNR, the QBER at S and rel_dev = |S/S_1 - 1|.
 
-    In the interior S/S_1 = r = (N+1) u/expm1(K), with w = log1p(u) and
-    K = (N+1) w, so with g(x) = ln(expm1(x)/x) = x/2 + _log_sinhc(x/2),
-    ln r = g(w) - g(K) = -N w/2 (at the kernel's scale) + _log_sinhc(w/2) -
-    _log_sinhc(K/2): rel_dev = |expm1(ln r)| keeps its digits however small
-    u is. Clamped (alpha x <= ln(1/eta), N >= 1), S_1 is another
-    placement's: with d = alpha x + ln eta <= 0, c = 2 p_dark/eta and
-    L = log1p(c), r = (N+1) c e^(d/(N+1))/expm1(K) and ln r = -f(d) - D.
+    S_1 = e^-y/(2 p_dark (N+1)) is written here alone, from logs where
+    e^-y/(N+1) leaves the normal range and with p_dark at _noise_kernel's
+    scale 2^-e; S, k, s and w are _chain_curve's. In the interior S/S_1 =
+    r = (N+1) u/expm1(K), with w = log1p(u) and K = (N+1) w, so with
+    g(x) = ln(expm1(x)/x) = x/2 + _log_sinhc(x/2), ln r = g(w) - g(K) =
+    -N w/2 (at the kernel's scale) + _log_sinhc(w/2) - _log_sinhc(K/2):
+    rel_dev = |expm1(ln r)| keeps its digits however small u is. Clamped
+    (alpha x <= ln(1/eta), N >= 1), S_1 is another placement's: with
+    d = alpha x + ln eta <= 0, c = 2 p_dark/eta and L = log1p(c),
+    r = (N+1) c e^(d/(N+1))/expm1(K) and ln r = -f(d) - D.
     The placements' gap f(d) = ln(1 + expm1(d)/(N+1)) - d/(N+1) >= 0 is
     h(d)/(N+1) - h(ln(1 + expm1(d)/(N+1))), h(x) = expm1(x) - x, so no
     digit cancels at small d; the O(c) rest D = ln(expm1(K)/(c (N + e^d)))
@@ -343,26 +360,35 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     Past K = 700, ln r < -100: rel_dev is 1 in doubles. Only the alpha_xs
     are checked; the callers check (eta, p_dark, N).
     """
-    m, log_eta = n_relays + 1, math.log(eta)
+    e = _noise_kernel(p_dark, eta)[2]
+    n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
+    n_log_eta, log_m, gain = n * log_eta, math.log(m), eta ** (n / m)
+    # no dark counts: s_0 = inf and ln(2 p_dark) = -inf, so S_1 = inf
+    s_0, log_pd2 = ((0.5 / math.ldexp(p_dark, -e), math.log(2.0 * p_dark))
+                    if p_dark else (math.inf, -math.inf))
     points = []
-    for alpha_x, (s_an, s_ex, k, s, w) in zip(
+    for alpha_x, (s_ex, k, s, w) in zip(
             alpha_xs, _chain_curve(alpha_xs, n_relays, eta, p_dark)):
+        y = (alpha_x - n_log_eta) / m
+        s_an = (math.exp(-(log_pd2 + y) - log_m) if y + log_m >= _EXP_NORMAL
+                else s_0 * (gain * math.exp(-alpha_x / m) / m) if not e
+                else _ldexp(s_0 * (gain * math.exp(-alpha_x / m) / m), -e))
         if k == 0.0:    # no noise: S = inf, and S_1 = inf or all but
             dev = 0.0
-        elif not n_relays or alpha_x > -log_eta:
+        elif not n or alpha_x > -log_eta:
             half = math.ldexp(w, -s) / 2
-            dev = abs(math.expm1(math.ldexp(-n_relays * w / 2, -s)
+            dev = abs(math.expm1(math.ldexp(-n * w / 2, -s)
                                  + _log_sinhc(half) - _log_sinhc(m * half)))
         elif math.ldexp(k, -s) < _EXP_MAX:
             d, big_l = alpha_x + log_eta, math.ldexp(w, -s)
-            n_l, e_d = n_relays * big_l, math.exp(d)
-            g_gap = ((n_relays - 1) * big_l / 2 + _log_sinhc(n_l / 2)
+            n_l, e_d = n * big_l, math.exp(d)
+            g_gap = ((n - 1) * big_l / 2 + _log_sinhc(n_l / 2)
                      - _log_sinhc(big_l / 2))
             dev = abs(math.expm1(
                 _expm1_minus(math.log1p(math.expm1(d) / m))
                 - _expm1_minus(d) / m - math.log1p(
-                    (n_relays * math.expm1(g_gap) + e_d * math.expm1(n_l))
-                    / (n_relays + e_d))))
+                    (n * math.expm1(g_gap) + e_d * math.expm1(n_l))
+                    / (n + e_d))))
         else:
             dev = 1.0
         points.append((s_an, s_ex, qber_from_snr(s_ex), dev))
@@ -374,7 +400,7 @@ def snr_exact(alpha_x: float, n_relays: int, eta: float,
     """Exact (all-orders) SNR at the optimal placement; inf if p_dark = 0."""
     check_n_relays(n_relays)
     check_relay(eta, p_dark)
-    return _chain_curve((alpha_x,), n_relays, eta, p_dark)[0][1]
+    return _chain_curve((alpha_x,), n_relays, eta, p_dark)[0][0]
 
 
 def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,

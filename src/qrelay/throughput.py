@@ -7,8 +7,8 @@ parameter. Normalized throughput multiplies nothing in: it is the
 key fraction evaluated at the chain's exact bit error rate, i.e. key bits per
 gated-and-detected slot. An alternative normalization per transmitted slot
 folds in the relay gating passes (a factor eta per relay); both are reported.
-The chain's SNR is the binomial closed form of analytics, and the cutoff
-range where the key fraction reaches zero is that form inverted.
+The chain's SNR is the exact curve of analytics' closed form, and the
+cutoff range where the key fraction reaches zero is analytics' inverse of it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import math
 from collections import namedtuple
 from typing import NamedTuple, Optional, Sequence
 
-from .analytics import ChainConfig, _chain_curve, _noise_kernel, qber_from_snr
+from .analytics import (ChainConfig, _alpha_x_at_snr, _chain_curve,
+                        qber_from_snr)
 
 # the one key-fraction formula here (_tau), as the throughput report names it
 MODEL = "single-photon-bb84"
@@ -92,8 +93,7 @@ def key_fraction_cutoff(params: Optional[EcPaParams] = None) -> float:
 
 def snr_cutoff(params: Optional[EcPaParams] = None) -> float:
     """Minimum SNR for a nonzero key fraction: S* = 1/(2 e*) - 1."""
-    e_star = key_fraction_cutoff(params)
-    return 0.5 / e_star - 1.0
+    return 0.5 / key_fraction_cutoff(params) - 1.0
 
 
 class ThroughputPoint(NamedTuple):
@@ -116,13 +116,13 @@ def throughput_curve(config: ChainConfig, alpha_x_values: Sequence[float],
     """Exact-chain throughput at each attenuation length in the grid.
 
     Each grid point is the chain config.at_alpha_x gives, optimally placed,
-    at snr_exact's SNR and its QBER, which is in [0, 1/2], the domain
-    key_fraction checks.
+    at its exact SNR (analytics' exact curve, with no first-order SNR) and
+    its QBER, which is in [0, 1/2], the domain key_fraction checks.
     """
     params = params or EcPaParams()
     scale = config.eta ** config.n_relays
     points = []
-    for alpha_x, (_, s, *_) in zip(alpha_x_values, _chain_curve(
+    for alpha_x, (s, *_) in zip(alpha_x_values, _chain_curve(
             alpha_x_values, config.n_relays, config.eta, config.p_dark)):
         q_b = qber_from_snr(s)
         t_n = max(_tau(q_b, params), 0.0)
@@ -132,28 +132,8 @@ def throughput_curve(config: ChainConfig, alpha_x_values: Sequence[float],
 
 def cutoff_alpha_x(config: ChainConfig,
                    params: Optional[EcPaParams] = None) -> float:
-    """Attenuation length at which the chain's key fraction reaches zero.
-
-    snr_exact's binomial inverted at K* = log1p(1/S*), S* the cutoff SNR: in
-    the interior u* = expm1(K*/(N+1)) is 2 p_dark e^((alpha x - N ln eta)/
-    (N+1)), as _chain_curve writes u; clamped, (1+c)^N (1 + 2 p_dark
-    e^(alpha x)) = e^(K*) with c = 2 p_dark/eta. The SNR falls strictly with
-    alpha x, so this is its one crossing of S*; 0 when S(0) <= S*, math.inf
-    without dark counts (S = inf).
-    """
-    if config.p_dark == 0.0:
-        return math.inf
-    n, eta, pd2 = config.n_relays, config.eta, 2.0 * config.p_dark
-    k_star = math.log1p(1.0 / snr_cutoff(params))
-    # K(0): N relays at t = 1, then a receiver at t = 1
-    (relay, last), _, s = _noise_kernel(config.p_dark, eta)[0]((0.0, 0.0), 1)
-    relays = n * math.ldexp(relay, -s)
-    if relays + math.ldexp(last, -s) >= k_star:
-        return 0.0
-    log_pd2, log_eta = math.log(pd2), math.log(eta)
-    alpha_x = ((n + 1) * (math.log(math.expm1(k_star / (n + 1))) - log_pd2)
-               + n * log_eta)
-    if n and alpha_x <= -log_eta:
-        # K* > K(0) = N log1p(c) + log1p(2 p_dark), so the log is of > 2 p_dark
-        alpha_x = math.log(math.expm1(k_star - relays)) - log_pd2
-    return alpha_x
+    """Attenuation length at which the chain's key fraction reaches zero:
+    analytics' inverse of the optimal chain's SNR at the cutoff SNR S*, 0
+    when S(0) <= S*, math.inf without dark counts (S = inf)."""
+    return _alpha_x_at_snr(snr_cutoff(params), config.n_relays, config.eta,
+                           config.p_dark)

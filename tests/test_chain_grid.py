@@ -26,14 +26,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qrelay import cli
-from qrelay.analytics import (ChainConfig, _snr_curve, qber_from_snr,
-                              snr_exact, snr_n_relays)
+from qrelay.analytics import (ChainConfig, _alpha_x_at_snr, _snr_curve,
+                              qber_from_snr, snr_exact, snr_n_relays)
 from qrelay.chain import run_chain
 
 from oracles import (clamped_rel_dev_allowance, decimal_first_order_snr,
                      decimal_noise_excess, decimal_rel_dev_reference,
-                     decimal_snr_reference, markov_chain_reference,
-                     read_report)
+                     decimal_snr_reference, inverse_conditioning,
+                     markov_chain_reference, read_report)
 
 DATA = Path(__file__).parent / "data"
 
@@ -274,6 +274,56 @@ def test_clamped_rel_dev_is_held_relative_to_its_size(frac, n, eta, p_dark):
     ax = frac * -math.log(eta)
     (_, _, _, dev), = _snr_curve([ax], n, eta, p_dark)
     assert_clamped_close(dev, n, eta, p_dark, ax)
+
+
+# The inverse at a target SNR within INVERSE_BOUND machine epsilons of its
+# conditioning (oracles.inverse_conditioning): 8 is four times the largest
+# ratio, 2.0, measured over 1,974 random targets (N <= 1000, eta down to
+# 1e-300, p_dark down to 5e-324; half drawn from 1e-3 to 1e8, half the SNR
+# of a point on the clamped branch or just past its edge)
+INVERSE_BOUND = 8
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(s=_log_uniform(1e-3, 1e8), frac=st.floats(0.0, 1.0),
+       n=_DOMAIN["n"], eta=_DOMAIN["eta"], p_dark=_DOMAIN["p_dark"])
+# the throughput cutoff on its clamped branch (N = 2, p_dark = 0.02) and
+# at N = 1000
+@example(s=3.9137537009903323, frac=0.0, n=2, eta=0.5, p_dark=0.02)
+@example(s=3.9137537009903323, frac=0.5, n=1000, eta=0.5, p_dark=1e-5)
+@example(s=1e8, frac=1.0, n=1000, eta=1e-300, p_dark=5e-324)
+def test_alpha_x_at_snr_brackets_the_target(s, frac, n, eta, p_dark):
+    # at a drawn SNR and at the SNR of the point alpha x = frac ln(1/eta),
+    # on the clamped branch where N >= 1: at alpha x -/+ the allowance the
+    # decimal S brackets the target, and where the bracket reaches 0 (or
+    # the inverse returns 0) K(0) is K* within as many epsilons
+    assume(eta + 2.0 * p_dark <= 1.0)
+    if p_dark == 0.0:
+        assert _alpha_x_at_snr(s, n, eta, p_dark) == math.inf
+        return
+    clamped = float(decimal_snr_reference(frac * -math.log(eta), n, eta,
+                                          p_dark))
+    tol = Decimal(INVERSE_BOUND * sys.float_info.epsilon)
+    for target in (s, clamped):
+        if not 0.0 < target < math.inf:
+            continue
+        ax = _alpha_x_at_snr(target, n, eta, p_dark)
+        where = (target, n, eta, p_dark, ax)
+        step = INVERSE_BOUND * sys.float_info.epsilon * inverse_conditioning(
+            ax, target, n, eta, p_dark)
+        want = Decimal(target)
+        # no range in this domain reaches 1e6; a wider bracket says nothing
+        if ax + step < 1e6:
+            assert decimal_snr_reference(ax + step, n, eta, p_dark) <= want, \
+                where
+        if ax - step > 0.0:
+            assert decimal_snr_reference(ax - step, n, eta, p_dark) >= want, \
+                where
+        else:
+            k_0 = (1 + 1 / decimal_snr_reference(0.0, n, eta, p_dark)).ln()
+            k_star = (1 + 1 / want).ln()
+            assert (k_0 >= k_star * (1 - tol) if ax == 0.0
+                    else k_0 <= k_star * (1 + tol)), where
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -10,7 +10,8 @@ Within chain, the Monte Carlo sampler does not call the exact model it
 checks, and within circuit a device run applies the cached Kraus operators
 without rerunning the Fock engine. The terms of the noise exponent are
 taken in one kernel, analytics._noise_kernel, the one place that scales
-below the normal range, and each chain a command reports is evaluated once.
+below the normal range; only analytics and chain read it, and each chain a
+command reports is evaluated once.
 """
 
 import ast
@@ -311,6 +312,34 @@ def test_chain_curve_calls_terms_only_at_clamped_points(monkeypatch):
         calls.clear()
         analytics._chain_curve(grid, n, 0.5, 1e-5)
         assert calls == want, n
+
+
+def test_only_analytics_and_chain_name_the_noise_kernel():
+    # the optimal chain's closed form, forward and inverse, lives in
+    # analytics; chain reads the kernel for any positions, and every other
+    # layer goes through analytics' curves and their inverse
+    assert [m for m in MODULES if "_noise_kernel" in names_read(m)] == [
+        "analytics", "chain"]
+
+
+def test_throughput_curve_scales_nothing_at_a_normal_p_dark(monkeypatch):
+    # S_1 is written by _snr_curve alone: a throughput sweep at a normal
+    # p_dark, interior and clamped points alike, makes no scaling call
+    from qrelay import analytics, throughput
+
+    ldexp, calls = analytics._ldexp, []
+
+    def counted(*args):
+        calls.append(args)
+        return ldexp(*args)
+
+    monkeypatch.setattr(analytics, "_ldexp", counted)
+    grid = [0.0, 0.3, math.log(2.0), 10.0, 800.0, 1e4]
+    for n in (0, 1, 4, 64):
+        points = throughput.throughput_curve(
+            analytics.ChainConfig(1.0, n_relays=n), grid)
+        assert len(points) == len(grid)
+    assert calls == []
 
 
 def test_qnd_measure_runs_no_fock_engine(monkeypatch):
