@@ -122,7 +122,7 @@ def run_chain(config: ChainConfig,
     where the difference no longer cancels and e^L may overflow. snr and
     q_b come from the noise exponent K, as snr_exact's do: finite where p_s
     and p_n underflow together on long chains, inf and 0 without dark
-    counts. So do ln p_s = N ln eta - sum_j y_j, y_j = alpha dx_j, and
+    counts. So do ln p_s = N ln eta - alpha x, whatever the positions, and
     ln p_n = ln p_s + ln expm1(K), K's log kept below the normal range.
     """
     ys, terms, k, s = _noise_terms(config, positions_km)
@@ -134,7 +134,7 @@ def run_chain(config: ChainConfig,
     spurious = s_n * math.expm1(big_l) if big_l < 1.0 else alive - s_n
     p_s, p_n = s_n * t_last, t_last * spurious + pd2 * alive
     snr = _snr_from_k(k, s)
-    log_p_s = config.n_relays * math.log(eta) - sum(ys)
+    log_p_s = config.n_relays * math.log(eta) - config.alpha_x
     return ReceiverReport(p_s, p_n, snr, qber_from_snr(snr), log_p_s,
                           log_p_s + _log_expm1(k, s))
 

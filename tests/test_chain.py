@@ -477,6 +477,23 @@ def test_log_p_n_at_a_subnormal_p_dark(cfg, positions):
                                                               rel=1e-15)
 
 
+def test_log_p_s_rounds_alpha_x_once():
+    # p_s = eta^N e^(-alpha x) does not depend on the relay positions, so
+    # ln p_s = N ln eta - alpha x rounds ln eta, its product with N, alpha x
+    # and the difference once each: within 2 ulps of the value. Summed from
+    # the N + 1 rounded segment exponents it was 118 ulps off at this chain
+    cfg = ChainConfig(16388.613538359885, 0.05, 989, 0.9600183510983514, 1e-5)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        want = (cfg.n_relays * Decimal(cfg.eta).ln()
+                - Decimal(cfg.atten_per_km) * Decimal(cfg.distance_km))
+    spread = tuple(cfg.distance_km * i / 990 for i in range(1, 990))
+    for positions in (None, spread, (0.0,) * 989):
+        got = run_chain(cfg, positions).log_p_s
+        assert abs(Decimal(got) - want) <= 2 * Decimal(math.ulp(got)), (
+            positions is None, got, float(want))
+
+
 def test_sample_chain_stderr_definitions():
     cfg = ChainConfig(distance_km=20.0, p_dark=1e-3)
     got = sample_chain(cfg, 100_000, seed=55)
