@@ -273,9 +273,12 @@ def multiphoton_gate_probability(n_input: int, alpha=1.0, beta=0.0) -> float:
     Any input with two or more photons is rejected outright: with the Bell
     photon parked in mode 1, n + 1 >= 3 photons reach the two detector
     packages and can never satisfy the joint one-and-only-one condition.
+    n_input must be a non-negative integer (ValueError otherwise).
     """
-    if n_input < 0:
-        raise ValueError("photon number must be nonnegative")
+    if (isinstance(n_input, bool) or not isinstance(n_input, int)
+            or n_input < 0):
+        raise ValueError(f"n_input must be a non-negative integer, "
+                         f"got {n_input!r}")
     basis = encoder_basis()
     if n_input == 0:
         st = vacuum(basis)

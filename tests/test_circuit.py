@@ -302,8 +302,11 @@ def test_multiphoton_gate_probabilities():
     # photon number is conserved, so any pulse fits the one basis
     for n in range(2, 9):
         assert multiphoton_gate_probability(n) == 0.0
-    with pytest.raises(ValueError):
-        multiphoton_gate_probability(-1)
+    # a count is a non-negative int, as every count in the package: a bool
+    # is not one photon, and a float or a string is refused by name
+    for bad in (-1, True, False, 1.0, 1.5, "2", None):
+        with pytest.raises(ValueError, match="n_input"):
+            multiphoton_gate_probability(bad)
 
 
 def test_measured_relay_efficiency():
