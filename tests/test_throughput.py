@@ -75,6 +75,17 @@ def test_key_fraction_cutoff():
     assert key_fraction_cutoff(EcPaParams(f_ec=1.0)) > e_star
 
 
+@pytest.mark.parametrize("f_ec", [1.0, 1.16, 1.5])
+def test_key_fraction_cutoff_is_bisected_to_adjacent_doubles(f_ec):
+    # e* is the last double at which the unclamped key fraction is
+    # positive: the next one up is not. At f_ec = 1.16 the bisection to
+    # 1e-12 stopped at 0.10175520191401302, 1.4e-12 past the sign change
+    params = EcPaParams(f_ec=f_ec)
+    e_star = key_fraction_cutoff(params)
+    assert _tau(e_star, params) > 0.0 >= _tau(math.nextafter(e_star, 1.0),
+                                              params)
+
+
 def test_snr_cutoff():
     s_star = snr_cutoff()
     assert s_star == pytest.approx(3.9137537009903323, rel=1e-6)
