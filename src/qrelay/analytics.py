@@ -316,20 +316,18 @@ def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
 def _alpha_x_at_snr(s_target: float, n_relays: int, eta: float,
                     p_dark: float) -> float:
     """alpha x at which the optimal chain's S falls to s_target > 0, its one
-    crossing (S falls strictly): _chain_curve inverted at K* =
-    log1p(1/s_target), K(0) and a relay's term L its own at alpha x = 0.
-    Interior: u* = expm1(K*/(N+1)) = 2 p_dark e^((alpha x - N ln eta)/
-    (N+1)); clamped: N L + log1p(2 p_dark e^(alpha x)) = K*. 0 where
-    S(0) <= s_target, math.inf without dark counts; the callers check
-    (eta, p_dark, N)."""
-    if p_dark == 0.0:
-        return math.inf
+    crossing: _chain_curve inverted at K* = log1p(1/s_target), reading K(0)
+    and a relay's term L off it. Interior: u* = expm1(K*/(N+1)) = 2 p_dark
+    e^((alpha x - N ln eta)/(N+1)); clamped: N L + log1p(2 p_dark
+    e^(alpha x)) = K*. 0 where S(0) <= s_target, math.inf without dark
+    counts; the callers check (eta, p_dark, N)."""
     n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
     k_star = math.log1p(1.0 / s_target)
     (_, k_0, s, relay), = _chain_curve((0.0,), n, eta, p_dark)
     if math.ldexp(k_0, -s) >= k_star:
         return 0.0
-    log_pd2 = math.log(2.0 * p_dark)
+    # no dark counts: K(0) = 0 and ln(2 p_dark) = -inf, so alpha x = inf
+    log_pd2 = math.log(2.0 * p_dark) if p_dark else -math.inf
     alpha_x = m * (math.log(math.expm1(k_star / m)) - log_pd2) + n * log_eta
     if n and alpha_x <= -log_eta:
         # K* > K(0) = N L + log1p(2 p_dark), so the log is of > 2 p_dark
