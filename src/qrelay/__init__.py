@@ -12,10 +12,10 @@ The package layers are, bottom up:
   measured_relay_efficiency.
 - analytics: the chain configuration (five fields; relay positions are an
   argument of the chain functions, not a field), its one (eta, p_dark)
-  validator,
-  first-order SNR/QBER expressions, the exact chain's closed form, one
-  binomial at the optimal placement (snr_exact), the relay placement, which
-  is exactly optimal, range enhancement, raw rates.
+  validator, first-order SNR/QBER expressions, the exact chain's closed
+  form, one binomial at the optimal placement (snr_exact), and its inverse
+  at a target SNR, the relay placement, which is exactly optimal, range
+  enhancement, raw rates.
 - chain: the exact receiver statistics at any positions through the closed
   form, in one record that also carries ln p_s and ln p_n, a numeric
   placement search, and a seeded Monte Carlo cross-check that draws the
@@ -23,7 +23,7 @@ The package layers are, bottom up:
   probability eta and false-gates every live slot with probability
   2 p_dark, launching a spurious photon; the rest is vetoed.
 - throughput: the single-photon BB84 key fraction, whose one parameter is
-  f_ec, and throughput sweeps; the cutoff range inverts the binomial.
+  f_ec, and throughput sweeps; the cutoff range is analytics' inverse.
 - reports: deterministic CSV/JSON tables, rendered as text; nothing reads
   them back.
 - cli: the `qrelay` command.
