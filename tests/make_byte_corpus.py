@@ -140,6 +140,19 @@ def _cases() -> list[list[str]]:
          "--alpha-x-max", "1"],
         ["throughput", "--n-relays", "64,1000", "--steps", "5",
          "--alpha-x-max", "2000"],
+        # a key-fraction root below e = 1e-12, at f_ec above 2.4e10
+        ["throughput", "--f-ec", "3e10", "--pd", "1e-15", "--n-relays",
+         "0,1", "--steps", "3", "--alpha-x-max", "10"],
+        # integer refusals: a relay count, seeds and trial counts
+        ["snr", "--n-relays", "-1"],
+        ["sample", "--alpha-x", "5", "--trials", "10", "--seed", "-1"],
+        ["verify-circuit", "--trials", "2", "--seed", "-1"],
+        ["sample", "--alpha-x", "5", "--trials", "0", "--seed", "1"],
+        # an empty relay list, a list where one count is taken, and a
+        # negative grid start
+        ["snr", "--n-relays", ","],
+        ["optimize", "--distance-km", "100", "--n-relays", "1,2"],
+        ["snr", "--alpha-x-min", "-1"],
     ]
     return cases
 
