@@ -21,6 +21,8 @@ import sys
 from collections import namedtuple
 from typing import NamedTuple, Sequence
 
+from .errors import check_int
+
 
 def check_p_dark(p_dark: float) -> None:
     """Reject a per-detector dark-count probability outside [0, 1/2)."""
@@ -40,14 +42,6 @@ def check_relay(eta: float, p_dark: float) -> None:
     check_p_dark(p_dark)
     if eta + 2.0 * p_dark > 1.0:
         raise ValueError("eta + 2*p_dark exceeds 1")
-
-
-def check_n_relays(n_relays: int) -> None:
-    """Reject a relay count that is not a nonnegative int (bools included)."""
-    if (isinstance(n_relays, bool) or not isinstance(n_relays, int)
-            or n_relays < 0):
-        raise ValueError(f"n_relays must be a nonnegative integer, "
-                         f"got {n_relays!r}")
 
 
 def _check_alpha_xs(alpha_xs: Sequence[float]) -> None:
@@ -78,7 +72,7 @@ class ChainConfig(namedtuple("ChainConfig", (
         if not math.isfinite(atten_per_km) or atten_per_km <= 0:
             raise ValueError(f"atten_per_km must be finite and > 0, "
                              f"got {atten_per_km}")
-        check_n_relays(n_relays)
+        check_int(n_relays, "n_relays")
         check_relay(eta, p_dark)
         return super().__new__(cls, distance_km, atten_per_km, n_relays, eta,
                                p_dark)
@@ -132,7 +126,7 @@ def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> fl
     placement differs from this formula: at eta = 0.5 by up to 5.7% (N = 1,
     alpha x = 0), falling with N to 1.1% at N = 16.
     """
-    check_n_relays(n_relays)
+    check_int(n_relays, "n_relays")
     check_relay(eta, p_dark)
     return _snr_curve((alpha_x,), n_relays, eta, p_dark)[0][0]
 
@@ -396,7 +390,7 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
 def snr_exact(alpha_x: float, n_relays: int, eta: float,
               p_dark: float) -> float:
     """Exact (all-orders) SNR at the optimal placement; inf if p_dark = 0."""
-    check_n_relays(n_relays)
+    check_int(n_relays, "n_relays")
     check_relay(eta, p_dark)
     return _chain_curve((alpha_x,), n_relays, eta, p_dark)[0][0]
 
@@ -411,7 +405,7 @@ def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,
     The log argument's log is a sum of its factors' logs, so a subnormal
     p_dark s_target or eta still has a range.
     """
-    check_n_relays(n_relays)
+    check_int(n_relays, "n_relays")
     check_relay(eta, p_dark)
     if not 0.0 < s_target < math.inf:
         raise ValueError(f"s_target must be finite and > 0, got {s_target}")

@@ -31,6 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .analytics import (ChainConfig, _log_expm1, _noise_kernel, _snr_from_k,
                         optimal_positions, qber_from_snr)
+from .errors import check_int
 
 _MAX_TRIALS = 2**63 - 1     # the --trials range; _binomial is tested up to it
 
@@ -303,12 +304,8 @@ def sample_chain(config: ChainConfig, n_trials: int, seed: int,
     random.Random(seed), and a seed must be a non-negative int, since
     Random(-1) repeats the stream of Random(1).
     """
-    if (isinstance(n_trials, bool) or not isinstance(n_trials, int)
-            or not 1 <= n_trials <= _MAX_TRIALS):
-        raise ValueError(f"n_trials must be an integer in [1, 2**63 - 1], "
-                         f"got {n_trials!r}")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    check_int(n_trials, "n_trials", 1, _MAX_TRIALS)
+    check_int(seed, "seed")
     rng = random.Random(seed)
     eta, pd2 = config.eta, 2.0 * config.p_dark
     # a relay splits sig three ways: gated, then false-gated among the rest

@@ -24,7 +24,7 @@ import math
 import random
 from typing import NamedTuple, Optional
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_int
 from .fockspace import (
     H,
     V,
@@ -275,10 +275,7 @@ def multiphoton_gate_probability(n_input: int, alpha=1.0, beta=0.0) -> float:
     packages and can never satisfy the joint one-and-only-one condition.
     n_input must be a non-negative integer (ValueError otherwise).
     """
-    if (isinstance(n_input, bool) or not isinstance(n_input, int)
-            or n_input < 0):
-        raise ValueError(f"n_input must be a non-negative integer, "
-                         f"got {n_input!r}")
+    check_int(n_input, "n_input")
     basis = encoder_basis()
     if n_input == 0:
         st = vacuum(basis)
@@ -313,10 +310,8 @@ def device_checks(trials: int, seed: int) -> list[dict]:
     `trials` must be an integer >= 1 and `seed` a non-negative integer
     (ValueError otherwise).
     """
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    check_int(trials, "trials", 1)
+    check_int(seed, "seed")
     checks = []
 
     def check(name, ok, detail):

@@ -23,7 +23,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_int
 from .reports import CurveReport, render_csv, render_json, render_payload
 
 # analytics, chain, throughput and circuit are imported in the functions that
@@ -62,13 +62,11 @@ def _integer(value, name: str) -> int:
 
 def _relays(value, name: str) -> list[int]:
     """Relay counts from a list, an int, or text split at commas or spaces."""
-    from .analytics import check_n_relays
-
     items = (value.replace(",", " ").split() if isinstance(value, str)
              else value if isinstance(value, list) else [value])
     out = [_integer(item, f"{name} entries") for item in items]
     for n in out:
-        check_n_relays(n)
+        check_int(n, "n_relays")
     if not out:
         raise ValueError(f"{name} list is empty")
     return out

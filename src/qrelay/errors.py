@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the one integer check every layer uses."""
 
 
 class ContractViolationError(ValueError):
@@ -7,3 +7,11 @@ class ContractViolationError(ValueError):
     one-photon or sign contract).
     """
 
+
+def check_int(value, name: str, lo: int = 0, hi: int | None = None) -> None:
+    """Reject a value that is not an int in [lo, hi] (hi None: no bound),
+    bools included, with a ValueError that names it."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < lo
+            or hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")

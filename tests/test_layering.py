@@ -1,9 +1,10 @@
 """The package's lower layers import only downward, and every public name
 is used outside the tests.
 
-analytics sits at the bottom and imports nothing of the package, fockspace
-imports only errors, and circuit builds on fockspace alone; outside the
-package, every module imports only the standard library, and not
+errors, which holds the exception types and the one integer check, is the
+module every layer may import: analytics sits at the bottom and imports
+only errors, as fockspace does, and circuit builds on fockspace alone;
+outside the package, every module imports only the standard library, and not
 dataclasses, whose import loads inspect, ast, dis and tokenize into every
 command. Every import counts, including one deferred inside a function body.
 Within chain, the Monte Carlo sampler does not call the exact model it
@@ -28,7 +29,7 @@ import qrelay
 
 ALLOWED = {
     "fockspace": {"errors"},
-    "analytics": set(),
+    "analytics": {"errors"},
     "circuit": {"fockspace", "errors"},
 }
 
@@ -156,6 +157,63 @@ def test_replace_checks_the_new_record():
                                                  {})
 
 
+def _integer_entry_point(entry: str):
+    """(call, name, lo, hi) of a public function that takes an integer:
+    call(value) passes value as that argument, the others valid."""
+    from qrelay.analytics import ChainConfig, snr_n_relays
+    from qrelay.chain import sample_chain
+    from qrelay.circuit import device_checks, multiphoton_gate_probability
+
+    cfg = ChainConfig(100.0)
+    return {
+        "ChainConfig": (lambda v: ChainConfig(100.0, n_relays=v),
+                        "n_relays", 0, None),
+        "snr_n_relays": (lambda v: snr_n_relays(5.0, v, 0.5, 1e-5),
+                         "n_relays", 0, None),
+        "sample_chain.n_trials": (lambda v: sample_chain(cfg, v, 1),
+                                  "n_trials", 1, 2**63 - 1),
+        "sample_chain.seed": (lambda v: sample_chain(cfg, 10, v),
+                              "seed", 0, None),
+        "device_checks.trials": (lambda v: device_checks(v, 1),
+                                 "trials", 1, None),
+        "device_checks.seed": (lambda v: device_checks(1, v), "seed", 0, None),
+        "multiphoton_gate_probability": (multiphoton_gate_probability,
+                                         "n_input", 0, None),
+    }[entry]
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value)
+    for entry in ("ChainConfig", "snr_n_relays", "sample_chain.n_trials",
+                  "sample_chain.seed", "device_checks.trials",
+                  "device_checks.seed", "multiphoton_gate_probability")
+    for value in (True, 1.0, "2", None, -1)
+] + [("sample_chain.n_trials", 2**63)], ids=repr)
+def test_every_integer_argument_is_checked_by_the_one_rule(entry, value):
+    # errors.check_int is the one integer rule: a bool, a float, a string
+    # or None is refused, as is a value below lo or above hi, with one
+    # message form that names the argument
+    call, name, lo, hi = _integer_entry_point(entry)
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == (f"{name} must be an integer {bound}, "
+                              f"got {value!r}")
+
+
+def test_the_integer_rule_is_written_once():
+    # only errors.check_int asks isinstance(value, bool); every layer
+    # calls it
+    sites = [module for module in MODULES
+             for node in ast.walk(ast.parse(Path(qrelay.__file__)
+                                            .with_name(f"{module}.py")
+                                            .read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "isinstance"
+             and getattr(node.args[1], "id", None) == "bool"]
+    assert sites == ["errors"]
+
+
 def test_cli_imports_layers_only_at_command_level():
     # cli imports analytics, chain, throughput and circuit inside the
     # functions that use them, never at module level, so verify-circuit
@@ -174,7 +232,7 @@ def test_cli_imports_layers_only_at_command_level():
                 elif isinstance(node, (ast.Import, ast.ImportFrom)):
                     placed.setdefault(fn.name, set()).update(
                         alias.name for alias in node.names)
-    assert placed == {"_relays": {"analytics"}, "_chain": {"analytics"},
+    assert placed == {"_chain": {"analytics"},
                       "cmd_snr": {"analytics"},
                       "cmd_throughput": {"throughput"},
                       "cmd_optimize": {"analytics", "chain"},
