@@ -106,13 +106,11 @@ def qber_from_snr(s: float) -> float:
 def snr_no_relay(p_dark: float, alpha_x: float) -> float:
     """Direct-transmission SNR: half the inverse dark rate times e^(-alpha x).
 
-    p_dark = 0 returns math.inf as a noise-free sentinel.
+    It is the N = 0 point of the first-order curve (_snr_curve), where eta
+    does not enter. p_dark = 0 returns math.inf as a noise-free sentinel.
     """
     check_p_dark(p_dark)
-    _check_alpha_xs((alpha_x,))
-    if p_dark == 0.0:
-        return math.inf
-    return 0.5 / p_dark * math.exp(-alpha_x)
+    return _snr_curve((alpha_x,), 0, 1.0, p_dark)[0][0]
 
 
 def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> float:
@@ -120,7 +118,7 @@ def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> fl
 
     S_N = S_0 * (1/(N+1)) * eta^(N/(N+1)) * e^(alpha x N/(N+1)), evaluated
     as (1/(2 p_d)) * eta^(N/(N+1)) * e^(-alpha x/(N+1)) / (N+1), or from
-    logs where that underflows; at N = 0, snr_no_relay where that does not.
+    logs where that underflows; at N = 0 it is snr_no_relay.
     It assumes the interior optimum, alpha x > ln(1/eta); below that the
     relays are clamped to the transmitter and the first-order SNR of that
     placement differs from this formula: at eta = 0.5 by up to 5.7% (N = 1,

@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 
 from qrelay import cli
 from qrelay.analytics import (ChainConfig, _alpha_x_at_snr, _snr_curve,
-                              qber_from_snr, snr_exact, snr_n_relays)
+                              qber_from_snr, snr_exact, snr_n_relays,
+                              snr_no_relay)
 from qrelay.chain import run_chain
 
 from oracles import (clamped_rel_dev_allowance, decimal_first_order_snr,
@@ -383,10 +384,11 @@ _CURVE_GRID = [0.0, 1e-300, 0.1, 0.5, math.log(2.0), 0.7, 1.0, 10.0, 40.0,
 @pytest.mark.parametrize("n, eta, p_dark", [
     (0, 0.5, 1e-5), (1, 0.5, 1e-5), (4, 0.3, 1e-3), (16, 0.99999, 1e-6),
     (64, 0.6505715085313096, 3.0980174803234e-311), (3, 0.5, 0.0),
-    (5, 1.0, 0.0), (1000, 0.01, 4e-3), (2, 1e-305, 1e-6)])
+    (5, 1.0, 0.0), (1000, 0.01, 4e-3), (2, 1e-305, 1e-6), (0, 0.5, 1e-320)])
 def test_curve_forms_match_the_scalar_functions_bit_for_bit(n, eta, p_dark):
     # each formula is written once: the per-curve forms behind snr and
-    # throughput give, point by point, the bits of the public functions
+    # throughput give, point by point, the bits of the public functions, and
+    # at N = 0 snr_no_relay is the curve's S_1
     from qrelay.throughput import EcPaParams, key_fraction, throughput_curve
 
     def bits(*values):
@@ -402,6 +404,8 @@ def test_curve_forms_match_the_scalar_functions_bit_for_bit(n, eta, p_dark):
         q_b = qber_from_snr(s)
         t_n = key_fraction(q_b, ec)
         assert bits(*snr_row[:3]) == bits(s_1, s, q_b), (ax, snr_row)
+        if n == 0:
+            assert bits(snr_no_relay(p_dark, ax)) == bits(s_1), ax
         assert bits(*point) == bits(ax, s, q_b, t_n, eta ** n * t_n), (
             ax, point)
 
