@@ -203,11 +203,10 @@ def _kraus_outcomes(alpha, beta) -> list[tuple]:
     Returns (channel_d2, channel_db, probability, flipped, (w_H, w_V),
     fidelity) per accepted outcome, in device_operators' order: w = K v on
     the normalized input v with its outcome's feed-forward sign applied,
-    |w|^2, and the fidelity of w normalized by hypot with v. v is
-    make_qubit's normalization, _unit_qubit, and the fidelity is
-    PhotonicState.fidelity's arithmetic, so every value is bit for bit the
-    states' value, with no state built. Non-finite amplitudes and the zero
-    vector are a ValueError.
+    |w|^2, and the fidelity of w normalized by hypot with v, the package's
+    one fidelity. v is make_qubit's normalization, _unit_qubit, and the
+    fidelity is |<output|input>|^2 of the two mode-1 states, H term first,
+    so every value is bit for bit the states' value, with no state built. Non-finite amplitudes and the zero vector are a ValueError.
     """
     a, b = _unit_qubit(alpha, beta)
     outcomes = []

@@ -112,26 +112,6 @@ class PhotonicState:
             raise ValueError("cannot normalize the zero state")
         return PhotonicState(self.basis, {c: a / n for c, a in self.amps.items()})
 
-    def overlap(self, other: "PhotonicState") -> complex:
-        if self.basis != other.basis:
-            raise ValueError("states live on different bases")
-        small, big = (self.amps, other.amps) if len(self.amps) < len(other.amps) \
-            else (other.amps, self.amps)
-        acc = 0j
-        for cfg, a in small.items():
-            b = big.get(cfg)
-            if b is not None:
-                # <self|other>, conjugating self's amplitude
-                if small is self.amps:
-                    acc += a.conjugate() * b
-                else:
-                    acc += b.conjugate() * a
-        return acc
-
-    def fidelity(self, other: "PhotonicState") -> float:
-        """|<self|other>|^2 for normalized states."""
-        return abs(self.overlap(other)) ** 2
-
     def prune(self) -> "PhotonicState":
         """The state without its amplitudes of magnitude PRUNE_TOL or less."""
         return PhotonicState(self.basis, {c: a for c, a in self.amps.items()

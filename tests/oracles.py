@@ -7,8 +7,8 @@ plain 4-tuple slot state, and relay placements are searched by a coordinate
 descent over scipy's bounded line search. The chain's SNR at the optimal
 placement, and the noise of any placement, are also evaluated in 60-digit
 decimal arithmetic from the product form, where no double underflows. The
-small readers at the end look up one amplitude of a state and read a
-written report back.
+small readers at the end look up one amplitude of a state, take the
+overlap and fidelity of two states, and read a written report back.
 """
 
 import itertools
@@ -409,6 +409,30 @@ def occupation(basis, occupations) -> tuple:
 def amplitude(state, occupations) -> complex:
     """The state's amplitude on the configuration {mode: count}."""
     return state.amps.get(occupation(state.basis, occupations), 0j)
+
+
+def overlap(bra, ket) -> complex:
+    """<bra|ket> of two states on one basis, summed over the smaller
+    state's configurations."""
+    if bra.basis != ket.basis:
+        raise ValueError("states live on different bases")
+    small, big = (bra.amps, ket.amps) if len(bra.amps) < len(ket.amps) \
+        else (ket.amps, bra.amps)
+    acc = 0j
+    for cfg, a in small.items():
+        b = big.get(cfg)
+        if b is not None:
+            # conjugating bra's amplitude
+            if small is bra.amps:
+                acc += a.conjugate() * b
+            else:
+                acc += b.conjugate() * a
+    return acc
+
+
+def fidelity(bra, ket) -> float:
+    """|<bra|ket>|^2 for normalized states."""
+    return abs(overlap(bra, ket)) ** 2
 
 
 def read_report(path) -> CurveReport:

@@ -23,7 +23,8 @@ from qrelay.circuit import (ENCODER_SPATIAL, _kraus_outcomes, _run_device,
 from qrelay.errors import ContractViolationError
 from qrelay.fockspace import H, V, make_qubit, product
 
-from oracles import TRANSMITTED, amplitude, apply_relay, dense_apply
+from oracles import (TRANSMITTED, amplitude, apply_relay, dense_apply,
+                     fidelity)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -200,7 +201,7 @@ def test_kraus_outcomes_match_the_fock_states_bit_for_bit():
             assert (o.channel_d2, o.channel_db, o.flipped) == (ch2, chb, flip)
             assert o.probability == prob \
                 == abs(k_v[0]) ** 2 + abs(k_v[1]) ** 2
-            assert o.fidelity == fid == o.output.fidelity(reference)
+            assert o.fidelity == fid == fidelity(o.output, reference)
             assert w == (k_v[0], -k_v[1] if flip else k_v[1])
 
 
