@@ -245,7 +245,7 @@ def cmd_throughput(params: dict) -> int:
     configs = [_chain(params, n) for n in params["n_relays"]]
     grid = _grid(params)
     ec = EcPaParams(f_ec=params["f_ec"])
-    curves = [(cfg.n_relays, [p[1:] for p in throughput_curve(cfg, grid, ec)])
+    curves = [(cfg.n_relays, throughput_curve(cfg, grid, ec))
               for cfg in configs]
     # an unbounded cutoff (no dark counts) is spelled as table values are
     cutoffs = {str(cfg.n_relays): cutoff_alpha_x(cfg, ec) for cfg in configs}
@@ -336,9 +336,7 @@ def cmd_sample(params: dict) -> int:
         "config": {**_config_block(config), "alpha_x": config.alpha_x,
                    "trials": trials, "seed": seed},
         "exact": exact._asdict(),
-        # n_trials and seed are reported once, in config
-        "sampled": {k: v for k, v in sampled._asdict().items()
-                    if k not in ("n_trials", "seed")},
+        "sampled": sampled._asdict(),
     }), params)
     return EXIT_OK
 

@@ -97,13 +97,12 @@ def snr_cutoff(params: Optional[EcPaParams] = None) -> float:
 
 
 class ThroughputPoint(NamedTuple):
-    """One attenuation-length sample of a throughput sweep.
-
-    t_n is per detected slot; t_n_scaled additionally charges the eta of each
-    relay's gate, giving key bits per slot that survived every gate.
+    """One attenuation-length sample of a throughput sweep, at the grid
+    value of its index: t_n is per detected slot; t_n_scaled additionally
+    charges the eta of each relay's gate, giving key bits per slot that
+    survived every gate.
     """
 
-    alpha_x: float
     s: float
     q_b: float
     t_n: float
@@ -122,11 +121,11 @@ def throughput_curve(config: ChainConfig, alpha_x_values: Sequence[float],
     params = params or EcPaParams()
     scale = config.eta ** config.n_relays
     points = []
-    for alpha_x, (s, *_) in zip(alpha_x_values, _chain_curve(
-            alpha_x_values, config.n_relays, config.eta, config.p_dark)):
+    for s, *_ in _chain_curve(alpha_x_values, config.n_relays, config.eta,
+                              config.p_dark):
         q_b = qber_from_snr(s)
         t_n = max(_tau(q_b, params), 0.0)
-        points.append(ThroughputPoint(alpha_x, s, q_b, t_n, scale * t_n))
+        points.append(ThroughputPoint(s, q_b, t_n, scale * t_n))
     return points
 
 

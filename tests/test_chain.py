@@ -256,9 +256,10 @@ def test_sample_chain_deterministic():
     assert a == b
     c = sample_chain(cfg, 50_000, seed=322)
     assert c != a
-    assert a.n_trials == 50_000 and a.seed == 321
+    # the record holds results only; its inputs are the caller's
+    assert not {"n_trials", "seed"} & set(a._fields)
     assert sum(a.state_counts.values()) == 50_000
-    assert a.signal_count == round(a.p_s * a.n_trials)
+    assert a.signal_count == round(a.p_s * 50_000)
 
 
 def test_sample_chain_agrees_with_exact():
@@ -331,7 +332,7 @@ def test_sample_chain_edge_cases():
     cfg = ChainConfig(distance_km=10.0)
     one = sample_chain(cfg, 1, seed=9)
     assert one.p_s in (0.0, 1.0)
-    assert one.n_trials == 1
+    assert sum(one.state_counts.values()) == 1
     # numpy's binomial would truncate 2.5 to 2 and overflow at 2**63
     for bad in (0, -1, 2**63, True, False, 2.5, 10.0, "10", None):
         with pytest.raises(ValueError, match="n_trials"):
@@ -367,7 +368,7 @@ def test_sample_chain_seed_contract():
     for seed in (-1, True, 2.5, "3", None):
         with pytest.raises(ValueError, match="seed"):
             sample_chain(cfg, 100, seed=seed)
-    assert sample_chain(cfg, 100, seed=0).seed == 0
+    assert sum(sample_chain(cfg, 100, seed=0).state_counts.values()) == 100
 
 
 # (n, p) at each branch of _binomial: the geometric gaps (mean below 10),
@@ -498,7 +499,7 @@ def test_sample_chain_stderr_definitions():
     cfg = ChainConfig(distance_km=20.0, p_dark=1e-3)
     got = sample_chain(cfg, 100_000, seed=55)
     assert got.stderr_p_s == pytest.approx(
-        math.sqrt(got.p_s * (1 - got.p_s) / got.n_trials))
+        math.sqrt(got.p_s * (1 - got.p_s) / 100_000))
     # noise variance accounts for double events (spurious photon + dark)
     assert got.stderr_p_n > 0
     assert got.noise_events >= 0

@@ -406,7 +406,7 @@ def test_curve_forms_match_the_scalar_functions_bit_for_bit(n, eta, p_dark):
         assert bits(*snr_row[:3]) == bits(s_1, s, q_b), (ax, snr_row)
         if n == 0:
             assert bits(snr_no_relay(p_dark, ax)) == bits(s_1), ax
-        assert bits(*point) == bits(ax, s, q_b, t_n, eta ** n * t_n), (
+        assert bits(*point) == bits(s, q_b, t_n, eta ** n * t_n), (
             ax, point)
 
 

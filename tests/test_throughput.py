@@ -107,15 +107,16 @@ def test_normalized_throughput():
 
 def test_throughput_curve_shape():
     cfg = ChainConfig(distance_km=1.0, n_relays=0)
-    pts = throughput_curve(cfg, np.linspace(0.0, 20.0, 81))
+    grid = np.linspace(0.0, 20.0, 81)
+    pts = throughput_curve(cfg, grid)
     assert all(isinstance(p, ThroughputPoint) for p in pts)
-    assert pts[0].alpha_x == 0.0
+    assert len(pts) == len(grid) and grid[0] == 0.0
     assert pts[0].t_n > 0.99
     cut = cutoff_alpha_x(cfg)
-    for p in pts:
-        if p.alpha_x > cut + 1e-9:
+    for ax, p in zip(grid, pts):
+        if ax > cut + 1e-9:
             assert p.t_n == 0.0
-        if p.alpha_x < cut - 1e-9:
+        if ax < cut - 1e-9:
             assert p.t_n > 0.0
     # no relays: scaled and unscaled coincide
     assert all(p.t_n_scaled == p.t_n for p in pts)
