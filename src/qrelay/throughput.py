@@ -72,19 +72,19 @@ def key_fraction(e: float, params: Optional[EcPaParams] = None) -> float:
 def key_fraction_cutoff(params: Optional[EcPaParams] = None) -> float:
     """Error rate e* at which the key fraction hits zero, by bisection.
 
-    The unclamped expression is positive at e = 0 and strictly negative by
-    e = 0.25, so the root is bracketed; bisection to adjacent doubles
-    returns the last e at which it is positive. This is the one search
-    here: cutoff_alpha_x takes S* = 1/(2 e*) - 1 from it and then inverts
-    the chain's SNR in closed form.
+    The unclamped expression tau is exactly 1 at e = 0 and, for every
+    f_ec >= 1 (which EcPaParams checks), negative at e = 0.25, so [0, 0.25]
+    brackets the root; bisection to adjacent doubles returns a double e*
+    with tau(e*) > 0 >= tau(next double up). Within a few ulps of the root
+    tau may change sign more than once, so e* need not be the last double
+    at which it is positive. This is the one search here: cutoff_alpha_x
+    takes S* = 1/(2 e*) - 1 from it and then inverts the chain's SNR in
+    closed form.
     """
     params = params or EcPaParams()
-    f = lambda e: _tau(e, params)
-    lo, hi = 1e-12, 0.25
-    if f(lo) <= 0.0 or f(hi) >= 0.0:
-        raise ValueError("key fraction does not change sign on (0, 0.25)")
+    lo, hi = 0.0, 0.25
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if f(mid) > 0.0:
+        if _tau(mid, params) > 0.0:
             lo = mid
         else:
             hi = mid

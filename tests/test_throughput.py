@@ -75,15 +75,24 @@ def test_key_fraction_cutoff():
     assert key_fraction_cutoff(EcPaParams(f_ec=1.0)) > e_star
 
 
-@pytest.mark.parametrize("f_ec", [1.0, 1.16, 1.5])
-def test_key_fraction_cutoff_is_bisected_to_adjacent_doubles(f_ec):
-    # e* is the last double at which the unclamped key fraction is
-    # positive: the next one up is not. At f_ec = 1.16 the bisection to
-    # 1e-12 stopped at 0.10175520191401302, 1.4e-12 past the sign change
+@pytest.mark.parametrize("f_ec", [1.0, 1.16, 1.5, 2.5e10, 1e12, 1e300])
+def test_key_fraction_cutoff_is_bisected_to_adjacent_doubles(f_ec,
+                                                             monkeypatch):
+    # the unclamped key fraction is positive at e* and not at the next
+    # double up. At f_ec = 1.16 the bisection to 1e-12 stopped at
+    # 0.10175520191401302, 1.4e-12 past the sign change; past f_ec = 2.4e10
+    # the root lies below 1e-12, so the bracket starts at e = 0, and even
+    # a root near 1e-303 takes at most 1,072 halvings of [0, 0.25]
+    from qrelay import throughput
+
     params = EcPaParams(f_ec=f_ec)
+    calls = []
+    monkeypatch.setattr(throughput, "_tau",
+                        lambda e, p: calls.append(e) or _tau(e, p))
     e_star = key_fraction_cutoff(params)
     assert _tau(e_star, params) > 0.0 >= _tau(math.nextafter(e_star, 1.0),
                                               params)
+    assert len(calls) <= 1072
 
 
 def test_snr_cutoff():
