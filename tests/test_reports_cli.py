@@ -194,6 +194,24 @@ def test_cli_verify_circuit_checks_flags_before_the_suite(flag, message,
     assert captured.err.startswith(f"configuration error: {message}")
 
 
+def test_cli_invariant_violation_exits_1(monkeypatch, capsys):
+    # a device that breaks its contract is an invariant failure (exit 1),
+    # not a configuration error, and writes no report
+    from qrelay import circuit
+    from qrelay.errors import ContractViolationError
+
+    def broken():
+        raise ContractViolationError("outcome (F,S) is fixed by neither "
+                                     "sign choice")
+
+    monkeypatch.setattr(circuit, "device_operators", broken)
+    assert run_cli(["verify-circuit", "--trials", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invariant violation: outcome (F,S) is fixed by "
+                            "neither sign choice\n")
+
+
 def test_cli_verify_circuit_refuses_channel_flags(tmp_path, capsys):
     # the device suite reads no channel setting, so it takes no flag for
     # one; a config file's channel keys are ignored, as every unused key is
