@@ -2,20 +2,21 @@
 
 The package layers are, bottom up:
 
+- errors: the contract-violation error and check_int, the one integer check.
 - fockspace: sparse multimode Fock states, linear-optics transforms, and
   the one photon-count projection, enumerate_outcomes, whose patterns are
   {BasisMode: count} dicts.
 - circuit: the heralded nondestructive photon-presence device built from a
   polarizing beam splitter, an entangled ancilla pair, and two detector
   packages, applied through its four cached Kraus operators
-  (device_operators); it supplies the relay efficiency eta through
-  measured_relay_efficiency.
+  (device_operators); measured_relay_efficiency gives its pass probability
+  1/2, the eta that the chain layer's defaults hand-enter.
 - analytics: the chain configuration (five fields; relay positions are an
   argument of the chain functions, not a field), its one (eta, p_dark)
-  validator, first-order SNR/QBER expressions, the exact chain's closed
-  form, one binomial at the optimal placement (snr_exact), and its inverse
-  at a target SNR, the relay placement, which is exactly optimal, range
-  enhancement, raw rates.
+  validator, first-order SNR/QBER expressions (S_0 is their N = 0 point),
+  the exact chain's closed form, one binomial at the optimal placement
+  (snr_exact), and its inverse at a target SNR, the relay placement, which
+  is exactly optimal, range enhancement, raw rates.
 - chain: the exact receiver statistics at any positions through the closed
   form, in one record that also carries ln p_s and ln p_n, a numeric
   placement search, and a seeded Monte Carlo cross-check that draws the
@@ -24,13 +25,12 @@ The package layers are, bottom up:
   2 p_dark, launching a spurious photon; the rest is vetoed.
 - throughput: the single-photon BB84 key fraction, whose one parameter is
   f_ec, and throughput sweeps; the cutoff range is analytics' inverse.
-- reports: deterministic CSV/JSON tables, rendered as text; nothing reads
-  them back.
+- reports: deterministic CSV/JSON tables, rendered as text and never read.
 - cli: the `qrelay` command.
 
 A name is public only if a command, a paper result of the acceptance tests
 or the README uses it; the test-only references (a one-pattern projection,
-number states, report readers) live beside the tests, in tests/oracles.py.
+state overlaps, number states, report readers) live in tests/oracles.py.
 
 Every module runs on the standard library alone; the Monte Carlo sampler
 draws its binomials from random.Random. Every layer loads on first access to

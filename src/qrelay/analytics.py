@@ -104,11 +104,9 @@ def qber_from_snr(s: float) -> float:
 
 
 def snr_no_relay(p_dark: float, alpha_x: float) -> float:
-    """Direct-transmission SNR: half the inverse dark rate times e^(-alpha x).
-
-    It is the N = 0 point of the first-order curve (_snr_curve), where eta
-    does not enter. p_dark = 0 returns math.inf as a noise-free sentinel.
-    """
+    """Direct-transmission SNR S_0, half the inverse dark rate times
+    e^(-alpha x): the N = 0 point of the first-order curve (_snr_curve),
+    where eta does not enter. p_dark = 0 returns math.inf, noise-free."""
     check_p_dark(p_dark)
     return _snr_curve((alpha_x,), 0, 1.0, p_dark)[0][0]
 

@@ -341,7 +341,8 @@ def sample_chain(config: ChainConfig, n_trials: int, seed: int,
     stderr_p_n = math.sqrt(var_n / n)
     snr, q_b = _snr_qb(p_s, p_n)
     return SampledReport(
-        p_s=p_s, p_n=p_n, snr=snr, q_b=q_b, signal_count=sig, noise_events=noise_events,
-        stderr_p_s=stderr_p_s, stderr_p_n=stderr_p_n,
+        p_s=p_s, p_n=p_n, snr=snr, q_b=q_b, signal_count=sig,
+        noise_events=noise_events, stderr_p_s=stderr_p_s,
+        stderr_p_n=stderr_p_n,
         state_counts={"signal": sig, "random": rnd, "empty": emp,
                       "no_gate": nog})

@@ -206,7 +206,8 @@ def _kraus_outcomes(alpha, beta) -> list[tuple]:
     |w|^2, and the fidelity of w normalized by hypot with v, the package's
     one fidelity. v is make_qubit's normalization, _unit_qubit, and the
     fidelity is |<output|input>|^2 of the two mode-1 states, H term first,
-    so every value is bit for bit the states' value, with no state built. Non-finite amplitudes and the zero vector are a ValueError.
+    so every value is bit for bit the states' value, with no state built.
+    Non-finite amplitudes and the zero vector are a ValueError.
     """
     a, b = _unit_qubit(alpha, beta)
     outcomes = []

@@ -1,4 +1,5 @@
-"""Shared exception types and the one integer check every layer uses."""
+"""The shared exception type and the one integer check: every layer may
+import this module, and it imports nothing of the package."""
 
 
 class ContractViolationError(ValueError):
@@ -9,8 +10,8 @@ class ContractViolationError(ValueError):
 
 
 def check_int(value, name: str, lo: int = 0, hi: int | None = None) -> None:
-    """Reject a value that is not an int in [lo, hi] (hi None: no bound),
-    bools included, with a ValueError that names it."""
+    """Reject a value that is not an int in [lo, hi] (no upper bound where
+    hi is None), a bool included, with a ValueError that names it."""
     if (isinstance(value, bool) or not isinstance(value, int) or value < lo
             or hi is not None and value > hi):
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
