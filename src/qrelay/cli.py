@@ -66,7 +66,7 @@ def _relays(value, name: str) -> list[int]:
              else value if isinstance(value, list) else [value])
     out = [_integer(item, f"{name} entries") for item in items]
     for n in out:
-        check_int(n, "n_relays")
+        check_int(n, name)
     if not out:
         raise ValueError(f"{name} list is empty")
     return out
