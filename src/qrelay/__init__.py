@@ -65,7 +65,6 @@ _LAZY = {
         "apply_transform", "basis_rotate_fs", "enumerate_outcomes",
         "make_bell_phi_plus", "make_qubit", "pbs_hv", "product", "vacuum"),
         "fockspace"),
-    "CurveReport": "reports",
     **dict.fromkeys((
         "EcPaParams", "ThroughputPoint", "binary_entropy", "cutoff_alpha_x",
         "key_fraction", "key_fraction_cutoff", "snr_cutoff",

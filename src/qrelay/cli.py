@@ -20,11 +20,12 @@ import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import __version__
 from .errors import ContractViolationError, check_int
-from .reports import CurveReport, render_csv, render_json, render_payload
+from .reports import render_csv, render_json, render_payload
 
 # analytics, chain, throughput and circuit are imported in the functions that
 # use them, so no command loads (or compiles) a layer it never calls:
@@ -214,13 +215,13 @@ def _emit_sweep(command: str, fields: Sequence[str], curves: list,
     parameters = {key: params[key]
                   for key in ("eta", "pd", "atten_per_km", "n_relays")}
     parameters.update(extra, grid=[grid[0], grid[-1], len(grid)])
-    report = CurveReport(
-        ("alpha_x", *(f"{f}_n{n}" for n, _ in curves for f in fields)),
-        tuple((ax, *itertools.chain.from_iterable(points))
-              for ax, *points in zip(grid, *(curve for _, curve in curves))),
-        {"artifact": f"qrelay {__version__}", "command": command,
-         "parameters": parameters})
-    text = (render_csv if params["format"] == "csv" else render_json)(report)
+    table = SimpleNamespace(
+        columns=("alpha_x", *(f"{f}_n{n}" for n, _ in curves for f in fields)),
+        rows=[(ax, *itertools.chain.from_iterable(points))
+              for ax, *points in zip(grid, *(curve for _, curve in curves))],
+        metadata={"artifact": f"qrelay {__version__}", "command": command,
+                  "parameters": parameters})
+    text = (render_csv if params["format"] == "csv" else render_json)(table)
     if not _write(text, params):
         sys.stdout.write(text)
 
@@ -247,9 +248,8 @@ def cmd_throughput(params: dict) -> int:
     ec = EcPaParams(f_ec=params["f_ec"])
     curves = [(cfg.n_relays, throughput_curve(cfg, grid, ec))
               for cfg in configs]
-    # an unbounded cutoff (no dark counts) is spelled as table values are
+    # an unbounded cutoff (no dark counts) is written "inf", as reports are
     cutoffs = {str(cfg.n_relays): cutoff_alpha_x(cfg, ec) for cfg in configs}
-    cutoffs = {n: c if math.isfinite(c) else "inf" for n, c in cutoffs.items()}
     _emit_sweep("throughput", ("s_exact", "q_b", "t_n", "t_n_scaled"),
                 curves, grid, {"f_ec": ec.f_ec, "model": MODEL,
                                "cutoff_alpha_x": cutoffs}, params)

@@ -1,75 +1,49 @@
-"""Deterministic table serialization for sweep outputs.
+"""Deterministic text for sweep tables and command payloads.
 
-A CurveReport is a rectangular table of floats plus a metadata mapping. CSV
-text carries the metadata as a '# ' comment line holding one JSON object,
-then a header row, then data rows with every value printed as '%.17e', so
-that each value reads back as the same double. JSON text carries the same
-content as one object with sorted keys. Neither format embeds timestamps or
-any other run-dependent value; identical inputs produce identical bytes.
-Both are strict JSON: table values spell non-finite floats as "nan"/"inf",
-and a non-finite metadata value raises ValueError instead of emitting the
-non-standard NaN/Infinity tokens. Free-form command payloads go through
-render_payload, which spells non-finite floats the same way. This module
-only renders text; the command line writes every report.
+A sweep table is any object with three attributes: columns (the labels, as
+str), rows (sequences of numbers, one value per column) and metadata (a
+mapping). CSV text carries the metadata as a '# ' comment line holding one
+JSON object, then a header row, then data rows with every value printed as
+'%.17e', so that each value reads back as the same double. JSON text
+carries the same content as one object with sorted keys. Neither format
+embeds timestamps or any other run-dependent value; identical inputs
+produce identical bytes. Every JSON text here follows one rule, that of
+render_payload: strict JSON, non-finite floats spelled "nan"/"inf"/"-inf"
+wherever they stand (metadata, payloads, table values), never the
+non-standard NaN/Infinity tokens. A row's template refuses a row of the
+wrong width or a cell that is not a number (TypeError). This module only
+renders text; the command line writes every report.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import namedtuple
-from typing import Optional
 
 _FLOAT_FMT = "%.17e"
 
 
-class CurveReport(namedtuple("CurveReport",
-                             ("columns", "rows", "metadata"))):
-    """A named table: column labels, float rows, and run metadata.
-
-    Labels are stored as str and values as float; a row whose width is not
-    the column count is refused at construction. metadata defaults to a new
-    empty dict.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, columns, rows, metadata: Optional[dict] = None):
-        columns = tuple(str(c) for c in columns)
-        rows = tuple(tuple(map(float, r)) for r in rows)
-        for r in rows:
-            if len(r) != len(columns):
-                raise ValueError(f"row of width {len(r)} in a table with "
-                                 f"{len(columns)} columns")
-        return super().__new__(cls, columns, rows,
-                               {} if metadata is None else metadata)
-
-    def _replace(self, **changes) -> "CurveReport":
-        """A copy with some fields changed, checked as a new table is."""
-        return CurveReport(**{**self._asdict(), **changes})
-
-
-def render_csv(report: CurveReport) -> str:
-    meta_json = json.dumps(report.metadata, sort_keys=True, allow_nan=False)
-    row = ",".join([_FLOAT_FMT] * len(report.columns))   # one % per row
-    lines = ["# " + meta_json, ",".join(report.columns)]
-    lines += [row % r for r in report.rows]
+def render_csv(table) -> str:
+    meta_json = json.dumps(_spell_non_finite(table.metadata), sort_keys=True,
+                           allow_nan=False)
+    row = ",".join([_FLOAT_FMT] * len(table.columns))   # one % per row
+    lines = ["# " + meta_json, ",".join(table.columns)]
+    lines += [row % tuple(r) for r in table.rows]
     return "\n".join(lines) + "\n"
 
 
-def render_json(report: CurveReport) -> str:
+def render_json(table) -> str:
     # the rows are written as json.dumps(indent=2) lays out a list of lists
-    # of strings, then spliced into the dump of everything else, where
+    # of strings, then spliced into the payload of everything else, where
     # "rows" sorts last
-    text = json.dumps({"metadata": report.metadata,
-                       "columns": list(report.columns), "rows": []},
-                      sort_keys=True, indent=2, allow_nan=False)
-    if not report.rows:
-        return text + "\n"
-    cells = '",\n      "'.join([_FLOAT_FMT] * len(report.columns))
-    row = '    [\n      "' + cells + '"\n    ]' if report.columns else "    []"
-    block = ",\n".join([row % r for r in report.rows])
-    return text[:-len("[]\n}")] + "[\n" + block + "\n  ]\n}\n"
+    text = render_payload({"metadata": table.metadata,
+                           "columns": table.columns, "rows": []})
+    if not table.rows:
+        return text
+    cells = '",\n      "'.join([_FLOAT_FMT] * len(table.columns))
+    row = '    [\n      "' + cells + '"\n    ]' if table.columns else "    []"
+    block = ",\n".join([row % tuple(r) for r in table.rows])
+    return text[:-len("[]\n}\n")] + "[\n" + block + "\n  ]\n}\n"
 
 
 def _spell_non_finite(value):
@@ -90,4 +64,3 @@ def render_payload(payload: dict) -> str:
     """
     return json.dumps(_spell_non_finite(payload), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
-

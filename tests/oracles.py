@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from qrelay.fockspace import PhotonicState
-from qrelay.reports import CurveReport
 
 
 def permanent(mat) -> complex:
@@ -435,19 +434,31 @@ def fidelity(bra, ket) -> float:
     return abs(overlap(bra, ket)) ** 2
 
 
-def read_report(path) -> CurveReport:
-    """A table report as render_csv or render_json wrote it, read back."""
+class Table(NamedTuple):
+    """A table report read back: labels, float rows, metadata."""
+    columns: tuple
+    rows: tuple
+    metadata: dict
+
+
+def read_report(path) -> Table:
+    """A table report as render_csv or render_json wrote it, read back,
+    every value (spelled "nan"/"inf" in either format) as a float."""
     text = Path(path).read_text()
     if text.startswith("{"):
         payload = json.loads(text)
-        return CurveReport(payload["columns"], payload["rows"],
-                           payload["metadata"])
-    meta, header, *rows = text.splitlines()
-    return CurveReport(header.split(","), [r.split(",") for r in rows],
-                       json.loads(meta[len("# "):]))
+        columns, rows, metadata = (payload["columns"], payload["rows"],
+                                   payload["metadata"])
+    else:
+        meta, header, *lines = text.splitlines()
+        columns, rows, metadata = (header.split(","),
+                                   [r.split(",") for r in lines],
+                                   json.loads(meta[len("# "):]))
+    return Table(tuple(columns), tuple(tuple(map(float, r)) for r in rows),
+                 metadata)
 
 
 def column(report, name) -> list:
-    """One named column of a CurveReport."""
+    """One named column of a table read back by read_report."""
     i = report.columns.index(name)
     return [row[i] for row in report.rows]

@@ -139,22 +139,16 @@ def test_replace_checks_the_new_record():
     # namedtuple _replace goes through _make, which would skip the checks
     from qrelay.analytics import ChainConfig
     from qrelay.fockspace import LinearModeTransform, ModeBasis
-    from qrelay.reports import CurveReport
     from qrelay.throughput import EcPaParams
 
-    table = CurveReport(("a", "b"), ((1.0, 2.0),))
     transform = LinearModeTransform(ModeBasis(("0",)),
                                     ((1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(ValueError, match="n_relays"):
         ChainConfig(100.0, n_relays=1)._replace(n_relays=-1)
     with pytest.raises(ValueError, match="f_ec"):
         EcPaParams()._replace(f_ec=0.5)
-    with pytest.raises(ValueError, match="row of width 1"):
-        table._replace(rows=((1.0,),))
     with pytest.raises(ValueError, match="not unitary"):
         transform._replace(matrix=((2.0, 0.0), (0.0, 1.0)))
-    assert table._replace(rows=((3.0, 4.0),)) == (("a", "b"), ((3.0, 4.0),),
-                                                 {})
 
 
 def _integer_entry_point(entry: str):

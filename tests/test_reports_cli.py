@@ -18,28 +18,32 @@ import qrelay
 from qrelay import cli
 from qrelay.analytics import ChainConfig, optimal_positions
 from qrelay.chain import run_chain
-from qrelay.reports import (CurveReport, render_csv, render_json,
-                            render_payload)
+from qrelay.reports import render_csv, render_json, render_payload
 
-from oracles import (clamped_rel_dev_allowance, column, decimal_noise_ratio,
-                     decimal_rel_dev_reference, decimal_snr_reference,
-                     read_report)
+from oracles import (Table, clamped_rel_dev_allowance, column,
+                     decimal_noise_ratio, decimal_rel_dev_reference,
+                     decimal_snr_reference, read_report)
 
 DATA = Path(__file__).parent / "data"
 
 
 def small_report():
-    return CurveReport(
-        columns=("x", "y"),
-        rows=((0.0, 1.0), (0.5, math.inf), (1.0, math.nan)),
-        metadata={"artifact": "demo", "note": "fixture"})
+    return Table(columns=("x", "y"),
+                 rows=((0.0, 1.0), (0.5, math.inf), (1.0, math.nan)),
+                 metadata={"artifact": "demo", "note": "fixture"})
 
 
-def test_curve_report_validation():
-    rep = CurveReport(columns=(0, "y"), rows=[[1, "inf"]])
-    assert rep == (("0", "y"), ((1.0, math.inf),), {})
-    with pytest.raises(ValueError):
-        CurveReport(columns=("x", "y"), rows=((1.0,),), metadata={})
+@pytest.mark.parametrize("render", [render_csv, render_json])
+def test_renderers_check_each_row_with_its_template(render):
+    # a row's '%' template refuses a ragged row and a cell that is not a
+    # number; a list row renders as the same tuple row does
+    for rows in (((1.0,),), ((1.0, 2.0, 3.0),), ((1.0, "inf"),),
+                 ((1.0, None),)):
+        with pytest.raises(TypeError):
+            render(Table(("x", "y"), rows, {}))
+    as_tuples = render(Table(("x", "y"), ((1, 2.5), (math.inf, -0.0)), {}))
+    assert render(Table(("x", "y"), [[1, 2.5], [math.inf, -0.0]], {})) \
+        == as_tuples
 
 
 def write(text, path):
@@ -83,18 +87,30 @@ def test_json_round_trip(tmp_path):
 
 def test_full_precision_survives():
     vals = (1.388794386496402, 2.322114366426e-06, 5.0e4)
-    rep = CurveReport(columns=("a", "b", "c"), rows=(vals,), metadata={})
+    rep = Table(columns=("a", "b", "c"), rows=(vals,), metadata={})
     parsed = [float(t) for t in
               render_csv(rep).splitlines()[2].split(",")]
     assert tuple(parsed) == vals
 
 
-@pytest.mark.parametrize("render", [render_csv, render_json])
-def test_non_finite_metadata_does_not_render(render):
-    rep = CurveReport(columns=("x",), rows=((1.0,),),
-                      metadata={"cutoff": math.nan})
-    with pytest.raises(ValueError):
-        render(rep)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_metadata_is_spelled_as_payloads_spell_it(value):
+    # table metadata follows render_payload's one rule: "nan", "inf" and
+    # "-inf", never the NaN/Infinity tokens, at any depth
+    metadata = {"cutoff": value, "grid": [0.0, value, 3],
+                "cutoffs": {"0": value}}
+    spelled = json.loads(render_payload(metadata))
+    assert spelled["cutoff"] == "%.17e" % value
+    rep = Table(columns=("x",), rows=((1.0,),), metadata=metadata)
+    text = render_json(rep)
+    assert json.loads(text)["metadata"] == spelled
+    head = render_payload({"metadata": metadata, "columns": ["x"],
+                           "rows": []})
+    assert text.startswith(head[:-len("[]\n}\n")])
+    meta_line = render_csv(rep).splitlines()[0]
+    assert meta_line == "# " + json.dumps(spelled, sort_keys=True)
+    for text in (text, meta_line):
+        assert "NaN" not in text and "Infinity" not in text
 
 
 def run_cli(args):
@@ -1084,7 +1100,7 @@ def test_row_writers_match_the_per_value_encoding(table, metadata):
     # each writer formats a row with one template; the bytes must be those
     # of formatting every value alone and encoding with json/join
     columns, rows = table
-    rep = CurveReport(tuple(columns), tuple(map(tuple, rows)), metadata)
+    rep = Table(tuple(columns), tuple(map(tuple, rows)), metadata)
     values = [[_old_value(v) for v in r] for r in rep.rows]
     payload = {"metadata": rep.metadata, "columns": list(rep.columns),
                "rows": values}
