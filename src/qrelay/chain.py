@@ -131,7 +131,7 @@ def run_chain(config: ChainConfig,
     eta, pd2 = config.eta, 2.0 * config.p_dark
     s_n = math.prod(eta * t for t in relay_ts)
     alive = math.prod(eta * t + pd2 for t in relay_ts)
-    big_l = math.ldexp(sum(terms[:-1]), -s)
+    big_l = math.ldexp(math.fsum(terms[:-1]), -s)
     spurious = s_n * math.expm1(big_l) if big_l < 1.0 else alive - s_n
     p_s, p_n = s_n * t_last, t_last * spurious + pd2 * alive
     snr = _snr_from_k(k, s)

@@ -478,6 +478,15 @@ def test_log_p_n_at_a_subnormal_p_dark(cfg, positions):
                                                               rel=1e-15)
 
 
+def test_run_chain_rounds_the_relay_terms_alike_on_every_python():
+    # the builtin sum of floats is compensated from Python 3.12 on, so the
+    # relay terms' sum L moved p_n by 3 ulps between interpreters at the
+    # benchmark's optimize chain (corpus case 02); math.fsum rounds it once
+    # everywhere. The 60-digit value is 2.4304321664330354e-65, 9 ulps up
+    report = run_chain(ChainConfig(2000.0, 0.05, 64, 0.5, 1e-5))
+    assert report.p_n == 2.4304321664330316e-65
+
+
 def test_log_p_s_rounds_alpha_x_once():
     # p_s = eta^N e^(-alpha x) does not depend on the relay positions, so
     # ln p_s = N ln eta - alpha x rounds ln eta, its product with N, alpha x

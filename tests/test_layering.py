@@ -12,7 +12,9 @@ checks, and within circuit a device run applies the cached Kraus operators
 without rerunning the Fock engine. The terms of the noise exponent are
 taken in one kernel, analytics._noise_kernel, the one place that scales
 below the normal range; only analytics and chain read it, and each chain a
-command reports is evaluated once.
+command reports is evaluated once. The layers that compute report values
+add floats with math.fsum, never the builtin sum, whose rounding changed in
+Python 3.12.
 """
 
 import ast
@@ -293,6 +295,19 @@ def test_only_the_noise_kernel_scales_below_the_normal_range():
     assert outside == []
     assert {what for what, _ in scale_sites("analytics")} == {
         "2.0 ** k", "float_info.min"}
+
+
+@pytest.mark.parametrize("module", ["analytics", "chain", "throughput"])
+def test_report_layers_call_no_builtin_sum(module):
+    # sum of floats is compensated from Python 3.12 on, so a report digit
+    # taken through it would depend on the interpreter; math.fsum rounds
+    # once on every version
+    tree = ast.parse(Path(qrelay.__file__).with_name(f"{module}.py")
+                     .read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "sum"]
+    assert calls == []
 
 
 def test_sampler_is_independent_of_the_exact_model(monkeypatch):
