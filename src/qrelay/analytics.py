@@ -115,8 +115,9 @@ def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> fl
     """First-order SNR with n optimally placed relays, S_1 = 1/((N+1) u).
 
     S_N = S_0 * (1/(N+1)) * eta^(N/(N+1)) * e^(alpha x N/(N+1)), evaluated
-    as (1/(2 p_d)) * eta^(N/(N+1)) * e^(-alpha x/(N+1)) / (N+1), or from
-    logs where that underflows; at N = 0 it is snr_no_relay.
+    as (1/(2 p_d)) * eta^(N/(N+1)) * e^(-alpha x/(N+1)) / (N+1), with
+    e^-708 split off and applied last where that product leaves the normal
+    range; at N = 0 it is snr_no_relay.
     It assumes the interior optimum, alpha x > ln(1/eta); below that the
     relays are clamped to the transmitter and the first-order SNR of that
     placement differs from this formula: at eta = 0.5 by up to 5.7% (N = 1,
@@ -331,9 +332,13 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     """(S_1, S, q_b, rel_dev) of the optimal chain at each alpha_x: the
     first-order and exact SNR, the QBER at S and rel_dev = |S/S_1 - 1|.
 
-    S_1 = e^-y/(2 p_dark (N+1)) is written here alone, from logs where
-    e^-y/(N+1) leaves the normal range and with p_dark at _noise_kernel's
-    scale 2^-e; S, k, s and w are _chain_curve's. In the interior S/S_1 =
+    S_1 = e^-y/(2 p_dark (N+1)) is written here alone, as the product
+    s_0 eta^(N/(N+1)) e^-t/(N+1), t = alpha x/(N+1), with p_dark at
+    _noise_kernel's scale 2^-e. Where e^-y/(N+1) leaves the normal range,
+    e^-t = e^(708 j - t) (e^-708)^j and the small factors, at the scale
+    2^-e, come last: j = 2 only at a subnormal p_dark and t >= 708, where
+    e^(708 - y) can be subnormal and S_1 still normal. S, k, s and w are
+    _chain_curve's. In the interior S/S_1 =
     r = (N+1) u/expm1(K), with w = log1p(u) and K = (N+1) w, so with
     g(x) = ln(expm1(x)/x) = x/2 + _log_sinhc(x/2), ln r = g(w) - g(K) =
     -N w/2 (at the kernel's scale) + _log_sinhc(w/2) - _log_sinhc(K/2):
@@ -351,16 +356,22 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     e = _noise_kernel(p_dark, eta)[2]
     n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
     n_log_eta, log_m, gain = n * log_eta, math.log(m), eta ** (n / m)
-    # no dark counts: s_0 = inf and ln(2 p_dark) = -inf, so S_1 = inf
-    s_0, log_pd2 = ((0.5 / math.ldexp(p_dark, -e), math.log(2.0 * p_dark))
-                    if p_dark else (math.inf, -math.inf))
+    s_0 = 0.5 / math.ldexp(p_dark, -e) if p_dark else math.inf
+    small = _ldexp(math.exp(-_EXP_NORMAL), -e)     # e^-708 2^-e
+    smalls = (small, small * math.exp(-_EXP_NORMAL))
     points = []
     for alpha_x, (s_ex, k, s, w) in zip(
             alpha_xs, _chain_curve(alpha_xs, n_relays, eta, p_dark)):
-        y = (alpha_x - n_log_eta) / m
-        s_an = (math.exp(-(log_pd2 + y) - log_m) if y + log_m >= _EXP_NORMAL
-                else s_0 * (gain * math.exp(-alpha_x / m) / m) if not e
-                else _ldexp(s_0 * (gain * math.exp(-alpha_x / m) / m), -e))
+        y, t = (alpha_x - n_log_eta) / m, alpha_x / m
+        if not p_dark:      # no dark counts: S_1 = inf
+            s_an = math.inf
+        elif y + log_m >= _EXP_NORMAL:
+            j = 2 if e and t >= _EXP_NORMAL else 1
+            s_an = (s_0 * (gain * math.exp(j * _EXP_NORMAL - t) / m)
+                    * smalls[j - 1])
+        else:
+            s_an = s_0 * (gain * math.exp(-t) / m)
+            s_an = _ldexp(s_an, -e) if e else s_an
         if k == 0.0:    # no noise: S = inf, and S_1 = inf or all but
             dev = 0.0
         elif not n or alpha_x > -log_eta:

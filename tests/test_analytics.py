@@ -15,7 +15,8 @@ from qrelay.analytics import (ChainConfig, noise_single_relay,
                               solve_range_alpha_x)
 from qrelay.chain import run_chain, search_positions
 
-from oracles import coordinate_descent, decimal_noise_ratio
+from oracles import (coordinate_descent, decimal_first_order_snr,
+                     decimal_noise_ratio)
 
 
 def test_chain_config_validation():
@@ -124,6 +125,39 @@ def test_snr_n_relays_is_finite_on_long_chains():
     for ax in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             snr_n_relays(ax, 64, 0.5, 1e-5)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(0, 64),
+       eta=st.one_of(st.floats(0.01, 1.0), _log_uniform(1e-300, 1.0)),
+       p_dark=_log_uniform(5e-324, 0.2), y=st.floats(690.0, 1460.0))
+# one 51 and one 111 ulps low, when S_1 came from exp(-(ln 2 p_d + y))
+@example(n=0, eta=1.0, p_dark=0.3, y=708.0)
+@example(n=0, eta=0.5, p_dark=0.2, y=708.0)
+def test_first_order_snr_keeps_its_digits_past_e_minus_708(n, eta, p_dark,
+                                                            y):
+    # S_1 = e^-y/(2 p_d (N+1)) around and past y + ln(N+1) = 708, where
+    # e^-y/(N+1) leaves the normal range, against 60 digits: within 4 ulps
+    # at N = 0 and 1, where alpha x/(N+1) and N/(N+1) are exact, and past
+    # N = 1 also within twice what S_1 inherits from their rounding, which
+    # e^-y scales by y
+    m, in_domain = n + 1, eta + 2.0 * p_dark <= 1.0
+    alpha_x = y * m + n * math.log(eta)
+    assume(alpha_x >= 0.0 and (n == 0 or in_domain))
+    want = decimal_first_order_snr(alpha_x, n, eta, p_dark)
+    allowed = 4 * Decimal(math.ulp(float(want)))
+    if n > 1:
+        allowed += Decimal(sys.float_info.epsilon * y) * want
+    # S_0 takes no eta
+    got = [snr_no_relay(p_dark, alpha_x)] if n == 0 else []
+    if in_domain:
+        got.append(snr_n_relays(alpha_x, n, eta, p_dark))
+    for s in got:
+        assert abs(Decimal(s) - want) <= allowed, (s, float(want))
 
 
 def test_snr_single_relay_closed_form():
