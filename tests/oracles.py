@@ -435,7 +435,8 @@ def fidelity(bra, ket) -> float:
 
 
 class Table(NamedTuple):
-    """A table report read back: labels, float rows, metadata."""
+    """A table's labels, rows and metadata: read_report returns one, and
+    the renderers take one as they take the command line's tables."""
     columns: tuple
     rows: tuple
     metadata: dict
