@@ -248,7 +248,7 @@ def cmd_throughput(params: dict) -> int:
     ec = EcPaParams(f_ec=params["f_ec"])
     curves = [(cfg.n_relays, throughput_curve(cfg, grid, ec))
               for cfg in configs]
-    # an unbounded cutoff (no dark counts) is written "inf", as reports are
+    # an unbounded cutoff (no dark counts) reads "inf" in the report
     cutoffs = {str(cfg.n_relays): cutoff_alpha_x(cfg, ec) for cfg in configs}
     _emit_sweep("throughput", ("s_exact", "q_b", "t_n", "t_n_scaled"),
                 curves, grid, {"f_ec": ec.f_ec, "model": MODEL,
