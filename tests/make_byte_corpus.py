@@ -153,6 +153,18 @@ def _cases() -> list[list[str]]:
         ["snr", "--n-relays", ","],
         ["optimize", "--distance-km", "100", "--n-relays", "1,2"],
         ["snr", "--alpha-x-min", "-1"],
+        # real refusals: each end of the relay domain, eta + 2 p_dark > 1,
+        # the attenuation, the distance, f_ec, the grid's ends, and an
+        # attenuation length alpha x that overflows a double
+        ["snr", "--pd", "0.5"],
+        ["snr", "--eta", "0.9", "--pd", "0.1"],
+        ["snr", "--atten-per-km", "0"],
+        ["optimize", "--distance-km", "-1", "--n-relays", "1"],
+        ["throughput", "--f-ec", "0.5"],
+        ["snr", "--alpha-x-max", "inf"],
+        ["snr", "--alpha-x-min", "5", "--alpha-x-max", "5"],
+        ["optimize", "--distance-km", "1e308", "--atten-per-km", "10",
+         "--n-relays", "1"],
     ]
     return cases
 
