@@ -2,7 +2,9 @@
 
 The package layers are, bottom up:
 
-- errors: the contract-violation error and check_int, the one integer check.
+- errors: the contract-violation error and the two input rules, check_int
+  for integers and check_real for reals, each with one message form
+  (`p_dark must be a number in [0, 0.5), got 0.5`).
 - fockspace: sparse multimode Fock states, linear-optics transforms, and
   the one photon-count projection, enumerate_outcomes, whose patterns are
   {BasisMode: count} dicts.

@@ -5,7 +5,9 @@ convenient; configs carry physical distances in km. This module holds the
 first-order analytic forms, the exact chain's closed form (which the chain
 module evaluates at any relay positions) and the relay placement, uniform
 spacing with a longer final segment, clamped to the transmitter end at short
-range, which is the exact optimum.
+range, which is the exact optimum. Every entry point checks its inputs by
+errors.check_int and check_real (`eta must be a number in (0, 1], got 1.5`),
+and check_relay adds the one joint condition, eta + 2 p_dark <= 1.
 
 At that placement the exact chain is one binomial. In the interior
 (alpha x > ln(1/eta), or N = 0), with u = (2 p_dark/eta) e^((alpha x +
@@ -21,35 +23,20 @@ import sys
 from collections import namedtuple
 from typing import NamedTuple, Sequence
 
-from .errors import check_int
-
-
-def check_p_dark(p_dark: float) -> None:
-    """Reject a per-detector dark-count probability outside [0, 1/2)."""
-    if not 0.0 <= p_dark < 0.5:
-        raise ValueError(f"p_dark must be in [0, 0.5), got {p_dark}")
+from .errors import check_int, check_real
 
 
 def check_relay(eta: float, p_dark: float) -> None:
     """Reject relay parameters outside the domain of the relay map.
 
     A relay gates a photon through with probability eta in (0, 1] and false
-    gates with probability 2*p_dark; both together must stay a probability,
-    eta + 2*p_dark <= 1. NaN fails every comparison and is rejected.
+    gates with probability 2*p_dark, p_dark in [0, 1/2) per detector; both
+    together must stay a probability, eta + 2*p_dark <= 1.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
-    check_p_dark(p_dark)
+    check_real(eta, "eta", 0, 1, "(]")
+    check_real(p_dark, "p_dark", 0, 0.5)
     if eta + 2.0 * p_dark > 1.0:
         raise ValueError("eta + 2*p_dark exceeds 1")
-
-
-def _check_alpha_xs(alpha_xs: Sequence[float]) -> None:
-    """Reject an attenuation length that is not finite and >= 0."""
-    for alpha_x in alpha_xs:
-        if not 0.0 <= alpha_x < math.inf:
-            raise ValueError(f"alpha_x must be finite and >= 0, "
-                             f"got {alpha_x}")
 
 
 class ChainConfig(namedtuple("ChainConfig", (
@@ -66,12 +53,9 @@ class ChainConfig(namedtuple("ChainConfig", (
 
     def __new__(cls, distance_km: float, atten_per_km: float = 0.05,
                 n_relays: int = 0, eta: float = 0.5, p_dark: float = 1e-5):
-        if not math.isfinite(distance_km) or distance_km < 0:
-            raise ValueError(f"distance_km must be finite and >= 0, "
-                             f"got {distance_km}")
-        if not math.isfinite(atten_per_km) or atten_per_km <= 0:
-            raise ValueError(f"atten_per_km must be finite and > 0, "
-                             f"got {atten_per_km}")
+        check_real(distance_km, "distance_km")
+        check_real(atten_per_km, "atten_per_km", ends="()")
+        check_real(atten_per_km * distance_km, "alpha_x")
         check_int(n_relays, "n_relays")
         check_relay(eta, p_dark)
         return super().__new__(cls, distance_km, atten_per_km, n_relays, eta,
@@ -88,6 +72,7 @@ class ChainConfig(namedtuple("ChainConfig", (
     def at_alpha_x(self, alpha_x: float) -> "ChainConfig":
         """The same chain rescaled to attenuation length alpha_x, whose
         distance becomes alpha_x/alpha."""
+        check_real(alpha_x, "alpha_x")
         return ChainConfig(alpha_x / self.atten_per_km, self.atten_per_km,
                            self.n_relays, self.eta, self.p_dark)
 
@@ -98,8 +83,7 @@ def qber_from_snr(s: float) -> float:
     Noise photons are randomly polarized, so half of them land in the wrong
     detector: Q_B = 1 / (2 (1 + S)). S = 0 gives 1/2, S -> inf gives 0.
     """
-    if not 0.0 <= s <= math.inf:
-        raise ValueError(f"snr must be nonnegative, got {s}")
+    check_real(s, "s", ends="[]")
     return 0.5 / (1.0 + s)
 
 
@@ -107,7 +91,7 @@ def snr_no_relay(p_dark: float, alpha_x: float) -> float:
     """Direct-transmission SNR S_0, half the inverse dark rate times
     e^(-alpha x): the N = 0 point of the first-order curve (_snr_curve),
     where eta does not enter. p_dark = 0 returns math.inf, noise-free."""
-    check_p_dark(p_dark)
+    check_real(p_dark, "p_dark", 0, 0.5)
     return _snr_curve((alpha_x,), 0, 1.0, p_dark)[0][0]
 
 
@@ -131,11 +115,12 @@ def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> fl
 def noise_single_relay(x1_km: float, x2_km: float, config: ChainConfig) -> float:
     """First-order noise rate with one relay: 2 P_d (eta e^(-a x1) + e^(-a x2)).
 
-    The two legs must be in the alpha x domain and add up to the configured
-    total distance.
+    The two legs must be distances, finite and >= 0, that add up to the
+    configured total distance.
     """
     a = config.atten_per_km
-    _check_alpha_xs((a * x1_km, a * x2_km))
+    check_real(x1_km, "x1_km")
+    check_real(x2_km, "x2_km")
     if abs(x1_km + x2_km - config.distance_km) > 1e-9 * max(1.0, config.distance_km):
         raise ValueError(f"legs {x1_km} + {x2_km} do not add up to "
                          f"{config.distance_km}")
@@ -289,11 +274,11 @@ def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     w 2^-s = log1p(u), u = 2 p_dark e^y, y = (alpha x - N ln eta)/(N+1);
     clamped, w 2^-s is a relay's, log1p(2 p_dark/eta). Only the alpha_xs
     are checked; the callers check (eta, p_dark, N)."""
-    _check_alpha_xs(alpha_xs)
     terms, term, _ = _noise_kernel(p_dark, eta)
     n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
     out = []
     for alpha_x in alpha_xs:
+        check_real(alpha_x, "alpha_x")
         if n and alpha_x <= -log_eta:   # N relays of t = 1, then bare fiber
             (relay, last), _, s = terms((0.0, alpha_x), 1)
             k, w = n * relay + last, relay
@@ -390,7 +375,7 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
                     / (n + e_d))))
         else:
             dev = 1.0
-        points.append((s_an, s_ex, qber_from_snr(s_ex), dev))
+        points.append((s_an, s_ex, 0.5 / (1.0 + s_ex), dev))     # Q_B of S
     return points
 
 
@@ -414,8 +399,7 @@ def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,
     """
     check_int(n_relays, "n_relays")
     check_relay(eta, p_dark)
-    if not 0.0 < s_target < math.inf:
-        raise ValueError(f"s_target must be finite and > 0, got {s_target}")
+    check_real(s_target, "s_target", ends="()")
     r = n_relays / (n_relays + 1)
     log_arg = (math.log(2.0 * (n_relays + 1)) + math.log(p_dark)
                + math.log(s_target) - r * math.log(eta)
@@ -455,7 +439,6 @@ def raw_rate(clock_hz: float, alpha_x: float) -> float:
 
     Relays do not change this; they only suppress which slots are accepted.
     """
-    if not 0.0 <= clock_hz < math.inf:
-        raise ValueError(f"clock_hz must be finite and >= 0, got {clock_hz}")
-    _check_alpha_xs((alpha_x,))
+    check_real(clock_hz, "clock_hz")
+    check_real(alpha_x, "alpha_x")
     return clock_hz * math.exp(-alpha_x)

@@ -17,14 +17,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import __version__
-from .errors import ContractViolationError, check_int
+from .errors import ContractViolationError, check_int, check_real
 from .reports import render_csv, render_json, render_payload
 
 # analytics, chain, throughput and circuit are imported in the functions that
@@ -39,7 +38,7 @@ EXIT_BROKEN_PIPE = 128 + 13     # SIGPIPE
 
 
 # Each parser reads a flag's text or a JSON config value, named `name` in
-# its errors; the layers check domains (eta <= 1, ...) where values are used.
+# its errors; the layers check domains by errors' check_int and check_real.
 
 def _real(value, name: str) -> float:
     """A number or its text; a bool is refused."""
@@ -170,15 +169,12 @@ def _grid(params: dict) -> list[float]:
     if ax is not None:      # checked, as every grid point is, by the curves
         return [ax]
     lo, hi = params["alpha_x_min"], params["alpha_x_max"]
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"alpha_x range must be finite, got [{lo}, {hi}]")
     steps = params["steps"]
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    check_real(lo, "alpha_x_min")
+    check_real(hi, "alpha_x_max")
+    check_int(steps, "steps", 2)
     if not lo < hi:
         raise ValueError(f"alpha_x_min must be < alpha_x_max, got [{lo}, {hi}]")
-    if lo < 0:
-        raise ValueError(f"alpha_x_min must be >= 0, got {lo}")
     # np.linspace's points: a step that underflows to 0 is scaled last
     step = (hi - lo) / (steps - 1)
     return [lo + (i * step if step else i / (steps - 1) * (hi - lo))
@@ -262,8 +258,7 @@ def cmd_optimize(params: dict) -> int:
     from .chain import run_chain, search_positions
 
     n = _single_n(params)
-    if n < 1:
-        raise ValueError("optimize needs n_relays >= 1")
+    check_int(n, "n_relays", 1)
     config = _chain(params, n)._replace(distance_km=params["distance_km"])
     x = config.distance_km
     analytic = optimal_positions(config)

@@ -17,8 +17,8 @@ import math
 from collections import namedtuple
 from typing import NamedTuple, Optional, Sequence
 
-from .analytics import (ChainConfig, _alpha_x_at_snr, _chain_curve,
-                        qber_from_snr)
+from .analytics import ChainConfig, _alpha_x_at_snr, _chain_curve
+from .errors import check_real
 
 # the one key-fraction formula here (_tau), as the throughput report names it
 MODEL = "single-photon-bb84"
@@ -26,8 +26,7 @@ MODEL = "single-photon-bb84"
 
 def binary_entropy(e: float) -> float:
     """Shannon entropy h(e) in bits; defined on [0, 1] with h(0) = h(1) = 0."""
-    if not 0.0 <= e <= 1.0:
-        raise ValueError(f"binary_entropy needs e in [0, 1], got {e}")
+    check_real(e, "e", 0, 1, "[]")
     if e == 0.0 or e == 1.0:
         return 0.0
     return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
@@ -43,8 +42,7 @@ class EcPaParams(namedtuple("EcPaParams", ("f_ec",))):
     __slots__ = ()
 
     def __new__(cls, f_ec: float = 1.16):
-        if not math.isfinite(f_ec) or f_ec < 1.0:
-            raise ValueError(f"f_ec must be finite and >= 1, got {f_ec}")
+        check_real(f_ec, "f_ec", 1)
         return super().__new__(cls, f_ec)
 
     def _replace(self, **changes) -> "EcPaParams":
@@ -64,8 +62,7 @@ def key_fraction(e: float, params: Optional[EcPaParams] = None) -> float:
     Accepts e in [0, 0.5]; beyond that the sifted channel is worse than
     guessing.
     """
-    if not 0.0 <= e <= 0.5:
-        raise ValueError(f"key_fraction needs e in [0, 0.5], got {e}")
+    check_real(e, "e", 0, 0.5, "[]")
     return max(_tau(e, params or EcPaParams()), 0.0)
 
 
@@ -123,7 +120,7 @@ def throughput_curve(config: ChainConfig, alpha_x_values: Sequence[float],
     points = []
     for s, *_ in _chain_curve(alpha_x_values, config.n_relays, config.eta,
                               config.p_dark):
-        q_b = qber_from_snr(s)
+        q_b = 0.5 / (1.0 + s)     # qber_from_snr's Q_B, of an S >= 0
         t_n = max(_tau(q_b, params), 0.0)
         points.append(ThroughputPoint(s, q_b, t_n, scale * t_n))
     return points

@@ -1,8 +1,8 @@
 """The package's lower layers import only downward, and every public name
 is used outside the tests.
 
-errors, which holds the exception types and the one integer check, is the
-module every layer may import: analytics sits at the bottom and imports
+errors, which holds the exception types and the two input rules, check_int
+and check_real, is the module every layer may import: analytics sits at the bottom and imports
 only errors, as fockspace does, and circuit builds on fockspace alone;
 outside the package, every module imports only the standard library, and not
 dataclasses, whose import loads inspect, ast, dis and tokenize into every
@@ -207,6 +207,144 @@ def test_the_integer_rule_is_written_once():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", None) == "isinstance"
              and getattr(node.args[1], "id", None) == "bool"]
+    assert sites == ["errors"]
+
+
+# every real argument of the public entry points: its name in the refusal
+# and its interval, as errors.check_real writes it
+_REAL_ARGUMENTS = {
+    "ChainConfig.distance_km": ("distance_km", "[0, inf)"),
+    "ChainConfig.atten_per_km": ("atten_per_km", "(0, inf)"),
+    "ChainConfig.eta": ("eta", "(0, 1]"),
+    "ChainConfig.p_dark": ("p_dark", "[0, 0.5)"),
+    "ChainConfig.at_alpha_x": ("alpha_x", "[0, inf)"),
+    "noise_single_relay.x1_km": ("x1_km", "[0, inf)"),
+    "noise_single_relay.x2_km": ("x2_km", "[0, inf)"),
+    "snr_no_relay.p_dark": ("p_dark", "[0, 0.5)"),
+    "snr_no_relay.alpha_x": ("alpha_x", "[0, inf)"),
+    "snr_n_relays.alpha_x": ("alpha_x", "[0, inf)"),
+    "snr_n_relays.eta": ("eta", "(0, 1]"),
+    "snr_n_relays.p_dark": ("p_dark", "[0, 0.5)"),
+    "snr_exact.alpha_x": ("alpha_x", "[0, inf)"),
+    "snr_exact.eta": ("eta", "(0, 1]"),
+    "snr_exact.p_dark": ("p_dark", "[0, 0.5)"),
+    "qber_from_snr": ("s", "[0, inf]"),
+    "solve_range_alpha_x.eta": ("eta", "(0, 1]"),
+    "solve_range_alpha_x.p_dark": ("p_dark", "[0, 0.5)"),
+    "solve_range_alpha_x.s_target": ("s_target", "(0, inf)"),
+    "raw_rate.clock_hz": ("clock_hz", "[0, inf)"),
+    "raw_rate.alpha_x": ("alpha_x", "[0, inf)"),
+    "binary_entropy": ("e", "[0, 1]"),
+    "key_fraction": ("e", "[0, 0.5]"),
+    "EcPaParams": ("f_ec", "[1, inf)"),
+}
+
+
+def _real_entry_point(entry: str):
+    """call(value), which passes value as the entry's real argument and
+    valid values as the others."""
+    from qrelay.analytics import (ChainConfig, noise_single_relay,
+                                  qber_from_snr, raw_rate, snr_exact,
+                                  snr_n_relays, snr_no_relay,
+                                  solve_range_alpha_x)
+    from qrelay.throughput import EcPaParams, binary_entropy, key_fraction
+
+    one_relay = ChainConfig(100.0, n_relays=1)
+    return {
+        "ChainConfig.distance_km": ChainConfig,
+        "ChainConfig.atten_per_km": lambda v: ChainConfig(100.0, v),
+        "ChainConfig.eta": lambda v: ChainConfig(100.0, eta=v),
+        "ChainConfig.p_dark": lambda v: ChainConfig(100.0, p_dark=v),
+        "ChainConfig.at_alpha_x": ChainConfig(100.0).at_alpha_x,
+        "noise_single_relay.x1_km": lambda v: noise_single_relay(v, 60.0,
+                                                                 one_relay),
+        "noise_single_relay.x2_km": lambda v: noise_single_relay(40.0, v,
+                                                                 one_relay),
+        "snr_no_relay.p_dark": lambda v: snr_no_relay(v, 5.0),
+        "snr_no_relay.alpha_x": lambda v: snr_no_relay(1e-5, v),
+        "snr_n_relays.alpha_x": lambda v: snr_n_relays(v, 1, 0.5, 1e-5),
+        "snr_n_relays.eta": lambda v: snr_n_relays(5.0, 1, v, 1e-5),
+        "snr_n_relays.p_dark": lambda v: snr_n_relays(5.0, 1, 0.5, v),
+        "snr_exact.alpha_x": lambda v: snr_exact(v, 1, 0.5, 1e-5),
+        "snr_exact.eta": lambda v: snr_exact(5.0, 1, v, 1e-5),
+        "snr_exact.p_dark": lambda v: snr_exact(5.0, 1, 0.5, v),
+        "qber_from_snr": qber_from_snr,
+        "solve_range_alpha_x.eta": lambda v: solve_range_alpha_x(1, v, 1e-5,
+                                                                 10.0),
+        "solve_range_alpha_x.p_dark": lambda v: solve_range_alpha_x(1, 0.5, v,
+                                                                    10.0),
+        "solve_range_alpha_x.s_target": lambda v: solve_range_alpha_x(
+            1, 0.5, 1e-5, v),
+        "raw_rate.clock_hz": lambda v: raw_rate(v, 10.0),
+        "raw_rate.alpha_x": lambda v: raw_rate(1e9, v),
+        "binary_entropy": binary_entropy,
+        "key_fraction": key_fraction,
+        "EcPaParams": EcPaParams,
+    }[entry]
+
+
+def _past_the_ends(interval: str) -> list[float]:
+    """The double next outside each end of the interval: the end itself
+    where it is open, none past a closed inf."""
+    lo, hi = (float(end) for end in interval[1:-1].split(", "))
+    out = [lo if interval[0] == "(" else math.nextafter(lo, -math.inf)]
+    if interval[-1] == ")":
+        out.append(hi)
+    elif hi < math.inf:
+        out.append(math.nextafter(hi, math.inf))
+    return out
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry, (_, interval) in _REAL_ARGUMENTS.items()
+    for value in (True, "1.0", None, math.nan, *_past_the_ends(interval))],
+    ids=repr)
+def test_every_real_argument_is_checked_by_the_one_rule(entry, value):
+    # errors.check_real is the one real rule: a bool, a string, None, NaN
+    # and a value past either end of the interval are refused, with one
+    # message form that names the argument and its interval
+    name, interval = _REAL_ARGUMENTS[entry]
+    with pytest.raises(ValueError) as err:
+        _real_entry_point(entry)(value)
+    assert str(err.value) == (f"{name} must be a number in {interval}, "
+                              f"got {value!r}")
+
+
+def test_the_real_rule_takes_ints_and_refuses_what_no_double_holds():
+    from qrelay.analytics import ChainConfig
+
+    # an int is a number, compared as its double
+    assert ChainConfig(100, 1).alpha_x == 100.0
+    big = 10**400
+    with pytest.raises(ValueError) as err:
+        ChainConfig(big)
+    assert str(err.value) == (f"distance_km must be a number in [0, inf), "
+                              f"got {big!r}")
+    # each factor is finite, their product alpha x is not
+    with pytest.raises(ValueError) as err:
+        ChainConfig(1e308, 10.0)
+    assert str(err.value) == "alpha_x must be a number in [0, inf), got inf"
+
+
+# a refusal's words that bound one value: an interval, a one-sided bound,
+# or finiteness joined to one
+_BOUND_WORDS = re.compile(r"must be (a number in|in |finite and|nonnegative)"
+                          r"|needs \w+ in |[<>]=? ?-?\d")
+
+
+def test_the_real_rule_is_written_once():
+    # only errors.check_real words an interval in a refusal, and
+    # errors.check_int a bound, in a string raised with the error; every
+    # other refusal names no bound of one value
+    sites = [module for module in MODULES
+             for node in ast.walk(ast.parse(Path(qrelay.__file__)
+                                            .with_name(f"{module}.py")
+                                            .read_text()))
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and _BOUND_WORDS.search("".join(
+                 part.value for part in ast.walk(node.exc)
+                 if isinstance(part, ast.Constant)
+                 and isinstance(part.value, str)))]
     assert sites == ["errors"]
 
 

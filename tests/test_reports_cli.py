@@ -605,9 +605,12 @@ def test_cli_stdout_output(capsys):
     ["optimize", "--distance-km", "inf", "--n-relays", "1"],
     ["sample", "--alpha-x", "nan", "--trials", "10", "--seed", "1"],
     ["verify-circuit", "--input", "nan,1"],
+    # each factor finite, their product alpha x = inf
+    ["optimize", "--distance-km", "1e308", "--atten-per-km", "10",
+     "--n-relays", "1"],
 ], ids=["f-ec-nan", "f-ec-inf", "alpha-x-inf", "alpha-x-nan",
         "alpha-x-max-inf", "distance-inf", "sample-alpha-x-nan",
-        "input-nan"])
+        "input-nan", "alpha-x-overflow"])
 def test_cli_rejects_non_finite_inputs(args, capsys):
     assert run_cli(args) == 2
     captured = capsys.readouterr()
