@@ -2,10 +2,10 @@
 
 Everything here works in the dimensionless attenuation length alpha*x where
 convenient; configs carry physical distances in km. This module holds the
-first-order analytic forms, the exact chain's closed form (which the chain
-module evaluates at any relay positions) and the relay placement, uniform
-spacing with a longer final segment, clamped to the transmitter end at short
-range, which is the exact optimum. Every entry point checks its inputs by
+first-order analytic forms, the exact chain's closed form at any relay
+positions (_chain_at_segments, which chain.run_chain reports) and the relay
+placement, uniform spacing with a longer final segment, clamped to the
+transmitter end at short range, which is the exact optimum. Every entry point checks its inputs by
 errors.check_int and check_real (`eta must be a number in (0, 1], got 1.5`),
 and check_relay adds the one joint condition, eta + 2 p_dark <= 1.
 
@@ -236,6 +236,38 @@ def _snr_from_k(k: float, s: int = 0) -> float:
     if s:
         return _ldexp(1.0 / (k * (1.0 + math.ldexp(k, -s) / 2)), s)
     return 1.0 / math.expm1(k) if k < _EXP_MAX else math.exp(-k)
+
+
+def _chain_at_segments(config: ChainConfig, ys: Sequence[float]) -> tuple:
+    """(p_s, p_n, S, q_b, ln p_s, ln p_n, K) of the exact chain whose N + 1
+    segments have attenuation lengths ys, y_j = alpha dx_j.
+
+    A relay maps (sig, rnd, emp) as the chain module states, so with
+    t_j = e^(-y_j), c = 2 p_dark/eta, S_N = prod_{j<=N} eta t_j and
+    L = sum_{j<=N} log1p(c/t_j) (inf for a t_j of 0), the live mass after
+    the last relay is S_N e^L = prod_{j<=N} (eta t_j + 2 p_dark), and
+        p_s = S_N t_last,    p_n = S_N (t_last expm1(L) + 2 p_dark e^L).
+    S_N expm1(L) is read off the products as S_N e^L - S_N once L >= 1,
+    where the difference no longer cancels and e^L may overflow. S, q_b
+    and the logs come from the noise exponent K = ln(1 + p_n/p_s), the fsum
+    of _noise_kernel's terms, as snr_exact's do, so they stay finite where
+    p_s and p_n underflow on long chains (S = inf, q_b = 0 without dark
+    counts): ln p_s = N ln eta - alpha x, whatever the positions, and
+    ln p_n = ln p_s + ln expm1(K).
+    """
+    terms, k, s = _noise_kernel(config.p_dark, config.eta)[0](
+        ys, config.n_relays)
+    *relay_ts, t_last = [math.exp(-y) for y in ys]
+    eta, pd2 = config.eta, 2.0 * config.p_dark
+    s_n = math.prod(eta * t for t in relay_ts)
+    alive = math.prod(eta * t + pd2 for t in relay_ts)
+    big_l = math.ldexp(math.fsum(terms[:-1]), -s)
+    spurious = s_n * math.expm1(big_l) if big_l < 1.0 else alive - s_n
+    p_s, p_n = s_n * t_last, t_last * spurious + pd2 * alive
+    snr = _snr_from_k(k, s)
+    log_p_s = config.n_relays * math.log(eta) - config.alpha_x
+    return (p_s, p_n, snr, qber_from_snr(snr), log_p_s,
+            log_p_s + _log_expm1(k, s), math.ldexp(k, -s))
 
 
 def _log_sinhc(z: float) -> float:

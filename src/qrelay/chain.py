@@ -13,10 +13,11 @@ stays vetoed. On the live masses (sig, rnd, emp) one relay is
     (sig, rnd, emp) -> (eta sig, eta rnd + 2 p_dark (sig + rnd + emp), 0).
 
 The receiver counts the signal photon, a spurious photon, and a dark count
-(2 p_dark) in every live slot. run_chain evaluates this chain in closed
-form, keeping all orders of dark-count events, so its probabilities and
-their logs are exact for the model, not first-order expansions. Relay
-positions are an argument, the optimum where omitted.
+(2 p_dark) in every live slot. The chain's closed form, all orders of
+dark-count events kept, lives in analytics (_chain_at_segments): run_chain
+turns relay positions, the optimum where omitted, into the segments'
+attenuation lengths and reports that form there, so its probabilities and
+their logs are exact for the model, not first-order expansions.
 sample_chain is the seeded Monte Carlo check: it draws how many of n slots
 land in each event, step by step, from the same rules, in O(N) draws
 whatever n is.
@@ -29,8 +30,7 @@ import random
 import sys
 from typing import NamedTuple, Optional, Sequence
 
-from .analytics import (ChainConfig, _log_expm1, _noise_kernel, _snr_from_k,
-                        optimal_positions, qber_from_snr)
+from .analytics import ChainConfig, _chain_at_segments, optimal_positions
 from .errors import check_int
 
 _MAX_TRIALS = 2**63 - 1     # the --trials range; _binomial is tested up to it
@@ -68,8 +68,8 @@ class ReceiverReport(NamedTuple):
 
 def _segment_lengths(config: ChainConfig,
                      positions_km: Optional[Sequence[float]]) -> list[float]:
-    """Segment lengths between the relays, which sit at the explicit
-    positions, else at the optimum.
+    """Attenuation lengths alpha dx_j of the segments between the relays,
+    which sit at the explicit positions, else at the optimum.
 
     Explicit positions, measured from the transmitter, must be one per relay,
     finite, non-decreasing and inside [0, distance_km], each within 1e-12 km;
@@ -91,53 +91,18 @@ def _segment_lengths(config: ChainConfig,
             lo = p
     pts = (0.0, *positions_km, config.distance_km)
     # positions may step back by up to 1e-12 km: no segment < 0
-    return [max(b - a, 0.0) for a, b in zip(pts, pts[1:])]
-
-
-def _noise_terms(config: ChainConfig, positions_km: Optional[Sequence[float]]
-                 ) -> tuple[list[float], list[float], float, int]:
-    """(ys, terms 2^s, K 2^s, s): the segments' y_j = alpha dx_j, then
-    _noise_kernel's scaled terms ln(1 + c_j/t_j) of the noise exponent
-    K = ln(1 + p_n/p_s), t_j = e^(-y_j) a segment's transmission.
-    """
-    ys = [config.atten_per_km * seg
-          for seg in _segment_lengths(config, positions_km)]
-    terms = _noise_kernel(config.p_dark, config.eta)[0]
-    return (ys, *terms(ys, config.n_relays))
+    return [config.atten_per_km * max(b - a, 0.0)
+            for a, b in zip(pts, pts[1:])]
 
 
 def run_chain(config: ChainConfig,
               positions_km: Optional[Sequence[float]] = None) -> ReceiverReport:
-    """Exact receiver statistics for the configured chain, in closed form.
-
-    The relays sit at the explicit positions, else at the analytic optimum.
-    Each relay maps the live masses (sig, rnd, emp) to
-    (eta sig, eta rnd + 2 p_dark (sig + rnd + emp), 0), each segment keeps
-    a photon with its transmission t_j, and the receiver adds 2 p_dark per
-    live slot. After each relay a live slot holds a photon, so with
-    c = 2 p_dark/eta, S_N = prod_{j<=N} eta t_j, L = sum_{j<=N}
-    log1p(c/t_j) (inf for a t_j of 0) and the live mass
-    S_N e^L = prod_{j<=N} (eta t_j + 2 p_dark):
-        p_s = S_N t_last,    p_n = S_N (t_last expm1(L) + 2 p_dark e^L).
-    S_N expm1(L) = S_N e^L - S_N is read off the products once L >= 1,
-    where the difference no longer cancels and e^L may overflow. snr and
-    q_b come from the noise exponent K, as snr_exact's do: finite where p_s
-    and p_n underflow together on long chains, inf and 0 without dark
-    counts. So do ln p_s = N ln eta - alpha x, whatever the positions, and
-    ln p_n = ln p_s + ln expm1(K), K's log kept below the normal range.
-    """
-    ys, terms, k, s = _noise_terms(config, positions_km)
-    *relay_ts, t_last = [math.exp(-y) for y in ys]
-    eta, pd2 = config.eta, 2.0 * config.p_dark
-    s_n = math.prod(eta * t for t in relay_ts)
-    alive = math.prod(eta * t + pd2 for t in relay_ts)
-    big_l = math.ldexp(math.fsum(terms[:-1]), -s)
-    spurious = s_n * math.expm1(big_l) if big_l < 1.0 else alive - s_n
-    p_s, p_n = s_n * t_last, t_last * spurious + pd2 * alive
-    snr = _snr_from_k(k, s)
-    log_p_s = config.n_relays * math.log(eta) - config.alpha_x
-    return ReceiverReport(p_s, p_n, snr, qber_from_snr(snr), log_p_s,
-                          log_p_s + _log_expm1(k, s))
+    """Exact receiver statistics for the configured chain, in closed form
+    (analytics._chain_at_segments), with the relays at the explicit
+    positions, else at the analytic optimum."""
+    *report, _ = _chain_at_segments(config,
+                                    _segment_lengths(config, positions_km))
+    return ReceiverReport(*report)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -150,7 +115,7 @@ SEARCH_MARGIN = 16 * sys.float_info.epsilon
 def search_positions(config: ChainConfig) -> tuple[float, ...]:
     """Relay positions from a numeric search, a check on the closed form.
 
-    Golden-section search for the lowest noise exponent K (see run_chain)
+    Golden-section search for the lowest noise exponent K = ln(1 + p_n/p_s)
     over the common length d in [0, x/N] of the first N segments (relay i
     at i*d), down to a bracket of 1e-12 x. K rises with the noise and stays
     a double where p_n underflows, so long chains are compared too. Replaces
@@ -168,8 +133,8 @@ def search_positions(config: ChainConfig) -> tuple[float, ...]:
         return tuple(min(i * d, x) for i in range(1, n + 1))
 
     def k_at(positions):
-        _, _, k, s = _noise_terms(config, positions)
-        return math.ldexp(k, -s)
+        return _chain_at_segments(config,
+                                  _segment_lengths(config, positions))[-1]
 
     def f(d):
         return k_at(place(d))
@@ -315,8 +280,8 @@ def sample_chain(config: ChainConfig, n_trials: int, seed: int,
         return _binomial(rng, n, p)
 
     sig, rnd, emp, nog = n_trials, 0, 0, 0
-    for i, seg in enumerate(_segment_lengths(config, positions_km)):
-        t = math.exp(-(config.atten_per_km * seg))
+    for i, y in enumerate(_segment_lengths(config, positions_km)):
+        t = math.exp(-y)
         kept_sig, kept_rnd = draw(sig, t), draw(rnd, t)
         emp += sig - kept_sig + rnd - kept_rnd
         sig, rnd = kept_sig, kept_rnd

@@ -11,8 +11,9 @@ Within chain, the Monte Carlo sampler does not call the exact model it
 checks, and within circuit a device run applies the cached Kraus operators
 without rerunning the Fock engine. The terms of the noise exponent are
 taken in one kernel, analytics._noise_kernel, the one place that scales
-below the normal range; only analytics and chain read it, and each chain a
-command reports is evaluated once. The layers that compute report values
+below the normal range; only analytics reads it, chain reads the closed
+form at given segments (analytics._chain_at_segments) and no other private
+analytics name, and each chain a command reports is evaluated once. The layers that compute report values
 add floats with math.fsum, never the builtin sum, whose rounding changed in
 Python 3.12.
 """
@@ -456,9 +457,10 @@ def test_sampler_is_independent_of_the_exact_model(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the sampler reached the exact model")
 
-    for name in ("run_chain", "_noise_terms", "_noise_kernel"):
+    for name in ("run_chain", "_chain_at_segments"):
         monkeypatch.setattr(chain, name, forbidden)
-    monkeypatch.setattr(analytics, "_noise_kernel", forbidden)
+    for name in ("_chain_at_segments", "_noise_kernel"):
+        monkeypatch.setattr(analytics, name, forbidden)
     cfg = analytics.ChainConfig(distance_km=60.0, n_relays=3, p_dark=1e-3)
     got = chain.sample_chain(cfg, 10_000, seed=1)
     assert sum(got.state_counts.values()) == 10_000
@@ -470,19 +472,19 @@ def test_optimize_and_sample_evaluate_each_chain_once(monkeypatch, capsys):
     # closed form here) and sample its one chain, each exactly once
     from qrelay import chain, cli
 
-    run_chain, noise_terms = chain.run_chain, chain._noise_terms
+    run_chain, closed_form = chain.run_chain, chain._chain_at_segments
     runs, evaluations = [], []
 
     def counted_run(*args, **kwargs):
         runs.append(args)
         return run_chain(*args, **kwargs)
 
-    def counted_terms(*args):
+    def counted_form(*args):
         evaluations.append(args)
-        return noise_terms(*args)
+        return closed_form(*args)
 
     monkeypatch.setattr(chain, "run_chain", counted_run)
-    monkeypatch.setattr(chain, "_noise_terms", counted_terms)
+    monkeypatch.setattr(chain, "_chain_at_segments", counted_form)
     monkeypatch.setattr(chain, "search_positions", chain.optimal_positions)
     for argv, want in (
             (["optimize", "--distance-km", "300", "--n-relays", "3"], 2),
@@ -519,12 +521,25 @@ def test_chain_curve_calls_terms_only_at_clamped_points(monkeypatch):
         assert calls == want, n
 
 
-def test_only_analytics_and_chain_name_the_noise_kernel():
-    # the optimal chain's closed form, forward and inverse, lives in
-    # analytics; chain reads the kernel for any positions, and every other
-    # layer goes through analytics' curves and their inverse
-    assert [m for m in MODULES if "_noise_kernel" in names_read(m)] == [
-        "analytics", "chain"]
+@pytest.mark.parametrize("name", ["_noise_kernel", "_snr_from_k",
+                                  "_log_expm1"])
+def test_only_analytics_names_the_noise_kernel(name):
+    # the exact chain's closed form, at any positions, at the optimum and
+    # inverted, lives in analytics: the kernel's scaled pair (k, s) never
+    # leaves it
+    assert [m for m in MODULES if name in names_read(m)] == ["analytics"]
+
+
+def test_chain_imports_only_the_closed_form_from_analytics_privates():
+    # run_chain and search_positions read the closed form at given segments
+    # through one private name, so a change to the relay rule is an edit
+    # to analytics and to the sampler, not to a second statement of it
+    source = Path(qrelay.__file__).with_name("chain.py").read_text()
+    private = {alias.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               and node.module == "analytics"
+               for alias in node.names if alias.name.startswith("_")}
+    assert private == {"_chain_at_segments"}
 
 
 def test_throughput_curve_scales_nothing_at_a_normal_p_dark(monkeypatch):
