@@ -14,9 +14,12 @@ counts as changed):
 
     PYTHONPATH=src python tests/make_byte_corpus.py
 
-pytest never runs it.
+With --check it writes nothing, prints the same ids, and exits 1 if any
+case moved; the CI byte-corpus job runs it so on every Python it
+supports. pytest never runs the script.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -204,16 +207,28 @@ def case_id(i: int, case: dict) -> str:
     return f"{i:02d}-{case['argv'][0]}"
 
 
-def main() -> None:
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the committed corpus and write "
+                             "nothing; exit 1 if any case moved")
+    check = parser.parse_args(argv).check
     old = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
     cases = [run_case(argv) for argv in _cases()]
-    for i, case in enumerate(cases):
-        if i >= len(old) or old[i] != case:
-            print(f"changed: {case_id(i, case)}")
+    moved = [case_id(i, case) for i, case in enumerate(cases)
+             if i >= len(old) or old[i] != case]
+    moved += [f"{case_id(i, case)} (removed)"
+              for i, case in enumerate(old[len(cases):], len(cases))]
+    for name in moved:
+        print(f"changed: {name}")
+    if check:
+        print(f"{len(moved)} of {len(cases)} cases moved")
+        return 1 if moved else 0
     CORPUS.write_text(json.dumps(cases, indent=1) + "\n")
     print(f"wrote {len(cases)} cases to {CORPUS}")
+    return 0
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    main()
+    sys.exit(main(sys.argv[1:]))
