@@ -70,11 +70,16 @@ class ChainConfig(namedtuple("ChainConfig", (
         return self.atten_per_km * self.distance_km
 
     def at_alpha_x(self, alpha_x: float) -> "ChainConfig":
-        """The same chain rescaled to attenuation length alpha_x, whose
-        distance becomes alpha_x/alpha."""
+        """The same chain at the distance alpha_x/alpha, so at attenuation
+        length alpha (alpha_x/alpha): for some alpha_x that is a neighbouring
+        double (60.392 is 60.391999999999996 at alpha = 0.05)."""
         check_real(alpha_x, "alpha_x")
-        return ChainConfig(alpha_x / self.atten_per_km, self.atten_per_km,
-                           self.n_relays, self.eta, self.p_dark)
+        alpha = self.atten_per_km
+        if (x := alpha_x / alpha) == math.inf:
+            raise ValueError(f"alpha_x = {alpha_x!r} at atten_per_km = "
+                             f"{alpha!r} puts the distance past the double "
+                             f"range")
+        return ChainConfig(x, alpha, self.n_relays, self.eta, self.p_dark)
 
 
 def qber_from_snr(s: float) -> float:
@@ -177,7 +182,8 @@ def _ldexp(x: float, i: int) -> float:
 
 
 def _noise_kernel(p_dark: float, eta: float):
-    """(terms, term, e): the one evaluation of the noise exponent's terms.
+    """(terms, term, e, normal): the one evaluation of the noise exponent's
+    terms, and the one test for the normal range.
 
     term(y, c=2 p_dark) gives the term ln(1 + c e^y) of K = ln(1 + p_n/p_s)
     of a segment of attenuation length y as an exactly scaled pair (w, s),
@@ -189,10 +195,14 @@ def _noise_kernel(p_dark: float, eta: float):
     rest. K is their correctly rounded sum (math.fsum). A subnormal
     2 p_dark = m 2^e (frexp) is taken at the exact scale 2^-e, else e = 0;
     s = -e where every term is below 2^-53, else s = 0 (a subnormal term
-    2^-1075 off).
+    2^-1075 off). normal(x) tells whether x >= 0 is a normal double, so
+    that its log keeps every digit.
     """
+    def normal(x):
+        return x >= sys.float_info.min
+
     pd2 = 2.0 * p_dark
-    e = math.frexp(pd2)[1] if pd2 < sys.float_info.min else 0
+    e = 0 if normal(pd2) else math.frexp(pd2)[1]
     c_last = math.ldexp(pd2, -e)
     c_relay, log_scale, small = c_last / eta, e * _LN2, 2.0**-53
 
@@ -215,7 +225,7 @@ def _noise_kernel(p_dark: float, eta: float):
         plain = [math.ldexp(w, -s) for w, s in pairs]
         return plain, math.fsum(plain), 0
 
-    return terms, term, e
+    return terms, term, e, normal
 
 
 def _log_expm1(k: float, s: int = 0) -> float:
@@ -252,11 +262,12 @@ def _chain_at_segments(config: ChainConfig, ys: Sequence[float]) -> tuple:
     and the logs come from the noise exponent K = ln(1 + p_n/p_s), the fsum
     of _noise_kernel's terms, as snr_exact's do, so they stay finite where
     p_s and p_n underflow on long chains (S = inf, q_b = 0 without dark
-    counts): ln p_s = N ln eta - alpha x, whatever the positions, and
-    ln p_n = ln p_s + ln expm1(K).
+    counts): ln p_s = N ln eta - alpha x, whatever the positions, and ln p_n
+    = ln p_s + ln expm1(K) below the normal range; in it, ln p_n is the log
+    of p_n, as that sum cancels where S << 1 (-alpha x against +alpha x).
     """
-    terms, k, s = _noise_kernel(config.p_dark, config.eta)[0](
-        ys, config.n_relays)
+    sums, _, _, normal = _noise_kernel(config.p_dark, config.eta)
+    terms, k, s = sums(ys, config.n_relays)
     *relay_ts, t_last = [math.exp(-y) for y in ys]
     eta, pd2 = config.eta, 2.0 * config.p_dark
     s_n = math.prod(eta * t for t in relay_ts)
@@ -266,8 +277,8 @@ def _chain_at_segments(config: ChainConfig, ys: Sequence[float]) -> tuple:
     p_s, p_n = s_n * t_last, t_last * spurious + pd2 * alive
     snr = _snr_from_k(k, s)
     log_p_s = config.n_relays * math.log(eta) - config.alpha_x
-    return (p_s, p_n, snr, qber_from_snr(snr), log_p_s,
-            log_p_s + _log_expm1(k, s), math.ldexp(k, -s))
+    return (p_s, p_n, snr, qber_from_snr(snr), log_p_s, math.log(p_n)
+            if normal(p_n) else log_p_s + _log_expm1(k, s), math.ldexp(k, -s))
 
 
 def _log_sinhc(z: float) -> float:
@@ -306,7 +317,7 @@ def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     w 2^-s = log1p(u), u = 2 p_dark e^y, y = (alpha x - N ln eta)/(N+1);
     clamped, w 2^-s is a relay's, log1p(2 p_dark/eta). Only the alpha_xs
     are checked; the callers check (eta, p_dark, N)."""
-    terms, term, _ = _noise_kernel(p_dark, eta)
+    terms, term, *_ = _noise_kernel(p_dark, eta)
     n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
     out = []
     for alpha_x in alpha_xs:

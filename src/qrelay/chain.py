@@ -14,9 +14,8 @@ stays vetoed. On the live masses (sig, rnd, emp) one relay is
 
 The receiver counts the signal photon, a spurious photon, and a dark count
 (2 p_dark) in every live slot. The chain's closed form, all orders of
-dark-count events kept, lives in analytics (_chain_at_segments): run_chain
-turns relay positions, the optimum where omitted, into the segments'
-attenuation lengths and reports that form there, so its probabilities and
+dark-count events kept, is analytics._chain_at_segments: run_chain reports
+it at relay positions, the optimum where omitted, so its probabilities and
 their logs are exact for the model, not first-order expansions.
 sample_chain is the seeded Monte Carlo check: it draws how many of n slots
 land in each event, step by step, from the same rules, in O(N) draws
@@ -36,13 +35,6 @@ from .errors import check_int
 _MAX_TRIALS = 2**63 - 1     # the --trials range; _binomial is tested up to it
 
 
-def _snr_qb(p_s: float, p_n: float) -> tuple[float, float]:
-    """(snr, q_b) = (p_s/p_n, p_n/(2 (p_n + p_s))); nan, nan if both are 0."""
-    if p_n + p_s == 0.0:
-        return math.nan, math.nan
-    return p_s / p_n if p_n > 0.0 else math.inf, 0.5 * p_n / (p_n + p_s)
-
-
 class ReceiverReport(NamedTuple):
     """Detection statistics per transmitted slot, conditioned on nothing.
 
@@ -53,9 +45,9 @@ class ReceiverReport(NamedTuple):
     clicks outnumber slots with none, which takes p_dark near 1/2: at
     alpha x = 1, N = 1, eta = 0.01 and p_dark = 0.495, p_n = 1.354. snr is
     their ratio; q_b = p_n / (2 (p_n + p_s)), a ratio of counts, since
-    random polarization errs half the time. A fully vetoed chain yields nan
-    for snr and q_b. log_p_s and log_p_n, their logs, stay finite where
-    p_s and p_n underflow to 0 (log_p_n is -inf without dark counts).
+    random polarization errs half the time. snr, q_b, log_p_s and log_p_n
+    stay finite where p_s and p_n underflow to 0 (snr is inf, q_b 0 and
+    log_p_n -inf without dark counts).
     """
 
     p_s: float
@@ -100,9 +92,8 @@ def run_chain(config: ChainConfig,
     """Exact receiver statistics for the configured chain, in closed form
     (analytics._chain_at_segments), with the relays at the explicit
     positions, else at the analytic optimum."""
-    *report, _ = _chain_at_segments(config,
-                                    _segment_lengths(config, positions_km))
-    return ReceiverReport(*report)
+    ys = _segment_lengths(config, positions_km)
+    return ReceiverReport(*_chain_at_segments(config, ys)[:-1])
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -136,21 +127,18 @@ def search_positions(config: ChainConfig) -> tuple[float, ...]:
         return _chain_at_segments(config,
                                   _segment_lengths(config, positions))[-1]
 
-    def f(d):
-        return k_at(place(d))
-
     lo, hi = 0.0, x / n
     a, b = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    fa, fb = f(a), f(b)
+    fa, fb = k_at(place(a)), k_at(place(b))
     while hi - lo > max(1e-13, 1e-12 * x):
         if fa <= fb:
             hi, b, fb = b, a, fa
             a = hi - _INV_PHI * (hi - lo)
-            fa = f(a)
+            fa = k_at(place(a))
         else:
             lo, a, fa = a, b, fb
             b = lo + _INV_PHI * (hi - lo)
-            fb = f(b)
+            fb = k_at(place(b))
     found = place(a if fa <= fb else b)
     floor = k_at(best) * (1.0 - SEARCH_MARGIN * (n + 1))
     return found if min(fa, fb) < floor else best
@@ -304,7 +292,9 @@ def sample_chain(config: ChainConfig, n_trials: int, seed: int,
     var_n = max(second_moment - p_n * p_n, 0.0)
     stderr_p_s = math.sqrt(p_s * (1.0 - p_s) / n)
     stderr_p_n = math.sqrt(var_n / n)
-    snr, q_b = _snr_qb(p_s, p_n)
+    # nan, nan where nothing was detected
+    snr = p_s / p_n if p_n > 0.0 else math.inf if p_s else math.nan
+    q_b = 0.5 * p_n / (p_n + p_s) if p_n + p_s else math.nan
     return SampledReport(
         p_s=p_s, p_n=p_n, snr=snr, q_b=q_b, signal_count=sig,
         noise_events=noise_events, stderr_p_s=stderr_p_s,

@@ -168,6 +168,14 @@ def _cases() -> list[list[str]]:
         ["snr", "--alpha-x-min", "5", "--alpha-x-max", "5"],
         ["optimize", "--distance-km", "1e308", "--atten-per-km", "10",
          "--n-relays", "1"],
+        # ln p_n where the dark counts outweigh the signal, ln 0.16 and
+        # ln 0.4, and an alpha x whose distance alpha x/alpha overflows
+        ["optimize", "--distance-km", "1e14", "--atten-per-km", "10",
+         "--n-relays", "1", "--pd", "0.2"],
+        ["sample", "--distance-km", "1e307", "--atten-per-km", "10",
+         "--n-relays", "0", "--pd", "0.2", "--trials", "10", "--seed", "1"],
+        ["sample", "--alpha-x", "1e308", "--n-relays", "2", "--trials", "10",
+         "--seed", "1"],
     ]
     return cases
 

@@ -361,6 +361,24 @@ def decimal_noise_excess(config, positions_km, digits=40):
         return _decimal_expm1(Decimal(k))
 
 
+def decimal_log_noise(config, positions_km, digits=40):
+    """ln p_n = N ln eta - alpha x + ln(p_n/p_s) at the given positions, a
+    Decimal to `digits` places past the magnitude of ln p_s, from the float
+    arguments' exact values and decimal_noise_excess. The two terms cancel
+    where the noise outweighs the signal, which the extra places absorb;
+    -Infinity without dark counts.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        log_p_s = (config.n_relays * Decimal(config.eta).ln()
+                   - Decimal(config.atten_per_km) * Decimal(config.distance_km))
+        ctx.prec = digits + max(0, log_p_s.adjusted())
+        log_p_s = (config.n_relays * Decimal(config.eta).ln()
+                   - Decimal(config.atten_per_km) * Decimal(config.distance_km))
+        return log_p_s + decimal_noise_excess(config, positions_km,
+                                              ctx.prec).ln()
+
+
 def coordinate_descent(config, objective, x0=None, obj_tol=1e-10,
                        max_sweeps=500):
     """Minimize objective(positions) by coordinate descent over the relays.

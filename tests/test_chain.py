@@ -478,6 +478,19 @@ def test_log_p_n_at_a_subnormal_p_dark(cfg, positions):
                                                               rel=1e-15)
 
 
+@pytest.mark.parametrize("alpha_x", [1e3, 1e10, 1e15])
+@pytest.mark.parametrize("n, want", [(0, math.log(0.4)),
+                                     (1, math.log(0.16))], ids=["n0", "n1"])
+def test_log_p_n_where_dark_counts_outweigh_the_signal(n, want, alpha_x):
+    # no photon outlives a segment this long, so p_n = (2 p_dark)^(N+1).
+    # Taken as ln p_s + ln expm1(K), two logs near -alpha x and +alpha x,
+    # ln p_n was 1.3e-14 off at alpha x = 1e3, 4.5e-7 at 1e10 and 0.04 at
+    # 1e15, where `qrelay optimize --distance-km 1e14 --atten-per-km 10
+    # --n-relays 1 --pd 0.2` printed -2.000000000000
+    cfg = ChainConfig(0.0, 10.0, n, 0.5, 0.2).at_alpha_x(alpha_x)
+    assert run_chain(cfg).log_p_n == pytest.approx(want, rel=0.0, abs=1e-15)
+
+
 def test_run_chain_rounds_the_relay_terms_alike_on_every_python():
     # the builtin sum of floats is compensated from Python 3.12 on, so the
     # relay terms' sum L moved p_n by 3 ulps between interpreters at the

@@ -27,12 +27,13 @@ from hypothesis import strategies as st
 
 from qrelay import cli
 from qrelay.analytics import (ChainConfig, _alpha_x_at_snr, _snr_curve,
-                              qber_from_snr, snr_exact, snr_n_relays,
-                              snr_no_relay)
+                              optimal_positions, qber_from_snr, snr_exact,
+                              snr_n_relays, snr_no_relay)
 from qrelay.chain import run_chain
 
 from oracles import (clamped_rel_dev_allowance, decimal_first_order_snr,
-                     decimal_noise_excess, decimal_rel_dev_reference,
+                     decimal_log_noise, decimal_noise_excess,
+                     decimal_rel_dev_reference,
                      decimal_snr_reference, inverse_conditioning,
                      markov_chain_reference, read_report)
 
@@ -355,6 +356,40 @@ def test_chain_at_random_positions_over_the_whole_domain(n, eta, p_dark,
     assert abs(got.log_p_n - want_log) <= (
         DOMAIN_BOUND * sys.float_info.epsilon * max(cond, abs(want_log))), (
         "ln p_n", seed)
+
+
+# Four times the largest |ln p_n - decimal_log_noise| / max(N + 1, alpha_x,
+# |ln p_n|), in epsilons, measured over 5,000 random chains whose p_n is a
+# normal double (N <= 500, alpha_x <= 5,000, eta down to 1e-103): 0.68. The
+# N + 1 products round once each, and alpha_x is the conditioning of the
+# segment transmissions, whose exponents are rounded
+LOG_NOISE_BOUND = 2.7
+
+
+def test_log_p_n_keeps_its_digits_in_the_normal_range():
+    # where p_n is a normal double its log is taken from p_n, so no digit
+    # cancels between ln p_s and ln expm1(K) where the noise outweighs the
+    # signal: the sum was 7,614 ulps off at N = 2, eta = 4.8e-103
+    rng, checked = random.Random(20261020), 0
+    while checked < 300:
+        n = rng.choice([0, 1, 2, 3, 4, 8, 16, 64, 200])
+        eta = 10 ** rng.uniform(-3, 0) * rng.choice([1, 1, 1e-100])
+        p_dark = min(10 ** rng.uniform(-20, math.log10(0.499)),
+                     (1 - eta) / 2)
+        atten = rng.choice([0.05, 0.2, 10.0])
+        alpha_x = 10 ** rng.uniform(-2, 3.7)
+        cfg = ChainConfig(alpha_x / atten, atten, n, eta, p_dark)
+        positions = (optimal_positions(cfg) if rng.random() < 0.5 else
+                     sorted(rng.uniform(0, cfg.distance_km) for _ in range(n)))
+        got = run_chain(cfg, positions)
+        if got.p_n < _FLOOR:
+            continue
+        checked += 1
+        want = decimal_log_noise(cfg, positions)
+        cond = max(n + 1, alpha_x, abs(got.log_p_n))
+        assert abs(Decimal(got.log_p_n) - want) <= Decimal(
+            LOG_NOISE_BOUND * sys.float_info.epsilon * cond), (
+            cfg, positions, got.log_p_n, float(want))
 
 
 def test_log_p_n_sums_many_large_terms_exactly():

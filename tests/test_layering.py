@@ -325,6 +325,12 @@ def test_the_real_rule_takes_ints_and_refuses_what_no_double_holds():
     with pytest.raises(ValueError) as err:
         ChainConfig(1e308, 10.0)
     assert str(err.value) == "alpha_x must be a number in [0, inf), got inf"
+    # an alpha x in its domain whose distance alpha x/alpha overflows is
+    # refused in the values that were given, not in that distance
+    with pytest.raises(ValueError) as err:
+        ChainConfig(0.0).at_alpha_x(1e308)
+    assert str(err.value) == ("alpha_x = 1e+308 at atten_per_km = 0.05 puts "
+                              "the distance past the double range")
 
 
 # a refusal's words that bound one value: an interval, a one-sided bound,
