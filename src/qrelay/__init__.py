@@ -16,11 +16,11 @@ The package layers are, bottom up:
 - analytics: the chain configuration (five fields; relay positions are an
   argument of the chain functions, not a field), its one (eta, p_dark)
   validator, first-order SNR/QBER expressions (S_0 is their N = 0 point),
-  the exact chain's closed form, one binomial at the optimal placement
-  (snr_exact), and its inverse at a target SNR, the relay placement, which
+  the exact chain's closed form at any segments, one binomial at the optimal
+  placement (snr_exact), and its inverse at a target SNR, the placement, which
   is exactly optimal, range enhancement, raw rates.
-- chain: the exact receiver statistics at any positions through the closed
-  form, in one record that also carries ln p_s and ln p_n, a numeric
+- chain: the exact receiver statistics at any positions from analytics'
+  closed form, in one record that also carries ln p_s and ln p_n, a numeric
   placement search, and a seeded Monte Carlo cross-check that draws the
   slot count of each event. A relay gates a photon with
   probability eta and false-gates every live slot with probability

@@ -3,9 +3,9 @@
 Everything here works in the dimensionless attenuation length alpha*x where
 convenient; configs carry physical distances in km. This module holds the
 first-order analytic forms, the exact chain's closed form at any relay
-positions (_chain_at_segments, which chain.run_chain reports) and the relay
-placement, uniform spacing with a longer final segment, clamped to the
-transmitter end at short range, which is the exact optimum. Every entry point checks its inputs by
+positions (_chain_at_segments) and the relay placement, uniform spacing
+with a longer final segment, clamped to the transmitter end at short
+range, which is the exact optimum. Every entry point checks its inputs by
 errors.check_int and check_real (`eta must be a number in (0, 1], got 1.5`),
 and check_relay adds the one joint condition, eta + 2 p_dark <= 1.
 
@@ -277,8 +277,9 @@ def _chain_at_segments(config: ChainConfig, ys: Sequence[float]) -> tuple:
     p_s, p_n = s_n * t_last, t_last * spurious + pd2 * alive
     snr = _snr_from_k(k, s)
     log_p_s = config.n_relays * math.log(eta) - config.alpha_x
-    return (p_s, p_n, snr, qber_from_snr(snr), log_p_s, math.log(p_n)
-            if normal(p_n) else log_p_s + _log_expm1(k, s), math.ldexp(k, -s))
+    log_p_n = math.log(p_n) if normal(p_n) else log_p_s + _log_expm1(k, s)
+    return (p_s, p_n, snr, qber_from_snr(snr), log_p_s, log_p_n,
+            math.ldexp(k, -s))
 
 
 def _log_sinhc(z: float) -> float:

@@ -215,12 +215,12 @@ def case_id(i: int, case: dict) -> str:
     return f"{i:02d}-{case['argv'][0]}"
 
 
-def main(argv: list[str]) -> int:
+def main(args: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="compare with the committed corpus and write "
                              "nothing; exit 1 if any case moved")
-    check = parser.parse_args(argv).check
+    check = parser.parse_args(args).check
     old = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
     cases = [run_case(argv) for argv in _cases()]
     moved = [case_id(i, case) for i, case in enumerate(cases)

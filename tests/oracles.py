@@ -363,16 +363,14 @@ def decimal_noise_excess(config, positions_km, digits=40):
 
 def decimal_log_noise(config, positions_km, digits=40):
     """ln p_n = N ln eta - alpha x + ln(p_n/p_s) at the given positions, a
-    Decimal to `digits` places past the magnitude of ln p_s, from the float
-    arguments' exact values and decimal_noise_excess. The two terms cancel
-    where the noise outweighs the signal, which the extra places absorb;
-    -Infinity without dark counts.
+    Decimal to `digits` places after the point, from the float arguments'
+    exact values and decimal_noise_excess. The two terms cancel where the
+    noise outweighs the signal, so the working precision adds the integer
+    digits of ln p_s; -Infinity without dark counts.
     """
+    size = abs(config.n_relays * math.log(config.eta) - config.alpha_x)
     with localcontext() as ctx:
-        ctx.prec = digits
-        log_p_s = (config.n_relays * Decimal(config.eta).ln()
-                   - Decimal(config.atten_per_km) * Decimal(config.distance_km))
-        ctx.prec = digits + max(0, log_p_s.adjusted())
+        ctx.prec = digits + len(f"{size:.0f}")
         log_p_s = (config.n_relays * Decimal(config.eta).ln()
                    - Decimal(config.atten_per_km) * Decimal(config.distance_km))
         return log_p_s + decimal_noise_excess(config, positions_km,

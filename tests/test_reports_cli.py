@@ -608,12 +608,9 @@ def test_cli_stdout_output(capsys):
     # each factor finite, their product alpha x = inf
     ["optimize", "--distance-km", "1e308", "--atten-per-km", "10",
      "--n-relays", "1"],
-    # alpha x finite, its distance alpha x/alpha = inf
-    ["sample", "--alpha-x", "1e308", "--n-relays", "2", "--trials", "10",
-     "--seed", "1"],
 ], ids=["f-ec-nan", "f-ec-inf", "alpha-x-inf", "alpha-x-nan",
         "alpha-x-max-inf", "distance-inf", "sample-alpha-x-nan",
-        "input-nan", "alpha-x-overflow", "distance-overflow"])
+        "input-nan", "alpha-x-overflow"])
 def test_cli_rejects_non_finite_inputs(args, capsys):
     assert run_cli(args) == 2
     captured = capsys.readouterr()
