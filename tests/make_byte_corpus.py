@@ -2,10 +2,12 @@
 
 Each case is one `qrelay` argv, run in-process through cli.main in an empty
 working directory, so that a report written with `--output report.json`
-names the same relative path on every run. A case records the exit code,
-stdout, stderr and the report file's bytes; a text longer than INLINE
-bytes is kept as its sha256 and length. test_byte_corpus.py reruns every
-case and compares.
+names the same relative path on every run. A case may also carry a config
+object, which is written there as config.json before the run, for its argv
+to name with `--config config.json`. A case records the exit code, stdout,
+stderr and the report file's bytes; a text longer than INLINE bytes is
+kept as its sha256 and length. test_byte_corpus.py reruns every case and
+compares.
 
 Run it from the repository root, only when a change is meant to move
 bytes, and list each changed case in CHANGES.md; it prints the id of
@@ -36,8 +38,11 @@ INLINE = 4096
 
 _SWEEP_AX = "60.000000"     # one draw of the sweep workload's grid end
 
+CONFIG = "config.json"      # a case's config file, beside its report
 
-def _cases() -> list[list[str]]:
+
+def _cases() -> list[tuple[list[str], object]]:
+    """Every case as (argv, config), config None where there is none."""
     cases = [
         # the benchmark workloads' flags (perfbench/workloads.py)
         ["snr", "--n-relays", "0,1,2,4,8,16,32,64", "--steps", "1000",
@@ -176,6 +181,28 @@ def _cases() -> list[list[str]]:
          "--n-relays", "0", "--pd", "0.2", "--trials", "10", "--seed", "1"],
         ["sample", "--alpha-x", "1e308", "--n-relays", "2", "--trials", "10",
          "--seed", "1"],
+        # a diagnostic beside a real input qubit
+        ["verify-circuit", "--trials", "1", "--input", "0.6,0.8",
+         "--diagnostic", "d2-on-mode-1"],
+        # sample takes exactly one of --alpha-x and --distance-km
+        ["sample", "--alpha-x", "5", "--distance-km", "100", "--trials", "10",
+         "--seed", "1"],
+        ["sample", "--trials", "10", "--seed", "1"],
+        # the parsers' refusals: a real, an integer, a choice and a qubit
+        ["snr", "--pd", "abc"],
+        ["snr", "--steps", "3.0"],
+        ["snr", "--format", "xml"],
+        ["verify-circuit", "--input", "1,2,3"],
+        ["verify-circuit", "--input", "a,b"],
+    ]
+    cases = [(argv, None) for argv in cases]
+    # a config file under a flag: list and integer text, a null that
+    # counts as absent and a key the command does not take; then a bool
+    cases += [
+        (["snr", "--config", CONFIG, "--steps", "3"],
+         {"n_relays": "0,2", "alpha_x_max": 10, "steps": 50, "pd": None,
+          "trials": 5}),
+        (["snr", "--config", CONFIG], {"pd": True}),
     ]
     return cases
 
@@ -188,26 +215,33 @@ def _record(text: str):
     return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
-def run_case(argv: list[str]) -> dict:
-    """Run one argv through cli.main in a fresh directory, and record it."""
+def run_case(argv: list[str], config=None) -> dict:
+    """Run one argv through cli.main in a fresh directory, with config, if
+    given, written there as CONFIG first, and record it."""
     from qrelay import cli
 
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
+        if config is not None:
+            Path(work, CONFIG).write_text(json.dumps(config))
         os.chdir(work)
         try:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
                 code = cli.main(argv)
-            reports = sorted(Path(work).iterdir())
+            reports = sorted(p for p in Path(work).iterdir()
+                             if p.name != CONFIG)
             report = reports[0].read_bytes().decode() if reports else None
         finally:
             os.chdir(here)
     assert len(reports) <= 1, reports
-    return {"argv": argv, "exit": code, "stdout": _record(out.getvalue()),
-            "stderr": _record(err.getvalue()),
-            "report": None if report is None else _record(report)}
+    record = {"argv": argv, "exit": code, "stdout": _record(out.getvalue()),
+              "stderr": _record(err.getvalue()),
+              "report": None if report is None else _record(report)}
+    if config is not None:
+        record["config"] = config
+    return record
 
 
 def case_id(i: int, case: dict) -> str:
@@ -222,7 +256,7 @@ def main(args: list[str]) -> int:
                              "nothing; exit 1 if any case moved")
     check = parser.parse_args(args).check
     old = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
-    cases = [run_case(argv) for argv in _cases()]
+    cases = [run_case(argv, config) for argv, config in _cases()]
     moved = [case_id(i, case) for i, case in enumerate(cases)
              if i >= len(old) or old[i] != case]
     moved += [f"{case_id(i, case)} (removed)"

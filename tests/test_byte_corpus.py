@@ -18,4 +18,4 @@ _CASES = json.loads(CORPUS.read_text())
 @pytest.mark.parametrize("case", _CASES, ids=[
     case_id(i, case) for i, case in enumerate(_CASES)])
 def test_command_bytes_match_the_corpus(case):
-    assert run_case(case["argv"]) == case
+    assert run_case(case["argv"], case.get("config")) == case
