@@ -11,8 +11,9 @@ compares.
 
 Run it from the repository root, only when a change is meant to move
 bytes, and list each changed case in CHANGES.md; it prints the id of
-every case whose record differs from the committed corpus (a new case
-counts as changed):
+every case whose record differs from the committed corpus, with the
+fields that differ (`changed: 77-sample (stdout)`; a new case reads
+`(new)`, a dropped one `(removed)`):
 
     PYTHONPATH=src python tests/make_byte_corpus.py
 
@@ -249,6 +250,14 @@ def case_id(i: int, case: dict) -> str:
     return f"{i:02d}-{case['argv'][0]}"
 
 
+def _moved_fields(old: list[dict], i: int, case: dict) -> str:
+    """The fields of case that differ from the committed record i."""
+    if i >= len(old):
+        return "new"
+    return ", ".join(key for key in dict.fromkeys([*case, *old[i]])
+                     if case.get(key) != old[i].get(key))
+
+
 def main(args: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--check", action="store_true",
@@ -257,7 +266,8 @@ def main(args: list[str]) -> int:
     check = parser.parse_args(args).check
     old = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
     cases = [run_case(argv, config) for argv, config in _cases()]
-    moved = [case_id(i, case) for i, case in enumerate(cases)
+    moved = [f"{case_id(i, case)} ({_moved_fields(old, i, case)})"
+             for i, case in enumerate(cases)
              if i >= len(old) or old[i] != case]
     moved += [f"{case_id(i, case)} (removed)"
               for i, case in enumerate(old[len(cases):], len(cases))]
