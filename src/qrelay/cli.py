@@ -6,6 +6,8 @@ then explicit flags, in increasing precedence, each read once by its key's
 parser in _KEYS; _COMMANDS lists each command's keys and defaults. Every
 command is deterministic for a fixed flag set (including --seed); reports
 carry their full parameter provenance and never embed timestamps.
+optimize and sample print their report's payload by one rule, a line per
+key and each real to 12 significant digits; the report keeps every digit.
 
 Exit codes: 0 success, 1 invariant/contract failure, 2 configuration error,
 141 (128 + SIGPIPE) when the reader of stdout closed it early, as `| head`
@@ -195,6 +197,24 @@ def _config_block(config) -> dict:
             for key, value in config._asdict().items()}
 
 
+def _show(obj) -> str:
+    """A payload value on stdout: a real to 12 significant digits."""
+    if isinstance(obj, float):
+        return "%.12g" % obj
+    if isinstance(obj, list):
+        return " ".join(map(_show, obj))
+    if isinstance(obj, dict):
+        return "{%s}" % ", ".join(f"{k} = {_show(v)}" for k, v in obj.items())
+    return str(obj)
+
+
+def _report(payload: dict, params: dict, **extra) -> None:
+    """Print payload and extra, a line per key; write payload to --output."""
+    for key, value in {**payload, **extra}.items():
+        print(f"{key}: {_show(value)}")
+    _write(render_payload(payload), params)
+
+
 def _write(text: str, params: dict) -> bool:
     """Write text to --output, if one is given, and say so."""
     output = params["output"]
@@ -260,23 +280,15 @@ def cmd_optimize(params: dict) -> int:
     n = _single_n(params)
     check_int(n, "n_relays", 1)
     config = _chain(params, n)._replace(distance_km=params["distance_km"])
-    x = config.distance_km
     analytic = optimal_positions(config)
     numeric = search_positions(config)
     at_analytic = run_chain(config, analytic)
     at_numeric = run_chain(config, numeric)
-    tol = 1e-6 * max(1.0, x)
+    tol = 1e-6 * max(1.0, config.distance_km)
     agree = all(abs(a - b) <= tol for a, b in zip(analytic, numeric))
-    print(f"chain: x = {x} km, alpha = {config.atten_per_km} /km, N = {n}, "
-          f"eta = {config.eta}, p_dark = {config.p_dark}")
-    for label, pos in (("analytic", analytic), ("numeric ", numeric)):
-        print(f"{label} positions_km: " + " ".join(f"{p:.6f}" for p in pos))
-    # in logs, which stay apart where p_n underflows to 0 on long chains
-    print(f"noise objective ln p_n: analytic = {at_analytic.log_p_n:.12f}, "
-          f"numeric = {at_numeric.log_p_n:.12f}")
     if not agree:
-        print(f"WARNING: placements disagree beyond {tol:g} km")
-    _write(render_payload({
+        print(f"WARNING: placements disagree beyond {_show(tol)} km")
+    _report({
         "config": _config_block(config),
         "analytic_positions_km": list(analytic),
         "numeric_positions_km": list(numeric),
@@ -285,7 +297,7 @@ def cmd_optimize(params: dict) -> int:
         "log_noise_analytic": at_analytic.log_p_n,
         "log_noise_numeric": at_numeric.log_p_n,
         "agree_within_tolerance": agree,
-    }), params)
+    }, params)
     return EXIT_OK
 
 
@@ -309,30 +321,16 @@ def cmd_sample(params: dict) -> int:
                 f"reached the receiver undetected")
         raise ValueError(f"no sampled slot was detected ({fate}), so the "
                          f"sampled snr and q_b would be 0/0; raise --trials")
-    print(f"chain: alpha_x = {config.alpha_x:.6f}, N = {n}, "
-          f"eta = {config.eta}, p_dark = {config.p_dark}, trials = {trials}, "
-          f"seed = {seed}")
-    print(f"exact    p_s = {exact.p_s:.9e}    p_n = {exact.p_n:.9e}")
-    # ln p_s and ln p_n stay finite where p_s and p_n underflow to 0
-    print(f"exact    ln p_s = {exact.log_p_s:.12f}    "
-          f"ln p_n = {exact.log_p_n:.12f}")
-    print(f"sampled  p_s = {sampled.p_s:.9e} +- {sampled.stderr_p_s:.3e}"
-          f"    p_n = {sampled.p_n:.9e} +- {sampled.stderr_p_n:.3e}")
-    for name in ("p_s", "p_n"):
-        err = getattr(sampled, f"stderr_{name}")
-        if err > 0:
-            z = (getattr(sampled, name) - getattr(exact, name)) / err
-            print(f"z({name}) = {z:+.3f}")
-        else:   # all draws alike, say p_n at p_d = 0: no z-score to give
-            print(f"z({name}) = n/a (no sampled variance)")
-    print("slot states: " + " ".join(f"{k}={v}"
-                                     for k, v in sampled.state_counts.items()))
-    _write(render_payload({
+    # all draws alike, say p_n at p_d = 0, leave no z-score to give
+    z = {k: (getattr(sampled, k) - getattr(exact, k)) / err if err else "n/a"
+         for k, err in (("p_s", sampled.stderr_p_s),
+                        ("p_n", sampled.stderr_p_n))}
+    _report({
         "config": {**_config_block(config), "alpha_x": config.alpha_x,
                    "trials": trials, "seed": seed},
         "exact": exact._asdict(),
         "sampled": sampled._asdict(),
-    }), params)
+    }, params, z=z)
     return EXIT_OK
 
 

@@ -287,8 +287,8 @@ def test_cli_optimize_reports_ln_p_n(tmp_path, capsys):
     assert payload["noise_analytic"] == payload["noise_numeric"] == 0.0
     logs = payload["log_noise_analytic"], payload["log_noise_numeric"]
     assert all(-750.0 < v < -745.0 for v in logs)
-    assert (f"ln p_n: analytic = {logs[0]:.12f}, numeric = {logs[1]:.12f}"
-            in text)
+    assert (f"log_noise_analytic: {logs[0]:.12g}\n"
+            f"log_noise_numeric: {logs[1]:.12g}\n") in text
     assert run_cli(["optimize", "--distance-km", "300", "--n-relays", "3",
                     "--pd", "0", "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
@@ -315,8 +315,9 @@ def test_cli_sample_without_sampled_variance(capsys):
                     "--seed", "1", "--pd", "0"])
     text = capsys.readouterr().out
     assert code == 0
-    assert "z(p_n) = n/a (no sampled variance)" in text
-    assert "z(p_s) = " in text and "nan" not in text.lower()
+    z = text.splitlines()[-1]
+    assert z.startswith("z: {p_s = ") and z.endswith(", p_n = n/a}")
+    assert "nan" not in text.lower()
 
 
 def test_cli_sample_distance_form(capsys):
@@ -461,7 +462,7 @@ def test_cli_integer_text_in_a_config(tmp_path, capsys):
     cfg.write_text(json.dumps({"trials": None, "pd": None}))
     assert run_cli(["sample", "--alpha-x", "2", "--trials", "1000",
                     "--seed", "3", "--config", str(cfg)]) == 0
-    assert "p_dark = 1e-05, trials = 1000" in capsys.readouterr().out
+    assert "pd = 1e-05, alpha_x = 2, trials = 1000" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
@@ -492,22 +493,61 @@ def test_cli_help_shows_every_default(command, monkeypatch, capsys):
     assert spelled[command] in " ".join(text.split())
 
 
+def _spelled(value) -> str:
+    """A report value as stdout should print it: a real at %.12g."""
+    real = isinstance(value, float) or value in ("inf", "-inf", "nan")
+    return "%.12g" % float(value) if real else str(value)
+
+
+def _leaves(block: dict):
+    for key, value in block.items():
+        yield from (_leaves(value) if isinstance(value, dict)
+                    else [(key, _spelled(value))])
+
+
 @pytest.mark.parametrize("argv, stem", [
     (["sample", "--alpha-x", "5", "--n-relays", "4", "--trials", "20000000",
       "--seed", "5"], "sample_ax5_n4_trials20000000_seed5"),
     (["optimize", "--distance-km", "2000", "--n-relays", "64"],
      "optimize_2000km_n64"),
+    # alpha x = 1e308; no dark counts, so ln p_n = -inf and z(p_n) is n/a;
+    # 811 relays
+    (["sample", "--distance-km", "1e307", "--atten-per-km", "10",
+      "--n-relays", "0", "--pd", "0.2", "--trials", "10", "--seed", "1"],
+     None),
+    (["sample", "--pd", "0", "--alpha-x", "5", "--n-relays", "4", "--trials",
+      "20000000", "--seed", "5"], None),
+    (["optimize", "--distance-km", "0", "--n-relays", "811", "--eta",
+      "4.9162761621739796e-256", "--pd", "0.02441167864678435"], None),
 ])
 def test_cli_sample_and_optimize_match_their_goldens(argv, stem, tmp_path,
                                                      capsys):
-    # both goldens were written before the settings table replaced the
-    # per-flag parsing; sample's blocks now come from the records' _asdict(),
-    # and its exact block also carries ln p_s and ln p_n
+    # stdout prints the report's payload, a line per key and every real at
+    # %.12g of the report's value; sample adds its z-scores, which the
+    # report does not hold. Both goldens were written before the settings
+    # table replaced the per-flag parsing; sample's blocks now come from the
+    # records' _asdict(), and its exact block also carries ln p_s and ln p_n
     out = tmp_path / "report.json"
     assert run_cli(argv + ["--output", str(out)]) == 0
-    stdout = (DATA / f"{stem}.stdout").read_text()
-    assert capsys.readouterr().out == stdout + f"wrote {out}\n"
-    if (DATA / f"{stem}.json").exists():
+    text = capsys.readouterr().out
+    lines = text.splitlines()
+    assert lines.pop() == f"wrote {out}"
+    printed = dict(line.split(": ", 1) for line in lines)
+    payload = json.loads(out.read_text())
+    assert set(printed) - set(payload) == ({"z"} if argv[0] == "sample"
+                                           else set())
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            pairs = re.findall(r"(\w+) = ([^,{}]+)", printed[key])
+            assert dict(pairs) == dict(_leaves(value)), key
+            assert len(pairs) == len(list(_leaves(value))), key
+        elif isinstance(value, list):
+            assert printed[key] == " ".join(map(_spelled, value)), key
+        else:
+            assert printed[key] == _spelled(value), key
+    if stem is not None:
+        assert text == (DATA / f"{stem}.stdout").read_text() + f"wrote {out}\n"
+    if stem is not None and (DATA / f"{stem}.json").exists():
         assert out.read_bytes() == (DATA / f"{stem}.json").read_bytes()
 
 
@@ -934,8 +974,8 @@ def test_sweeps_exit_0_with_no_nan(ns, alpha_x_max, eta, p_dark):
         assert not any(math.isnan(float(c)) for c in cutoffs.values()), argv
 
 
-_OBJECTIVE = re.compile(r"^noise objective ln p_n: analytic = (\S+), "
-                        r"numeric = (\S+)$", re.M)
+_OBJECTIVE = re.compile(r"^log_noise_analytic: (\S+)\n"
+                        r"log_noise_numeric: (\S+)$", re.M)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -1023,8 +1063,8 @@ def test_cli_sample_reports_ln_p_n_where_p_n_underflows(tmp_path, capsys):
         log_p_n = log_p_s + (ratio - 1).ln()
     assert exact["log_p_s"] == pytest.approx(float(log_p_s), rel=1e-15)
     assert exact["log_p_n"] == pytest.approx(float(log_p_n), rel=1e-14)
-    assert (f"exact    ln p_s = {exact['log_p_s']:.12f}    "
-            f"ln p_n = {exact['log_p_n']:.12f}\n") in capsys.readouterr().out
+    assert (f"log_p_s = {exact['log_p_s']:.12g}, log_p_n = "
+            f"{exact['log_p_n']:.12g}}}\n") in capsys.readouterr().out
 
 
 def test_every_public_name_resolves():
