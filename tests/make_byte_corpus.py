@@ -197,8 +197,9 @@ def _cases() -> list[tuple[list[str], object]]:
         ["verify-circuit", "--input", "a,b"],
     ]
     cases = [(argv, None) for argv in cases]
-    # a config file under a flag: list and integer text, a null that
-    # counts as absent and a key the command does not take; then a bool
+    # a config file: relay-list text, an integer for a real, a value its
+    # flag overrides, a null that counts as absent and a key the command
+    # does not take; then a bool
     cases += [
         (["snr", "--config", CONFIG, "--steps", "3"],
          {"n_relays": "0,2", "alpha_x_max": 10, "steps": 50, "pd": None,

@@ -510,8 +510,8 @@ def _leaves(block: dict):
       "--seed", "5"], "sample_ax5_n4_trials20000000_seed5"),
     (["optimize", "--distance-km", "2000", "--n-relays", "64"],
      "optimize_2000km_n64"),
-    # alpha x = 1e308; no dark counts, so ln p_n = -inf and z(p_n) is n/a;
-    # 811 relays
+    # alpha x = 1e308; no dark counts, so ln p_n = -inf and the z line
+    # reads n/a for p_n; a chain of 811 relays
     (["sample", "--distance-km", "1e307", "--atten-per-km", "10",
       "--n-relays", "0", "--pd", "0.2", "--trials", "10", "--seed", "1"],
      None),
