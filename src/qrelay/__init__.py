@@ -25,8 +25,9 @@ The package layers are, bottom up:
   slot count of each event. A relay gates a photon with
   probability eta and false-gates every live slot with probability
   2 p_dark, launching a spurious photon; the rest is vetoed.
-- throughput: the single-photon BB84 key fraction, whose one parameter is
-  f_ec, and throughput sweeps; the cutoff range is analytics' inverse.
+- throughput: the single-photon BB84 key fraction and throughput sweeps;
+  each function takes its one parameter, f_ec, as a number (default 1.16)
+  and checks it. The cutoff range is analytics' inverse.
 - reports: deterministic CSV/JSON tables, rendered as text and never read.
 - cli: the `qrelay` command.
 
@@ -68,9 +69,9 @@ _LAZY = {
         "make_bell_phi_plus", "make_qubit", "pbs_hv", "product", "vacuum"),
         "fockspace"),
     **dict.fromkeys((
-        "EcPaParams", "ThroughputPoint", "binary_entropy", "cutoff_alpha_x",
-        "key_fraction", "key_fraction_cutoff", "snr_cutoff",
-        "throughput_curve"), "throughput"),
+        "ThroughputPoint", "binary_entropy", "cutoff_alpha_x", "key_fraction",
+        "key_fraction_cutoff", "snr_cutoff", "throughput_curve"),
+        "throughput"),
 }
 
 

@@ -332,7 +332,7 @@ def device_checks(trials: int, seed: int) -> list[dict]:
     for a, b in probes():
         n_inputs += 1
         total = 0.0     # summed as qnd_measure sums its success probability
-        for *_ch, prob, _flip, _w, fid in _kraus_outcomes(a, b):
+        for _c2, _cb, prob, _flip, _w, fid in _kraus_outcomes(a, b):
             total += prob
             worst_fid = max(worst_fid, abs(fid - 1.0))
         worst_succ = max(worst_succ, abs(total - 0.5))

@@ -257,17 +257,17 @@ def cmd_snr(params: dict) -> int:
 
 def cmd_throughput(params: dict) -> int:
     """Sweep normalized throughput over attenuation length for each N."""
-    from .throughput import MODEL, EcPaParams, cutoff_alpha_x, throughput_curve
+    from .throughput import MODEL, cutoff_alpha_x, throughput_curve
 
     configs = [_chain(params, n) for n in params["n_relays"]]
     grid = _grid(params)
-    ec = EcPaParams(f_ec=params["f_ec"])
-    curves = [(cfg.n_relays, throughput_curve(cfg, grid, ec))
+    f_ec = params["f_ec"]
+    curves = [(cfg.n_relays, throughput_curve(cfg, grid, f_ec))
               for cfg in configs]
     # an unbounded cutoff (no dark counts) reads "inf" in the report
-    cutoffs = {str(cfg.n_relays): cutoff_alpha_x(cfg, ec) for cfg in configs}
+    cutoffs = {str(cfg.n_relays): cutoff_alpha_x(cfg, f_ec) for cfg in configs}
     _emit_sweep("throughput", ("s_exact", "q_b", "t_n", "t_n_scaled"),
-                curves, grid, {"f_ec": ec.f_ec, "model": MODEL,
+                curves, grid, {"f_ec": f_ec, "model": MODEL,
                                "cutoff_alpha_x": cutoffs}, params)
     return EXIT_OK
 

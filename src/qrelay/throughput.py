@@ -14,14 +14,15 @@ cutoff range where the key fraction reaches zero is analytics' inverse of it.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .analytics import ChainConfig, _alpha_x_at_snr, _chain_curve
 from .errors import check_real
 
 # the one key-fraction formula here (_tau), as the throughput report names it
 MODEL = "single-photon-bb84"
+# the default of its one parameter, the error-correction inefficiency f_ec
+F_EC = 1.16
 
 
 def binary_entropy(e: float) -> float:
@@ -32,45 +33,28 @@ def binary_entropy(e: float) -> float:
     return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
 
 
-class EcPaParams(namedtuple("EcPaParams", ("f_ec",))):
-    """Error-correction / privacy-amplification parameters.
-
-    f_ec (1.16) is the error-correction inefficiency (1 = Shannon limit),
-    checked at construction.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, f_ec: float = 1.16):
-        check_real(f_ec, "f_ec", 1)
-        return super().__new__(cls, f_ec)
-
-    def _replace(self, **changes) -> "EcPaParams":
-        """A copy with some fields changed, checked as new parameters are."""
-        return EcPaParams(**{**self._asdict(), **changes})
-
-
-def _tau(e: float, params: EcPaParams) -> float:
+def _tau(e: float, f_ec: float) -> float:
     """The key fraction before clamping; negative past the cutoff."""
-    return 1.0 - params.f_ec * binary_entropy(e) \
+    return 1.0 - f_ec * binary_entropy(e) \
         - math.log2(1.0 + 4.0 * e - 4.0 * e * e)
 
 
-def key_fraction(e: float, params: Optional[EcPaParams] = None) -> float:
+def key_fraction(e: float, f_ec: float = F_EC) -> float:
     """Secret bits per sifted bit at error rate e, clamped at zero.
 
     Accepts e in [0, 0.5]; beyond that the sifted channel is worse than
     guessing.
     """
     check_real(e, "e", 0, 0.5, "[]")
-    return max(_tau(e, params or EcPaParams()), 0.0)
+    check_real(f_ec, "f_ec", 1)
+    return max(_tau(e, f_ec), 0.0)
 
 
-def key_fraction_cutoff(params: Optional[EcPaParams] = None) -> float:
+def key_fraction_cutoff(f_ec: float = F_EC) -> float:
     """Error rate e* at which the key fraction hits zero, by bisection.
 
     The unclamped expression tau is exactly 1 at e = 0 and, for every
-    f_ec >= 1 (which EcPaParams checks), negative at e = 0.25, so [0, 0.25]
+    f_ec >= 1 (checked here), negative at e = 0.25, so [0, 0.25]
     brackets the root; bisection to adjacent doubles returns a double e*
     with tau(e*) > 0 >= tau(next double up). Within a few ulps of the root
     tau may change sign more than once, so e* need not be the last double
@@ -78,19 +62,19 @@ def key_fraction_cutoff(params: Optional[EcPaParams] = None) -> float:
     takes S* = 1/(2 e*) - 1 from it and then inverts the chain's SNR in
     closed form.
     """
-    params = params or EcPaParams()
+    check_real(f_ec, "f_ec", 1)
     lo, hi = 0.0, 0.25
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if _tau(mid, params) > 0.0:
+        if _tau(mid, f_ec) > 0.0:
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def snr_cutoff(params: Optional[EcPaParams] = None) -> float:
+def snr_cutoff(f_ec: float = F_EC) -> float:
     """Minimum SNR for a nonzero key fraction: S* = 1/(2 e*) - 1."""
-    return 0.5 / key_fraction_cutoff(params) - 1.0
+    return 0.5 / key_fraction_cutoff(f_ec) - 1.0
 
 
 class ThroughputPoint(NamedTuple):
@@ -107,29 +91,27 @@ class ThroughputPoint(NamedTuple):
 
 
 def throughput_curve(config: ChainConfig, alpha_x_values: Sequence[float],
-                     params: Optional[EcPaParams] = None
-                     ) -> list[ThroughputPoint]:
+                     f_ec: float = F_EC) -> list[ThroughputPoint]:
     """Exact-chain throughput at each attenuation length in the grid.
 
     Each grid point is the chain config.at_alpha_x gives, optimally placed,
     at its exact SNR (analytics' exact curve, with no first-order SNR) and
     its QBER, which is in [0, 1/2], the domain key_fraction checks.
     """
-    params = params or EcPaParams()
+    check_real(f_ec, "f_ec", 1)
     scale = config.eta ** config.n_relays
     points = []
-    for s, *_ in _chain_curve(alpha_x_values, config.n_relays, config.eta,
-                              config.p_dark):
+    for s, _k, _exp, _w in _chain_curve(alpha_x_values, config.n_relays,
+                                        config.eta, config.p_dark):
         q_b = 0.5 / (1.0 + s)     # qber_from_snr's Q_B, of an S >= 0
-        t_n = max(_tau(q_b, params), 0.0)
+        t_n = max(_tau(q_b, f_ec), 0.0)
         points.append(ThroughputPoint(s, q_b, t_n, scale * t_n))
     return points
 
 
-def cutoff_alpha_x(config: ChainConfig,
-                   params: Optional[EcPaParams] = None) -> float:
+def cutoff_alpha_x(config: ChainConfig, f_ec: float = F_EC) -> float:
     """Attenuation length at which the chain's key fraction reaches zero:
     analytics' inverse of the optimal chain's SNR at the cutoff SNR S*, 0
     when S(0) <= S*, math.inf without dark counts (S = inf)."""
-    return _alpha_x_at_snr(snr_cutoff(params), config.n_relays, config.eta,
+    return _alpha_x_at_snr(snr_cutoff(f_ec), config.n_relays, config.eta,
                            config.p_dark)

@@ -424,20 +424,19 @@ def test_curve_forms_match_the_scalar_functions_bit_for_bit(n, eta, p_dark):
     # each formula is written once: the per-curve forms behind snr and
     # throughput give, point by point, the bits of the public functions, and
     # at N = 0 snr_no_relay is the curve's S_1
-    from qrelay.throughput import EcPaParams, key_fraction, throughput_curve
+    from qrelay.throughput import key_fraction, throughput_curve
 
     def bits(*values):
         return [float(v).hex() for v in values]
 
-    ec = EcPaParams(f_ec=1.2)
     config = ChainConfig(0.0, 0.05, n, eta, p_dark)
     for ax, snr_row, point in zip(
             _CURVE_GRID, _snr_curve(_CURVE_GRID, n, eta, p_dark),
-            throughput_curve(config, _CURVE_GRID, ec)):
+            throughput_curve(config, _CURVE_GRID, 1.2)):
         s_1, s = snr_n_relays(ax, n, eta, p_dark), snr_exact(ax, n, eta,
                                                              p_dark)
         q_b = qber_from_snr(s)
-        t_n = key_fraction(q_b, ec)
+        t_n = key_fraction(q_b, 1.2)
         assert bits(*snr_row[:3]) == bits(s_1, s, q_b), (ax, snr_row)
         if n == 0:
             assert bits(snr_no_relay(p_dark, ax)) == bits(s_1), ax

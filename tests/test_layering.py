@@ -142,14 +142,11 @@ def test_replace_checks_the_new_record():
     # namedtuple _replace goes through _make, which would skip the checks
     from qrelay.analytics import ChainConfig
     from qrelay.fockspace import LinearModeTransform, ModeBasis
-    from qrelay.throughput import EcPaParams
 
     transform = LinearModeTransform(ModeBasis(("0",)),
                                     ((1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(ValueError, match="n_relays"):
         ChainConfig(100.0, n_relays=1)._replace(n_relays=-1)
-    with pytest.raises(ValueError, match="f_ec"):
-        EcPaParams()._replace(f_ec=0.5)
     with pytest.raises(ValueError, match="not unitary"):
         transform._replace(matrix=((2.0, 0.0), (0.0, 1.0)))
 
@@ -237,7 +234,11 @@ _REAL_ARGUMENTS = {
     "raw_rate.alpha_x": ("alpha_x", "[0, inf)"),
     "binary_entropy": ("e", "[0, 1]"),
     "key_fraction": ("e", "[0, 0.5]"),
-    "EcPaParams": ("f_ec", "[1, inf)"),
+    "key_fraction.f_ec": ("f_ec", "[1, inf)"),
+    "key_fraction_cutoff": ("f_ec", "[1, inf)"),
+    "snr_cutoff": ("f_ec", "[1, inf)"),
+    "throughput_curve.f_ec": ("f_ec", "[1, inf)"),
+    "cutoff_alpha_x.f_ec": ("f_ec", "[1, inf)"),
 }
 
 
@@ -248,7 +249,9 @@ def _real_entry_point(entry: str):
                                   qber_from_snr, raw_rate, snr_exact,
                                   snr_n_relays, snr_no_relay,
                                   solve_range_alpha_x)
-    from qrelay.throughput import EcPaParams, binary_entropy, key_fraction
+    from qrelay.throughput import (binary_entropy, cutoff_alpha_x,
+                                   key_fraction, key_fraction_cutoff,
+                                   snr_cutoff, throughput_curve)
 
     one_relay = ChainConfig(100.0, n_relays=1)
     return {
@@ -280,7 +283,13 @@ def _real_entry_point(entry: str):
         "raw_rate.alpha_x": lambda v: raw_rate(1e9, v),
         "binary_entropy": binary_entropy,
         "key_fraction": key_fraction,
-        "EcPaParams": EcPaParams,
+        "key_fraction.f_ec": lambda v: key_fraction(0.05, v),
+        "key_fraction_cutoff": key_fraction_cutoff,
+        "snr_cutoff": snr_cutoff,
+        # checked before the grid, which here is refused as well
+        "throughput_curve.f_ec": lambda v: throughput_curve(one_relay,
+                                                            [math.nan], v),
+        "cutoff_alpha_x.f_ec": lambda v: cutoff_alpha_x(one_relay, v),
     }[entry]
 
 
@@ -391,13 +400,12 @@ def test_no_option_chooses_among_alternatives_no_command_uses():
     from qrelay import circuit
     from qrelay.analytics import ChainConfig
     from qrelay.fockspace import ModeBasis
-    from qrelay.throughput import EcPaParams, key_fraction
+    from qrelay.throughput import key_fraction
 
     assert ChainConfig._fields == ("distance_km", "atten_per_km", "n_relays",
                                    "eta", "p_dark")
     assert not hasattr(ChainConfig, "with_positions")
-    assert EcPaParams._fields == ("f_ec",)
-    assert "clamp" not in signature(key_fraction).parameters
+    assert list(signature(key_fraction).parameters) == ["e", "f_ec"]
     assert list(signature(ModeBasis).parameters) == ["spatial_labels"]
     assert not hasattr(ModeBasis(("0",)), "photon_cap")
     for name in ("encoder_basis", "build_encoder_state", "encoder_postselect",

@@ -6,8 +6,8 @@ from scipy import stats
 
 from qrelay.analytics import ChainConfig, qber_from_snr, snr_exact
 from qrelay.chain import run_chain
-from qrelay.throughput import (EcPaParams, ThroughputPoint, _tau,
-                               binary_entropy, cutoff_alpha_x, key_fraction,
+from qrelay.throughput import (F_EC, ThroughputPoint, _tau, binary_entropy,
+                               cutoff_alpha_x, key_fraction,
                                key_fraction_cutoff, snr_cutoff,
                                throughput_curve)
 
@@ -32,20 +32,23 @@ def test_binary_entropy():
         binary_entropy(1.01)
 
 
-def test_ec_pa_params():
-    p = EcPaParams()
-    assert p == (1.16,) and p.f_ec == 1.16
-    with pytest.raises(ValueError):
-        EcPaParams(f_ec=0.9)
-    for f_ec in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            EcPaParams(f_ec=f_ec)
+def test_f_ec_default():
+    # f_ec is a number with one default, 1.16; each function's refusals are
+    # in test_layering's real-argument table
+    config = ChainConfig(0.0, n_relays=2)
+    assert F_EC == 1.16
+    assert key_fraction(0.05) == key_fraction(0.05, 1.16)
+    assert key_fraction_cutoff() == key_fraction_cutoff(1.16)
+    assert snr_cutoff() == snr_cutoff(1.16)
+    assert throughput_curve(config, [5.0]) == throughput_curve(config, [5.0],
+                                                               1.16)
+    assert cutoff_alpha_x(config) == cutoff_alpha_x(config, 1.16)
 
 
 def test_key_fraction_endpoints():
     assert key_fraction(0.0) == 1.0
     # deep in the error regime the unclamped fraction goes negative
-    raw = _tau(0.25, EcPaParams())
+    raw = _tau(0.25, 1.16)
     assert raw == pytest.approx(-0.7484375464301981, abs=1e-6)
     assert key_fraction(0.25) == 0.0
     with pytest.raises(ValueError):
@@ -55,24 +58,23 @@ def test_key_fraction_endpoints():
 
 
 def test_key_fraction_formula():
-    p = EcPaParams(f_ec=1.16)
     for e in (0.01, 0.05, 0.09):
         want = (1.0 - 1.16 * binary_entropy(e)
                 - math.log2(1.0 + 4.0 * e - 4.0 * e * e))
-        assert key_fraction(e, p) == pytest.approx(want, rel=1e-12)
+        assert key_fraction(e, 1.16) == pytest.approx(want, rel=1e-12)
     # key fraction falls monotonically with the error rate
     grid = np.linspace(0.0, 0.10, 60)
-    vals = [_tau(float(e), p) for e in grid]
+    vals = [_tau(float(e), 1.16) for e in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_key_fraction_cutoff():
     e_star = key_fraction_cutoff()
     assert e_star == pytest.approx(0.10175520191401302, abs=1e-6)
-    assert _tau(e_star - 1e-6, EcPaParams()) > 0
-    assert _tau(e_star + 1e-6, EcPaParams()) < 0
+    assert _tau(e_star - 1e-6, F_EC) > 0
+    assert _tau(e_star + 1e-6, F_EC) < 0
     # ideal error correction tolerates more errors
-    assert key_fraction_cutoff(EcPaParams(f_ec=1.0)) > e_star
+    assert key_fraction_cutoff(1.0) > e_star
 
 
 @pytest.mark.parametrize("f_ec", [1.0, 1.16, 1.5, 2.5e10, 1e12, 1e300])
@@ -85,13 +87,12 @@ def test_key_fraction_cutoff_is_bisected_to_adjacent_doubles(f_ec,
     # a root near 1e-303 takes at most 1,072 halvings of [0, 0.25]
     from qrelay import throughput
 
-    params = EcPaParams(f_ec=f_ec)
     calls = []
     monkeypatch.setattr(throughput, "_tau",
-                        lambda e, p: calls.append(e) or _tau(e, p))
-    e_star = key_fraction_cutoff(params)
-    assert _tau(e_star, params) > 0.0 >= _tau(math.nextafter(e_star, 1.0),
-                                              params)
+                        lambda e, f: calls.append(e) or _tau(e, f))
+    e_star = key_fraction_cutoff(f_ec)
+    assert _tau(e_star, f_ec) > 0.0 >= _tau(math.nextafter(e_star, 1.0),
+                                            f_ec)
     assert len(calls) <= 1072
 
 
