@@ -312,12 +312,12 @@ def _expm1_minus(x: float) -> float:
 
 def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
                  p_dark: float) -> list[tuple]:
-    """(S, k, s, w) of the exact optimal chain at each alpha_x, its
-    constants taken once per curve. K = k 2^-s = ln(1 + 1/S) is a scaled
-    pair of _noise_kernel's; in the interior each segment's term is
-    w 2^-s = log1p(u), u = 2 p_dark e^y, y = (alpha x - N ln eta)/(N+1);
-    clamped, w 2^-s is a relay's, log1p(2 p_dark/eta). Only the alpha_xs
-    are checked; the callers check (eta, p_dark, N)."""
+    """(S, q_b, k, s, w) of the exact optimal chain at each alpha_x, its
+    constants taken once per curve, q_b = 1/(2 (1 + S)) its QBER. K = k 2^-s
+    = ln(1 + 1/S) is a scaled pair of _noise_kernel's; in the interior each
+    segment's term is w 2^-s = log1p(u), u = 2 p_dark e^y, y = (alpha x -
+    N ln eta)/(N+1); clamped, w 2^-s is a relay's, log1p(2 p_dark/eta).
+    Only the alpha_xs are checked; the callers check (eta, p_dark, N)."""
     terms, term, *_ = _noise_kernel(p_dark, eta)
     n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
     out = []
@@ -329,7 +329,7 @@ def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
         else:
             w, s = term((alpha_x - n * log_eta) / m)
             k = m * w
-        out.append((_snr_from_k(k, s), k, s, w))
+        out.append((snr := _snr_from_k(k, s), 0.5 / (1.0 + snr), k, s, w))
     return out
 
 
@@ -343,7 +343,7 @@ def _alpha_x_at_snr(s_target: float, n_relays: int, eta: float,
     counts; the callers check (eta, p_dark, N)."""
     n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
     k_star = math.log1p(1.0 / s_target)
-    (_, k_0, s, relay), = _chain_curve((0.0,), n, eta, p_dark)
+    (_, _, k_0, s, relay), = _chain_curve((0.0,), n, eta, p_dark)
     if math.ldexp(k_0, -s) >= k_star:
         return 0.0
     # no dark counts: K(0) = 0 and ln(2 p_dark) = -inf, so alpha x = inf
@@ -367,7 +367,7 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     e^-t = e^(708 j - t) (e^-708)^j and the small factors, at the scale
     2^-e, come last: j = 2 only at a subnormal p_dark and t >= 708, where
     e^(708 - y) can be subnormal and S_1 still normal. S, k, s and w are
-    _chain_curve's. In the interior S/S_1 =
+    _chain_curve's, as is q_b. In the interior S/S_1 =
     r = (N+1) u/expm1(K), with w = log1p(u) and K = (N+1) w, so with
     g(x) = ln(expm1(x)/x) = x/2 + _log_sinhc(x/2), ln r = g(w) - g(K) =
     -N w/2 (at the kernel's scale) + _log_sinhc(w/2) - _log_sinhc(K/2):
@@ -389,7 +389,7 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     small = _ldexp(math.exp(-_EXP_NORMAL), -e)     # e^-708 2^-e
     smalls = (small, small * math.exp(-_EXP_NORMAL))
     points = []
-    for alpha_x, (s_ex, k, s, w) in zip(
+    for alpha_x, (s_ex, q_b, k, s, w) in zip(
             alpha_xs, _chain_curve(alpha_xs, n_relays, eta, p_dark)):
         y, t = (alpha_x - n_log_eta) / m, alpha_x / m
         if not p_dark:      # no dark counts: S_1 = inf
@@ -419,7 +419,7 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
                     / (n + e_d))))
         else:
             dev = 1.0
-        points.append((s_an, s_ex, 0.5 / (1.0 + s_ex), dev))     # Q_B of S
+        points.append((s_an, s_ex, q_b, dev))
     return points
 
 
