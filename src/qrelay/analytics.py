@@ -297,17 +297,10 @@ def _log_sinhc(z: float) -> float:
     return math.log1p(total)
 
 
-def _expm1_minus(x: float) -> float:
-    """expm1(x) - x to full relative precision: up to |x| = 1 the series
-    x^2/2! + x^3/3! + ..., terms falling at least 3-fold."""
-    if abs(x) > 1.0:
-        return math.expm1(x) - x
-    term, total, i = x * x / 2, 0.0, 2
-    while total + term != total:
-        total += term
-        i += 1
-        term *= x / i
-    return total
+def _expm1_excess(x: float) -> float:
+    """h(x) = expm1(x) - x for x <= 0 to full relative precision, as
+    x expm1(g(x)) with g(x) = ln(expm1(x)/x) = x/2 + _log_sinhc(-x/2)."""
+    return x * math.expm1(x / 2 + _log_sinhc(-x / 2))
 
 
 def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
@@ -369,16 +362,17 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     e^(708 - y) can be subnormal and S_1 still normal. S, k, s and w are
     _chain_curve's, as is q_b. In the interior S/S_1 =
     r = (N+1) u/expm1(K), with w = log1p(u) and K = (N+1) w, so with
-    g(x) = ln(expm1(x)/x) = x/2 + _log_sinhc(x/2), ln r = g(w) - g(K) =
+    g(x) = ln(expm1(x)/x) = x/2 + _log_sinhc(|x|/2), ln r = g(w) - g(K) =
     -N w/2 (at the kernel's scale) + _log_sinhc(w/2) - _log_sinhc(K/2):
     rel_dev = |expm1(ln r)| keeps its digits however small u is. Clamped
     (alpha x <= ln(1/eta), N >= 1), S_1 is another placement's: with
     d = alpha x + ln eta <= 0, c = 2 p_dark/eta and L = log1p(c),
     r = (N+1) c e^(d/(N+1))/expm1(K) and ln r = -f(d) - D.
     The placements' gap f(d) = ln(1 + expm1(d)/(N+1)) - d/(N+1) >= 0 is
-    h(d)/(N+1) - h(ln(1 + expm1(d)/(N+1))), h(x) = expm1(x) - x, so no
-    digit cancels at small d; the O(c) rest D = ln(expm1(K)/(c (N + e^d)))
-    >= 0 is log1p((N expm1(g(N L) - g(L)) + e^d expm1(N L))/(N + e^d)).
+    h(d)/(N+1) - h(ln(1 + expm1(d)/(N+1))), h(x) = expm1(x) - x =
+    x expm1(g(x)) (_expm1_excess), so no digit cancels at small d; the
+    O(c) rest D = ln(expm1(K)/(c (N + e^d))) >= 0 is
+    log1p((N expm1(g(N L) - g(L)) + e^d expm1(N L))/(N + e^d)).
     Past K = 700, ln r < -100: rel_dev is 1 in doubles. Only the alpha_xs
     are checked; the callers check (eta, p_dark, N).
     """
@@ -413,8 +407,8 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
             g_gap = ((n - 1) * big_l / 2 + _log_sinhc(n_l / 2)
                      - _log_sinhc(big_l / 2))
             dev = abs(math.expm1(
-                _expm1_minus(math.log1p(math.expm1(d) / m))
-                - _expm1_minus(d) / m - math.log1p(
+                _expm1_excess(math.log1p(math.expm1(d) / m))
+                - _expm1_excess(d) / m - math.log1p(
                     (n * math.expm1(g_gap) + e_d * math.expm1(n_l))
                     / (n + e_d))))
         else:
