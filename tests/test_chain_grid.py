@@ -204,7 +204,8 @@ _DOMAIN = {"n": st.integers(0, 1000),
 # the rounding of ln eta (see oracles.clamped_rel_dev_allowance): 8 is
 # nearly three times the largest ratio, 2.81, measured over 13,479 random
 # points of the clamped branch (N <= 1000, eta down to 1e-300, p_dark down
-# to 5e-324, a quarter of them on the clamp edge)
+# to 5e-324, a quarter of them on the clamp edge); a seeded redraw of as
+# many points, with h(x) = expm1(x) - x taken as x expm1(g(x)), read 2.20
 DOMAIN_BOUND = 8
 CLAMPED_BOUND = 8
 
@@ -294,11 +295,19 @@ INVERSE_BOUND = 8
 @example(s=3.9137537009903323, frac=0.0, n=2, eta=0.5, p_dark=0.02)
 @example(s=3.9137537009903323, frac=0.5, n=1000, eta=0.5, p_dark=1e-5)
 @example(s=1e8, frac=1.0, n=1000, eta=1e-300, p_dark=5e-324)
+# the float K(0) one ulp below K* though the decimal S(0) is below the
+# target: the inverse returns alpha x = 10.0358, where K is 0.9 K* epsilons
+# above K*, and the allowance linearized there reached down to 0.94
+@example(s=1.0, frac=0.0, n=33, eta=math.exp(-43.0), p_dark=math.exp(-44.0))
 def test_alpha_x_at_snr_brackets_the_target(s, frac, n, eta, p_dark):
     # at a drawn SNR and at the SNR of the point alpha x = frac ln(1/eta),
     # on the clamped branch where N >= 1: at alpha x -/+ the allowance the
     # decimal S brackets the target, and where the bracket reaches 0 (or
-    # the inverse returns 0) K(0) is K* within as many epsilons
+    # the inverse returns 0) K(0) is K* within as many epsilons. On the
+    # clamped branch K = N L + log1p(x), x = 2 p_dark e^(alpha x), whose
+    # slope x/(1 + x) shrinks e-fold per unit step down in alpha x, so a
+    # step linearized at the returned point can overshoot the root: there
+    # the allowance, the step times that slope, is compared in K
     assume(eta + 2.0 * p_dark <= 1.0)
     if p_dark == 0.0:
         assert _alpha_x_at_snr(s, n, eta, p_dark) == math.inf
@@ -314,6 +323,12 @@ def test_alpha_x_at_snr_brackets_the_target(s, frac, n, eta, p_dark):
         step = INVERSE_BOUND * sys.float_info.epsilon * inverse_conditioning(
             ax, target, n, eta, p_dark)
         want = Decimal(target)
+        k_star = (1 + 1 / want).ln()
+        if n and 0.0 < ax <= -math.log(eta):
+            x = 2.0 * p_dark * math.exp(ax)
+            k_at = (1 + 1 / decimal_snr_reference(ax, n, eta, p_dark)).ln()
+            assert abs(k_at - k_star) <= Decimal(step * x / (1.0 + x)), where
+            continue
         # no range in this domain reaches 1e6; a wider bracket says nothing
         if ax + step < 1e6:
             assert decimal_snr_reference(ax + step, n, eta, p_dark) <= want, \
@@ -323,7 +338,6 @@ def test_alpha_x_at_snr_brackets_the_target(s, frac, n, eta, p_dark):
                 where
         else:
             k_0 = (1 + 1 / decimal_snr_reference(0.0, n, eta, p_dark)).ln()
-            k_star = (1 + 1 / want).ln()
             assert (k_0 >= k_star * (1 - tol) if ax == 0.0
                     else k_0 <= k_star * (1 + tol)), where
 

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from qrelay import cli
 from qrelay.analytics import ChainConfig, optimal_positions
 from qrelay.chain import run_chain
 from qrelay.reports import render_csv, render_json, render_payload
+from qrelay.throughput import F_EC
 
 from oracles import (Table, clamped_rel_dev_allowance, column,
                      decimal_noise_ratio, decimal_rel_dev_reference,
@@ -491,6 +493,19 @@ def test_cli_help_shows_every_default(command, monkeypatch, capsys):
                "sample": "(default 0)", "optimize": "(required)",
                "throughput": "error-correction inefficiency (default 1.16)"}
     assert spelled[command] in " ".join(text.split())
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # the parser is built without loading analytics or throughput, so the
+    # channel's, sample's relay count and f_ec's defaults are written again
+    # in cli: this fails when one side is edited alone
+    chain = {name: param.default for name, param
+             in inspect.signature(ChainConfig).parameters.items()}
+    assert cli._CHANNEL["pd"] == chain["p_dark"]
+    assert cli._CHANNEL["eta"] == chain["eta"]
+    assert cli._CHANNEL["atten_per_km"] == chain["atten_per_km"]
+    assert cli._COMMANDS["sample"][2]["n_relays"] == chain["n_relays"] == 0
+    assert cli._COMMANDS["throughput"][2]["f_ec"] == F_EC
 
 
 def _spelled(value) -> str:
