@@ -7,7 +7,10 @@ positions (_chain_at_segments) and the relay placement, uniform spacing
 with a longer final segment, clamped to the transmitter end at short
 range, which is the exact optimum. Every entry point checks its inputs by
 errors.check_int and check_real (`eta must be a number in (0, 1], got 1.5`),
-and check_relay adds the one joint condition, eta + 2 p_dark <= 1.
+and check_relay adds the one joint condition, eta + 2 p_dark <= 1. p_dark
+is 0, no dark counts, or a normal double: with 2 p_dark normal, S <=
+1/(2 p_dark) is finite, so inf means only that no dark counts reach the
+receiver.
 
 At that placement the exact chain is one binomial. In the interior
 (alpha x > ln(1/eta), or N = 0), with u = (2 p_dark/eta) e^((alpha x +
@@ -26,15 +29,24 @@ from typing import NamedTuple, Sequence
 from .errors import check_int, check_real
 
 
+def _check_p_dark(p_dark: float) -> None:
+    """Reject a dark-count probability that is not 0 or a normal double in
+    [float_info.min, 1/2): below the normal range 1/(2 p_dark) overflows."""
+    check_real(p_dark, "p_dark", 0, 0.5)
+    if p_dark:
+        check_real(p_dark, "nonzero p_dark", sys.float_info.min, 0.5)
+
+
 def check_relay(eta: float, p_dark: float) -> None:
     """Reject relay parameters outside the domain of the relay map.
 
     A relay gates a photon through with probability eta in (0, 1] and false
-    gates with probability 2*p_dark, p_dark in [0, 1/2) per detector; both
-    together must stay a probability, eta + 2*p_dark <= 1.
+    gates with probability 2*p_dark, p_dark 0 or in [float_info.min, 1/2)
+    per detector (_check_p_dark); both together must stay a probability,
+    eta + 2*p_dark <= 1.
     """
     check_real(eta, "eta", 0, 1, "(]")
-    check_real(p_dark, "p_dark", 0, 0.5)
+    _check_p_dark(p_dark)
     if eta + 2.0 * p_dark > 1.0:
         raise ValueError("eta + 2*p_dark exceeds 1")
 
@@ -96,7 +108,7 @@ def snr_no_relay(p_dark: float, alpha_x: float) -> float:
     """Direct-transmission SNR S_0, half the inverse dark rate times
     e^(-alpha x): the N = 0 point of the first-order curve (_snr_curve),
     where eta does not enter. p_dark = 0 returns math.inf, noise-free."""
-    check_real(p_dark, "p_dark", 0, 0.5)
+    _check_p_dark(p_dark)
     return _snr_curve((alpha_x,), 0, 1.0, p_dark)[0][0]
 
 
@@ -173,78 +185,42 @@ def optimal_positions(config: ChainConfig) -> tuple[float, ...]:
 # math.exp and math.expm1 overflow past about 709.78, and math.exp(-x)
 # leaves the normal range past 708.39
 _EXP_MAX, _EXP_NORMAL = 700.0, 708.0
-_LN2 = math.log(2.0)
 
 
-def _ldexp(x: float, i: int) -> float:
-    """x 2^i for x >= 0, inf past the double range, where math.ldexp raises."""
-    return math.ldexp(x, i) if math.frexp(x)[1] + i <= 1024 else math.inf
+def _term(y: float, c: float) -> float:
+    """The term ln(1 + c e^y) of the noise exponent K = ln(1 + p_n/p_s) of
+    a segment of attenuation length y, c = 2 p_dark on the last segment
+    and 2 p_dark/eta on a relay's: log1p of c e^y, rounded once as
+    c exp(y); softplus(ln c + y) past exp's range."""
+    # c = 0: no dark counts
+    v = c and (math.inf if y >= _EXP_MAX else c * math.exp(y))
+    if v < math.inf:
+        return math.log1p(v)
+    z = math.log(c) + y     # softplus: ln(1 + e^z)
+    return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
 
 
-def _noise_kernel(p_dark: float, eta: float):
-    """(terms, term, e, normal): the one evaluation of the noise exponent's
-    terms, and the one test for the normal range.
-
-    term(y, c=2 p_dark) gives the term ln(1 + c e^y) of K = ln(1 + p_n/p_s)
-    of a segment of attenuation length y as an exactly scaled pair (w, s),
-    the term w 2^-s: log1p of c e^y, rounded once as c exp(y); that product
-    itself below 2^-53, with s = -e; softplus(ln c + y) past exp's range.
-    terms(ys, n_relays=0) gives the terms of segments of attenuation
-    lengths ys, and K, as one scaled pair (terms 2^s, K 2^s, s);
-    c_j = 2 p_dark/eta on the first n_relays segments, 2 p_dark on the
-    rest. K is their correctly rounded sum (math.fsum). A subnormal
-    2 p_dark = m 2^e (frexp) is taken at the exact scale 2^-e, else e = 0;
-    s = -e where every term is below 2^-53, else s = 0 (a subnormal term
-    2^-1075 off). normal(x) tells whether x >= 0 is a normal double, so
-    that its log keeps every digit.
-    """
-    def normal(x):
-        return x >= sys.float_info.min
-
+def _terms(ys: Sequence[float], n_relays: int, eta: float,
+           p_dark: float) -> tuple[list[float], float]:
+    """The terms of segments of attenuation lengths ys, the first n_relays
+    of them relays', and K, their correctly rounded sum (math.fsum)."""
     pd2 = 2.0 * p_dark
-    e = 0 if normal(pd2) else math.frexp(pd2)[1]
-    c_last = math.ldexp(pd2, -e)
-    c_relay, log_scale, small = c_last / eta, e * _LN2, 2.0**-53
-
-    def term(y, c=c_last):
-        # c = 0: no dark counts
-        v = c and (math.inf if y >= _EXP_MAX else c * math.exp(y))
-        if (x := math.ldexp(v, e)) < small:
-            return v, -e
-        if x < math.inf:
-            return math.log1p(x), 0
-        z = math.log(c) + log_scale + y     # softplus: ln(1 + e^z)
-        return max(z, 0.0) + math.log1p(math.exp(-abs(z))), 0
-
-    def terms(ys, n_relays=0):
-        pairs = [term(y, c_relay if j < n_relays else c_last)
-                 for j, y in enumerate(ys)]
-        if all(s for _, s in pairs):
-            scaled = [w for w, _ in pairs]
-            return scaled, math.fsum(scaled), -e
-        plain = [math.ldexp(w, -s) for w, s in pairs]
-        return plain, math.fsum(plain), 0
-
-    return terms, term, e, normal
+    terms = [_term(y, pd2 / eta if j < n_relays else pd2)
+             for j, y in enumerate(ys)]
+    return terms, math.fsum(terms)
 
 
-def _log_expm1(k: float, s: int = 0) -> float:
-    """ln(e^K - 1) of K = k 2^-s >= 0, -inf at 0 and finite past exp's
-    range; ln K + K/2 where s != 0, every term of K below 2^-53."""
-    if s:
-        return math.log(k) - s * _LN2 + math.ldexp(k, -s) / 2
+def _log_expm1(k: float) -> float:
+    """ln(e^K - 1) of K >= 0, -inf at 0 and finite past exp's range."""
     if k >= _EXP_MAX:
         return k + math.log1p(-math.exp(-k))
     return math.log(math.expm1(k)) if k > 0.0 else -math.inf
 
 
-def _snr_from_k(k: float, s: int = 0) -> float:
-    """S = 1/expm1(K) of a chain whose noise exponent is K = k 2^-s =
-    ln(1 + 1/S), with expm1(K) = K (1 + K/2) where s != 0."""
+def _snr_from_k(k: float) -> float:
+    """S = 1/expm1(K) of a chain whose noise exponent is K = ln(1 + 1/S)."""
     if k == 0.0:    # no noise reaches the receiver
         return math.inf
-    if s:
-        return _ldexp(1.0 / (k * (1.0 + math.ldexp(k, -s) / 2)), s)
     return 1.0 / math.expm1(k) if k < _EXP_MAX else math.exp(-k)
 
 
@@ -260,26 +236,25 @@ def _chain_at_segments(config: ChainConfig, ys: Sequence[float]) -> tuple:
     S_N expm1(L) is read off the products as S_N e^L - S_N once L >= 1,
     where the difference no longer cancels and e^L may overflow. S, q_b
     and the logs come from the noise exponent K = ln(1 + p_n/p_s), the fsum
-    of _noise_kernel's terms, as snr_exact's do, so they stay finite where
-    p_s and p_n underflow on long chains (S = inf, q_b = 0 without dark
-    counts): ln p_s = N ln eta - alpha x, whatever the positions, and ln p_n
+    of the segments' terms (_terms), as snr_exact's do, so they stay finite
+    where p_s and p_n underflow on long chains (S = inf, q_b = 0 without
+    dark counts): ln p_s = N ln eta - alpha x, whatever the positions, and ln p_n
     = ln p_s + ln expm1(K) below the normal range; in it, ln p_n is the log
     of p_n, as that sum cancels where S << 1 (-alpha x against +alpha x).
     """
-    sums, _, _, normal = _noise_kernel(config.p_dark, config.eta)
-    terms, k, s = sums(ys, config.n_relays)
-    *relay_ts, t_last = [math.exp(-y) for y in ys]
     eta, pd2 = config.eta, 2.0 * config.p_dark
+    terms, k = _terms(ys, config.n_relays, eta, config.p_dark)
+    *relay_ts, t_last = [math.exp(-y) for y in ys]
     s_n = math.prod(eta * t for t in relay_ts)
     alive = math.prod(eta * t + pd2 for t in relay_ts)
-    big_l = math.ldexp(math.fsum(terms[:-1]), -s)
+    big_l = math.fsum(terms[:-1])
     spurious = s_n * math.expm1(big_l) if big_l < 1.0 else alive - s_n
     p_s, p_n = s_n * t_last, t_last * spurious + pd2 * alive
-    snr = _snr_from_k(k, s)
+    snr = _snr_from_k(k)
     log_p_s = config.n_relays * math.log(eta) - config.alpha_x
-    log_p_n = math.log(p_n) if normal(p_n) else log_p_s + _log_expm1(k, s)
-    return (p_s, p_n, snr, qber_from_snr(snr), log_p_s, log_p_n,
-            math.ldexp(k, -s))
+    log_p_n = (math.log(p_n) if p_n >= sys.float_info.min
+               else log_p_s + _log_expm1(k))
+    return p_s, p_n, snr, qber_from_snr(snr), log_p_s, log_p_n, k
 
 
 def _log_sinhc(z: float) -> float:
@@ -305,24 +280,23 @@ def _expm1_excess(x: float) -> float:
 
 def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
                  p_dark: float) -> list[tuple]:
-    """(S, q_b, k, s, w) of the exact optimal chain at each alpha_x, its
-    constants taken once per curve, q_b = 1/(2 (1 + S)) its QBER. K = k 2^-s
-    = ln(1 + 1/S) is a scaled pair of _noise_kernel's; in the interior each
-    segment's term is w 2^-s = log1p(u), u = 2 p_dark e^y, y = (alpha x -
-    N ln eta)/(N+1); clamped, w 2^-s is a relay's, log1p(2 p_dark/eta).
-    Only the alpha_xs are checked; the callers check (eta, p_dark, N)."""
-    terms, term, *_ = _noise_kernel(p_dark, eta)
+    """(S, q_b, K, w) of the exact optimal chain at each alpha_x, its
+    constants taken once per curve, q_b = 1/(2 (1 + S)) its QBER and
+    K = ln(1 + 1/S) its noise exponent; in the interior each segment's
+    term is w = log1p(u), u = 2 p_dark e^y, y = (alpha x - N ln eta)/(N+1);
+    clamped, w is a relay's, log1p(2 p_dark/eta). Only the alpha_xs are
+    checked; the callers check (eta, p_dark, N)."""
     n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
     out = []
     for alpha_x in alpha_xs:
         check_real(alpha_x, "alpha_x")
         if n and alpha_x <= -log_eta:   # N relays of t = 1, then bare fiber
-            (relay, last), _, s = terms((0.0, alpha_x), 1)
+            (relay, last), _ = _terms((0.0, alpha_x), 1, eta, p_dark)
             k, w = n * relay + last, relay
         else:
-            w, s = term((alpha_x - n * log_eta) / m)
+            w = _term((alpha_x - n * log_eta) / m, 2.0 * p_dark)
             k = m * w
-        out.append((snr := _snr_from_k(k, s), 0.5 / (1.0 + snr), k, s, w))
+        out.append((snr := _snr_from_k(k), 0.5 / (1.0 + snr), k, w))
     return out
 
 
@@ -336,16 +310,15 @@ def _alpha_x_at_snr(s_target: float, n_relays: int, eta: float,
     counts; the callers check (eta, p_dark, N)."""
     n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
     k_star = math.log1p(1.0 / s_target)
-    (_, _, k_0, s, relay), = _chain_curve((0.0,), n, eta, p_dark)
-    if math.ldexp(k_0, -s) >= k_star:
+    (_, _, k_0, relay), = _chain_curve((0.0,), n, eta, p_dark)
+    if k_0 >= k_star:
         return 0.0
     # no dark counts: K(0) = 0 and ln(2 p_dark) = -inf, so alpha x = inf
     log_pd2 = math.log(2.0 * p_dark) if p_dark else -math.inf
     alpha_x = m * (math.log(math.expm1(k_star / m)) - log_pd2) + n * log_eta
     if n and alpha_x <= -log_eta:
         # K* > K(0) = N L + log1p(2 p_dark), so the log is of > 2 p_dark
-        relays = n * math.ldexp(relay, -s)
-        alpha_x = math.log(math.expm1(k_star - relays)) - log_pd2
+        alpha_x = math.log(math.expm1(k_star - n * relay)) - log_pd2
     return alpha_x
 
 
@@ -355,15 +328,13 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     first-order and exact SNR, the QBER at S and rel_dev = |S/S_1 - 1|.
 
     S_1 = e^-y/(2 p_dark (N+1)) is written here alone, as the product
-    s_0 eta^(N/(N+1)) e^-t/(N+1), t = alpha x/(N+1), with p_dark at
-    _noise_kernel's scale 2^-e. Where e^-y/(N+1) leaves the normal range,
-    e^-t = e^(708 j - t) (e^-708)^j and the small factors, at the scale
-    2^-e, come last: j = 2 only at a subnormal p_dark and t >= 708, where
-    e^(708 - y) can be subnormal and S_1 still normal. S, k, s and w are
-    _chain_curve's, as is q_b. In the interior S/S_1 =
-    r = (N+1) u/expm1(K), with w = log1p(u) and K = (N+1) w, so with
-    g(x) = ln(expm1(x)/x) = x/2 + _log_sinhc(|x|/2), ln r = g(w) - g(K) =
-    -N w/2 (at the kernel's scale) + _log_sinhc(w/2) - _log_sinhc(K/2):
+    s_0 eta^(N/(N+1)) e^-t/(N+1), t = alpha x/(N+1), s_0 = 1/(2 p_dark).
+    Where e^-y/(N+1) leaves the normal range, e^-t = e^(708 - t) e^-708
+    and the small factor comes last. S, K and w are _chain_curve's, as is
+    q_b. In the interior S/S_1 = r = (N+1) u/expm1(K), with w = log1p(u)
+    and K = (N+1) w, so with g(x) = ln(expm1(x)/x) = x/2 +
+    _log_sinhc(|x|/2), ln r = g(w) - g(K) = -N w/2 + _log_sinhc(w/2) -
+    _log_sinhc(K/2):
     rel_dev = |expm1(ln r)| keeps its digits however small u is. Clamped
     (alpha x <= ln(1/eta), N >= 1), S_1 is another placement's: with
     d = alpha x + ln eta <= 0, c = 2 p_dark/eta and L = log1p(c),
@@ -376,33 +347,28 @@ def _snr_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     Past K = 700, ln r < -100: rel_dev is 1 in doubles. Only the alpha_xs
     are checked; the callers check (eta, p_dark, N).
     """
-    e = _noise_kernel(p_dark, eta)[2]
     n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
     n_log_eta, log_m, gain = n * log_eta, math.log(m), eta ** (n / m)
-    s_0 = 0.5 / math.ldexp(p_dark, -e) if p_dark else math.inf
-    small = _ldexp(math.exp(-_EXP_NORMAL), -e)     # e^-708 2^-e
-    smalls = (small, small * math.exp(-_EXP_NORMAL))
+    s_0 = 0.5 / p_dark if p_dark else math.inf
+    small = math.exp(-_EXP_NORMAL)
     points = []
-    for alpha_x, (s_ex, q_b, k, s, w) in zip(
+    for alpha_x, (s_ex, q_b, k, w) in zip(
             alpha_xs, _chain_curve(alpha_xs, n_relays, eta, p_dark)):
         y, t = (alpha_x - n_log_eta) / m, alpha_x / m
         if not p_dark:      # no dark counts: S_1 = inf
             s_an = math.inf
         elif y + log_m >= _EXP_NORMAL:
-            j = 2 if e and t >= _EXP_NORMAL else 1
-            s_an = (s_0 * (gain * math.exp(j * _EXP_NORMAL - t) / m)
-                    * smalls[j - 1])
+            s_an = s_0 * (gain * math.exp(_EXP_NORMAL - t) / m) * small
         else:
             s_an = s_0 * (gain * math.exp(-t) / m)
-            s_an = _ldexp(s_an, -e) if e else s_an
         if k == 0.0:    # no noise: S = inf, and S_1 = inf or all but
             dev = 0.0
         elif not n or alpha_x > -log_eta:
-            half = math.ldexp(w, -s) / 2
-            dev = abs(math.expm1(math.ldexp(-n * w / 2, -s)
-                                 + _log_sinhc(half) - _log_sinhc(m * half)))
-        elif math.ldexp(k, -s) < _EXP_MAX:
-            d, big_l = alpha_x + log_eta, math.ldexp(w, -s)
+            half = w / 2
+            dev = abs(math.expm1(-n * w / 2 + _log_sinhc(half)
+                                 - _log_sinhc(m * half)))
+        elif k < _EXP_MAX:
+            d, big_l = alpha_x + log_eta, w
             n_l, e_d = n * big_l, math.exp(d)
             g_gap = ((n - 1) * big_l / 2 + _log_sinhc(n_l / 2)
                      - _log_sinhc(big_l / 2))

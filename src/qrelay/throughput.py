@@ -101,7 +101,7 @@ def throughput_curve(config: ChainConfig, alpha_x_values: Sequence[float],
     check_real(f_ec, "f_ec", 1)
     scale = config.eta ** config.n_relays
     points = []
-    for s, q_b, _k, _exp, _w in _chain_curve(
+    for s, q_b, _k, _w in _chain_curve(
             alpha_x_values, config.n_relays, config.eta, config.p_dark):
         t_n = max(_tau(q_b, f_ec), 0.0)
         points.append(ThroughputPoint(s, q_b, t_n, scale * t_n))

@@ -69,8 +69,8 @@ def _cases() -> list[tuple[list[str], object]]:
         ["throughput"], ["throughput", "--format", "json"],
         ["verify-circuit"],
     ]
-    # no dark counts, a small normal p_dark and subnormal ones down to the
-    # least double, over clamped and interior points
+    # no dark counts and a small normal p_dark, over clamped and interior
+    # points; a subnormal p_dark, down to the least double, exits 2
     for pd in ("0", "1e-300", "1e-318", "5e-324"):
         cases += [
             ["snr", "--pd", pd, "--n-relays", "0,1,4,64", "--steps", "21",

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from decimal import Decimal, localcontext
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qrelay.analytics import (ChainConfig, _expm1_excess,
+from qrelay.analytics import (ChainConfig, _expm1_excess, check_relay,
                               noise_single_relay, optimal_position_single,
                               optimal_positions, qber_from_snr,
                               range_enhancement, raw_rate, snr_exact,
@@ -50,6 +51,32 @@ def test_chain_config_validation():
     for positions in ((4.0, 4.0), (3.0, 7.0)):     # a repeat is legal
         assert run_chain(two, positions).p_s == pytest.approx(
             0.25 * math.exp(-0.5), rel=1e-14)
+
+
+# p_dark between 0 and the least normal double, both ends open
+_SUBNORMAL = st.floats(0.0, sys.float_info.min, exclude_min=True,
+                       exclude_max=True)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(p_dark=_SUBNORMAL)
+@example(p_dark=5e-324)
+@example(p_dark=1e-318)
+@example(p_dark=math.nextafter(sys.float_info.min, 0.0))
+def test_every_entry_point_refuses_a_subnormal_p_dark(p_dark):
+    # p_dark is 0 or a normal double: below the normal range 1/(2 p_dark)
+    # overflows, and the kernel would need a second, scaled path
+    message = re.escape(f"nonzero p_dark must be a number in "
+                        f"[{sys.float_info.min:g}, 0.5), got {p_dark!r}")
+    for call in (lambda: ChainConfig(10.0, p_dark=p_dark),
+                 lambda: check_relay(0.5, p_dark),
+                 lambda: snr_no_relay(p_dark, 1.0),
+                 lambda: snr_n_relays(1.0, 2, 0.5, p_dark),
+                 lambda: snr_exact(1.0, 2, 0.5, p_dark),
+                 lambda: solve_range_alpha_x(1, 0.5, p_dark, 1.0),
+                 lambda: range_enhancement(1, 0.5, p_dark, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_qber_from_snr():
@@ -134,7 +161,8 @@ def _log_uniform(lo, hi):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(n=st.integers(0, 64),
        eta=st.one_of(st.floats(0.01, 1.0), _log_uniform(1e-300, 1.0)),
-       p_dark=_log_uniform(5e-324, 0.2), y=st.floats(690.0, 1460.0))
+       p_dark=_log_uniform(sys.float_info.min, 0.2),
+       y=st.floats(690.0, 1460.0))
 # one 51 and one 111 ulps low, when S_1 came from exp(-(ln 2 p_d + y))
 @example(n=0, eta=1.0, p_dark=0.3, y=708.0)
 @example(n=0, eta=0.5, p_dark=0.2, y=708.0)
@@ -458,22 +486,23 @@ def test_solve_range_alpha_x():
 
 
 def test_range_survives_a_subnormal_dark_count_product():
-    # p_dark s_target is subnormal, where the product form underflowed: the
-    # logs are sums of the factors' logs, against 40-digit values
-    assert solve_range_alpha_x(0, 0.5, 1e-320, 1e-10) == pytest.approx(
-        759.1599446403544176453, rel=1e-15)
-    assert solve_range_alpha_x(1, 0.5, 1e-320, 1e-10) == pytest.approx(
-        1516.240447739028999362, rel=1e-15)
-    assert range_enhancement(0, 0.5, 5e-324, 0.5) == (1.0, 1.0)
-    r = range_enhancement(3, 0.5, 5e-324, 0.5)
-    assert r.approx == pytest.approx(3.989767441860465116279, rel=1e-15)
-    assert r.exact == pytest.approx(3.989757914338919925512, rel=1e-15)
+    # p_dark s_target is subnormal (at a normal p_dark), where the product
+    # form underflowed: the logs are sums of the factors' logs, against
+    # 40-digit values
+    assert solve_range_alpha_x(0, 0.5, 1e-300, 1e-20) == pytest.approx(
+        736.1340825775346736061, rel=1e-15)
+    assert solve_range_alpha_x(1, 0.5, 1e-300, 1e-20) == pytest.approx(
+        1470.188723613389511284, rel=1e-15)
+    assert range_enhancement(0, 0.5, 1e-300, 5e-24) == (1.0, 1.0)
+    r = range_enhancement(3, 0.5, 1e-300, 5e-24)
+    assert r.approx == pytest.approx(3.989757750068571684614, rel=1e-15)
+    assert r.exact == pytest.approx(3.989748204482031600163, rel=1e-15)
     # a subnormal eta, where eta^(-N/(N+1)) itself overflowed
-    assert solve_range_alpha_x(1000, 1e-320, 5e-324, 1e-10) == pytest.approx(
-        23796.64402136409362545, rel=1e-14)
-    r = range_enhancement(1000, 1e-320, 5e-324, 1e-10)
-    assert r.approx == pytest.approx(31.91084270962353610031, rel=1e-14)
-    assert r.exact == pytest.approx(31.03480558571883617148, rel=1e-14)
+    assert solve_range_alpha_x(1000, 1e-320, 1e-300, 5e-34) == pytest.approx(
+        23784.69237791578795287, rel=1e-14)
+    r = range_enhancement(1000, 1e-320, 1e-300, 5e-34)
+    assert r.approx == pytest.approx(31.89576605656785900156, rel=1e-14)
+    assert r.exact == pytest.approx(31.01970166214762718397, rel=1e-14)
     # still no range without dark counts, nor where even alpha x = 0 misses
     for p_dark, s_target in ((0.0, 1.0), (0.1, 10.0)):
         with pytest.raises(ValueError, match="no positive finite range"):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -455,18 +456,22 @@ def test_run_chain_matches_snr_exact_on_long_chains():
     assert search_positions(cfg) == optimal_positions(cfg)
 
 
+_LEAST = sys.float_info.min     # the least p_dark > 0 in the domain
+
+
 @pytest.mark.parametrize("cfg, positions", [
-    (ChainConfig(0.0, 0.05, 4, 0.5, 5e-324).at_alpha_x(5.0), None),
-    (ChainConfig(0.0, 0.05, 1, 0.5, 5e-324).at_alpha_x(0.3), None),
-    (ChainConfig(0.0, 0.05, 0, 0.5, 5e-324).at_alpha_x(10.0), None),
-    (ChainConfig(1200.0, 0.05, 2, 0.5, 5e-324), (20.0, 1180.0)),
-    (ChainConfig(0.0, 0.05, 64, 0.65, 1e-318).at_alpha_x(40.0), None)],
+    (ChainConfig(0.0, 0.05, 4, 0.5, _LEAST).at_alpha_x(5.0), None),
+    (ChainConfig(0.0, 0.05, 1, 0.5, _LEAST).at_alpha_x(0.3), None),
+    (ChainConfig(0.0, 0.05, 0, 0.5, _LEAST).at_alpha_x(10.0), None),
+    (ChainConfig(1200.0, 0.05, 2, 0.5, _LEAST), (20.0, 1180.0)),
+    (ChainConfig(0.0, 0.05, 64, 0.65, 1e-300).at_alpha_x(40.0), None)],
     ids=["n4", "clamped", "n0", "mixed", "n64"])
-def test_log_p_n_at_a_subnormal_p_dark(cfg, positions):
-    # each term c_j/t_j of K below the normal range was rounded on the
-    # subnormal grid: `qrelay sample --alpha-x 5 --n-relays 4 --pd 5e-324`
-    # printed ln p_n = -748.405998153851, p_n 5% low. "mixed" holds a
-    # normal relay term between two subnormal ones
+def test_log_p_n_at_the_least_normal_p_dark(cfg, positions):
+    # p_n is near or past the normal range's edge, where ln p_n = ln p_s +
+    # ln expm1(K), K the fsum of terms near 2 p_dark e^y_j. At a subnormal
+    # p_dark, which is refused, `qrelay sample --alpha-x 5 --n-relays 4 --pd 5e-324`
+    # printed ln p_n = -748.405998153851, p_n 5% low. "mixed" holds one
+    # long segment between two short ones
     positions = optimal_positions(cfg) if positions is None else positions
     ratio = decimal_noise_ratio(cfg, positions, digits=400)
     with localcontext() as ctx:

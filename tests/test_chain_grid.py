@@ -45,7 +45,8 @@ REL_BOUND = 4.07e-15
 # Four times the largest deviation / max(1, alpha_x, K) of snr_exact from the
 # Decimal product form over 5,000 derandomized examples of
 # test_binomial_form_matches_the_decimal_product_form: 5.13e-15, at a
-# subnormal p_dark, where 2 p_dark/eta itself rounds on the subnormal grid.
+# subnormal p_dark (now refused), where 2 p_dark/eta itself rounded on the
+# subnormal grid.
 # K = ln(1 + 1/S) is the conditioning of S = 1/expm1(K): an absolute error
 # in K is a relative one in S, and the clamped branch reaches K ~ 66
 FORM_BOUND = 2.05e-14
@@ -104,7 +105,7 @@ def assert_reports_close(got, want, alpha_x, p_dark, where):
 
 @st.composite
 def chains(draw):
-    p_dark = draw(st.floats(0.0, 1e-2))
+    p_dark = draw(st.floats(0.0, 1e-2, allow_subnormal=False))
     eta = draw(st.floats(0.01, 1.0))
     assume(eta + 2.0 * p_dark <= 1.0)
     return ChainConfig(distance_km=0.0,
@@ -122,13 +123,14 @@ def chains(draw):
          extra=[75.0], frac=0.0)
 # K = 12.1 at alpha_x = 0 conditions the closed form's snr
 @example(cfg=ChainConfig(0.0, 1.0, 11, 0.01, 0.01), extra=[], frac=0.0)
-# 2 p_dark/eta on the subnormal grid keeps few digits, none at 5e-324:
-# run_chain's snr was 6.9e-13, 9.6% and 8.6% off the product form here
-@example(cfg=ChainConfig(0.0, 1.0, 1, 0.875, 2.2250738585e-313),
+# the least p_dark behind relays of eta < 1, and tiny ones where p_s and
+# p_n underflow: at subnormal p_darks (now refused) 2 p_dark/eta kept few
+# digits, and run_chain's snr was 6.9e-13, 9.6% and 8.6% off here
+@example(cfg=ChainConfig(0.0, 1.0, 1, 0.875, sys.float_info.min),
          extra=[52.0], frac=0.0)
-@example(cfg=ChainConfig(0.0, 1.0, 7, 0.7472325776902766, 5e-324),
+@example(cfg=ChainConfig(0.0, 1.0, 7, 0.7472325776902766, 1e-300),
          extra=[449.3483011721543], frac=0.0)
-@example(cfg=ChainConfig(0.0, 1.0, 9, 0.8841418054231867, 1e-323),
+@example(cfg=ChainConfig(0.0, 1.0, 9, 0.8841418054231867, 1e-300),
          extra=[633.2093188401786], frac=0.0)
 def test_closed_form_agrees_with_step_maps_and_oracle(cfg, extra, frac):
     # 0, the clamped region alpha_x <= ln(1/eta) and its edge, then anything
@@ -158,14 +160,14 @@ def test_closed_form_agrees_with_step_maps_and_oracle(cfg, extra, frac):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(n=st.integers(0, 64), eta=st.floats(0.01, 1.0),
-       p_dark=st.floats(0.0, 1e-2), frac=st.floats(0.0, 1.0),
-       far=st.floats(0.0, 800.0))
-# 2 p_dark/eta on the subnormal grid: N relay terms each rounded there put
-# the clamped branch 2.08e-14 off
-@example(n=64, eta=0.6505715085313096, p_dark=3.0980174803234e-311, frac=0.0,
+       p_dark=st.floats(0.0, 1e-2, allow_subnormal=False),
+       frac=st.floats(0.0, 1.0), far=st.floats(0.0, 800.0))
+# the least p_dark, on the clamped branch and in the interior: at
+# p_dark = 3.1e-311 (now refused) N relay terms each rounded on the
+# subnormal grid put the first 2.08e-14 off, and u the second 2.30e-14
+@example(n=64, eta=0.6505715085313096, p_dark=sys.float_info.min, frac=0.0,
          far=0.0)
-# u = 2 p_dark e^y on the subnormal grid put the interior 2.30e-14 off
-@example(n=64, eta=0.6505715085313096, p_dark=3.0980174803234e-311, frac=0.0,
+@example(n=64, eta=0.6505715085313096, p_dark=sys.float_info.min, frac=0.0,
          far=0.5)
 def test_binomial_form_matches_the_decimal_product_form(n, eta, p_dark, frac,
                                                         far):
@@ -185,11 +187,12 @@ def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
-# The whole domain: p_dark = 0 or log-uniform down to the least subnormal,
-# eta down to 1e-300, N <= 1000 and alpha_x up to 1e5
+# The whole domain: p_dark = 0 or log-uniform down to the least normal
+# double, eta down to 1e-300, N <= 1000 and alpha_x up to 1e5
 _DOMAIN = {"n": st.integers(0, 1000),
            "eta": st.one_of(st.floats(0.01, 1.0), _log_uniform(1e-300, 1.0)),
-           "p_dark": st.one_of(st.just(0.0), _log_uniform(5e-324, 0.49)),
+           "p_dark": st.one_of(st.just(0.0),
+                               _log_uniform(sys.float_info.min, 0.49)),
            "alpha_x": st.one_of(st.floats(0.0, 1e5), _log_uniform(1e-3, 1e5))}
 
 # Each value against its Decimal reference, within DOMAIN_BOUND machine
@@ -268,7 +271,7 @@ def assert_clamped_close(dev, n, eta, p_dark, ax):
 @example(frac=0.9979947854455621, n=673, eta=0.7595298071364913,
          p_dark=4.8639012522493653e-20)
 @example(frac=1.0, n=4, eta=0.5, p_dark=1e-5)
-@example(frac=0.5, n=1, eta=1e-300, p_dark=1e-310)
+@example(frac=0.5, n=1, eta=1e-300, p_dark=sys.float_info.min)
 def test_clamped_rel_dev_is_held_relative_to_its_size(frac, n, eta, p_dark):
     # on the clamped branch, alpha_x <= ln(1/eta), rel_dev is -expm1 of
     # ln r = -f(d) - D, each part to full relative precision, so it keeps
@@ -294,7 +297,7 @@ INVERSE_BOUND = 8
 # at N = 1000
 @example(s=3.9137537009903323, frac=0.0, n=2, eta=0.5, p_dark=0.02)
 @example(s=3.9137537009903323, frac=0.5, n=1000, eta=0.5, p_dark=1e-5)
-@example(s=1e8, frac=1.0, n=1000, eta=1e-300, p_dark=5e-324)
+@example(s=1e8, frac=1.0, n=1000, eta=1e-300, p_dark=sys.float_info.min)
 # the float K(0) one ulp below K* though the decimal S(0) is below the
 # target: the inverse returns alpha x = 10.0358, where K is 0.9 K* epsilons
 # above K*, and the allowance linearized there reached down to 0.94
@@ -423,6 +426,34 @@ def test_log_p_n_sums_many_large_terms_exactly():
         got, want)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(frac=st.floats(0.0, 1.0), n=_DOMAIN["n"], eta=_DOMAIN["eta"],
+       p_dark=_log_uniform(sys.float_info.min, 0.49),
+       alpha_x=_DOMAIN["alpha_x"])
+# the largest S the domain holds, 1/expm1(log1p(2 p_dark)), and a long
+# chain of the least p_dark
+@example(frac=0.0, n=0, eta=1.0, p_dark=sys.float_info.min, alpha_x=0.0)
+@example(frac=0.5, n=64, eta=0.6505715085313096, p_dark=sys.float_info.min,
+         alpha_x=1e5)
+def test_every_snr_is_finite_at_a_normal_p_dark(frac, n, eta, p_dark,
+                                                alpha_x):
+    # p_dark normal puts K >= log1p(2 p_dark), so S <= 1/(2 p_dark) and
+    # S_1 <= 0.5/p_dark are finite, as is every column of `qrelay snr`:
+    # inf means only that there are no dark counts
+    from qrelay.throughput import throughput_curve
+
+    assume(eta + 2.0 * p_dark <= 1.0)
+    grid = [0.0, frac * -math.log(eta), alpha_x]
+    config = ChainConfig(0.0, 1.0, n, eta, p_dark)
+    snrs = [snr_no_relay(p_dark, ax) for ax in grid]
+    for row in _snr_curve(grid, n, eta, p_dark):
+        assert all(map(math.isfinite, row)), (grid, row)
+        snrs += row[:2]
+    snrs += [point.s for point in throughput_curve(config, grid)]
+    snrs += [run_chain(config.at_alpha_x(ax)).snr for ax in grid]
+    assert all(0.0 <= s <= 0.5 / p_dark for s in snrs), (grid, snrs)
+
+
 # alpha_x = 0; the clamped branch up to its edge ln(1/eta), past exp's range
 # at eta = 1e-305; the interior; and y = (alpha_x - N ln eta)/(N+1) >= 700,
 # where u leaves exp's range
@@ -432,8 +463,8 @@ _CURVE_GRID = [0.0, 1e-300, 0.1, 0.5, math.log(2.0), 0.7, 1.0, 10.0, 40.0,
 
 @pytest.mark.parametrize("n, eta, p_dark", [
     (0, 0.5, 1e-5), (1, 0.5, 1e-5), (4, 0.3, 1e-3), (16, 0.99999, 1e-6),
-    (64, 0.6505715085313096, 3.0980174803234e-311), (3, 0.5, 0.0),
-    (5, 1.0, 0.0), (1000, 0.01, 4e-3), (2, 1e-305, 1e-6), (0, 0.5, 1e-320)])
+    (64, 0.6505715085313096, sys.float_info.min), (3, 0.5, 0.0),
+    (5, 1.0, 0.0), (1000, 0.01, 4e-3), (2, 1e-305, 1e-6), (0, 0.5, 1e-300)])
 def test_curve_forms_match_the_scalar_functions_bit_for_bit(n, eta, p_dark):
     # each formula is written once: the per-curve forms behind snr and
     # throughput give, point by point, the bits of the public functions, and

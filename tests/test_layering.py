@@ -10,10 +10,10 @@ command. Every import counts, including one deferred inside a function body.
 Within chain, the Monte Carlo sampler does not call the exact model it
 checks, and within circuit a device run applies the cached Kraus operators
 without rerunning the Fock engine. The terms of the noise exponent are
-taken in one kernel, analytics._noise_kernel, the one place that scales
-below the normal range; only analytics reads it, chain reads the closed
-form at given segments (analytics._chain_at_segments) and no other private
-analytics name, and each chain a command reports is evaluated once. The layers that compute report values
+taken in one kernel, analytics._term and _terms, and no value is carried
+at a power-of-two scale, as p_dark is 0 or a normal double; only analytics
+reads the kernel, chain reads the closed form at given segments
+(analytics._chain_at_segments) and no other private analytics name, and each chain a command reports is evaluated once. The layers that compute report values
 add floats with math.fsum, never the builtin sum, whose rounding changed in
 Python 3.12.
 """
@@ -415,39 +415,20 @@ def test_no_option_chooses_among_alternatives_no_command_uses():
         assert "photon_cap" not in params, name
 
 
-def scale_sites(module: str) -> list[tuple[str, int]]:
-    """Where a module writes a power-of-two scale 2.0 ** k or reads
-    float_info.min, the smallest normal double: (what, line)."""
-    source = Path(qrelay.__file__).with_name(f"{module}.py").read_text()
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
-                and isinstance(node.left, ast.Constant)
-                and node.left.value == 2 and isinstance(node.left.value,
-                                                        float)):
-            found.append(("2.0 ** k", node.lineno))
-        elif (isinstance(node, ast.Attribute) and node.attr == "min"
-                and isinstance(node.value, ast.Attribute)
-                and node.value.attr == "float_info"):
-            found.append(("float_info.min", node.lineno))
-    return found
-
-
-def test_only_the_noise_kernel_scales_below_the_normal_range():
-    # a scale or a smallest-normal test anywhere else would be a second
-    # place that handles the subnormal range: every other function reads
-    # the kernel's scaled pair
-    tree = ast.parse(Path(qrelay.__file__).with_name("analytics.py")
-                     .read_text())
-    kernel, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-               and node.name == "_noise_kernel"]
-    inside = range(kernel.lineno, kernel.end_lineno + 1)
-    outside = [(module, what, line) for module in MODULES
-               for what, line in scale_sites(module)
-               if not (module == "analytics" and line in inside)]
-    assert outside == []
-    assert {what for what, _ in scale_sites("analytics")} == {
-        "2.0 ** k", "float_info.min"}
+def test_nothing_scales_below_the_normal_range():
+    # p_dark is 0 or a normal double, so every term of the noise exponent
+    # is a normal double or 0: no module takes a power-of-two scale 2^-e,
+    # by math.ldexp and math.frexp or by a power 2.0 ** k
+    calls = [(module, name) for module in MODULES
+             for name in ("ldexp", "frexp") if name in names_read(module)]
+    assert calls == []
+    powers = [(module, node.lineno) for module in MODULES
+              for node in ast.walk(ast.parse(
+                  Path(qrelay.__file__).with_name(f"{module}.py").read_text()))
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+              and isinstance(node.left, ast.Constant)
+              and node.left.value == 2 and isinstance(node.left.value, float)]
+    assert powers == []
 
 
 @pytest.mark.parametrize("module", ["analytics", "chain", "throughput"])
@@ -473,7 +454,7 @@ def test_sampler_is_independent_of_the_exact_model(monkeypatch):
 
     for name in ("run_chain", "_chain_at_segments"):
         monkeypatch.setattr(chain, name, forbidden)
-    for name in ("_chain_at_segments", "_noise_kernel"):
+    for name in ("_chain_at_segments", "_terms", "_term"):
         monkeypatch.setattr(analytics, name, forbidden)
     cfg = analytics.ChainConfig(distance_km=60.0, n_relays=3, p_dark=1e-3)
     got = chain.sample_chain(cfg, 10_000, seed=1)
@@ -512,21 +493,17 @@ def test_optimize_and_sample_evaluate_each_chain_once(monkeypatch, capsys):
 
 
 def test_chain_curve_calls_terms_only_at_clamped_points(monkeypatch):
-    # an interior point is one term, taken by the kernel's term directly;
+    # an interior point is one term, taken by the kernel's _term directly;
     # only a clamped point sums a relay's term and the receiver's
     from qrelay import analytics
 
-    kernel, calls = analytics._noise_kernel, []
+    terms, calls = analytics._terms, []
 
-    def counting(p_dark, eta):
-        terms, *rest = kernel(p_dark, eta)
+    def counted(ys, *args):
+        calls.append(tuple(ys))
+        return terms(ys, *args)
 
-        def counted(ys, n_relays=0):
-            calls.append(tuple(ys))
-            return terms(ys, n_relays)
-        return (counted, *rest)
-
-    monkeypatch.setattr(analytics, "_noise_kernel", counting)
+    monkeypatch.setattr(analytics, "_terms", counted)
     grid = [0.0, 0.3, math.log(2.0), 0.7, 10.0, 800.0]
     for n, want in ((4, [(0.0, 0.0), (0.0, 0.3), (0.0, math.log(2.0))]),
                     (0, [])):
@@ -535,12 +512,12 @@ def test_chain_curve_calls_terms_only_at_clamped_points(monkeypatch):
         assert calls == want, n
 
 
-@pytest.mark.parametrize("name", ["_noise_kernel", "_snr_from_k",
+@pytest.mark.parametrize("name", ["_term", "_terms", "_snr_from_k",
                                   "_log_expm1"])
 def test_only_analytics_names_the_noise_kernel(name):
     # the exact chain's closed form, at any positions, at the optimum and
-    # inverted, lives in analytics: the kernel's scaled pair (k, s) never
-    # leaves it
+    # inverted, lives in analytics: no other module takes a term of the
+    # noise exponent or reads S off it
     assert [m for m in MODULES if name in names_read(m)] == ["analytics"]
 
 
@@ -554,26 +531,6 @@ def test_chain_imports_only_the_closed_form_from_analytics_privates():
                and node.module == "analytics"
                for alias in node.names if alias.name.startswith("_")}
     assert private == {"_chain_at_segments"}
-
-
-def test_throughput_curve_scales_nothing_at_a_normal_p_dark(monkeypatch):
-    # S_1 is written by _snr_curve alone: a throughput sweep at a normal
-    # p_dark, interior and clamped points alike, makes no scaling call
-    from qrelay import analytics, throughput
-
-    ldexp, calls = analytics._ldexp, []
-
-    def counted(*args):
-        calls.append(args)
-        return ldexp(*args)
-
-    monkeypatch.setattr(analytics, "_ldexp", counted)
-    grid = [0.0, 0.3, math.log(2.0), 10.0, 800.0, 1e4]
-    for n in (0, 1, 4, 64):
-        points = throughput.throughput_curve(
-            analytics.ChainConfig(1.0, n_relays=n), grid)
-        assert len(points) == len(grid)
-    assert calls == []
 
 
 def test_qnd_measure_runs_no_fock_engine(monkeypatch):

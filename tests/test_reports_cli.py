@@ -451,6 +451,32 @@ def test_cli_config_values_of_the_wrong_type(argv, data, name, tmp_path,
     assert captured.err.startswith(f"configuration error: {name} must be")
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(p_dark=st.floats(0.0, sys.float_info.min, exclude_min=True,
+                        exclude_max=True))
+@example(p_dark=5e-324)
+@example(p_dark=1e-318)
+def test_cli_refuses_a_subnormal_pd(tmp_path_factory, p_dark):
+    # p_dark is 0 or a normal double, from --pd and from the config key
+    # "pd" alike: every command that takes it exits 2 with nothing on
+    # stdout and a stderr that names p_dark
+    cfg = tmp_path_factory.mktemp("pd") / "pd.json"
+    cfg.write_text(json.dumps({"pd": p_dark}))
+    want = (f"configuration error: nonzero p_dark must be a number in "
+            f"[{sys.float_info.min:g}, 0.5), got {p_dark!r}\n")
+    for argv in (["snr", "--n-relays", "0,1", "--steps", "3"],
+                 ["throughput", "--n-relays", "0,1", "--steps", "3"],
+                 ["optimize", "--distance-km", "100", "--n-relays", "2"],
+                 ["sample", "--alpha-x", "5", "--trials", "10", "--seed",
+                  "1"]):
+        for source in (["--pd", repr(p_dark)], ["--config", str(cfg)]):
+            out, err = io.StringIO(), io.StringIO()
+            with (contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                assert cli.main(argv + source) == 2, argv + source
+            assert (out.getvalue(), err.getvalue()) == ("", want), source
+
+
 def test_cli_integer_text_in_a_config(tmp_path, capsys):
     # integral text is an integer setting for every command that takes it;
     # sample once refused the trials verify-circuit accepted
@@ -874,11 +900,12 @@ def test_cli_long_chains(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("n, eta, p_dark, alpha_x", [
-    (64, 0.6505715085313096, 3.0980174803234e-311, 0.0),
-    (1, 0.5, 1e-309, 0.1)], ids=["n64", "n1"])
-def test_snr_at_a_subnormal_p_dark(n, eta, p_dark, alpha_x, tmp_path):
-    # 1/(2 p_dark) overflows, though S_1 does not: s_analytic read inf and
-    # the clamped branch's rel_dev inf/inf = nan, with exit 0
+    (64, 0.6505715085313096, sys.float_info.min, 0.0),
+    (1, 0.5, sys.float_info.min, 0.1)], ids=["n64", "n1"])
+def test_snr_at_the_least_normal_p_dark(n, eta, p_dark, alpha_x, tmp_path):
+    # 1/(2 p_dark) = 2.2e307 is the largest S_1 the domain holds, on the
+    # clamped branch. At a subnormal p_dark (now refused) it overflowed:
+    # s_analytic read inf and the clamped rel_dev inf/inf = nan, with exit 0
     out = tmp_path / "snr.json"
     assert run_cli(["snr", "--pd", repr(p_dark), "--eta", repr(eta),
                     "--n-relays", str(n), "--alpha-x", repr(alpha_x),
@@ -932,14 +959,16 @@ def test_snr_rel_dev_at_small_u(argv, want, tmp_path):
                          (ax - n * math.log(eta)) / (n + 1), argv)
 
 
-@pytest.mark.parametrize("p_dark", [1e-318, 5e-324])
-def test_snr_rel_dev_where_k_is_subnormal(p_dark, tmp_path):
-    # K below the normal range kept few digits on the subnormal grid, and
-    # rel_dev read its log: 1.55e-6, 5.3e-4 and 2.7e-3 at alpha_x = 10 and
-    # p_dark = 5e-324, and 4.5e-11 at N = 0 and 1e-318, where S = S_1. The
-    # grid holds clamped points (alpha_x < ln 2) and interior ones, and
-    # rel_dev is held relative to its true value on both, within the same
-    # REL_DEV_BOUND epsilons (clamped, see oracles.clamped_rel_dev_allowance)
+@pytest.mark.parametrize("p_dark", [sys.float_info.min, 1e-300])
+def test_snr_rel_dev_at_the_least_k(p_dark, tmp_path):
+    # K = ln(1 + 1/S) >= log1p(2 p_dark) is least at the least normal
+    # p_dark. Below it (now refused), K kept few digits on the subnormal
+    # grid, and rel_dev read its log: 1.55e-6, 5.3e-4 and 2.7e-3 at
+    # alpha_x = 10 and p_dark = 5e-324, and 4.5e-11 at N = 0 and 1e-318,
+    # where S = S_1. The grid holds clamped points (alpha_x < ln 2) and
+    # interior ones, and rel_dev is held relative to its true value on
+    # both, within the same REL_DEV_BOUND epsilons (clamped, see
+    # oracles.clamped_rel_dev_allowance); S is finite, below 1/(2 p_dark)
     out = tmp_path / "snr.json"
     assert run_cli(["snr", "--pd", repr(p_dark), "--n-relays", "0,1,4",
                     "--alpha-x-min", "0", "--alpha-x-max", "10", "--steps",
@@ -950,7 +979,8 @@ def test_snr_rel_dev_where_k_is_subnormal(p_dark, tmp_path):
                 column(rep, "alpha_x"), column(rep, f"s_analytic_n{n}"),
                 column(rep, f"s_exact_n{n}"), column(rep, f"rel_dev_n{n}")):
             want_s = decimal_snr_reference(ax, n, 0.5, p_dark)
-            assert s == float(want_s) == s_1 == math.inf, (n, ax)
+            assert s == pytest.approx(float(want_s), rel=1e-14), (n, ax)
+            assert max(s, s_1) <= 0.5 / p_dark, (n, ax)
             if n and ax <= math.log(2.0):
                 want_dev, allowed = clamped_rel_dev_allowance(
                     ax, n, 0.5, p_dark, REL_DEV_BOUND)
@@ -964,14 +994,15 @@ def test_snr_rel_dev_where_k_is_subnormal(p_dark, tmp_path):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(ns=st.lists(st.integers(0, 64), min_size=1, max_size=3),
        alpha_x_max=st.floats(1e-3, 1e4), eta=st.floats(0.01, 0.98),
-       p_dark=st.one_of(st.just(0.0), st.floats(0.0, 1e-2)))
+       p_dark=st.one_of(st.just(0.0),
+                        st.floats(0.0, 1e-2, allow_subnormal=False)))
 @example(ns=[1, 64], alpha_x_max=1e4, eta=0.5, p_dark=1e-5)
 @example(ns=[0, 1], alpha_x_max=1600.0, eta=0.5, p_dark=0.0)
-# a subnormal p_dark, where 1/(2 p_dark) overflows: on the clamped branch
-# rel_dev was inf/inf
+# the least normal p_dark, where 1/(2 p_dark) is 2.2e307: at a subnormal
+# one (now refused) it overflowed, and the clamped rel_dev was inf/inf
 @example(ns=[64], alpha_x_max=1.0, eta=0.6505715085313096,
-         p_dark=3.0980174803234e-311)
-@example(ns=[1], alpha_x_max=0.3, eta=0.5, p_dark=1e-309)
+         p_dark=sys.float_info.min)
+@example(ns=[1], alpha_x_max=0.3, eta=0.5, p_dark=sys.float_info.min)
 def test_sweeps_exit_0_with_no_nan(ns, alpha_x_max, eta, p_dark):
     # every column of snr and throughput is finite or a documented inf, on
     # long chains, far grids and without dark counts
@@ -996,7 +1027,8 @@ _OBJECTIVE = re.compile(r"^log_noise_analytic: (\S+)\n"
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n=st.integers(0, 1000), alpha_x=st.floats(0.0, 1e4),
        eta=st.floats(0.01, 0.98),
-       p_dark=st.one_of(st.just(0.0), st.floats(0.0, 1e-2)))
+       p_dark=st.one_of(st.just(0.0),
+                        st.floats(0.0, 1e-2, allow_subnormal=False)))
 @example(n=1000, alpha_x=51.6, eta=0.5, p_dark=1e-5)
 def test_optimize_and_exact_sample_exit_0_with_no_nan(tmp_path_factory, n,
                                                       alpha_x, eta, p_dark):
@@ -1060,17 +1092,18 @@ def test_cli_sample_refuses_a_run_with_no_detection(tmp_path, capsys):
 
 
 def test_cli_sample_reports_ln_p_n_where_p_n_underflows(tmp_path, capsys):
-    # p_n = p_s expm1(K) = 1.1e-18 * 6e-307 underflows to 0, while K is a
-    # normal double; the exact block's log_p_s and log_p_n keep both, here
-    # against the Decimal product form 1 + p_n/p_s. 9e18 slots see about
-    # 10 signal detections
+    # at the least normal p_dark, p_n = p_s expm1(K) = 1.1e-18 * 1.3e-301
+    # is subnormal, while K is a normal double; the exact block's log_p_s
+    # and log_p_n keep every digit of both, here against the Decimal
+    # product form 1 + p_n/p_s. 9e18 slots see about 10 signal detections
     out = tmp_path / "r.json"
     assert run_cli(["sample", "--alpha-x", "40", "--n-relays", "2", "--pd",
-                    "1e-313", "--trials", str(9 * 10**18), "--seed", "1",
-                    "--output", str(out)]) == 0
+                    repr(sys.float_info.min), "--trials", str(9 * 10**18),
+                    "--seed", "1", "--output", str(out)]) == 0
     exact = json.loads(out.read_text())["exact"]
-    assert exact["p_n"] == 0.0 < exact["p_s"]
-    config = ChainConfig(0.0, 0.05, 2, 0.5, 1e-313).at_alpha_x(40.0)
+    assert 0.0 < exact["p_n"] < sys.float_info.min < exact["p_s"]
+    config = ChainConfig(0.0, 0.05, 2, 0.5,
+                         sys.float_info.min).at_alpha_x(40.0)
     ratio = decimal_noise_ratio(config, optimal_positions(config), digits=400)
     with localcontext() as ctx:
         ctx.prec = 60
