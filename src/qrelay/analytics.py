@@ -238,9 +238,10 @@ def _chain_at_segments(config: ChainConfig, ys: Sequence[float]) -> tuple:
     and the logs come from the noise exponent K = ln(1 + p_n/p_s), the fsum
     of the segments' terms (_terms), as snr_exact's do, so they stay finite
     where p_s and p_n underflow on long chains (S = inf, q_b = 0 without
-    dark counts): ln p_s = N ln eta - alpha x, whatever the positions, and ln p_n
-    = ln p_s + ln expm1(K) below the normal range; in it, ln p_n is the log
-    of p_n, as that sum cancels where S << 1 (-alpha x against +alpha x).
+    dark counts): ln p_s = N ln eta - alpha x, whatever the positions, and
+    ln p_n = ln p_s + ln expm1(K) below the normal range; in it, ln p_n is
+    the log of p_n, as that sum cancels where S << 1 (-alpha x against
+    +alpha x).
     """
     eta, pd2 = config.eta, 2.0 * config.p_dark
     terms, k = _terms(ys, config.n_relays, eta, config.p_dark)

@@ -469,9 +469,9 @@ _LEAST = sys.float_info.min     # the least p_dark > 0 in the domain
 def test_log_p_n_at_the_least_normal_p_dark(cfg, positions):
     # p_n is near or past the normal range's edge, where ln p_n = ln p_s +
     # ln expm1(K), K the fsum of terms near 2 p_dark e^y_j. At a subnormal
-    # p_dark, which is refused, `qrelay sample --alpha-x 5 --n-relays 4 --pd 5e-324`
-    # printed ln p_n = -748.405998153851, p_n 5% low. "mixed" holds one
-    # long segment between two short ones
+    # p_dark, which is refused, `qrelay sample --alpha-x 5 --n-relays 4
+    # --pd 5e-324` printed ln p_n = -748.405998153851, p_n 5% low. "mixed"
+    # holds one long segment between two short ones
     positions = optimal_positions(cfg) if positions is None else positions
     ratio = decimal_noise_ratio(cfg, positions, digits=400)
     with localcontext() as ctx:
