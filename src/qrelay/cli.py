@@ -208,19 +208,24 @@ def _show(obj) -> str:
     return str(obj)
 
 
-def _report(payload: dict, params: dict, **extra) -> None:
-    """Print payload and extra, a line per key; write payload to --output."""
-    for key, value in {**payload, **extra}.items():
-        print(f"{key}: {_show(value)}")
-    _write(render_payload(payload), params)
+def _report(payload: dict, params: dict, *head: str, **extra) -> None:
+    """Write payload to --output, then print head and payload and extra, a
+    line per key."""
+    lines = [f"{key}: {_show(value)}"
+             for key, value in {**payload, **extra}.items()]
+    _write(render_payload(payload), params, [*head, *lines])
 
 
-def _write(text: str, params: dict) -> bool:
-    """Write text to --output, if one is given, and say so."""
+def _write(text: str, params: dict, lines: Sequence[str] = ()) -> bool:
+    """Write text to --output, if one is given, then print lines, and last
+    say so: a path that cannot be written prints nothing."""
     output = params["output"]
     if output:
         with open(output, "w", newline="") as fh:
             fh.write(text)
+    for line in lines:
+        print(line)
+    if output:
         print(f"wrote {output}")
     return bool(output)
 
@@ -286,8 +291,8 @@ def cmd_optimize(params: dict) -> int:
     at_numeric = run_chain(config, numeric)
     tol = 1e-6 * max(1.0, config.distance_km)
     agree = all(abs(a - b) <= tol for a, b in zip(analytic, numeric))
-    if not agree:
-        print(f"WARNING: placements disagree beyond {_show(tol)} km")
+    warning = () if agree else (
+        f"WARNING: placements disagree beyond {_show(tol)} km",)
     _report({
         "config": _config_block(config),
         "analytic_positions_km": list(analytic),
@@ -297,7 +302,7 @@ def cmd_optimize(params: dict) -> int:
         "log_noise_analytic": at_analytic.log_p_n,
         "log_noise_numeric": at_numeric.log_p_n,
         "agree_within_tolerance": agree,
-    }, params)
+    }, params, *warning)
     return EXIT_OK
 
 
@@ -344,27 +349,27 @@ def cmd_verify_circuit(params: dict) -> int:
     rep = None if qubit is None else circuit.qnd_measure(*qubit)
     checks = circuit.device_checks(params["trials"], params["seed"])
 
+    lines = []
     if mode:
         p_diag = circuit.vacuum_gate_probability(d2_spatial="1")
-        print(f"DIAG diagnostic d2-on-mode-1: vacuum false-gate probability "
-              f"= {p_diag:.6f} (nonzero by construction)")
+        lines.append(f"DIAG diagnostic d2-on-mode-1: vacuum false-gate "
+                     f"probability = {p_diag:.6f} (nonzero by construction)")
 
     if rep is not None:
-        print(f"input qubit ({qubit[0]}, {qubit[1]}) normalized; "
-              f"success probability {rep.success_probability:.12f}")
-        for o in rep.outcomes:
-            print(f"  outcome D2={o.channel_d2} Db={o.channel_db}: "
+        lines.append(f"input qubit ({qubit[0]}, {qubit[1]}) normalized; "
+                     f"success probability {rep.success_probability:.12f}")
+        lines += [f"  outcome D2={o.channel_d2} Db={o.channel_db}: "
                   f"p = {o.probability:.12f}, flip = {o.flipped}, "
-                  f"fidelity = {o.fidelity:.12f}")
+                  f"fidelity = {o.fidelity:.12f}" for o in rep.outcomes]
 
     all_ok = all(c["ok"] for c in checks)
-    for c in checks:
-        print(f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}: {c['detail']}")
-    print(f"{'PASS' if all_ok else 'FAIL'} verify-circuit "
-          f"({sum(c['ok'] for c in checks)}/{len(checks)} checks)")
+    lines += [f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}: {c['detail']}"
+              for c in checks]
+    lines.append(f"{'PASS' if all_ok else 'FAIL'} verify-circuit "
+                 f"({sum(c['ok'] for c in checks)}/{len(checks)} checks)")
     _write(render_payload({"artifact": f"qrelay {__version__}",
                            "command": "verify-circuit", "ok": all_ok,
-                           "checks": checks}), params)
+                           "checks": checks}), params, lines)
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
 

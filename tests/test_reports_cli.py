@@ -257,6 +257,43 @@ def test_cli_verify_circuit_matches_its_golden(tmp_path, capsys):
         (DATA / "verify_trials2000_seed5.json").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-circuit", "--trials", "3", "--diagnostic", "d2-on-mode-1"],
+    ["snr", "--steps", "3"],
+    ["optimize", "--distance-km", "100", "--n-relays", "2"],
+    ["throughput", "--steps", "3"],
+    ["sample", "--alpha-x", "5", "--trials", "1000", "--seed", "1"]],
+    ids=lambda argv: argv[0])
+def test_an_unwritable_output_prints_nothing(argv, tmp_path, capsys):
+    # the report is written before the first stdout line: optimize, sample
+    # and verify-circuit once printed their whole payload and then exited 2
+    missing = tmp_path / "missing" / "report.json"
+    assert run_cli(argv + ["--output", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: [Errno 2]")
+    assert not missing.parent.exists()
+
+
+def test_optimize_warns_first_and_says_wrote_last(tmp_path, monkeypatch,
+                                                  capsys):
+    # a search that misses the closed form: the WARNING heads stdout and
+    # "wrote PATH" ends it, both only once the report is on disk
+    from qrelay import chain
+
+    monkeypatch.setattr(chain, "search_positions",
+                        lambda config: (1.0,) * config.n_relays)
+    argv = ["optimize", "--distance-km", "100", "--n-relays", "2"]
+    assert run_cli(argv + ["--output", str(tmp_path / "no" / "r.json")]) == 2
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "r.json"
+    assert run_cli(argv + ["--output", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "WARNING: placements disagree beyond 0.0001 km"
+    assert lines[-1] == f"wrote {out}"
+    assert json.loads(out.read_text())["agree_within_tolerance"] is False
+
+
 def test_cli_optimize(tmp_path, capsys):
     out = tmp_path / "opt.json"
     code = run_cli(["optimize", "--distance-km", "100", "--n-relays", "1",
