@@ -7,7 +7,8 @@ parser in _KEYS; _COMMANDS lists each command's keys and defaults. Every
 command is deterministic for a fixed flag set (including --seed); reports
 carry their full parameter provenance and never embed timestamps.
 optimize and sample print their report's payload by one rule, a line per
-key and each real to 12 significant digits; the report keeps every digit.
+key and each real to 12 significant digits (_show), and verify-circuit
+prints its own reals so; the report keeps every digit.
 
 Exit codes: 0 success, 1 invariant/contract failure, 2 configuration error,
 141 (128 + SIGPIPE) when the reader of stdout closed it early, as `| head`
@@ -353,14 +354,15 @@ def cmd_verify_circuit(params: dict) -> int:
     if mode:
         p_diag = circuit.vacuum_gate_probability(d2_spatial="1")
         lines.append(f"DIAG diagnostic d2-on-mode-1: vacuum false-gate "
-                     f"probability = {p_diag:.6f} (nonzero by construction)")
+                     f"probability = {_show(p_diag)} (nonzero by "
+                     f"construction)")
 
     if rep is not None:
         lines.append(f"input qubit ({qubit[0]}, {qubit[1]}) normalized; "
-                     f"success probability {rep.success_probability:.12f}")
+                     f"success probability {_show(rep.success_probability)}")
         lines += [f"  outcome D2={o.channel_d2} Db={o.channel_db}: "
-                  f"p = {o.probability:.12f}, flip = {o.flipped}, "
-                  f"fidelity = {o.fidelity:.12f}" for o in rep.outcomes]
+                  f"p = {_show(o.probability)}, flip = {o.flipped}, "
+                  f"fidelity = {_show(o.fidelity)}" for o in rep.outcomes]
 
     all_ok = all(c["ok"] for c in checks)
     lines += [f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}: {c['detail']}"

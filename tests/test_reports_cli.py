@@ -183,7 +183,7 @@ def test_cli_verify_circuit_diagnostic_and_input(capsys):
         text = capsys.readouterr().out
         assert code == 0, qubit
         assert "DIAG" in text
-        assert "success probability 0.500000000000" in text
+        assert "success probability 0.5\n" in text
         assert "PASS verify-circuit (7/7 checks)" in text
 
 
