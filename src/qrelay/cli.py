@@ -103,7 +103,8 @@ def _qubit(value, name: str) -> tuple[complex, complex]:
 
 # Every setting: (parser, help). These are also the config file's keys.
 _KEYS = {
-    "pd": (_real, "dark-count probability per detector per slot"),
+    "pd": (_real, "dark-count probability per detector per slot: 0, or "
+                  "a normal double in [2.2250738585072014e-308, 0.5)"),
     "eta": (_real, "relay pass efficiency"),
     "atten_per_km": (_real, "fiber attenuation coefficient alpha"),
     "output": (_text, "write the report to this file"),
