@@ -35,5 +35,5 @@ def check_real(value, name: str, lo: float = 0, hi: float = math.inf,
         x = math.nan
     if not ((lo < x or lo == x and ends[0] == "[")
             and (x < hi or x == hi and ends[1] == "]")):
-        raise ValueError(f"{name} must be a number in {ends[0]}{lo:g}, "
-                         f"{hi:g}{ends[1]}, got {value!r}")
+        raise ValueError(f"{name} must be a number in {ends[0]}{lo!r}, "
+                         f"{hi!r}{ends[1]}, got {value!r}")

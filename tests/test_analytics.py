@@ -67,7 +67,7 @@ def test_every_entry_point_refuses_a_subnormal_p_dark(p_dark):
     # p_dark is 0 or a normal double: below the normal range 1/(2 p_dark)
     # overflows, and the kernel would need a second, scaled path
     message = re.escape(f"nonzero p_dark must be a number in "
-                        f"[{sys.float_info.min:g}, 0.5), got {p_dark!r}")
+                        f"[{sys.float_info.min!r}, 0.5), got {p_dark!r}")
     for call in (lambda: ChainConfig(10.0, p_dark=p_dark),
                  lambda: check_relay(0.5, p_dark),
                  lambda: snr_no_relay(p_dark, 1.0),

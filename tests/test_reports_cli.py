@@ -500,7 +500,7 @@ def test_cli_refuses_a_subnormal_pd(tmp_path_factory, p_dark):
     cfg = tmp_path_factory.mktemp("pd") / "pd.json"
     cfg.write_text(json.dumps({"pd": p_dark}))
     want = (f"configuration error: nonzero p_dark must be a number in "
-            f"[{sys.float_info.min:g}, 0.5), got {p_dark!r}\n")
+            f"[{sys.float_info.min!r}, 0.5), got {p_dark!r}\n")
     for argv in (["snr", "--n-relays", "0,1", "--steps", "3"],
                  ["throughput", "--n-relays", "0,1", "--steps", "3"],
                  ["optimize", "--distance-km", "100", "--n-relays", "2"],
