@@ -225,10 +225,9 @@ def _write(text: str, params: dict, lines: Sequence[str] = ()) -> bool:
     if output:
         with open(output, "w", newline="") as fh:
             fh.write(text)
+        lines = [*lines, f"wrote {output}"]
     for line in lines:
         print(line)
-    if output:
-        print(f"wrote {output}")
     return bool(output)
 
 

@@ -13,9 +13,10 @@ without rerunning the Fock engine. The terms of the noise exponent are
 taken in one kernel, analytics._term and _terms, and no value is carried
 at a power-of-two scale, as p_dark is 0 or a normal double; only analytics
 reads the kernel, chain reads the closed form at given segments
-(analytics._chain_at_segments) and no other private analytics name, and each chain a command reports is evaluated once. The layers that compute report values
-add floats with math.fsum, never the builtin sum, whose rounding changed in
-Python 3.12.
+(analytics._chain_at_segments) and no other private analytics name, and
+each chain a command reports is evaluated once. The layers that compute
+report values add floats with math.fsum, never the builtin sum, whose
+rounding changed in Python 3.12.
 """
 
 import ast
