@@ -7,14 +7,16 @@ one photon in each detector package signals "photon present" and leaves the
 qubit, up to a known sign correction, in mode 1 without having measured its
 polarization.
 
-Linear optics with post-selection is linear in the input amplitudes, so each
-accepted outcome is a 2x2 Kraus operator from the input qubit to mode 1.
-qnd_measure and the device checks apply the four cached operators of
-device_operators, built from two Fock-engine runs on |H> and |V>, to the
-input's 2-vector, and each outcome's feed-forward sign is read off its
-operator; the diagnostics and the encoder projection run the engine itself.
-Like fockspace, the module is pure Python: each operator is a 2x2 tuple of
-complex.
+The device lives on one five-mode basis, BASIS. Linear optics with
+post-selection is linear in the input amplitudes, so each accepted outcome
+is a 2x2 Kraus operator from the input qubit to mode 1. qnd_measure and the
+device checks apply the four cached operators of device_operators, built
+from two Fock-engine runs on |H> and |V>, to the input's 2-vector, and each
+outcome's feed-forward sign is read off its operator; an outcome's output
+is a normalized (H, V) amplitude pair, not a Fock state. The gate
+probabilities, the diagnostic and the encoder projection run the engine
+itself. Like fockspace, the module is pure Python: each operator is a 2x2
+tuple of complex.
 """
 
 from __future__ import annotations
@@ -38,36 +40,23 @@ from .fockspace import (
     make_qubit,
     pbs_hv,
     product,
-    vacuum,
 )
 
-ENCODER_SPATIAL = ("0", "a", "1", "2", "b")
-
-# detector channel labels after the F/S readout rotation: the H slot of a
-# rotated mode counts F photons, the V slot counts S photons
-F_CHANNEL = "F"
-S_CHANNEL = "S"
+# the device's five spatial modes: input 0, Bell pair (a, 1), PBS outputs
+# (2, b); one shared instance, since no caller mutates a ModeBasis
+BASIS = ModeBasis(("0", "a", "1", "2", "b"))
 
 
 @functools.cache
-def encoder_basis() -> ModeBasis:
-    """The fixed five-spatial-mode basis used by the device.
-
-    One shared instance; no caller mutates a ModeBasis.
-    """
-    return ModeBasis(ENCODER_SPATIAL)
-
-
-@functools.cache
-def _device_transform(basis: ModeBasis, d2_spatial: str = "2"):
+def _device_transform(d2_spatial: str = "2"):
     """PBS from (0, a) into (2, b), then F/S readout on b and on the second
     detector package's mode (mode 2 normally, mode 1 for the diagnostic).
 
-    Built once per (basis, d2_spatial); a transform is immutable.
+    Built once per d2_spatial; a transform is immutable.
     """
-    t = pbs_hv(basis, ("0", "a"), ("2", "b"))
-    t = t.then(basis_rotate_fs(basis, "b"))
-    return t.then(basis_rotate_fs(basis, d2_spatial))
+    t = pbs_hv(BASIS, ("0", "a"), ("2", "b"))
+    t = t.then(basis_rotate_fs(BASIS, "b"))
+    return t.then(basis_rotate_fs(BASIS, d2_spatial))
 
 
 def build_encoder_state(alpha, beta) -> PhotonicState:
@@ -76,23 +65,19 @@ def build_encoder_state(alpha, beta) -> PhotonicState:
     Four terms: the two accepted ones keep one photon in mode b, the two
     rejected ones put zero or two photons there.
     """
-    basis = encoder_basis()
-    joint = product(make_qubit(basis, alpha, beta, "0"),
-                    make_bell_phi_plus(basis, "a", "1"))
-    return apply_transform(joint, pbs_hv(basis, ("0", "a"), ("2", "b")))
-
-
-def _package_modes(spatial: str):
-    return [(spatial, H), (spatial, V)]
+    joint = product(make_qubit(BASIS, alpha, beta, "0"),
+                    make_bell_phi_plus(BASIS, "a", "1"))
+    return apply_transform(joint, pbs_hv(BASIS, ("0", "a"), ("2", "b")))
 
 
 def _one_and_only_one(pattern: dict, spatial: str) -> Optional[str]:
-    """Channel label if the package saw exactly one photon, else None."""
+    """Channel label if the package saw exactly one photon, else None: after
+    the F/S readout, its H slot counts F photons and its V slot S photons."""
     f = pattern[(spatial, H)]
     s = pattern[(spatial, V)]
     if f + s != 1:
         return None
-    return F_CHANNEL if f == 1 else S_CHANNEL
+    return "F" if f == 1 else "S"
 
 
 class PackageOutcome(NamedTuple):
@@ -102,7 +87,7 @@ class PackageOutcome(NamedTuple):
     channel_db: str
     probability: float
     flipped: bool                 # sign correction applied by feed-forward
-    output: PhotonicState         # corrected single-photon state in mode 1
+    output: tuple[complex, complex]   # corrected mode-1 qubit, normalized (H, V)
     fidelity: float               # against the input qubit
 
 
@@ -118,11 +103,10 @@ def encoder_postselect(alpha, beta):
     outcomes in the b package. Each branch has probability 1/4 and leaves
     modes 1 and 2 in (alpha|HH> +/- beta|VV>) up to normalization.
     """
-    basis = encoder_basis()
     st = apply_transform(build_encoder_state(alpha, beta),
-                         basis_rotate_fs(basis, "b"))
+                         basis_rotate_fs(BASIS, "b"))
     branches = []
-    for pattern, prob, cond in enumerate_outcomes(st, _package_modes("b")):
+    for pattern, prob, cond in enumerate_outcomes(st, [("b", H), ("b", V)]):
         ch = _one_and_only_one(pattern, "b")
         if ch is not None:
             branches.append((ch, prob, cond))
@@ -131,10 +115,9 @@ def encoder_postselect(alpha, beta):
 
 def _run_device(input_state: PhotonicState, d2_spatial: str = "2"):
     """Interfere with the ancilla pair and enumerate joint package outcomes."""
-    basis = input_state.basis
-    joint = product(input_state, make_bell_phi_plus(basis, "a", "1"))
-    st = apply_transform(joint, _device_transform(basis, d2_spatial))
-    measured = _package_modes(d2_spatial) + _package_modes("b")
+    joint = product(input_state, make_bell_phi_plus(BASIS, "a", "1"))
+    st = apply_transform(joint, _device_transform(d2_spatial))
+    measured = [(d2_spatial, H), (d2_spatial, V), ("b", H), ("b", V)]
     accepted = []
     for pattern, prob, cond in enumerate_outcomes(st, measured):
         ch2 = _one_and_only_one(pattern, d2_spatial)
@@ -179,11 +162,10 @@ def device_operators() -> tuple[tuple[str, str, Kraus, bool], ...]:
     Built on the first call and cached, each K_o an immutable tuple of rows;
     the outcomes keep _run_device's order.
     """
-    basis = encoder_basis()
-    out_h, out_v = basis.spatial_indices("1")
+    out_h, out_v = BASIS.spatial_indices("1")
     ops: dict[tuple[str, str], list[list[complex]]] = {}
     for col, (alpha, beta) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-        qubit = make_qubit(basis, alpha, beta, "0")
+        qubit = make_qubit(BASIS, alpha, beta, "0")
         for ch2, chb, prob, cond in _run_device(qubit):
             k = ops.setdefault((ch2, chb), [[0j, 0j], [0j, 0j]])
             for cfg, amp in cond.amps.items():
@@ -200,14 +182,15 @@ def device_operators() -> tuple[tuple[str, str, Kraus, bool], ...]:
 def _kraus_outcomes(alpha, beta) -> list[tuple]:
     """The four cached Kraus operators applied to the qubit's 2-vector.
 
-    Returns (channel_d2, channel_db, probability, flipped, (w_H, w_V),
-    fidelity) per accepted outcome, in device_operators' order: w = K v on
-    the normalized input v with its outcome's feed-forward sign applied,
-    |w|^2, and the fidelity of w normalized by hypot with v, the package's
-    one fidelity. v is make_qubit's normalization, _unit_qubit, and the
-    fidelity is |<output|input>|^2 of the two mode-1 states, H term first,
-    so every value is bit for bit the states' value, with no state built.
-    Non-finite amplitudes and the zero vector are a ValueError.
+    Returns PackageOutcome's six fields as a plain tuple per accepted
+    outcome, in device_operators' order: w = K v on the normalized input v
+    with its outcome's feed-forward sign applied, the probability |w|^2,
+    the output w normalized by hypot, and the fidelity of that output with
+    v, the package's one fidelity. v and the output are make_qubit's
+    normalization, _unit_qubit, and the fidelity is |<output|input>|^2 of
+    the two mode-1 states, H term first, so every value is bit for bit the
+    states' value, with no state built. Non-finite amplitudes and the zero
+    vector are a ValueError.
     """
     a, b = _unit_qubit(alpha, beta)
     outcomes = []
@@ -217,8 +200,9 @@ def _kraus_outcomes(alpha, beta) -> list[tuple]:
         if flip:
             w_v = -w_v
         m = math.hypot(abs(w_h), abs(w_v))
-        fid = abs((w_h / m).conjugate() * a + (w_v / m).conjugate() * b) ** 2
-        outcomes.append((ch2, chb, prob, flip, (w_h, w_v), fid))
+        out_h, out_v = w_h / m, w_v / m
+        fid = abs(out_h.conjugate() * a + out_v.conjugate() * b) ** 2
+        outcomes.append((ch2, chb, prob, flip, (out_h, out_v), fid))
     return outcomes
 
 
@@ -230,21 +214,15 @@ def qnd_measure(alpha, beta) -> QndReport:
     only one photon in each detector package) has probability |K v|^2 and
     leaves K v normalized in mode 1. Applies each outcome's feed-forward
     sign, read off its K, and reports every accepted outcome, in
-    _run_device's order, with its corrected output state and fidelity.
-    Success probability is exactly 1/2 with each of the four joint outcomes
-    at 1/8. Non-finite amplitudes are a
+    _run_device's order, with its corrected output pair and fidelity
+    (_kraus_outcomes' rows, wrapped). Success probability is exactly 1/2
+    with each of the four joint outcomes at 1/8. Non-finite amplitudes are a
     configuration error (ValueError), not a contract violation, as is the
     zero vector.
     """
-    basis = encoder_basis()
-    outcomes = []
-    total = 0.0
-    for ch2, chb, prob, flip, (w_h, w_v), fid in _kraus_outcomes(alpha, beta):
-        outcomes.append(PackageOutcome(
-            channel_d2=ch2, channel_db=chb, probability=prob, flipped=flip,
-            output=make_qubit(basis, w_h, w_v, "1"), fidelity=fid))
-        total += prob
-    return QndReport(outcomes=tuple(outcomes), success_probability=total)
+    outcomes = tuple(map(PackageOutcome._make, _kraus_outcomes(alpha, beta)))
+    return QndReport(outcomes=outcomes, success_probability=sum(
+        o.probability for o in outcomes))
 
 
 def derive_feed_forward_table() -> dict[tuple[str, str], bool]:
@@ -256,6 +234,14 @@ def derive_feed_forward_table() -> dict[tuple[str, str], bool]:
     return {(ch2, chb): flip for ch2, chb, _k, flip in device_operators()}
 
 
+def _gate_probability(n_input: int, d2_spatial: str = "2") -> float:
+    """Summed accepted probability of an n-photon H pulse in mode 0, the
+    basis's first mode; the device never reads polarization."""
+    pulse = PhotonicState(BASIS, {(n_input,) + (0,) * (BASIS.size - 1): 1.0})
+    return float(sum(prob for *_ch, prob, _c in
+                     _run_device(pulse, d2_spatial)))
+
+
 def vacuum_gate_probability(d2_spatial: str = "2") -> float:
     """Probability of a (false) gate with no input photon.
 
@@ -263,12 +249,11 @@ def vacuum_gate_probability(d2_spatial: str = "2") -> float:
     onto the output mode (d2_spatial="1") is a diagnostic that shows why that
     placement would false-gate on vacuum with probability 1/2.
     """
-    return float(sum(prob for *_ch, prob, _c in
-                     _run_device(vacuum(encoder_basis()), d2_spatial)))
+    return _gate_probability(0, d2_spatial)
 
 
-def multiphoton_gate_probability(n_input: int, alpha=1.0, beta=0.0) -> float:
-    """Gate probability for an n-photon polarized input pulse.
+def multiphoton_gate_probability(n_input: int) -> float:
+    """Gate probability of an n-photon input pulse, whatever its polarization.
 
     Any input with two or more photons is rejected outright: with the Bell
     photon parked in mode 1, n + 1 >= 3 photons reach the two detector
@@ -276,15 +261,7 @@ def multiphoton_gate_probability(n_input: int, alpha=1.0, beta=0.0) -> float:
     n_input must be a non-negative integer (ValueError otherwise).
     """
     check_int(n_input, "n_input")
-    basis = encoder_basis()
-    if n_input == 0:
-        st = vacuum(basis)
-    else:
-        st = make_qubit(basis, alpha, beta, "0")
-        for _ in range(n_input - 1):
-            st = product(st, make_qubit(basis, alpha, beta, "0"))
-        st = st.normalized()
-    return float(sum(prob for *_ch, prob, _c in _run_device(st)))
+    return _gate_probability(n_input)
 
 
 def measured_relay_efficiency() -> float:

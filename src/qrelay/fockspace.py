@@ -53,9 +53,6 @@ class ModeBasis:
         self.modes = tuple(BasisMode(s, p) for s in labels for p in (H, V))
         self.index = {m: i for i, m in enumerate(self.modes)}
         self.size = len(self.modes)
-        # spatial label -> (H index, V index)
-        self._pairs = {s: (self.index[BasisMode(s, H)],
-                           self.index[BasisMode(s, V)]) for s in labels}
 
     def mode_index(self, mode) -> int:
         m = BasisMode(*mode)
@@ -66,7 +63,8 @@ class ModeBasis:
     def spatial_indices(self, spatial: str) -> tuple[int, int]:
         """Indices of the (H, V) pair of one spatial mode."""
         try:
-            return self._pairs[spatial]
+            return (self.index[BasisMode(spatial, H)],
+                    self.index[BasisMode(spatial, V)])
         except KeyError:
             raise ValueError(f"unknown spatial mode {spatial!r} for basis "
                              f"{self.spatial}") from None
@@ -111,11 +109,6 @@ class PhotonicState:
         if n == 0:
             raise ValueError("cannot normalize the zero state")
         return PhotonicState(self.basis, {c: a / n for c, a in self.amps.items()})
-
-    def prune(self) -> "PhotonicState":
-        """The state without its amplitudes of magnitude PRUNE_TOL or less."""
-        return PhotonicState(self.basis, {c: a for c, a in self.amps.items()
-                                          if abs(a) > PRUNE_TOL})
 
     def __repr__(self):
         terms = []
@@ -332,7 +325,8 @@ def apply_transform(state: PhotonicState, t: LinearModeTransform) -> PhotonicSta
         for mono, coef in poly.items():
             w = coef * math.sqrt(math.prod(math.factorial(n) for n in mono))
             out[mono] = out.get(mono, 0j) + w
-    return PhotonicState(state.basis, out).prune()
+    return PhotonicState(state.basis, {c: a for c, a in out.items()
+                                       if abs(a) > PRUNE_TOL})
 
 
 def enumerate_outcomes(state: PhotonicState, measured_modes: Iterable,

@@ -74,7 +74,7 @@ def test_apply_relay_matches_single_slot_device_map():
         out = apply_relay((p1, 0.0, 1.0 - p1, 0.0),
                           measured_relay_efficiency(), 0.0)
         assert out[0] == pytest.approx(
-            p1 * multiphoton_gate_probability(1, 0.6, 0.8), abs=1e-15)
+            p1 * multiphoton_gate_probability(1), abs=1e-15)
         assert out[1] == pytest.approx(
             (1.0 - p1) * vacuum_gate_probability(), abs=1e-15)
     # the same holds for the rule that commands run: one relay at the
@@ -84,7 +84,7 @@ def test_apply_relay_matches_single_slot_device_map():
                          p_dark=0.0)
     rep = run_chain(device, (0.0,))
     assert rep.p_s == pytest.approx(
-        multiphoton_gate_probability(1, 0.6, 0.8) * t, abs=1e-15)
+        multiphoton_gate_probability(1) * t, abs=1e-15)
     assert rep.p_n == pytest.approx(vacuum_gate_probability(), abs=1e-15)
     n = 10**12
     got = sample_chain(device, n, seed=4, positions_km=(0.0,))

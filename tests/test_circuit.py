@@ -1,5 +1,4 @@
 import cmath
-import functools
 import math
 import os
 import random
@@ -13,10 +12,10 @@ import qrelay
 from qrelay.analytics import ChainConfig, check_relay
 from qrelay.chain import run_chain, sample_chain
 from qrelay import circuit
-from qrelay.circuit import (ENCODER_SPATIAL, _kraus_outcomes, _run_device,
+from qrelay.circuit import (BASIS, _kraus_outcomes, _run_device,
                             _sign_flip, build_encoder_state,
                             derive_feed_forward_table, device_checks,
-                            device_operators, encoder_basis,
+                            device_operators,
                             encoder_postselect, measured_relay_efficiency,
                             multiphoton_gate_probability, qnd_measure,
                             vacuum_gate_probability)
@@ -59,7 +58,6 @@ def test_encoder_postselect_branches():
     a, b = 0.6, 0.8
     branches = encoder_postselect(a, b)
     assert sorted(ch for ch, _, _ in branches) == ["F", "S"]
-    basis = encoder_basis()
     for ch, prob, cond in branches:
         assert prob == pytest.approx(0.25, abs=1e-12)
         sign = 1.0 if ch == "F" else -1.0
@@ -80,10 +78,8 @@ def test_encoder_postselect_complex_qubit():
         assert amplitude(cond, {("1", V): 1, ("2", V): 1}) == pytest.approx(sign * b, abs=1e-12)
 
 
-@pytest.mark.parametrize("run", [
-    qnd_measure, encoder_postselect,
-    functools.partial(multiphoton_gate_probability, 1)],
-    ids=["qnd_measure", "encoder_postselect", "multiphoton_gate_probability"])
+@pytest.mark.parametrize("run", [qnd_measure, encoder_postselect],
+                         ids=["qnd_measure", "encoder_postselect"])
 @pytest.mark.parametrize("alpha, beta, message", [
     (math.nan, 1.0, "must be finite"), (1.0, math.inf, "must be finite"),
     (complex(0.6, math.nan), 0.8, "must be finite"),
@@ -125,10 +121,9 @@ def test_outcome_statistics_are_input_independent():
 def engine_outputs(alpha, beta):
     """(outcome, sqrt(p) * cond on mode 1 as an (H, V) pair) per accepted
     outcome, straight from the Fock engine."""
-    basis = encoder_basis()
-    hi, vi = basis.spatial_indices("1")
+    hi, vi = BASIS.spatial_indices("1")
     out = []
-    for ch2, chb, prob, cond in _run_device(make_qubit(basis, alpha, beta, "0")):
+    for ch2, chb, prob, cond in _run_device(make_qubit(BASIS, alpha, beta, "0")):
         assert all(sum(cfg) == 1 and cfg[hi] + cfg[vi] == 1 for cfg in cond.amps)
         r = math.sqrt(prob)
         out.append(((ch2, chb), (r * amplitude(cond, {("1", H): 1}),
@@ -173,36 +168,37 @@ def test_corrected_operators_are_a_phase_times_identity():
 
 
 def test_qnd_measure_keeps_the_engine_outcome_order():
-    basis = encoder_basis()
     for a, b in [(0.6, 0.8j), (1.0, 0.0), (0.0, 1.0)] + random_qubits(5, 3):
         engine = [(c2, cb) for c2, cb, _p, _c in
-                  _run_device(make_qubit(basis, a, b, "0"))]
+                  _run_device(make_qubit(BASIS, a, b, "0"))]
         rep = qnd_measure(a, b)
         assert [(o.channel_d2, o.channel_db) for o in rep.outcomes] == engine
 
 
 def test_kraus_outcomes_match_the_fock_states_bit_for_bit():
-    # the 2-vector helper reads the exact floats of the Fock states it no
-    # longer builds: |K v|^2, and the fidelity of make_qubit's output state
-    # with make_qubit's reference, extreme magnitudes included
-    basis = encoder_basis()
+    # the 2-vector helper reads the exact floats of the Fock states it does
+    # not build: |K v|^2, the amplitudes make_qubit stores for the corrected
+    # K v in mode 1, and that state's fidelity with make_qubit's reference,
+    # extreme magnitudes included; qnd_measure's records are its rows
     ops = device_operators()
     for a, b in random_qubits(300, 20261018) + [
             (1, 0), (0, 1j), (1e-300, 1e-300j), (1e300, 1)]:
-        reference = make_qubit(basis, a, b, "1")
+        reference = make_qubit(BASIS, a, b, "1")
         norm = math.hypot(abs(complex(a)), abs(complex(b)))
         v_h, v_v = complex(a) / norm, complex(b) / norm
         rep = qnd_measure(a, b)
         helper = _kraus_outcomes(a, b)
         assert len(rep.outcomes) == len(helper) == len(ops) == 4
-        for o, (ch2, chb, prob, flip, w, fid), (_c2, _cb, k, _f) in zip(
-                rep.outcomes, helper, ops):
+        assert list(rep.outcomes) == helper
+        for (ch2, chb, prob, flip, out, fid), (c2, cb, k, f) in zip(helper,
+                                                                   ops):
             k_v = [row[0] * v_h + row[1] * v_v for row in k]
-            assert (o.channel_d2, o.channel_db, o.flipped) == (ch2, chb, flip)
-            assert o.probability == prob \
-                == abs(k_v[0]) ** 2 + abs(k_v[1]) ** 2
-            assert o.fidelity == fid == fidelity(o.output, reference)
-            assert w == (k_v[0], -k_v[1] if flip else k_v[1])
+            output = make_qubit(BASIS, k_v[0], -k_v[1] if f else k_v[1], "1")
+            assert (ch2, chb, flip) == (c2, cb, f)
+            assert prob == abs(k_v[0]) ** 2 + abs(k_v[1]) ** 2
+            assert out == (amplitude(output, {("1", H): 1}),
+                           amplitude(output, {("1", V): 1}))
+            assert fid == fidelity(output, reference)
 
 
 def test_device_checks_reads_what_qnd_measure_reports(monkeypatch):
@@ -298,9 +294,9 @@ def test_diagnostic_variant_false_gates_on_vacuum():
 
 def test_multiphoton_gate_probabilities():
     assert multiphoton_gate_probability(0) == 0.0
-    assert multiphoton_gate_probability(1, 0.6, 0.8) == pytest.approx(0.5, abs=1e-12)
-    assert multiphoton_gate_probability(2, 0.6, 0.8) == 0.0
-    # photon number is conserved, so any pulse fits the one basis
+    assert multiphoton_gate_probability(1) == pytest.approx(0.5, abs=1e-12)
+    # photon number is conserved, so any pulse fits the one basis; the gate
+    # never reads polarization, so the pulse has none to give
     for n in range(2, 9):
         assert multiphoton_gate_probability(n) == 0.0
     # a count is a non-negative int, as every count in the package: a bool
@@ -320,10 +316,9 @@ def test_device_pipeline_against_dense_oracle():
     from qrelay.circuit import _device_transform
     from qrelay.fockspace import apply_transform, make_bell_phi_plus
 
-    basis = encoder_basis()
-    joint = product(make_qubit(basis, 0.6, 0.8j, "0"),
-                    make_bell_phi_plus(basis, "a", "1"))
-    t = _device_transform(basis)
+    joint = product(make_qubit(BASIS, 0.6, 0.8j, "0"),
+                    make_bell_phi_plus(BASIS, "a", "1"))
+    t = _device_transform()
     got = apply_transform(joint, t)
     want = dense_apply(t.matrix, joint.amps)
     for cfg in set(got.amps) | set(want):
@@ -379,9 +374,8 @@ def test_noisy_relay_map_weights():
 
 
 def test_basis_labels_exported():
-    assert ENCODER_SPATIAL == ("0", "a", "1", "2", "b")
-    assert encoder_basis().spatial == ENCODER_SPATIAL
-
-
-def test_encoder_basis_is_one_instance():
-    assert encoder_basis() is encoder_basis()
+    # one basis instance for every device run and transform
+    assert BASIS.spatial == ("0", "a", "1", "2", "b")
+    assert build_encoder_state(0.6, 0.8).basis is BASIS
+    assert _run_device(make_qubit(BASIS, 1, 0, "0"))[0][3].basis is BASIS
+    assert circuit._device_transform("1").basis is BASIS

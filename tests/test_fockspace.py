@@ -42,6 +42,8 @@ def test_basis_ordering_and_lookup():
     assert b.spatial_indices("r") == (4, 5)
     with pytest.raises(ValueError):
         b.mode_index(("nope", H))
+    with pytest.raises(ValueError, match="unknown spatial mode 'nope'"):
+        b.spatial_indices("nope")
     with pytest.raises(ValueError):
         ModeBasis(("p", "p"))
 
@@ -288,9 +290,13 @@ def test_overlap_and_prune():
     s2 = make_qubit(b, 0.6, 0.8, "p")
     assert overlap(s1, s2) == pytest.approx(0.6)
     assert fidelity(s2, s2) == pytest.approx(1.0)
+    # a transform's result keeps only amplitudes above PRUNE_TOL = 1e-14
     dusty = PhotonicState(b, {(1, 0, 0, 0, 0, 0): 1.0,
-                              (0, 1, 0, 0, 0, 0): 1e-16})
-    assert len(dusty.prune().amps) == 1
+                              (0, 1, 0, 0, 0, 0): 1e-16,
+                              (0, 0, 1, 0, 0, 0): 1e-13})
+    identity = LinearModeTransform(b, np.eye(b.size))
+    assert apply_transform(dusty, identity).amps == {
+        (1, 0, 0, 0, 0, 0): 1.0, (0, 0, 1, 0, 0, 0): 1e-13}
 
 
 def test_oracle_configs_enumeration():

@@ -409,7 +409,7 @@ def test_no_option_chooses_among_alternatives_no_command_uses():
     assert list(signature(key_fraction).parameters) == ["e", "f_ec"]
     assert list(signature(ModeBasis).parameters) == ["spatial_labels"]
     assert not hasattr(ModeBasis(("0",)), "photon_cap")
-    for name in ("encoder_basis", "build_encoder_state", "encoder_postselect",
+    for name in ("build_encoder_state", "encoder_postselect",
                  "device_operators", "_kraus_outcomes", "qnd_measure",
                  "vacuum_gate_probability", "multiphoton_gate_probability"):
         params = signature(getattr(circuit, name)).parameters
@@ -536,7 +536,8 @@ def test_chain_imports_only_the_closed_form_from_analytics_privates():
 
 def test_qnd_measure_runs_no_fock_engine(monkeypatch):
     # once its four Kraus operators are built, a device run is four 2x2
-    # products: the per-input path never reaches the Fock engine
+    # products: the per-input path never reaches the Fock engine, nor
+    # builds a Fock state for its outputs
     import numpy as np
 
     from qrelay import circuit
@@ -546,7 +547,7 @@ def test_qnd_measure_runs_no_fock_engine(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("qnd_measure reached the Fock engine")
 
-    for name in ("_run_device", "apply_transform", "product"):
+    for name in ("_run_device", "apply_transform", "product", "make_qubit"):
         monkeypatch.setattr(circuit, name, forbidden)
     rng = np.random.default_rng(20261018)
     for _ in range(50):
