@@ -206,6 +206,9 @@ def _cases() -> list[tuple[list[str], object]]:
           "trials": 5}),
         (["snr", "--config", CONFIG], {"pd": True}),
     ]
+    # a subnormal eta, where 2 p_dark/eta overflows a double
+    cases += [([cmd, "--eta", "1e-310", "--pd", "0.01", "--n-relays", "1",
+                "--alpha-x", "0.5"], None) for cmd in ("snr", "throughput")]
     return cases
 
 
