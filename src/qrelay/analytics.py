@@ -10,7 +10,7 @@ errors.check_int and check_real (`eta must be a number in (0, 1], got 1.5`),
 and check_relay adds the one joint condition, eta + 2 p_dark <= 1. p_dark
 is 0, no dark counts, or a normal double: with 2 p_dark normal, S <=
 1/(2 p_dark) is finite, so inf means only that no dark counts reach the
-receiver.
+receiver. eta is a normal double too, so 2 p_dark/eta < 4.5e307 is finite.
 
 At that placement the exact chain is one binomial. In the interior
 (alpha x > ln(1/eta), or N = 0), with u = (2 p_dark/eta) e^((alpha x +
@@ -40,12 +40,14 @@ def _check_p_dark(p_dark: float) -> None:
 def check_relay(eta: float, p_dark: float) -> None:
     """Reject relay parameters outside the domain of the relay map.
 
-    A relay gates a photon through with probability eta in (0, 1] and false
-    gates with probability 2*p_dark, p_dark 0 or in [float_info.min, 1/2)
-    per detector (_check_p_dark); both together must stay a probability,
+    A relay gates a photon through with probability eta in (0, 1], a normal
+    double (below the normal range 2*p_dark/eta overflows), and false gates
+    with probability 2*p_dark, p_dark 0 or in [float_info.min, 1/2) per
+    detector (_check_p_dark); both together must stay a probability,
     eta + 2*p_dark <= 1.
     """
     check_real(eta, "eta", 0, 1, "(]")
+    check_real(eta, "eta", sys.float_info.min, 1, "[]")
     _check_p_dark(p_dark)
     if eta + 2.0 * p_dark > 1.0:
         raise ValueError("eta + 2*p_dark exceeds 1")
@@ -400,7 +402,7 @@ def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,
     The range is positive and finite where its log argument is in (0, 1):
     not without dark counts, nor where even alpha x = 0 misses the target.
     The log argument's log is a sum of its factors' logs, so a subnormal
-    p_dark s_target or eta still has a range.
+    p_dark s_target still has a range.
     """
     check_int(n_relays, "n_relays")
     check_relay(eta, p_dark)

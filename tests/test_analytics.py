@@ -53,7 +53,7 @@ def test_chain_config_validation():
             0.25 * math.exp(-0.5), rel=1e-14)
 
 
-# p_dark between 0 and the least normal double, both ends open
+# p_dark or eta between 0 and the least normal double, both ends open
 _SUBNORMAL = st.floats(0.0, sys.float_info.min, exclude_min=True,
                        exclude_max=True)
 
@@ -77,6 +77,31 @@ def test_every_entry_point_refuses_a_subnormal_p_dark(p_dark):
                  lambda: range_enhancement(1, 0.5, p_dark, 1.0)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(eta=_SUBNORMAL)
+@example(eta=5e-324)
+@example(eta=1e-310)
+@example(eta=math.nextafter(sys.float_info.min, 0.0))
+def test_every_entry_point_refuses_a_subnormal_eta(eta):
+    # eta is a normal double: below the normal range 2 p_dark/eta
+    # overflows, and snr_exact(0.5, 1, 1e-310, 0.01) read 0.0 where the
+    # exact value is 4.84e-309
+    message = re.escape(f"eta must be a number in "
+                        f"[{sys.float_info.min!r}, 1], got {eta!r}")
+    for call in (lambda: ChainConfig(10.0, eta=eta),
+                 lambda: check_relay(eta, 0.01),
+                 lambda: snr_n_relays(1.0, 2, eta, 0.01),
+                 lambda: snr_exact(0.5, 1, eta, 0.01),
+                 lambda: solve_range_alpha_x(1, eta, 0.01, 1.0),
+                 lambda: range_enhancement(1, eta, 0.01, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # the least normal eta is in the domain, with 2 p_dark/eta finite:
+    # against decimal_snr_reference's 60 digits
+    assert snr_exact(0.5, 1, sys.float_info.min, 0.01) == pytest.approx(
+        1.0770227237791589077e-306, rel=1e-12)
 
 
 def test_qber_from_snr():
@@ -497,12 +522,6 @@ def test_range_survives_a_subnormal_dark_count_product():
     r = range_enhancement(3, 0.5, 1e-300, 5e-24)
     assert r.approx == pytest.approx(3.989757750068571684614, rel=1e-15)
     assert r.exact == pytest.approx(3.989748204482031600163, rel=1e-15)
-    # a subnormal eta, where eta^(-N/(N+1)) itself overflowed
-    assert solve_range_alpha_x(1000, 1e-320, 1e-300, 5e-34) == pytest.approx(
-        23784.69237791578795287, rel=1e-14)
-    r = range_enhancement(1000, 1e-320, 1e-300, 5e-34)
-    assert r.approx == pytest.approx(31.89576605656785900156, rel=1e-14)
-    assert r.exact == pytest.approx(31.01970166214762718397, rel=1e-14)
     # still no range without dark counts, nor where even alpha x = 0 misses
     for p_dark, s_target in ((0.0, 1.0), (0.1, 10.0)):
         with pytest.raises(ValueError, match="no positive finite range"):
