@@ -57,7 +57,7 @@ def _cases() -> list[tuple[list[str], object]]:
          "--input=0.6,0.8j", "--output", "report.json"],
         ["sample", "--alpha-x", "5", "--n-relays", "4", "--trials",
          "20000000", "--seed", "5", "--output", "report.json"],
-        # the remaining goldens' flags (tests/data)
+        # the flags of the step kernel's tolerance references (tests/data)
         ["snr", "--n-relays", "0,1,2,4,8,16,32,64", "--steps", "50",
          "--format", "json", "--output", "report.json"],
         ["throughput", "--n-relays", "0,1,2,3,4,5,6,7,8", "--steps", "50",
@@ -206,7 +206,7 @@ def _cases() -> list[tuple[list[str], object]]:
           "trials": 5}),
         (["snr", "--config", CONFIG], {"pd": True}),
     ]
-    # a subnormal eta, where 2 p_dark/eta overflows a double
+    # a subnormal eta, where 2 p_dark/eta would overflow, exits 2
     cases += [([cmd, "--eta", "1e-310", "--pd", "0.01", "--n-relays", "1",
                 "--alpha-x", "0.5"], None) for cmd in ("snr", "throughput")]
     return cases

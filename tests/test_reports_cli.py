@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 from decimal import Decimal, localcontext
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +24,6 @@ from qrelay.throughput import F_EC
 from oracles import (Table, clamped_rel_dev_allowance, column,
                      decimal_noise_ratio, decimal_rel_dev_reference,
                      decimal_snr_reference, read_report)
-
-DATA = Path(__file__).parent / "data"
 
 
 def small_report():
@@ -243,18 +240,6 @@ def test_cli_verify_circuit_refuses_channel_flags(tmp_path, capsys):
     assert run_cli(["verify-circuit", "--trials", "3", "--config",
                     str(cfg)]) == 0
     assert "PASS verify-circuit (7/7 checks)" in capsys.readouterr().out
-
-
-def test_cli_verify_circuit_matches_its_golden(tmp_path, capsys):
-    # the golden was written by the device path that built Fock states for
-    # every probe; the 2-vector path reproduces its bytes
-    out = tmp_path / "verify.json"
-    assert run_cli(["verify-circuit", "--trials", "2000", "--seed", "5",
-                    "--input=0.6,0.8j", "--output", str(out)]) == 0
-    stdout = (DATA / "verify_trials2000_seed5.stdout").read_text()
-    assert capsys.readouterr().out == stdout + f"wrote {out}\n"
-    assert out.read_bytes() == \
-        (DATA / "verify_trials2000_seed5.json").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [
@@ -583,28 +568,23 @@ def _leaves(block: dict):
                     else [(key, _spelled(value))])
 
 
-@pytest.mark.parametrize("argv, stem", [
-    (["sample", "--alpha-x", "5", "--n-relays", "4", "--trials", "20000000",
-      "--seed", "5"], "sample_ax5_n4_trials20000000_seed5"),
-    (["optimize", "--distance-km", "2000", "--n-relays", "64"],
-     "optimize_2000km_n64"),
+@pytest.mark.parametrize("argv", [
+    ["sample", "--alpha-x", "5", "--n-relays", "4", "--trials", "20000000",
+     "--seed", "5"],
+    ["optimize", "--distance-km", "2000", "--n-relays", "64"],
     # alpha x = 1e308; no dark counts, so ln p_n = -inf and the z line
     # reads n/a for p_n; a chain of 811 relays
-    (["sample", "--distance-km", "1e307", "--atten-per-km", "10",
-      "--n-relays", "0", "--pd", "0.2", "--trials", "10", "--seed", "1"],
-     None),
-    (["sample", "--pd", "0", "--alpha-x", "5", "--n-relays", "4", "--trials",
-      "20000000", "--seed", "5"], None),
-    (["optimize", "--distance-km", "0", "--n-relays", "811", "--eta",
-      "4.9162761621739796e-256", "--pd", "0.02441167864678435"], None),
+    ["sample", "--distance-km", "1e307", "--atten-per-km", "10",
+     "--n-relays", "0", "--pd", "0.2", "--trials", "10", "--seed", "1"],
+    ["sample", "--pd", "0", "--alpha-x", "5", "--n-relays", "4", "--trials",
+     "20000000", "--seed", "5"],
+    ["optimize", "--distance-km", "0", "--n-relays", "811", "--eta",
+     "4.9162761621739796e-256", "--pd", "0.02441167864678435"],
 ])
-def test_cli_sample_and_optimize_match_their_goldens(argv, stem, tmp_path,
-                                                     capsys):
+def test_cli_sample_and_optimize_print_their_payload(argv, tmp_path, capsys):
     # stdout prints the report's payload, a line per key and every real at
     # %.12g of the report's value; sample adds its z-scores, which the
-    # report does not hold. Both goldens were written before the settings
-    # table replaced the per-flag parsing; sample's blocks now come from the
-    # records' _asdict(), and its exact block also carries ln p_s and ln p_n
+    # report does not hold. The byte corpus holds each command's bytes
     out = tmp_path / "report.json"
     assert run_cli(argv + ["--output", str(out)]) == 0
     text = capsys.readouterr().out
@@ -623,10 +603,6 @@ def test_cli_sample_and_optimize_match_their_goldens(argv, stem, tmp_path,
             assert printed[key] == " ".join(map(_spelled, value)), key
         else:
             assert printed[key] == _spelled(value), key
-    if stem is not None:
-        assert text == (DATA / f"{stem}.stdout").read_text() + f"wrote {out}\n"
-    if stem is not None and (DATA / f"{stem}.json").exists():
-        assert out.read_bytes() == (DATA / f"{stem}.json").read_bytes()
 
 
 def test_cli_usage_errors(capsys):
