@@ -105,7 +105,8 @@ def _qubit(value, name: str) -> tuple[complex, complex]:
 _KEYS = {
     "pd": (_real, "dark-count probability per detector per slot: 0, or "
                   "a normal double in [2.2250738585072014e-308, 0.5)"),
-    "eta": (_real, "relay pass efficiency"),
+    "eta": (_real, "relay pass efficiency: a normal double in "
+                   "[2.2250738585072014e-308, 1]"),
     "atten_per_km": (_real, "fiber attenuation coefficient alpha"),
     "output": (_text, "write the report to this file"),
     "alpha_x_min": (_real, "grid start"),

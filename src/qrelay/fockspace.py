@@ -5,7 +5,8 @@ Every spatial mode carries two basis modes (horizontal H and vertical V
 polarization), and linear-optics elements act by rewriting creation operators,
 so multi-photon bookkeeping (the sqrt(n!) factors) is handled exactly. A
 linear transform conserves photon number and a state stores only the
-configurations it occupies, so no photon-number cutoff is needed.
+configurations it occupies, so no photon-number cutoff is needed; a
+transform's result drops amplitudes of magnitude PRUNE_TOL or less.
 
 The module is pure Python: a transform is a tuple of row tuples of complex,
 and at the device's ten basis modes plain loops beat an array library's
@@ -43,6 +44,7 @@ class ModeBasis:
 
     The order is (spatial_0, H), (spatial_0, V), (spatial_1, H), ... and every
     occupation configuration is a tuple of photon counts in exactly this order.
+    index, from BasisMode to position, is the one lookup of that order.
     """
 
     def __init__(self, spatial_labels: Iterable[str]):
