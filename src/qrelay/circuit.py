@@ -87,7 +87,7 @@ class PackageOutcome(NamedTuple):
     channel_db: str
     probability: float
     flipped: bool                 # sign correction applied by feed-forward
-    output: tuple[complex, complex]   # corrected mode-1 qubit, normalized (H, V)
+    output: tuple[complex, complex]  # normalized corrected mode-1 (H, V)
     fidelity: float               # against the input qubit
 
 

@@ -123,7 +123,8 @@ def engine_outputs(alpha, beta):
     outcome, straight from the Fock engine."""
     hi, vi = BASIS.spatial_indices("1")
     out = []
-    for ch2, chb, prob, cond in _run_device(make_qubit(BASIS, alpha, beta, "0")):
+    qubit = make_qubit(BASIS, alpha, beta, "0")
+    for ch2, chb, prob, cond in _run_device(qubit):
         assert all(sum(cfg) == 1 and cfg[hi] + cfg[vi] == 1 for cfg in cond.amps)
         r = math.sqrt(prob)
         out.append(((ch2, chb), (r * amplitude(cond, {("1", H): 1}),
