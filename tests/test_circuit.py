@@ -78,8 +78,9 @@ def test_encoder_postselect_complex_qubit():
         assert amplitude(cond, {("1", V): 1, ("2", V): 1}) == pytest.approx(sign * b, abs=1e-12)
 
 
-@pytest.mark.parametrize("run", [qnd_measure, encoder_postselect],
-                         ids=["qnd_measure", "encoder_postselect"])
+@pytest.mark.parametrize("run", [
+    qnd_measure, encoder_postselect, build_encoder_state],
+    ids=["qnd_measure", "encoder_postselect", "build_encoder_state"])
 @pytest.mark.parametrize("alpha, beta, message", [
     (math.nan, 1.0, "must be finite"), (1.0, math.inf, "must be finite"),
     (complex(0.6, math.nan), 0.8, "must be finite"),
@@ -375,8 +376,11 @@ def test_noisy_relay_map_weights():
 
 
 def test_basis_labels_exported():
-    # one basis instance for every device run and transform
     assert BASIS.spatial == ("0", "a", "1", "2", "b")
+
+
+def test_encoder_basis_is_one_instance():
+    # one basis instance for every device run and transform
     assert build_encoder_state(0.6, 0.8).basis is BASIS
     assert _run_device(make_qubit(BASIS, 1, 0, "0"))[0][3].basis is BASIS
     assert circuit._device_transform("1").basis is BASIS
