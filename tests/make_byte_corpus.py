@@ -209,6 +209,8 @@ def _cases() -> list[tuple[list[str], object]]:
     # a subnormal eta, where 2 p_dark/eta would overflow, exits 2
     cases += [([cmd, "--eta", "1e-310", "--pd", "0.01", "--n-relays", "1",
                 "--alpha-x", "0.5"], None) for cmd in ("snr", "throughput")]
+    # a config file that is JSON but not an object
+    cases += [(["snr", "--config", CONFIG], [1, 2])]
     return cases
 
 
