@@ -66,8 +66,7 @@ _LAZY = {
     **dict.fromkeys((
         "BasisMode", "LinearModeTransform", "ModeBasis", "PhotonicState",
         "apply_transform", "basis_rotate_fs", "enumerate_outcomes",
-        "make_bell_phi_plus", "make_qubit", "pbs_hv", "product", "vacuum"),
-        "fockspace"),
+        "make_bell_phi_plus", "make_qubit", "pbs_hv", "product"), "fockspace"),
     **dict.fromkeys((
         "ThroughputPoint", "binary_entropy", "cutoff_alpha_x", "key_fraction",
         "key_fraction_cutoff", "snr_cutoff", "throughput_curve"),

@@ -74,11 +74,9 @@ class ModeBasis:
     def __eq__(self, other):
         return isinstance(other, ModeBasis) and self.modes == other.modes
 
+    # defined beside __eq__, which would otherwise make the class unhashable
     def __hash__(self):
         return hash(self.modes)
-
-    def __repr__(self):
-        return f"ModeBasis(spatial={self.spatial})"
 
 
 class PhotonicState:
@@ -105,26 +103,6 @@ class PhotonicState:
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
-
-    def normalized(self) -> "PhotonicState":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalize the zero state")
-        return PhotonicState(self.basis, {c: a / n for c, a in self.amps.items()})
-
-    def __repr__(self):
-        terms = []
-        for cfg in sorted(self.amps):
-            amp = self.amps[cfg]
-            occupied = ",".join(
-                (f"{n}x" if n > 1 else "") + f"{m.pol}_{m.spatial}"
-                for m, n in zip(self.basis.modes, cfg) if n)
-            terms.append(f"({amp:.4g})|{occupied or 'vac'}>")
-        return " + ".join(terms) if terms else "0"
-
-
-def vacuum(basis: ModeBasis) -> PhotonicState:
-    return PhotonicState(basis, {(0,) * basis.size: 1.0})
 
 
 def _unit_qubit(alpha, beta) -> tuple[complex, complex]:

@@ -7,8 +7,7 @@ from qrelay.errors import ContractViolationError
 from qrelay.fockspace import (H, V, BasisMode, LinearModeTransform,
                               ModeBasis, PhotonicState, apply_transform,
                               basis_rotate_fs, enumerate_outcomes,
-                              make_bell_phi_plus, make_qubit, pbs_hv, product,
-                              vacuum)
+                              make_bell_phi_plus, make_qubit, pbs_hv, product)
 
 from oracles import (amplitude, configs_up_to, dense_apply, fidelity,
                      haar_unitary, measure_pattern, occupation, overlap)
@@ -30,7 +29,8 @@ def random_state(basis, rng, n_photons=3, n_terms=4):
         for _ in range(n_photons):
             cfg[rng.integers(basis.size)] += 1
         amps[tuple(cfg)] = complex(rng.standard_normal(), rng.standard_normal())
-    return PhotonicState(basis, amps).normalized()
+    n = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return PhotonicState(basis, {cfg: a / n for cfg, a in amps.items()})
 
 
 def test_basis_ordering_and_lookup():
@@ -46,6 +46,8 @@ def test_basis_ordering_and_lookup():
         b.spatial_indices("nope")
     with pytest.raises(ValueError):
         ModeBasis(("p", "p"))
+    # equal bases built apart hash equal, as __eq__ and __hash__ must agree
+    assert hash(small_basis()) == hash(b) and small_basis() == b
 
 
 def test_state_validation():
@@ -61,7 +63,7 @@ def test_state_validation():
 
 def test_vacuum_fock_and_amplitude():
     b = small_basis()
-    v = vacuum(b)
+    v = fock(b, {})
     assert v.norm() == 1.0
     assert v.amps == {(0,) * b.size: 1.0}
     f = fock(b, {("p", H): 2, ("q", V): 1})
@@ -118,6 +120,21 @@ def test_transform_requires_unitary():
         LinearModeTransform(b, bad)
     with pytest.raises(ValueError):
         LinearModeTransform(b, np.eye(3, dtype=complex))
+    for rows in ([[None] * b.size] * b.size, list(range(b.size))):
+        with pytest.raises(ValueError, match="nested sequence of numbers"):
+            LinearModeTransform(b, rows)
+
+
+def test_different_bases_are_refused():
+    b, other = small_basis(), ModeBasis(("p", "q"))
+    one = fock(b, {("p", H): 1})
+    t = basis_rotate_fs(b, "p")
+    with pytest.raises(ValueError, match="different bases"):
+        product(one, fock(other, {("p", H): 1}))
+    with pytest.raises(ValueError, match="different bases"):
+        t.then(basis_rotate_fs(other, "p"))
+    with pytest.raises(ValueError, match="different bases"):
+        apply_transform(fock(other, {}), t)
 
 
 def test_identity_compose_inverse():
@@ -246,7 +263,7 @@ def test_enumerate_outcomes_completeness():
     # count tuple (0,1) = the V outcome sorts first
     assert [round(p, 12) for _, p, _ in out] == [0.64, 0.36]
     assert out[0][0][("q", V)] == 1
-    vac = enumerate_outcomes(vacuum(b), [("p", H)])
+    vac = enumerate_outcomes(fock(b, {}), [("p", H)])
     assert len(vac) == 1 and vac[0][1] == pytest.approx(1.0)
 
 
