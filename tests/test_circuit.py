@@ -312,6 +312,21 @@ def test_measured_relay_efficiency():
     assert measured_relay_efficiency() == pytest.approx(0.5, abs=1e-12)
 
 
+def test_device_doubles_are_pinned_bit_for_bit():
+    # the reports print these at %.12g, %.6f or %.3e, where an ulp move
+    # would not show: each literal is the exact double, and repr keeps the
+    # sign of every zero
+    plus, minus = "(0.3535533905932737+0j)", "(-0.3535533905932737+0j)"
+    for ch2, chb, k, _flip in device_operators():
+        # the minus sign sits on the mixed-parity (F with S) outcomes
+        assert repr(k) == (f"(({plus}, 0j), "
+                           f"(0j, {minus if ch2 != chb else plus}))")
+    branches = encoder_postselect(0.6, 0.8j)
+    assert [p for _ch, p, _c in branches] == [0.24999999999999994] * 2
+    assert vacuum_gate_probability("1") == 0.4999999999999998
+    assert multiphoton_gate_probability(1) == 0.4999999999999998
+
+
 def test_device_pipeline_against_dense_oracle():
     # the full encoder circuit (joint input through PBS + readout rotations)
     # reproduced with the permanent-based dense reference
