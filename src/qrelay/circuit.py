@@ -7,16 +7,16 @@ one photon in each detector package signals "photon present" and leaves the
 qubit, up to a known sign correction, in mode 1 without having measured its
 polarization.
 
-The device lives on one five-mode basis, BASIS. Linear optics with
-post-selection is linear in the input amplitudes, so each accepted outcome
-is a 2x2 Kraus operator from the input qubit to mode 1. qnd_measure and the
-device checks apply the four cached operators of device_operators, built
-from two Fock-engine runs on |H> and |V>, to the input's 2-vector, and each
-outcome's feed-forward sign is read off its operator; an outcome's output
-is a normalized (H, V) amplitude pair, not a Fock state. The gate
-probabilities, the diagnostic and the encoder projection run the engine
-itself. Like fockspace, the module is pure Python: each operator is a 2x2
-tuple of complex.
+The device lives on one five-mode basis, BASIS, and one function runs it
+on the Fock engine, _herald: the input in mode 0 with the Bell pair, through
+the PBS and each detector package's F/S readout, kept where every package
+saw one and only one photon. The Kraus operators, the gate probabilities,
+the diagnostic and the encoder projection are each a heralded run. The
+device is linear in the input amplitudes, so each accepted outcome is a 2x2
+Kraus operator from the input qubit to mode 1: qnd_measure and the device
+checks apply the four cached operators of device_operators to the input's
+2-vector and read each outcome's feed-forward sign off its operator. Like
+fockspace, the module is pure Python.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import ContractViolationError, check_int
 from .fockspace import (
@@ -48,36 +48,31 @@ BASIS = ModeBasis(("0", "a", "1", "2", "b"))
 
 
 @functools.cache
-def _device_transform(d2_spatial: str = "2"):
-    """PBS from (0, a) into (2, b), then F/S readout on b and on the second
-    detector package's mode (mode 2 normally, mode 1 for the diagnostic).
-
-    Built once per d2_spatial; a transform is immutable.
-    """
+def _readout(*packages: str):
+    """PBS from (0, a) into (2, b), then the F/S readout of each package's
+    mode; built once per package tuple, as a transform is immutable."""
     t = pbs_hv(BASIS, ("0", "a"), ("2", "b"))
-    t = t.then(basis_rotate_fs(BASIS, "b"))
-    return t.then(basis_rotate_fs(BASIS, d2_spatial))
+    for spatial in packages:
+        t = t.then(basis_rotate_fs(BASIS, spatial))
+    return t
 
 
-def build_encoder_state(alpha, beta) -> PhotonicState:
-    """Qubit plus Bell pair after the PBS, before any readout rotation.
-
-    Four terms: the two accepted ones keep one photon in mode b, the two
-    rejected ones put zero or two photons there.
-    """
-    joint = product(make_qubit(BASIS, alpha, beta, "0"),
-                    make_bell_phi_plus(BASIS, "a", "1"))
-    return apply_transform(joint, pbs_hv(BASIS, ("0", "a"), ("2", "b")))
-
-
-def _one_and_only_one(pattern: dict, spatial: str) -> Optional[str]:
-    """Channel label if the package saw exactly one photon, else None: after
-    the F/S readout, its H slot counts F photons and its V slot S photons."""
-    f = pattern[(spatial, H)]
-    s = pattern[(spatial, V)]
-    if f + s != 1:
-        return None
-    return "F" if f == 1 else "S"
+def _herald(state: PhotonicState, *packages: str) -> list[tuple]:
+    """The device's heralded run on an input state in mode 0: with the Bell
+    pair (a, 1), through _readout(*packages), kept where every package saw
+    one and only one photon (its H slot counts F photons, its V slot S).
+    Returns (channel per package..., probability, conditional) per kept
+    pattern, in enumerate_outcomes' order."""
+    joint = product(state, make_bell_phi_plus(BASIS, "a", "1"))
+    st = apply_transform(joint, _readout(*packages))
+    measured = [(spatial, pol) for spatial in packages for pol in (H, V)]
+    heralded = []
+    for pattern, prob, cond in enumerate_outcomes(st, measured):
+        counts = [(pattern[(p, H)], pattern[(p, V)]) for p in packages]
+        if all(f + s == 1 for f, s in counts):
+            channels = ("F" if f else "S" for f, _s in counts)
+            heralded.append((*channels, prob, cond))
+    return heralded
 
 
 class PackageOutcome(NamedTuple):
@@ -97,34 +92,13 @@ class QndReport(NamedTuple):
 
 
 def encoder_postselect(alpha, beta):
-    """Heralded Bell-state encoding: read out mode b only.
+    """Heralded Bell-state encoding: the device read out on package b alone.
 
     Returns a list of (channel, probability, conditional) for the one-photon
     outcomes in the b package. Each branch has probability 1/4 and leaves
     modes 1 and 2 in (alpha|HH> +/- beta|VV>) up to normalization.
     """
-    st = apply_transform(build_encoder_state(alpha, beta),
-                         basis_rotate_fs(BASIS, "b"))
-    branches = []
-    for pattern, prob, cond in enumerate_outcomes(st, [("b", H), ("b", V)]):
-        ch = _one_and_only_one(pattern, "b")
-        if ch is not None:
-            branches.append((ch, prob, cond))
-    return branches
-
-
-def _run_device(input_state: PhotonicState, d2_spatial: str = "2"):
-    """Interfere with the ancilla pair and enumerate joint package outcomes."""
-    joint = product(input_state, make_bell_phi_plus(BASIS, "a", "1"))
-    st = apply_transform(joint, _device_transform(d2_spatial))
-    measured = [(d2_spatial, H), (d2_spatial, V), ("b", H), ("b", V)]
-    accepted = []
-    for pattern, prob, cond in enumerate_outcomes(st, measured):
-        ch2 = _one_and_only_one(pattern, d2_spatial)
-        chb = _one_and_only_one(pattern, "b")
-        if ch2 is not None and chb is not None:
-            accepted.append((ch2, chb, prob, cond))
-    return accepted
+    return _herald(make_qubit(BASIS, alpha, beta, "0"), "b")
 
 
 # a 2x2 operator over (H, V) as its two rows
@@ -157,16 +131,16 @@ def device_operators() -> tuple[tuple[str, str, Kraus, bool], ...]:
     The device is linear in the input amplitudes, so outcome o maps the
     normalized qubit v = (alpha, beta) in mode 0 to the unnormalized mode-1
     state K_o v = sqrt(p) * cond, with K_o a 2x2 matrix over (H, V)
-    (operator-sum form). Two _run_device runs, on |H> and |V>, give the
+    (operator-sum form). Two heralded runs, on |H> and |V>, give the
     columns of every K_o, and flipped is its feed-forward sign (_sign_flip).
     Built on the first call and cached, each K_o an immutable tuple of rows;
-    the outcomes keep _run_device's order.
+    the outcomes keep _herald's order.
     """
     out_h, out_v = BASIS.spatial_indices("1")
     ops: dict[tuple[str, str], list[list[complex]]] = {}
     for col, (alpha, beta) in enumerate(((1.0, 0.0), (0.0, 1.0))):
         qubit = make_qubit(BASIS, alpha, beta, "0")
-        for ch2, chb, prob, cond in _run_device(qubit):
+        for ch2, chb, prob, cond in _herald(qubit, "2", "b"):
             k = ops.setdefault((ch2, chb), [[0j, 0j], [0j, 0j]])
             for cfg, amp in cond.amps.items():
                 if sum(cfg) != 1 or cfg[out_h] + cfg[out_v] != 1:
@@ -210,11 +184,11 @@ def qnd_measure(alpha, beta) -> QndReport:
     """Device run on a single-photon qubit, through its Kraus operators.
 
     Applies the four cached operators of device_operators (built from two
-    Fock-engine runs) to the normalized input: each accepted outcome (one and
+    heralded runs) to the normalized input: each accepted outcome (one and
     only one photon in each detector package) has probability |K v|^2 and
     leaves K v normalized in mode 1. Applies each outcome's feed-forward
     sign, read off its K, and reports every accepted outcome, in
-    _run_device's order, with its corrected output pair and fidelity
+    _herald's order, with its corrected output pair and fidelity
     (_kraus_outcomes' rows, wrapped). Success probability is exactly 1/2
     with each of the four joint outcomes at 1/8. Non-finite amplitudes are a
     configuration error (ValueError), not a contract violation, as is the
@@ -239,7 +213,7 @@ def _gate_probability(n_input: int, d2_spatial: str = "2") -> float:
     basis's first mode; the device never reads polarization."""
     pulse = PhotonicState(BASIS, {(n_input,) + (0,) * (BASIS.size - 1): 1.0})
     return float(sum(prob for *_ch, prob, _c in
-                     _run_device(pulse, d2_spatial)))
+                     _herald(pulse, d2_spatial, "b")))
 
 
 def vacuum_gate_probability(d2_spatial: str = "2") -> float:

@@ -248,12 +248,9 @@ def pbs_hv(basis: ModeBasis, in_pair: tuple[str, str],
     o1, o2 = out_pair
     if len({i1, i2, o1, o2}) != 4:
         raise ValueError("PBS needs four distinct spatial labels")
-    mapping = {
-        basis.mode_index((i1, H)): basis.mode_index((o1, H)),
-        basis.mode_index((i1, V)): basis.mode_index((o2, V)),
-        basis.mode_index((i2, H)): basis.mode_index((o2, H)),
-        basis.mode_index((i2, V)): basis.mode_index((o1, V)),
-    }
+    (i1h, i1v), (i2h, i2v), (o1h, o1v), (o2h, o2v) = (
+        basis.spatial_indices(s) for s in (i1, i2, o1, o2))
+    mapping = {i1h: o1h, i1v: o2v, i2h: o2h, i2v: o1v}
     for src, dst in list(mapping.items()):
         mapping.setdefault(dst, src)
     m = [[0j] * basis.size for _ in range(basis.size)]

@@ -12,15 +12,15 @@ import qrelay
 from qrelay.analytics import ChainConfig, check_relay
 from qrelay.chain import run_chain, sample_chain
 from qrelay import circuit
-from qrelay.circuit import (BASIS, _kraus_outcomes, _run_device,
-                            _sign_flip, build_encoder_state,
+from qrelay.circuit import (BASIS, _herald, _kraus_outcomes, _sign_flip,
                             derive_feed_forward_table, device_checks,
                             device_operators,
                             encoder_postselect, measured_relay_efficiency,
                             multiphoton_gate_probability, qnd_measure,
                             vacuum_gate_probability)
 from qrelay.errors import ContractViolationError
-from qrelay.fockspace import H, V, make_qubit, product
+from qrelay.fockspace import (H, V, apply_transform, make_bell_phi_plus,
+                              make_qubit, pbs_hv, product)
 
 from oracles import (TRANSMITTED, amplitude, apply_relay, dense_apply,
                      fidelity)
@@ -41,7 +41,9 @@ def test_encoder_state_structure():
     # after the beam splitter the four terms are: two accepted ones with one
     # photon in mode b, and two rejected ones with zero or two photons there
     a, b = 0.6, 0.8
-    st = build_encoder_state(a, b)
+    st = apply_transform(product(make_qubit(BASIS, a, b, "0"),
+                                 make_bell_phi_plus(BASIS, "a", "1")),
+                         pbs_hv(BASIS, ("0", "a"), ("2", "b")))
     r = 1 / math.sqrt(2)
     assert amplitude(st, {("1", H): 1, ("2", H): 1, ("b", H): 1}) == pytest.approx(a * r)
     assert amplitude(st, {("1", V): 1, ("2", V): 1, ("b", V): 1}) == pytest.approx(b * r)
@@ -78,9 +80,8 @@ def test_encoder_postselect_complex_qubit():
         assert amplitude(cond, {("1", V): 1, ("2", V): 1}) == pytest.approx(sign * b, abs=1e-12)
 
 
-@pytest.mark.parametrize("run", [
-    qnd_measure, encoder_postselect, build_encoder_state],
-    ids=["qnd_measure", "encoder_postselect", "build_encoder_state"])
+@pytest.mark.parametrize("run", [qnd_measure, encoder_postselect],
+                         ids=["qnd_measure", "encoder_postselect"])
 @pytest.mark.parametrize("alpha, beta, message", [
     (math.nan, 1.0, "must be finite"), (1.0, math.inf, "must be finite"),
     (complex(0.6, math.nan), 0.8, "must be finite"),
@@ -125,7 +126,7 @@ def engine_outputs(alpha, beta):
     hi, vi = BASIS.spatial_indices("1")
     out = []
     qubit = make_qubit(BASIS, alpha, beta, "0")
-    for ch2, chb, prob, cond in _run_device(qubit):
+    for ch2, chb, prob, cond in _herald(qubit, "2", "b"):
         assert all(sum(cfg) == 1 and cfg[hi] + cfg[vi] == 1 for cfg in cond.amps)
         r = math.sqrt(prob)
         out.append(((ch2, chb), (r * amplitude(cond, {("1", H): 1}),
@@ -172,7 +173,7 @@ def test_corrected_operators_are_a_phase_times_identity():
 def test_qnd_measure_keeps_the_engine_outcome_order():
     for a, b in [(0.6, 0.8j), (1.0, 0.0), (0.0, 1.0)] + random_qubits(5, 3):
         engine = [(c2, cb) for c2, cb, _p, _c in
-                  _run_device(make_qubit(BASIS, a, b, "0"))]
+                  _herald(make_qubit(BASIS, a, b, "0"), "2", "b")]
         rep = qnd_measure(a, b)
         assert [(o.channel_d2, o.channel_db) for o in rep.outcomes] == engine
 
@@ -330,12 +331,9 @@ def test_device_doubles_are_pinned_bit_for_bit():
 def test_device_pipeline_against_dense_oracle():
     # the full encoder circuit (joint input through PBS + readout rotations)
     # reproduced with the permanent-based dense reference
-    from qrelay.circuit import _device_transform
-    from qrelay.fockspace import apply_transform, make_bell_phi_plus
-
     joint = product(make_qubit(BASIS, 0.6, 0.8j, "0"),
                     make_bell_phi_plus(BASIS, "a", "1"))
-    t = _device_transform()
+    t = circuit._readout("2", "b")
     got = apply_transform(joint, t)
     want = dense_apply(t.matrix, joint.amps)
     for cfg in set(got.amps) | set(want):
@@ -396,6 +394,6 @@ def test_basis_labels_exported():
 
 def test_encoder_basis_is_one_instance():
     # one basis instance for every device run and transform
-    assert build_encoder_state(0.6, 0.8).basis is BASIS
-    assert _run_device(make_qubit(BASIS, 1, 0, "0"))[0][3].basis is BASIS
-    assert circuit._device_transform("1").basis is BASIS
+    assert encoder_postselect(0.6, 0.8)[0][2].basis is BASIS
+    assert _herald(make_qubit(BASIS, 1, 0, "0"), "2", "b")[0][3].basis is BASIS
+    assert circuit._readout("1", "b").basis is BASIS

@@ -185,8 +185,11 @@ def test_pbs_routing():
     # two-photon pulse routes coherently with no extra factors
     out = apply_transform(fock(b, {("i1", H): 2}), t)
     assert amplitude(out, {("o1", H): 2}) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        pbs_hv(b, ("i1", "i2"), ("o1", "i1"))
+    # a repeated label, and a label the basis does not have
+    for out_pair, message in ((("o1", "i1"), "four distinct spatial labels"),
+                              (("o1", "x"), "unknown spatial mode 'x'")):
+        with pytest.raises(ValueError, match=message):
+            pbs_hv(b, ("i1", "i2"), out_pair)
 
 
 def test_norm_and_photon_number_preserved_on_random_circuits():

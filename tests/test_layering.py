@@ -422,7 +422,7 @@ def test_no_option_chooses_among_alternatives_no_command_uses():
     assert list(signature(key_fraction).parameters) == ["e", "f_ec"]
     assert list(signature(ModeBasis).parameters) == ["spatial_labels"]
     assert not hasattr(ModeBasis(("0",)), "photon_cap")
-    for name in ("build_encoder_state", "encoder_postselect",
+    for name in ("_readout", "_herald", "encoder_postselect",
                  "device_operators", "_kraus_outcomes", "qnd_measure",
                  "vacuum_gate_probability", "multiphoton_gate_probability"):
         params = signature(getattr(circuit, name)).parameters
@@ -560,7 +560,7 @@ def test_qnd_measure_runs_no_fock_engine(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("qnd_measure reached the Fock engine")
 
-    for name in ("_run_device", "apply_transform", "product", "make_qubit"):
+    for name in ("_herald", "apply_transform", "product", "make_qubit"):
         monkeypatch.setattr(circuit, name, forbidden)
     rng = np.random.default_rng(20261018)
     for _ in range(50):
@@ -581,7 +581,7 @@ def test_derive_feed_forward_table_runs_no_fock_engine(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("derive_feed_forward_table reached the engine")
 
-    for name in ("_run_device", "apply_transform", "product", "make_qubit"):
+    for name in ("_herald", "apply_transform", "product", "make_qubit"):
         monkeypatch.setattr(circuit, name, forbidden)
     assert circuit.derive_feed_forward_table() == {
         ("F", "F"): False, ("S", "S"): False,

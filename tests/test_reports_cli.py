@@ -757,75 +757,13 @@ def _fresh_python(code: str, *args: str) -> str:
                           check=True).stdout
 
 
-def test_import_does_not_load_scipy():
-    out = _fresh_python(
-        "import qrelay, qrelay.cli, sys; print('scipy' in sys.modules)")
-    assert out.strip() == "False"
-
-
-def test_sweep_commands_do_not_load_numpy(tmp_path):
-    # the sweeps are pure Python, so a snr/throughput/optimize process never
-    # pays numpy's import
-    code = """if True:
-        import sys
-        import qrelay, qrelay.cli
-        loaded = ["import"] if "numpy" in sys.modules else []
-        out = sys.argv[1]
-        for argv in (["snr", "--steps", "20", "--format", "json"],
-                     ["throughput", "--steps", "20"],
-                     ["optimize", "--distance-km", "300", "--n-relays", "3"]):
-            assert qrelay.cli.main(argv + ["--output", out]) == 0, argv
-            if "numpy" in sys.modules:
-                loaded.append(argv[0])
-        print("loaded numpy:", loaded)
-    """
-    out = _fresh_python(code, str(tmp_path / "report"))
-    assert out.splitlines()[-1] == "loaded numpy: []"
-
-
-def test_device_layers_do_not_load_numpy(tmp_path):
-    # fockspace and circuit are pure Python: importing them, and a whole
-    # verify-circuit run, leave numpy unloaded
-    code = """if True:
-        import sys
-        import qrelay.circuit, qrelay.fockspace
-        loaded = ["import"] if "numpy" in sys.modules else []
-        import qrelay.cli
-        argv = ["verify-circuit", "--trials", "3", "--input=0.6,0.8j",
-                "--diagnostic", "d2-on-mode-1", "--output", sys.argv[1]]
-        assert qrelay.cli.main(argv) == 0
-        if "numpy" in sys.modules:
-            loaded.append(argv[0])
-        print("loaded numpy:", loaded)
-    """
-    out = _fresh_python(code, str(tmp_path / "verify.json"))
-    assert out.splitlines()[-1] == "loaded numpy: []"
-
-
-def test_sampler_does_not_load_numpy(tmp_path):
-    # the Monte Carlo sampler is pure Python too, so with the two tests above
-    # no command of the package loads numpy
-    code = """if True:
-        import sys
-        import qrelay.chain
-        loaded = ["import"] if "numpy" in sys.modules else []
-        import qrelay.cli
-        argv = ["sample", "--alpha-x", "5", "--n-relays", "4",
-                "--trials", "20000000", "--seed", "7", "--output", sys.argv[1]]
-        assert qrelay.cli.main(argv) == 0
-        if "numpy" in sys.modules:
-            loaded.append(argv[0])
-        print("loaded numpy:", loaded)
-    """
-    out = _fresh_python(code, str(tmp_path / "sample.json"))
-    assert out.splitlines()[-1] == "loaded numpy: []"
-
-
 def test_import_loads_no_layer():
+    # nor numpy or scipy, which no layer imports either
     out = _fresh_python(
         "import qrelay, sys; "
-        "print(sorted(m for m in sys.modules if m.startswith('qrelay.')))")
-    assert out.strip() == "[]"
+        "print(sorted(m for m in sys.modules if m.startswith('qrelay.'))); "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    assert out.splitlines() == ["[]", "[]"]
 
 
 @pytest.mark.parametrize("argv, absent", [
@@ -841,18 +779,22 @@ def test_import_loads_no_layer():
 ], ids=["verify-circuit", "snr", "throughput", "sample", "optimize"])
 def test_each_command_loads_only_its_layers(argv, absent, tmp_path):
     # a process imports the layers its command uses and no other: each one
-    # skipped is import and compile time a user does not wait for
+    # skipped is import and compile time a user does not wait for. Every
+    # layer is pure Python, so no command loads numpy or scipy either
     code = """if True:
         import sys
         import qrelay.cli
         assert qrelay.cli.main(sys.argv[2:] + ["--output", sys.argv[1]]) == 0
         print(sorted(m.split(".")[1] for m in sys.modules
                      if m.startswith("qrelay.")))
+        print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
     """
     out = _fresh_python(code, str(tmp_path / "report"), *argv)
-    loaded = set(eval(out.splitlines()[-1]))
+    layers, libraries = out.splitlines()[-2:]
+    loaded = set(eval(layers))
     assert loaded & absent == set(), argv[0]
     assert "cli" in loaded
+    assert libraries == "[]", argv[0]
 
 
 def test_cli_verify_circuit_seed_contract(capsys):
