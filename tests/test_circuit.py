@@ -19,8 +19,9 @@ from qrelay.circuit import (BASIS, _herald, _kraus_outcomes, _sign_flip,
                             multiphoton_gate_probability, qnd_measure,
                             vacuum_gate_probability)
 from qrelay.errors import ContractViolationError
-from qrelay.fockspace import (H, V, apply_transform, make_bell_phi_plus,
-                              make_qubit, pbs_hv, product)
+from qrelay.fockspace import (H, V, apply_transform, basis_rotate_fs,
+                              make_bell_phi_plus, make_qubit, pbs_hv,
+                              product)
 
 from oracles import (TRANSMITTED, amplitude, apply_relay, dense_apply,
                      fidelity)
@@ -80,8 +81,15 @@ def test_encoder_postselect_complex_qubit():
         assert amplitude(cond, {("1", V): 1, ("2", V): 1}) == pytest.approx(sign * b, abs=1e-12)
 
 
-@pytest.mark.parametrize("run", [qnd_measure, encoder_postselect],
-                         ids=["qnd_measure", "encoder_postselect"])
+def herald_device(alpha, beta):
+    # the device's heralded run on the Fock engine, both packages read out
+    return _herald(make_qubit(BASIS, alpha, beta, "0"), "2", "b")
+
+
+@pytest.mark.parametrize("run", [qnd_measure, encoder_postselect,
+                                 herald_device],
+                         ids=["qnd_measure", "encoder_postselect",
+                              "herald_device"])
 @pytest.mark.parametrize("alpha, beta, message", [
     (math.nan, 1.0, "must be finite"), (1.0, math.inf, "must be finite"),
     (complex(0.6, math.nan), 0.8, "must be finite"),
@@ -390,6 +398,25 @@ def test_noisy_relay_map_weights():
 
 def test_basis_labels_exported():
     assert BASIS.spatial == ("0", "a", "1", "2", "b")
+
+
+@pytest.mark.parametrize("packages", [("b",), ("2", "b"), ("1", "b")],
+                         ids=["encoder", "device", "diagnostic"])
+def test_readout_is_the_pbs_then_each_package_rotation(packages):
+    # each package tuple the device reads out is one cached transform, the
+    # PBS composed with each package's F/S rotation: on the device's input
+    # it gives the state of the same circuit applied a step at a time
+    t = circuit._readout(*packages)
+    assert circuit._readout(*packages) is t
+    joint = product(make_qubit(BASIS, 0.6, 0.8j, "0"),
+                    make_bell_phi_plus(BASIS, "a", "1"))
+    want = apply_transform(joint, pbs_hv(BASIS, ("0", "a"), ("2", "b")))
+    for spatial in packages:
+        want = apply_transform(want, basis_rotate_fs(BASIS, spatial))
+    got = apply_transform(joint, t)
+    assert got.amps and set(got.amps) == set(want.amps)
+    for cfg, amp in want.amps.items():
+        assert got.amps[cfg] == pytest.approx(amp, abs=1e-12)
 
 
 def test_encoder_basis_is_one_instance():
