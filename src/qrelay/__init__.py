@@ -51,9 +51,9 @@ import importlib
 _LAZY = {
     **dict.fromkeys((
         "ChainConfig", "RangeEnhancement", "noise_single_relay",
-        "optimal_position_single", "optimal_positions", "qber_from_snr",
-        "range_enhancement", "raw_rate", "snr_exact", "snr_n_relays",
-        "snr_no_relay", "solve_range_alpha_x"), "analytics"),
+        "optimal_positions", "qber_from_snr", "range_enhancement",
+        "raw_rate", "snr_exact", "snr_n_relays", "snr_no_relay",
+        "solve_range_alpha_x"), "analytics"),
     **dict.fromkeys((
         "ReceiverReport", "SampledReport", "run_chain", "sample_chain",
         "search_positions"), "chain"),

@@ -134,9 +134,10 @@ def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> fl
 def noise_single_relay(x1_km: float, x2_km: float, config: ChainConfig) -> float:
     """First-order noise rate with one relay: 2 P_d (eta e^(-a x1) + e^(-a x2)).
 
-    The two legs must be distances, finite and >= 0, that add up to the
-    configured total distance.
+    The config has one relay, and optimal_positions(config)[0] minimizes
+    this over x1; the legs are finite distances >= 0 adding up to its length.
     """
+    check_int(config.n_relays, "n_relays", 1, 1)
     a = config.atten_per_km
     check_real(x1_km, "x1_km")
     check_real(x2_km, "x2_km")
@@ -145,17 +146,6 @@ def noise_single_relay(x1_km: float, x2_km: float, config: ChainConfig) -> float
                          f"{config.distance_km}")
     return 2.0 * config.p_dark * (config.eta * math.exp(-a * x1_km)
                                   + math.exp(-a * x2_km))
-
-
-def optimal_position_single(config: ChainConfig) -> float:
-    """Noise-minimizing location of a single relay.
-
-    The stationary point of noise_single_relay is x1 = (x + ln(eta)/alpha)/2,
-    biased toward the transmitter because a spurious photon born at the relay
-    still has to survive the second leg; 0 where that is negative. It is
-    optimal_positions' placement at N = 1.
-    """
-    return optimal_positions(config._replace(n_relays=1))[0]
 
 
 def optimal_positions(config: ChainConfig) -> tuple[float, ...]:

@@ -186,12 +186,12 @@ def _grid(params: dict) -> list[float]:
             for i in range(steps - 1)] + [hi]
 
 
-def _chain(params: dict, n_relays: int = 0):
-    """A zero-length ChainConfig, which validates the channel settings."""
+def _chain(params: dict, n_relays: int = 0, distance_km: float = 0.0):
+    """The chain's ChainConfig, which validates the channel settings."""
     from .analytics import ChainConfig
 
-    return ChainConfig(0.0, params["atten_per_km"], n_relays, params["eta"],
-                       params["pd"])
+    return ChainConfig(distance_km, params["atten_per_km"], n_relays,
+                       params["eta"], params["pd"])
 
 
 def _config_block(config) -> dict:
@@ -266,13 +266,13 @@ def cmd_throughput(params: dict) -> int:
     """Sweep normalized throughput over attenuation length for each N."""
     from .throughput import MODEL, cutoff_alpha_x, throughput_curve
 
-    configs = [_chain(params, n) for n in params["n_relays"]]
+    _chain(params)
+    eta, pd, ns = params["eta"], params["pd"], params["n_relays"]
     grid = _grid(params)
     f_ec = params["f_ec"]
-    curves = [(cfg.n_relays, throughput_curve(cfg, grid, f_ec))
-              for cfg in configs]
+    curves = [(n, throughput_curve(grid, n, eta, pd, f_ec)) for n in ns]
     # an unbounded cutoff (no dark counts) reads "inf" in the report
-    cutoffs = {str(cfg.n_relays): cutoff_alpha_x(cfg, f_ec) for cfg in configs}
+    cutoffs = {str(n): cutoff_alpha_x(n, eta, pd, f_ec) for n in ns}
     _emit_sweep("throughput", ("s_exact", "q_b", "t_n", "t_n_scaled"),
                 curves, grid, {"f_ec": f_ec, "model": MODEL,
                                "cutoff_alpha_x": cutoffs}, params)
@@ -286,7 +286,7 @@ def cmd_optimize(params: dict) -> int:
 
     n = _single_n(params)
     check_int(n, "n_relays", 1)
-    config = _chain(params, n)._replace(distance_km=params["distance_km"])
+    config = _chain(params, n, params["distance_km"])
     analytic = optimal_positions(config)
     numeric = search_positions(config)
     at_analytic = run_chain(config, analytic)
@@ -316,9 +316,8 @@ def cmd_sample(params: dict) -> int:
     ax, x = params["alpha_x"], params["distance_km"]
     if (ax is None) == (x is None):
         raise ValueError("give one of --alpha-x and --distance-km")
-    base = _chain(params, n)
-    config = (base.at_alpha_x(ax) if x is None
-              else base._replace(distance_km=x))
+    config = (_chain(params, n).at_alpha_x(ax) if x is None
+              else _chain(params, n, x))
     exact = run_chain(config)
     sampled = sample_chain(config, trials, seed)
     if sampled.p_s + sampled.p_n == 0.0:    # its snr and q_b would be 0/0

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .analytics import ChainConfig, _alpha_x_at_snr, _chain_curve
-from .errors import check_real
+from .analytics import _alpha_x_at_snr, _chain_curve, check_relay
+from .errors import check_int, check_real
 
 # the one key-fraction formula here (_tau), as the throughput report names it
 MODEL = "single-photon-bb84"
@@ -90,27 +90,31 @@ class ThroughputPoint(NamedTuple):
     t_n_scaled: float
 
 
-def throughput_curve(config: ChainConfig, alpha_x_values: Sequence[float],
+def throughput_curve(alpha_x_values: Sequence[float], n_relays: int,
+                     eta: float, p_dark: float,
                      f_ec: float = F_EC) -> list[ThroughputPoint]:
     """Exact-chain throughput at each attenuation length in the grid.
 
-    Each grid point is the chain config.at_alpha_x gives, optimally placed,
-    at its exact SNR (analytics' exact curve, with no first-order SNR) and
-    its QBER, which is in [0, 1/2], the domain key_fraction checks.
+    Each grid point is the optimally placed chain at its exact SNR
+    (analytics' exact curve, with no first-order SNR) and its QBER, which
+    is in [0, 1/2], the domain key_fraction checks.
     """
+    check_int(n_relays, "n_relays")
+    check_relay(eta, p_dark)
     check_real(f_ec, "f_ec", 1)
-    scale = config.eta ** config.n_relays
+    scale = eta ** n_relays
     points = []
-    for s, q_b, _k, _w in _chain_curve(
-            alpha_x_values, config.n_relays, config.eta, config.p_dark):
+    for s, q_b, _k, _w in _chain_curve(alpha_x_values, n_relays, eta, p_dark):
         t_n = max(_tau(q_b, f_ec), 0.0)
         points.append(ThroughputPoint(s, q_b, t_n, scale * t_n))
     return points
 
 
-def cutoff_alpha_x(config: ChainConfig, f_ec: float = F_EC) -> float:
+def cutoff_alpha_x(n_relays: int, eta: float, p_dark: float,
+                   f_ec: float = F_EC) -> float:
     """Attenuation length at which the chain's key fraction reaches zero:
     analytics' inverse of the optimal chain's SNR at the cutoff SNR S*, 0
     when S(0) <= S*, math.inf without dark counts (S = inf)."""
-    return _alpha_x_at_snr(snr_cutoff(f_ec), config.n_relays, config.eta,
-                           config.p_dark)
+    check_int(n_relays, "n_relays")
+    check_relay(eta, p_dark)
+    return _alpha_x_at_snr(snr_cutoff(f_ec), n_relays, eta, p_dark)

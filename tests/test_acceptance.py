@@ -15,9 +15,8 @@ import pytest
 
 from qrelay import circuit
 from qrelay.analytics import (ChainConfig, noise_single_relay,
-                              optimal_position_single, range_enhancement,
-                              raw_rate, snr_n_relays, snr_no_relay,
-                              solve_range_alpha_x)
+                              optimal_positions, range_enhancement, raw_rate,
+                              snr_n_relays, snr_no_relay, solve_range_alpha_x)
 from qrelay.chain import run_chain, sample_chain
 from qrelay.fockspace import (LinearModeTransform, ModeBasis, PhotonicState,
                               apply_transform, basis_rotate_fs)
@@ -113,7 +112,7 @@ def test_criterion_03_analytic_self_consistency(capsys):
         x = float(rng.uniform(20.0, 400.0))
         eta = float(rng.uniform(0.3, 0.9))
         cfg = ChainConfig(distance_km=x, n_relays=1, eta=eta)
-        analytic = optimal_position_single(cfg)
+        analytic = optimal_positions(cfg)[0]
         numeric = coordinate_descent(
             cfg, lambda p: noise_single_relay(p[0], x - p[0], cfg))[0]
         worst_pos = max(worst_pos, abs(numeric - analytic) / max(1.0, x))
@@ -268,10 +267,10 @@ def test_criterion_08_throughput_shape(capsys):
     plateau_vals = []
     zero_beyond = True
     for n in range(4):
-        cfg = ChainConfig(distance_km=1.0, n_relays=n)
-        cut = cutoff_alpha_x(cfg)
+        cut = cutoff_alpha_x(n, 0.5, 1e-5)
         cuts.append(cut)
-        pts = throughput_curve(cfg, [0.0, cut * 0.5, cut * 1.01, cut + 5.0])
+        pts = throughput_curve([0.0, cut * 0.5, cut * 1.01, cut + 5.0], n,
+                               0.5, 1e-5)
         plateau_vals.append(pts[0].t_n)
         zero_beyond &= pts[2].t_n == 0.0 and pts[3].t_n == 0.0
         zero_beyond &= pts[1].t_n > 0.0

@@ -10,8 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qrelay.analytics import (ChainConfig, _expm1_excess, check_relay,
-                              noise_single_relay, optimal_position_single,
-                              optimal_positions, qber_from_snr,
+                              noise_single_relay, optimal_positions,
+                              qber_from_snr,
                               range_enhancement, raw_rate, snr_exact,
                               snr_n_relays, snr_no_relay, solve_range_alpha_x)
 from qrelay.chain import run_chain, search_positions
@@ -282,31 +282,37 @@ def test_noise_single_relay():
     assert pn == pytest.approx(want, rel=1e-15)
     with pytest.raises(ValueError):
         noise_single_relay(40.0, 59.0, cfg)
+    # the one-relay formula refuses any other relay count
+    for n in (0, 2):
+        with pytest.raises(ValueError) as err:
+            noise_single_relay(40.0, 60.0, cfg._replace(n_relays=n))
+        assert str(err.value) == (f"n_relays must be an integer in [1, 1], "
+                                  f"got {n}")
     # first-order formula tracks the exact chain to O(p_dark)
     exact = run_chain(cfg, (40.0,)).p_n
     assert pn == pytest.approx(exact, rel=1e-3)
 
 
-def test_optimal_position_single():
+def test_optimal_position_of_one_relay():
     cfg = ChainConfig(distance_km=100.0, n_relays=1)
-    x1 = optimal_position_single(cfg)
+    x1, = optimal_positions(cfg)
     assert x1 == pytest.approx(43.06852819440055, abs=1e-12)
     assert x1 == pytest.approx(0.5 * (100.0 + math.log(0.5) / 0.05))
     # lossless relay sits at the midpoint
     even = ChainConfig(distance_km=100.0, n_relays=1, eta=1.0, p_dark=0.0)
-    assert optimal_position_single(even) == pytest.approx(50.0)
+    assert optimal_positions(even)[0] == pytest.approx(50.0)
     # short link: the relay clamps to the transmitter
     short = ChainConfig(distance_km=10.0, n_relays=1)
-    assert optimal_position_single(short) == 0.0
+    assert optimal_positions(short) == (0.0,)
 
 
-def test_optimal_position_single_agrees_with_numeric():
+def test_optimal_position_of_one_relay_agrees_with_numeric():
     rng = np.random.default_rng(4)
     for _ in range(20):
         x = float(rng.uniform(20.0, 400.0))
         eta = float(rng.uniform(0.3, 0.9))
         cfg = ChainConfig(distance_km=x, n_relays=1, eta=eta, p_dark=1e-5)
-        analytic = optimal_position_single(cfg)
+        analytic = optimal_positions(cfg)[0]
         numeric = coordinate_descent(
             cfg, lambda p: noise_single_relay(p[0], x - p[0], cfg))[0]
         assert abs(numeric - analytic) <= 1e-6 * max(1.0, x)
@@ -332,10 +338,6 @@ def test_optimal_positions_layout():
     # all relays clamp to zero when the link is shorter than delta
     clamped = optimal_positions(ChainConfig(distance_km=10.0, n_relays=2))
     assert clamped == (0.0, 0.0)
-    # n = 1 consistency with the dedicated solver
-    one = ChainConfig(distance_km=123.0, n_relays=1, eta=0.4)
-    assert optimal_positions(one)[0] == pytest.approx(
-        optimal_position_single(one), abs=1e-12)
     assert optimal_positions(ChainConfig(distance_km=50.0)) == ()
 
 

@@ -449,7 +449,7 @@ def test_every_snr_is_finite_at_a_normal_p_dark(frac, n, eta, p_dark,
     for row in _snr_curve(grid, n, eta, p_dark):
         assert all(map(math.isfinite, row)), (grid, row)
         snrs += row[:2]
-    snrs += [point.s for point in throughput_curve(config, grid)]
+    snrs += [point.s for point in throughput_curve(grid, n, eta, p_dark)]
     snrs += [run_chain(config.at_alpha_x(ax)).snr for ax in grid]
     assert all(0.0 <= s <= 0.5 / p_dark for s in snrs), (grid, snrs)
 
@@ -474,10 +474,9 @@ def test_curve_forms_match_the_scalar_functions_bit_for_bit(n, eta, p_dark):
     def bits(*values):
         return [float(v).hex() for v in values]
 
-    config = ChainConfig(0.0, 0.05, n, eta, p_dark)
     for ax, snr_row, point in zip(
             _CURVE_GRID, _snr_curve(_CURVE_GRID, n, eta, p_dark),
-            throughput_curve(config, _CURVE_GRID, 1.2)):
+            throughput_curve(_CURVE_GRID, n, eta, p_dark, 1.2)):
         s_1, s = snr_n_relays(ax, n, eta, p_dark), snr_exact(ax, n, eta,
                                                              p_dark)
         q_b = qber_from_snr(s)

@@ -172,12 +172,18 @@ def _integer_entry_point(entry: str):
     from qrelay.chain import sample_chain
     from qrelay.circuit import device_checks, multiphoton_gate_probability
 
+    from qrelay.throughput import cutoff_alpha_x, throughput_curve
+
     cfg = ChainConfig(100.0)
     return {
         "ChainConfig": (lambda v: ChainConfig(100.0, n_relays=v),
                         "n_relays", 0, None),
         "snr_n_relays": (lambda v: snr_n_relays(5.0, v, 0.5, 1e-5),
                          "n_relays", 0, None),
+        "throughput_curve": (lambda v: throughput_curve([5.0], v, 0.5, 1e-5),
+                             "n_relays", 0, None),
+        "cutoff_alpha_x": (lambda v: cutoff_alpha_x(v, 0.5, 1e-5),
+                           "n_relays", 0, None),
         "sample_chain.n_trials": (lambda v: sample_chain(cfg, v, 1),
                                   "n_trials", 1, 2**63 - 1),
         "sample_chain.seed": (lambda v: sample_chain(cfg, 10, v),
@@ -192,7 +198,8 @@ def _integer_entry_point(entry: str):
 
 @pytest.mark.parametrize("entry, value", [
     (entry, value)
-    for entry in ("ChainConfig", "snr_n_relays", "sample_chain.n_trials",
+    for entry in ("ChainConfig", "snr_n_relays", "throughput_curve",
+                  "cutoff_alpha_x", "sample_chain.n_trials",
                   "sample_chain.seed", "device_checks.trials",
                   "device_checks.seed", "multiphoton_gate_probability")
     for value in (True, 1.0, "2", None, -1)
@@ -251,7 +258,12 @@ _REAL_ARGUMENTS = {
     "key_fraction.f_ec": ("f_ec", "[1, inf)"),
     "key_fraction_cutoff": ("f_ec", "[1, inf)"),
     "snr_cutoff": ("f_ec", "[1, inf)"),
+    "throughput_curve.alpha_x": ("alpha_x", "[0, inf)"),
+    "throughput_curve.eta": ("eta", "(0, 1]"),
+    "throughput_curve.p_dark": ("p_dark", "[0, 0.5)"),
     "throughput_curve.f_ec": ("f_ec", "[1, inf)"),
+    "cutoff_alpha_x.eta": ("eta", "(0, 1]"),
+    "cutoff_alpha_x.p_dark": ("p_dark", "[0, 0.5)"),
     "cutoff_alpha_x.f_ec": ("f_ec", "[1, inf)"),
 }
 
@@ -300,10 +312,17 @@ def _real_entry_point(entry: str):
         "key_fraction.f_ec": lambda v: key_fraction(0.05, v),
         "key_fraction_cutoff": key_fraction_cutoff,
         "snr_cutoff": snr_cutoff,
+        "throughput_curve.alpha_x": lambda v: throughput_curve([v], 1, 0.5,
+                                                               1e-5),
+        "throughput_curve.eta": lambda v: throughput_curve([5.0], 1, v, 1e-5),
+        "throughput_curve.p_dark": lambda v: throughput_curve([5.0], 1, 0.5,
+                                                              v),
         # checked before the grid, which here is refused as well
-        "throughput_curve.f_ec": lambda v: throughput_curve(one_relay,
-                                                            [math.nan], v),
-        "cutoff_alpha_x.f_ec": lambda v: cutoff_alpha_x(one_relay, v),
+        "throughput_curve.f_ec": lambda v: throughput_curve([math.nan], 1,
+                                                            0.5, 1e-5, v),
+        "cutoff_alpha_x.eta": lambda v: cutoff_alpha_x(1, v, 1e-5),
+        "cutoff_alpha_x.p_dark": lambda v: cutoff_alpha_x(1, 0.5, v),
+        "cutoff_alpha_x.f_ec": lambda v: cutoff_alpha_x(1, 0.5, 1e-5, v),
     }[entry]
 
 
@@ -427,6 +446,21 @@ def test_no_option_chooses_among_alternatives_no_command_uses():
                  "vacuum_gate_probability", "multiphoton_gate_probability"):
         params = signature(getattr(circuit, name)).parameters
         assert "photon_cap" not in params, name
+
+
+def test_the_alpha_x_functions_take_the_relay_parameters():
+    # a chain at a given alpha x is fixed by (N, eta, p_dark): the throughput
+    # functions take those three, in the order of analytics' curves, and
+    # never a ChainConfig
+    from inspect import signature
+
+    from qrelay.throughput import cutoff_alpha_x, throughput_curve
+
+    assert list(signature(throughput_curve).parameters) == [
+        "alpha_x_values", "n_relays", "eta", "p_dark", "f_ec"]
+    assert list(signature(cutoff_alpha_x).parameters) == [
+        "n_relays", "eta", "p_dark", "f_ec"]
+    assert "ChainConfig" not in names_read("throughput")
 
 
 def test_nothing_scales_below_the_normal_range():

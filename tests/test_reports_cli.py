@@ -351,6 +351,30 @@ def test_cli_sample_distance_form(capsys):
     assert "p_n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["snr", "--steps", "3"], 1),
+    (["throughput", "--steps", "3"], 1),
+    (["optimize", "--distance-km", "300", "--n-relays", "3"], 1),
+    (["sample", "--distance-km", "40", "--trials", "100", "--seed", "4"], 1),
+    # the zero-length chain and the one at_alpha_x gives
+    (["sample", "--alpha-x", "2", "--trials", "100", "--seed", "4"], 2),
+], ids=["snr", "throughput", "optimize", "sample-distance",
+        "sample-alpha-x"])
+def test_each_launch_builds_its_chain_once(argv, want, monkeypatch, capsys):
+    # a command builds one ChainConfig per chain, whatever its relay counts,
+    # and no function rebuilds the config it is given
+    built = []
+    new = ChainConfig.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ChainConfig, "__new__", counted)
+    assert run_cli(argv) == 0
+    assert len(built) == want, built
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(ends=st.lists(st.floats(0.0, allow_infinity=False), min_size=2,
                     max_size=2, unique=True),

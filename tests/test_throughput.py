@@ -35,14 +35,13 @@ def test_binary_entropy():
 def test_f_ec_default():
     # f_ec is a number with one default, 1.16; each function's refusals are
     # in test_layering's real-argument table
-    config = ChainConfig(0.0, n_relays=2)
     assert F_EC == 1.16
     assert key_fraction(0.05) == key_fraction(0.05, 1.16)
     assert key_fraction_cutoff() == key_fraction_cutoff(1.16)
     assert snr_cutoff() == snr_cutoff(1.16)
-    assert throughput_curve(config, [5.0]) == throughput_curve(config, [5.0],
-                                                               1.16)
-    assert cutoff_alpha_x(config) == cutoff_alpha_x(config, 1.16)
+    assert throughput_curve([5.0], 2, 0.5, 1e-5) \
+        == throughput_curve([5.0], 2, 0.5, 1e-5, 1.16)
+    assert cutoff_alpha_x(2, 0.5, 1e-5) == cutoff_alpha_x(2, 0.5, 1e-5, 1.16)
 
 
 def test_key_fraction_endpoints():
@@ -116,13 +115,12 @@ def test_normalized_throughput():
 
 
 def test_throughput_curve_shape():
-    cfg = ChainConfig(distance_km=1.0, n_relays=0)
     grid = np.linspace(0.0, 20.0, 81)
-    pts = throughput_curve(cfg, grid)
+    pts = throughput_curve(grid, 0, 0.5, 1e-5)
     assert all(isinstance(p, ThroughputPoint) for p in pts)
     assert len(pts) == len(grid) and grid[0] == 0.0
     assert pts[0].t_n > 0.99
-    cut = cutoff_alpha_x(cfg)
+    cut = cutoff_alpha_x(0, 0.5, 1e-5)
     for ax, p in zip(grid, pts):
         if ax > cut + 1e-9:
             assert p.t_n == 0.0
@@ -133,12 +131,10 @@ def test_throughput_curve_shape():
 
 
 def test_throughput_curve_relay_scaling():
-    cfg = ChainConfig(distance_km=1.0, n_relays=2)
-    pts = throughput_curve(cfg, [4.0, 8.0, 12.0])
+    pts = throughput_curve([4.0, 8.0, 12.0], 2, 0.5, 1e-5)
     for p in pts:
         assert p.t_n_scaled == pytest.approx(0.25 * p.t_n, rel=1e-12)
-    # the grid point rescales the physical span, so the chain SNR matches a
-    # bespoke config at that distance
+    # the chain SNR at a grid point is the exact chain's at that distance
     probe = ChainConfig(distance_km=8.0 / 0.05, n_relays=2)
     rep = run_chain(probe)
     assert pts[1].s == pytest.approx(rep.snr, rel=1e-12)
@@ -150,8 +146,7 @@ def test_cutoff_alpha_x_values():
             2: 23.4504, 3: 29.8471}
     got = {}
     for n, w in want.items():
-        cfg = ChainConfig(distance_km=1.0, n_relays=n)
-        got[n] = cutoff_alpha_x(cfg)
+        got[n] = cutoff_alpha_x(n, 0.5, 1e-5)
         assert got[n] == pytest.approx(w, abs=1e-3)
     # relays extend the usable range, with diminishing returns per relay
     cuts = [got[n] for n in (0, 1, 2, 3)]
@@ -162,21 +157,19 @@ def test_cutoff_alpha_x_values():
 
 def test_cutoff_alpha_x_degenerate():
     # dark rate so high the link never clears the SNR threshold
-    cfg = ChainConfig(distance_km=1.0, n_relays=0, p_dark=0.2)
-    assert cutoff_alpha_x(cfg) == 0.0
+    assert cutoff_alpha_x(0, 0.5, 0.2) == 0.0
     # no dark counts: no noise reaches the receiver, the SNR is infinite at
     # every length, and the key fraction never reaches zero
     for n in (0, 1, 3):
-        cfg = ChainConfig(distance_km=1.0, n_relays=n, p_dark=0.0)
-        assert cutoff_alpha_x(cfg) == math.inf
-        assert run_chain(cfg.at_alpha_x(200.0)).snr == math.inf
+        assert cutoff_alpha_x(n, 0.5, 0.0) == math.inf
+        cfg = ChainConfig(0.0, n_relays=n, p_dark=0.0).at_alpha_x(200.0)
+        assert run_chain(cfg).snr == math.inf
 
 
 def test_cutoff_is_a_threshold_of_the_exact_chain():
-    cfg = ChainConfig(distance_km=1.0, n_relays=1)
-    cut = cutoff_alpha_x(cfg)
+    cut = cutoff_alpha_x(1, 0.5, 1e-5)
     s_star = snr_cutoff()
-    kms = cut / cfg.atten_per_km
+    kms = cut / 0.05
     just_inside = run_chain(ChainConfig(distance_km=kms * (1 - 1e-6),
                                         n_relays=1))
     just_outside = run_chain(ChainConfig(distance_km=kms * (1 + 1e-6),
@@ -191,10 +184,8 @@ def test_cutoff_alpha_x_of_long_chains():
     s_star = snr_cutoff()
     for n, p_dark, want in ((48, 1e-5, 233.8), (64, 1e-5, 291.5),
                             (1000, 1e-5, 1740.0), (1, 0.035, 0.3698)):
-        cfg = ChainConfig(distance_km=1.0, n_relays=n, p_dark=p_dark)
-        cut = cutoff_alpha_x(cfg)
+        cut = cutoff_alpha_x(n, 0.5, p_dark)
         assert cut == pytest.approx(want, abs=0.1)
-        assert (snr_exact(cut - 1e-6, n, cfg.eta, cfg.p_dark) > s_star
-                > snr_exact(cut + 1e-6, n, cfg.eta, cfg.p_dark))
-    assert cutoff_alpha_x(ChainConfig(1.0, n_relays=1, p_dark=0.035)) \
-        < math.log(2.0)
+        assert (snr_exact(cut - 1e-6, n, 0.5, p_dark) > s_star
+                > snr_exact(cut + 1e-6, n, 0.5, p_dark))
+    assert cutoff_alpha_x(1, 0.5, 0.035) < math.log(2.0)
