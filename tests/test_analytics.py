@@ -140,23 +140,12 @@ def test_snr_n_relays_reduces_to_no_relay():
             snr_n_relays(1.0, n, eta, p_dark)
 
 
-def _snr_n_relays_reference(ax, n, eta, p_dark):
-    # eta^(N/(N+1)) e^(-alpha x/(N+1)) / (2 p_d (N+1)) to 50 digits, at the
-    # exact values of the float arguments
-    with localcontext() as ctx:
-        ctx.prec = 50
-        m = Decimal(n + 1)
-        value = ((Decimal(eta).ln() * Decimal(n) / m).exp()
-                 * (-Decimal(ax) / m).exp() / (2 * Decimal(p_dark) * m))
-        return value
-
-
 def test_snr_n_relays_matches_a_high_precision_reference():
     worst = 0.0
     for n in (0, 1, 2, 4, 8, 16, 32, 64):
         for i in range(241):
             ax = 60.0 * i / 240
-            want = _snr_n_relays_reference(ax, n, 0.5, 1e-5)
+            want = decimal_first_order_snr(ax, n, 0.5, 1e-5)
             got = snr_n_relays(ax, n, 0.5, 1e-5)
             worst = max(worst, float(abs(Decimal(got) - want) / want))
     assert worst < 4e-15
@@ -169,7 +158,7 @@ def test_snr_n_relays_is_finite_on_long_chains():
             s = snr_n_relays(ax, n, 0.5, 1e-5)
             assert math.isfinite(s) and s >= 0.0
             # e^y amplifies the rounding of y = alpha x/(N+1) by y
-            want = _snr_n_relays_reference(ax, n, 0.5, 1e-5)
+            want = decimal_first_order_snr(ax, n, 0.5, 1e-5)
             tol = (ax / (n + 1) + 8) * sys.float_info.epsilon
             if want > Decimal(sys.float_info.min):
                 assert abs(Decimal(s) - want) <= Decimal(tol) * want

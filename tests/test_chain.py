@@ -16,7 +16,7 @@ from qrelay.circuit import (measured_relay_efficiency,
                             multiphoton_gate_probability,
                             vacuum_gate_probability)
 
-from oracles import (TRANSMITTED, apply_relay, decimal_noise_ratio,
+from oracles import (TRANSMITTED, apply_relay, decimal_log_noise,
                      markov_chain_reference, propagate_segment,
                      receiver_detect)
 
@@ -473,12 +473,7 @@ def test_log_p_n_at_the_least_normal_p_dark(cfg, positions):
     # --pd 5e-324` printed ln p_n = -748.405998153851, p_n 5% low. "mixed"
     # holds one long segment between two short ones
     positions = optimal_positions(cfg) if positions is None else positions
-    ratio = decimal_noise_ratio(cfg, positions, digits=400)
-    with localcontext() as ctx:
-        ctx.prec = 60
-        want = (cfg.n_relays * Decimal(cfg.eta).ln()
-                - Decimal(cfg.atten_per_km) * Decimal(cfg.distance_km)
-                + (ratio - 1).ln())
+    want = decimal_log_noise(cfg, positions)
     assert run_chain(cfg, positions).log_p_n == pytest.approx(float(want),
                                                               rel=1e-15)
 

@@ -366,8 +366,7 @@ def test_chain_at_random_positions_over_the_whole_domain(n, eta, p_dark,
         ctx.prec = 40
         excess = decimal_noise_excess(cfg, positions)
         k = float((1 + excess).ln())
-        want_log = float(n * Decimal(eta).ln() - Decimal(alpha_x)
-                         + excess.ln())
+    want_log = float(decimal_log_noise(cfg, positions))
     cond = (n + 1) * max(1.0, alpha_x, n * -math.log(eta), k)
     assert_domain_close(got.snr, 1 / excess, cond, ("snr", seed))
     assert abs(got.log_p_n - want_log) <= (
@@ -417,10 +416,7 @@ def test_log_p_n_sums_many_large_terms_exactly():
     # one rounding of N ln eta, 1.06e-10
     n, eta = 811, 4.9162761621739796e-256
     cfg = ChainConfig(0.0, 0.05, n, eta, 0.02441167864678435)
-    with localcontext() as ctx:
-        ctx.prec = 40
-        want = float(n * Decimal(eta).ln()
-                     + decimal_noise_excess(cfg, (0.0,) * n).ln())
+    want = float(decimal_log_noise(cfg, (0.0,) * n))
     got = run_chain(cfg).log_p_n
     assert abs(got - want) <= sys.float_info.epsilon * n * -math.log(eta), (
         got, want)

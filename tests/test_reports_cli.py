@@ -22,8 +22,9 @@ from qrelay.reports import render_csv, render_json, render_payload
 from qrelay.throughput import F_EC
 
 from oracles import (Table, clamped_rel_dev_allowance, column,
-                     decimal_noise_ratio, decimal_rel_dev_reference,
-                     decimal_snr_reference, read_report)
+                     decimal_first_order_snr, decimal_log_noise,
+                     decimal_rel_dev_reference, decimal_snr_reference,
+                     read_report)
 
 
 def small_report():
@@ -890,11 +891,9 @@ def test_snr_at_the_least_normal_p_dark(n, eta, p_dark, alpha_x, tmp_path):
                     "--n-relays", str(n), "--alpha-x", repr(alpha_x),
                     "--format", "json", "--output", str(out)]) == 0
     (ax, s_1, s, _q_b, dev), = read_report(out).rows
+    want_s_1 = decimal_first_order_snr(ax, n, eta, p_dark)
     with localcontext() as ctx:
         ctx.prec = 60
-        m = n + 1
-        want_s_1 = ((Decimal(eta).ln() * n - Decimal(ax)) / m).exp() \
-            / (2 * Decimal(p_dark) * m)
         want_dev = abs(decimal_snr_reference(ax, n, eta, p_dark) / want_s_1
                        - 1)
     assert s_1 == pytest.approx(float(want_s_1), rel=1e-14)
@@ -1074,7 +1073,7 @@ def test_cli_sample_reports_ln_p_n_where_p_n_underflows(tmp_path, capsys):
     # at the least normal p_dark, p_n = p_s expm1(K) = 1.1e-18 * 1.3e-301
     # is subnormal, while K is a normal double; the exact block's log_p_s
     # and log_p_n keep every digit of both, here against the Decimal
-    # product form 1 + p_n/p_s. 9e18 slots see about 10 signal detections
+    # ln p_s and decimal_log_noise. 9e18 slots see about 10 signal detections
     out = tmp_path / "r.json"
     assert run_cli(["sample", "--alpha-x", "40", "--n-relays", "2", "--pd",
                     repr(sys.float_info.min), "--trials", str(9 * 10**18),
@@ -1083,11 +1082,10 @@ def test_cli_sample_reports_ln_p_n_where_p_n_underflows(tmp_path, capsys):
     assert 0.0 < exact["p_n"] < sys.float_info.min < exact["p_s"]
     config = ChainConfig(0.0, 0.05, 2, 0.5,
                          sys.float_info.min).at_alpha_x(40.0)
-    ratio = decimal_noise_ratio(config, optimal_positions(config), digits=400)
+    log_p_n = decimal_log_noise(config, optimal_positions(config))
     with localcontext() as ctx:
         ctx.prec = 60
         log_p_s = 2 * Decimal(0.5).ln() - Decimal(config.alpha_x)
-        log_p_n = log_p_s + (ratio - 1).ln()
     assert exact["log_p_s"] == pytest.approx(float(log_p_s), rel=1e-15)
     assert exact["log_p_n"] == pytest.approx(float(log_p_n), rel=1e-14)
     assert (f"log_p_s = {exact['log_p_s']:.12g}, log_p_n = "
