@@ -425,6 +425,33 @@ def test_binomial_exact_edges():
         assert _binomial(rng, 0, p) == 0
 
 
+class ZeroFirst(random.Random):
+    """A random.Random whose first random() is 0.0, which random() may
+    return once in 2**53 draws; every later draw is the seeded stream's."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.zero_next = True
+
+    def random(self):
+        if self.zero_next:
+            self.zero_next = False
+            return 0.0
+        return super().random()
+
+
+def test_binomial_at_a_zero_draw():
+    # BTRS puts u = 0.0 - 0.5 on the hat's edge, where it has no mass, and
+    # draws again: the zero costs one draw of the stream and no more
+    for n, p in ((10**6, 0.3), (2**63 - 1, 1e-9)):
+        assert _binomial(ZeroFirst(7), n, p) == _binomial(random.Random(7),
+                                                          n, p)
+    # Devroye's geometric gap at u = 0 is infinite, past the n trials: no
+    # success, where the stream without the zero draws 13
+    assert _binomial(random.Random(0), 1000, 0.009) == 13
+    assert _binomial(ZeroFirst(0), 1000, 0.009) == 0
+
+
 def test_run_chain_matches_snr_exact_on_long_chains():
     # p_s and p_n underflow together on long chains (S_N = prod eta t_j
     # falls below the double range); snr and q_b come from the noise

@@ -266,6 +266,21 @@ def test_device_operators_are_cached_read_only_and_lazy():
     assert out.strip() == "0"
 
 
+def test_device_operators_refuse_an_outcome_off_mode_1(monkeypatch):
+    # each accepted outcome must leave one photon in output mode 1: a
+    # heralded run that leaves it in mode 0 breaks the device's contract
+    stray = make_qubit(BASIS, 1.0, 0.0, "0")
+    monkeypatch.setattr(circuit, "_herald",
+                        lambda state, *packages: [("F", "F", 0.25, stray)])
+    device_operators.cache_clear()
+    try:
+        with pytest.raises(ContractViolationError,
+                           match="not one photon in mode 1"):
+            device_operators()
+    finally:
+        device_operators.cache_clear()
+
+
 def test_feed_forward_table():
     table = derive_feed_forward_table()
     assert table == {("F", "F"): False, ("S", "S"): False,
