@@ -5,10 +5,10 @@ come from built-in defaults, then an optional JSON config file (--config),
 then explicit flags, in increasing precedence, each read once by its key's
 parser in _KEYS; _COMMANDS lists each command's keys and defaults. Every
 command is deterministic for a fixed flag set (including --seed); reports
-carry their full parameter provenance and never embed timestamps.
-optimize and sample print their report's payload by one rule, a line per
-key and each real to 12 significant digits (_show), and verify-circuit
-prints its own reals so; the report keeps every digit.
+carry their full parameter provenance and no timestamps; verify-circuit's
+--input and --diagnostic lines go to stdout only. optimize and sample print
+their payload a line per key, each real to 12 significant digits (_show),
+as verify-circuit prints its reals; the report keeps every digit.
 
 Exit codes: 0 success, 1 invariant/contract failure, 2 configuration error,
 141 (128 + SIGPIPE) when the reader of stdout closed it early, as `| head`
@@ -371,7 +371,8 @@ def cmd_verify_circuit(params: dict) -> int:
                  f"({sum(c['ok'] for c in checks)}/{len(checks)} checks)")
     _write(render_payload({"artifact": f"qrelay {__version__}",
                            "command": "verify-circuit", "ok": all_ok,
-                           "checks": checks}), params, lines)
+                           "checks": checks, "trials": params["trials"],
+                           "seed": params["seed"]}), params, lines)
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
 

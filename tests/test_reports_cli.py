@@ -166,6 +166,8 @@ def test_cli_verify_circuit(tmp_path, capsys):
     assert "FAIL" not in text
     payload = json.loads(out.read_text())
     assert payload["ok"] is True
+    # the report records the flags that fix its random probes
+    assert (payload["trials"], payload["seed"]) == (3, 7)
     by_name = {c["name"]: c for c in payload["checks"]}
     assert by_name["vacuum_rejected"]["ok"] is True
     assert len(by_name) == 7
