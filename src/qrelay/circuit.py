@@ -239,10 +239,9 @@ def multiphoton_gate_probability(n_input: int) -> float:
 
 
 def measured_relay_efficiency() -> float:
-    """Device pass probability taken from the circuit simulation itself.
-
-    Chain and formula layers can source their efficiency parameter from here
-    instead of hand-entering 1/2.
+    """Device pass probability, 1/2, taken from the circuit simulation: the
+    success probability of the diagonal qubit. No layer reads it; the chain
+    layer hand-enters eta = 0.5, and the tests tie that value to this one.
     """
     return qnd_measure(1 / math.sqrt(2), 1 / math.sqrt(2)).success_probability
 
