@@ -11,8 +11,8 @@ The package layers are, bottom up:
 - circuit: the heralded nondestructive photon-presence device built from a
   polarizing beam splitter, an entangled ancilla pair, and two detector
   packages, applied through its four cached Kraus operators
-  (device_operators); measured_relay_efficiency gives its pass probability
-  1/2, the eta that the chain layer's defaults hand-enter.
+  (device_operators); gate_probability(1) gives its pass probability 1/2,
+  the eta that the chain layer's defaults hand-enter.
 - analytics: the chain configuration (five fields; relay positions are an
   argument of the chain functions, not a field), its one (eta, p_dark)
   validator, first-order SNR/QBER expressions (S_0 is their N = 0 point),
@@ -59,9 +59,7 @@ _LAZY = {
         "search_positions"), "chain"),
     **dict.fromkeys((
         "PackageOutcome", "QndReport", "derive_feed_forward_table",
-        "encoder_postselect", "measured_relay_efficiency",
-        "multiphoton_gate_probability", "qnd_measure",
-        "vacuum_gate_probability"), "circuit"),
+        "encoder_postselect", "gate_probability", "qnd_measure"), "circuit"),
     "ContractViolationError": "errors",
     **dict.fromkeys((
         "BasisMode", "LinearModeTransform", "ModeBasis", "PhotonicState",

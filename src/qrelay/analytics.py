@@ -410,7 +410,7 @@ def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,
 
 class RangeEnhancement(NamedTuple):
     approx: float
-    exact: float
+    first_order: float
 
 
 def range_enhancement(n_relays: int, eta: float, p_dark: float,
@@ -419,16 +419,17 @@ def range_enhancement(n_relays: int, eta: float, p_dark: float,
 
     approx: R = (N+1) ln[(N+1) eta^(-N/(N+1)) P_d S] / ln[P_d S], the compact
     published form that drops the factor-2 terms, its logs taken as sums
-    of the factors' logs. exact: the same ratio with both ranges solved from
-    the full first-order expressions, whose log arguments solve_range_alpha_x
-    checks: below 1 they put the compact form's two below 1/2.
+    of the factors' logs. first_order: the same ratio with both ranges
+    solved from the full first-order expressions, whose log arguments
+    solve_range_alpha_x checks: below 1 they put the compact form's two below
+    1/2.
     """
-    exact = (solve_range_alpha_x(n_relays, eta, p_dark, s_target)
-             / solve_range_alpha_x(0, eta, p_dark, s_target))
+    first_order = (solve_range_alpha_x(n_relays, eta, p_dark, s_target)
+                   / solve_range_alpha_x(0, eta, p_dark, s_target))
     m = n_relays + 1
     lps = math.log(p_dark) + math.log(s_target)
     approx = m * (math.log(m) - n_relays / m * math.log(eta) + lps) / lps
-    return RangeEnhancement(approx=approx, exact=exact)
+    return RangeEnhancement(approx=approx, first_order=first_order)
 
 
 def raw_rate(clock_hz: float, alpha_x: float) -> float:

@@ -10,7 +10,7 @@ polarization.
 The device lives on one five-mode basis, BASIS, and one function runs it
 on the Fock engine, _herald: the input in mode 0 with the Bell pair, through
 the PBS and each detector package's F/S readout, kept where every package
-saw one and only one photon. The Kraus operators, the gate probabilities,
+saw one and only one photon. The Kraus operators, the gate probability,
 the diagnostic and the encoder projection are each a heralded run. The
 device is linear in the input amplitudes, so each accepted outcome is a 2x2
 Kraus operator from the input qubit to mode 1: qnd_measure and the device
@@ -208,42 +208,22 @@ def derive_feed_forward_table() -> dict[tuple[str, str], bool]:
     return {(ch2, chb): flip for ch2, chb, _k, flip in device_operators()}
 
 
-def _gate_probability(n_input: int, d2_spatial: str = "2") -> float:
+def gate_probability(n_input: int, d2_spatial: str = "2") -> float:
     """Summed accepted probability of an n-photon H pulse in mode 0, the
-    basis's first mode; the device never reads polarization."""
+    basis's first mode; the device never reads polarization.
+
+    0 for the vacuum, 1/2 for one photon (the eta that the chain layer
+    hand-enters), and 0 for n >= 2: with the Bell photon parked in mode 1,
+    n + 1 >= 3 photons reach the two detector packages and can never satisfy
+    the joint one-and-only-one condition. Relocating the second package onto
+    the output mode (d2_spatial="1") is a diagnostic that false-gates on
+    vacuum with probability 1/2. n_input must be a non-negative integer
+    (ValueError otherwise).
+    """
+    check_int(n_input, "n_input")
     pulse = PhotonicState(BASIS, {(n_input,) + (0,) * (BASIS.size - 1): 1.0})
     return float(sum(prob for *_ch, prob, _c in
                      _herald(pulse, d2_spatial, "b")))
-
-
-def vacuum_gate_probability(d2_spatial: str = "2") -> float:
-    """Probability of a (false) gate with no input photon.
-
-    Exactly zero for the real device. Relocating the second detector package
-    onto the output mode (d2_spatial="1") is a diagnostic that shows why that
-    placement would false-gate on vacuum with probability 1/2.
-    """
-    return _gate_probability(0, d2_spatial)
-
-
-def multiphoton_gate_probability(n_input: int) -> float:
-    """Gate probability of an n-photon input pulse, whatever its polarization.
-
-    Any input with two or more photons is rejected outright: with the Bell
-    photon parked in mode 1, n + 1 >= 3 photons reach the two detector
-    packages and can never satisfy the joint one-and-only-one condition.
-    n_input must be a non-negative integer (ValueError otherwise).
-    """
-    check_int(n_input, "n_input")
-    return _gate_probability(n_input)
-
-
-def measured_relay_efficiency() -> float:
-    """Device pass probability, 1/2, taken from the circuit simulation: the
-    success probability of the diagonal qubit. No layer reads it; the chain
-    layer hand-enters eta = 0.5, and the tests tie that value to this one.
-    """
-    return qnd_measure(1 / math.sqrt(2), 1 / math.sqrt(2)).success_probability
 
 
 def device_checks(trials: int, seed: int) -> list[dict]:
@@ -321,9 +301,9 @@ def device_checks(trials: int, seed: int) -> list[dict]:
     check("feed_forward_table", table == expected,
           f"flip table {sorted(table.items())}")
 
-    p_vac = vacuum_gate_probability()
+    p_vac = gate_probability(0)
     check("vacuum_rejected", p_vac == 0.0, f"vacuum gate probability {p_vac!r}")
-    p_two = multiphoton_gate_probability(2)
+    p_two = gate_probability(2)
     check("two_photon_rejected", p_two == 0.0,
           f"two-photon gate probability {p_two!r}")
 

@@ -352,7 +352,7 @@ def cmd_verify_circuit(params: dict) -> int:
 
     lines = []
     if mode:
-        p_diag = circuit.vacuum_gate_probability(d2_spatial="1")
+        p_diag = circuit.gate_probability(0, d2_spatial="1")
         lines.append(f"DIAG diagnostic d2-on-mode-1: vacuum false-gate "
                      f"probability = {_show(p_diag)} (nonzero by "
                      f"construction)")

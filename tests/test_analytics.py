@@ -512,7 +512,7 @@ def test_range_survives_a_subnormal_dark_count_product():
     assert range_enhancement(0, 0.5, 1e-300, 5e-24) == (1.0, 1.0)
     r = range_enhancement(3, 0.5, 1e-300, 5e-24)
     assert r.approx == pytest.approx(3.989757750068571684614, rel=1e-15)
-    assert r.exact == pytest.approx(3.989748204482031600163, rel=1e-15)
+    assert r.first_order == pytest.approx(3.989748204482031600163, rel=1e-15)
     # still no range without dark counts, nor where even alpha x = 0 misses
     for p_dark, s_target in ((0.0, 1.0), (0.1, 10.0)):
         with pytest.raises(ValueError, match="no positive finite range"):
@@ -522,22 +522,22 @@ def test_range_survives_a_subnormal_dark_count_product():
 def test_range_enhancement():
     r = range_enhancement(1, 0.5, 1e-5, 1.0)
     assert r.approx == pytest.approx(1.8193820026016112, abs=1e-12)
-    assert r.exact == pytest.approx(1.8078110764361957, abs=1e-12)
-    assert abs(r.approx - r.exact) / r.exact < 0.05
+    assert r.first_order == pytest.approx(1.8078110764361957, abs=1e-12)
+    assert abs(r.approx - r.first_order) / r.first_order < 0.05
     none = range_enhancement(0, 0.5, 1e-5, 1.0)
-    assert none.approx == 1.0 and none.exact == 1.0
+    assert none.approx == 1.0 and none.first_order == 1.0
     for n in (2.5, True, -1):
         with pytest.raises(ValueError, match="n_relays"):
             range_enhancement(n, 0.5, 1e-5, 1.0)
 
 
 def test_range_enhancement_envelope():
-    # closed-form envelope vs exact ratio stays under five percent whenever
-    # p_dark * s_target <= 1e-4 and n <= 8
+    # closed-form envelope vs first-order ratio stays under five percent
+    # whenever p_dark * s_target <= 1e-4 and n <= 8
     for pd, s in ((1e-5, 1.0), (1e-6, 10.0), (1e-4, 1.0), (1e-7, 1e3)):
         for n in (1, 2, 4, 8):
             r = range_enhancement(n, 0.5, pd, s)
-            assert abs(r.approx - r.exact) / r.exact < 0.05
+            assert abs(r.approx - r.first_order) / r.first_order < 0.05
 
 
 def test_raw_rate():

@@ -12,9 +12,7 @@ from scipy import stats
 from qrelay.analytics import (ChainConfig, optimal_positions, snr_exact,
                               snr_n_relays)
 from qrelay.chain import _binomial, run_chain, sample_chain, search_positions
-from qrelay.circuit import (measured_relay_efficiency,
-                            multiphoton_gate_probability,
-                            vacuum_gate_probability)
+from qrelay.circuit import gate_probability
 
 from oracles import (TRANSMITTED, apply_relay, decimal_log_noise,
                      markov_chain_reference, propagate_segment,
@@ -71,21 +69,18 @@ def test_apply_relay_matches_single_slot_device_map():
     # without dark counts the rule equals the simulated device: a photon
     # passes with the device's gate probability, vacuum never gates
     for p1 in (1.0, 0.6, 0.0):
-        out = apply_relay((p1, 0.0, 1.0 - p1, 0.0),
-                          measured_relay_efficiency(), 0.0)
-        assert out[0] == pytest.approx(
-            p1 * multiphoton_gate_probability(1), abs=1e-15)
+        out = apply_relay((p1, 0.0, 1.0 - p1, 0.0), gate_probability(1), 0.0)
+        assert out[0] == pytest.approx(p1 * gate_probability(1), abs=1e-15)
         assert out[1] == pytest.approx(
-            (1.0 - p1) * vacuum_gate_probability(), abs=1e-15)
+            (1.0 - p1) * gate_probability(0), abs=1e-15)
     # the same holds for the rule that commands run: one relay at the
     # transmitter, then fiber of transmission t to the receiver
     t = math.exp(-0.5)
-    device = ChainConfig(10.0, n_relays=1, eta=measured_relay_efficiency(),
+    device = ChainConfig(10.0, n_relays=1, eta=gate_probability(1),
                          p_dark=0.0)
     rep = run_chain(device, (0.0,))
-    assert rep.p_s == pytest.approx(
-        multiphoton_gate_probability(1) * t, abs=1e-15)
-    assert rep.p_n == pytest.approx(vacuum_gate_probability(), abs=1e-15)
+    assert rep.p_s == pytest.approx(gate_probability(1) * t, abs=1e-15)
+    assert rep.p_n == pytest.approx(gate_probability(0), abs=1e-15)
     n = 10**12
     got = sample_chain(device, n, seed=4, positions_km=(0.0,))
     assert got.noise_events == got.state_counts["random"] == 0

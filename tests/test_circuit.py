@@ -15,9 +15,8 @@ from qrelay import circuit
 from qrelay.circuit import (BASIS, _herald, _kraus_outcomes, _sign_flip,
                             derive_feed_forward_table, device_checks,
                             device_operators,
-                            encoder_postselect, measured_relay_efficiency,
-                            multiphoton_gate_probability, qnd_measure,
-                            vacuum_gate_probability)
+                            encoder_postselect, gate_probability,
+                            qnd_measure)
 from qrelay.errors import ContractViolationError
 from qrelay.fockspace import (H, V, apply_transform, basis_rotate_fs,
                               make_bell_phi_plus, make_qubit, pbs_hv,
@@ -308,32 +307,34 @@ def test_outcome_lookup():
     assert ("F", "X") not in by_channels
 
 
-def test_vacuum_gate_probability_exactly_zero():
-    assert vacuum_gate_probability() == 0.0
+def test_the_vacuum_never_gates():
+    assert gate_probability(0) == 0.0
 
 
 def test_diagnostic_variant_false_gates_on_vacuum():
     # moving the second detector package onto the output mode makes the Bell
     # pair itself trigger coincidences half the time with no input at all
-    assert vacuum_gate_probability(d2_spatial="1") == pytest.approx(0.5, abs=1e-12)
+    assert gate_probability(0, d2_spatial="1") == pytest.approx(0.5, abs=1e-12)
 
 
-def test_multiphoton_gate_probabilities():
-    assert multiphoton_gate_probability(0) == 0.0
-    assert multiphoton_gate_probability(1) == pytest.approx(0.5, abs=1e-12)
+def test_gate_probabilities():
+    assert gate_probability(0) == 0.0
+    # one photon passes with the device's efficiency, the eta = 1/2 that
+    # the chain layer hand-enters
+    assert gate_probability(1) == pytest.approx(0.5, abs=1e-12)
     # photon number is conserved, so any pulse fits the one basis; the gate
     # never reads polarization, so the pulse has none to give
     for n in range(2, 9):
-        assert multiphoton_gate_probability(n) == 0.0
+        assert gate_probability(n) == 0.0
     # a count is a non-negative int, as every count in the package: a bool
     # is not one photon, and a float or a string is refused by name
     for bad in (-1, True, False, 1.0, 1.5, "2", None):
         with pytest.raises(ValueError, match="n_input"):
-            multiphoton_gate_probability(bad)
-
-
-def test_measured_relay_efficiency():
-    assert measured_relay_efficiency() == pytest.approx(0.5, abs=1e-12)
+            gate_probability(bad)
+    # a detector package sits on a mode of the one basis, which refuses
+    # any other label by name
+    with pytest.raises(ValueError, match="unknown spatial mode 'x'"):
+        gate_probability(0, d2_spatial="x")
 
 
 def test_device_doubles_are_pinned_bit_for_bit():
@@ -347,8 +348,8 @@ def test_device_doubles_are_pinned_bit_for_bit():
                            f"(0j, {minus if ch2 != chb else plus}))")
     branches = encoder_postselect(0.6, 0.8j)
     assert [p for _ch, p, _c in branches] == [0.24999999999999994] * 2
-    assert vacuum_gate_probability("1") == 0.4999999999999998
-    assert multiphoton_gate_probability(1) == 0.4999999999999998
+    assert gate_probability(0, "1") == 0.4999999999999998
+    assert gate_probability(1) == 0.4999999999999998
 
 
 def test_device_pipeline_against_dense_oracle():
@@ -369,8 +370,8 @@ def test_channel_params_validation():
     # 1e-5 dark-count probability, both inside the relay domain
     cfg = ChainConfig(distance_km=1.0)
     assert cfg.eta == 0.5 and cfg.p_dark == 1e-5
-    assert cfg.eta == pytest.approx(measured_relay_efficiency(), abs=1e-12)
-    check_relay(measured_relay_efficiency(), cfg.p_dark)
+    assert cfg.eta == pytest.approx(gate_probability(1), abs=1e-12)
+    check_relay(gate_probability(1), cfg.p_dark)
     for eta, p_dark in ((0.0, 1e-5), (1.2, 1e-5), (0.5, 0.5), (0.999, 0.01)):
         with pytest.raises(ValueError):
             check_relay(eta, p_dark)

@@ -170,7 +170,7 @@ def _integer_entry_point(entry: str):
     call(value) passes value as that argument, the others valid."""
     from qrelay.analytics import ChainConfig, snr_n_relays
     from qrelay.chain import sample_chain
-    from qrelay.circuit import device_checks, multiphoton_gate_probability
+    from qrelay.circuit import device_checks, gate_probability
 
     from qrelay.throughput import cutoff_alpha_x, throughput_curve
 
@@ -191,8 +191,7 @@ def _integer_entry_point(entry: str):
         "device_checks.trials": (lambda v: device_checks(v, 1),
                                  "trials", 1, None),
         "device_checks.seed": (lambda v: device_checks(1, v), "seed", 0, None),
-        "multiphoton_gate_probability": (multiphoton_gate_probability,
-                                         "n_input", 0, None),
+        "gate_probability": (gate_probability, "n_input", 0, None),
     }[entry]
 
 
@@ -201,7 +200,7 @@ def _integer_entry_point(entry: str):
     for entry in ("ChainConfig", "snr_n_relays", "throughput_curve",
                   "cutoff_alpha_x", "sample_chain.n_trials",
                   "sample_chain.seed", "device_checks.trials",
-                  "device_checks.seed", "multiphoton_gate_probability")
+                  "device_checks.seed", "gate_probability")
     for value in (True, 1.0, "2", None, -1)
 ] + [("sample_chain.n_trials", 2**63)], ids=repr)
 def test_every_integer_argument_is_checked_by_the_one_rule(entry, value):
@@ -443,7 +442,7 @@ def test_no_option_chooses_among_alternatives_no_command_uses():
     assert not hasattr(ModeBasis(("0",)), "photon_cap")
     for name in ("_readout", "_herald", "encoder_postselect",
                  "device_operators", "_kraus_outcomes", "qnd_measure",
-                 "vacuum_gate_probability", "multiphoton_gate_probability"):
+                 "gate_probability"):
         params = signature(getattr(circuit, name)).parameters
         assert "photon_cap" not in params, name
 
