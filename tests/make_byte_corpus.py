@@ -211,6 +211,10 @@ def _cases() -> list[tuple[list[str], object]]:
                 "--alpha-x", "0.5"], None) for cmd in ("snr", "throughput")]
     # a config file that is JSON but not an object
     cases += [(["snr", "--config", CONFIG], [1, 2])]
+    # a relay count given twice
+    cases += [(["snr", "--n-relays", "0,0", "--alpha-x", "5"], None),
+              (["throughput", "--n-relays", "1,1", "--steps", "3",
+                "--alpha-x-max", "10"], None)]
     return cases
 
 
