@@ -64,7 +64,8 @@ def _integer(value, name: str) -> int:
 
 
 def _relays(value, name: str) -> list[int]:
-    """Relay counts from a list, an int, or text split at commas or spaces."""
+    """Distinct relay counts from a list, an int, or text split at commas or
+    spaces: a count given twice would write its columns twice."""
     items = (value.replace(",", " ").split() if isinstance(value, str)
              else value if isinstance(value, list) else [value])
     out = [_integer(item, f"{name} entries") for item in items]
@@ -72,6 +73,9 @@ def _relays(value, name: str) -> list[int]:
         check_int(n, name)
     if not out:
         raise ValueError(f"{name} list is empty")
+    if len(set(out)) < len(out):
+        raise ValueError(f"{name} must list each relay count once, "
+                         f"got {out}")
     return out
 
 
@@ -114,8 +118,8 @@ _KEYS = {
     "steps": (_integer, "grid point count"),
     "alpha_x": (_real, "a single attenuation length alpha x"),
     "format": (_choice("csv", "json"), "report format"),
-    "n_relays": (_relays, "relay counts, comma-separated (optimize and "
-                          "sample take one)"),
+    "n_relays": (_relays, "relay counts, comma-separated and distinct "
+                          "(optimize and sample take one)"),
     "distance_km": (_real, "total channel length"),
     "f_ec": (_real, "error-correction inefficiency"),
     # named as chain.sample_chain names the count in its own range error

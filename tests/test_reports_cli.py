@@ -5,7 +5,6 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
 from decimal import Decimal, localcontext
 
@@ -24,7 +23,7 @@ from qrelay.throughput import F_EC
 from oracles import (Table, clamped_rel_dev_allowance, column,
                      decimal_first_order_snr, decimal_log_noise,
                      decimal_rel_dev_reference, decimal_snr_reference,
-                     read_report)
+                     fresh_python, read_report)
 
 
 def small_report():
@@ -471,6 +470,26 @@ def test_cli_config_errors(tmp_path, capsys):
     assert "s_exact_n2" in capsys.readouterr().out
 
 
+def test_cli_refuses_a_relay_count_given_twice(tmp_path):
+    # snr wrote a repeated count's columns twice under one label, and
+    # throughput two column sets beside one cutoff key; from a flag and
+    # from the config key alike, each command exits 2 with nothing on stdout
+    cfg = tmp_path / "twice.json"
+    for argv, counts in ((["snr", "--alpha-x", "5"], [0, 0]),
+                         (["throughput", "--steps", "3"], [1, 2, 1]),
+                         (["optimize", "--distance-km", "100"], [1, 1])):
+        cfg.write_text(json.dumps({"n_relays": counts}))
+        text = ",".join(map(str, counts))
+        for source in (["--n-relays", text], ["--config", str(cfg)]):
+            out, err = io.StringIO(), io.StringIO()
+            with (contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                assert cli.main(argv + source) == 2, argv + source
+            assert (out.getvalue(), err.getvalue()) == (
+                "", f"configuration error: n_relays must list each relay "
+                    f"count once, got {counts}\n"), argv + source
+
+
 @pytest.mark.parametrize("argv, data, name", [
     # an int once reached open() as a file descriptor: the table went to
     # stdout, which was then closed
@@ -773,20 +792,9 @@ def test_render_payload_strict_and_unchanged_when_finite(tmp_path):
     assert (tmp_path / "p.json").read_text() == want
 
 
-def _fresh_python(code: str, *args: str) -> str:
-    """Run code in a new interpreter that imports this package; its stdout."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qrelay.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True, env=env,
-                          check=True).stdout
-
-
 def test_import_loads_no_layer():
     # nor numpy or scipy, which no layer imports either
-    out = _fresh_python(
+    out = fresh_python(
         "import qrelay, sys; "
         "print(sorted(m for m in sys.modules if m.startswith('qrelay.'))); "
         "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
@@ -816,7 +824,7 @@ def test_each_command_loads_only_its_layers(argv, absent, tmp_path):
                      if m.startswith("qrelay.")))
         print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
     """
-    out = _fresh_python(code, str(tmp_path / "report"), *argv)
+    out = fresh_python(code, str(tmp_path / "report"), *argv)
     layers, libraries = out.splitlines()[-2:]
     loaded = set(eval(layers))
     assert loaded & absent == set(), argv[0]
@@ -972,7 +980,7 @@ def test_snr_rel_dev_at_the_least_k(p_dark, tmp_path):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(ns=st.lists(st.integers(0, 64), min_size=1, max_size=3),
+@given(ns=st.lists(st.integers(0, 64), min_size=1, max_size=3, unique=True),
        alpha_x_max=st.floats(1e-3, 1e4), eta=st.floats(0.01, 0.98),
        p_dark=st.one_of(st.just(0.0),
                         st.floats(0.0, 1e-2, allow_subnormal=False)))
