@@ -8,19 +8,25 @@ descent over scipy's bounded line search. The chain's SNR at the optimal
 placement, and the noise of any placement, are also evaluated in 60-digit
 decimal arithmetic from the product form, where no double underflows. The
 small readers at the end look up one amplitude of a state, take the
-overlap and fidelity of two states, and read a written report back.
+overlap and fidelity of two states, and read a written report back; after
+them come the helpers several test files share: seeded random qubits, a
+log-uniform float strategy and a fresh-interpreter runner.
 """
 
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 from decimal import Decimal, localcontext
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from hypothesis import strategies as st
 
+import qrelay
 from qrelay.fockspace import PhotonicState
 
 
@@ -479,3 +485,32 @@ def column(report, name) -> list:
     """One named column of a table read back by read_report."""
     i = report.columns.index(name)
     return [row[i] for row in report.rows]
+
+
+def random_qubits(n, seed):
+    """n unnormalized qubits (alpha, beta), each part standard normal."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        v = rng.standard_normal(4)
+        out.append((complex(v[0], v[1]), complex(v[2], v[3])))
+    return out
+
+
+def log_uniform(lo, hi):
+    """Floats in [lo, hi] drawn uniform in their log."""
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def fresh_python(code: str, *args: str, no_site: bool = False) -> str:
+    """Run code in a new interpreter that imports this package, with -S
+    where no_site (without site's start-up hooks, which are the machine's
+    and may load anything); its stdout. A failed run raises."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qrelay.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    flags = ["-S"] if no_site else []
+    return subprocess.run([sys.executable, *flags, "-c", code, *args],
+                          capture_output=True, text=True, env=env,
+                          check=True, timeout=120).stdout

@@ -24,22 +24,13 @@ from qrelay.fockspace import (LinearModeTransform, ModeBasis, PhotonicState,
 from qrelay.throughput import cutoff_alpha_x, key_fraction, throughput_curve
 
 from oracles import (amplitude, configs_up_to, coordinate_descent,
-                     dense_apply, haar_unitary)
+                     dense_apply, haar_unitary, random_qubits)
 
 
 def announce(capsys, name: str, ok: bool, detail: str = ""):
     with capsys.disabled():
         tail = f": {detail}" if detail else ""
         print(f"\n[acceptance] {'PASS' if ok else 'FAIL'} {name}{tail}")
-
-
-def random_qubits(n, seed):
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        v = rng.standard_normal(4)
-        out.append((complex(v[0], v[1]), complex(v[2], v[3])))
-    return out
 
 
 def test_criterion_01_device_contract(capsys):

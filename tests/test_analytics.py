@@ -17,7 +17,7 @@ from qrelay.analytics import (ChainConfig, _expm1_excess, check_relay,
 from qrelay.chain import run_chain, search_positions
 
 from oracles import (coordinate_descent, decimal_first_order_snr,
-                     decimal_noise_ratio)
+                     decimal_noise_ratio, log_uniform)
 
 
 def test_chain_config_validation():
@@ -188,14 +188,10 @@ def test_snr_n_relays_is_finite_on_long_chains():
             snr_n_relays(ax, 64, 0.5, 1e-5)
 
 
-def _log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(n=st.integers(0, 64),
-       eta=st.one_of(st.floats(0.01, 1.0), _log_uniform(1e-300, 1.0)),
-       p_dark=_log_uniform(sys.float_info.min, 0.2),
+       eta=st.one_of(st.floats(0.01, 1.0), log_uniform(1e-300, 1.0)),
+       p_dark=log_uniform(sys.float_info.min, 0.2),
        y=st.floats(690.0, 1460.0))
 # one 51 and one 111 ulps low, when S_1 came from exp(-(ln 2 p_d + y))
 @example(n=0, eta=1.0, p_dark=0.3, y=708.0)
@@ -246,7 +242,7 @@ H_BOUND = 6
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(x=st.one_of(st.floats(math.log(5e-324), 0.0),
-                   _log_uniform(1e-300, 744.0).map(lambda v: -v)))
+                   log_uniform(1e-300, 744.0).map(lambda v: -v)))
 # 0; h = x^2/2 below the double range; -1; and the clamped branch's
 # least d = alpha x + ln eta, ln eta >= ln(5e-324)
 @example(x=-0.0)

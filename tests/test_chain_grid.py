@@ -35,7 +35,7 @@ from oracles import (clamped_rel_dev_allowance, decimal_first_order_snr,
                      decimal_log_noise, decimal_noise_excess,
                      decimal_rel_dev_reference,
                      decimal_snr_reference, inverse_conditioning,
-                     markov_chain_reference, read_report)
+                     log_uniform, markov_chain_reference, read_report)
 
 DATA = Path(__file__).parent / "data"
 
@@ -183,17 +183,13 @@ def test_binomial_form_matches_the_decimal_product_form(n, eta, p_dark, frac,
                              bound=FORM_BOUND)
 
 
-def _log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
-
-
 # The whole domain: p_dark = 0 or log-uniform down to the least normal
 # double, eta down to 1e-300, N <= 1000 and alpha_x up to 1e5
 _DOMAIN = {"n": st.integers(0, 1000),
-           "eta": st.one_of(st.floats(0.01, 1.0), _log_uniform(1e-300, 1.0)),
+           "eta": st.one_of(st.floats(0.01, 1.0), log_uniform(1e-300, 1.0)),
            "p_dark": st.one_of(st.just(0.0),
-                               _log_uniform(sys.float_info.min, 0.49)),
-           "alpha_x": st.one_of(st.floats(0.0, 1e5), _log_uniform(1e-3, 1e5))}
+                               log_uniform(sys.float_info.min, 0.49)),
+           "alpha_x": st.one_of(st.floats(0.0, 1e5), log_uniform(1e-3, 1e5))}
 
 # Each value against its Decimal reference, within DOMAIN_BOUND machine
 # epsilons times its conditioning, relative to the reference, plus one step
@@ -291,7 +287,7 @@ INVERSE_BOUND = 8
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(s=_log_uniform(1e-3, 1e8), frac=st.floats(0.0, 1.0),
+@given(s=log_uniform(1e-3, 1e8), frac=st.floats(0.0, 1.0),
        n=_DOMAIN["n"], eta=_DOMAIN["eta"], p_dark=_DOMAIN["p_dark"])
 # the throughput cutoff on its clamped branch (N = 2, p_dark = 0.02) and
 # at N = 1000
@@ -424,7 +420,7 @@ def test_log_p_n_sums_many_large_terms_exactly():
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(frac=st.floats(0.0, 1.0), n=_DOMAIN["n"], eta=_DOMAIN["eta"],
-       p_dark=_log_uniform(sys.float_info.min, 0.49),
+       p_dark=log_uniform(sys.float_info.min, 0.49),
        alpha_x=_DOMAIN["alpha_x"])
 # the largest S the domain holds, 1/expm1(log1p(2 p_dark)), and a long
 # chain of the least p_dark

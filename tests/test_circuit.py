@@ -1,14 +1,10 @@
 import cmath
 import math
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import qrelay
 from qrelay.analytics import ChainConfig, check_relay
 from qrelay.chain import run_chain, sample_chain
 from qrelay import circuit
@@ -23,18 +19,9 @@ from qrelay.fockspace import (H, V, apply_transform, basis_rotate_fs,
                               product)
 
 from oracles import (TRANSMITTED, amplitude, apply_relay, dense_apply,
-                     fidelity)
+                     fidelity, fresh_python, random_qubits)
 
 SQ2 = 1 / math.sqrt(2)
-
-
-def random_qubits(n, seed):
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        v = rng.standard_normal(4)
-        out.append((complex(v[0], v[1]), complex(v[2], v[3])))
-    return out
 
 
 def test_encoder_state_structure():
@@ -253,15 +240,8 @@ def test_device_operators_are_cached_read_only_and_lazy():
             assert isinstance(row, tuple) and len(row) == 2
             assert all(type(u) is complex for u in row)
     # nothing is built when the package and the CLI are imported
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qrelay.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import qrelay.cli, qrelay.circuit as c; "
-         "print(c.device_operators.cache_info().currsize)"],
-        capture_output=True, text=True, env=env, check=True).stdout
+    out = fresh_python("import qrelay.cli, qrelay.circuit as c; "
+                       "print(c.device_operators.cache_info().currsize)")
     assert out.strip() == "0"
 
 

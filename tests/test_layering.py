@@ -21,15 +21,15 @@ rounding changed in Python 3.12.
 
 import ast
 import math
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import qrelay
+
+from oracles import fresh_python
 
 ALLOWED = {
     "fockspace": {"errors"},
@@ -142,13 +142,9 @@ def test_commands_load_neither_dataclasses_nor_inspect(argv, tmp_path):
              "code = cli.main(sys.argv[1:])\n"
              "print(code, sorted({'dataclasses', 'inspect'}"
              " & set(sys.modules)))\n")
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(qrelay.__file__).parent.parent)}
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", probe, *argv,
-         "--output", str(tmp_path / "report")],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert done.stdout.splitlines()[-1] == "0 []", (done.stdout, done.stderr)
+    out = fresh_python(probe, *argv, "--output", str(tmp_path / "report"),
+                       no_site=True)
+    assert out.splitlines()[-1] == "0 []", out
 
 
 def test_replace_checks_the_new_record():

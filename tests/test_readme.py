@@ -1,8 +1,14 @@
 import ast
+import contextlib
 import io
+import json
 import re
 import tokenize
 from pathlib import Path
+
+import pytest
+
+from qrelay import cli
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -31,3 +37,88 @@ def test_quick_start_prints_what_its_comments_say(capsys):
         assert line == repr(want)
         checked += 1
     assert checked >= 2
+
+
+def _csv_cell(column: str):
+    """A reader of column in the one data row of a CSV report."""
+    def read(out: str) -> float:
+        header, row = [line for line in out.splitlines()
+                       if not line.startswith("#")]
+        return float(dict(zip(header.split(","), row.split(",")))[column])
+    return read
+
+
+def _cutoff(n: int):
+    """A reader of relay count n's cutoff in a throughput report's header."""
+    def read(out: str) -> float:
+        header = json.loads(out.splitlines()[0].removeprefix("# "))
+        return header["parameters"]["cutoff_alpha_x"][str(n)]
+    return read
+
+
+def _printed(key: str):
+    """A reader of the real printed as `key = value` or `key: value`."""
+    def read(out: str) -> float:
+        return float(re.search(rf"\b{key}(?: =|:) ([^,}}\s]+)", out)[1])
+    return read
+
+
+# (README text, with {} where it quotes the value; the quoted value; the
+# command; the reader of its value); sample's exact block takes no
+# --trials or --seed, which the command needs
+_QUOTES = {
+    "snr-single-point": (
+        "qrelay snr --n-relays 0 --alpha-x 0 # single point, S = {}", "5e4",
+        "snr --n-relays 0 --alpha-x 0", _csv_cell("s_exact_n0")),
+    "optimize-position": (
+        "qrelay optimize --distance-km 100 --n-relays 1 "
+        "# analytic_positions_km: {} ", "43.0685281944",
+        "optimize --distance-km 100 --n-relays 1",
+        _printed("analytic_positions_km")),
+    "snr-rel-dev-tiny": (
+        "`qrelay snr --pd 1e-300 --eta 0.99 --n-relays 4 --alpha-x 0.1` "
+        "writes {}.", "4.1137e-300",
+        "snr --pd 1e-300 --eta 0.99 --n-relays 4 --alpha-x 0.1",
+        _csv_cell("rel_dev_n4")),
+    "snr-clamp-edge": (
+        "`qrelay snr --n-relays 673 --eta 0.7595298071364913 --pd "
+        "4.8639012522493653e-20 --alpha-x 0.27450416626345975`, 0.00055 "
+        "from the clamp edge, writes {} for", "2.2529356509454828e-10",
+        "snr --n-relays 673 --eta 0.7595298071364913 --pd "
+        "4.8639012522493653e-20 --alpha-x 0.27450416626345975",
+        _csv_cell("rel_dev_n673")),
+    "throughput-cutoff-64": (
+        "(N = 64 cuts off near αx = {},", "291",
+        "throughput --n-relays 64,1000", _cutoff(64)),
+    "throughput-cutoff-1000": (
+        "N = 1000 near {})", "1740", "throughput --n-relays 64,1000",
+        _cutoff(1000)),
+    "sample-log-noise": (
+        "`--distance-km 1e307 --atten-per-km 10 --n-relays 0 --pd 0.2` "
+        "prints `log_p_n = {}`", "-0.916290731874",
+        "sample --distance-km 1e307 --atten-per-km 10 --n-relays 0 --pd 0.2 "
+        "--trials 10 --seed 1", _printed("log_p_n")),
+}
+
+
+def _significant_digits(quoted: str) -> int:
+    """The significant digits of a quoted number; an integer's trailing
+    zeros are not (1740 has three)."""
+    mantissa = re.split("[eE]", quoted.lstrip("-"))[0]
+    digits = mantissa.replace(".", "").lstrip("0")
+    return len(digits if "." in mantissa else digits.rstrip("0"))
+
+
+@pytest.mark.parametrize("name", sorted(_QUOTES))
+def test_readme_quotes_what_the_commands_write(name):
+    # each quoted output, both ways: the README still quotes the value
+    # beside its command, and the command's value, rounded to the digits
+    # the README gives, is still that value
+    text, quoted, argv, read = _QUOTES[name]
+    assert text.format(quoted) in " ".join(README.read_text().split())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv.split()) == 0
+    value = read(out.getvalue())
+    digits = _significant_digits(quoted)
+    assert float(f"{value:.{digits}g}") == float(quoted), value
