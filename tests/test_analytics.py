@@ -147,6 +147,7 @@ def test_snr_with_no_relay_takes_no_eta(p_dark):
 
 
 def test_snr_n_relays_reduces_to_no_relay():
+    # S_0 at the largest eta the relay domain holds at this p_dark too
     for ax in (0.0, 1.0, 5.0, 17.3):
         assert snr_n_relays(ax, 0, 0.5, 1e-5) == snr_n_relays(
             ax, 0, 1.0 - 2e-5, 1e-5)

@@ -63,41 +63,35 @@ def _printed(key: str):
     return read
 
 
-# (README text, with {} where it quotes the value; the quoted value; the
-# command; the reader of its value); sample's exact block takes no
-# --trials or --seed, which the command needs
+# (README text, with {cmd} where it gives the command and {value} where it
+# quotes the value; the command; the quoted value; the reader of its value)
 _QUOTES = {
     "snr-single-point": (
-        "qrelay snr --n-relays 0 --alpha-x 0 # single point, S = {}", "5e4",
-        "snr --n-relays 0 --alpha-x 0", _csv_cell("s_exact_n0")),
+        "qrelay {cmd} # single point, S = {value}",
+        "snr --n-relays 0 --alpha-x 0", "5e4", _csv_cell("s_exact_n0")),
     "optimize-position": (
-        "qrelay optimize --distance-km 100 --n-relays 1 "
-        "# analytic_positions_km: {} ", "43.0685281944",
-        "optimize --distance-km 100 --n-relays 1",
+        "qrelay {cmd} # analytic_positions_km: {value} ",
+        "optimize --distance-km 100 --n-relays 1", "43.0685281944",
         _printed("analytic_positions_km")),
     "snr-rel-dev-tiny": (
-        "`qrelay snr --pd 1e-300 --eta 0.99 --n-relays 4 --alpha-x 0.1` "
-        "writes {}.", "4.1137e-300",
+        "`qrelay {cmd}` writes {value}.",
         "snr --pd 1e-300 --eta 0.99 --n-relays 4 --alpha-x 0.1",
-        _csv_cell("rel_dev_n4")),
+        "4.1137e-300", _csv_cell("rel_dev_n4")),
     "snr-clamp-edge": (
-        "`qrelay snr --n-relays 673 --eta 0.7595298071364913 --pd "
-        "4.8639012522493653e-20 --alpha-x 0.27450416626345975`, 0.00055 "
-        "from the clamp edge, writes {} for", "2.2529356509454828e-10",
+        "`qrelay {cmd}`, 0.00055 from the clamp edge, writes {value} for",
         "snr --n-relays 673 --eta 0.7595298071364913 --pd "
         "4.8639012522493653e-20 --alpha-x 0.27450416626345975",
-        _csv_cell("rel_dev_n673")),
+        "2.2529356509454828e-10", _csv_cell("rel_dev_n673")),
     "throughput-cutoff-64": (
-        "(N = 64 cuts off near αx = {},", "291",
-        "throughput --n-relays 64,1000", _cutoff(64)),
+        "(N = 64 cuts off near αx = {value},",
+        "throughput --n-relays 64,1000", "291", _cutoff(64)),
     "throughput-cutoff-1000": (
-        "N = 1000 near {})", "1740", "throughput --n-relays 64,1000",
-        _cutoff(1000)),
+        "N = 1000 near {value})",
+        "throughput --n-relays 64,1000", "1740", _cutoff(1000)),
     "sample-log-noise": (
-        "`--distance-km 1e307 --atten-per-km 10 --n-relays 0 --pd 0.2` "
-        "prints `log_p_n = {}`", "-0.916290731874",
+        "`qrelay {cmd}` prints `log_p_n = {value}`",
         "sample --distance-km 1e307 --atten-per-km 10 --n-relays 0 --pd 0.2 "
-        "--trials 10 --seed 1", _printed("log_p_n")),
+        "--trials 10 --seed 1", "-0.916290731874", _printed("log_p_n")),
 }
 
 
@@ -114,11 +108,12 @@ def test_readme_quotes_what_the_commands_write(name):
     # each quoted output, both ways: the README still quotes the value
     # beside its command, and the command's value, rounded to the digits
     # the README gives, is still that value
-    text, quoted, argv, read = _QUOTES[name]
-    assert text.format(quoted) in " ".join(README.read_text().split())
+    text, command, quoted, read = _QUOTES[name]
+    assert (text.format(cmd=command, value=quoted)
+            in " ".join(README.read_text().split()))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(argv.split()) == 0
+        assert cli.main(command.split()) == 0
     value = read(out.getvalue())
     digits = _significant_digits(quoted)
     assert float(f"{value:.{digits}g}") == float(quoted), value
