@@ -572,6 +572,11 @@ def _noise_closing_the_span(x1_km):
                               ChainConfig(100.0, n_relays=1))
 
 
+def _direct_snr(alpha_x, eta, p_dark):
+    # S_0, where eta does not enter but is still checked
+    return snr_n_relays(alpha_x, 0, eta, p_dark)
+
+
 def _rescaled(alpha_x):
     return ChainConfig(100.0).at_alpha_x(alpha_x)
 
@@ -598,6 +603,7 @@ _ENTRY_POINTS = (
                    "p_dark")),
     (_rescaled, ("alpha_x",)),
     (qber_from_snr, ("s",)),
+    (_direct_snr, ("alpha_x", "eta", "p_dark")),
     (snr_n_relays, ("alpha_x", "n_relays", "eta", "p_dark")),
     (snr_exact, ("alpha_x", "n_relays", "eta", "p_dark")),
     (_noise_closing_the_span, ("x1_km",)),

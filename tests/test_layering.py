@@ -237,6 +237,8 @@ _REAL_ARGUMENTS = {
     "snr_n_relays.alpha_x": ("alpha_x", "[0, inf)"),
     "snr_n_relays.eta": ("eta", "(0, 1]"),
     "snr_n_relays.p_dark": ("p_dark", "[0, 0.5)"),
+    "snr_n_relays.alpha_x, N = 0": ("alpha_x", "[0, inf)"),
+    "snr_n_relays.p_dark, N = 0": ("p_dark", "[0, 0.5)"),
     "snr_exact.alpha_x": ("alpha_x", "[0, inf)"),
     "snr_exact.eta": ("eta", "(0, 1]"),
     "snr_exact.p_dark": ("p_dark", "[0, 0.5)"),
@@ -285,6 +287,10 @@ def _real_entry_point(entry: str):
         "snr_n_relays.alpha_x": lambda v: snr_n_relays(v, 1, 0.5, 1e-5),
         "snr_n_relays.eta": lambda v: snr_n_relays(5.0, 1, v, 1e-5),
         "snr_n_relays.p_dark": lambda v: snr_n_relays(5.0, 1, 0.5, v),
+        # direct transmission, S_0
+        "snr_n_relays.alpha_x, N = 0": lambda v: snr_n_relays(v, 0, 0.5,
+                                                               1e-5),
+        "snr_n_relays.p_dark, N = 0": lambda v: snr_n_relays(5.0, 0, 0.5, v),
         "snr_exact.alpha_x": lambda v: snr_exact(v, 1, 0.5, 1e-5),
         "snr_exact.eta": lambda v: snr_exact(5.0, 1, v, 1e-5),
         "snr_exact.p_dark": lambda v: snr_exact(5.0, 1, 0.5, v),
