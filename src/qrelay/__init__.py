@@ -17,8 +17,10 @@ The package layers are, bottom up:
   argument of the chain functions, not a field), its one (eta, p_dark)
   validator, first-order SNR/QBER expressions (S_0 is their N = 0 point),
   the exact chain's closed form at any segments, one binomial at the optimal
-  placement (snr_exact), and its inverse at a target SNR, the placement, which
-  is exactly optimal, range enhancement, raw rates.
+  placement (snr_exact), the placement, which is exactly optimal, the ranges
+  at a target SNR S from one inverse of the segment variable u (first order
+  at u_1 = 1/((N+1) S), all orders at u = expm1(log1p(1/S)/(N+1))), range
+  enhancement, raw rates.
 - chain: the exact receiver statistics at any positions from analytics'
   closed form, in one record that also carries ln p_s and ln p_n, a numeric
   placement search, and a seeded Monte Carlo cross-check that draws the
@@ -27,7 +29,8 @@ The package layers are, bottom up:
   2 p_dark, launching a spurious photon; the rest is vetoed.
 - throughput: the single-photon BB84 key fraction and throughput sweeps;
   each function takes its one parameter, f_ec, as a number (default 1.16)
-  and checks it. The cutoff range is analytics' inverse.
+  and checks it. The cutoff range is analytics' all-orders inverse at the
+  cutoff SNR S* = 1/(2 e*) - 1.
 - reports: deterministic CSV/JSON tables, rendered as text and never read.
 - cli: the `qrelay` command.
 
@@ -67,7 +70,7 @@ _LAZY = {
         "make_bell_phi_plus", "make_qubit", "pbs_hv", "product"), "fockspace"),
     **dict.fromkeys((
         "ThroughputPoint", "binary_entropy", "cutoff_alpha_x", "key_fraction",
-        "key_fraction_cutoff", "snr_cutoff", "throughput_curve"),
+        "key_fraction_cutoff", "throughput_curve"),
         "throughput"),
 }
 

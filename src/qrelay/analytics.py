@@ -17,6 +17,10 @@ At that placement the exact chain is one binomial. In the interior
 ln eta)/(N+1)), S = 1/((1 + u)^(N+1) - 1) and the paper's first-order SNR is
 exactly S_1 = 1/((N+1) u): the gap is the binomial tail. Clamped (every relay
 at the transmitter), 1/S = (1 + 2 p_dark/eta)^N (1 + 2 p_dark e^(alpha x)) - 1.
+Each range at a target S is one inverse of u, alpha x = (N+1) (ln u -
+ln(2 p_dark)) + N ln eta (_alpha_x_at_u): the first-order range
+(solve_range_alpha_x) at u_1 = 1/((N+1) S), the all-orders one
+(_alpha_x_at_snr, behind throughput's cutoffs) at u = expm1(log1p(1/S)/(N+1)).
 """
 
 from __future__ import annotations
@@ -281,25 +285,40 @@ def _chain_curve(alpha_xs: Sequence[float], n_relays: int, eta: float,
     return out
 
 
+def _alpha_x_at_u(log_u: float, n_relays: int, eta: float,
+                  p_dark: float) -> float:
+    """The one inverse of the optimal chain's segment variable: alpha x =
+    (N+1) (ln u - ln(2 p_dark)) + N ln eta, where u = 2 p_dark e^((alpha x
+    - N ln eta)/(N+1)), from log_u = ln u. The all-orders range asks for u
+    = expm1(K*/(N+1)) (_alpha_x_at_snr), the first-order one for u_1 =
+    1/((N+1) S) (solve_range_alpha_x). math.inf without dark counts, where
+    ln(2 p_dark) = -inf."""
+    return ((n_relays + 1) * (log_u - math.log(2.0 * p_dark))
+            + n_relays * math.log(eta) if p_dark else math.inf)
+
+
 def _alpha_x_at_snr(s_target: float, n_relays: int, eta: float,
                     p_dark: float) -> float:
     """alpha x at which the optimal chain's S falls to s_target > 0, its one
-    crossing: _chain_curve inverted at K* = log1p(1/s_target), reading K(0)
-    and a relay's term L off it. Interior: u* = expm1(K*/(N+1)) = 2 p_dark
-    e^((alpha x - N ln eta)/(N+1)); clamped: N L + log1p(2 p_dark
-    e^(alpha x)) = K*. 0 where S(0) <= s_target, math.inf without dark
-    counts; the callers check (eta, p_dark, N)."""
-    n, m, log_eta = n_relays, n_relays + 1, math.log(eta)
-    k_star = math.log1p(1.0 / s_target)
-    (_, _, k_0, relay), = _chain_curve((0.0,), n, eta, p_dark)
+    crossing: _chain_curve inverted at K* = ln(1 + 1/s_target), log1p(1/S)
+    or, where 1/S overflows, log1p(S) - ln S, reading K(0) and a relay's
+    term L off it. Interior: _alpha_x_at_u at u = expm1(K*/(N+1)), the
+    all-orders u; clamped, the bare last segment alone (_alpha_x_at_u at
+    N = 0) takes K* - N L. ln u is _log_expm1's, finite past exp's range.
+    0 where S(0) <= s_target, math.inf without dark counts; the callers
+    check (eta, p_dark, N)."""
+    inv = 1.0 / s_target
+    k_star = (math.log1p(inv) if inv < math.inf
+              else math.log1p(s_target) - math.log(s_target))
+    (_, _, k_0, relay), = _chain_curve((0.0,), n_relays, eta, p_dark)
     if k_0 >= k_star:
         return 0.0
-    # no dark counts: K(0) = 0 and ln(2 p_dark) = -inf, so alpha x = inf
-    log_pd2 = math.log(2.0 * p_dark) if p_dark else -math.inf
-    alpha_x = m * (math.log(math.expm1(k_star / m)) - log_pd2) + n * log_eta
-    if n and alpha_x <= -log_eta:
-        # K* > K(0) = N L + log1p(2 p_dark), so the log is of > 2 p_dark
-        alpha_x = math.log(math.expm1(k_star - n * relay)) - log_pd2
+    alpha_x = _alpha_x_at_u(_log_expm1(k_star / (n_relays + 1)),
+                            n_relays, eta, p_dark)
+    if n_relays and alpha_x <= -math.log(eta):
+        # K* > K(0) = N L + log1p(2 p_dark), so u is > 2 p_dark
+        alpha_x = _alpha_x_at_u(_log_expm1(k_star - n_relays * relay), 0, eta,
+                                p_dark)
     return alpha_x
 
 
@@ -374,26 +393,23 @@ def snr_exact(alpha_x: float, n_relays: int, eta: float,
 
 def solve_range_alpha_x(n_relays: int, eta: float, p_dark: float,
                         s_target: float) -> float:
-    """Attenuation length at which the N-relay SNR equals s_target.
-
-    Inverts the first-order SNR expression including its factor-2 terms.
-    The range is positive and finite where its log argument is in (0, 1):
-    not without dark counts, nor where even alpha x = 0 misses the target.
-    The log argument's log is a sum of its factors' logs, so a subnormal
-    p_dark s_target still has a range.
+    """Attenuation length at which the N-relay first-order SNR equals
+    s_target: S_1 = 1/((N+1) u), so _alpha_x_at_u at u_1 = 1/((N+1) S),
+    ln u_1 = -ln(N+1) - ln S. The logs are of the factors, so a subnormal
+    p_dark s_target still has a range. The range must be positive and
+    finite: not without dark counts, nor where even alpha x = 0 misses the
+    target.
     """
     check_int(n_relays, "n_relays")
     check_relay(eta, p_dark)
     check_real(s_target, "s_target", ends="()")
-    r = n_relays / (n_relays + 1)
-    log_arg = (math.log(2.0 * (n_relays + 1)) + math.log(p_dark)
-               + math.log(s_target) - r * math.log(eta)
-               if p_dark else -math.inf)
-    if not -math.inf < log_arg < 0.0:
+    alpha_x = _alpha_x_at_u(-math.log(n_relays + 1) - math.log(s_target),
+                            n_relays, eta, p_dark)
+    if not 0.0 < alpha_x < math.inf:
         raise ValueError(
-            f"no positive finite range: 2*p_dark*s_target*(N+1)*"
-            f"eta^(-N/(N+1)) = e^{log_arg:.3g} is not in (0, 1)")
-    return -(n_relays + 1) * log_arg
+            f"no positive finite range: S_1 = s_target solves to "
+            f"alpha_x = {alpha_x:.3g}")
+    return alpha_x
 
 
 class RangeEnhancement(NamedTuple):
@@ -408,9 +424,10 @@ def range_enhancement(n_relays: int, eta: float, p_dark: float,
     approx: R = (N+1) ln[(N+1) eta^(-N/(N+1)) P_d S] / ln[P_d S], the compact
     published form that drops the factor-2 terms, its logs taken as sums
     of the factors' logs. first_order: the same ratio with both ranges
-    solved from the full first-order expressions, whose log arguments
-    solve_range_alpha_x checks: below 1 they put the compact form's two below
-    1/2.
+    solved from the full first-order expressions, solve_range_alpha_x's
+    inverse at u_1 = 1/((N+1) S), which refuses a range that is not
+    positive: a positive one puts the compact form's two log arguments
+    below 1/2.
     """
     first_order = (solve_range_alpha_x(n_relays, eta, p_dark, s_target)
                    / solve_range_alpha_x(0, eta, p_dark, s_target))

@@ -8,7 +8,8 @@ key fraction evaluated at the chain's exact bit error rate, i.e. key bits per
 gated-and-detected slot. An alternative normalization per transmitted slot
 folds in the relay gating passes (a factor eta per relay); both are reported.
 The chain's SNR is the exact curve of analytics' closed form, and the
-cutoff range where the key fraction reaches zero is analytics' inverse of it.
+cutoff range where the key fraction reaches zero is analytics' all-orders
+inverse of it at the cutoff SNR S* = 1/(2 e*) - 1.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ def key_fraction_cutoff(f_ec: float = F_EC) -> float:
     with tau(e*) > 0 >= tau(next double up). Within a few ulps of the root
     tau may change sign more than once, so e* need not be the last double
     at which it is positive. This is the one search here: cutoff_alpha_x
-    takes S* = 1/(2 e*) - 1 from it and then inverts the chain's SNR in
-    closed form.
+    takes the cutoff SNR S* = 1/(2 e*) - 1 from it and inverts the chain's
+    all-orders SNR there in closed form.
     """
     check_real(f_ec, "f_ec", 1)
     lo, hi = 0.0, 0.25
@@ -70,11 +71,6 @@ def key_fraction_cutoff(f_ec: float = F_EC) -> float:
         else:
             hi = mid
     return lo
-
-
-def snr_cutoff(f_ec: float = F_EC) -> float:
-    """Minimum SNR for a nonzero key fraction: S* = 1/(2 e*) - 1."""
-    return 0.5 / key_fraction_cutoff(f_ec) - 1.0
 
 
 class ThroughputPoint(NamedTuple):
@@ -113,8 +109,11 @@ def throughput_curve(alpha_x_values: Sequence[float], n_relays: int,
 def cutoff_alpha_x(n_relays: int, eta: float, p_dark: float,
                    f_ec: float = F_EC) -> float:
     """Attenuation length at which the chain's key fraction reaches zero:
-    analytics' inverse of the optimal chain's SNR at the cutoff SNR S*, 0
-    when S(0) <= S*, math.inf without dark counts (S = inf)."""
+    analytics' all-orders inverse of the optimal chain's SNR at the cutoff
+    SNR S* = 1/(2 e*) - 1, e* = key_fraction_cutoff(f_ec), that is at u =
+    expm1(log1p(1/S*)/(N+1)); 0 when S(0) <= S*, math.inf without dark
+    counts (S = inf)."""
     check_int(n_relays, "n_relays")
     check_relay(eta, p_dark)
-    return _alpha_x_at_snr(snr_cutoff(f_ec), n_relays, eta, p_dark)
+    return _alpha_x_at_snr(0.5 / key_fraction_cutoff(f_ec) - 1.0, n_relays,
+                           eta, p_dark)

@@ -289,16 +289,19 @@ def inverse_conditioning(alpha_x, s_target, n_relays, eta, p_dark):
 
     The inverse adds logs of size up to alpha x + N ln(1/eta) +
     (N+1) ln(1/(2 p_dark)), each rounded once, and alpha x moves by
-    K* (1 + x)/x when K* = log1p(1/s_target) moves by one part in K*:
+    K* (1 + x)/x when K* = ln(1 + 1/s_target) moves by one part in K*:
     dK/d(alpha x) = x/(1 + x), with x = u = 2 p_dark e^((alpha x -
     N ln eta)/(N+1)) in the interior and 2 p_dark e^(alpha x) on the
-    clamped branch. 1/x is capped below the double range.
+    clamped branch. 1/x is capped below the double range, and K* is
+    -ln(s_target) where 1/s_target overflows.
     """
     m, ln_eta, ln_pd2 = n_relays + 1, math.log(eta), math.log(2.0 * p_dark)
     y = (alpha_x if n_relays and alpha_x <= -ln_eta
          else (alpha_x - n_relays * ln_eta) / m)
-    return (alpha_x - n_relays * ln_eta - m * ln_pd2 + math.log1p(
-        1.0 / s_target) * (1.0 + math.exp(min(-(ln_pd2 + y), 700.0))))
+    inv = 1.0 / s_target
+    k_star = math.log1p(inv) if inv < math.inf else -math.log(s_target)
+    return (alpha_x - n_relays * ln_eta - m * ln_pd2
+            + k_star * (1.0 + math.exp(min(-(ln_pd2 + y), 700.0))))
 
 
 def decimal_noise_ratio(config, positions_km, digits=60):

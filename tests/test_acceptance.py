@@ -10,14 +10,16 @@ import json
 import math
 import sys
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from qrelay import circuit
-from qrelay.analytics import (ChainConfig, noise_single_relay,
-                              optimal_positions, range_enhancement, raw_rate,
-                              snr_n_relays, solve_range_alpha_x)
+from qrelay.analytics import (ChainConfig, _alpha_x_at_snr,
+                              noise_single_relay, optimal_positions,
+                              range_enhancement, raw_rate, snr_n_relays,
+                              solve_range_alpha_x)
 from qrelay.chain import run_chain, sample_chain
 from qrelay.fockspace import (LinearModeTransform, ModeBasis, PhotonicState,
                               apply_transform, basis_rotate_fs)
@@ -347,3 +349,44 @@ def test_criterion_10_engine_matches_dense_oracle(capsys):
              f"occupation configs (<= 3 photons, {n_modes} modes), max "
              f"amplitude deviation {worst:.2e}")
     assert ok
+
+
+# |alpha x_1 - alpha x - Delta| over alpha x_1, in machine epsilons: 5 is
+# four times the largest, 1.16 (N = 4, S = 100), rounded up
+GAP_BOUND = 5
+
+
+def test_criterion_11_range_gap_at_all_orders(capsys):
+    # the first-order range alpha x_1 (solve_range_alpha_x) overstates the
+    # all-orders one alpha x (the inverse behind the throughput cutoffs) by
+    # the binomial tail: in the interior both are the one inverse at their
+    # own u, so alpha x_1 - alpha x = Delta(N, S) = (N+1) ln(u_1/u), with
+    # u_1 = 1/((N+1) S) and u = expm1(log1p(1/S)/(N+1)), here in Decimal
+    eta, p_dark = 0.5, 1e-5
+    details, worst, bad = [], 0.0, []
+    for n in (1, 4, 16):
+        cells = []
+        for s in (1.0, 10.0, 100.0):
+            ax_1 = solve_range_alpha_x(n, eta, p_dark, s)
+            ax = _alpha_x_at_snr(s, n, eta, p_dark)
+            cells.append(f"S={s:g} {ax_1:.4f}/{ax:.4f} "
+                         f"(+{100 * (ax_1 / ax - 1):.2f}%)")
+            if ax <= -math.log(eta):    # clamped: no shared u
+                continue
+            with localcontext() as ctx:
+                ctx.prec = 50
+                m, big_s = n + 1, Decimal(s)
+                u = ((1 + 1 / big_s).ln() / m).exp() - 1
+                delta = m * ((1 / (m * big_s)).ln() - u.ln())
+            dev = float(abs(Decimal(ax_1) - Decimal(ax) - delta)) / (
+                sys.float_info.epsilon * ax_1)
+            worst = max(worst, dev)
+            if dev > GAP_BOUND:
+                bad.append((n, s, ax_1, ax, float(delta)))
+        details.append(f"N={n}: " + ", ".join(cells))
+    ok = not bad
+    announce(capsys, "range gap at all orders (eta = 1/2, p_d = 1e-5, "
+             "first-order/all-orders alpha_x)", ok,
+             "; ".join(details) + f"; gap = Delta(N, S) within "
+             f"{worst:.2f} eps * alpha_x_1")
+    assert not bad, bad

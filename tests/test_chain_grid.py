@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from qrelay import cli
 from qrelay.analytics import (ChainConfig, _alpha_x_at_snr, _snr_curve,
                               optimal_positions, qber_from_snr, snr_exact,
-                              snr_n_relays)
+                              snr_n_relays, solve_range_alpha_x)
 from qrelay.chain import run_chain
 
 from oracles import (clamped_rel_dev_allowance, decimal_first_order_snr,
@@ -298,6 +298,11 @@ INVERSE_BOUND = 8
 # target: the inverse returns alpha x = 10.0358, where K is 0.9 K* epsilons
 # above K*, and the allowance linearized there reached down to 0.94
 @example(s=1.0, frac=0.0, n=33, eta=math.exp(-43.0), p_dark=math.exp(-44.0))
+# targets below 2^-1024, where 1/S overflows, so K* is log1p(S) - ln S;
+# at the subnormal one K*/(N+1) = 744 is past expm1's range
+@example(s=5e-309, frac=0.0, n=0, eta=0.5, p_dark=1e-5)
+@example(s=5e-309, frac=0.0, n=1, eta=0.5, p_dark=1e-5)
+@example(s=5e-324, frac=0.0, n=0, eta=0.5, p_dark=1e-5)
 def test_alpha_x_at_snr_brackets_the_target(s, frac, n, eta, p_dark):
     # at a drawn SNR and at the SNR of the point alpha x = frac ln(1/eta),
     # on the clamped branch where N >= 1: at alpha x -/+ the allowance the
@@ -319,6 +324,8 @@ def test_alpha_x_at_snr_brackets_the_target(s, frac, n, eta, p_dark):
             continue
         ax = _alpha_x_at_snr(target, n, eta, p_dark)
         where = (target, n, eta, p_dark, ax)
+        # with dark counts every target > 0 has a finite range
+        assert ax < math.inf, where
         step = INVERSE_BOUND * sys.float_info.epsilon * inverse_conditioning(
             ax, target, n, eta, p_dark)
         want = Decimal(target)
@@ -339,6 +346,52 @@ def test_alpha_x_at_snr_brackets_the_target(s, frac, n, eta, p_dark):
             k_0 = (1 + 1 / decimal_snr_reference(0.0, n, eta, p_dark)).ln()
             assert (k_0 >= k_star * (1 - tol) if ax == 0.0
                     else k_0 <= k_star * (1 + tol)), where
+
+
+# The first-order inverse, solve_range_alpha_x, alpha x = (N+1) (-ln(N+1)
+# - ln S - ln(2 p_dark)) + N ln eta, adds logs each rounded once, so its
+# absolute error is a few epsilons of the sum of their sizes, and ln S_1
+# moves by 1/(N+1) of it: |d ln S_1/d alpha x| = 1/(N+1). So at the
+# returned alpha x, ln(S_1/S) is held to FIRST_ORDER_BOUND epsilons of
+# first_order_conditioning. 6 is four times the largest ratio, 1.49,
+# measured over 20,000 random draws of this domain with S down to 5e-324
+FIRST_ORDER_BOUND = 6
+
+
+def first_order_conditioning(n, eta, p_dark, s):
+    """The sizes of the logs in the first-order range, over N + 1."""
+    m = n + 1
+    return (m * (math.log(m) + abs(math.log(s)) + abs(math.log(2.0 * p_dark)))
+            + n * abs(math.log(eta))) / m
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(s=log_uniform(5e-324, 1e8), n=_DOMAIN["n"], eta=_DOMAIN["eta"],
+       p_dark=_DOMAIN["p_dark"])
+# criterion 05's ranges, a subnormal p_dark s_target, and the far corner
+@example(s=1.0, n=1, eta=0.5, p_dark=1e-5)
+@example(s=1e-20, n=1, eta=0.5, p_dark=1e-300)
+@example(s=5e-324, n=1000, eta=1e-300, p_dark=sys.float_info.min)
+def test_first_order_range_hits_the_target(s, n, eta, p_dark):
+    # at the returned alpha x the decimal first-order SNR is the target
+    # within the bound; where the range is refused, there is no dark count
+    # or alpha x = 0 already misses the target within as much
+    assume(eta + 2.0 * p_dark <= 1.0)
+    if p_dark == 0.0:
+        with pytest.raises(ValueError, match="no positive finite range"):
+            solve_range_alpha_x(n, eta, p_dark, s)
+        return
+    tol = Decimal(FIRST_ORDER_BOUND * sys.float_info.epsilon
+                  * first_order_conditioning(n, eta, p_dark, s))
+    try:
+        ax = solve_range_alpha_x(n, eta, p_dark, s)
+    except ValueError as err:
+        assert str(err).startswith("no positive finite range"), err
+        s_0 = decimal_first_order_snr(0.0, n, eta, p_dark)
+        assert (s_0 / Decimal(s)).ln() <= tol, (s, n, eta, p_dark, s_0)
+        return
+    got = decimal_first_order_snr(ax, n, eta, p_dark)
+    assert abs((got / Decimal(s)).ln()) <= tol, (s, n, eta, p_dark, ax, got)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -252,7 +252,6 @@ _REAL_ARGUMENTS = {
     "key_fraction": ("e", "[0, 0.5]"),
     "key_fraction.f_ec": ("f_ec", "[1, inf)"),
     "key_fraction_cutoff": ("f_ec", "[1, inf)"),
-    "snr_cutoff": ("f_ec", "[1, inf)"),
     "throughput_curve.alpha_x": ("alpha_x", "[0, inf)"),
     "throughput_curve.eta": ("eta", "(0, 1]"),
     "throughput_curve.p_dark": ("p_dark", "[0, 0.5)"),
@@ -271,7 +270,7 @@ def _real_entry_point(entry: str):
                                   snr_n_relays, solve_range_alpha_x)
     from qrelay.throughput import (binary_entropy, cutoff_alpha_x,
                                    key_fraction, key_fraction_cutoff,
-                                   snr_cutoff, throughput_curve)
+                                   throughput_curve)
 
     one_relay = ChainConfig(100.0, n_relays=1)
     return {
@@ -307,7 +306,6 @@ def _real_entry_point(entry: str):
         "key_fraction": key_fraction,
         "key_fraction.f_ec": lambda v: key_fraction(0.05, v),
         "key_fraction_cutoff": key_fraction_cutoff,
-        "snr_cutoff": snr_cutoff,
         "throughput_curve.alpha_x": lambda v: throughput_curve([v], 1, 0.5,
                                                                1e-5),
         "throughput_curve.eta": lambda v: throughput_curve([5.0], 1, v, 1e-5),

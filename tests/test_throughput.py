@@ -8,8 +8,7 @@ from qrelay.analytics import ChainConfig, qber_from_snr, snr_exact
 from qrelay.chain import run_chain
 from qrelay.throughput import (F_EC, ThroughputPoint, _tau, binary_entropy,
                                cutoff_alpha_x, key_fraction,
-                               key_fraction_cutoff, snr_cutoff,
-                               throughput_curve)
+                               key_fraction_cutoff, throughput_curve)
 
 
 def normalized_throughput(s):
@@ -38,7 +37,6 @@ def test_f_ec_default():
     assert F_EC == 1.16
     assert key_fraction(0.05) == key_fraction(0.05, 1.16)
     assert key_fraction_cutoff() == key_fraction_cutoff(1.16)
-    assert snr_cutoff() == snr_cutoff(1.16)
     assert throughput_curve([5.0], 2, 0.5, 1e-5) \
         == throughput_curve([5.0], 2, 0.5, 1e-5, 1.16)
     assert cutoff_alpha_x(2, 0.5, 1e-5) == cutoff_alpha_x(2, 0.5, 1e-5, 1.16)
@@ -96,7 +94,8 @@ def test_key_fraction_cutoff_is_bisected_to_adjacent_doubles(f_ec,
 
 
 def test_snr_cutoff():
-    s_star = snr_cutoff()
+    # the cutoff SNR S* = 1/(2 e*) - 1 at which cutoff_alpha_x inverts
+    s_star = 0.5 / key_fraction_cutoff() - 1.0
     assert s_star == pytest.approx(3.9137537009903323, rel=1e-6)
     assert normalized_throughput(s_star * 1.001) > 0
     assert normalized_throughput(s_star * 0.999) == 0.0
@@ -168,7 +167,7 @@ def test_cutoff_alpha_x_degenerate():
 
 def test_cutoff_is_a_threshold_of_the_exact_chain():
     cut = cutoff_alpha_x(1, 0.5, 1e-5)
-    s_star = snr_cutoff()
+    s_star = 0.5 / key_fraction_cutoff() - 1.0
     kms = cut / 0.05
     just_inside = run_chain(ChainConfig(distance_km=kms * (1 - 1e-6),
                                         n_relays=1))
@@ -181,7 +180,7 @@ def test_cutoff_alpha_x_of_long_chains():
     # past the old first bracket of 200 (N = 48 cuts off near 234, N = 64
     # near 291, N = 1000 near 1740), and on the clamped branch (N = 1,
     # p_dark = 0.035 cuts off below ln 2), the result brackets the cutoff SNR
-    s_star = snr_cutoff()
+    s_star = 0.5 / key_fraction_cutoff() - 1.0
     for n, p_dark, want in ((48, 1e-5, 233.8), (64, 1e-5, 291.5),
                             (1000, 1e-5, 1740.0), (1, 0.035, 0.3698)):
         cut = cutoff_alpha_x(n, 0.5, p_dark)
