@@ -246,6 +246,7 @@ _REAL_ARGUMENTS = {
     "solve_range_alpha_x.eta": ("eta", "(0, 1]"),
     "solve_range_alpha_x.p_dark": ("p_dark", "[0, 0.5)"),
     "solve_range_alpha_x.s_target": ("s_target", "(0, inf)"),
+    "range_enhancement.s_target": ("s_target", "(0, inf)"),
     "raw_rate.clock_hz": ("clock_hz", "[0, inf)"),
     "raw_rate.alpha_x": ("alpha_x", "[0, inf)"),
     "binary_entropy": ("e", "[0, 1]"),
@@ -266,8 +267,9 @@ def _real_entry_point(entry: str):
     """call(value), which passes value as the entry's real argument and
     valid values as the others."""
     from qrelay.analytics import (ChainConfig, noise_single_relay,
-                                  qber_from_snr, raw_rate, snr_exact,
-                                  snr_n_relays, solve_range_alpha_x)
+                                  qber_from_snr, range_enhancement,
+                                  raw_rate, snr_exact, snr_n_relays,
+                                  solve_range_alpha_x)
     from qrelay.throughput import (binary_entropy, cutoff_alpha_x,
                                    key_fraction, key_fraction_cutoff,
                                    throughput_curve)
@@ -300,6 +302,9 @@ def _real_entry_point(entry: str):
                                                                     10.0),
         "solve_range_alpha_x.s_target": lambda v: solve_range_alpha_x(
             1, 0.5, 1e-5, v),
+        # both ranges are solve_range_alpha_x's first-order inverse
+        "range_enhancement.s_target": lambda v: range_enhancement(1, 0.5,
+                                                                  1e-5, v),
         "raw_rate.clock_hz": lambda v: raw_rate(v, 10.0),
         "raw_rate.alpha_x": lambda v: raw_rate(1e9, v),
         "binary_entropy": binary_entropy,
