@@ -218,27 +218,41 @@ def _chain_at_segments(config: ChainConfig, ys: Sequence[float]) -> tuple:
     the last relay is S_N e^L = prod_{j<=N} (eta t_j + 2 p_dark), and
         p_s = S_N t_last,    p_n = S_N (t_last expm1(L) + 2 p_dark e^L).
     S_N expm1(L) is read off the products as S_N e^L - S_N once L >= 1,
-    where the difference no longer cancels and e^L may overflow. S, q_b
-    and the logs come from the noise exponent K = ln(1 + p_n/p_s), the fsum
-    of the segments' terms (_terms), as snr_exact's do, so they stay finite
-    where p_s and p_n underflow on long chains (S = inf, q_b = 0 without
-    dark counts): ln p_s = N ln eta - alpha x, whatever the positions, and
-    ln p_n = ln p_s + ln expm1(K) below the normal range; in it, ln p_n is
-    the log of p_n, as that sum cancels where S << 1 (-alpha x against
-    +alpha x).
+    where the difference no longer cancels and e^L may overflow. S and q_b
+    come from the noise exponent K = ln(1 + p_n/p_s), the fsum of the
+    segments' terms (_terms), as snr_exact's do, so they stay finite where
+    p_s and p_n underflow on long chains (S = inf, q_b = 0 without dark
+    counts). So do the logs: ln p_s = N ln eta - alpha x, whatever the
+    positions, and, by one rule at every size of p_n, as p_n = (p_s + p_n)
+    (1 - e^-K) and p_s + p_n is the live mass times t_last + 2 p_dark,
+        ln p_n = sum_{j<=N} ln(eta t_j + 2 p_dark) + ln(t_last + 2 p_dark)
+                 + ln(-expm1(-K))
+    (-inf without dark counts). No term is above ln(1 + 2 p_dark), so none
+    cancels another. Each log h = ln f comes with its rest ln(f e^-h) ~
+    f/e^h - 1, exact but for exp's rounding (every factor is about 2 p_dark
+    or more, so e^h is a normal double), and the fsum is rounded once:
+    ln p_n keeps its digits relative to max(N + 1, |ln p_n|), which is the
+    factors' own rounding. This form was kept over the two it replaced,
+    each right on one side of the normal range: ln of the double p_n loses
+    digits below it and is -inf where p_n underflows, and ln p_s +
+    ln expm1(K) puts -alpha x against +alpha x where S << 1 (65536.0 for
+    -1092.8 at alpha x = 5e20).
     """
     eta, pd2 = config.eta, 2.0 * config.p_dark
     terms, k = _terms(ys, config.n_relays, eta, config.p_dark)
     *relay_ts, t_last = [math.exp(-y) for y in ys]
     s_n = math.prod(eta * t for t in relay_ts)
-    alive = math.prod(eta * t + pd2 for t in relay_ts)
+    factors = [eta * t + pd2 for t in relay_ts]
+    alive = math.prod(factors)
     big_l = math.fsum(terms[:-1])
     spurious = s_n * math.expm1(big_l) if big_l < 1.0 else alive - s_n
     p_s, p_n = s_n * t_last, t_last * spurious + pd2 * alive
     snr = _snr_from_k(k)
     log_p_s = config.n_relays * math.log(eta) - config.alpha_x
-    log_p_n = (math.log(p_n) if p_n >= sys.float_info.min
-               else log_p_s + _log_expm1(k))
+    log_p_n = math.fsum(
+        part for f in [*factors, t_last + pd2, -math.expm1(-k)]
+        for h in (math.log(f),) for part in (h, f / math.exp(h) - 1.0)
+    ) if pd2 else -math.inf
     return p_s, p_n, snr, qber_from_snr(snr), log_p_s, log_p_n, k
 
 

@@ -47,7 +47,9 @@ class ReceiverReport(NamedTuple):
     their ratio; q_b = p_n / (2 (p_n + p_s)), a ratio of counts, since
     random polarization errs half the time. snr, q_b, log_p_s and log_p_n
     stay finite where p_s and p_n underflow to 0 (snr is inf, q_b 0 and
-    log_p_n -inf without dark counts).
+    log_p_n -inf without dark counts). log_p_n has one rule at every size
+    of p_n, the sum of the logs of its factors (_chain_at_segments), so its
+    error is a few epsilons of max(N + 1, |ln p_n|), however far the chain.
     """
 
     p_s: float

@@ -39,6 +39,13 @@ EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 EXIT_BROKEN_PIPE = 128 + 13     # SIGPIPE
 
+# The largest sweep table, steps * (1 + 4 * relay counts) cells, about 300 MB
+# at 145-170 B a cell; and the most relays optimize and sample place, each
+# holding their positions and segments. snr and throughput take any relay
+# count: their curves are O(1) in N.
+MAX_CELLS = 2_000_000
+MAX_PLACED_RELAYS = 10**5
+
 
 # Each parser reads a flag's text or a JSON config value, named `name` in
 # its errors; the layers check domains by errors' check_int and check_real.
@@ -115,11 +122,13 @@ _KEYS = {
     "output": (_text, "write the report to this file"),
     "alpha_x_min": (_real, "grid start"),
     "alpha_x_max": (_real, "grid end"),
-    "steps": (_integer, "grid point count"),
+    "steps": (_integer, f"grid point count, at most {MAX_CELLS} table cells "
+                        f"in all: steps * (1 + 4 * relay counts)"),
     "alpha_x": (_real, "a single attenuation length alpha x"),
     "format": (_choice("csv", "json"), "report format"),
-    "n_relays": (_relays, "relay counts, comma-separated and distinct "
-                          "(optimize and sample take one)"),
+    "n_relays": (_relays, f"relay counts, comma-separated and distinct "
+                          f"(optimize and sample take one, at most "
+                          f"{MAX_PLACED_RELAYS})"),
     "distance_km": (_real, "total channel length"),
     "f_ec": (_real, "error-correction inefficiency"),
     # named as chain.sample_chain names the count in its own range error
@@ -166,10 +175,13 @@ def _settings(args: argparse.Namespace, defaults: dict) -> dict:
     return params
 
 
-def _single_n(params: dict) -> int:
+def _single_n(params: dict, lo: int = 0) -> int:
+    """The one relay count of a command that places its relays, in [lo,
+    MAX_PLACED_RELAYS]."""
     ns = params["n_relays"]
     if len(ns) != 1:
         raise ValueError(f"this command takes a single relay count, got {ns}")
+    check_int(ns[0], "n_relays", lo, MAX_PLACED_RELAYS)
     return ns[0]
 
 
@@ -181,7 +193,9 @@ def _grid(params: dict) -> list[float]:
     steps = params["steps"]
     check_real(lo, "alpha_x_min")
     check_real(hi, "alpha_x_max")
-    check_int(steps, "steps", 2)
+    # a row holds alpha_x and four fields per relay count
+    check_int(steps, "steps", 2,
+              MAX_CELLS // (1 + 4 * len(params["n_relays"])))
     if not lo < hi:
         raise ValueError(f"alpha_x_min must be < alpha_x_max, got [{lo}, {hi}]")
     # np.linspace's points: a step that underflows to 0 is scaled last
@@ -288,8 +302,7 @@ def cmd_optimize(params: dict) -> int:
     from .analytics import optimal_positions
     from .chain import run_chain, search_positions
 
-    n = _single_n(params)
-    check_int(n, "n_relays", 1)
+    n = _single_n(params, 1)
     config = _chain(params, n, params["distance_km"])
     analytic = optimal_positions(config)
     numeric = search_positions(config)

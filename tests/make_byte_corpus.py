@@ -215,6 +215,23 @@ def _cases() -> list[tuple[list[str], object]]:
     cases += [(["snr", "--n-relays", "0,0", "--alpha-x", "5"], None),
               (["throughput", "--n-relays", "1,1", "--steps", "3",
                 "--alpha-x-max", "10"], None)]
+    # ln p_n on long chains whose p_n underflows: 101 ln(2e-5) at 1e22 km,
+    # and a p_dark of 3.7e-215 at 6.25e15 km
+    cases += [(["optimize", "--distance-km", "1e22", "--n-relays", "100",
+                "--output", "report.json"], None),
+              (["optimize", "--distance-km", "6.25e15", "--n-relays", "64",
+                "--pd", "3.7e-215", "--output", "report.json"], None)]
+    # launches past the bounds, refused before they allocate: a sweep
+    # table of more than cli.MAX_CELLS cells, with 6 relay counts and with
+    # 2, and more than cli.MAX_PLACED_RELAYS relays to place
+    cases += [(["snr", "--steps", "100000000000000000000", "--alpha-x-max",
+                "5"], None),
+              (["throughput", "--n-relays", "0,1", "--steps", "222223"],
+               None),
+              (["optimize", "--distance-km", "100", "--n-relays",
+                "1000000000"], None),
+              (["sample", "--alpha-x", "5", "--n-relays", "100001",
+                "--trials", "10", "--seed", "1"], None)]
     return cases
 
 

@@ -349,6 +349,45 @@ def _decimal_expm1(k):
     return total
 
 
+# Past this attenuation length a segment's e^y nears the default Decimal
+# context's range (e^(2.3e6) is 10^999,999); beyond it e^-y is below
+# 10^-430,000, far under any working precision
+_DECIMAL_EXP_MAX = 10**6
+
+
+def _decimal_log1p_exp(c, ln_c, y):
+    """ln(1 + c e^y) of Decimals c > 0 and y >= 0, to the context's relative
+    precision: log1p of c e^y, or ln c + y where e^y would pass the range
+    (with c >= 2 p_dark >= 4.4e-308, 1 is then below 10^-430,000 of c e^y)."""
+    if y < _DECIMAL_EXP_MAX:
+        return _decimal_log1p(c * y.exp())
+    return ln_c + y
+
+
+def _decimal_log_expm1(k):
+    """ln(e^k - 1) of a Decimal k >= 0 (-Infinity at 0), to the context's
+    relative precision, with no e^k past the range: k itself there, as
+    ln(1 - e^-k) is below 10^-430,000."""
+    return _decimal_expm1(k).ln() if k < _DECIMAL_EXP_MAX else k
+
+
+def _decimal_noise_exponent(config, positions_km):
+    """K = sum_j ln(1 + c_j e^(y_j)) at the given positions, a Decimal to the
+    context's precision, 0 without dark counts: y_j = alpha dx_j over the
+    exact differences of the float positions, c_j = 2 p_dark/eta at a relay
+    and 2 p_dark at the receiver, each ln c_j taken once."""
+    pd2 = 2 * Decimal(config.p_dark)
+    if not pd2:
+        return Decimal(0)
+    c_relay = pd2 / Decimal(config.eta)
+    relay, last = (c_relay, c_relay.ln()), (pd2, pd2.ln())
+    pts = [Decimal(0), *map(Decimal, positions_km),
+           Decimal(config.distance_km)]
+    return sum(_decimal_log1p_exp(*(relay if j < config.n_relays else last),
+                                  Decimal(config.atten_per_km) * (b - a))
+               for j, (a, b) in enumerate(zip(pts, pts[1:])))
+
+
 def decimal_noise_excess(config, positions_km, digits=40):
     """p_n/p_s = prod_j (1 + c_j/t_j) - 1 at the given positions, a Decimal.
 
@@ -360,30 +399,24 @@ def decimal_noise_excess(config, positions_km, digits=40):
     """
     with localcontext() as ctx:
         ctx.prec = digits
-        pd2 = 2 * Decimal(config.p_dark)
-        c_relay = pd2 / Decimal(config.eta)
-        pts = [Decimal(0), *map(Decimal, positions_km),
-               Decimal(config.distance_km)]
-        k = sum(_decimal_log1p((c_relay if j < config.n_relays else pd2)
-                               * (Decimal(config.atten_per_km) * (b - a)).exp())
-                for j, (a, b) in enumerate(zip(pts, pts[1:])))
-        return _decimal_expm1(Decimal(k))
+        return _decimal_expm1(_decimal_noise_exponent(config, positions_km))
 
 
 def decimal_log_noise(config, positions_km, digits=40):
     """ln p_n = N ln eta - alpha x + ln(p_n/p_s) at the given positions, a
     Decimal to `digits` places after the point, from the float arguments'
-    exact values and decimal_noise_excess. The two terms cancel where the
-    noise outweighs the signal, so the working precision adds the integer
-    digits of ln p_s; -Infinity without dark counts.
+    exact values, with ln(p_n/p_s) = ln(e^K - 1) of the noise exponent K,
+    neither e^y nor e^K taken past Decimal's range. The two terms cancel
+    where the noise outweighs the signal, so the working precision adds the
+    integer digits of ln p_s; -Infinity without dark counts.
     """
     size = abs(config.n_relays * math.log(config.eta) - config.alpha_x)
     with localcontext() as ctx:
         ctx.prec = digits + len(f"{size:.0f}")
         log_p_s = (config.n_relays * Decimal(config.eta).ln()
                    - Decimal(config.atten_per_km) * Decimal(config.distance_km))
-        return log_p_s + decimal_noise_excess(config, positions_km,
-                                              ctx.prec).ln()
+        return log_p_s + _decimal_log_expm1(
+            _decimal_noise_exponent(config, positions_km))
 
 
 def coordinate_descent(config, objective, x0=None, obj_tol=1e-10,
@@ -505,15 +538,34 @@ def log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
-def fresh_python(code: str, *args: str, no_site: bool = False) -> str:
-    """Run code in a new interpreter that imports this package, with -S
-    where no_site (without site's start-up hooks, which are the machine's
-    and may load anything); its stdout. A failed run raises."""
+def _package_env() -> dict:
+    """This environment, with this package's source on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qrelay.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def fresh_python(code: str, *args: str, no_site: bool = False) -> str:
+    """Run code in a new interpreter that imports this package, with -S
+    where no_site (without site's start-up hooks, which are the machine's
+    and may load anything); its stdout. A failed run raises."""
     flags = ["-S"] if no_site else []
     return subprocess.run([sys.executable, *flags, "-c", code, *args],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=_package_env(),
                           check=True, timeout=120).stdout
+
+
+def limited_cli(*argv: str, limit_mb: int = 768):
+    """Run `python -m qrelay.cli argv` in a new interpreter whose address
+    space (RLIMIT_AS) is capped at limit_mb, so that a launch that
+    allocates without bound fails there with MemoryError, exit 1, rather
+    than taking the machine's memory; its CompletedProcess."""
+    import resource
+
+    cap = limit_mb << 20
+    return subprocess.run(
+        [sys.executable, "-m", "qrelay.cli", *argv], capture_output=True,
+        text=True, env=_package_env(), timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))

@@ -88,6 +88,10 @@ _QUOTES = {
     "throughput-cutoff-1000": (
         "N = 1000 near {value})",
         "throughput --n-relays 64,1000", "1740", _cutoff(1000)),
+    "optimize-log-noise": (
+        "`qrelay {cmd}` prints `log_noise_analytic: {value}`",
+        "optimize --distance-km 1e22 --n-relays 100", "-1092.79760673",
+        _printed("log_noise_analytic")),
     "sample-log-noise": (
         "`qrelay {cmd}` prints `log_p_n = {value}`",
         "sample --distance-km 1e307 --atten-per-km 10 --n-relays 0 --pd 0.2 "

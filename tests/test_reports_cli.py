@@ -23,7 +23,7 @@ from qrelay.throughput import F_EC
 from oracles import (Table, clamped_rel_dev_allowance, column,
                      decimal_first_order_snr, decimal_log_noise,
                      decimal_rel_dev_reference, decimal_snr_reference,
-                     fresh_python, read_report)
+                     fresh_python, limited_cli, read_report)
 
 
 def small_report():
@@ -385,9 +385,10 @@ def test_each_launch_builds_its_chain_once(argv, want, monkeypatch, capsys):
 @example(ends=[0.0, 1.7e308], steps=7)
 def test_grid_is_np_linspace_bit_for_bit(ends, steps):
     # every (lo, hi, steps) the CLI accepts: finite 0 <= lo < hi, steps >= 2
+    # (and within the table bound, 400,000 steps for one relay count)
     lo, hi = sorted(ends)
     params = {"alpha_x": None, "alpha_x_min": lo, "alpha_x_max": hi,
-              "steps": steps}
+              "steps": steps, "n_relays": [0]}
     got = cli._grid(params)
     # near the largest double, linspace overflows the point it then sets
     # to hi
@@ -488,6 +489,43 @@ def test_cli_refuses_a_relay_count_given_twice(tmp_path):
             assert (out.getvalue(), err.getvalue()) == (
                 "", f"configuration error: n_relays must list each relay "
                     f"count once, got {counts}\n"), argv + source
+
+
+@pytest.mark.parametrize("argv, message", [
+    # `snr --steps 1e20` was killed by the machine's OOM killer, and under
+    # this cap it exited 1 with a bare MemoryError: the table's cells,
+    # steps * (1 + 4 * relay counts), are bounded, 6 relay counts by
+    # default and 2 here
+    (["snr", "--steps", "100000000000000000000", "--alpha-x-max", "5"],
+     "steps must be an integer in [2, 80000], got 100000000000000000000"),
+    (["throughput", "--n-relays", "0,1", "--steps", "222223"],
+     "steps must be an integer in [2, 222222], got 222223"),
+    # optimize and sample hold a position and a segment per relay
+    (["optimize", "--distance-km", "100", "--n-relays", "1000000000"],
+     "n_relays must be an integer in [1, 100000], got 1000000000"),
+    (["sample", "--alpha-x", "5", "--n-relays", "100001", "--trials", "10",
+      "--seed", "1"],
+     "n_relays must be an integer in [0, 100000], got 100001")])
+def test_cli_refuses_an_oversized_launch_before_it_allocates(argv, message):
+    # in a child whose address space is capped, so that a launch that
+    # allocates anyway fails with exit 1 there, not the machine
+    run = limited_cli(*argv)
+    assert (run.returncode, run.stdout, run.stderr) == (
+        2, "", f"configuration error: {message}\n"), argv
+
+
+def test_the_launch_bounds_admit_their_largest_values():
+    # MAX_CELLS // 5 steps for one relay count, and MAX_PLACED_RELAYS
+    grid = {"alpha_x": None, "alpha_x_min": 0.0, "alpha_x_max": 1.0,
+            "n_relays": [3]}
+    steps = cli.MAX_CELLS // 5
+    assert len(cli._grid({**grid, "steps": steps})) == steps
+    with pytest.raises(ValueError, match=rf"in \[2, {steps}\], got "):
+        cli._grid({**grid, "steps": steps + 1})
+    n = cli.MAX_PLACED_RELAYS
+    assert cli._single_n({"n_relays": [n]}, 1) == n
+    with pytest.raises(ValueError, match=rf"in \[1, {n}\], got "):
+        cli._single_n({"n_relays": [n + 1]}, 1)
 
 
 @pytest.mark.parametrize("argv, data, name", [
