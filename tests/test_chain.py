@@ -489,8 +489,8 @@ _LEAST = sys.float_info.min     # the least p_dark > 0 in the domain
     (ChainConfig(0.0, 0.05, 64, 0.65, 1e-300).at_alpha_x(40.0), None)],
     ids=["n4", "clamped", "n0", "mixed", "n64"])
 def test_log_p_n_at_the_least_normal_p_dark(cfg, positions):
-    # p_n is near or past the normal range's edge, where ln p_n = ln p_s +
-    # ln expm1(K), K the fsum of terms near 2 p_dark e^y_j. At a subnormal
+    # p_n is near or past the normal range's edge, and the factors of p_n
+    # are near 2 p_dark, ln(1 - e^-K) near ln K. At a subnormal
     # p_dark, which is refused, `qrelay sample --alpha-x 5 --n-relays 4
     # --pd 5e-324` printed ln p_n = -748.405998153851, p_n 5% low. "mixed"
     # holds one long segment between two short ones

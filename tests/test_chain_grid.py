@@ -472,9 +472,9 @@ def test_log_p_n_over_the_whole_domain(n, eta, p_dark, distance_km, atten,
 
 
 def test_log_p_n_keeps_its_digits_in_the_normal_range():
-    # where p_n is a normal double no digit cancels between ln p_s and
-    # ln expm1(K) where the noise outweighs the signal: that sum was 7,614
-    # ulps off at N = 2, eta = 4.8e-103
+    # where p_n is a normal double and the noise outweighs the signal,
+    # ln p_n keeps its digits: ln p_s + ln expm1(K), whose terms cancel
+    # there, was 7,614 ulps off at N = 2, eta = 4.8e-103
     rng, checked = random.Random(20261020), 0
     while checked < 300:
         n = rng.choice([0, 1, 2, 3, 4, 8, 16, 64, 200])

@@ -492,8 +492,8 @@ def test_cli_refuses_a_relay_count_given_twice(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    # `snr --steps 1e20` was killed by the machine's OOM killer, and under
-    # this cap it exited 1 with a bare MemoryError: the table's cells,
+    # `snr --steps 1e20` grew until the OOM killer ended it, and under this
+    # cap it exited 1 with a bare MemoryError: the table's cells,
     # steps * (1 + 4 * relay counts), are bounded, 6 relay counts by
     # default and 2 here
     (["snr", "--steps", "100000000000000000000", "--alpha-x-max", "5"],
